@@ -12,6 +12,11 @@ marginal unit is strictly profitable. Strict profitability is what keeps a
 battery from trading with itself: its discharge cost equals its own
 recharge value, so the pair never matches.
 
+One kernel, _allocate, does this on books of plain sort-key tuples:
+dispatch_slot sorts the book both modes share once per slot and inserts
+each mode's trade entry, merit_order_allocate maps Offer and Bid books onto
+it, and the hindsight bound in sim builds the same tuples.
+
 The module also ships a discretized brute-force solver used as an
 independent check on small instances, structural audits of the optimum
 (threshold form of the solution), and a randomized benchmark policy that
@@ -21,6 +26,7 @@ blocks quality requests by coin toss instead of solving anything.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +56,10 @@ BID_QUALITY = "quality"
 BID_RECHARGE = "recharge"
 BID_SALE = "sale"
 
-_OFFER_RANK = {OFFER_SURPLUS: 0, OFFER_DISCHARGE: 1, OFFER_PURCHASE: 2}
-_BID_RANK = {BID_QUALITY: 0, BID_RECHARGE: 1, BID_SALE: 2}
+_OFFER_KINDS = (OFFER_SURPLUS, OFFER_DISCHARGE, OFFER_PURCHASE)
+_BID_KINDS = (BID_QUALITY, BID_RECHARGE, BID_SALE)
+_OFFER_RANK = {kind: rank for rank, kind in enumerate(_OFFER_KINDS)}
+_BID_RANK = {kind: rank for rank, kind in enumerate(_BID_KINDS)}
 
 # Grid cells the brute-force solver refuses to enumerate past.
 _ORACLE_CELL_CAP = 40_000_000
@@ -98,6 +106,31 @@ class SubproblemResult:
     mandatory_bids: tuple[tuple[str, int], ...] = ()
 
 
+def _slot_books(system: SystemSpec, state: SystemState, obs: SlotObservation,
+                v: float, headroom_clamp: bool) -> tuple[list, list]:
+    """The sorted supply and demand books shared by both modes.
+
+    Entries are the sort-key tuples _allocate takes; entries without
+    capacity are left out.
+    """
+    surplus = surplus_power(obs)
+    supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
+    demand = [(-(z + alpha), 0, n, alpha)
+              for n, (z, alpha) in enumerate(zip(state.z, obs.alpha))
+              if alpha > 0.0]
+    for k, (e, spec) in enumerate(zip(state.e, system.batteries)):
+        x = battery_queue(e, spec, v, system.grid)
+        d_cap = min(spec.d_max, e - spec.e_min) if headroom_clamp else spec.d_max
+        r_cap = min(spec.r_max, spec.e_max - e) if headroom_clamp else spec.r_max
+        if d_cap > 0.0:
+            supply.append((-x, 1, k, d_cap))
+        if r_cap > 0.0:
+            demand.append((x, 1, k, r_cap))
+    supply.sort()
+    demand.sort()
+    return supply, demand
+
+
 def build_subproblem(mode: str, system: SystemSpec, state: SystemState,
                      obs: SlotObservation, v: float,
                      headroom_clamp: bool = True) -> tuple[list[Offer], list[Bid]]:
@@ -110,26 +143,94 @@ def build_subproblem(mode: str, system: SystemSpec, state: SystemState,
     outbid the market. With headroom_clamp the per-slot flow caps are also
     clamped to the energy actually storable or extractable this slot; a
     correctly parametrized scheduler never needs that clamp, and audits can
-    disable it to expose misparametrization instead of masking it.
+    disable it to expose misparametrization instead of masking it. Entries
+    without capacity are left out.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     g = system.grid
-    offers = [Offer(OFFER_SURPLUS, -1, -math.inf, surplus_power(obs))]
-    bids: list[Bid] = []
-    for n, (alpha, res) in enumerate(zip(obs.alpha, system.residents)):
-        bids.append(Bid(BID_QUALITY, n, state.z[n] + alpha, alpha))
-    for k, (e, spec) in enumerate(zip(state.e, system.batteries)):
-        x = battery_queue(e, spec, v, g)
-        d_cap = min(spec.d_max, e - spec.e_min) if headroom_clamp else spec.d_max
-        r_cap = min(spec.r_max, spec.e_max - e) if headroom_clamp else spec.r_max
-        offers.append(Offer(OFFER_DISCHARGE, k, -x, d_cap))
-        bids.append(Bid(BID_RECHARGE, k, -x, r_cap))
+    supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
+    offers = [Offer(_OFFER_KINDS[rank], i, cost, cap)
+              for cost, rank, i, cap in supply]
+    bids = [Bid(_BID_KINDS[rank], i, -neg_value, cap)
+            for neg_value, rank, i, cap in demand]
     if mode == PURCHASE:
         offers.append(Offer(OFFER_PURCHASE, -1, v * obs.c, g.q_max))
     else:
         bids.append(Bid(BID_SALE, -1, v * obs.w, g.s_max))
     return offers, bids
+
+
+def _allocate(supply: list[tuple], demand: list[tuple], n_batteries: int,
+              n_residents: int, allow_shortfall: bool
+              ) -> tuple[Dispatch | None, int]:
+    """Merit-order kernel over sorted sort-key books.
+
+    supply holds (cost, rank, index, cap) and demand (-value, rank, index,
+    cap) tuples, each list in ascending order and every cap positive; the
+    ranks are those of _OFFER_KINDS and _BID_KINDS. The one surplus entry
+    (cost -inf, rank 0) therefore leads the supply book and is poured
+    first, into bids of any sign, at no cost. Returns the dispatch, or None
+    when the surplus does not fit and allow_shortfall is off, and the
+    number of leading demand entries that absorbed surplus.
+    """
+    q = [0.0]
+    s = [0.0]
+    r = [0.0] * n_batteries
+    d = [0.0] * n_batteries
+    p = [0.0] * n_residents
+    # Flow lists by rank; system-level entries (index -1) land in q or s,
+    # and the surplus entry's own outflow is not kept.
+    sources = ([0.0], d, q)
+    sinks = (p, r, s)
+    objective = 0.0
+    surplus_left = supply[0][3] if supply and supply[0][1] == 0 else 0.0
+    n_mandatory = 0
+    if supply and demand:
+        i = j = 0
+        cost, o_rank, o_idx, o_cap = supply[0]
+        o_left = o_cap
+        neg_value, rank, idx, cap = demand[0]
+        b_left = cap
+        # Strict profitability: an equal-price pair never trades, which is
+        # also what keeps a battery from matching its own discharge (cost
+        # -x) against its own recharge (value -x).
+        while -neg_value > cost:
+            take = o_left if o_left < b_left else b_left
+            # A flow filled by several takes can overshoot its cap by an
+            # ulp (take1 + (cap - take1) need not round back to cap), so
+            # every fill snaps the flow into its box.
+            flows = sources[o_rank]
+            f = flows[o_idx] + take
+            flows[o_idx] = f if f < o_cap else o_cap
+            flows = sinks[rank]
+            f = flows[idx] + take
+            flows[idx] = f if f < cap else cap
+            if o_rank:
+                objective += cost * take + neg_value * take
+            else:
+                objective += neg_value * take
+                surplus_left -= take
+                n_mandatory = j + 1
+            o_left -= take
+            b_left -= take
+            if o_left <= 0.0:
+                i += 1
+                if i == len(supply):
+                    break
+                cost, o_rank, o_idx, o_cap = supply[i]
+                o_left = o_cap
+            if b_left <= 0.0:
+                j += 1
+                if j == len(demand):
+                    break
+                neg_value, rank, idx, cap = demand[j]
+                b_left = cap
+    if surplus_left > 0.0 and not allow_shortfall:
+        return None, n_mandatory
+    dispatch = Dispatch(q=q[0], s=s[0], r=tuple(r), d=tuple(d), p=tuple(p),
+                        objective=objective, curtailed=surplus_left)
+    return dispatch, n_mandatory
 
 
 def merit_order_allocate(offers: list[Offer], bids: list[Bid],
@@ -146,123 +247,29 @@ def merit_order_allocate(offers: list[Offer], bids: list[Bid],
     linear, so the first unprofitable match ends the improvement.
 
     Ties are broken by the kind ranks and ascending index, making the
-    allocation a pure function of its inputs.
+    allocation a pure function of its inputs. The books are mapped onto
+    the sort-key tuples dispatch_slot builds directly and solved by the
+    same kernel. A battery's discharge cost is expected to equal its
+    recharge value, as in every book this package builds; strict matching
+    then never pairs the two.
     """
-    q = 0.0
-    s = 0.0
-    r = [0.0] * n_batteries
-    d = [0.0] * n_batteries
-    p = [0.0] * n_residents
-    objective = 0.0
-    curtailed = 0.0
-    mandatory: list[tuple[str, int]] = []
-
-    surplus_left = 0.0
-    supply: list[Offer] = []
-    for o in offers:
-        if o.kind == OFFER_SURPLUS:
-            surplus_left += o.capacity
-        elif o.capacity > 0.0:
-            supply.append(o)
-    supply.sort(key=lambda o: (o.unit_cost, _OFFER_RANK[o.kind], o.index))
-    demand = [b for b in bids if b.capacity > 0.0]
-    demand.sort(key=lambda b: (-b.unit_value, _BID_RANK[b.kind], b.index))
-    bid_left = [b.capacity for b in demand]
-
-    def fill_bid(b: Bid, amount: float) -> None:
-        nonlocal s
-        if b.kind == BID_QUALITY:
-            p[b.index] += amount
-        elif b.kind == BID_RECHARGE:
-            r[b.index] += amount
-        else:
-            s += amount
-
-    for j, b in enumerate(demand):
-        if surplus_left <= 0.0:
-            break
-        take = min(surplus_left, bid_left[j])
-        fill_bid(b, take)
-        bid_left[j] -= take
-        surplus_left -= take
-        objective -= b.unit_value * take
-        mandatory.append((b.kind, b.index))
-    if surplus_left > 0.0:
-        if not allow_shortfall:
-            return SubproblemResult(feasible=False, dispatch=None,
-                                    objective=math.inf)
-        curtailed = surplus_left
-
-    i = 0
-    j = 0
-    offer_left = [o.capacity for o in supply]
-    while i < len(supply) and j < len(demand):
-        if offer_left[i] <= 0.0:
-            i += 1
-            continue
-        if bid_left[j] <= 0.0:
-            j += 1
-            continue
-        o = supply[i]
-        b = demand[j]
-        # Strict profitability; equal price never trades, which also rules
-        # out a battery matching its own discharge against its recharge.
-        if b.unit_value <= o.unit_cost:
-            break
-        take = min(offer_left[i], bid_left[j])
-        if o.kind == OFFER_DISCHARGE:
-            d[o.index] += take
-        else:
-            q += take
-        fill_bid(b, take)
-        offer_left[i] -= take
-        bid_left[j] -= take
-        objective += o.unit_cost * take - b.unit_value * take
-
-    # Symmetric zero-out of any battery self-trade. Strict matching makes
-    # this a never-fires guard, and the pair prices are equal, so removing
-    # both legs cannot change the objective.
-    for k in range(n_batteries):
-        m = min(r[k], d[k])
-        if m > 0.0:
-            r[k] -= m
-            d[k] -= m
-
-    # A bid filled across both phases can overshoot its capacity by an ulp
-    # (take1 + (cap - take1) need not round back to cap); snap every flow
-    # to its box so downstream exact checks never see the dust.
-    cap_p = {}
-    cap_r = {}
-    s_cap = 0.0
-    for b in bids:
-        c = max(b.capacity, 0.0)
-        if b.kind == BID_QUALITY:
-            cap_p[b.index] = cap_p.get(b.index, 0.0) + c
-        elif b.kind == BID_RECHARGE:
-            cap_r[b.index] = cap_r.get(b.index, 0.0) + c
-        else:
-            s_cap += c
-    cap_d = {}
-    q_cap = 0.0
-    for o in offers:
-        c = max(o.capacity, 0.0)
-        if o.kind == OFFER_DISCHARGE:
-            cap_d[o.index] = cap_d.get(o.index, 0.0) + c
-        elif o.kind == OFFER_PURCHASE:
-            q_cap += c
-    for n in range(n_residents):
-        p[n] = min(p[n], cap_p.get(n, 0.0))
-    for k in range(n_batteries):
-        r[k] = min(r[k], cap_r.get(k, 0.0))
-        d[k] = min(d[k], cap_d.get(k, 0.0))
-    q = min(q, q_cap)
-    s = min(s, s_cap)
-
-    dispatch = Dispatch(q=q, s=s, r=tuple(r), d=tuple(d), p=tuple(p),
-                        objective=objective, curtailed=curtailed)
-    return SubproblemResult(feasible=True, dispatch=dispatch,
-                            objective=objective,
-                            mandatory_bids=tuple(mandatory))
+    surplus = sum(o.capacity for o in offers if o.kind == OFFER_SURPLUS)
+    supply = sorted((o.unit_cost, _OFFER_RANK[o.kind], o.index, o.capacity)
+                    for o in offers
+                    if o.kind != OFFER_SURPLUS and o.capacity > 0.0)
+    if surplus > 0.0:
+        supply.insert(0, (-math.inf, 0, -1, surplus))
+    demand = sorted((-b.unit_value, _BID_RANK[b.kind], b.index, b.capacity)
+                    for b in bids if b.capacity > 0.0)
+    dispatch, n_mandatory = _allocate(supply, demand, n_batteries,
+                                      n_residents, allow_shortfall)
+    if dispatch is None:
+        return SubproblemResult(feasible=False, dispatch=None,
+                                objective=math.inf)
+    return SubproblemResult(
+        feasible=True, dispatch=dispatch, objective=dispatch.objective,
+        mandatory_bids=tuple((_BID_KINDS[rank], i)
+                             for _, rank, i, _ in demand[:n_mandatory]))
 
 
 def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
@@ -270,37 +277,34 @@ def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
                   headroom_clamp: bool = True) -> Dispatch:
     """Solve both modes of the slot problem and return the better dispatch.
 
-    On an exact objective tie a no-trade dispatch (neither buying nor
-    selling) wins, then the purchase mode. If neither mode can absorb the
-    surplus the slot is unservable; with curtail=True the excess is
-    discarded at zero value and recorded on the dispatch instead.
+    The books are those of build_subproblem, built once as sort-key tuples
+    and sorted once; each mode then inserts its own trade entry (the
+    purchase offer or the sale bid) in merit order. On an exact objective
+    tie a no-trade dispatch (neither buying nor selling) wins, then the
+    purchase mode. If neither mode can absorb the surplus the slot is
+    unservable; with curtail=True the excess is discarded at zero value and
+    recorded on the dispatch instead.
     """
-    results: dict[str, SubproblemResult] = {}
-    for mode in MODES:
-        offers, bids = build_subproblem(mode, system, state, obs, v,
-                                        headroom_clamp=headroom_clamp)
-        results[mode] = merit_order_allocate(
-            offers, bids, system.n_batteries, system.n_residents,
-            allow_shortfall=curtail)
-    pu = results[PURCHASE]
-    se = results[SELL]
-    if not pu.feasible and not se.feasible:
+    g = system.grid
+    supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
+    buy_supply = supply.copy()
+    insort(buy_supply, (v * obs.c, 2, -1, g.q_max))
+    pu = _allocate(buy_supply, demand, system.n_batteries,
+                   system.n_residents, curtail)[0]
+    insort(demand, (-(v * obs.w), 2, -1, g.s_max))
+    se = _allocate(supply, demand, system.n_batteries,
+                   system.n_residents, curtail)[0]
+    if pu is None and se is None:
         raise UnservableSurplusError(
             f"slot {state.t}: surplus {surplus_power(obs)} kWh exceeds every "
             "sink; enable curtailment or resize the scenario")
-    if not se.feasible:
-        return pu.dispatch
-    if not pu.feasible:
-        return se.dispatch
-    if pu.objective < se.objective:
-        return pu.dispatch
-    if se.objective < pu.objective:
-        return se.dispatch
-    pu_no_trade = pu.dispatch.q == 0.0 and pu.dispatch.s == 0.0
-    se_no_trade = se.dispatch.q == 0.0 and se.dispatch.s == 0.0
-    if se_no_trade and not pu_no_trade:
-        return se.dispatch
-    return pu.dispatch
+    if se is None or (pu is not None and pu.objective < se.objective):
+        return pu
+    if pu is None or se.objective < pu.objective:
+        return se
+    if se.q == 0.0 and se.s == 0.0 and not (pu.q == 0.0 and pu.s == 0.0):
+        return se
+    return pu
 
 
 def slot_objective(system: SystemSpec, state: SystemState, obs: SlotObservation,

@@ -14,23 +14,16 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .dispatch import (
-    Bid,
-    Offer,
-    OFFER_DISCHARGE,
-    OFFER_PURCHASE,
-    OFFER_SURPLUS,
-    BID_QUALITY,
-    BID_RECHARGE,
-    BID_SALE,
+    _allocate,
     dispatch_slot,
     mecp_dispatch,
-    merit_order_allocate,
     threshold_violations,
 )
 from .model import (
@@ -603,34 +596,37 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
         total = 0.0
         grad_mu = [0.0] * n_bat
         grad_nu = [0.0] * n_res
+        # dispatch._allocate tuple books. Battery entries hold for the whole
+        # iteration; slots add surplus, quality and per-mode trade entries.
+        batteries_supply = sorted((-mu[k], 1, k, batteries[k].d_max)
+                                  for k in range(n_bat))
+        recharge = [(mu[k], 1, k, batteries[k].r_max) for k in range(n_bat)]
         for t in range(horizon):
             obs = traces[t]
             p_surplus = surplus_power(obs)
-            base_offers = [Offer(OFFER_SURPLUS, -1, -math.inf, p_surplus)]
-            base_bids = [Bid(BID_QUALITY, n, nu[n], obs.alpha[n])
-                         for n in range(n_res)]
-            for k in range(n_bat):
-                base_offers.append(
-                    Offer(OFFER_DISCHARGE, k, -mu[k], batteries[k].d_max))
-                base_bids.append(
-                    Bid(BID_RECHARGE, k, -mu[k], batteries[k].r_max))
-            buy = merit_order_allocate(
-                base_offers + [Offer(OFFER_PURCHASE, -1, obs.c, g.q_max)],
-                base_bids, n_bat, n_res,
-                allow_shortfall=config.curtailment)
-            sell = merit_order_allocate(
-                base_offers, base_bids + [Bid(BID_SALE, -1, obs.w, g.s_max)],
-                n_bat, n_res, allow_shortfall=config.curtailment)
-            if buy.feasible and buy.objective <= sell.objective:
-                chosen = buy
-            elif sell.feasible:
-                chosen = sell
+            supply = ([(-math.inf, 0, -1, p_surplus)] if p_surplus > 0.0
+                      else []) + batteries_supply
+            demand = recharge + [(-nu[n], 0, n, alpha)
+                                 for n, alpha in enumerate(obs.alpha)
+                                 if alpha > 0.0]
+            demand.sort()
+            buy_supply = supply.copy()
+            insort(buy_supply, (obs.c, 2, -1, g.q_max))
+            buy = _allocate(buy_supply, demand, n_bat, n_res,
+                            config.curtailment)[0]
+            insort(demand, (-obs.w, 2, -1, g.s_max))
+            sell = _allocate(supply, demand, n_bat, n_res,
+                             config.curtailment)[0]
+            if buy is not None and (sell is None
+                                    or buy.objective <= sell.objective):
+                disp = buy
+            elif sell is not None:
+                disp = sell
             else:
                 raise UnservableSurplusError(
                     f"slot {t}: surplus {p_surplus} kWh exceeds every sink "
                     "in the relaxed problem")
-            disp = chosen.dispatch
-            slot_val = chosen.objective
+            slot_val = disp.objective
             for n in range(n_res):
                 allowance = one_minus_delta[n] * obs.alpha[n]
                 slot_val += nu[n] * allowance

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -8,6 +9,20 @@ from mgsched.cli import main
 
 FIVE_DAY = "configs/five_day.yaml"
 SEVEN_DAY = "configs/seven_day.yaml"
+
+# SHA-256 of the files `mgsched run` writes for each shipped config. A
+# speed-only change must keep them; a change that means to alter the
+# outputs re-records them here.
+SHIPPED_DIGESTS = {
+    FIVE_DAY: {
+        "slots.csv": "a8d24c9b111a57adbad2f57f130604d8c61cd6906f32aa8d1b1b4e61d3cdd663",
+        "summary.txt": "e2dd37364bc8ff7221a0e0cfc6d3bd4848253fdb4c64539b8633a6e91284463b",
+    },
+    SEVEN_DAY: {
+        "slots.csv": "6ee1ea06fc14c6302e77906cd6440316ef177946ef735e86f83b22762e3a4f62",
+        "summary.txt": "206d89873bbdceba73020c3a9de1b36881f7f2f4dad4a97f8acafbab0236bce0",
+    },
+}
 
 
 class TestRunCommand:
@@ -32,6 +47,16 @@ class TestRunCommand:
                 == (tmp_path / "b.slots.csv").read_bytes())
         assert ((tmp_path / "a.summary.txt").read_bytes()
                 == (tmp_path / "b.summary.txt").read_bytes())
+
+    @pytest.mark.parametrize("config", [FIVE_DAY, SEVEN_DAY])
+    def test_shipped_outputs_are_pinned(self, tmp_path, config):
+        out = str(tmp_path / "run")
+        assert main(["run", "--config", config, "--out", out]) == 0
+        digests = {
+            suffix: hashlib.sha256(
+                (tmp_path / f"run.{suffix}").read_bytes()).hexdigest()
+            for suffix in ("slots.csv", "summary.txt")}
+        assert digests == SHIPPED_DIGESTS[config]
 
     def test_seed_override_changes_the_run(self, tmp_path):
         out_a = str(tmp_path / "a")

@@ -11,6 +11,7 @@ from mgsched import (
     SlotObservation,
     SystemState,
     UnservableSurplusError,
+    battery_queue,
     build_subproblem,
     check_dispatch,
     dispatch_slot,
@@ -55,6 +56,28 @@ def reference_slot():
     state = SystemState(t=0, e=(3.0,), z=(6.0,))
     obs = obs_of(1.0, (2.0,), c=0.10, w=1.0 / 30.0)
     return system, state, obs
+
+
+def pick_by_full_sort(system, state, obs, v, curtail=False,
+                      headroom_clamp=True):
+    """dispatch_slot's choice, rebuilt from both modes' full-sort books.
+
+    Returns None where dispatch_slot must raise UnservableSurplusError.
+    """
+    pu, se = (merit_order_allocate(
+        *build_subproblem(mode, system, state, obs, v,
+                          headroom_clamp=headroom_clamp),
+        system.n_batteries, system.n_residents, allow_shortfall=curtail)
+        for mode in (PURCHASE, SELL))
+    if not pu.feasible and not se.feasible:
+        return None
+    if not se.feasible or (pu.feasible and pu.objective < se.objective):
+        return pu.dispatch
+    if not pu.feasible or se.objective < pu.objective:
+        return se.dispatch
+    pu_trades = pu.dispatch.q != 0.0 or pu.dispatch.s != 0.0
+    se_trades = se.dispatch.q != 0.0 or se.dispatch.s != 0.0
+    return se.dispatch if pu_trades and not se_trades else pu.dispatch
 
 
 class TestBuildSubproblem:
@@ -259,6 +282,46 @@ class TestDispatchSlot:
         system, state, obs = reference_slot()
         assert dispatch_slot(system, state, obs, V_REF) == dispatch_slot(
             system, state, obs, V_REF)
+
+
+class TestTradeEntryTieBreaks:
+    """dispatch_slot inserts each mode's trade entry into the sorted shared
+    book; at an equal price it must rank after the battery and quality
+    entries, as the rank tables order a full sort. At v=10 the battery
+    queue is e - 3, so these levels and prices tie exactly."""
+
+    V = 10.0
+
+    def test_purchase_offer_after_equal_priced_discharge(self):
+        system = make_system()
+        state = SystemState(t=0, e=(2.5,), z=(10.0,))
+        obs = obs_of(0.0, (2.5,), c=0.05, w=0.03)
+        spec = system.batteries[0]
+        assert -battery_queue(2.5, spec, self.V, system.grid) == self.V * obs.c
+        dd = dispatch_slot(system, state, obs, self.V)
+        # Discharge serves first at the tied price; the purchase covers the
+        # 0.5 kWh the 2 kWh discharge cap leaves of the 2.5 kWh request.
+        assert dd.d == (2.0,)
+        assert dd.q == 0.5
+        assert dd.p == (2.5,)
+        assert dd == pick_by_full_sort(system, state, obs, self.V)
+
+    def test_sale_bid_after_equal_valued_quality_and_recharge(self):
+        system = make_system()
+        state = SystemState(t=0, e=(2.75,), z=(0.0,))
+        obs = obs_of(3.0, (0.25,), c=0.05, w=0.025)
+        spec = system.batteries[0]
+        sale_value = self.V * obs.w
+        assert -battery_queue(2.75, spec, self.V, system.grid) == sale_value
+        assert state.z[0] + obs.alpha[0] == sale_value
+        dd = dispatch_slot(system, state, obs, self.V)
+        # The 3 kWh surplus fills the quality request, then the recharge
+        # cap, and only the rest is sold.
+        assert dd.p == (0.25,)
+        assert dd.r == (2.0,)
+        assert dd.s == 0.75
+        assert dd.d == (0.0,)
+        assert dd == pick_by_full_sort(system, state, obs, self.V)
 
 
 class TestThresholdAudit:
@@ -539,3 +602,52 @@ class TestSolverProperties:
                 gap = step * oracle_coefficient_sum(system, state, obs, v, mode)
                 assert merit.objective <= oracle[mode].objective + 1e-9
                 assert merit.objective >= oracle[mode].objective - gap - 1e-9
+
+
+@st.composite
+def large_slot(draw):
+    """Slots up to the acceptance fixture's largest systems (5 batteries,
+    20 residents), with surpluses that can exceed every sink."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 20))
+    system = make_system(n_batteries=k, n_residents=n)
+    e = tuple(draw(st.floats(0.0, 16.0)) for _ in range(k))
+    z = tuple(draw(st.floats(0.0, 25.0)) for _ in range(n))
+    alpha = tuple(draw(st.floats(0.0, 2.5)) for _ in range(n))
+    u = draw(st.floats(0.0, 80.0))
+    c = draw(st.floats(0.05, 0.10))
+    w = draw(st.floats(0.02, 0.04))
+    v = draw(st.floats(10.0, 150.0))
+    state = SystemState(t=0, e=e, z=z)
+    obs = SlotObservation(u=u, basic=(0.0,) * n, alpha=alpha, c=c, w=w)
+    return system, state, obs, v
+
+
+class TestSortedOncePath:
+    @given(large_slot(), st.booleans(), st.booleans())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_full_sort_with_exclusive_flows_in_boxes(
+            self, slot, clamp, curtail):
+        system, state, obs, v = slot
+        expected = pick_by_full_sort(system, state, obs, v, curtail=curtail,
+                                     headroom_clamp=clamp)
+        if expected is None:
+            with pytest.raises(UnservableSurplusError):
+                dispatch_slot(system, state, obs, v, curtail=curtail,
+                              headroom_clamp=clamp)
+            return
+        dd = dispatch_slot(system, state, obs, v, curtail=curtail,
+                           headroom_clamp=clamp)
+        assert dd == expected
+        assert dd.q * dd.s == 0.0
+        for rk, dk in zip(dd.r, dd.d):
+            assert rk * dk == 0.0
+        # Boxes hold exactly, with no float dust past a cap.
+        g = system.grid
+        assert dd.q <= g.q_max and dd.s <= g.s_max
+        assert all(pn <= an for pn, an in zip(dd.p, obs.alpha))
+        for rk, dk, e, spec in zip(dd.r, dd.d, state.e, system.batteries):
+            assert rk <= (min(spec.r_max, spec.e_max - e) if clamp
+                          else spec.r_max)
+            assert dk <= (min(spec.d_max, e - spec.e_min) if clamp
+                          else spec.d_max)

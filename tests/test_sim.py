@@ -357,6 +357,15 @@ class TestHindsight:
         with pytest.raises(ValueError):
             hindsight_lower_bound(generate_traces(config), config, iterations=0)
 
+    def test_pinned_on_a_short_five_day_trace(self):
+        # The bound's exact float on this trace: rewriting how its books
+        # are built must reproduce it bit for bit. A deliberate change to
+        # the bound itself re-pins this value.
+        config = load_config("configs/five_day.yaml")
+        traces = generate_traces(config)[:200]
+        lb = hindsight_lower_bound(traces, config, iterations=5)
+        assert lb == 0.1968218681751001
+
 
 class TestReporting:
     def test_slot_records_csv(self, tmp_path):
