@@ -1,9 +1,10 @@
-"""Compare the online policy against the myopic baseline and audit bounds.
+"""Compare the online policy against the coin-toss baseline and audit bounds.
 
 For each seed, simulates the scenario under both the queue-driven policy and
-the myopic expected-cost baseline on identical traces, then reports cost and
-outage side by side. Finishes with the randomized bound suites so a single
-invocation both benchmarks and sanity-checks the implementation.
+the randomized baseline, which blocks quality requests by coin toss, on
+identical traces, then reports cost and outage side by side. Finishes with
+the randomized bound suites so a single invocation both benchmarks and
+sanity-checks the implementation.
 
 Usage: python3 scripts/policy_comparison.py [--config CONFIG] [--seeds LIST]
 """

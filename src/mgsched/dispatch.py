@@ -348,58 +348,38 @@ def threshold_violations(system: SystemSpec, state: SystemState,
     x = [battery_queue(e, spec, v, g)
          for e, spec in zip(state.e, system.batteries)]
 
-    def battery_checks(price: float, label: str) -> None:
-        for k in range(system.n_batteries):
-            if x[k] > -v * price and dispatch.r[k] > 1e-12:
+    def check(recharge_above: float, discharge_below: float,
+              serve_above: list[float], block_below: list[float],
+              label: str) -> None:
+        for k, xk in enumerate(x):
+            if xk > recharge_above and dispatch.r[k] > 1e-12:
                 msgs.append(
-                    f"battery {k}: queue {x[k]} above {-v * price} ({label}) "
-                    f"yet recharges {dispatch.r[k]}")
-            if x[k] < -v * price and dispatch.d[k] > 1e-12:
+                    f"battery {k}: queue {xk} above {recharge_above} "
+                    f"({label}) yet recharges {dispatch.r[k]}")
+            if xk < discharge_below and dispatch.d[k] > 1e-12:
                 msgs.append(
-                    f"battery {k}: queue {x[k]} below {-v * price} ({label}) "
-                    f"yet discharges {dispatch.d[k]}")
-
-    def resident_checks(price: float, label: str) -> None:
+                    f"battery {k}: queue {xk} below {discharge_below} "
+                    f"({label}) yet discharges {dispatch.d[k]}")
         for n, res in enumerate(system.residents):
             z = state.z[n]
-            alpha = obs.alpha[n]
-            floor = (1.0 - res.delta) * alpha
-            if z > v * price - alpha and dispatch.p[n] < floor - 1e-9:
+            floor = (1.0 - res.delta) * obs.alpha[n]
+            if z > serve_above[n] and dispatch.p[n] < floor - 1e-9:
                 msgs.append(
-                    f"resident {n}: backlog {z} above {v * price - alpha} "
+                    f"resident {n}: backlog {z} above {serve_above[n]} "
                     f"({label}) yet served {dispatch.p[n]} < {floor}")
-            if z < v * price - alpha and dispatch.p[n] > 1e-12:
+            if z < block_below[n] and dispatch.p[n] > 1e-12:
                 msgs.append(
-                    f"resident {n}: backlog {z} below {v * price - alpha} "
+                    f"resident {n}: backlog {z} below {block_below[n]} "
                     f"({label}) yet served {dispatch.p[n]}")
 
-    for k in range(system.n_batteries):
-        if x[k] > -v * g.w_min and dispatch.r[k] > 1e-12:
-            msgs.append(
-                f"battery {k}: queue {x[k]} above {-v * g.w_min} "
-                f"(price-floor bound) yet recharges {dispatch.r[k]}")
-        if x[k] < -v * g.c_max and dispatch.d[k] > 1e-12:
-            msgs.append(
-                f"battery {k}: queue {x[k]} below {-v * g.c_max} "
-                f"(price-cap bound) yet discharges {dispatch.d[k]}")
-    for n, res in enumerate(system.residents):
-        z = state.z[n]
-        alpha = obs.alpha[n]
-        floor = (1.0 - res.delta) * alpha
-        if z > v * g.c_max and dispatch.p[n] < floor - 1e-9:
-            msgs.append(
-                f"resident {n}: backlog {z} above {v * g.c_max} "
-                f"(price-cap bound) yet served {dispatch.p[n]} < {floor}")
-        if z < v * g.w_min - res.alpha_max and dispatch.p[n] > 1e-12:
-            msgs.append(
-                f"resident {n}: backlog {z} below {v * g.w_min - res.alpha_max} "
-                f"(price-floor bound) yet served {dispatch.p[n]}")
-    if dispatch.q > 0.0:
-        battery_checks(obs.c, "at purchase price")
-        resident_checks(obs.c, "at purchase price")
-    if dispatch.s > 0.0:
-        battery_checks(obs.w, "at sell price")
-        resident_checks(obs.w, "at sell price")
+    check(-v * g.w_min, -v * g.c_max, [v * g.c_max] * len(obs.alpha),
+          [v * g.w_min - res.alpha_max for res in system.residents],
+          "price bounds")
+    for traded, price, label in ((dispatch.q > 0.0, obs.c, "at purchase price"),
+                                 (dispatch.s > 0.0, obs.w, "at sell price")):
+        if traded:
+            thresholds = [v * price - alpha for alpha in obs.alpha]
+            check(-v * price, -v * price, thresholds, thresholds, label)
     return msgs
 
 

@@ -1,4 +1,4 @@
-"""Microgrid system model: static component specs and per-slot physics.
+"""Microgrid system model: static component specs and per-slot checks.
 
 Conventions used across the package: every traded or stored quantity is an
 energy in kWh per time slot, prices are $/kWh, and power traces in kW are
@@ -12,17 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # Absolute tolerance for the supply/demand balance residual, scaled by
-# max(1, surplus); boxes and battery bands use the same slack in kWh.
+# max(1, surplus); boxes, battery bands and backlog caps use the same slack
+# in kWh.
 BALANCE_TOL = 1e-9
-BAND_TOL = 1e-9
-
-
-class BatteryBandError(RuntimeError):
-    """A battery energy level left its [e_min, e_max] band.
-
-    Unreachable when the scheduler runs with 0 < v <= compute_vmax(...);
-    raising it means the control parameter or the dispatch logic is broken.
-    """
 
 
 class UnservableSurplusError(RuntimeError):
@@ -77,14 +69,12 @@ class ResidentSpec:
 
     basic_range bounds the inelastic draw per slot (kWh); alpha_max caps the
     elastic quality-usage request. delta is the tolerated long-run fraction
-    of quality demand that may go unserved. quality_mean is the nominal mean
-    request, kept for reporting; admission control never uses it directly.
+    of quality demand that may go unserved.
     """
 
     delta: float
     alpha_max: float
     basic_range: tuple[float, float]
-    quality_mean: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -94,9 +84,6 @@ class ResidentSpec:
         lo, hi = self.basic_range
         if not 0.0 <= lo <= hi:
             raise ValueError(f"basic_range must satisfy 0 <= lo <= hi, got {self.basic_range}")
-        if not 0.0 < self.quality_mean <= self.alpha_max:
-            raise ValueError(
-                f"quality_mean must lie in (0, alpha_max], got {self.quality_mean}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,24 +215,6 @@ def compute_vmax(batteries: tuple[BatterySpec, ...] | list[BatterySpec],
     if not batteries:
         raise ValueError("need at least one battery")
     return min(b.slack for b in batteries) / (grid.c_max - grid.w_min)
-
-
-def apply_dispatch(state: SystemState, dispatch: Dispatch,
-                   batteries: tuple[BatterySpec, ...]) -> SystemState:
-    """Advance battery energies by one slot: e' = e - d + r per battery.
-
-    Backlogs are copied through untouched; the caller folds in the service
-    update separately. Raises BatteryBandError if any new level leaves its
-    band by more than BAND_TOL, which a correctly parametrized scheduler
-    never triggers.
-    """
-    e_next = tuple(e - d + r for e, d, r in zip(state.e, dispatch.d, dispatch.r))
-    for k, (e_new, spec) in enumerate(zip(e_next, batteries)):
-        if e_new < spec.e_min - BAND_TOL or e_new > spec.e_max + BAND_TOL:
-            raise BatteryBandError(
-                f"battery {k} at {e_new} kWh left [{spec.e_min}, {spec.e_max}] "
-                f"(slot {state.t}, d={dispatch.d[k]}, r={dispatch.r[k]})")
-    return SystemState(t=state.t + 1, e=e_next, z=state.z)
 
 
 def validate_observation(obs: SlotObservation, system: SystemSpec) -> list[str]:

@@ -11,16 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import BatterySpec, GridSpec, SystemSpec, SystemState
-
-
-@dataclass(frozen=True, slots=True)
-class QueueView:
-    """Snapshot of both queue families for one slot at control parameter v."""
-
-    x: tuple[float, ...]
-    z: tuple[float, ...]
-    v: float
+from .model import BatterySpec, GridSpec, SystemSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,13 +38,6 @@ def battery_queue(e: float, spec: BatterySpec, v: float, grid: GridSpec) -> floa
     marks one close to the level where discharging becomes attractive.
     """
     return e - spec.d_max - spec.e_min - v * grid.c_max
-
-
-def queue_view(system: SystemSpec, state: SystemState, v: float) -> QueueView:
-    """Assemble both queue families from the current state."""
-    x = tuple(battery_queue(e, spec, v, system.grid)
-              for e, spec in zip(state.e, system.batteries))
-    return QueueView(x=x, z=state.z, v=v)
 
 
 def update_qose_queue(z: float, alpha: float, p: float, delta: float) -> float:

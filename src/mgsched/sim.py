@@ -27,6 +27,7 @@ from .dispatch import (
     threshold_violations,
 )
 from .model import (
+    BALANCE_TOL,
     BatterySpec,
     Dispatch,
     GridSpec,
@@ -333,6 +334,13 @@ def _parse_int(path: str, line_no: int, field: str, raw: str) -> int:
             f"{path}:{line_no}: field {field} is not an integer: {raw!r}") from None
 
 
+def _parse_slot(path: str, line_no: int, raw: str) -> int:
+    slot = _parse_int(path, line_no, "slot", raw)
+    if slot < 0:
+        raise TraceError(f"{path}:{line_no}: slot {slot} is negative")
+    return slot
+
+
 def load_traces(wind_path: str, price_path: str, demand_path: str,
                 config: RunConfig) -> list[SlotObservation]:
     """Load and validate recorded traces from three CSV files.
@@ -340,8 +348,10 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     Formats: wind rows are slot,generation_kwh; price rows are
     slot,purchase_price,sell_price; demand rows are
     slot,resident,basic_kwh,quality_kwh with resident indices 0..N-1.
-    Slots must cover 0..horizon-1 densely; every bound of the system model
-    is checked and the first offender reported with file and line.
+    Slots must cover 0..horizon-1 densely; rows at or past the horizon are
+    ignored, so a longer recording replays over a shorter horizon, and a
+    negative slot is an error. Every bound of the system model is checked
+    and the first offender reported with file and line.
     """
     horizon = config.horizon
     n_res = len(config.residents)
@@ -349,8 +359,8 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
 
     gen = [math.nan] * horizon
     for line_no, row in _read_csv(wind_path, ["slot", "generation_kwh"]):
-        slot = _parse_int(wind_path, line_no, "slot", row[0])
-        if 0 <= slot < horizon:
+        slot = _parse_slot(wind_path, line_no, row[0])
+        if slot < horizon:
             if not math.isnan(gen[slot]):
                 raise TraceError(f"{wind_path}:{line_no}: duplicate slot {slot}")
             gen[slot] = _parse_float(wind_path, line_no, "generation_kwh", row[1])
@@ -358,8 +368,8 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     prices = [(math.nan, math.nan)] * horizon
     for line_no, row in _read_csv(price_path,
                                   ["slot", "purchase_price", "sell_price"]):
-        slot = _parse_int(price_path, line_no, "slot", row[0])
-        if 0 <= slot < horizon:
+        slot = _parse_slot(price_path, line_no, row[0])
+        if slot < horizon:
             if not math.isnan(prices[slot][0]):
                 raise TraceError(f"{price_path}:{line_no}: duplicate slot {slot}")
             prices[slot] = (
@@ -370,12 +380,12 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     alpha = [[math.nan] * n_res for _ in range(horizon)]
     for line_no, row in _read_csv(
             demand_path, ["slot", "resident", "basic_kwh", "quality_kwh"]):
-        slot = _parse_int(demand_path, line_no, "slot", row[0])
+        slot = _parse_slot(demand_path, line_no, row[0])
         res = _parse_int(demand_path, line_no, "resident", row[1])
         if not 0 <= res < n_res:
             raise TraceError(
                 f"{demand_path}:{line_no}: resident {res} outside 0..{n_res - 1}")
-        if 0 <= slot < horizon:
+        if slot < horizon:
             if not math.isnan(basic[slot][res]):
                 raise TraceError(
                     f"{demand_path}:{line_no}: duplicate slot {slot} resident {res}")
@@ -424,6 +434,49 @@ def write_traces(traces: list[SlotObservation], prefix: str) -> tuple[str, str, 
     return wind_path, price_path, demand_path
 
 
+def step(system: SystemSpec, state: SystemState, obs: SlotObservation,
+         dispatch: Dispatch, z_max: tuple[float, ...] | list[float]):
+    """Advance one slot: e' = e - d + r and z' = max(z - delta*alpha, 0) + alpha - p.
+
+    Returns (next_state, band_msgs, queue_msgs): one message per new battery
+    level outside [e_min, e_max] and one per new backlog above its cap
+    z_max[n], each by more than BALANCE_TOL. The state advances either way,
+    so a caller can count every escape along a run.
+    """
+    e_next = tuple([e - d + r for e, d, r
+                    in zip(state.e, dispatch.d, dispatch.r)])
+    z_next = tuple([update_qose_queue(z, alpha, p, res.delta)
+                    for z, alpha, p, res in zip(state.z, obs.alpha, dispatch.p,
+                                                system.residents)])
+    band_msgs = []
+    for k, (e, spec) in enumerate(zip(e_next, system.batteries)):
+        if e < spec.e_min - BALANCE_TOL or e > spec.e_max + BALANCE_TOL:
+            band_msgs.append(
+                f"battery {k}: level {e} outside [{spec.e_min}, {spec.e_max}]")
+    queue_msgs = []
+    for n, (z, cap) in enumerate(zip(z_next, z_max)):
+        if z > cap + BALANCE_TOL:
+            queue_msgs.append(f"resident {n}: backlog {z} above cap {cap}")
+    return SystemState(t=state.t + 1, e=e_next, z=z_next), band_msgs, queue_msgs
+
+
+def outage_windows(outage: np.ndarray, residents: tuple[ResidentSpec, ...],
+                   z_max: tuple[float, ...] | list[float]):
+    """Sliding OUTAGE_WINDOW sums of unserved quality energy, with budgets.
+
+    outage holds one row per slot and one column per resident. Returns
+    (sums, budgets): sums[i, n] totals slots i..i+OUTAGE_WINDOW-1 (no rows
+    when the run is shorter than one window), and budgets[n] = z_max[n] +
+    OUTAGE_WINDOW * delta_n * alpha_max_n, the most a bounded backlog lets
+    one window leave unserved.
+    """
+    cums = np.vstack([np.zeros(len(residents)), np.cumsum(outage, axis=0)])
+    sums = cums[OUTAGE_WINDOW:] - cums[:-OUTAGE_WINDOW]
+    budgets = np.array([zm + OUTAGE_WINDOW * res.delta * res.alpha_max
+                        for zm, res in zip(z_max, residents)])
+    return sums, budgets
+
+
 def run(config: RunConfig, traces: list[SlotObservation],
         policy=None, keep_records: bool = True):
     """Simulate the configured horizon and audit every slot.
@@ -468,7 +521,6 @@ def run(config: RunConfig, traces: list[SlotObservation],
         policy_fn = policy
     audit_scheduler = policy_name == "proposed"
 
-    deltas = [res.delta for res in residents]
     counters = {key: 0 for key in VIOLATION_KEYS}
     alpha_hist = np.empty((horizon, n_res))
     outage_hist = np.empty((horizon, n_res))
@@ -493,33 +545,24 @@ def run(config: RunConfig, traces: list[SlotObservation],
         cost_increment = q * obs.c - s * obs.w
         cumulative = cumulative + cost_increment
         curtailed_total += dispatch.curtailed
-        e_next = tuple(e - d + r for e, d, r
-                       in zip(state.e, dispatch.d, dispatch.r))
-        for e_new, spec in zip(e_next, batteries):
-            if e_new < spec.e_min - 1e-9 or e_new > spec.e_max + 1e-9:
-                counters["battery_band"] += 1
-        z_new = []
-        for n in range(n_res):
-            zn = update_qose_queue(state.z[n], obs.alpha[n], dispatch.p[n],
-                                   deltas[n])
-            if audit_scheduler and zn > consts.z_max[n] + 1e-9:
-                counters["queue_bound"] += 1
-            z_new.append(zn)
-            alpha_hist[t, n] = obs.alpha[n]
-            outage_hist[t, n] = obs.alpha[n] - dispatch.p[n]
-        state = SystemState(t=t + 1, e=e_next, z=tuple(z_new))
+        state, band_msgs, queue_msgs = step(system, state, obs, dispatch,
+                                            consts.z_max)
+        counters["battery_band"] += len(band_msgs)
+        if audit_scheduler:
+            counters["queue_bound"] += len(queue_msgs)
+        outage = tuple([a - p for a, p in zip(obs.alpha, dispatch.p)])
+        alpha_hist[t] = obs.alpha
+        outage_hist[t] = outage
         if keep_records:
             records.append(SlotRecord(
                 t=t, dispatch=dispatch, cost_increment=cost_increment,
-                cumulative_cost=cumulative, e=e_next, z=state.z,
-                outage=tuple(outage_hist[t].tolist())))
+                cumulative_cost=cumulative, e=state.e, z=state.z,
+                outage=outage))
 
-    if audit_scheduler and horizon >= OUTAGE_WINDOW:
-        cums = np.vstack([np.zeros(n_res), np.cumsum(outage_hist, axis=0)])
-        window_sums = cums[OUTAGE_WINDOW:] - cums[:-OUTAGE_WINDOW]
-        for n, res in enumerate(residents):
-            budget = consts.z_max[n] + OUTAGE_WINDOW * res.delta * res.alpha_max
-            counters["outage_window"] += int((window_sums[:, n] > budget).sum())
+    if audit_scheduler:
+        window_sums, budgets = outage_windows(outage_hist, residents,
+                                              consts.z_max)
+        counters["outage_window"] = int((window_sums > budgets).sum())
 
     alpha_cum = np.cumsum(alpha_hist, axis=0)
     outage_cum = np.cumsum(outage_hist, axis=0)
@@ -541,7 +584,8 @@ def run(config: RunConfig, traces: list[SlotObservation],
         (o / a) if a > 0.0 else 0.0
         for o, a in zip(outage_total, alpha_total))
     stability = check_qose_stability(outage_total, alpha_total,
-                                     tuple(deltas), consts.z_max)
+                                     [res.delta for res in residents],
+                                     consts.z_max)
     summary = Summary(
         policy=policy_name,
         slots=horizon,
@@ -779,12 +823,10 @@ def load_config(path: str) -> RunConfig:
         # alpha_max must cover the widest quality cap any regime uses, but
         # baseline slots keep drawing from the entry's own cap.
         peak_kw = max([base_quality_kw] + regime_quality_kw)
-        mean_kw = float(entry.get("quality_mean_kw", base_quality_kw / 2.0))
         residents.append(ResidentSpec(
             delta=float(entry["delta"]) if "delta" in entry else 0.07,
             alpha_max=peak_kw * sh,
-            basic_range=(basic_kw[0] * sh, basic_kw[1] * sh),
-            quality_mean=mean_kw * sh))
+            basic_range=(basic_kw[0] * sh, basic_kw[1] * sh)))
         alpha_base.append(base_quality_kw * sh)
 
     grid_raw = data.get("grid")

@@ -9,11 +9,14 @@ agrees with a brute-force grid search on small instances. Every suite
 reports trial and violation counts plus the first counterexample, so a
 failure is directly reproducible.
 
-Scenario generators size the market trade caps to dominate the microgrid
-(purchases can cover every quality request and recharge, sales can absorb
-the largest surplus plus every discharge). The structural guarantees are
-proved under that regime; an undersized grid connection can force optima
-with a genuinely different shape.
+Every suite draws its systems as random_system RunConfigs and their
+observations through the simulator's own generate_traces, and the bound
+suite advances and audits each slot with the simulator's step. The
+RunConfigs size the market trade caps to dominate the microgrid (purchases
+can cover every quality request and recharge, sales can absorb the largest
+surplus plus every discharge). The structural guarantees are proved under
+that regime; an undersized grid connection can force optima with a
+genuinely different shape.
 """
 
 from __future__ import annotations
@@ -41,11 +44,14 @@ from .model import (
     check_dispatch,
     compute_vmax,
 )
-from .queues import bound_constants, update_qose_queue
-
-# Sliding-window length (slots) for the outage-window suite; must match the
-# simulator's audit so the two report the same guarantee.
-from .sim import OUTAGE_WINDOW
+from .queues import bound_constants
+from .sim import (
+    OUTAGE_WINDOW,
+    RunConfig,
+    generate_traces,
+    outage_windows,
+    step,
+)
 
 # Head-room added past the worst case when sizing q_max and s_max.
 CAP_MARGIN = 2.0
@@ -69,22 +75,14 @@ class SuiteResult:
         return self.violations == 0
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A random system plus the surplus process that fits its sizing."""
-
-    system: SystemSpec
-    surplus_hi: float
-    burst_hi: float
-    burst_prob: float
-
-
-def random_system(rng: np.random.Generator, k_max: int = 3, n_max: int = 6,
-                  small_caps: bool = False) -> Scenario:
+def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
+                  n_max: int = 6, small_caps: bool = False) -> RunConfig:
     """Draw a random well-posed system with dominating trade caps.
 
-    small_caps shrinks per-slot flow boxes so a coarse brute-force grid
-    over them stays cheap.
+    Returns a RunConfig of the given horizon whose surplus process fits the
+    sizing: uniform on [0, surplus_hi], replaced with probability
+    burst_prob by a burst on [surplus_hi, burst_hi]. small_caps shrinks
+    per-slot flow boxes so a coarse brute-force grid over them stays cheap.
     """
     k = int(rng.integers(1, k_max + 1))
     n = int(rng.integers(1, n_max + 1))
@@ -112,8 +110,7 @@ def random_system(rng: np.random.Generator, k_max: int = 3, n_max: int = 6,
         residents.append(ResidentSpec(
             delta=float(rng.uniform(0.02, 0.15)),
             alpha_max=alpha_max,
-            basic_range=(lo, hi),
-            quality_mean=alpha_max / 2.0))
+            basic_range=(lo, hi)))
     # Price bands are drawn strictly separated (sell band below purchase
     # band) so every observation has w < c without per-slot fixups.
     w_min = float(rng.uniform(0.01, 0.035))
@@ -134,29 +131,10 @@ def random_system(rng: np.random.Generator, k_max: int = 3, n_max: int = 6,
     grid = GridSpec(q_max=sum_alpha + sum_r + CAP_MARGIN,
                     s_max=burst_hi + sum_d + CAP_MARGIN,
                     c_min=c_min, c_max=c_max, w_min=w_min, w_max=w_max)
-    system = SystemSpec(batteries=tuple(batteries),
-                        residents=tuple(residents), grid=grid)
-    return Scenario(system=system, surplus_hi=surplus_hi, burst_hi=burst_hi,
-                    burst_prob=burst_prob)
-
-
-def random_observation(scenario: Scenario,
-                       rng: np.random.Generator) -> SlotObservation:
-    """Draw one observation consistent with the scenario's processes."""
-    system = scenario.system
-    basic = tuple(float(rng.uniform(lo, hi))
-                  for lo, hi in (res.basic_range for res in system.residents))
-    alpha = tuple(float(rng.uniform(0.0, res.alpha_max))
-                  for res in system.residents)
-    if scenario.burst_prob > 0.0 and rng.random() < scenario.burst_prob:
-        surplus = float(rng.uniform(scenario.surplus_hi, scenario.burst_hi))
-    else:
-        surplus = float(rng.uniform(0.0, scenario.surplus_hi))
-    g = system.grid
-    c = float(rng.uniform(g.c_min, g.c_max))
-    w = float(rng.uniform(g.w_min, min(g.w_max, c)))
-    return SlotObservation(u=sum(basic) + surplus, basic=basic, alpha=alpha,
-                           c=c, w=w)
+    return RunConfig(batteries=tuple(batteries), residents=tuple(residents),
+                     grid=grid, horizon=horizon,
+                     surplus_range=(0.0, surplus_hi),
+                     burst_range=(surplus_hi, burst_hi), burst_prob=burst_prob)
 
 
 def random_state(system: SystemSpec, rng: np.random.Generator, v: float,
@@ -172,9 +150,9 @@ def random_state(system: SystemSpec, rng: np.random.Generator, v: float,
     return SystemState(t=0, e=e, z=z)
 
 
-def _counterexample(scenario: Scenario, state: SystemState,
+def _counterexample(system: SystemSpec, state: SystemState,
                     obs: SlotObservation, dispatch, detail: str) -> str:
-    return (f"detail: {detail}\nsystem: {scenario.system!r}\n"
+    return (f"detail: {detail}\nsystem: {system!r}\n"
             f"state: {state!r}\nobs: {obs!r}\ndispatch: {dispatch!r}")
 
 
@@ -196,80 +174,42 @@ def run_bound_trials(runs: int, slots: int, seed: int,
     band_ce = queue_ce = window_ce = None
     windows_checked = 0
     for _ in range(runs):
-        scenario = random_system(rng, k_max=k_max, n_max=n_max)
-        system = scenario.system
-        batteries = system.batteries
-        residents = system.residents
-        n_res = len(residents)
-        v = v_factor * compute_vmax(batteries, system.grid)
+        config = random_system(rng, slots, k_max=k_max, n_max=n_max)
+        system = config.system
+        residents = config.residents
+        v = v_factor * compute_vmax(config.batteries, config.grid)
         consts = bound_constants(system, v)
-
-        lo = np.array([res.basic_range[0] for res in residents])
-        hi = np.array([res.basic_range[1] for res in residents])
-        basics = rng.uniform(lo, hi, size=(slots, n_res)).tolist()
-        caps = np.array([res.alpha_max for res in residents])
-        alphas = rng.uniform(0.0, caps, size=(slots, n_res)).tolist()
-        surplus = rng.uniform(0.0, scenario.surplus_hi, size=slots)
-        bursts = rng.uniform(scenario.surplus_hi, scenario.burst_hi,
-                             size=slots)
-        surplus = np.where(rng.random(slots) < scenario.burst_prob,
-                           bursts, surplus).tolist()
-        g = system.grid
-        c_arr = rng.uniform(g.c_min, g.c_max, size=slots)
-        w_arr = rng.uniform(g.w_min, np.minimum(g.w_max, c_arr), size=slots)
-        c_list = c_arr.tolist()
-        w_list = w_arr.tolist()
-
-        state = SystemState(t=0, e=tuple(b.e_init for b in batteries),
-                            z=(0.0,) * n_res)
-        outage = np.empty((slots, n_res))
-        for t in range(slots):
-            basic_row = tuple(basics[t])
-            obs = SlotObservation(u=sum(basic_row) + surplus[t],
-                                  basic=basic_row, alpha=tuple(alphas[t]),
-                                  c=c_list[t], w=w_list[t])
+        state = SystemState(t=0, e=tuple(b.e_init for b in config.batteries),
+                            z=(0.0,) * len(residents))
+        outage = np.empty((slots, len(residents)))
+        for t, obs in enumerate(generate_traces(config, rng)):
             dispatch = dispatch_slot(system, state, obs, v,
                                      headroom_clamp=False)
-            e_next = []
-            for e, spec, r, d in zip(state.e, batteries, dispatch.r,
-                                     dispatch.d):
-                e_new = e - d + r
-                if e_new < spec.e_min - 1e-9 or e_new > spec.e_max + 1e-9:
-                    band_v += 1
-                    if band_ce is None:
-                        band_ce = _counterexample(
-                            scenario, state, obs, dispatch,
-                            f"level {e_new} outside "
-                            f"[{spec.e_min}, {spec.e_max}]")
-                e_next.append(e_new)
-            z_next = []
-            for n in range(n_res):
-                zn = update_qose_queue(state.z[n], obs.alpha[n],
-                                       dispatch.p[n], residents[n].delta)
-                if zn > consts.z_max[n] + 1e-9:
-                    queue_v += 1
-                    if queue_ce is None:
-                        queue_ce = _counterexample(
-                            scenario, state, obs, dispatch,
-                            f"backlog {zn} above cap {consts.z_max[n]}")
-                z_next.append(zn)
-                outage[t, n] = obs.alpha[n] - dispatch.p[n]
-            state = SystemState(t=t + 1, e=tuple(e_next), z=tuple(z_next))
-        if slots >= OUTAGE_WINDOW:
-            cums = np.vstack([np.zeros(n_res), np.cumsum(outage, axis=0)])
-            sums = cums[OUTAGE_WINDOW:] - cums[:-OUTAGE_WINDOW]
-            for n, res in enumerate(residents):
-                budget = (consts.z_max[n]
-                          + OUTAGE_WINDOW * res.delta * res.alpha_max)
-                bad = int((sums[:, n] > budget).sum())
-                window_v += bad
-                windows_checked += sums.shape[0]
-                if bad and window_ce is None:
-                    worst = int(np.argmax(sums[:, n]))
-                    window_ce = (
-                        f"detail: window starting at slot {worst} sums to "
-                        f"{sums[worst, n]} > budget {budget} for resident "
-                        f"{n}\nsystem: {system!r}")
+            after, band_msgs, queue_msgs = step(system, state, obs, dispatch,
+                                                consts.z_max)
+            if band_msgs:
+                band_v += len(band_msgs)
+                if band_ce is None:
+                    band_ce = _counterexample(system, state, obs, dispatch,
+                                              band_msgs[0])
+            if queue_msgs:
+                queue_v += len(queue_msgs)
+                if queue_ce is None:
+                    queue_ce = _counterexample(system, state, obs, dispatch,
+                                               queue_msgs[0])
+            outage[t] = [a - p for a, p in zip(obs.alpha, dispatch.p)]
+            state = after
+        sums, budgets = outage_windows(outage, residents, consts.z_max)
+        windows_checked += sums.size
+        bad = sums > budgets
+        window_v += int(bad.sum())
+        if window_ce is None and bad.any():
+            n = int(np.nonzero(bad.any(axis=0))[0][0])
+            worst = int(np.argmax(sums[:, n]))
+            window_ce = (
+                f"detail: window starting at slot {worst} sums to "
+                f"{sums[worst, n]} > budget {budgets[n]} for resident "
+                f"{n}\nsystem: {system!r}")
     slot_total = runs * slots
     return [
         SuiteResult("battery-band", slot_total, band_v, band_ce),
@@ -285,31 +225,31 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
     Each slot gets an independently drawn state (levels anywhere in band,
     backlogs up to 1.25x their cap) and observation; the scheduler's
     dispatch must satisfy every dispatch invariant and every strict
-    threshold condition. Systems are redrawn periodically.
+    threshold condition. Systems are redrawn every 64 slots, each with one
+    generate_traces block of observations.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
     rng = np.random.default_rng((seed, 3))
     violations = 0
     ce = None
-    scenario = None
-    v = 0.0
     for t in range(slots):
         if t % 64 == 0:
-            scenario = random_system(rng, k_max=k_max, n_max=n_max)
-            v_max = compute_vmax(scenario.system.batteries,
-                                 scenario.system.grid)
+            config = random_system(rng, min(64, slots - t), k_max=k_max,
+                                   n_max=n_max)
+            system = config.system
+            v_max = compute_vmax(config.batteries, config.grid)
             v = float(rng.uniform(0.3, 1.0)) * v_max
-        system = scenario.system
+            block = generate_traces(config, rng)
         state = random_state(system, rng, v)
-        obs = random_observation(scenario, rng)
+        obs = block[t % 64]
         dispatch = dispatch_slot(system, state, obs, v)
         problems = check_dispatch(dispatch, system, obs)
         problems += threshold_violations(system, state, obs, v, dispatch)
         if problems:
             violations += 1
             if ce is None:
-                ce = _counterexample(scenario, state, obs, dispatch,
+                ce = _counterexample(system, state, obs, dispatch,
                                      "; ".join(problems))
     return SuiteResult("threshold-structure", slots, violations, ce)
 
@@ -329,12 +269,12 @@ def solver_oracle_trials(instances: int, seed: int,
     violations = 0
     ce = None
     for _ in range(instances):
-        scenario = random_system(rng, k_max=2, n_max=2, small_caps=True)
-        system = scenario.system
+        config = random_system(rng, 1, k_max=2, n_max=2, small_caps=True)
+        system = config.system
         v_max = compute_vmax(system.batteries, system.grid)
         v = float(rng.uniform(0.3, 1.0)) * v_max
         state = random_state(system, rng, v, z_scale=1.0)
-        obs = random_observation(scenario, rng)
+        obs = generate_traces(config, rng)[0]
         oracle = oracle_solve(system, state, obs, v, grid_step)
         for mode in MODES:
             offers, bids = build_subproblem(mode, system, state, obs, v)
@@ -362,7 +302,7 @@ def solver_oracle_trials(instances: int, seed: int,
             if problems:
                 violations += 1
                 if ce is None:
-                    ce = _counterexample(scenario, state, obs, res.dispatch,
+                    ce = _counterexample(system, state, obs, res.dispatch,
                                          "; ".join(problems))
     return SuiteResult("solver-oracle", instances, violations, ce)
 

@@ -14,8 +14,7 @@ def make_battery(**overrides) -> BatterySpec:
 
 
 def make_resident(**overrides) -> ResidentSpec:
-    fields = dict(delta=0.07, alpha_max=2.5, basic_range=(0.5, 6.25),
-                  quality_mean=1.25)
+    fields = dict(delta=0.07, alpha_max=2.5, basic_range=(0.5, 6.25))
     fields.update(overrides)
     return ResidentSpec(**fields)
 

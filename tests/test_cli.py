@@ -239,6 +239,19 @@ class TestErrorPaths:
         assert main(["run", "--out", "x"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_trace_slot_exits_one(self, tmp_path, capsys):
+        prefix = str(tmp_path / "traces")
+        assert main(["gen-traces", "--config", FIVE_DAY, "--out", prefix]) == 0
+        with open(f"{prefix}.demand.csv", "a") as fh:
+            fh.write("-1,0,99.0,99.0\n")
+        code = main(["run", "--config", FIVE_DAY,
+                     "--out", str(tmp_path / "x"),
+                     "--wind", f"{prefix}.wind.csv",
+                     "--prices", f"{prefix}.prices.csv",
+                     "--demand", f"{prefix}.demand.csv"])
+        assert code == 1
+        assert "slot -1 is negative" in capsys.readouterr().err
+
     def test_bad_seed_override(self, tmp_path, capsys):
         code = main(["run", "--config", FIVE_DAY,
                      "--out", str(tmp_path / "x"), "--seed", "-4"])

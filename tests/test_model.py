@@ -5,15 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgsched import (
-    BatteryBandError,
     BatterySpec,
     Dispatch,
     GridSpec,
     ResidentSpec,
     SlotObservation,
     SystemSpec,
-    SystemState,
-    apply_dispatch,
     check_dispatch,
     compute_vmax,
     surplus_power,
@@ -48,8 +45,6 @@ class TestResidentSpec:
         dict(alpha_max=0.0),
         dict(basic_range=(-0.1, 1.0)),
         dict(basic_range=(2.0, 1.0)),
-        dict(quality_mean=0.0),
-        dict(quality_mean=3.0),    # above alpha_max
     ])
     def test_rejects_bad_fields(self, overrides):
         with pytest.raises(ValueError):
@@ -120,24 +115,6 @@ class TestComputeVmax:
         widened = make_grid(c_max=0.10 + gap)
         battery = make_battery()
         assert compute_vmax((battery,), widened) <= compute_vmax((battery,), base)
-
-
-class TestApplyDispatch:
-    def test_advances_level_and_slot(self, battery):
-        state = SystemState(t=3, e=(8.0,), z=(1.0,))
-        dispatch = Dispatch(q=0.0, s=0.0, r=(2.0,), d=(0.5,), p=(0.0,),
-                            objective=0.0)
-        after = apply_dispatch(state, dispatch, (battery,))
-        assert after.t == 4
-        assert after.e == (9.5,)
-        assert after.z == (1.0,)
-
-    def test_band_escape_raises(self, battery):
-        state = SystemState(t=0, e=(15.0,), z=(0.0,))
-        dispatch = Dispatch(q=0.0, s=0.0, r=(2.0,), d=(0.0,), p=(0.0,),
-                            objective=0.0)
-        with pytest.raises(BatteryBandError):
-            apply_dispatch(state, dispatch, (battery,))
 
 
 class TestValidateObservation:

@@ -3,11 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgsched import (
-    SystemState,
     battery_queue,
     bound_constants,
     check_qose_stability,
-    queue_view,
     update_qose_queue,
 )
 
@@ -38,15 +36,6 @@ class TestBatteryQueue:
         spec, grid = make_battery(), make_grid()
         assert (battery_queue(e + 1.0, spec, v, grid)
                 - battery_queue(e, spec, v, grid)) == pytest.approx(1.0)
-
-
-class TestQueueView:
-    def test_assembles_both_families(self, system):
-        state = SystemState(t=0, e=(16.0,), z=(3.0,))
-        view = queue_view(system, state, V_REF)
-        assert view.x == pytest.approx((-1.0,))
-        assert view.z == (3.0,)
-        assert view.v == V_REF
 
 
 class TestUpdateQoseQueue:

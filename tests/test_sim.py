@@ -8,20 +8,24 @@ from mgsched import (
     RunConfig,
     Regime,
     SlotObservation,
+    SystemState,
     TraceError,
+    bound_constants,
     format_summary,
     generate_traces,
     hindsight_lower_bound,
     load_config,
     load_traces,
     run,
+    step,
+    update_qose_queue,
     validate_observation,
     write_slot_records,
     write_summary,
     write_traces,
 )
 
-from conftest import make_battery, make_grid, make_resident
+from conftest import make_battery, make_grid, make_resident, make_system
 
 
 def make_config(**overrides) -> RunConfig:
@@ -210,6 +214,24 @@ class TestTraceFiles:
         with pytest.raises(TraceError, match="slot 0"):
             load_traces(wind, str(tmp_path / "bad.csv"), demand, config)
 
+    @pytest.mark.parametrize("kind,row", [
+        ("wind", "-3,1.0"),
+        ("prices", "-2,0.08,0.03"),
+        ("demand", "-1,0,99.0,99.0"),     # basic above any generation
+    ])
+    def test_negative_slot_rejected(self, tmp_path, kind, row):
+        config, paths = self._write_files(tmp_path)
+        paths = dict(zip(("wind", "prices", "demand"), paths))
+        lines = open(paths[kind]).read().splitlines()
+        lines.append(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        paths[kind] = str(bad)
+        slot = row.split(",")[0]
+        with pytest.raises(TraceError,
+                           match=f"bad.csv:{len(lines)}: slot {slot} is negative"):
+            load_traces(paths["wind"], paths["prices"], paths["demand"], config)
+
     def test_empty_file(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
         (tmp_path / "bad.csv").write_text("")
@@ -220,6 +242,68 @@ class TestTraceFiles:
 def inert_trace(n=1):
     return [SlotObservation(u=0.0, basic=(0.0,) * n, alpha=(0.0,) * n,
                             c=0.10, w=0.02)]
+
+
+class TestStep:
+    def _dispatch(self, r=0.0, p=0.0):
+        return Dispatch(q=0.0, s=0.0, r=(r,), d=(0.0,), p=(p,), objective=0.0)
+
+    def test_advances_levels_backlogs_and_slot(self):
+        state = SystemState(t=3, e=(8.0,), z=(1.0,))
+        obs = SlotObservation(u=2.0, basic=(0.0,), alpha=(2.0,), c=0.10, w=0.02)
+        after, band, queue = step(make_system(), state, obs,
+                                  self._dispatch(r=2.0, p=0.5), (15.0,))
+        assert after == SystemState(
+            t=4, e=(10.0,), z=(update_qose_queue(1.0, 2.0, 0.5, 0.07),))
+        assert after.z == pytest.approx((2.36,))
+        assert band == [] and queue == []
+
+    def test_reports_band_escape_and_queue_breach(self):
+        state = SystemState(t=0, e=(15.0,), z=(3.0,))
+        obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(2.0,), c=0.10, w=0.02)
+        # e' = 15 + 2 = 17 > e_max = 16; z' = 3 - 0.14 + 2 = 4.86 > 4
+        after, band, queue = step(make_system(), state, obs,
+                                  self._dispatch(r=2.0), (4.0,))
+        assert after.e == (17.0,) and after.z == pytest.approx((4.86,))
+        assert len(band) == 1 and "battery 0" in band[0]
+        assert "outside [0.0, 16.0]" in band[0]
+        assert len(queue) == 1 and "resident 0" in queue[0]
+        assert "above cap 4.0" in queue[0]
+
+    def test_float_dust_is_not_an_escape(self):
+        state = SystemState(t=0, e=(16.0 + 5e-10,), z=(4.0 + 5e-10,))
+        obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(0.0,), c=0.10, w=0.02)
+        _, band, queue = step(make_system(), state, obs, self._dispatch(),
+                              (4.0,))
+        assert band == [] and queue == []
+
+    def test_run_counts_band_escapes_as_step_reports_them(self):
+        # one battery starts full, one empty; recharging r_max every slot
+        # pushes the first out at once and the second after eight slots,
+        # while serving nothing lets the backlog pass its cap
+        config = make_config(batteries=(make_battery(e_init=16.0),
+                                        make_battery(e_init=0.0)),
+                             horizon=40)
+        traces = generate_traces(config)
+
+        def overfill(state, obs):
+            return Dispatch(q=0.0, s=0.0, r=(2.0, 2.0), d=(0.0, 0.0),
+                            p=(0.0,), objective=0.0)
+
+        _, summary = run(config, traces, policy=overfill)
+        z_max = bound_constants(config.system, summary.v).z_max
+        state = SystemState(t=0, e=(16.0, 0.0), z=(0.0,))
+        band_reports = queue_reports = 0
+        for obs in traces:
+            state, band, queue = step(config.system, state, obs,
+                                      overfill(state, obs), z_max)
+            band_reports += len(band)
+            queue_reports += len(queue)
+        assert band_reports == 40 + 32
+        assert summary.violations["battery_band"] == band_reports
+        # backlog caps are audited for the scheduler only
+        assert queue_reports > 0
+        assert summary.violations["queue_bound"] == 0
 
 
 class TestRun:

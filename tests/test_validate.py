@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgsched import (
-    random_observation,
+    generate_traces,
     random_state,
     random_system,
     run_all_suites,
@@ -17,36 +17,41 @@ class TestScenarioGenerators:
     def test_systems_are_well_posed_and_caps_dominate(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            scenario = random_system(rng)
-            system = scenario.system
-            sum_alpha = sum(r.alpha_max for r in system.residents)
-            sum_r = sum(b.r_max for b in system.batteries)
-            sum_d = sum(b.d_max for b in system.batteries)
+            config = random_system(rng, 10)
+            assert config.horizon == 10
+            grid = config.grid
+            sum_alpha = sum(r.alpha_max for r in config.residents)
+            sum_r = sum(b.r_max for b in config.batteries)
+            sum_d = sum(b.d_max for b in config.batteries)
             # purchases can cover every request and recharge; sales can
             # absorb the largest surplus plus every discharge
-            assert system.grid.q_max >= sum_alpha + sum_r
-            assert system.grid.s_max >= scenario.burst_hi + sum_d
-            assert system.grid.w_max < system.grid.c_min
+            assert grid.q_max >= sum_alpha + sum_r
+            assert grid.s_max >= config.burst_range[1] + sum_d
+            assert grid.w_max < grid.c_min
+            assert config.surplus_range[1] == config.burst_range[0]
 
     def test_observations_and_states_fit_the_system(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            scenario = random_system(rng)
-            obs = random_observation(scenario, rng)
-            assert validate_observation(obs, scenario.system) == []
-            state = random_state(scenario.system, rng, v=10.0)
-            for e, spec in zip(state.e, scenario.system.batteries):
+            config = random_system(rng, 4)
+            system = config.system
+            traces = generate_traces(config, rng)
+            assert len(traces) == 4
+            for obs in traces:
+                assert validate_observation(obs, system) == []
+            state = random_state(system, rng, v=10.0)
+            for e, spec in zip(state.e, system.batteries):
                 assert spec.e_min <= e <= spec.e_max
 
     def test_small_caps_mode(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            scenario = random_system(rng, k_max=2, n_max=2, small_caps=True)
-            for b in scenario.system.batteries:
+            config = random_system(rng, 1, k_max=2, n_max=2, small_caps=True)
+            for b in config.batteries:
                 assert b.r_max <= 0.6 and b.d_max <= 0.6
-            for r in scenario.system.residents:
+            for r in config.residents:
                 assert r.alpha_max <= 0.6
-            assert scenario.burst_prob == 0.0
+            assert config.burst_prob == 0.0
 
 
 class TestBoundSuites:
@@ -69,6 +74,10 @@ class TestBoundSuites:
         assert band.violations > 0
         assert "outside" in band.counterexample
         assert "state:" in band.counterexample
+        # the exact counts pin the synthesizer's stream and the shared audit
+        assert [(r.name, r.trials, r.violations) for r in results] == [
+            ("battery-band", 1800, 535), ("queue-bound", 1800, 0),
+            ("outage-window", 1111, 0)]
 
 
 class TestOtherSuites:
