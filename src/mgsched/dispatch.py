@@ -17,10 +17,10 @@ dispatch_slot sorts the book both modes share once per slot and inserts
 each mode's trade entry, merit_order_allocate maps Offer and Bid books onto
 it, and the hindsight bound in sim builds the same tuples.
 
-The module also ships a discretized brute-force solver used as an
-independent check on small instances, structural audits of the optimum
-(threshold form of the solution), and a randomized benchmark policy that
-blocks quality requests by coin toss instead of solving anything.
+The module also ships an exact dual oracle that checks the allocator at
+any size, structural audits of the optimum (threshold form of the
+solution), and a randomized benchmark policy that blocks quality requests
+by coin toss instead of solving anything.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ _OFFER_KINDS = (OFFER_SURPLUS, OFFER_DISCHARGE, OFFER_PURCHASE)
 _BID_KINDS = (BID_QUALITY, BID_RECHARGE, BID_SALE)
 _OFFER_RANK = {kind: rank for rank, kind in enumerate(_OFFER_KINDS)}
 _BID_RANK = {kind: rank for rank, kind in enumerate(_BID_KINDS)}
-
-# Grid cells the brute-force solver refuses to enumerate past.
-_ORACLE_CELL_CAP = 40_000_000
-
 
 @dataclass(frozen=True, slots=True)
 class Offer:
@@ -383,118 +379,47 @@ def threshold_violations(system: SystemSpec, state: SystemState,
     return msgs
 
 
-def _grid_axis(lo: float, hi: float, step: float,
-               anchors: tuple[float, ...] = ()) -> np.ndarray:
-    """Grid of spacing step over [lo, hi], always containing lo, hi, anchors."""
-    if hi < lo:
-        raise ValueError(f"empty axis [{lo}, {hi}]")
-    pts = np.arange(lo, hi, step)
-    extras = [a for a in anchors if lo <= a <= hi]
-    return np.unique(np.concatenate([pts, [lo, hi], extras]))
-
-
 def oracle_solve(system: SystemSpec, state: SystemState, obs: SlotObservation,
-                 v: float, grid_step: float) -> dict[str, SubproblemResult]:
-    """Discretized brute-force solve of both modes, for cross-checking.
+                 v: float) -> dict[str, float]:
+    """Exact optimum of each mode's slot LP, by its Lagrangian dual.
 
-    Battery flows are enumerated as one net-flow axis per battery (negative
-    means discharge), quality service on one axis per resident; the traded
-    quantity is then the unique value closing the balance, so every
-    candidate satisfies the balance exactly and the returned objective can
-    never undercut the true optimum. Box endpoints and the zero flow are
-    always grid points, which keeps the optimality gap within grid_step
-    times the sum of absolute objective coefficients. Exponential in the
-    number of axes, hence the dimension cap.
+    Each mode minimizes the slot objective over box-bounded flows tied by
+    one balance, surplus + supply = demand. Dualizing that balance at an
+    energy price pi gives the concave piecewise-linear
+
+        g(pi) = -pi*surplus - sum_demand cap*max(0, value - pi)
+                            - sum_supply cap*max(0, pi - cost),
+
+    whose kinks are the unit prices. By LP strong duality the optimum is
+    the largest g at a kink; when the surplus exceeds the mode's total sink
+    capacity g grows without bound and the mode is infeasible (math.inf).
+    Prices and headroom-clamped caps are computed here from battery_queue,
+    z + alpha, v*c and v*w, independently of the books the allocator uses.
+    Returns mode -> optimum.
     """
-    if system.n_batteries > 2 or system.n_residents > 2:
-        raise ValueError("oracle handles at most 2 batteries and 2 residents")
-    if grid_step <= 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
     g = system.grid
-    p_surplus = surplus_power(obs)
-    x = [battery_queue(e, spec, v, g)
-         for e, spec in zip(state.e, system.batteries)]
-    axes = []
+    surplus = surplus_power(obs)
+    demand = [(z + alpha, alpha) for z, alpha in zip(state.z, obs.alpha)]
+    supply = []
     for e, spec in zip(state.e, system.batteries):
-        d_cap = min(spec.d_max, e - spec.e_min)
-        r_cap = min(spec.r_max, spec.e_max - e)
-        axes.append(_grid_axis(-d_cap, r_cap, grid_step, anchors=(0.0,)))
-    for alpha in obs.alpha:
-        axes.append(_grid_axis(0.0, alpha, grid_step))
-    cells = 1
-    for a in axes:
-        cells *= len(a)
-    if cells > _ORACLE_CELL_CAP:
-        raise ValueError(f"oracle grid of {cells} cells exceeds the cap")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flows = [m.ravel() for m in mesh]
-    k_n = system.n_batteries
-    net_batt = sum(flows[:k_n])
-    served = sum(flows[k_n:])
-    sinks = net_batt + served
-
-    base = np.zeros_like(flows[0])
-    for k in range(k_n):
-        base = base + x[k] * flows[k]
-    for n, alpha in enumerate(obs.alpha):
-        base = base - (state.z[n] + alpha) * flows[k_n + n]
-
-    def assemble(idx: int, q: float, s: float, objective: float) -> Dispatch:
-        b = [float(flows[k][idx]) for k in range(k_n)]
-        return Dispatch(
-            q=q, s=s,
-            r=tuple(bk if bk > 0.0 else 0.0 for bk in b),
-            d=tuple(-bk if bk < 0.0 else 0.0 for bk in b),
-            p=tuple(float(flows[k_n + n][idx])
-                    for n in range(system.n_residents)),
-            objective=objective)
-
-    results: dict[str, SubproblemResult] = {}
-
-    q = sinks - p_surplus
-    ok = (q >= -1e-12) & (q <= g.q_max + 1e-12)
-    if np.any(ok):
-        q_cl = np.clip(q, 0.0, g.q_max)
-        obj = base + v * obs.c * q_cl
-        obj = np.where(ok, obj, np.inf)
-        idx = int(np.argmin(obj))
-        best = float(obj[idx])
-        results[PURCHASE] = SubproblemResult(
-            feasible=True,
-            dispatch=assemble(idx, float(q_cl[idx]), 0.0, best),
-            objective=best)
-    else:
-        results[PURCHASE] = SubproblemResult(feasible=False, dispatch=None,
-                                             objective=math.inf)
-
-    s = p_surplus - sinks
-    ok = (s >= -1e-12) & (s <= g.s_max + 1e-12)
-    if np.any(ok):
-        s_cl = np.clip(s, 0.0, g.s_max)
-        obj = base - v * obs.w * s_cl
-        obj = np.where(ok, obj, np.inf)
-        idx = int(np.argmin(obj))
-        best = float(obj[idx])
-        results[SELL] = SubproblemResult(
-            feasible=True,
-            dispatch=assemble(idx, 0.0, float(s_cl[idx]), best),
-            objective=best)
-    else:
-        results[SELL] = SubproblemResult(feasible=False, dispatch=None,
-                                         objective=math.inf)
-    return results
-
-
-def oracle_coefficient_sum(system: SystemSpec, state: SystemState,
-                           obs: SlotObservation, v: float, mode: str) -> float:
-    """Sum of absolute objective coefficients, sizing the oracle's gap."""
-    g = system.grid
-    total = v * (obs.c if mode == PURCHASE else obs.w)
-    for e, spec in zip(state.e, system.batteries):
-        total += 2.0 * abs(battery_queue(e, spec, v, g))
-    for n, alpha in enumerate(obs.alpha):
-        total += abs(state.z[n] + alpha)
-    return total
+        x = battery_queue(e, spec, v, g)
+        demand.append((-x, max(0.0, min(spec.r_max, spec.e_max - e))))
+        supply.append((-x, max(0.0, min(spec.d_max, e - spec.e_min))))
+    optimum = {}
+    for mode, sinks, sources in (
+            (PURCHASE, demand, supply + [(v * obs.c, g.q_max)]),
+            (SELL, demand + [(v * obs.w, g.s_max)], supply)):
+        value, v_cap = np.reshape(sinks, (-1, 2)).T
+        cost, c_cap = np.reshape(sources, (-1, 2)).T
+        if surplus > v_cap.sum():
+            optimum[mode] = math.inf
+            continue
+        pi = np.concatenate([value, cost])
+        dual = (-pi * surplus
+                - v_cap @ np.maximum(0.0, value[:, None] - pi)
+                - c_cap @ np.maximum(0.0, pi - cost[:, None]))
+        optimum[mode] = float(dual.max())
+    return optimum
 
 
 def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,

@@ -608,13 +608,17 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
                           step0: float | None = None) -> float:
     """Lower-bound the per-slot cost of any feasible policy on this trace.
 
-    Works on a relaxation whose storage dynamics are replaced by an
-    average-flow constraint; its optimum can only sit below the true one.
-    For fixed multipliers (one per battery for average flow balance, one
-    per resident for the service guarantee) the inner minimization splits
-    per slot into the same structure the scheduler solves, with multipliers
-    standing in for queue-derived prices, so the merit-order allocator is
-    reused with substituted coefficients. Every multiplier evaluation is a
+    Works on a relaxation whose storage dynamics are replaced by one
+    horizon-wide energy balance per battery, sum(r - d) = e_T - e_init,
+    with the terminal level e_T free in [e_min, e_max]; its optimum can
+    only sit below the true one, since a finite-horizon policy may end
+    with its batteries drained. For fixed multipliers (one per battery for
+    that balance, one per resident for the service guarantee) the inner
+    minimization splits per slot into the same structure the scheduler
+    solves, with multipliers standing in for queue-derived prices, so the
+    merit-order allocator is reused with substituted coefficients; the
+    terminal level contributes sum_k mu_k*(e_init,k - e_min,k), its minimum
+    over the band for mu_k <= 0. Every multiplier evaluation is a
     valid bound by weak duality; projected subgradient ascent just tightens
     it, and the best value seen is returned. Battery multipliers are kept
     in [-c_max, -w_min], outside which the inner solutions saturate.
@@ -678,6 +682,8 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
             for k in range(n_bat):
                 grad_mu[k] += disp.r[k] - disp.d[k]
             total += slot_val
+        total += sum(m * (spec.e_init - spec.e_min)
+                     for m, spec in zip(mu, batteries))
         lb = total / horizon
         if lb > best:
             best = lb
@@ -746,7 +752,14 @@ def write_summary(summary: Summary, path: str) -> None:
         fh.write(format_summary(summary))
 
 
-def _expand_entries(raw, kind: str):
+def _reject_unknown(path: str, raw: dict, known: tuple[str, ...],
+                    where: str) -> None:
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"{path}: unknown key {key!r} in {where}")
+
+
+def _expand_entries(raw, kind: str, path: str, known: tuple[str, ...]):
     """Expand a list of spec dicts, honoring an optional count per entry."""
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"config: {kind} must be a non-empty list")
@@ -754,6 +767,7 @@ def _expand_entries(raw, kind: str):
     for entry in raw:
         if not isinstance(entry, dict):
             raise ValueError(f"config: each {kind} entry must be a mapping")
+        _reject_unknown(path, entry, ("count",) + known, kind)
         entry = dict(entry)
         count = entry.pop("count", 1)
         if not isinstance(count, int) or count < 1:
@@ -775,7 +789,8 @@ def load_config(path: str) -> RunConfig:
     to kWh per slot via slot_hours; battery fields are kWh, prices $/kWh,
     grid trade caps kWh per slot. Residents' alpha_max is lifted to the
     highest quality cap any regime uses, so regime draws always stay within
-    the declared bound. Raises ValueError on any malformed field.
+    the declared bound. Raises ValueError on any malformed field and on
+    any key it does not know.
     """
     try:
         with open(path) as fh:
@@ -786,6 +801,10 @@ def load_config(path: str) -> RunConfig:
         raise ValueError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a mapping")
+    _reject_unknown(path, data, (
+        "slot_hours", "horizon", "seed", "v_fraction", "policy",
+        "curtailment", "convergence_tol", "batteries", "residents", "grid",
+        "traces", "mecp"), "the top level")
 
     sh = float(data.get("slot_hours", 0.25))
     if sh <= 0.0:
@@ -794,12 +813,17 @@ def load_config(path: str) -> RunConfig:
     traces_raw = data.get("traces", {})
     if not isinstance(traces_raw, dict):
         raise ValueError("config: traces must be a mapping")
+    _reject_unknown(path, traces_raw,
+                    ("surplus_kw", "burst_prob", "burst_kw", "regimes"),
+                    "traces")
     regimes_raw = traces_raw.get("regimes", [])
     if not isinstance(regimes_raw, list):
         raise ValueError("config: traces.regimes must be a list")
 
     batteries = []
-    for entry in _expand_entries(data.get("batteries"), "batteries"):
+    for entry in _expand_entries(data.get("batteries"), "batteries", path, (
+            "e_min_kwh", "e_max_kwh", "r_max_kwh", "d_max_kwh",
+            "e_init_kwh")):
         try:
             batteries.append(BatterySpec(
                 e_min=float(entry["e_min_kwh"]),
@@ -814,7 +838,8 @@ def load_config(path: str) -> RunConfig:
                          if isinstance(r, dict) and "quality_max_kw" in r]
     residents = []
     alpha_base = []
-    for entry in _expand_entries(data.get("residents"), "residents"):
+    for entry in _expand_entries(data.get("residents"), "residents", path, (
+            "delta", "basic_range_kw", "quality_max_kw")):
         try:
             base_quality_kw = float(entry["quality_max_kw"])
             basic_kw = _pair(entry["basic_range_kw"], "basic_range_kw")
@@ -832,6 +857,8 @@ def load_config(path: str) -> RunConfig:
     grid_raw = data.get("grid")
     if not isinstance(grid_raw, dict):
         raise ValueError("config: grid must be a mapping")
+    _reject_unknown(path, grid_raw, ("q_max_kwh", "s_max_kwh",
+                                     "purchase_price", "sell_price"), "grid")
     try:
         c_lo, c_hi = _pair(grid_raw["purchase_price"], "grid.purchase_price")
         w_lo, w_hi = _pair(grid_raw["sell_price"], "grid.sell_price")
@@ -845,6 +872,9 @@ def load_config(path: str) -> RunConfig:
     for r in regimes_raw:
         if not isinstance(r, dict):
             raise ValueError("config: each regime must be a mapping")
+        _reject_unknown(path, r, ("start_slot", "basic_range_kw",
+                                  "quality_max_kw", "surplus_kw",
+                                  "burst_prob", "burst_kw"), "traces.regimes")
         if "start_slot" not in r:
             raise ValueError("config: regime missing start_slot")
         regimes.append(Regime(
@@ -865,6 +895,7 @@ def load_config(path: str) -> RunConfig:
     mecp_raw = data.get("mecp", {})
     if not isinstance(mecp_raw, dict):
         raise ValueError("config: mecp must be a mapping")
+    _reject_unknown(path, mecp_raw, ("block_prob", "charge_prob"), "mecp")
 
     kwargs = dict(
         batteries=tuple(batteries),

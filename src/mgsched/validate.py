@@ -4,10 +4,11 @@ Each suite draws systems, states, and observations at random, runs the
 scheduler, and counts violations of a guarantee that should never fail:
 battery levels stay inside their physical band, backlog queues stay under
 their deterministic cap, sliding outage windows stay within budget, optimal
-dispatches keep their threshold structure, and the merit-order solver
-agrees with a brute-force grid search on small instances. Every suite
-reports trial and violation counts plus the first counterexample, so a
-failure is directly reproducible.
+dispatches keep their threshold structure, and the merit-order solver and
+dispatch_slot reach the optimum that the exact dual oracle computes, at up
+to 5 batteries and 20 residents. Every suite reports trial and violation
+counts plus the first counterexample, so a failure is directly
+reproducible.
 
 Every suite draws its systems as random_system RunConfigs and their
 observations through the simulator's own generate_traces, and the bound
@@ -21,6 +22,7 @@ genuinely different shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,6 @@ from .dispatch import (
     build_subproblem,
     dispatch_slot,
     merit_order_allocate,
-    oracle_coefficient_sum,
     oracle_solve,
     threshold_violations,
 )
@@ -76,26 +77,20 @@ class SuiteResult:
 
 
 def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
-                  n_max: int = 6, small_caps: bool = False) -> RunConfig:
+                  n_max: int = 6) -> RunConfig:
     """Draw a random well-posed system with dominating trade caps.
 
     Returns a RunConfig of the given horizon whose surplus process fits the
     sizing: uniform on [0, surplus_hi], replaced with probability
-    burst_prob by a burst on [surplus_hi, burst_hi]. small_caps shrinks
-    per-slot flow boxes so a coarse brute-force grid over them stays cheap.
+    burst_prob by a burst on [surplus_hi, burst_hi].
     """
     k = int(rng.integers(1, k_max + 1))
     n = int(rng.integers(1, n_max + 1))
     batteries = []
     for _ in range(k):
-        if small_caps:
-            r_max = float(rng.uniform(0.25, 0.6))
-            d_max = float(rng.uniform(0.25, 0.6))
-            band_extra = float(rng.uniform(0.5, 3.0))
-        else:
-            r_max = float(rng.uniform(0.5, 2.0))
-            d_max = float(rng.uniform(0.5, 2.0))
-            band_extra = float(rng.uniform(0.5, 8.0))
+        r_max = float(rng.uniform(0.5, 2.0))
+        d_max = float(rng.uniform(0.5, 2.0))
+        band_extra = float(rng.uniform(0.5, 8.0))
         e_min = float(rng.uniform(0.0, 1.5))
         e_max = e_min + r_max + d_max + band_extra
         e_init = float(rng.uniform(e_min, e_max))
@@ -103,8 +98,7 @@ def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
                                      d_max=d_max, e_init=e_init))
     residents = []
     for _ in range(n):
-        alpha_max = (float(rng.uniform(0.3, 0.6)) if small_caps
-                     else float(rng.uniform(0.8, 2.6)))
+        alpha_max = float(rng.uniform(0.8, 2.6))
         lo = float(rng.uniform(0.05, 0.4))
         hi = lo + float(rng.uniform(0.1, 1.5))
         residents.append(ResidentSpec(
@@ -120,21 +114,15 @@ def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
     sum_alpha = sum(res.alpha_max for res in residents)
     sum_r = sum(b.r_max for b in batteries)
     sum_d = sum(b.d_max for b in batteries)
-    if small_caps:
-        surplus_hi = float(rng.uniform(0.3, 1.2)) * (sum_alpha + sum_r)
-        burst_hi = surplus_hi
-        burst_prob = 0.0
-    else:
-        surplus_hi = float(rng.uniform(0.2, 1.0)) * (sum_alpha + sum_r)
-        burst_hi = surplus_hi * float(rng.uniform(1.5, 3.0))
-        burst_prob = 0.08
+    surplus_hi = float(rng.uniform(0.2, 1.0)) * (sum_alpha + sum_r)
+    burst_hi = surplus_hi * float(rng.uniform(1.5, 3.0))
     grid = GridSpec(q_max=sum_alpha + sum_r + CAP_MARGIN,
                     s_max=burst_hi + sum_d + CAP_MARGIN,
                     c_min=c_min, c_max=c_max, w_min=w_min, w_max=w_max)
     return RunConfig(batteries=tuple(batteries), residents=tuple(residents),
                      grid=grid, horizon=horizon,
                      surplus_range=(0.0, surplus_hi),
-                     burst_range=(surplus_hi, burst_hi), burst_prob=burst_prob)
+                     burst_range=(surplus_hi, burst_hi), burst_prob=0.08)
 
 
 def random_state(system: SystemSpec, rng: np.random.Generator, v: float,
@@ -154,6 +142,10 @@ def _counterexample(system: SystemSpec, state: SystemState,
                     obs: SlotObservation, dispatch, detail: str) -> str:
     return (f"detail: {detail}\nsystem: {system!r}\n"
             f"state: {state!r}\nobs: {obs!r}\ndispatch: {dispatch!r}")
+
+
+def _agrees(objective: float, optimum: float) -> bool:
+    return abs(objective - optimum) <= 1e-9 * max(1.0, abs(optimum))
 
 
 def run_bound_trials(runs: int, slots: int, seed: int,
@@ -254,14 +246,15 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
     return SuiteResult("threshold-structure", slots, violations, ce)
 
 
-def solver_oracle_trials(instances: int, seed: int,
-                         grid_step: float = 0.05) -> SuiteResult:
-    """Cross-check the merit-order solver against brute force.
+def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
+    """Cross-check the merit-order solver against the exact dual oracle.
 
-    On small random instances, for each mode: feasibility verdicts must
-    agree; when feasible the merit-order objective must not exceed the
-    grid optimum and must come within the grid's worst-case gap of it, and
-    the merit-order dispatch must pass every dispatch invariant.
+    Instances are drawn at the acceptance maximum of 5 batteries and 20
+    residents. For each mode the feasibility verdicts must agree and, when
+    feasible, the merit-order objective must equal the oracle's optimum to
+    within 1e-9 relative and its dispatch must pass every dispatch
+    invariant; dispatch_slot's objective must equal the best mode's optimum
+    to the same tolerance.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -269,41 +262,39 @@ def solver_oracle_trials(instances: int, seed: int,
     violations = 0
     ce = None
     for _ in range(instances):
-        config = random_system(rng, 1, k_max=2, n_max=2, small_caps=True)
+        config = random_system(rng, 1, k_max=5, n_max=20)
         system = config.system
         v_max = compute_vmax(system.batteries, system.grid)
         v = float(rng.uniform(0.3, 1.0)) * v_max
         state = random_state(system, rng, v, z_scale=1.0)
         obs = generate_traces(config, rng)[0]
-        oracle = oracle_solve(system, state, obs, v, grid_step)
+        oracle = oracle_solve(system, state, obs, v)
+        chosen = dispatch_slot(system, state, obs, v)
+        problems = []
         for mode in MODES:
             offers, bids = build_subproblem(mode, system, state, obs, v)
             res = merit_order_allocate(offers, bids, system.n_batteries,
                                        system.n_residents)
-            orc = oracle[mode]
-            problems = []
-            if res.feasible != orc.feasible:
+            if res.feasible != math.isfinite(oracle[mode]):
                 problems.append(
                     f"{mode}: merit feasible={res.feasible} but "
-                    f"oracle feasible={orc.feasible}")
+                    f"oracle optimum {oracle[mode]}")
             elif res.feasible:
-                gap = grid_step * oracle_coefficient_sum(system, state, obs,
-                                                         v, mode)
-                if res.objective > orc.objective + 1e-9:
+                if not _agrees(res.objective, oracle[mode]):
                     problems.append(
-                        f"{mode}: merit objective {res.objective} above "
-                        f"oracle {orc.objective}")
-                if res.objective < orc.objective - gap - 1e-9:
-                    problems.append(
-                        f"{mode}: merit objective {res.objective} below "
-                        f"oracle {orc.objective} minus gap {gap}")
+                        f"{mode}: merit objective {res.objective} but "
+                        f"oracle optimum {oracle[mode]}")
                 problems += [f"{mode}: {msg}" for msg
                              in check_dispatch(res.dispatch, system, obs)]
-            if problems:
-                violations += 1
-                if ce is None:
-                    ce = _counterexample(system, state, obs, res.dispatch,
-                                         "; ".join(problems))
+        best = min(oracle.values())
+        if not _agrees(chosen.objective, best):
+            problems.append(f"dispatch_slot objective {chosen.objective} "
+                            f"but best mode's optimum {best}")
+        if problems:
+            violations += 1
+            if ce is None:
+                ce = _counterexample(system, state, obs, chosen,
+                                     "; ".join(problems))
     return SuiteResult("solver-oracle", instances, violations, ce)
 
 

@@ -227,6 +227,14 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(open(FIVE_DAY).read().replace("delta:", "detla:"))
+        code = main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"{bad}: unknown key 'detla'" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err

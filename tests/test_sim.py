@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -448,7 +449,23 @@ class TestHindsight:
         config = load_config("configs/five_day.yaml")
         traces = generate_traces(config)[:200]
         lb = hindsight_lower_bound(traces, config, iterations=5)
-        assert lb == 0.1968218681751001
+        assert lb == 0.1888218681751001
+
+    def test_bounds_a_policy_that_spends_its_initial_charge(self):
+        # Serving every request, discharging before buying and recharging
+        # before selling is feasible; over 10 slots it drains batteries it
+        # never refills, which a bound that pins the terminal level to the
+        # initial one overestimates.
+        base = replace(load_config("configs/five_day.yaml"), horizon=10,
+                       policy="mecp", block_prob=0.0, charge_prob=0.0)
+        for seed in range(10):
+            config = replace(base, seed=seed)
+            traces = generate_traces(config)
+            _, summary = run(config, traces, keep_records=False)
+            assert summary.outage_total == (0.0,) * 5
+            assert summary.violations["battery_band"] == 0
+            lb = hindsight_lower_bound(traces, config, iterations=30)
+            assert lb <= summary.mean_cost_per_slot
 
 
 class TestReporting:
@@ -549,6 +566,27 @@ class TestLoadConfig:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             load_config(str(path))
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("    delta: 0.07\n", "    detla: 0.1\n", "'detla' in residents"),
+        ("    delta: 0.07\n", "    delta: 0.07\n    quality_mean_kw: 3.0\n",
+         "'quality_mean_kw' in residents"),
+        ("seed: 7\n", "sed: 7\n", "'sed' in the top level"),
+        ("    e_init_kwh", "    e_start_kwh", "'e_start_kwh' in batteries"),
+        ("  q_max_kwh", "  q_cap_kwh", "'q_cap_kwh' in grid"),
+        ("  burst_kw", "  bursts_kw", "'bursts_kw' in traces"),
+        ("  block_prob", "  blocking", "'blocking' in mecp"),
+        ("traces:\n", "traces:\n  regimes:\n    - start_slot: 9\n"
+         "      surplus: [0, 1]\n", "'surplus' in traces.regimes"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, old, new, key):
+        base = open("configs/five_day.yaml").read()
+        assert old in base
+        path = tmp_path / "bad.yaml"
+        path.write_text(base.replace(old, new, 1))
+        with pytest.raises(ValueError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}: unknown key {key}"
 
     def test_bad_count(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import mgsched.validate
 from mgsched import (
     generate_traces,
     random_state,
@@ -11,6 +17,9 @@ from mgsched import (
     threshold_trials,
     validate_observation,
 )
+from mgsched.sim import outage_windows
+
+from conftest import make_resident
 
 
 class TestScenarioGenerators:
@@ -43,16 +52,6 @@ class TestScenarioGenerators:
             for e, spec in zip(state.e, system.batteries):
                 assert spec.e_min <= e <= spec.e_max
 
-    def test_small_caps_mode(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            config = random_system(rng, 1, k_max=2, n_max=2, small_caps=True)
-            for b in config.batteries:
-                assert b.r_max <= 0.6 and b.d_max <= 0.6
-            for r in config.residents:
-                assert r.alpha_max <= 0.6
-            assert config.burst_prob == 0.0
-
 
 class TestBoundSuites:
     def test_safe_parameter_passes(self):
@@ -79,6 +78,33 @@ class TestBoundSuites:
             ("battery-band", 1800, 535), ("queue-bound", 1800, 0),
             ("outage-window", 1111, 0)]
 
+    def test_window_sums_above_budget_are_flagged(self):
+        # One resident left unserved 1.0 kWh every slot for 600 slots: each
+        # of the 101 windows sums to 500, past the budget 5 + 500*0.07*2.5.
+        residents = (make_resident(), make_resident())
+        outage = np.zeros((600, 2))
+        outage[:, 1] = 1.0
+        sums, budgets = outage_windows(outage, residents, (5.0, 5.0))
+        assert sums.shape == (101, 2)
+        assert budgets == pytest.approx([92.5, 92.5])
+        assert (sums[:, 1] == 500.0).all() and (sums[:, 0] == 0.0).all()
+        assert (sums > budgets).sum() == 101
+
+    def test_unserved_residents_break_the_window_audit(self, monkeypatch):
+        real = mgsched.validate.dispatch_slot
+
+        def serve_nobody(system, state, obs, v, **kwargs):
+            dispatch = real(system, state, obs, v, **kwargs)
+            return replace(dispatch, p=(0.0,) * len(dispatch.p))
+
+        monkeypatch.setattr(mgsched.validate, "dispatch_slot", serve_nobody)
+        _, queue, window = run_bound_trials(runs=1, slots=600, seed=4,
+                                            k_max=2, n_max=3)
+        assert window.name == "outage-window"
+        assert window.violations > 0
+        assert "for resident" in window.counterexample
+        assert queue.violations > 0
+
 
 class TestOtherSuites:
     def test_threshold_suite_passes(self):
@@ -99,6 +125,15 @@ class TestOtherSuites:
             "battery-band", "queue-bound", "outage-window",
             "threshold-structure", "solver-oracle"]
         assert all(r.passed for r in results)
+
+    def test_oracle_suite_imports_no_scipy(self):
+        # The exact oracle is plain numpy; importing the validators must
+        # not pull in an LP solver.
+        src = os.path.dirname(os.path.dirname(mgsched.validate.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, mgsched.validate; "
+                "assert 'scipy' not in sys.modules, 'scipy imported'")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_run_all_suites_rejects_bad_trials(self):
         with pytest.raises(ValueError):
