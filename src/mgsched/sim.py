@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .dispatch import (
-    _allocate,
-    dispatch_slot,
-    mecp_dispatch,
-    threshold_violations,
-)
+from .dispatch import dispatch_slot, mecp_dispatch, threshold_violations
 from .model import (
     BALANCE_TOL,
     BatterySpec,
@@ -603,6 +597,72 @@ def run(config: RunConfig, traces: list[SlotObservation],
     return records, summary
 
 
+def _exclusive_cumsum(caps: np.ndarray) -> np.ndarray:
+    """Capacity queued ahead of each entry along the last axis."""
+    ahead = np.zeros_like(caps)
+    np.cumsum(caps[..., :-1], axis=-1, out=ahead[..., 1:])
+    return ahead
+
+
+def _relaxed_slots(mu: list[float], nu: list[float],
+                   batteries: tuple[BatterySpec, ...], grid: GridSpec,
+                   surplus: np.ndarray, alpha: np.ndarray, c: np.ndarray,
+                   w: np.ndarray, curtail: bool):
+    """Merit-order optimum of every relaxed slot problem, both modes at once.
+
+    Each slot's problem is the one dispatch._allocate solves on the books
+    the multipliers price: quality bids at nu_n (capacity alpha_tn),
+    recharge bids and discharge offers at -mu_k (capacities r_max, d_max),
+    the surplus poured first, and one trade entry: the purchase offer at c_t
+    (mode 0) or the sale bid at w_t (mode 1). The multipliers are the same
+    in every slot, so the fixed entries are sorted once by _allocate's keys;
+    the trade entry (rank 2) goes after every fixed entry with an equal key.
+    The greedy sweep then has a closed form: a bid is filled up to the
+    supply priced strictly below its value (surplus included), less the
+    demand queued ahead of it, and an offer symmetrically, so the strict
+    comparisons reproduce _allocate's strict matching and tie-breaks. The
+    other mode's trade entry is present with capacity zero.
+
+    Returns (objective, feasible, q, s, r, d, p): arrays with a leading
+    mode axis and one row per slot. feasible is surplus <= total sink
+    capacity, or everywhere true with curtail.
+    """
+    n_res, horizon = len(nu), len(c)
+    demand = sorted([(-nu[n], 0, n) for n in range(n_res)]
+                    + [(mu[k], 1, n_res + k) for k in range(len(mu))])
+    supply = sorted((-m, 1, k) for k, m in enumerate(mu))
+    value = np.array([-key for key, _, _ in demand])
+    cols = [col for _, _, col in demand]
+    cost = np.array([key for key, _, _ in supply])
+    order = [k for _, _, k in supply]
+    r_max = [spec.r_max for spec in batteries]
+    b_cap = np.hstack([alpha, np.broadcast_to(r_max, (horizon, len(mu)))])[:, cols]
+    o_cap = np.array([batteries[k].d_max for k in order])
+    q_cap = np.array([[grid.q_max], [0.0]])
+    s_cap = np.array([[0.0], [grid.s_max]])
+    below = (cost[:, None] < value).astype(float)
+    pour = surplus[:, None]
+    c_col = c[:, None]
+    w_col = w[:, None]
+
+    b_ahead = _exclusive_cumsum(b_cap) + s_cap[..., None] * (w_col > value)
+    b_reach = pour + o_cap @ below + q_cap[..., None] * (c_col < value)
+    take = np.minimum(np.maximum(b_reach - b_ahead, 0.0), b_cap)
+    o_ahead = _exclusive_cumsum(o_cap) + q_cap[..., None] * (c_col < cost)
+    o_reach = b_cap @ below.T + s_cap[..., None] * (w_col > cost)
+    give = np.minimum(np.maximum(o_reach - pour - o_ahead, 0.0), o_cap)
+    q = np.minimum(np.maximum((b_cap * (value > c_col)).sum(1) - surplus
+                              - (o_cap * (cost <= c_col)).sum(1), 0.0), q_cap)
+    s = np.minimum(np.maximum(surplus + (o_cap * (cost < w_col)).sum(1)
+                              - (b_cap * (value >= w_col)).sum(1), 0.0), s_cap)
+
+    objective = give @ cost + q * c - take @ value - s * w
+    feasible = curtail | (surplus <= b_cap.sum(1) + s_cap)
+    take = take[..., np.argsort(cols)]
+    d = give[..., np.argsort(order)]
+    return objective, feasible, q, s, take[..., n_res:], d, take[..., :n_res]
+
+
 def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
                           iterations: int,
                           step0: float | None = None) -> float:
@@ -615,13 +675,14 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     with its batteries drained. For fixed multipliers (one per battery for
     that balance, one per resident for the service guarantee) the inner
     minimization splits per slot into the same structure the scheduler
-    solves, with multipliers standing in for queue-derived prices, so the
-    merit-order allocator is reused with substituted coefficients; the
-    terminal level contributes sum_k mu_k*(e_init,k - e_min,k), its minimum
-    over the band for mu_k <= 0. Every multiplier evaluation is a
-    valid bound by weak duality; projected subgradient ascent just tightens
-    it, and the best value seen is returned. Battery multipliers are kept
-    in [-c_max, -w_min], outside which the inner solutions saturate.
+    solves, with multipliers standing in for queue-derived prices. Because
+    the multipliers hold for a whole iteration, _relaxed_slots solves all
+    slots of an iteration at once in closed form; the terminal level
+    contributes sum_k mu_k*(e_init,k - e_min,k), its minimum over the band
+    for mu_k <= 0. Every multiplier evaluation is a valid bound by weak
+    duality; projected subgradient ascent just tightens it, and the best
+    value seen is returned. Battery multipliers are kept in [-c_max,
+    -w_min], outside which the inner solutions saturate.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -631,70 +692,45 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     g = config.grid
     batteries = config.batteries
     residents = config.residents
-    n_bat = len(batteries)
-    n_res = len(residents)
     if step0 is None:
         step0 = g.c_max - g.w_min
-    one_minus_delta = [1.0 - res.delta for res in residents]
+    traces = traces[:horizon]
+    surplus = np.array([surplus_power(obs) for obs in traces])
+    alpha = np.array([obs.alpha for obs in traces]).reshape(horizon, -1)
+    c = np.array([obs.c for obs in traces])
+    w = np.array([obs.w for obs in traces])
+    allowance = ((1.0 - np.array([res.delta for res in residents]))
+                 * alpha).sum(0)
+    headroom = np.array([spec.e_init - spec.e_min for spec in batteries])
 
-    mu = [0.0] * n_bat
-    nu = [0.0] * n_res
+    mu = np.zeros(len(batteries))
+    nu = np.zeros(len(residents))
     best = -math.inf
     for it in range(1, iterations + 1):
-        total = 0.0
-        grad_mu = [0.0] * n_bat
-        grad_nu = [0.0] * n_res
-        # dispatch._allocate tuple books. Battery entries hold for the whole
-        # iteration; slots add surplus, quality and per-mode trade entries.
-        batteries_supply = sorted((-mu[k], 1, k, batteries[k].d_max)
-                                  for k in range(n_bat))
-        recharge = [(mu[k], 1, k, batteries[k].r_max) for k in range(n_bat)]
-        for t in range(horizon):
-            obs = traces[t]
-            p_surplus = surplus_power(obs)
-            supply = ([(-math.inf, 0, -1, p_surplus)] if p_surplus > 0.0
-                      else []) + batteries_supply
-            demand = recharge + [(-nu[n], 0, n, alpha)
-                                 for n, alpha in enumerate(obs.alpha)
-                                 if alpha > 0.0]
-            demand.sort()
-            buy_supply = supply.copy()
-            insort(buy_supply, (obs.c, 2, -1, g.q_max))
-            buy = _allocate(buy_supply, demand, n_bat, n_res,
-                            config.curtailment)[0]
-            insort(demand, (-obs.w, 2, -1, g.s_max))
-            sell = _allocate(supply, demand, n_bat, n_res,
-                             config.curtailment)[0]
-            if buy is not None and (sell is None
-                                    or buy.objective <= sell.objective):
-                disp = buy
-            elif sell is not None:
-                disp = sell
-            else:
-                raise UnservableSurplusError(
-                    f"slot {t}: surplus {p_surplus} kWh exceeds every sink "
-                    "in the relaxed problem")
-            slot_val = disp.objective
-            for n in range(n_res):
-                allowance = one_minus_delta[n] * obs.alpha[n]
-                slot_val += nu[n] * allowance
-                grad_nu[n] += allowance - disp.p[n]
-            for k in range(n_bat):
-                grad_mu[k] += disp.r[k] - disp.d[k]
-            total += slot_val
-        total += sum(m * (spec.e_init - spec.e_min)
-                     for m, spec in zip(mu, batteries))
-        lb = total / horizon
+        objective, feasible, _, _, r, d, p = _relaxed_slots(
+            mu.tolist(), nu.tolist(), batteries, g, surplus, alpha, c, w,
+            config.curtailment)
+        unservable = ~(feasible[0] | feasible[1])
+        if unservable.any():
+            t = int(unservable.argmax())
+            raise UnservableSurplusError(
+                f"slot {t}: surplus {surplus[t]} kWh exceeds every sink "
+                "in the relaxed problem")
+        buy = feasible[0] & (~feasible[1] | (objective[0] <= objective[1]))
+        pick = np.where(buy, 0, 1)
+        slots = np.arange(horizon)
+        total = (objective[pick, slots].sum() + nu @ allowance
+                 + mu @ headroom)
+        lb = float(total) / horizon
         if lb > best:
             best = lb
         if it == iterations:
             break
         step = step0 / math.sqrt(it)
-        for k in range(n_bat):
-            mu[k] = min(max(mu[k] + step * grad_mu[k] / horizon, -g.c_max),
-                        -g.w_min)
-        for n in range(n_res):
-            nu[n] = max(nu[n] + step * grad_nu[n] / horizon, 0.0)
+        grad_mu = (r[pick, slots] - d[pick, slots]).sum(0)
+        grad_nu = allowance - p[pick, slots].sum(0)
+        mu = np.clip(mu + step * grad_mu / horizon, -g.c_max, -g.w_min)
+        nu = np.maximum(nu + step * grad_nu / horizon, 0.0)
     return best
 
 
@@ -762,23 +798,23 @@ def _reject_unknown(path: str, raw: dict, known: tuple[str, ...],
 def _expand_entries(raw, kind: str, path: str, known: tuple[str, ...]):
     """Expand a list of spec dicts, honoring an optional count per entry."""
     if not isinstance(raw, list) or not raw:
-        raise ValueError(f"config: {kind} must be a non-empty list")
+        raise ValueError(f"{path}: {kind} must be a non-empty list")
     out = []
     for entry in raw:
         if not isinstance(entry, dict):
-            raise ValueError(f"config: each {kind} entry must be a mapping")
+            raise ValueError(f"{path}: each {kind} entry must be a mapping")
         _reject_unknown(path, entry, ("count",) + known, kind)
         entry = dict(entry)
         count = entry.pop("count", 1)
         if not isinstance(count, int) or count < 1:
-            raise ValueError(f"config: count must be a positive integer")
+            raise ValueError(f"{path}: count must be a positive integer")
         out.extend([entry] * count)
     return out
 
 
-def _pair(raw, name: str) -> tuple[float, float]:
+def _pair(path: str, raw, name: str) -> tuple[float, float]:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2):
-        raise ValueError(f"config: {name} must be a [lo, hi] pair")
+        raise ValueError(f"{path}: {name} must be a [lo, hi] pair")
     return float(raw[0]), float(raw[1])
 
 
@@ -808,17 +844,17 @@ def load_config(path: str) -> RunConfig:
 
     sh = float(data.get("slot_hours", 0.25))
     if sh <= 0.0:
-        raise ValueError("config: slot_hours must be positive")
+        raise ValueError(f"{path}: slot_hours must be positive")
 
     traces_raw = data.get("traces", {})
     if not isinstance(traces_raw, dict):
-        raise ValueError("config: traces must be a mapping")
+        raise ValueError(f"{path}: traces must be a mapping")
     _reject_unknown(path, traces_raw,
                     ("surplus_kw", "burst_prob", "burst_kw", "regimes"),
                     "traces")
     regimes_raw = traces_raw.get("regimes", [])
     if not isinstance(regimes_raw, list):
-        raise ValueError("config: traces.regimes must be a list")
+        raise ValueError(f"{path}: traces.regimes must be a list")
 
     batteries = []
     for entry in _expand_entries(data.get("batteries"), "batteries", path, (
@@ -832,7 +868,7 @@ def load_config(path: str) -> RunConfig:
                 d_max=float(entry["d_max_kwh"]),
                 e_init=float(entry["e_init_kwh"])))
         except KeyError as exc:
-            raise ValueError(f"config: battery entry missing {exc}") from None
+            raise ValueError(f"{path}: battery entry missing {exc}") from None
 
     regime_quality_kw = [float(r["quality_max_kw"]) for r in regimes_raw
                          if isinstance(r, dict) and "quality_max_kw" in r]
@@ -842,9 +878,9 @@ def load_config(path: str) -> RunConfig:
             "delta", "basic_range_kw", "quality_max_kw")):
         try:
             base_quality_kw = float(entry["quality_max_kw"])
-            basic_kw = _pair(entry["basic_range_kw"], "basic_range_kw")
+            basic_kw = _pair(path, entry["basic_range_kw"], "basic_range_kw")
         except KeyError as exc:
-            raise ValueError(f"config: resident entry missing {exc}") from None
+            raise ValueError(f"{path}: resident entry missing {exc}") from None
         # alpha_max must cover the widest quality cap any regime uses, but
         # baseline slots keep drawing from the entry's own cap.
         peak_kw = max([base_quality_kw] + regime_quality_kw)
@@ -856,45 +892,46 @@ def load_config(path: str) -> RunConfig:
 
     grid_raw = data.get("grid")
     if not isinstance(grid_raw, dict):
-        raise ValueError("config: grid must be a mapping")
+        raise ValueError(f"{path}: grid must be a mapping")
     _reject_unknown(path, grid_raw, ("q_max_kwh", "s_max_kwh",
                                      "purchase_price", "sell_price"), "grid")
     try:
-        c_lo, c_hi = _pair(grid_raw["purchase_price"], "grid.purchase_price")
-        w_lo, w_hi = _pair(grid_raw["sell_price"], "grid.sell_price")
+        c_lo, c_hi = _pair(path, grid_raw["purchase_price"],
+                           "grid.purchase_price")
+        w_lo, w_hi = _pair(path, grid_raw["sell_price"], "grid.sell_price")
         grid = GridSpec(q_max=float(grid_raw["q_max_kwh"]),
                         s_max=float(grid_raw["s_max_kwh"]),
                         c_min=c_lo, c_max=c_hi, w_min=w_lo, w_max=w_hi)
     except KeyError as exc:
-        raise ValueError(f"config: grid missing {exc}") from None
+        raise ValueError(f"{path}: grid missing {exc}") from None
 
     regimes = []
     for r in regimes_raw:
         if not isinstance(r, dict):
-            raise ValueError("config: each regime must be a mapping")
+            raise ValueError(f"{path}: each regime must be a mapping")
         _reject_unknown(path, r, ("start_slot", "basic_range_kw",
                                   "quality_max_kw", "surplus_kw",
                                   "burst_prob", "burst_kw"), "traces.regimes")
         if "start_slot" not in r:
-            raise ValueError("config: regime missing start_slot")
+            raise ValueError(f"{path}: regime missing start_slot")
         regimes.append(Regime(
             start_slot=int(r["start_slot"]),
-            basic_range=tuple(v * sh for v in _pair(r["basic_range_kw"],
-                                                    "regime.basic_range_kw"))
+            basic_range=tuple(v * sh for v in _pair(
+                path, r["basic_range_kw"], "regime.basic_range_kw"))
             if "basic_range_kw" in r else None,
             alpha_hi=float(r["quality_max_kw"]) * sh
             if "quality_max_kw" in r else None,
-            surplus_range=tuple(v * sh for v in _pair(r["surplus_kw"],
-                                                      "regime.surplus_kw"))
+            surplus_range=tuple(v * sh for v in _pair(
+                path, r["surplus_kw"], "regime.surplus_kw"))
             if "surplus_kw" in r else None,
             burst_prob=float(r["burst_prob"]) if "burst_prob" in r else None,
-            burst_range=tuple(v * sh for v in _pair(r["burst_kw"],
-                                                    "regime.burst_kw"))
+            burst_range=tuple(v * sh for v in _pair(
+                path, r["burst_kw"], "regime.burst_kw"))
             if "burst_kw" in r else None))
 
     mecp_raw = data.get("mecp", {})
     if not isinstance(mecp_raw, dict):
-        raise ValueError("config: mecp must be a mapping")
+        raise ValueError(f"{path}: mecp must be a mapping")
     _reject_unknown(path, mecp_raw, ("block_prob", "charge_prob"), "mecp")
 
     kwargs = dict(
@@ -914,12 +951,12 @@ def load_config(path: str) -> RunConfig:
         alpha_base=tuple(alpha_base),
     )
     if "surplus_kw" in traces_raw:
-        lo, hi = _pair(traces_raw["surplus_kw"], "traces.surplus_kw")
+        lo, hi = _pair(path, traces_raw["surplus_kw"], "traces.surplus_kw")
         kwargs["surplus_range"] = (lo * sh, hi * sh)
     if "burst_prob" in traces_raw:
         kwargs["burst_prob"] = float(traces_raw["burst_prob"])
     if "burst_kw" in traces_raw:
-        lo, hi = _pair(traces_raw["burst_kw"], "traces.burst_kw")
+        lo, hi = _pair(path, traces_raw["burst_kw"], "traces.burst_kw")
         kwargs["burst_range"] = (lo * sh, hi * sh)
 
     return RunConfig(**kwargs)
