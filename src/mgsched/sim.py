@@ -727,7 +727,7 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
         if it == iterations:
             break
         step = step0 / math.sqrt(it)
-        grad_mu = (r[pick, slots] - d[pick, slots]).sum(0)
+        grad_mu = headroom + (r[pick, slots] - d[pick, slots]).sum(0)
         grad_nu = allowance - p[pick, slots].sum(0)
         mu = np.clip(mu + step * grad_mu / horizon, -g.c_max, -g.w_min)
         nu = np.maximum(nu + step * grad_nu / horizon, 0.0)

@@ -448,13 +448,17 @@ class TestHindsight:
             hindsight_lower_bound(generate_traces(config), config, iterations=0)
 
     def test_pinned_on_a_short_five_day_trace(self):
-        # The bound's exact float on this trace: rewriting how its books
-        # are built must reproduce it bit for bit. A deliberate change to
-        # the bound itself re-pins this value.
+        # The bound's exact floats on these traces: rewriting how the slot
+        # problems are solved must reproduce them, and a deliberate change
+        # to the bound re-pins them. The 30-iteration value also pins the
+        # mu step, which includes the terminal-level term the bound adds;
+        # without that term it reads 0.11790508033661118.
         config = load_config("configs/five_day.yaml")
-        traces = generate_traces(config)[:200]
-        lb = hindsight_lower_bound(traces, config, iterations=5)
+        traces = generate_traces(config)
+        lb = hindsight_lower_bound(traces[:200], config, iterations=5)
         assert lb == 0.18882186817510022
+        lb = hindsight_lower_bound(traces[:10], config, iterations=30)
+        assert lb == 0.11828450818698441
 
     def test_bounds_a_policy_that_spends_its_initial_charge(self):
         # Serving every request, discharging before buying and recharging
