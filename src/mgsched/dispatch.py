@@ -14,8 +14,10 @@ recharge value, so the pair never matches.
 
 One kernel, _allocate, does this on books of plain sort-key tuples:
 dispatch_slot sorts the book both modes share once per slot and inserts
-each mode's trade entry, merit_order_allocate maps Offer and Bid books onto
-it, and the hindsight bound in sim builds the same tuples.
+each mode's trade entry, and merit_order_allocate maps Offer and Bid books
+onto it. The hindsight bound in sim solves the same sweep in closed form
+for all slots at once, with the same keys and tie-breaks; its tests check
+it against this kernel.
 
 The module also ships an exact dual oracle that checks the allocator at
 any size, structural audits of the optimum (threshold form of the

@@ -6,8 +6,11 @@ supposed to keep, and reports end-of-run metrics. Synthetic traces are
 generated from the run configuration; recorded traces load from three CSV
 files. A projected-subgradient hindsight bound provides the reference
 point for cost-gap checks: it lower-bounds the per-slot cost of any policy
-on the given trace under relaxed storage dynamics, so the scheduler's
-average cost can be judged without knowing the true offline optimum.
+on the given trace whose horizon-average quality service reaches
+(1 - delta)*alpha, under relaxed storage dynamics, so the scheduler's
+average cost can be judged without knowing the true offline optimum. Each
+of its iterations solves the relaxed slot problems of all slots at once in
+numpy, with the merit order in closed form.
 """
 
 from __future__ import annotations
@@ -597,13 +600,6 @@ def run(config: RunConfig, traces: list[SlotObservation],
     return records, summary
 
 
-def _exclusive_cumsum(caps: np.ndarray) -> np.ndarray:
-    """Capacity queued ahead of each entry along the last axis."""
-    ahead = np.zeros_like(caps)
-    np.cumsum(caps[..., :-1], axis=-1, out=ahead[..., 1:])
-    return ahead
-
-
 def _relaxed_slots(mu: list[float], nu: list[float],
                    batteries: tuple[BatterySpec, ...], grid: GridSpec,
                    surplus: np.ndarray, alpha: np.ndarray, c: np.ndarray,
@@ -628,6 +624,8 @@ def _relaxed_slots(mu: list[float], nu: list[float],
     capacity, or everywhere true with curtail.
     """
     n_res, horizon = len(nu), len(c)
+    # Bids (demand) and offers (supply) in _allocate's key order. Bid
+    # columns number alpha's columns first, then the batteries'.
     demand = sorted([(-nu[n], 0, n) for n in range(n_res)]
                     + [(mu[k], 1, n_res + k) for k in range(len(mu))])
     supply = sorted((-m, 1, k) for k, m in enumerate(mu))
@@ -635,8 +633,9 @@ def _relaxed_slots(mu: list[float], nu: list[float],
     cols = [col for _, _, col in demand]
     cost = np.array([key for key, _, _ in supply])
     order = [k for _, _, k in supply]
-    r_max = [spec.r_max for spec in batteries]
-    b_cap = np.hstack([alpha, np.broadcast_to(r_max, (horizon, len(mu)))])[:, cols]
+    r_max = np.broadcast_to([spec.r_max for spec in batteries],
+                            (horizon, len(mu)))
+    b_cap = np.hstack([alpha, r_max])[:, cols]
     o_cap = np.array([batteries[k].d_max for k in order])
     q_cap = np.array([[grid.q_max], [0.0]])
     s_cap = np.array([[0.0], [grid.s_max]])
@@ -645,10 +644,14 @@ def _relaxed_slots(mu: list[float], nu: list[float],
     c_col = c[:, None]
     w_col = w[:, None]
 
-    b_ahead = _exclusive_cumsum(b_cap) + s_cap[..., None] * (w_col > value)
+    # Each entry's flow is the overlap, clipped to its box, of the
+    # capacity queued ahead of it in its own book (the trade entry counted
+    # where it sorts first) with the capacity on the other side priced
+    # strictly better (the surplus counted first on the supply side).
+    b_ahead = (b_cap.cumsum(1) - b_cap) + s_cap[..., None] * (w_col > value)
     b_reach = pour + o_cap @ below + q_cap[..., None] * (c_col < value)
     take = np.minimum(np.maximum(b_reach - b_ahead, 0.0), b_cap)
-    o_ahead = _exclusive_cumsum(o_cap) + q_cap[..., None] * (c_col < cost)
+    o_ahead = (o_cap.cumsum() - o_cap) + q_cap[..., None] * (c_col < cost)
     o_reach = b_cap @ below.T + s_cap[..., None] * (w_col > cost)
     give = np.minimum(np.maximum(o_reach - pour - o_ahead, 0.0), o_cap)
     q = np.minimum(np.maximum((b_cap * (value > c_col)).sum(1) - surplus
@@ -668,6 +671,11 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
                           step0: float | None = None) -> float:
     """Lower-bound the per-slot cost of any feasible policy on this trace.
 
+    Feasible here means the battery flow caps, the trade caps, and service
+    of at least (1 - delta_n) of resident n's quality demand summed over
+    the horizon. The online scheduler meets that service level only in the
+    long run, so over a few hundred slots its cost can sit below the bound.
+
     Works on a relaxation whose storage dynamics are replaced by one
     horizon-wide energy balance per battery, sum(r - d) = e_T - e_init,
     with the terminal level e_T free in [e_min, e_max]; its optimum can
@@ -677,12 +685,15 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     minimization splits per slot into the same structure the scheduler
     solves, with multipliers standing in for queue-derived prices. Because
     the multipliers hold for a whole iteration, _relaxed_slots solves all
-    slots of an iteration at once in closed form; the terminal level
-    contributes sum_k mu_k*(e_init,k - e_min,k), its minimum over the band
-    for mu_k <= 0. Every multiplier evaluation is a valid bound by weak
+    slots of an iteration at once with the merit order in closed form; the
+    terminal level contributes sum_k mu_k*(e_init,k - e_min,k), its minimum
+    over the band for mu_k <= 0, and the mu step includes that term's
+    gradient. Every multiplier evaluation is a valid bound by weak
     duality; projected subgradient ascent just tightens it, and the best
     value seen is returned. Battery multipliers are kept in [-c_max,
-    -w_min], outside which the inner solutions saturate.
+    -w_min], outside which the inner solutions saturate. Raises
+    UnservableSurplusError naming the first slot whose surplus exceeds
+    every sink, unless the config enables curtailment.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -696,12 +707,13 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
         step0 = g.c_max - g.w_min
     traces = traces[:horizon]
     surplus = np.array([surplus_power(obs) for obs in traces])
-    alpha = np.array([obs.alpha for obs in traces]).reshape(horizon, -1)
+    alpha = np.array([obs.alpha for obs in traces])
     c = np.array([obs.c for obs in traces])
     w = np.array([obs.w for obs in traces])
     allowance = ((1.0 - np.array([res.delta for res in residents]))
                  * alpha).sum(0)
     headroom = np.array([spec.e_init - spec.e_min for spec in batteries])
+    slots = np.arange(horizon)
 
     mu = np.zeros(len(batteries))
     nu = np.zeros(len(residents))
@@ -718,7 +730,6 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
                 "in the relaxed problem")
         buy = feasible[0] & (~feasible[1] | (objective[0] <= objective[1]))
         pick = np.where(buy, 0, 1)
-        slots = np.arange(horizon)
         total = (objective[pick, slots].sum() + nu @ allowance
                  + mu @ headroom)
         lb = float(total) / horizon

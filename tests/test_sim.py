@@ -476,7 +476,6 @@ class TestHindsight:
             lb = hindsight_lower_bound(traces, config, iterations=30)
             assert lb <= summary.mean_cost_per_slot
 
-
     def test_unservable_slot_named_unless_curtailed(self):
         # A 100 kWh burst outruns the resident (2.5), the battery (2) and
         # the sale cap (25) in slots 3 and 5; slot 3 is the one named.
@@ -496,8 +495,9 @@ def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, sell,
     """One relaxed slot problem through dispatch._allocate, on the books
     the hindsight bound priced slot by slot; None when infeasible."""
     supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
-    supply += [(-m, 1, k, b.d_max) for k, (m, b) in enumerate(zip(mu, batteries))]
-    demand = [(m, 1, k, b.r_max) for k, (m, b) in enumerate(zip(mu, batteries))]
+    pairs = list(enumerate(zip(mu, batteries)))
+    supply += [(-m, 1, k, b.d_max) for k, (m, b) in pairs]
+    demand = [(m, 1, k, b.r_max) for k, (m, b) in pairs]
     demand += [(-x, 0, n, a) for n, (x, a) in enumerate(zip(nu, alpha))
                if a > 0.0]
     if sell:
