@@ -119,6 +119,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     bad = {k: v for k, v in summary.violations.items() if v}
     if bad:
         print(f"bound violations: {bad}", file=sys.stderr)
+        if summary.first_violation is not None:
+            slot, key, message = summary.first_violation
+            print(f"first violation: slot {slot} ({key}): {message}",
+                  file=sys.stderr)
         return 2
     return 0
 

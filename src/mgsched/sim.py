@@ -2,7 +2,11 @@
 
 The simulator replays exogenous traces (renewable generation, prices,
 demand) through a per-slot policy, audits every guarantee the scheduler is
-supposed to keep, and reports end-of-run metrics. Synthetic traces are
+supposed to keep, and reports end-of-run metrics. Its slot loop only calls
+the policy and step, the one slot recurrence; audit_slots then checks all
+slots at once in numpy and flags each slot and entity that broke a
+guarantee, and run reads its counters and the first violation off those
+masks. Synthetic traces are
 generated from the run configuration; recorded traces load from three CSV
 files. A projected-subgradient hindsight bound provides the reference
 point for cost-gap checks: it lower-bounds the per-slot cost of any policy
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import yaml
@@ -177,7 +182,9 @@ class Summary:
     buy/sell or charge/discharge exclusivity, and threshold-structure
     breaks. Theory says all six stay zero for the scheduler at a valid v;
     the queue, window, and threshold audits only apply to it, so they are
-    skipped (left zero) for other policies.
+    skipped (left zero) for other policies. first_violation is the
+    earliest counted break as (slot, violation key, message), or None;
+    format_summary leaves it out.
     """
 
     policy: str
@@ -193,6 +200,7 @@ class Summary:
     stability_pass: tuple[bool, ...]
     violations: dict[str, int]
     curtailed_total: float
+    first_violation: tuple[int, str, str] | None = None
 
 
 def generate_traces(config: RunConfig,
@@ -432,29 +440,20 @@ def write_traces(traces: list[SlotObservation], prefix: str) -> tuple[str, str, 
 
 
 def step(system: SystemSpec, state: SystemState, obs: SlotObservation,
-         dispatch: Dispatch, z_max: tuple[float, ...] | list[float]):
+         dispatch: Dispatch) -> SystemState:
     """Advance one slot: e' = e - d + r and z' = max(z - delta*alpha, 0) + alpha - p.
 
-    Returns (next_state, band_msgs, queue_msgs): one message per new battery
-    level outside [e_min, e_max] and one per new backlog above its cap
-    z_max[n], each by more than BALANCE_TOL. The state advances either way,
-    so a caller can count every escape along a run.
+    Only advances the state, so a run can go on past any escape;
+    audit_slots checks the levels it produces against their bands and
+    caps. update_qose_queue's ValueErrors (negative backlog, demand or
+    service, or service above demand) propagate.
     """
     e_next = tuple([e - d + r for e, d, r
                     in zip(state.e, dispatch.d, dispatch.r)])
     z_next = tuple([update_qose_queue(z, alpha, p, res.delta)
                     for z, alpha, p, res in zip(state.z, obs.alpha, dispatch.p,
                                                 system.residents)])
-    band_msgs = []
-    for k, (e, spec) in enumerate(zip(e_next, system.batteries)):
-        if e < spec.e_min - BALANCE_TOL or e > spec.e_max + BALANCE_TOL:
-            band_msgs.append(
-                f"battery {k}: level {e} outside [{spec.e_min}, {spec.e_max}]")
-    queue_msgs = []
-    for n, (z, cap) in enumerate(zip(z_next, z_max)):
-        if z > cap + BALANCE_TOL:
-            queue_msgs.append(f"resident {n}: backlog {z} above cap {cap}")
-    return SystemState(t=state.t + 1, e=e_next, z=z_next), band_msgs, queue_msgs
+    return SystemState(t=state.t + 1, e=e_next, z=z_next)
 
 
 def outage_windows(outage: np.ndarray, residents: tuple[ResidentSpec, ...],
@@ -474,15 +473,183 @@ def outage_windows(outage: np.ndarray, residents: tuple[ResidentSpec, ...],
     return sums, budgets
 
 
+def outage_window_flags(outage: np.ndarray,
+                        residents: tuple[ResidentSpec, ...],
+                        z_max: tuple[float, ...] | list[float]) -> np.ndarray:
+    """Flag each window of OUTAGE_WINDOW slots that passes its budget.
+
+    Returns a mask shaped like outage whose row t, column n is set when
+    slots t - OUTAGE_WINDOW + 1..t leave resident n more unserved quality
+    energy than budgets[n] of outage_windows; a window is flagged at its
+    last slot, when it is complete.
+    """
+    sums, budgets = outage_windows(outage, residents, z_max)
+    flags = np.zeros(outage.shape, dtype=bool)
+    flags[OUTAGE_WINDOW - 1:] = sums > budgets
+    return flags
+
+
+def _stack(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
+    # (len(rows), width) floats; np.fromiter over the flattened rows is
+    # about twice as fast as np.array on a list of tuples.
+    return np.fromiter(chain.from_iterable(rows), float).reshape(
+        len(rows), width)
+
+
+def _row_total(a: np.ndarray) -> np.ndarray:
+    # Adds each row left to right, as check_dispatch's sum() over a tuple
+    # does up to Python 3.11; a.sum(axis=1) adds pairwise from 8 columns
+    # on.
+    return np.cumsum(a, axis=1)[:, -1]
+
+
+def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
+                observations: list[SlotObservation],
+                dispatches: list[Dispatch],
+                z_max: tuple[float, ...] | list[float] | None = None
+                ) -> dict[str, np.ndarray]:
+    """Audit T slots at once, in one numpy pass over the stacked slots.
+
+    dispatches[t] is the decision taken on observations[t] from states[t].
+    Returns boolean masks under their VIOLATION_KEYS names, each flag
+    equal to what its per-slot producer says:
+
+    - balance (T,): check_dispatch reports a box, curtailment,
+      exclusivity or balance-residual problem;
+    - exclusivity (T,): q*s or some r_k*d_k is nonzero;
+    - threshold (T,): threshold_violations reports a break at v.
+
+    With z_max, states also holds the state after the last slot, so that
+    states[t + 1] is the state slot t produced, and the result adds
+    battery_band (T, K), a new level outside its band by more than
+    BALANCE_TOL, and queue_bound (T, N), a new backlog above z_max[n] by
+    more than BALANCE_TOL. Every result also carries cost (T,), q*c - s*w,
+    and outage (T, N), alpha - p, from which outage_window_flags derives
+    the window audit. surplus_power's ValueError for the first slot whose
+    basic usage exceeds generation propagates.
+    """
+    g = system.grid
+    tol = BALANCE_TOL
+    horizon = len(dispatches)
+    specs = system.batteries
+    n_bat, n_res = len(specs), len(system.residents)
+    e_min = np.array([b.e_min for b in specs])
+    e_max = np.array([b.e_max for b in specs])
+    r_max = np.array([b.r_max for b in specs])
+    d_max = np.array([b.d_max for b in specs])
+    delta = np.array([res.delta for res in system.residents])
+    alpha_max = np.array([res.alpha_max for res in system.residents])
+
+    q = np.array([x.q for x in dispatches], dtype=float)
+    s = np.array([x.s for x in dispatches], dtype=float)
+    r = _stack([x.r for x in dispatches], n_bat)
+    d = _stack([x.d for x in dispatches], n_bat)
+    p = _stack([x.p for x in dispatches], n_res)
+    curtailed = np.array([x.curtailed for x in dispatches], dtype=float)
+    surplus = np.array([surplus_power(o) for o in observations])
+    alpha = _stack([o.alpha for o in observations], n_res)
+    c = np.array([o.c for o in observations])
+    w = np.array([o.w for o in observations])
+    e = _stack([st.e for st in states], n_bat)
+    z = _stack([st.z for st in states], n_res)
+
+    def outside(x, hi):
+        return ~((-tol <= x) & (x <= hi + tol))
+
+    exclusivity = (q * s != 0.0) | (r * d != 0.0).any(1)
+    residual = (surplus - curtailed + q + _row_total(d) - s - _row_total(r)
+                - _row_total(p))
+    balance = (outside(q, g.q_max) | outside(s, g.s_max) | exclusivity
+               | (outside(r, r_max) | outside(d, d_max)).any(1)
+               | outside(p, alpha).any(1) | (curtailed < -tol)
+               | (np.abs(residual) > tol * np.maximum(surplus, 1.0)))
+
+    x = e[:horizon] - d_max - e_min - v * g.c_max
+    z_now = z[:horizon]
+    floor = (1.0 - delta) * alpha
+
+    def broken(recharge_above, discharge_below, serve_above, block_below):
+        return ((((x > recharge_above) & (r > 1e-12))
+                 | ((x < discharge_below) & (d > 1e-12))).any(1)
+                | (((z_now > serve_above) & (p < floor - 1e-9))
+                   | ((z_now < block_below) & (p > 1e-12))).any(1))
+
+    threshold = broken(-v * g.w_min, -v * g.c_max, v * g.c_max,
+                       v * g.w_min - alpha_max)
+    for traded, price in ((q > 0.0, c), (s > 0.0, w)):
+        at_price = (-v * price)[:, None]
+        thresholds = v * price[:, None] - alpha
+        threshold |= traded & broken(at_price, at_price, thresholds,
+                                     thresholds)
+
+    outage = alpha - p
+    audit = {"balance": balance, "exclusivity": exclusivity,
+             "threshold": threshold, "cost": q * c - s * w, "outage": outage}
+    if z_max is not None:
+        audit["battery_band"] = (e[1:] < e_min - tol) | (e[1:] > e_max + tol)
+        audit["queue_bound"] = z[1:] > np.array(z_max) + tol
+    return audit
+
+
+def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
+                    system: SystemSpec, v: float, states: list[SystemState],
+                    observations: list[SlotObservation],
+                    dispatches: list[Dispatch],
+                    z_max: tuple[float, ...] | list[float] | None = None):
+    """Earliest slot that one of audit's masks under keys flags.
+
+    audit is audit_slots' result, with outage_window_flags' mask added as
+    outage_window when keys name it; the other arguments are those
+    audit_slots was given. Returns (slot, key, message), or
+    None when nothing is flagged; within one slot the key listed first
+    wins. The message is what check_dispatch or threshold_violations
+    report for that slot, or a line naming the first battery, backlog or
+    window (the one ending at that slot) past its band, cap or budget.
+    """
+    first = None
+    for key in keys:
+        flagged = audit[key].reshape(len(dispatches), -1).any(1)
+        if flagged.any():
+            t = int(flagged.argmax())
+            if first is None or t < first[0]:
+                first = (t, key)
+    if first is None:
+        return None
+    t, key = first
+    obs, dispatch = observations[t], dispatches[t]
+    if key in ("balance", "exclusivity"):
+        return t, key, "; ".join(check_dispatch(dispatch, system, obs))
+    if key == "threshold":
+        return t, key, "; ".join(
+            threshold_violations(system, states[t], obs, v, dispatch))
+    i = int(audit[key][t].argmax())
+    after = states[t + 1]
+    if key == "battery_band":
+        spec = system.batteries[i]
+        msg = (f"battery {i}: level {after.e[i]} outside "
+               f"[{spec.e_min}, {spec.e_max}]")
+    elif key == "queue_bound":
+        msg = f"resident {i}: backlog {after.z[i]} above cap {z_max[i]}"
+    else:
+        sums, budgets = outage_windows(audit["outage"], system.residents,
+                                       z_max)
+        start = t - OUTAGE_WINDOW + 1
+        msg = (f"resident {i}: slots {start}..{t} leave {sums[start, i]} "
+               f"unserved, above budget {budgets[i]}")
+    return t, key, msg
+
+
 def run(config: RunConfig, traces: list[SlotObservation],
         policy=None, keep_records: bool = True):
-    """Simulate the configured horizon and audit every slot.
+    """Simulate the configured horizon, then audit every slot.
 
     policy may be None (use config.policy), a policy name, or a callable
     (state, obs) -> Dispatch. Returns (records, summary); records is empty
-    when keep_records is false. Policy errors propagate; audit failures
-    are counted in the summary, never raised, so a broken setup still
-    yields a diagnosable run.
+    when keep_records is false. The slot loop only calls the policy and
+    step; one audit_slots pass after it counts the violations, derives
+    costs and outages, and finds the first violation. Policy and step
+    errors propagate; audit failures are counted in the summary, never
+    raised, so a broken setup still yields a diagnosable run.
     """
     if len(traces) < config.horizon:
         raise ValueError(
@@ -516,52 +683,49 @@ def run(config: RunConfig, traces: list[SlotObservation],
     else:
         policy_name = "custom"
         policy_fn = policy
-    audit_scheduler = policy_name == "proposed"
+    # The queue, window and threshold audits apply to the scheduler only.
+    if policy_name == "proposed":
+        keys = VIOLATION_KEYS
+    else:
+        keys = ("battery_band", "balance", "exclusivity")
 
-    counters = {key: 0 for key in VIOLATION_KEYS}
-    alpha_hist = np.empty((horizon, n_res))
-    outage_hist = np.empty((horizon, n_res))
-    records: list[SlotRecord] = []
+    observations = traces[:horizon]
     state = SystemState(t=0, e=tuple(b.e_init for b in batteries),
                         z=(0.0,) * n_res)
-    cumulative = 0.0
-    curtailed_total = 0.0
-
-    for t in range(horizon):
-        obs = traces[t]
+    states = [state]
+    dispatches: list[Dispatch] = []
+    for obs in observations:
         dispatch = policy_fn(state, obs)
-        q, s = dispatch.q, dispatch.s
-        if q * s != 0.0 or any(r * d != 0.0
-                               for r, d in zip(dispatch.r, dispatch.d)):
-            counters["exclusivity"] += 1
-        if check_dispatch(dispatch, system, obs):
-            counters["balance"] += 1
-        if audit_scheduler and threshold_violations(system, state, obs, v,
-                                                    dispatch):
-            counters["threshold"] += 1
-        cost_increment = q * obs.c - s * obs.w
-        cumulative = cumulative + cost_increment
-        curtailed_total += dispatch.curtailed
-        state, band_msgs, queue_msgs = step(system, state, obs, dispatch,
-                                            consts.z_max)
-        counters["battery_band"] += len(band_msgs)
-        if audit_scheduler:
-            counters["queue_bound"] += len(queue_msgs)
-        outage = tuple([a - p for a, p in zip(obs.alpha, dispatch.p)])
-        alpha_hist[t] = obs.alpha
-        outage_hist[t] = outage
-        if keep_records:
-            records.append(SlotRecord(
-                t=t, dispatch=dispatch, cost_increment=cost_increment,
-                cumulative_cost=cumulative, e=state.e, z=state.z,
-                outage=outage))
+        state = step(system, state, obs, dispatch)
+        dispatches.append(dispatch)
+        states.append(state)
 
-    if audit_scheduler:
-        window_sums, budgets = outage_windows(outage_hist, residents,
-                                              consts.z_max)
-        counters["outage_window"] = int((window_sums > budgets).sum())
+    audit = audit_slots(system, v, states, observations, dispatches,
+                        consts.z_max)
+    outage_hist = audit["outage"]
+    audit["outage_window"] = outage_window_flags(outage_hist, residents,
+                                                 consts.z_max)
+    counters = {key: int(audit[key].sum()) if key in keys else 0
+                for key in VIOLATION_KEYS}
+    cost = audit["cost"]
+    # np.cumsum adds in sequence, as a running total from 0.0 does; adding
+    # 0.0 turns a leading -0.0 into the 0.0 such a total would hold.
+    cumulative = np.cumsum(cost) + 0.0
+    total_cost = float(cumulative[-1])
+    curtailed_total = float(
+        np.cumsum([x.curtailed for x in dispatches])[-1] + 0.0)
+    records: list[SlotRecord] = []
+    if keep_records:
+        records = [
+            SlotRecord(t=t, dispatch=dispatch, cost_increment=ci,
+                       cumulative_cost=cum, e=after.e, z=after.z,
+                       outage=tuple(row))
+            for t, (dispatch, ci, cum, after, row) in enumerate(zip(
+                dispatches, cost.tolist(), cumulative.tolist(), states[1:],
+                outage_hist.tolist()))]
 
-    alpha_cum = np.cumsum(alpha_hist, axis=0)
+    alpha_cum = np.cumsum(_stack([obs.alpha for obs in observations], n_res),
+                          axis=0)
     outage_cum = np.cumsum(outage_hist, axis=0)
     safe_alpha = np.where(alpha_cum > 0.0, alpha_cum, 1.0)
     ratios = np.where(alpha_cum > 0.0, outage_cum / safe_alpha, 0.0)
@@ -588,15 +752,18 @@ def run(config: RunConfig, traces: list[SlotObservation],
         slots=horizon,
         v=v,
         v_max=v_max,
-        total_cost=cumulative,
-        mean_cost_per_slot=cumulative / horizon,
+        total_cost=total_cost,
+        mean_cost_per_slot=total_cost / horizon,
         alpha_total=alpha_total,
         outage_total=outage_total,
         outage_ratio=outage_ratio,
         convergence_slot=tuple(convergence),
         stability_pass=tuple(stability),
         violations=counters,
-        curtailed_total=curtailed_total)
+        curtailed_total=curtailed_total,
+        first_violation=first_violation(
+            audit, keys, system, v, states, observations, dispatches,
+            consts.z_max))
     return records, summary
 
 
@@ -823,10 +990,28 @@ def _expand_entries(raw, kind: str, path: str, known: tuple[str, ...]):
     return out
 
 
+def _number(path: str, raw, name: str, kind=float):
+    """raw as a float (or kind), or a ValueError naming the file and field."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        noun = "a number" if kind is float else "an integer"
+        raise ValueError(
+            f"{path}: {name} must be {noun}, got {raw!r}") from None
+
+
+def _build(path: str, spec, **fields):
+    """spec(**fields), with its ValueError prefixed by the file name."""
+    try:
+        return spec(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _pair(path: str, raw, name: str) -> tuple[float, float]:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2):
         raise ValueError(f"{path}: {name} must be a [lo, hi] pair")
-    return float(raw[0]), float(raw[1])
+    return _number(path, raw[0], name), _number(path, raw[1], name)
 
 
 def load_config(path: str) -> RunConfig:
@@ -853,7 +1038,7 @@ def load_config(path: str) -> RunConfig:
         "curtailment", "convergence_tol", "batteries", "residents", "grid",
         "traces", "mecp"), "the top level")
 
-    sh = float(data.get("slot_hours", 0.25))
+    sh = _number(path, data.get("slot_hours", 0.25), "slot_hours")
     if sh <= 0.0:
         raise ValueError(f"{path}: slot_hours must be positive")
 
@@ -871,32 +1056,33 @@ def load_config(path: str) -> RunConfig:
     for entry in _expand_entries(data.get("batteries"), "batteries", path, (
             "e_min_kwh", "e_max_kwh", "r_max_kwh", "d_max_kwh",
             "e_init_kwh")):
-        try:
-            batteries.append(BatterySpec(
-                e_min=float(entry["e_min_kwh"]),
-                e_max=float(entry["e_max_kwh"]),
-                r_max=float(entry["r_max_kwh"]),
-                d_max=float(entry["d_max_kwh"]),
-                e_init=float(entry["e_init_kwh"])))
-        except KeyError as exc:
-            raise ValueError(f"{path}: battery entry missing {exc}") from None
+        fields = {}
+        for name in ("e_min", "e_max", "r_max", "d_max", "e_init"):
+            key = f"{name}_kwh"
+            if key not in entry:
+                raise ValueError(f"{path}: battery entry missing {key!r}")
+            fields[name] = _number(path, entry[key], key)
+        batteries.append(_build(path, BatterySpec, **fields))
 
-    regime_quality_kw = [float(r["quality_max_kw"]) for r in regimes_raw
+    regime_quality_kw = [_number(path, r["quality_max_kw"], "quality_max_kw")
+                         for r in regimes_raw
                          if isinstance(r, dict) and "quality_max_kw" in r]
     residents = []
     alpha_base = []
     for entry in _expand_entries(data.get("residents"), "residents", path, (
             "delta", "basic_range_kw", "quality_max_kw")):
         try:
-            base_quality_kw = float(entry["quality_max_kw"])
+            base_quality_kw = _number(path, entry["quality_max_kw"],
+                                      "quality_max_kw")
             basic_kw = _pair(path, entry["basic_range_kw"], "basic_range_kw")
         except KeyError as exc:
             raise ValueError(f"{path}: resident entry missing {exc}") from None
         # alpha_max must cover the widest quality cap any regime uses, but
         # baseline slots keep drawing from the entry's own cap.
         peak_kw = max([base_quality_kw] + regime_quality_kw)
-        residents.append(ResidentSpec(
-            delta=float(entry["delta"]) if "delta" in entry else 0.07,
+        residents.append(_build(
+            path, ResidentSpec,
+            delta=_number(path, entry.get("delta", 0.07), "delta"),
             alpha_max=peak_kw * sh,
             basic_range=(basic_kw[0] * sh, basic_kw[1] * sh)))
         alpha_base.append(base_quality_kw * sh)
@@ -910,11 +1096,12 @@ def load_config(path: str) -> RunConfig:
         c_lo, c_hi = _pair(path, grid_raw["purchase_price"],
                            "grid.purchase_price")
         w_lo, w_hi = _pair(path, grid_raw["sell_price"], "grid.sell_price")
-        grid = GridSpec(q_max=float(grid_raw["q_max_kwh"]),
-                        s_max=float(grid_raw["s_max_kwh"]),
-                        c_min=c_lo, c_max=c_hi, w_min=w_lo, w_max=w_hi)
+        q_max = _number(path, grid_raw["q_max_kwh"], "q_max_kwh")
+        s_max = _number(path, grid_raw["s_max_kwh"], "s_max_kwh")
     except KeyError as exc:
         raise ValueError(f"{path}: grid missing {exc}") from None
+    grid = _build(path, GridSpec, q_max=q_max, s_max=s_max, c_min=c_lo,
+                  c_max=c_hi, w_min=w_lo, w_max=w_hi)
 
     regimes = []
     for r in regimes_raw:
@@ -925,17 +1112,19 @@ def load_config(path: str) -> RunConfig:
                                   "burst_prob", "burst_kw"), "traces.regimes")
         if "start_slot" not in r:
             raise ValueError(f"{path}: regime missing start_slot")
-        regimes.append(Regime(
-            start_slot=int(r["start_slot"]),
+        regimes.append(_build(
+            path, Regime,
+            start_slot=_number(path, r["start_slot"], "start_slot", int),
             basic_range=tuple(v * sh for v in _pair(
                 path, r["basic_range_kw"], "regime.basic_range_kw"))
             if "basic_range_kw" in r else None,
-            alpha_hi=float(r["quality_max_kw"]) * sh
+            alpha_hi=_number(path, r["quality_max_kw"], "quality_max_kw") * sh
             if "quality_max_kw" in r else None,
             surplus_range=tuple(v * sh for v in _pair(
                 path, r["surplus_kw"], "regime.surplus_kw"))
             if "surplus_kw" in r else None,
-            burst_prob=float(r["burst_prob"]) if "burst_prob" in r else None,
+            burst_prob=_number(path, r["burst_prob"], "burst_prob")
+            if "burst_prob" in r else None,
             burst_range=tuple(v * sh for v in _pair(
                 path, r["burst_kw"], "regime.burst_kw"))
             if "burst_kw" in r else None))
@@ -949,25 +1138,29 @@ def load_config(path: str) -> RunConfig:
         batteries=tuple(batteries),
         residents=tuple(residents),
         grid=grid,
-        horizon=int(data.get("horizon", 480)),
+        horizon=_number(path, data.get("horizon", 480), "horizon", int),
         slot_hours=sh,
-        seed=int(data.get("seed", 0)),
-        v_fraction=float(data.get("v_fraction", 1.0)),
+        seed=_number(path, data.get("seed", 0), "seed", int),
+        v_fraction=_number(path, data.get("v_fraction", 1.0), "v_fraction"),
         policy=str(data.get("policy", "proposed")),
         curtailment=bool(data.get("curtailment", False)),
-        block_prob=float(mecp_raw.get("block_prob", 0.07)),
-        charge_prob=float(mecp_raw.get("charge_prob", 0.5)),
+        block_prob=_number(path, mecp_raw.get("block_prob", 0.07),
+                           "block_prob"),
+        charge_prob=_number(path, mecp_raw.get("charge_prob", 0.5),
+                            "charge_prob"),
         regimes=tuple(regimes),
-        convergence_tol=float(data.get("convergence_tol", 0.03)),
+        convergence_tol=_number(path, data.get("convergence_tol", 0.03),
+                                "convergence_tol"),
         alpha_base=tuple(alpha_base),
     )
     if "surplus_kw" in traces_raw:
         lo, hi = _pair(path, traces_raw["surplus_kw"], "traces.surplus_kw")
         kwargs["surplus_range"] = (lo * sh, hi * sh)
     if "burst_prob" in traces_raw:
-        kwargs["burst_prob"] = float(traces_raw["burst_prob"])
+        kwargs["burst_prob"] = _number(path, traces_raw["burst_prob"],
+                                       "burst_prob")
     if "burst_kw" in traces_raw:
         lo, hi = _pair(path, traces_raw["burst_kw"], "traces.burst_kw")
         kwargs["burst_range"] = (lo * sh, hi * sh)
 
-    return RunConfig(**kwargs)
+    return _build(path, RunConfig, **kwargs)

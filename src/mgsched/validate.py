@@ -11,8 +11,10 @@ counts plus the first counterexample, so a failure is directly
 reproducible.
 
 Every suite draws its systems as random_system RunConfigs and their
-observations through the simulator's own generate_traces, and the bound
-suite advances and audits each slot with the simulator's step. The
+observations through the simulator's own generate_traces. The bound suite
+advances each slot with the simulator's step and audits each 500-slot
+stretch of a run, and the threshold suite each 64-slot block, with its
+audit_slots. The
 RunConfigs size the market trade caps to dominate the microgrid (purchases
 can cover every quality request and recharge, sales can absorb the largest
 surplus plus every discharge). The structural guarantees are proved under
@@ -49,6 +51,8 @@ from .queues import bound_constants
 from .sim import (
     OUTAGE_WINDOW,
     RunConfig,
+    audit_slots,
+    first_violation,
     generate_traces,
     outage_windows,
     step,
@@ -144,6 +148,18 @@ def _counterexample(system: SystemSpec, state: SystemState,
             f"state: {state!r}\nobs: {obs!r}\ndispatch: {dispatch!r}")
 
 
+def _first_counterexample(audit, key: str, system: SystemSpec, v: float,
+                          states, observations, dispatches,
+                          z_max) -> str | None:
+    first = first_violation(audit, (key,), system, v, states, observations,
+                            dispatches, z_max)
+    if first is None:
+        return None
+    t, _, msg = first
+    return _counterexample(system, states[t], observations[t], dispatches[t],
+                           msg)
+
+
 def _agrees(objective: float, optimum: float) -> bool:
     return abs(objective - optimum) <= 1e-9 * max(1.0, abs(optimum))
 
@@ -173,25 +189,37 @@ def run_bound_trials(runs: int, slots: int, seed: int,
         consts = bound_constants(system, v)
         state = SystemState(t=0, e=tuple(b.e_init for b in config.batteries),
                             z=(0.0,) * len(residents))
-        outage = np.empty((slots, len(residents)))
-        for t, obs in enumerate(generate_traces(config, rng)):
-            dispatch = dispatch_slot(system, state, obs, v,
-                                     headroom_clamp=False)
-            after, band_msgs, queue_msgs = step(system, state, obs, dispatch,
-                                                consts.z_max)
-            if band_msgs:
-                band_v += len(band_msgs)
-                if band_ce is None:
-                    band_ce = _counterexample(system, state, obs, dispatch,
-                                              band_msgs[0])
-            if queue_msgs:
-                queue_v += len(queue_msgs)
-                if queue_ce is None:
-                    queue_ce = _counterexample(system, state, obs, dispatch,
-                                               queue_msgs[0])
-            outage[t] = [a - p for a, p in zip(obs.alpha, dispatch.p)]
-            state = after
-        sums, budgets = outage_windows(outage, residents, consts.z_max)
+        observations = generate_traces(config, rng)
+        # Each OUTAGE_WINDOW-slot stretch is audited on its own, so only
+        # one stretch's states and dispatches are alive at a time; keeping
+        # all of a long run's objects until one audit costs more in
+        # garbage-collector and allocator time than the audit saves.
+        # Windows span stretches and are summed over the run's outage rows.
+        outage = []
+        for start in range(0, slots, OUTAGE_WINDOW):
+            stretch = observations[start:start + OUTAGE_WINDOW]
+            states = [state]
+            dispatches = []
+            for obs in stretch:
+                dispatch = dispatch_slot(system, state, obs, v,
+                                         headroom_clamp=False)
+                state = step(system, state, obs, dispatch)
+                dispatches.append(dispatch)
+                states.append(state)
+            audit = audit_slots(system, v, states, stretch, dispatches,
+                                consts.z_max)
+            band_v += int(audit["battery_band"].sum())
+            queue_v += int(audit["queue_bound"].sum())
+            outage.append(audit["outage"])
+            context = (system, v, states, stretch, dispatches, consts.z_max)
+            if band_ce is None:
+                band_ce = _first_counterexample(audit, "battery_band",
+                                                *context)
+            if queue_ce is None:
+                queue_ce = _first_counterexample(audit, "queue_bound",
+                                                 *context)
+        sums, budgets = outage_windows(np.vstack(outage), residents,
+                                       consts.z_max)
         windows_checked += sums.size
         bad = sums > budgets
         window_v += int(bad.sum())
@@ -225,24 +253,26 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
     rng = np.random.default_rng((seed, 3))
     violations = 0
     ce = None
-    for t in range(slots):
-        if t % 64 == 0:
-            config = random_system(rng, min(64, slots - t), k_max=k_max,
-                                   n_max=n_max)
-            system = config.system
-            v_max = compute_vmax(config.batteries, config.grid)
-            v = float(rng.uniform(0.3, 1.0)) * v_max
-            block = generate_traces(config, rng)
-        state = random_state(system, rng, v)
-        obs = block[t % 64]
-        dispatch = dispatch_slot(system, state, obs, v)
-        problems = check_dispatch(dispatch, system, obs)
-        problems += threshold_violations(system, state, obs, v, dispatch)
-        if problems:
-            violations += 1
-            if ce is None:
-                ce = _counterexample(system, state, obs, dispatch,
-                                     "; ".join(problems))
+    for start in range(0, slots, 64):
+        config = random_system(rng, min(64, slots - start), k_max=k_max,
+                               n_max=n_max)
+        system = config.system
+        v_max = compute_vmax(config.batteries, config.grid)
+        v = float(rng.uniform(0.3, 1.0)) * v_max
+        block = generate_traces(config, rng)
+        states = [random_state(system, rng, v) for _ in block]
+        dispatches = [dispatch_slot(system, state, obs, v)
+                      for state, obs in zip(states, block)]
+        audit = audit_slots(system, v, states, block, dispatches)
+        bad = audit["balance"] | audit["threshold"]
+        violations += int(bad.sum())
+        if ce is None and bad.any():
+            t = int(bad.argmax())
+            problems = check_dispatch(dispatches[t], system, block[t])
+            problems += threshold_violations(system, states[t], block[t], v,
+                                             dispatches[t])
+            ce = _counterexample(system, states[t], block[t], dispatches[t],
+                                 "; ".join(problems))
     return SuiteResult("threshold-structure", slots, violations, ce)
 
 

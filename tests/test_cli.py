@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import mgsched.sim
 from mgsched import Summary, SuiteResult
 from mgsched.cli import main
 
@@ -106,6 +107,22 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "battery_band" in capsys.readouterr().err
+
+    def test_violations_exit_two_and_name_the_first(self, tmp_path, capsys,
+                                                    monkeypatch):
+        real = mgsched.sim.dispatch_slot
+
+        def overweighted(system, state, obs, v, **kwargs):
+            return real(system, state, obs, 4.0 * v, headroom_clamp=False,
+                        **kwargs)
+
+        monkeypatch.setattr(mgsched.sim, "dispatch_slot", overweighted)
+        code = main(["run", "--config", FIVE_DAY,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bound violations: {" in err
+        assert "\nfirst violation: slot " in err
 
 
 class TestSweepCommand:
@@ -234,6 +251,20 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert f"{bad}: unknown key 'detla'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        ("slot_hours: 0.25", "slot_hours: abc"),
+        ("r_max_kwh: 2.0", "r_max_kwh: -2.0"),
+        ("horizon: 480", "horizon: 4x"),
+    ])
+    def test_bad_config_values_name_the_file(self, tmp_path, capsys, old,
+                                              new):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(open(FIVE_DAY).read().replace(old, new))
+        code = main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

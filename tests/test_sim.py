@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -6,22 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mgsched.sim
 from mgsched import (
+    BALANCE_TOL,
     Dispatch,
     RunConfig,
     Regime,
     SlotObservation,
+    SystemSpec,
     SystemState,
     TraceError,
     UnservableSurplusError,
+    audit_slots,
+    battery_queue,
     bound_constants,
+    check_dispatch,
     format_summary,
     generate_traces,
     hindsight_lower_bound,
     load_config,
     load_traces,
+    random_system,
     run,
     step,
+    surplus_power,
+    threshold_violations,
     update_qose_queue,
     validate_observation,
     write_slot_records,
@@ -29,7 +39,11 @@ from mgsched import (
     write_traces,
 )
 from mgsched.dispatch import _allocate
-from mgsched.sim import _relaxed_slots
+from mgsched.sim import (
+    _relaxed_slots,
+    first_violation,
+    outage_window_flags,
+)
 
 from conftest import make_battery, make_grid, make_resident, make_system
 
@@ -257,33 +271,294 @@ class TestStep:
     def test_advances_levels_backlogs_and_slot(self):
         state = SystemState(t=3, e=(8.0,), z=(1.0,))
         obs = SlotObservation(u=2.0, basic=(0.0,), alpha=(2.0,), c=0.10, w=0.02)
-        after, band, queue = step(make_system(), state, obs,
-                                  self._dispatch(r=2.0, p=0.5), (15.0,))
+        after = step(make_system(), state, obs, self._dispatch(r=2.0, p=0.5))
         assert after == SystemState(
             t=4, e=(10.0,), z=(update_qose_queue(1.0, 2.0, 0.5, 0.07),))
         assert after.z == pytest.approx((2.36,))
-        assert band == [] and queue == []
 
-    def test_reports_band_escape_and_queue_breach(self):
+    def test_advances_past_the_band_and_rejects_service_above_demand(self):
+        state = SystemState(t=0, e=(15.0,), z=(3.0,))
+        obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(2.0,), c=0.10, w=0.02)
+        after = step(make_system(), state, obs, self._dispatch(r=2.0))
+        assert after.e == (17.0,) and after.z == pytest.approx((4.86,))
+        with pytest.raises(ValueError, match="exceeds demand"):
+            step(make_system(), state, obs, self._dispatch(p=2.5))
+
+
+def nudge(x: float, steps: int) -> float:
+    """x moved |steps| ulps up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+TOL = BALANCE_TOL
+BIG = 1e3
+BOX_FIELDS = ("q", "s", "r", "d", "p", "curtailed")
+# Every example audits one slot per fault.
+FAULTS = (
+    [("quiet",), ("wide",), ("both-trades",), ("charge-and-discharge",),
+     ("residual", -1.0), ("residual", 1.0)]
+    + [("nan", field) for field in BOX_FIELDS[:5]]
+    + [("box", field, side) for field in BOX_FIELDS for side in ("lo", "hi")]
+    + [("threshold", kind, place, regime)
+       for kind in ("recharge", "discharge", "serve", "block")
+       for place in ("level", "flow") for regime in ("bounds", "purchase",
+                                                     "sell")]
+    + [("threshold", kind, "gate", regime)
+       for kind in ("recharge", "discharge", "serve", "block")
+       for regime in ("purchase", "sell")])
+
+
+def level_at(x: float, spec, v: float, grid, steps: int) -> float:
+    """A battery level whose queue lands on x, moved steps ulps."""
+    e = x + v * grid.c_max + spec.e_min + spec.d_max
+    for near in (0, -1, 1, -2, 2):
+        if battery_queue(nudge(e, near), spec, v, grid) == x:
+            e = nudge(e, near)
+            break
+    return nudge(e, steps)
+
+
+def place_box_fault(rnd, steps, system, field, side, alpha, flows, e, z):
+    """One flow at its box edge +-tol or one ulp to either side; the rest
+    of the slot stays clear of every threshold condition."""
+    g = system.grid
+    k = rnd.randrange(len(system.batteries))
+    j = rnd.randrange(len(system.residents) - 1)
+    if field in ("q", "s"):
+        hi = g.q_max if field == "q" else g.s_max
+        flows[field] = nudge(-TOL if side == "lo" else hi + TOL, steps)
+    elif field in ("r", "d"):
+        spec = system.batteries[k]
+        hi = spec.r_max if field == "r" else spec.d_max
+        flows[field][k] = nudge(-TOL if side == "lo" else hi + TOL, steps)
+        e[k] = -BIG if field == "r" else BIG
+    elif field == "p":
+        alpha[j] = rnd.uniform(0.01, 2.5)
+        flows["p"][j] = nudge(-TOL if side == "lo" else alpha[j] + TOL, steps)
+        z[j] = 0.0 if side == "lo" else BIG
+    else:
+        flows["curtailed"] = nudge(-TOL if side == "lo" else 0.0, steps)
+
+
+def place_threshold_fault(rnd, steps, system, v, c, w, kind, place, regime,
+                          alpha, flows, e, z):
+    """One strict threshold comparison with its level or its flow at the
+    edge or one ulp to either side, or ("gate") a level between two bounds
+    and a trade of 0 or +-1 ulp, so that only the trade's sign decides."""
+    g = system.grid
+    if place == "gate":
+        flows["q" if regime == "purchase" else "s"] = nudge(0.0, steps)
+    elif regime != "bounds":
+        flows["q" if regime == "purchase" else "s"] = rnd.uniform(0.1, 5.0)
+    price = c if regime == "purchase" else w
+    if regime == "bounds":
+        price = g.w_min if kind == "recharge" else g.c_max
+    if kind in ("recharge", "discharge"):
+        k = rnd.randrange(len(system.batteries))
+        spec = system.batteries[k]
+        flow = rnd.uniform(0.01, spec.r_max if kind == "recharge"
+                           else spec.d_max)
+        bound = -v * price
+        if kind == "recharge":
+            outer, inner = bound + 0.5, -v * g.w_min
+        else:
+            outer, inner = bound - 0.5, -v * g.c_max
+        if place == "level":
+            e[k] = level_at(bound, spec, v, g, steps)
+        elif place == "flow":
+            e[k] = level_at(outer, spec, v, g, 0)
+            flow = nudge(1e-12, steps)
+        else:
+            e[k] = level_at(0.5 * (bound + inner), spec, v, g, 0)
+        flows["r" if kind == "recharge" else "d"][k] = flow
+        return
+    j = rnd.randrange(len(system.residents) - 1)
+    res = system.residents[j]
+    alpha[j] = rnd.uniform(0.01, 2.5)
+    floor = (1.0 - res.delta) * alpha[j]
+    if kind == "serve":
+        inner = v * g.c_max
+        bound = inner if regime == "bounds" else v * price - alpha[j]
+        outer, flow, edge_flow = bound + 1.0, 0.0, floor - 1e-9
+    else:
+        inner = v * g.w_min - res.alpha_max
+        bound = inner if regime == "bounds" else v * price - alpha[j]
+        outer, flow, edge_flow = bound - 1.0, alpha[j], 1e-12
+    if place == "level":
+        z[j] = nudge(bound, steps)
+    elif place == "flow":
+        z[j] = outer
+        flow = nudge(edge_flow, steps)
+    else:
+        z[j] = 0.5 * (bound + inner)
+    flows["p"][j] = flow
+
+
+@st.composite
+def audited_slots(draw):
+    """One slot per fault in FAULTS at up to 5 batteries x 20 residents,
+    each otherwise clear of every audit condition, plus one slot of flows
+    drawn anywhere in their boxes.
+
+    Faults: a flow at its box edge +-tol or one ulp to either side, a NaN
+    flow, buying and selling at once, recharging and discharging one
+    battery at once, a balance residual at +-tol, and each strict threshold
+    comparison on both sides of its edge. The states after each slot sit
+    at the band and backlog-cap edges +-tol and at 5e-10 dust. The last
+    resident absorbs any energy left over, so only the forced fault can
+    break the balance. Hypothesis draws the sizes, v, each fault's ulp
+    offset and a seed for everything else: drawing the few thousand other
+    values through it takes ten times as long.
+    """
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 20))
+    v = draw(st.floats(10.0, 150.0))
+    offsets = draw(st.lists(st.sampled_from((-1, 0, 1)),
+                            min_size=len(FAULTS), max_size=len(FAULTS)))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    system = SystemSpec(
+        batteries=tuple(make_battery(r_max=rnd.uniform(0.5, 3.0),
+                                     d_max=rnd.uniform(0.5, 3.0))
+                        for _ in range(k)),
+        residents=tuple(make_resident(delta=rnd.uniform(0.02, 0.2))
+                        for _ in range(n)),
+        grid=make_grid())
+    g = system.grid
+    z_max = bound_constants(system, v).z_max
+
+    def edge(edges, lo, hi):
+        if rnd.random() < 0.5:
+            return rnd.uniform(lo, hi)
+        return nudge(rnd.choice(edges), rnd.choice((-1, 0, 1)))
+
+    levels = [[edge([b.e_min - TOL, b.e_max + TOL, b.e_min - 5e-10,
+                     b.e_max + 5e-10], -1.0, 17.0) for b in system.batteries]
+              for _ in range(len(FAULTS) + 1)]
+    backlogs = [[edge([cap + TOL, cap + 5e-10, cap], 0.0, 2.0 * cap)
+                 for cap in z_max] for _ in range(len(FAULTS) + 1)]
+    observations, dispatches = [], []
+    for fault, steps, e, z in zip(FAULTS, offsets, levels, backlogs):
+        c = rnd.uniform(0.05, 0.10)
+        w = rnd.uniform(0.02, 0.04)
+        alpha = [0.0] * n
+        flows = dict(q=0.0, s=0.0, r=[0.0] * k, d=[0.0] * k, p=[0.0] * n,
+                     curtailed=0.0)
+        if fault[0] == "wide":
+            alpha = [rnd.uniform(0.0, 2.5) for _ in range(n)]
+            flows = dict(
+                q=rnd.uniform(0.0, g.q_max), s=rnd.uniform(0.0, g.s_max),
+                r=[rnd.uniform(0.0, b.r_max) for b in system.batteries],
+                d=[rnd.uniform(0.0, b.d_max) for b in system.batteries],
+                p=[rnd.uniform(0.0, a) for a in alpha], curtailed=0.0)
+        elif fault[0] == "both-trades":
+            flows["q"] = flows["s"] = rnd.uniform(1e-6, 20.0)
+        elif fault[0] == "charge-and-discharge":
+            i = rnd.randrange(k)
+            spec = system.batteries[i]
+            flows["r"][i] = flows["d"][i] = rnd.uniform(
+                1e-6, min(spec.r_max, spec.d_max))
+            e[i] = level_at(-0.5 * v * (g.c_max + g.w_min), spec, v, g, 0)
+        elif fault[0] == "box":
+            place_box_fault(rnd, steps, system, *fault[1:], alpha, flows, e,
+                            z)
+        elif fault[0] == "threshold":
+            place_threshold_fault(rnd, steps, system, v, c, w, *fault[1:],
+                                  alpha, flows, e, z)
+        need = (flows["curtailed"] - flows["q"] - sum(flows["d"])
+                + flows["s"] + sum(flows["r"]) + sum(flows["p"]))
+        surplus = max(need, 0.0)
+        if need < 0.0 and fault[0] != "wide":
+            alpha[-1] = flows["p"][-1] = -need
+            z[-1] = BIG
+        if fault[0] == "residual":
+            # An exact surplus of 0.0 puts the residual exactly at tol.
+            surplus = rnd.choice((0.0, rnd.uniform(0.0, 24.0)))
+            flows["s"] = nudge(surplus + fault[1] * TOL * max(1.0, surplus),
+                               steps)
+        elif fault[0] == "nan":
+            if fault[1] in ("q", "s"):
+                flows[fault[1]] = math.nan
+            else:
+                flows[fault[1]][rnd.randrange(len(flows[fault[1]]))] = (
+                    math.nan)
+        # Zero basic usage keeps the residual fault's surplus exact.
+        basic = tuple(0.0 if fault[0] == "residual"
+                      else rnd.choice((0.0, 0.3)) for _ in range(n))
+        observations.append(SlotObservation(
+            u=sum(basic) + surplus, basic=basic, alpha=tuple(alpha), c=c,
+            w=w))
+        dispatches.append(Dispatch(
+            q=flows["q"], s=flows["s"], r=tuple(flows["r"]),
+            d=tuple(flows["d"]), p=tuple(flows["p"]), objective=0.0,
+            curtailed=flows["curtailed"]))
+    states = [SystemState(t=t, e=tuple(e), z=tuple(z))
+              for t, (e, z) in enumerate(zip(levels, backlogs))]
+    return system, v, z_max, states, observations, dispatches
+
+
+def audit_one(system, state, obs, dispatch, z_max, v=150.0):
+    """Step one slot and audit it."""
+    states = [state, step(system, state, obs, dispatch)]
+    return audit_slots(system, v, states, [obs], [dispatch], z_max), states
+
+
+class TestAuditSlots:
+    def _dispatch(self, r=0.0, p=0.0):
+        return Dispatch(q=0.0, s=0.0, r=(r,), d=(0.0,), p=(p,), objective=0.0)
+
+    @given(audited_slots())
+    @settings(deadline=None, max_examples=40)
+    def test_masks_equal_the_per_slot_audits(self, case):
+        system, v, z_max, states, observations, dispatches = case
+        audit = audit_slots(system, v, states, observations, dispatches,
+                            z_max)
+        for t, (obs, dispatch) in enumerate(zip(observations, dispatches)):
+            after = states[t + 1]
+            assert audit["balance"][t] == bool(
+                check_dispatch(dispatch, system, obs))
+            assert audit["exclusivity"][t] == (
+                dispatch.q * dispatch.s != 0.0
+                or any(r * d != 0.0 for r, d in zip(dispatch.r, dispatch.d)))
+            assert audit["threshold"][t] == bool(threshold_violations(
+                system, states[t], obs, v, dispatch))
+            assert audit["battery_band"][t].tolist() == [
+                e < b.e_min - BALANCE_TOL or e > b.e_max + BALANCE_TOL
+                for e, b in zip(after.e, system.batteries)]
+            assert audit["queue_bound"][t].tolist() == [
+                z > cap + BALANCE_TOL for z, cap in zip(after.z, z_max)]
+            assert repr(audit["cost"][t].item()) == repr(
+                dispatch.q * obs.c - dispatch.s * obs.w)
+            assert repr(audit["outage"][t].tolist()) == repr(
+                [a - p for a, p in zip(obs.alpha, dispatch.p)])
+
+    def test_flags_band_escape_and_queue_breach(self):
+        system = make_system()
         state = SystemState(t=0, e=(15.0,), z=(3.0,))
         obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(2.0,), c=0.10, w=0.02)
         # e' = 15 + 2 = 17 > e_max = 16; z' = 3 - 0.14 + 2 = 4.86 > 4
-        after, band, queue = step(make_system(), state, obs,
-                                  self._dispatch(r=2.0), (4.0,))
-        assert after.e == (17.0,) and after.z == pytest.approx((4.86,))
-        assert len(band) == 1 and "battery 0" in band[0]
-        assert "outside [0.0, 16.0]" in band[0]
-        assert len(queue) == 1 and "resident 0" in queue[0]
-        assert "above cap 4.0" in queue[0]
+        dispatch = self._dispatch(r=2.0)
+        audit, states = audit_one(system, state, obs, dispatch, (4.0,))
+        assert audit["battery_band"].tolist() == [[True]]
+        assert audit["queue_bound"].tolist() == [[True]]
+        args = (system, 150.0, states, [obs], [dispatch], (4.0,))
+        assert first_violation(audit, ("battery_band",), *args) == (
+            0, "battery_band", "battery 0: level 17.0 outside [0.0, 16.0]")
+        assert first_violation(audit, ("queue_bound",), *args) == (
+            0, "queue_bound",
+            f"resident 0: backlog {states[1].z[0]} above cap 4.0")
+        assert states[1].z == pytest.approx((4.86,))
 
     def test_float_dust_is_not_an_escape(self):
         state = SystemState(t=0, e=(16.0 + 5e-10,), z=(4.0 + 5e-10,))
         obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(0.0,), c=0.10, w=0.02)
-        _, band, queue = step(make_system(), state, obs, self._dispatch(),
-                              (4.0,))
-        assert band == [] and queue == []
+        audit, _ = audit_one(make_system(), state, obs, self._dispatch(),
+                             (4.0,))
+        assert not audit["battery_band"].any()
+        assert not audit["queue_bound"].any()
 
-    def test_run_counts_band_escapes_as_step_reports_them(self):
+    def test_run_counts_band_escapes_as_the_audit_flags_them(self):
         # one battery starts full, one empty; recharging r_max every slot
         # pushes the first out at once and the second after eight slots,
         # while serving nothing lets the backlog pass its cap
@@ -298,18 +573,51 @@ class TestStep:
 
         _, summary = run(config, traces, policy=overfill)
         z_max = bound_constants(config.system, summary.v).z_max
-        state = SystemState(t=0, e=(16.0, 0.0), z=(0.0,))
-        band_reports = queue_reports = 0
+        states = [SystemState(t=0, e=(16.0, 0.0), z=(0.0,))]
+        dispatches = []
         for obs in traces:
-            state, band, queue = step(config.system, state, obs,
-                                      overfill(state, obs), z_max)
-            band_reports += len(band)
-            queue_reports += len(queue)
-        assert band_reports == 40 + 32
-        assert summary.violations["battery_band"] == band_reports
+            dispatches.append(overfill(states[-1], obs))
+            states.append(step(config.system, states[-1], obs,
+                               dispatches[-1]))
+        audit = audit_slots(config.system, summary.v, states, traces,
+                            dispatches, z_max)
+        assert audit["battery_band"].sum() == 40 + 32
+        assert summary.violations["battery_band"] == 40 + 32
         # backlog caps are audited for the scheduler only
-        assert queue_reports > 0
+        assert audit["queue_bound"].sum() > 0
         assert summary.violations["queue_bound"] == 0
+
+    def test_window_at_its_budget_passes_and_one_above_fails(self):
+        # 0.25 kWh unserved per slot adds up exactly: slots 0..499 leave
+        # 125.0, the budget 46.875 + 500*0.0625*2.5, and slots 1..500,
+        # whose last slot leaves 0.5, leave 125.25
+        system = SystemSpec(batteries=(make_battery(),),
+                            residents=(make_resident(delta=0.0625),),
+                            grid=make_grid())
+        obs = [SlotObservation(u=0.0, basic=(0.0,), alpha=(alpha,), c=0.10,
+                               w=0.02) for alpha in [0.25] * 500 + [0.5]]
+        dispatches = [self._dispatch()] * len(obs)
+        states = [SystemState(t=0, e=(8.0,), z=(0.0,))] * (len(obs) + 1)
+        args = (system, 150.0, states, obs, dispatches, (46.875,))
+        audit = audit_slots(*args)
+        audit["outage_window"] = outage_window_flags(
+            audit["outage"], system.residents, (46.875,))
+        assert np.flatnonzero(audit["outage_window"]).tolist() == [500]
+        assert first_violation(audit, ("outage_window",), *args) == (
+            500, "outage_window",
+            "resident 0: slots 1..500 leave 125.25 unserved, above budget "
+            "125.0")
+
+    def test_unfed_basic_usage_raises_as_surplus_power_does(self):
+        system = make_system()
+        obs = SlotObservation(u=1.0, basic=(1.5,), alpha=(0.0,), c=0.10,
+                              w=0.02)
+        state = SystemState(t=0, e=(8.0,), z=(0.0,))
+        with pytest.raises(ValueError) as expected:
+            surplus_power(obs)
+        with pytest.raises(ValueError) as err:
+            audit_slots(system, 150.0, [state], [obs], [self._dispatch()])
+        assert str(err.value) == str(expected.value)
 
 
 class TestRun:
@@ -368,7 +676,50 @@ class TestRun:
         traces = generate_traces(config)
         _, summary = run(config, traces)
         assert summary.violations == {key: 0 for key in summary.violations}
+        assert summary.first_violation is None
         assert summary.stability_pass == (True,)
+
+    def test_first_violation_names_the_overfilled_battery(self):
+        # battery 0 recharges r_max from slot 5 on and sells or buys the
+        # difference: from 8 kWh it reaches 16 after slot 8 and 18 after 9
+        config = make_config(batteries=(make_battery(), make_battery()),
+                             horizon=20)
+        traces = generate_traces(config)
+
+        def overfill(state, obs):
+            r0 = 2.0 if state.t >= 5 else 0.0
+            net = surplus_power(obs) - r0
+            return Dispatch(q=max(-net, 0.0), s=max(net, 0.0), r=(r0, 0.0),
+                            d=(0.0, 0.0), p=(0.0,), objective=0.0)
+
+        _, summary = run(config, traces, policy=overfill)
+        assert summary.violations == dict.fromkeys(summary.violations, 0) | {
+            "battery_band": 11}
+        assert summary.first_violation == (
+            9, "battery_band", "battery 0: level 18.0 outside [0.0, 16.0]")
+        assert "18.0" not in format_summary(summary)
+
+    def test_overweighted_scheduler_counters_are_pinned(self, monkeypatch):
+        # The scheduler at 4x its control weight without the headroom
+        # clamp, on one random system drawn at up to 5 batteries x 20
+        # residents (here 5 x 10). The counts are those of the per-slot
+        # audits the simulator ran before audit_slots existed.
+        real = mgsched.sim.dispatch_slot
+
+        def overweighted(system, state, obs, v, **kwargs):
+            return real(system, state, obs, 4.0 * v, headroom_clamp=False,
+                        **kwargs)
+
+        monkeypatch.setattr(mgsched.sim, "dispatch_slot", overweighted)
+        config = replace(random_system(np.random.default_rng(26), 800,
+                                       k_max=5, n_max=20), seed=26)
+        _, summary = run(config, generate_traces(config))
+        assert summary.violations == {
+            "battery_band": 144, "queue_bound": 7918, "outage_window": 6,
+            "balance": 0, "exclusivity": 0, "threshold": 745}
+        slot, key, msg = summary.first_violation
+        assert (slot, key) == (1, "threshold")
+        assert msg.startswith("battery 0: queue -0.8027440105226797 above")
 
     def test_mecp_policy_runs_clean_boxes(self):
         config = make_config(horizon=400, policy="mecp", seed=6)
@@ -684,6 +1035,20 @@ class TestLoadConfig:
          "      burst_kw: 3\n", "regime.burst_kw must be a"),
         ("mecp:\n  block_prob: 0.07\n  charge_prob: 0.5\n", "mecp: 3\n",
          "mecp must be a mapping"),
+        ("slot_hours: 0.25\n", "slot_hours: abc\n",
+         "slot_hours must be a number, got 'abc'"),
+        ("horizon: 480\n", "horizon: 4x\n",
+         "horizon must be an integer, got '4x'"),
+        ("[0.05, 0.10]", "[0.05, cheap]",
+         "grid.purchase_price must be a number, got 'cheap'"),
+        ("    r_max_kwh: 2.0\n", "    r_max_kwh: -2.0\n",
+         "r_max must be positive, got -2.0"),
+        ("    delta: 0.07\n", "    delta: 1.5\n", "delta must lie in"),
+        ("  q_max_kwh: 25.0\n", "  q_max_kwh: 0.0\n",
+         "q_max must be positive, got 0.0"),
+        ("traces:\n", "traces:\n  regimes:\n    - start_slot: -3\n",
+         "start_slot must be >= 0, got -3"),
+        ("v_fraction: 1.0\n", "v_fraction: 2.0\n", "v_fraction must lie in"),
     ])
     def test_field_errors_name_the_file(self, tmp_path, old, new, match):
         base = open("configs/five_day.yaml").read()
