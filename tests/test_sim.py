@@ -264,14 +264,17 @@ def inert_trace(n=1):
                             c=0.10, w=0.02)]
 
 
-class TestStep:
-    def _dispatch(self, r=0.0, p=0.0):
-        return Dispatch(q=0.0, s=0.0, r=(r,), d=(0.0,), p=(p,), objective=0.0)
+def one_by_one(r=0.0, p=0.0):
+    """A dispatch for one battery and one resident that only recharges and
+    serves."""
+    return Dispatch(q=0.0, s=0.0, r=(r,), d=(0.0,), p=(p,), objective=0.0)
 
+
+class TestStep:
     def test_advances_levels_backlogs_and_slot(self):
         state = SystemState(t=3, e=(8.0,), z=(1.0,))
         obs = SlotObservation(u=2.0, basic=(0.0,), alpha=(2.0,), c=0.10, w=0.02)
-        after = step(make_system(), state, obs, self._dispatch(r=2.0, p=0.5))
+        after = step(make_system(), state, obs, one_by_one(r=2.0, p=0.5))
         assert after == SystemState(
             t=4, e=(10.0,), z=(update_qose_queue(1.0, 2.0, 0.5, 0.07),))
         assert after.z == pytest.approx((2.36,))
@@ -279,10 +282,10 @@ class TestStep:
     def test_advances_past_the_band_and_rejects_service_above_demand(self):
         state = SystemState(t=0, e=(15.0,), z=(3.0,))
         obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(2.0,), c=0.10, w=0.02)
-        after = step(make_system(), state, obs, self._dispatch(r=2.0))
+        after = step(make_system(), state, obs, one_by_one(r=2.0))
         assert after.e == (17.0,) and after.z == pytest.approx((4.86,))
         with pytest.raises(ValueError, match="exceeds demand"):
-            step(make_system(), state, obs, self._dispatch(p=2.5))
+            step(make_system(), state, obs, one_by_one(p=2.5))
 
 
 def nudge(x: float, steps: int) -> float:
@@ -505,9 +508,6 @@ def audit_one(system, state, obs, dispatch, z_max, v=150.0):
 
 
 class TestAuditSlots:
-    def _dispatch(self, r=0.0, p=0.0):
-        return Dispatch(q=0.0, s=0.0, r=(r,), d=(0.0,), p=(p,), objective=0.0)
-
     @given(audited_slots())
     @settings(deadline=None, max_examples=40)
     def test_masks_equal_the_per_slot_audits(self, case):
@@ -538,7 +538,7 @@ class TestAuditSlots:
         state = SystemState(t=0, e=(15.0,), z=(3.0,))
         obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(2.0,), c=0.10, w=0.02)
         # e' = 15 + 2 = 17 > e_max = 16; z' = 3 - 0.14 + 2 = 4.86 > 4
-        dispatch = self._dispatch(r=2.0)
+        dispatch = one_by_one(r=2.0)
         audit, states = audit_one(system, state, obs, dispatch, (4.0,))
         assert audit["battery_band"].tolist() == [[True]]
         assert audit["queue_bound"].tolist() == [[True]]
@@ -553,7 +553,7 @@ class TestAuditSlots:
     def test_float_dust_is_not_an_escape(self):
         state = SystemState(t=0, e=(16.0 + 5e-10,), z=(4.0 + 5e-10,))
         obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(0.0,), c=0.10, w=0.02)
-        audit, _ = audit_one(make_system(), state, obs, self._dispatch(),
+        audit, _ = audit_one(make_system(), state, obs, one_by_one(),
                              (4.0,))
         assert not audit["battery_band"].any()
         assert not audit["queue_bound"].any()
@@ -596,7 +596,7 @@ class TestAuditSlots:
                             grid=make_grid())
         obs = [SlotObservation(u=0.0, basic=(0.0,), alpha=(alpha,), c=0.10,
                                w=0.02) for alpha in [0.25] * 500 + [0.5]]
-        dispatches = [self._dispatch()] * len(obs)
+        dispatches = [one_by_one()] * len(obs)
         states = [SystemState(t=0, e=(8.0,), z=(0.0,))] * (len(obs) + 1)
         args = (system, 150.0, states, obs, dispatches, (46.875,))
         audit = audit_slots(*args)
@@ -616,7 +616,7 @@ class TestAuditSlots:
         with pytest.raises(ValueError) as expected:
             surplus_power(obs)
         with pytest.raises(ValueError) as err:
-            audit_slots(system, 150.0, [state], [obs], [self._dispatch()])
+            audit_slots(system, 150.0, [state], [obs], [one_by_one()])
         assert str(err.value) == str(expected.value)
 
 
