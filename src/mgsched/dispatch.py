@@ -12,12 +12,16 @@ marginal unit is strictly profitable. Strict profitability is what keeps a
 battery from trading with itself: its discharge cost equals its own
 recharge value, so the pair never matches.
 
-One kernel, _allocate, does this on books of plain sort-key tuples:
-dispatch_slot sorts the book both modes share once per slot and inserts
-each mode's trade entry, and merit_order_allocate maps Offer and Bid books
-onto it. The hindsight bound in sim solves the same sweep in closed form
-for all slots at once, with the same keys and tie-breaks; its tests check
-it against this kernel.
+One kernel, merit_order_allocate, solves a mode on sorted books of
+sort-key tuples: supply (cost, rank, index, cap) and demand (-value, rank,
+index, cap). Ranks break price ties as surplus, discharge, purchase on the
+supply side and quality, recharge, sale on the demand side, then by
+ascending index; system-level entries carry index -1. dispatch_slot sorts
+the book both modes share once per slot and inserts each mode's trade
+entry; build_subproblem places it by a full sort instead, the reference
+the tests hold that path to. The hindsight bound in sim solves the same
+sweep in closed form for all slots at once; its tests check it against
+this kernel.
 
 The module also ships an exact dual oracle that checks the allocator at
 any size, structural audits of the optimum (threshold form of the
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,69 +51,31 @@ PURCHASE = "purchase"
 SELL = "sell"
 MODES = (PURCHASE, SELL)
 
-# Offer kinds (supply side) and bid kinds (demand side). The rank tables
-# fix deterministic tie-breaks: equal-price entries are ordered surplus,
-# discharge, purchase on the supply side and quality, recharge, sale on the
-# demand side, then by ascending index.
-OFFER_SURPLUS = "surplus"
-OFFER_DISCHARGE = "discharge"
-OFFER_PURCHASE = "purchase"
-BID_QUALITY = "quality"
-BID_RECHARGE = "recharge"
-BID_SALE = "sale"
 
-_OFFER_KINDS = (OFFER_SURPLUS, OFFER_DISCHARGE, OFFER_PURCHASE)
-_BID_KINDS = (BID_QUALITY, BID_RECHARGE, BID_SALE)
-_OFFER_RANK = {kind: rank for rank, kind in enumerate(_OFFER_KINDS)}
-_BID_RANK = {kind: rank for rank, kind in enumerate(_BID_KINDS)}
+class SubproblemResult(NamedTuple):
+    """One mode's outcome; objective +inf and dispatch None if infeasible.
 
-@dataclass(frozen=True, slots=True)
-class Offer:
-    """One supply entry: energy available at a unit cost, up to a capacity.
-
-    The mandatory surplus offer carries cost -inf: it is dispatched before
-    anything else and contributes nothing to the objective. index is -1 for
-    system-level entries (surplus, market purchase).
-    """
-
-    kind: str
-    index: int
-    unit_cost: float
-    capacity: float
-
-
-@dataclass(frozen=True, slots=True)
-class Bid:
-    """One demand entry: energy wanted at a unit value, up to a capacity."""
-
-    kind: str
-    index: int
-    unit_value: float
-    capacity: float
-
-
-@dataclass(frozen=True, slots=True)
-class SubproblemResult:
-    """Outcome of one single-mode sub-problem.
-
-    objective is +inf when infeasible. mandatory_bids lists the (kind,
-    index) pairs that absorbed mandatory surplus; such variables may sit
-    strictly inside their boxes without contradicting the vertex structure
-    of the optimum.
+    mandatory counts the leading bids that absorbed surplus: their flows may
+    sit inside their boxes without breaking the optimum's vertex structure.
     """
 
     feasible: bool
     dispatch: Dispatch | None
     objective: float
-    mandatory_bids: tuple[tuple[str, int], ...] = ()
+    mandatory: int
 
 
 def _slot_books(system: SystemSpec, state: SystemState, obs: SlotObservation,
                 v: float, headroom_clamp: bool) -> tuple[list, list]:
     """The sorted supply and demand books shared by both modes.
 
-    Entries are the sort-key tuples _allocate takes; entries without
-    capacity are left out.
+    Batteries are priced by the negated battery queue, so a deeply
+    discharged battery bids high to recharge and offers its discharge
+    dearly, and quality bids by backlog plus demand, so long-unserved
+    residents outbid the market. headroom_clamp also clamps the flow caps
+    to the energy storable or extractable this slot; audits can turn it
+    off to expose misparametrization instead of masking it. Entries
+    without capacity are left out.
     """
     surplus = surplus_power(obs)
     supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
@@ -131,46 +97,37 @@ def _slot_books(system: SystemSpec, state: SystemState, obs: SlotObservation,
 
 def build_subproblem(mode: str, system: SystemSpec, state: SystemState,
                      obs: SlotObservation, v: float,
-                     headroom_clamp: bool = True) -> tuple[list[Offer], list[Bid]]:
-    """Assemble the offer and bid books for one mode of the slot problem.
+                     headroom_clamp: bool = True) -> tuple[list, list]:
+    """The sorted (supply, demand) books of one mode of the slot problem.
 
-    Battery entries are priced by the negated battery queue: a deeply
-    discharged battery (very negative queue) bids high to recharge and
-    offers its discharge dearly; a full one does the opposite. Quality bids
-    are priced by backlog plus current demand, so long-unserved residents
-    outbid the market. With headroom_clamp the per-slot flow caps are also
-    clamped to the energy actually storable or extractable this slot; a
-    correctly parametrized scheduler never needs that clamp, and audits can
-    disable it to expose misparametrization instead of masking it. Entries
-    without capacity are left out.
+    These are the shared books of dispatch_slot plus the mode's trade
+    entry, the purchase offer at v*c or the sale bid at v*w, placed by a
+    full sort rather than by insertion.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    g = system.grid
     supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
-    offers = [Offer(_OFFER_KINDS[rank], i, cost, cap)
-              for cost, rank, i, cap in supply]
-    bids = [Bid(_BID_KINDS[rank], i, -neg_value, cap)
-            for neg_value, rank, i, cap in demand]
     if mode == PURCHASE:
-        offers.append(Offer(OFFER_PURCHASE, -1, v * obs.c, g.q_max))
+        supply.append((v * obs.c, 2, -1, system.grid.q_max))
+        supply.sort()
     else:
-        bids.append(Bid(BID_SALE, -1, v * obs.w, g.s_max))
-    return offers, bids
+        demand.append((-(v * obs.w), 2, -1, system.grid.s_max))
+        demand.sort()
+    return supply, demand
 
 
-def _allocate(supply: list[tuple], demand: list[tuple], n_batteries: int,
-              n_residents: int, allow_shortfall: bool
-              ) -> tuple[Dispatch | None, int]:
-    """Merit-order kernel over sorted sort-key books.
+def merit_order_allocate(offers: list[tuple], bids: list[tuple],
+                         n_batteries: int, n_residents: int,
+                         allow_shortfall: bool = False) -> SubproblemResult:
+    """Solve one sub-problem exactly by merit order on sorted books.
 
-    supply holds (cost, rank, index, cap) and demand (-value, rank, index,
-    cap) tuples, each list in ascending order and every cap positive; the
-    ranks are those of _OFFER_KINDS and _BID_KINDS. The one surplus entry
-    (cost -inf, rank 0) therefore leads the supply book and is poured
-    first, into bids of any sign, at no cost. Returns the dispatch, or None
-    when the surplus does not fit and allow_shortfall is off, and the
-    number of leading demand entries that absorbed surplus.
+    offers is the supply book and bids the demand book. The surplus entry
+    (cost -inf, rank 0) leads offers and is poured first, into bids of any
+    sign and at no cost; if it does not fit, the result is infeasible
+    unless allow_shortfall turns the leftover into curtailment. Then the
+    cheapest offer is matched to the most valuable bid while value strictly
+    exceeds cost. The greedy sweep is exact, as the objective is convex
+    piecewise linear in the traded quantity.
     """
     q = [0.0]
     s = [0.0]
@@ -182,13 +139,13 @@ def _allocate(supply: list[tuple], demand: list[tuple], n_batteries: int,
     sources = ([0.0], d, q)
     sinks = (p, r, s)
     objective = 0.0
-    surplus_left = supply[0][3] if supply and supply[0][1] == 0 else 0.0
+    surplus_left = offers[0][3] if offers and offers[0][1] == 0 else 0.0
     n_mandatory = 0
-    if supply and demand:
+    if offers and bids:
         i = j = 0
-        cost, o_rank, o_idx, o_cap = supply[0]
+        cost, o_rank, o_idx, o_cap = offers[0]
         o_left = o_cap
-        neg_value, rank, idx, cap = demand[0]
+        neg_value, rank, idx, cap = bids[0]
         b_left = cap
         # Strict profitability: an equal-price pair never trades, which is
         # also what keeps a battery from matching its own discharge (cost
@@ -214,60 +171,21 @@ def _allocate(supply: list[tuple], demand: list[tuple], n_batteries: int,
             b_left -= take
             if o_left <= 0.0:
                 i += 1
-                if i == len(supply):
+                if i == len(offers):
                     break
-                cost, o_rank, o_idx, o_cap = supply[i]
+                cost, o_rank, o_idx, o_cap = offers[i]
                 o_left = o_cap
             if b_left <= 0.0:
                 j += 1
-                if j == len(demand):
+                if j == len(bids):
                     break
-                neg_value, rank, idx, cap = demand[j]
+                neg_value, rank, idx, cap = bids[j]
                 b_left = cap
     if surplus_left > 0.0 and not allow_shortfall:
-        return None, n_mandatory
+        return SubproblemResult(False, None, math.inf, n_mandatory)
     dispatch = Dispatch(q=q[0], s=s[0], r=tuple(r), d=tuple(d), p=tuple(p),
                         objective=objective, curtailed=surplus_left)
-    return dispatch, n_mandatory
-
-
-def merit_order_allocate(offers: list[Offer], bids: list[Bid],
-                         n_batteries: int, n_residents: int,
-                         allow_shortfall: bool = False) -> SubproblemResult:
-    """Solve one sub-problem exactly by merit order.
-
-    Phase one pours the mandatory surplus into bids by descending value,
-    regardless of sign; if it does not fit, the sub-problem is infeasible
-    unless allow_shortfall turns the leftover into curtailment. Phase two
-    matches the cheapest remaining offer to the most valuable remaining bid
-    while value strictly exceeds cost. The greedy sweep is exact here: as a
-    function of total traded quantity the objective is convex piecewise
-    linear, so the first unprofitable match ends the improvement.
-
-    Ties are broken by the kind ranks and ascending index, making the
-    allocation a pure function of its inputs. The books are mapped onto
-    the sort-key tuples dispatch_slot builds directly and solved by the
-    same kernel. A battery's discharge cost is expected to equal its
-    recharge value, as in every book this package builds; strict matching
-    then never pairs the two.
-    """
-    surplus = sum(o.capacity for o in offers if o.kind == OFFER_SURPLUS)
-    supply = sorted((o.unit_cost, _OFFER_RANK[o.kind], o.index, o.capacity)
-                    for o in offers
-                    if o.kind != OFFER_SURPLUS and o.capacity > 0.0)
-    if surplus > 0.0:
-        supply.insert(0, (-math.inf, 0, -1, surplus))
-    demand = sorted((-b.unit_value, _BID_RANK[b.kind], b.index, b.capacity)
-                    for b in bids if b.capacity > 0.0)
-    dispatch, n_mandatory = _allocate(supply, demand, n_batteries,
-                                      n_residents, allow_shortfall)
-    if dispatch is None:
-        return SubproblemResult(feasible=False, dispatch=None,
-                                objective=math.inf)
-    return SubproblemResult(
-        feasible=True, dispatch=dispatch, objective=dispatch.objective,
-        mandatory_bids=tuple((_BID_KINDS[rank], i)
-                             for _, rank, i, _ in demand[:n_mandatory]))
+    return SubproblemResult(True, dispatch, objective, n_mandatory)
 
 
 def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
@@ -275,23 +193,21 @@ def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
                   headroom_clamp: bool = True) -> Dispatch:
     """Solve both modes of the slot problem and return the better dispatch.
 
-    The books are those of build_subproblem, built once as sort-key tuples
-    and sorted once; each mode then inserts its own trade entry (the
-    purchase offer or the sale bid) in merit order. On an exact objective
-    tie a no-trade dispatch (neither buying nor selling) wins, then the
-    purchase mode. If neither mode can absorb the surplus the slot is
-    unservable; with curtail=True the excess is discarded at zero value and
-    recorded on the dispatch instead.
+    Each mode is one merit_order_allocate call on the shared books plus its
+    trade entry. On an exact objective tie a no-trade dispatch (neither
+    buying nor selling) wins, then the purchase mode. If neither mode can
+    absorb the surplus the slot is unservable; with curtail=True the excess
+    is discarded at zero value and recorded on the dispatch instead.
     """
     g = system.grid
     supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
     buy_supply = supply.copy()
     insort(buy_supply, (v * obs.c, 2, -1, g.q_max))
-    pu = _allocate(buy_supply, demand, system.n_batteries,
-                   system.n_residents, curtail)[0]
+    pu = merit_order_allocate(buy_supply, demand, system.n_batteries,
+                              system.n_residents, curtail).dispatch
     insort(demand, (-(v * obs.w), 2, -1, g.s_max))
-    se = _allocate(supply, demand, system.n_batteries,
-                   system.n_residents, curtail)[0]
+    se = merit_order_allocate(supply, demand, system.n_batteries,
+                              system.n_residents, curtail).dispatch
     if pu is None and se is None:
         raise UnservableSurplusError(
             f"slot {state.t}: surplus {surplus_power(obs)} kWh exceeds every "

@@ -773,25 +773,26 @@ def _relaxed_slots(mu: list[float], nu: list[float],
                    w: np.ndarray, curtail: bool):
     """Merit-order optimum of every relaxed slot problem, both modes at once.
 
-    Each slot's problem is the one dispatch._allocate solves on the books
-    the multipliers price: quality bids at nu_n (capacity alpha_tn),
-    recharge bids and discharge offers at -mu_k (capacities r_max, d_max),
-    the surplus poured first, and one trade entry: the purchase offer at c_t
-    (mode 0) or the sale bid at w_t (mode 1). The multipliers are the same
-    in every slot, so the fixed entries are sorted once by _allocate's keys;
-    the trade entry (rank 2) goes after every fixed entry with an equal key.
-    The greedy sweep then has a closed form: a bid is filled up to the
-    supply priced strictly below its value (surplus included), less the
-    demand queued ahead of it, and an offer symmetrically, so the strict
-    comparisons reproduce _allocate's strict matching and tie-breaks. The
-    other mode's trade entry is present with capacity zero.
+    Each slot's problem is the one dispatch.merit_order_allocate solves on
+    the books the multipliers price: quality bids at nu_n (capacity
+    alpha_tn), recharge bids and discharge offers at -mu_k (capacities
+    r_max, d_max), the surplus poured first, and one trade entry: the
+    purchase offer at c_t (mode 0) or the sale bid at w_t (mode 1). The
+    multipliers are the same in every slot, so the fixed entries are sorted
+    once by the kernel's book keys; the trade entry (rank 2) goes after
+    every fixed entry with an equal key. The greedy sweep then has a closed
+    form: a bid is filled up to the supply priced strictly below its value
+    (surplus included), less the demand queued ahead of it, and an offer
+    symmetrically, so the strict comparisons reproduce the kernel's strict
+    matching and tie-breaks. The other mode's trade entry is present with
+    capacity zero.
 
     Returns (objective, feasible, q, s, r, d, p): arrays with a leading
     mode axis and one row per slot. feasible is surplus <= total sink
     capacity, or everywhere true with curtail.
     """
     n_res, horizon = len(nu), len(c)
-    # Bids (demand) and offers (supply) in _allocate's key order. Bid
+    # Bids (demand) and offers (supply) in the kernel's key order; demand
     # columns number alpha's columns first, then the batteries'.
     demand = sorted([(-nu[n], 0, n) for n in range(n_res)]
                     + [(mu[k], 1, n_res + k) for k in range(len(mu))])
@@ -983,16 +984,20 @@ def _expand_entries(raw, kind: str, path: str, known: tuple[str, ...]):
             raise ValueError(f"{path}: each {kind} entry must be a mapping")
         _reject_unknown(path, entry, ("count",) + known, kind)
         entry = dict(entry)
-        count = entry.pop("count", 1)
-        if not isinstance(count, int) or count < 1:
+        count = _number(path, entry.pop("count", 1), "count", int)
+        if count < 1:
             raise ValueError(f"{path}: count must be a positive integer")
         out.extend([entry] * count)
     return out
 
 
 def _number(path: str, raw, name: str, kind=float):
-    """raw as a float (or kind), or a ValueError naming the file and field."""
+    """raw as a float (or kind), or a ValueError naming the file and field.
+    Booleans are refused, and so are fractions where kind is int."""
     try:
+        if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                     and not raw.is_integer()):
+            raise TypeError
         return kind(raw)
     except (TypeError, ValueError):
         noun = "a number" if kind is float else "an integer"
@@ -1041,6 +1046,9 @@ def load_config(path: str) -> RunConfig:
     sh = _number(path, data.get("slot_hours", 0.25), "slot_hours")
     if sh <= 0.0:
         raise ValueError(f"{path}: slot_hours must be positive")
+    if not isinstance(data.get("curtailment", False), bool):
+        raise ValueError(f"{path}: curtailment must be true or false, "
+                         f"got {data['curtailment']!r}")
 
     traces_raw = data.get("traces", {})
     if not isinstance(traces_raw, dict):
@@ -1143,7 +1151,7 @@ def load_config(path: str) -> RunConfig:
         seed=_number(path, data.get("seed", 0), "seed", int),
         v_fraction=_number(path, data.get("v_fraction", 1.0), "v_fraction"),
         policy=str(data.get("policy", "proposed")),
-        curtailment=bool(data.get("curtailment", False)),
+        curtailment=data.get("curtailment", False),
         block_prob=_number(path, mecp_raw.get("block_prob", 0.07),
                            "block_prob"),
         charge_prob=_number(path, mecp_raw.get("charge_prob", 0.5),

@@ -302,9 +302,9 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
         chosen = dispatch_slot(system, state, obs, v)
         problems = []
         for mode in MODES:
-            offers, bids = build_subproblem(mode, system, state, obs, v)
-            res = merit_order_allocate(offers, bids, system.n_batteries,
-                                       system.n_residents)
+            res = merit_order_allocate(
+                *build_subproblem(mode, system, state, obs, v),
+                system.n_batteries, system.n_residents)
             if res.feasible != math.isfinite(oracle[mode]):
                 problems.append(
                     f"{mode}: merit feasible={res.feasible} but "

@@ -1,6 +1,8 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +258,7 @@ class TestErrorPaths:
         ("slot_hours: 0.25", "slot_hours: abc"),
         ("r_max_kwh: 2.0", "r_max_kwh: -2.0"),
         ("horizon: 480", "horizon: 4x"),
+        ("horizon: 480", "horizon: 480.7"),
     ])
     def test_bad_config_values_name_the_file(self, tmp_path, capsys, old,
                                               new):
@@ -304,3 +307,17 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 1
         assert "subcommand" in proc.stderr
+
+
+class TestScripts:
+    def test_policy_comparison_runs(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "policy_comparison.py"),
+             "--seeds", "11", "--trials", "2"],
+            capture_output=True, text=True, cwd=root, env=env)
+        assert proc.returncode == 0, proc.stderr
+        for suite in ("battery-band", "queue-bound", "outage-window",
+                      "threshold-structure", "solver-oracle"):
+            assert f"{suite} " in proc.stdout

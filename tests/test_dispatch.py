@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgsched import (
-    Bid,
-    Offer,
     SlotObservation,
     SystemState,
     UnservableSurplusError,
@@ -15,24 +15,21 @@ from mgsched import (
     build_subproblem,
     check_dispatch,
     dispatch_slot,
+    generate_traces,
+    load_config,
     mecp_dispatch,
     merit_order_allocate,
     oracle_solve,
+    run,
     slot_objective,
     threshold_violations,
 )
-from mgsched.dispatch import (
-    BID_QUALITY,
-    BID_RECHARGE,
-    BID_SALE,
-    OFFER_DISCHARGE,
-    OFFER_PURCHASE,
-    OFFER_SURPLUS,
-    PURCHASE,
-    SELL,
-)
+from mgsched import dispatch
+from mgsched.dispatch import PURCHASE, SELL
 
 from conftest import make_system
+
+FIVE_DAY = Path(__file__).resolve().parent.parent / "configs" / "five_day.yaml"
 
 
 def obs_of(u, alpha, c=0.10, w=0.03, basic=None):
@@ -80,40 +77,34 @@ def pick_by_full_sort(system, state, obs, v, curtail=False,
 
 
 class TestBuildSubproblem:
+    """Books are sorted (cost, rank, index, cap) supply and (-value, rank,
+    index, cap) demand tuples; rank 0 is the surplus or a quality bid, 1 a
+    battery entry, 2 the mode's trade entry."""
+
     def test_purchase_mode_books(self):
         system, state, obs = reference_slot()
-        offers, bids = build_subproblem(PURCHASE, system, state, obs, V_REF)
-        by_kind = {o.kind: o for o in offers}
-        assert by_kind[OFFER_SURPLUS].capacity == pytest.approx(1.0)
-        assert by_kind[OFFER_DISCHARGE].unit_cost == pytest.approx(5.0)
-        assert by_kind[OFFER_DISCHARGE].capacity == pytest.approx(2.0)
-        assert by_kind[OFFER_PURCHASE].unit_cost == pytest.approx(6.0)
-        assert by_kind[OFFER_PURCHASE].capacity == pytest.approx(25.0)
-        bid_kinds = {b.kind: b for b in bids}
-        assert bid_kinds[BID_QUALITY].unit_value == pytest.approx(8.0)
-        assert bid_kinds[BID_QUALITY].capacity == pytest.approx(2.0)
-        assert bid_kinds[BID_RECHARGE].unit_value == pytest.approx(5.0)
-        assert BID_SALE not in bid_kinds
+        supply, demand = build_subproblem(PURCHASE, system, state, obs, V_REF)
+        assert supply == [(-math.inf, 0, -1, pytest.approx(1.0)),
+                          (pytest.approx(5.0), 1, 0, pytest.approx(2.0)),
+                          (pytest.approx(6.0), 2, -1, pytest.approx(25.0))]
+        assert demand == [(pytest.approx(-8.0), 0, 0, pytest.approx(2.0)),
+                          (pytest.approx(-5.0), 1, 0, pytest.approx(2.0))]
 
     def test_sell_mode_books(self):
         system, state, obs = reference_slot()
-        offers, bids = build_subproblem(SELL, system, state, obs, V_REF)
-        assert all(o.kind != OFFER_PURCHASE for o in offers)
-        sale = next(b for b in bids if b.kind == BID_SALE)
-        assert sale.unit_value == pytest.approx(2.0)
-        assert sale.capacity == pytest.approx(25.0)
+        supply, demand = build_subproblem(SELL, system, state, obs, V_REF)
+        assert [rank for _, rank, _, _ in supply] == [0, 1]
+        assert demand[-1] == (pytest.approx(-2.0), 2, -1, pytest.approx(25.0))
 
     def test_headroom_clamp(self):
         system = make_system()
         state = SystemState(t=0, e=(15.5,), z=(0.0,))
         obs = obs_of(0.0, (0.0,))
-        offers, bids = build_subproblem(PURCHASE, system, state, obs, 150.0)
-        recharge = next(b for b in bids if b.kind == BID_RECHARGE)
-        assert recharge.capacity == pytest.approx(0.5)
-        offers, bids = build_subproblem(PURCHASE, system, state, obs, 150.0,
-                                        headroom_clamp=False)
-        recharge = next(b for b in bids if b.kind == BID_RECHARGE)
-        assert recharge.capacity == pytest.approx(2.0)
+        for clamp, cap in ((True, 0.5), (False, 2.0)):
+            _, demand = build_subproblem(PURCHASE, system, state, obs, 150.0,
+                                         headroom_clamp=clamp)
+            recharge = next(entry for entry in demand if entry[1] == 1)
+            assert recharge[3] == pytest.approx(cap)
 
     def test_rejects_unknown_mode(self):
         system, state, obs = reference_slot()
@@ -125,20 +116,14 @@ class TestMeritOrderAllocate:
     """Raw-book instances with hand-checked optima."""
 
     def _reference_books(self, surplus=1.0):
-        offers = [
-            Offer(OFFER_SURPLUS, -1, -math.inf, surplus),
-            Offer(OFFER_DISCHARGE, 0, 5.0, 2.0),
-            Offer(OFFER_PURCHASE, -1, 6.0, 10.0),
-        ]
-        bids = [
-            Bid(BID_QUALITY, 0, 8.0, 2.0),
-            Bid(BID_RECHARGE, 0, 5.0, 2.0),
-        ]
-        return offers, bids
+        supply = [(-math.inf, 0, -1, surplus), (5.0, 1, 0, 2.0),
+                  (6.0, 2, -1, 10.0)]
+        demand = [(-8.0, 0, 0, 2.0), (-5.0, 1, 0, 2.0)]
+        return supply, demand
 
     def test_reference_optimum(self):
-        offers, bids = self._reference_books()
-        result = merit_order_allocate(offers, bids, 1, 1)
+        supply, demand = self._reference_books()
+        result = merit_order_allocate(supply, demand, 1, 1)
         assert result.feasible
         assert result.objective == pytest.approx(-11.0)
         dd = result.dispatch
@@ -147,72 +132,58 @@ class TestMeritOrderAllocate:
         assert dd.d == pytest.approx((1.0,))
         assert dd.r == (0.0,)
         assert dd.p == pytest.approx((2.0,))
-        assert result.mandatory_bids == ((BID_QUALITY, 0),)
+        # The surplus went to the quality bid alone.
+        assert result.mandatory == 1
 
     def test_no_profitable_match_is_all_zero(self):
-        offers = [
-            Offer(OFFER_SURPLUS, -1, -math.inf, 0.0),
-            Offer(OFFER_DISCHARGE, 0, 5.0, 2.0),
-        ]
-        bids = [Bid(BID_RECHARGE, 0, 3.0, 2.0)]
-        result = merit_order_allocate(offers, bids, 1, 1)
+        result = merit_order_allocate([(5.0, 1, 0, 2.0)], [(-3.0, 1, 0, 2.0)],
+                                      1, 1)
         assert result.feasible
         assert result.objective == 0.0
         assert result.dispatch.r == (0.0,)
         assert result.dispatch.d == (0.0,)
+        assert result.mandatory == 0
 
     def test_unabsorbable_surplus_is_infeasible(self):
         # purchase mode: bid capacity 2 + 2 = 4 cannot take 10
-        offers, bids = self._reference_books(surplus=10.0)
-        result = merit_order_allocate(offers, bids, 1, 1)
+        supply, demand = self._reference_books(surplus=10.0)
+        result = merit_order_allocate(supply, demand, 1, 1)
         assert not result.feasible
         assert result.dispatch is None
         assert result.objective == math.inf
 
     def test_shortfall_becomes_curtailment(self):
-        offers, bids = self._reference_books(surplus=10.0)
-        result = merit_order_allocate(offers, bids, 1, 1, allow_shortfall=True)
+        supply, demand = self._reference_books(surplus=10.0)
+        result = merit_order_allocate(supply, demand, 1, 1,
+                                      allow_shortfall=True)
         assert result.feasible
         dd = result.dispatch
         assert dd.p == pytest.approx((2.0,))
         assert dd.r == pytest.approx((2.0,))
         assert dd.curtailed == pytest.approx(6.0)
+        assert result.mandatory == 2
 
     def test_mandatory_pour_accepts_negative_value(self):
-        offers = [Offer(OFFER_SURPLUS, -1, -math.inf, 1.0)]
-        bids = [Bid(BID_RECHARGE, 0, -4.0, 3.0)]
-        result = merit_order_allocate(offers, bids, 1, 1)
+        result = merit_order_allocate([(-math.inf, 0, -1, 1.0)],
+                                      [(4.0, 1, 0, 3.0)], 1, 1)
         assert result.feasible
         assert result.dispatch.r == pytest.approx((1.0,))
         assert result.objective == pytest.approx(4.0)
 
     def test_price_tie_broken_by_index(self):
-        offers = [Offer(OFFER_SURPLUS, -1, -math.inf, 1.0)]
-        bids = [
-            Bid(BID_RECHARGE, 1, 5.0, 2.0),
-            Bid(BID_RECHARGE, 0, 5.0, 2.0),
-        ]
-        result = merit_order_allocate(offers, bids, 2, 1)
+        demand = sorted([(-5.0, 1, 1, 2.0), (-5.0, 1, 0, 2.0)])
+        result = merit_order_allocate([(-math.inf, 0, -1, 1.0)], demand, 2, 1)
         assert result.dispatch.r == pytest.approx((1.0, 0.0))
 
     def test_offer_tie_broken_by_index(self):
-        offers = [
-            Offer(OFFER_SURPLUS, -1, -math.inf, 0.0),
-            Offer(OFFER_DISCHARGE, 1, 3.0, 1.0),
-            Offer(OFFER_DISCHARGE, 0, 3.0, 1.0),
-        ]
-        bids = [Bid(BID_QUALITY, 0, 8.0, 1.5)]
-        result = merit_order_allocate(offers, bids, 2, 1)
+        supply = sorted([(3.0, 1, 1, 1.0), (3.0, 1, 0, 1.0)])
+        result = merit_order_allocate(supply, [(-8.0, 0, 0, 1.5)], 2, 1)
         assert result.dispatch.d == pytest.approx((1.0, 0.5))
         assert result.dispatch.p == pytest.approx((1.5,))
 
     def test_battery_never_trades_with_itself(self):
-        offers = [
-            Offer(OFFER_SURPLUS, -1, -math.inf, 0.0),
-            Offer(OFFER_DISCHARGE, 0, 5.0, 2.0),
-        ]
-        bids = [Bid(BID_RECHARGE, 0, 5.0, 2.0)]
-        result = merit_order_allocate(offers, bids, 1, 1)
+        result = merit_order_allocate([(5.0, 1, 0, 2.0)], [(-5.0, 1, 0, 2.0)],
+                                      1, 1)
         assert result.dispatch.r == (0.0,)
         assert result.dispatch.d == (0.0,)
         assert result.objective == 0.0
@@ -281,6 +252,22 @@ class TestDispatchSlot:
         system, state, obs = reference_slot()
         assert dispatch_slot(system, state, obs, V_REF) == dispatch_slot(
             system, state, obs, V_REF)
+
+    def test_run_goes_through_the_public_kernel(self, monkeypatch):
+        # run() must solve every slot with merit_order_allocate, once per
+        # mode, so what the tests and the oracle suite check is what runs.
+        calls = []
+        kernel = dispatch.merit_order_allocate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "merit_order_allocate", counted)
+        config = replace(load_config(str(FIVE_DAY)), horizon=20)
+        summary = run(config, generate_traces(config), keep_records=False)[1]
+        assert summary.slots == 20
+        assert len(calls) == 2 * 20
 
 
 class TestTradeEntryTieBreaks:
@@ -431,8 +418,8 @@ class TestOracle:
         obs = obs_of(u, (2.0,), c=0.10, w=1.0 / 30.0)
         results = oracle_solve(system, state, obs, V_REF)
         for mode in (PURCHASE, SELL):
-            offers, bids = build_subproblem(mode, system, state, obs, V_REF)
-            merit = merit_order_allocate(offers, bids, 1, 1)
+            merit = merit_order_allocate(
+                *build_subproblem(mode, system, state, obs, V_REF), 1, 1)
             assert merit.feasible
             assert merit.objective == pytest.approx(results[mode], rel=1e-12)
 
@@ -534,30 +521,14 @@ def random_slot(draw):
     return system, state, obs, v
 
 
-def interior_flows(result, offers, bids):
+def interior_flows(result, supply, demand):
     """Flows strictly inside their boxes, minus mandatory-pour targets."""
     dd = result.dispatch
-    boxes = {}
-    for o in offers:
-        if o.kind == OFFER_DISCHARGE:
-            boxes[(OFFER_DISCHARGE, o.index)] = (dd.d[o.index], o.capacity)
-        elif o.kind == OFFER_PURCHASE:
-            boxes[(OFFER_PURCHASE, o.index)] = (dd.q, o.capacity)
-    for b in bids:
-        if b.kind == BID_QUALITY:
-            boxes[(BID_QUALITY, b.index)] = (dd.p[b.index], b.capacity)
-        elif b.kind == BID_RECHARGE:
-            boxes[(BID_RECHARGE, b.index)] = (dd.r[b.index], b.capacity)
-        else:
-            boxes[(BID_SALE, b.index)] = (dd.s, b.capacity)
-    pinned = set(result.mandatory_bids)
-    count = 0
-    for key, (flow, cap) in boxes.items():
-        if key in pinned:
-            continue
-        if 1e-12 < flow < cap - 1e-12:
-            count += 1
-    return count
+    boxes = [(dd.d[i] if rank == 1 else dd.q, cap)
+             for _, rank, i, cap in supply if rank]
+    boxes += [((dd.p, dd.r)[rank][i] if rank < 2 else dd.s, cap)
+              for _, rank, i, cap in demand[result.mandatory:]]
+    return sum(1e-12 < flow < cap - 1e-12 for flow, cap in boxes)
 
 
 @st.composite
@@ -597,11 +568,11 @@ class TestSolverProperties:
     @settings(deadline=None, max_examples=150)
     def test_at_most_one_interior_flow(self, slot, mode):
         system, state, obs, v = slot
-        offers, bids = build_subproblem(mode, system, state, obs, v)
-        result = merit_order_allocate(offers, bids, system.n_batteries,
+        supply, demand = build_subproblem(mode, system, state, obs, v)
+        result = merit_order_allocate(supply, demand, system.n_batteries,
                                       system.n_residents)
         if result.feasible:
-            assert interior_flows(result, offers, bids) <= 1
+            assert interior_flows(result, supply, demand) <= 1
 
     @given(large_slot())
     @settings(deadline=None, max_examples=150)
@@ -609,9 +580,9 @@ class TestSolverProperties:
         system, state, obs, v = slot
         oracle = oracle_solve(system, state, obs, v)
         for mode in (PURCHASE, SELL):
-            offers, bids = build_subproblem(mode, system, state, obs, v)
-            merit = merit_order_allocate(offers, bids, system.n_batteries,
-                                         system.n_residents)
+            merit = merit_order_allocate(
+                *build_subproblem(mode, system, state, obs, v),
+                system.n_batteries, system.n_residents)
             assert merit.feasible == math.isfinite(oracle[mode])
             if merit.feasible:
                 assert merit.objective == pytest.approx(

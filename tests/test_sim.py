@@ -27,6 +27,7 @@ from mgsched import (
     hindsight_lower_bound,
     load_config,
     load_traces,
+    merit_order_allocate,
     random_system,
     run,
     step,
@@ -38,7 +39,6 @@ from mgsched import (
     write_summary,
     write_traces,
 )
-from mgsched.dispatch import _allocate
 from mgsched.sim import (
     _relaxed_slots,
     first_violation,
@@ -843,7 +843,7 @@ class TestHindsight:
 
 def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, sell,
                      curtail):
-    """One relaxed slot problem through dispatch._allocate, on the books
+    """One relaxed slot problem through merit_order_allocate, on the books
     the hindsight bound priced slot by slot; None when infeasible."""
     supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
     pairs = list(enumerate(zip(mu, batteries)))
@@ -857,7 +857,8 @@ def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, sell,
         supply.append((c, 2, -1, grid.q_max))
     supply.sort()
     demand.sort()
-    return _allocate(supply, demand, len(batteries), len(nu), curtail)[0]
+    return merit_order_allocate(supply, demand, len(batteries), len(nu),
+                                curtail).dispatch
 
 
 @st.composite
@@ -1049,6 +1050,16 @@ class TestLoadConfig:
         ("traces:\n", "traces:\n  regimes:\n    - start_slot: -3\n",
          "start_slot must be >= 0, got -3"),
         ("v_fraction: 1.0\n", "v_fraction: 2.0\n", "v_fraction must lie in"),
+        ("horizon: 480\n", "horizon: 480.7\n",
+         "horizon must be an integer, got 480.7"),
+        ("seed: 7\n", "seed: 7.9\n", "seed must be an integer, got 7.9"),
+        ("seed: 7\n", "seed: true\n", "seed must be an integer, got True"),
+        ("v_fraction: 1.0\n", "v_fraction: true\n",
+         "v_fraction must be a number, got True"),
+        ("seed: 7\n", 'seed: 7\ncurtailment: "false"\n',
+         "curtailment must be true or false, got 'false'"),
+        ("  - count: 2\n", "  - count: true\n",
+         "count must be an integer, got True"),
     ])
     def test_field_errors_name_the_file(self, tmp_path, old, new, match):
         base = open("configs/five_day.yaml").read()
