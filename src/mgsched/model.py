@@ -249,6 +249,15 @@ def validate_observation(obs: SlotObservation, system: SystemSpec) -> list[str]:
     return problems
 
 
+def shape_problems(dispatch: Dispatch, system: SystemSpec) -> list[str]:
+    """Name each of r, d and p whose length differs from the system's."""
+    sizes = (("r", dispatch.r, system.n_batteries),
+             ("d", dispatch.d, system.n_batteries),
+             ("p", dispatch.p, system.n_residents))
+    return [f"{name} has {len(values)} entries, expected {size}"
+            for name, values, size in sizes if len(values) != size]
+
+
 def check_dispatch(dispatch: Dispatch, system: SystemSpec,
                    obs: SlotObservation) -> list[str]:
     """Audit one dispatch against boxes, exclusivity, and energy balance.
@@ -257,7 +266,7 @@ def check_dispatch(dispatch: Dispatch, system: SystemSpec,
     exclusivity products q*s and r_k*d_k must be exactly zero because the
     solver constructs them that way.
     """
-    problems: list[str] = []
+    problems = shape_problems(dispatch, system)
     g = system.grid
     tol = BALANCE_TOL
     if not -tol <= dispatch.q <= g.q_max + tol:

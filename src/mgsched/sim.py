@@ -41,6 +41,7 @@ from .model import (
     UnservableSurplusError,
     check_dispatch,
     compute_vmax,
+    shape_problems,
     surplus_power,
     validate_observation,
 )
@@ -221,51 +222,37 @@ def generate_traces(config: RunConfig,
     n_res = len(residents)
     g = config.grid
 
+    def pick(regime: Regime | None, name: str):
+        value = getattr(regime, name, None)
+        return getattr(config, name) if value is None else value
+
     cuts = sorted({0, horizon, *(r.start_slot for r in config.regimes
                                  if r.start_slot < horizon)})
-    segments: list[tuple[int, int, Regime | None]] = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        active: Regime | None = None
-        for regime in config.regimes:
-            if regime.start_slot <= lo:
-                active = regime
-        segments.append((lo, hi, active))
-
     traces: list[SlotObservation] = []
-    for lo, hi, regime in segments:
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         steps = hi - lo
-        basic_lo = np.empty(n_res)
-        basic_hi = np.empty(n_res)
-        alpha_cap = np.empty(n_res)
-        for n, res in enumerate(residents):
-            b_range = res.basic_range
-            if config.alpha_base is not None:
-                cap = config.alpha_base[n]
-            else:
-                cap = res.alpha_max
-            if regime is not None:
-                if regime.basic_range is not None:
-                    b_range = regime.basic_range
-                if regime.alpha_hi is not None:
-                    cap = min(regime.alpha_hi, res.alpha_max)
-            basic_lo[n], basic_hi[n] = b_range
-            alpha_cap[n] = cap
-        surplus_range = config.surplus_range
-        burst_prob = config.burst_prob
-        burst_range = config.burst_range
-        if regime is not None:
-            if regime.surplus_range is not None:
-                surplus_range = regime.surplus_range
-            if regime.burst_prob is not None:
-                burst_prob = regime.burst_prob
-            if regime.burst_range is not None:
-                burst_range = regime.burst_range
+        # The latest regime started by lo overrides the fields it sets.
+        regime = next((r for r in reversed(config.regimes)
+                       if r.start_slot <= lo), None)
+        basic = [res.basic_range for res in residents]
+        if regime is not None and regime.basic_range is not None:
+            basic = [regime.basic_range] * n_res
+        basic_lo, basic_hi = np.array(basic).T
+        if regime is not None and regime.alpha_hi is not None:
+            alpha_cap = np.array([min(regime.alpha_hi, res.alpha_max)
+                                  for res in residents])
+        elif config.alpha_base is not None:
+            alpha_cap = np.array(config.alpha_base)
+        else:
+            alpha_cap = np.array([res.alpha_max for res in residents])
 
-        basics = rng.uniform(basic_lo, basic_hi, size=(steps, n_res))
-        alphas = rng.uniform(0.0, alpha_cap, size=(steps, n_res))
-        surplus = rng.uniform(surplus_range[0], surplus_range[1], size=steps)
-        bursts = rng.uniform(burst_range[0], burst_range[1], size=steps)
-        is_burst = rng.random(steps) < burst_prob
+        # lo + (hi - lo) * u is what rng.uniform computes, without its
+        # per-call cost for array bounds.
+        basics = basic_lo + (basic_hi - basic_lo) * rng.random((steps, n_res))
+        alphas = alpha_cap * rng.random((steps, n_res))
+        surplus = rng.uniform(*pick(regime, "surplus_range"), size=steps)
+        bursts = rng.uniform(*pick(regime, "burst_range"), size=steps)
+        is_burst = rng.random(steps) < pick(regime, "burst_prob")
         surplus = np.where(is_burst, bursts, surplus)
         c = rng.uniform(g.c_min, g.c_max, size=steps)
         # Keep the sell price strictly below the purchase price. A quote at
@@ -276,19 +263,12 @@ def generate_traces(config: RunConfig,
         w = g.w_min + (w_hi - g.w_min) * rng.random(steps)
         w = np.where(w >= c, 0.5 * (g.w_min + c), w)
 
-        basics_l = basics.tolist()
-        alphas_l = alphas.tolist()
-        surplus_l = surplus.tolist()
-        c_l = c.tolist()
-        w_l = w.tolist()
-        for i in range(steps):
-            row_basic = tuple(basics_l[i])
-            traces.append(SlotObservation(
-                u=sum(row_basic) + surplus_l[i],
-                basic=row_basic,
-                alpha=tuple(alphas_l[i]),
-                c=c_l[i],
-                w=w_l[i]))
+        for row, alpha, extra, c_t, w_t in zip(
+                basics.tolist(), alphas.tolist(), surplus.tolist(),
+                c.tolist(), w.tolist()):
+            row = tuple(row)
+            traces.append(SlotObservation(u=sum(row) + extra, basic=row,
+                                          alpha=tuple(alpha), c=c_t, w=w_t))
     return traces
 
 
@@ -682,7 +662,13 @@ def run(config: RunConfig, traces: list[SlotObservation],
             raise ValueError(f"unknown policy {policy!r}")
     else:
         policy_name = "custom"
-        policy_fn = policy
+
+        def policy_fn(state: SystemState, obs: SlotObservation) -> Dispatch:
+            dispatch = policy(state, obs)
+            if problems := shape_problems(dispatch, system):
+                raise ValueError(f"slot {state.t}: custom policy dispatch "
+                                 + "; ".join(problems))
+            return dispatch
     # The queue, window and threshold audits apply to the scheduler only.
     if policy_name == "proposed":
         keys = VIOLATION_KEYS

@@ -14,12 +14,11 @@ Every suite draws its systems as random_system RunConfigs and their
 observations through the simulator's own generate_traces. The bound suite
 advances each slot with the simulator's step and audits each 500-slot
 stretch of a run, and the threshold suite each 64-slot block, with its
-audit_slots. The
-RunConfigs size the market trade caps to dominate the microgrid (purchases
-can cover every quality request and recharge, sales can absorb the largest
-surplus plus every discharge). The structural guarantees are proved under
-that regime; an undersized grid connection can force optima with a
-genuinely different shape.
+audit_slots. The RunConfigs size the market trade caps to dominate the
+microgrid (purchases can cover every quality request and recharge, sales
+can absorb the largest surplus plus every discharge). The structural
+guarantees are proved under that regime; an undersized grid connection can
+force optima with a genuinely different shape.
 """
 
 from __future__ import annotations
@@ -80,6 +79,11 @@ class SuiteResult:
         return self.violations == 0
 
 
+def _uniform(u, lo, hi):
+    """Map unit draws u onto [lo, hi) exactly as Generator.uniform does."""
+    return lo + (hi - lo) * u
+
+
 def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
                   n_max: int = 6) -> RunConfig:
     """Draw a random well-posed system with dominating trade caps.
@@ -90,56 +94,57 @@ def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
     """
     k = int(rng.integers(1, k_max + 1))
     n = int(rng.integers(1, n_max + 1))
-    batteries = []
-    for _ in range(k):
-        r_max = float(rng.uniform(0.5, 2.0))
-        d_max = float(rng.uniform(0.5, 2.0))
-        band_extra = float(rng.uniform(0.5, 8.0))
-        e_min = float(rng.uniform(0.0, 1.5))
-        e_max = e_min + r_max + d_max + band_extra
-        e_init = float(rng.uniform(e_min, e_max))
-        batteries.append(BatterySpec(e_min=e_min, e_max=e_max, r_max=r_max,
-                                     d_max=d_max, e_init=e_init))
-    residents = []
-    for _ in range(n):
-        alpha_max = float(rng.uniform(0.8, 2.6))
-        lo = float(rng.uniform(0.05, 0.4))
-        hi = lo + float(rng.uniform(0.1, 1.5))
-        residents.append(ResidentSpec(
-            delta=float(rng.uniform(0.02, 0.15)),
-            alpha_max=alpha_max,
-            basic_range=(lo, hi)))
+    # One block of unit draws: per battery r_max, d_max, band_extra, e_min
+    # and e_init; per resident alpha_max, lo, hi - lo and delta; then w_min,
+    # the three price gaps above it, and the surplus and burst factors.
+    u = rng.random(5 * k + 4 * n + 6)
+    bat = u[:5 * k].reshape(k, 5)
+    r_max, d_max, band_extra, e_min = _uniform(
+        bat[:, :4], np.array([0.5, 0.5, 0.5, 0.0]),
+        np.array([2.0, 2.0, 8.0, 1.5])).T
+    e_max = e_min + r_max + d_max + band_extra
+    e_init = _uniform(bat[:, 4], e_min, e_max)
+    batteries = tuple(
+        BatterySpec(e_min=lo, e_max=hi, r_max=r, d_max=d, e_init=e0)
+        for lo, hi, r, d, e0 in zip(e_min.tolist(), e_max.tolist(),
+                                    r_max.tolist(), d_max.tolist(),
+                                    e_init.tolist()))
+    residents = tuple(
+        ResidentSpec(delta=delta, alpha_max=a_max, basic_range=(lo, lo + w))
+        for a_max, lo, w, delta in _uniform(
+            u[5 * k:-6].reshape(n, 4), np.array([0.8, 0.05, 0.1, 0.02]),
+            np.array([2.6, 0.4, 1.5, 0.15])).tolist())
+    w_min, w_width, c_gap, c_width, surplus_f, burst_f = _uniform(
+        u[-6:], np.array([0.01, 0.004, 0.002, 0.01, 0.2, 1.5]),
+        np.array([0.035, 0.02, 0.02, 0.06, 1.0, 3.0])).tolist()
     # Price bands are drawn strictly separated (sell band below purchase
     # band) so every observation has w < c without per-slot fixups.
-    w_min = float(rng.uniform(0.01, 0.035))
-    w_max = w_min + float(rng.uniform(0.004, 0.02))
-    c_min = w_max + float(rng.uniform(0.002, 0.02))
-    c_max = c_min + float(rng.uniform(0.01, 0.06))
+    w_max = w_min + w_width
+    c_min = w_max + c_gap
     sum_alpha = sum(res.alpha_max for res in residents)
-    sum_r = sum(b.r_max for b in batteries)
-    sum_d = sum(b.d_max for b in batteries)
-    surplus_hi = float(rng.uniform(0.2, 1.0)) * (sum_alpha + sum_r)
-    burst_hi = surplus_hi * float(rng.uniform(1.5, 3.0))
+    sum_r, sum_d = sum(r_max.tolist()), sum(d_max.tolist())
+    surplus_hi = surplus_f * (sum_alpha + sum_r)
+    burst_hi = surplus_hi * burst_f
     grid = GridSpec(q_max=sum_alpha + sum_r + CAP_MARGIN,
-                    s_max=burst_hi + sum_d + CAP_MARGIN,
-                    c_min=c_min, c_max=c_max, w_min=w_min, w_max=w_max)
-    return RunConfig(batteries=tuple(batteries), residents=tuple(residents),
-                     grid=grid, horizon=horizon,
-                     surplus_range=(0.0, surplus_hi),
+                    s_max=burst_hi + sum_d + CAP_MARGIN, c_min=c_min,
+                    c_max=c_min + c_width, w_min=w_min, w_max=w_max)
+    return RunConfig(batteries=batteries, residents=residents, grid=grid,
+                     horizon=horizon, surplus_range=(0.0, surplus_hi),
                      burst_range=(surplus_hi, burst_hi), burst_prob=0.08)
 
 
-def random_state(system: SystemSpec, rng: np.random.Generator, v: float,
-                 z_scale: float = 1.25,
-                 zero_prob: float = 0.3) -> SystemState:
-    """Draw a state with levels anywhere in band and backlogs up to
+def random_states(system: SystemSpec, rng: np.random.Generator, v: float,
+                  count: int, z_scale: float = 1.25,
+                  zero_prob: float = 0.3) -> list[SystemState]:
+    """Draw count states with levels anywhere in band and backlogs up to
     z_scale times their cap (zero with probability zero_prob)."""
-    consts = bound_constants(system, v)
-    e = tuple(float(rng.uniform(b.e_min, b.e_max)) for b in system.batteries)
-    z = tuple(0.0 if rng.random() < zero_prob
-              else float(rng.uniform(0.0, z_scale * zmax))
-              for zmax in consts.z_max)
-    return SystemState(t=0, e=e, z=z)
+    z_cap = z_scale * np.array(bound_constants(system, v).z_max)
+    e_min, e_max = np.array([(b.e_min, b.e_max) for b in system.batteries]).T
+    e = _uniform(rng.random((count, len(e_min))), e_min, e_max)
+    zero = rng.random((count, len(z_cap))) < zero_prob
+    z = np.where(zero, 0.0, z_cap * rng.random(zero.shape))
+    return [SystemState(t=0, e=tuple(e_row), z=tuple(z_row))
+            for e_row, z_row in zip(e.tolist(), z.tolist())]
 
 
 def _counterexample(system: SystemSpec, state: SystemState,
@@ -260,7 +265,7 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
         v_max = compute_vmax(config.batteries, config.grid)
         v = float(rng.uniform(0.3, 1.0)) * v_max
         block = generate_traces(config, rng)
-        states = [random_state(system, rng, v) for _ in block]
+        states = random_states(system, rng, v, len(block))
         dispatches = [dispatch_slot(system, state, obs, v)
                       for state, obs in zip(states, block)]
         audit = audit_slots(system, v, states, block, dispatches)
@@ -296,7 +301,7 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
         system = config.system
         v_max = compute_vmax(system.batteries, system.grid)
         v = float(rng.uniform(0.3, 1.0)) * v_max
-        state = random_state(system, rng, v, z_scale=1.0)
+        state = random_states(system, rng, v, 1, z_scale=1.0)[0]
         obs = generate_traces(config, rng)[0]
         oracle = oracle_solve(system, state, obs, v)
         chosen = dispatch_slot(system, state, obs, v)

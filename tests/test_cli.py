@@ -248,7 +248,7 @@ class TestErrorPaths:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(open(FIVE_DAY).read().replace("delta:", "detla:"))
+        bad.write_text(Path(FIVE_DAY).read_text().replace("delta:", "detla:"))
         code = main(["run", "--config", str(bad),
                      "--out", str(tmp_path / "x")])
         assert code == 1
@@ -263,7 +263,7 @@ class TestErrorPaths:
     def test_bad_config_values_name_the_file(self, tmp_path, capsys, old,
                                               new):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(open(FIVE_DAY).read().replace(old, new))
+        bad.write_text(Path(FIVE_DAY).read_text().replace(old, new))
         code = main(["run", "--config", str(bad),
                      "--out", str(tmp_path / "x")])
         assert code == 1

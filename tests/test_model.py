@@ -175,6 +175,13 @@ class TestCheckDispatch:
                             objective=0.0)
         assert check_dispatch(dispatch, system, self._obs())
 
+    def test_length_mismatches_are_reported(self, system):
+        # zip against the system's batteries would skip the missing entry
+        dispatch = Dispatch(q=0.0, s=1.0, r=(), d=(0.0, 0.0), p=(2.0,),
+                            objective=0.0)
+        assert check_dispatch(dispatch, system, self._obs()) == [
+            "r has 0 entries, expected 1", "d has 2 entries, expected 1"]
+
     def test_box_violations_flagged(self, system):
         dispatch = Dispatch(q=0.0, s=0.0, r=(2.5,), d=(0.0,), p=(0.5,),
                             objective=0.0)

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +130,13 @@ class TestGenerateTraces:
             surplus = obs.u - sum(obs.basic)
             assert 4.0 - 1e-9 <= surplus <= 4.5 + 1e-9
 
+    def test_latest_started_regime_wins(self):
+        regimes = (Regime(start_slot=0, alpha_hi=1.0),
+                   Regime(start_slot=100, alpha_hi=0.5))
+        traces = generate_traces(make_config(horizon=200, regimes=regimes))
+        assert 0.5 < max(obs.alpha[0] for obs in traces[:100]) <= 1.0
+        assert max(obs.alpha[0] for obs in traces[100:]) <= 0.5
+
     def test_regime_alpha_clamped_to_alpha_max(self):
         regime = Regime(start_slot=0, alpha_hi=99.0)
         config = make_config(horizon=500, regimes=(regime,))
@@ -170,7 +178,7 @@ class TestTraceFiles:
 
     def test_bad_header(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
-        lines = open(wind).read().splitlines()
+        lines = Path(wind).read_text().splitlines()
         lines[0] = "slot,wind_mph"
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="expected header"):
@@ -178,7 +186,7 @@ class TestTraceFiles:
 
     def test_non_numeric_field(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
-        lines = open(wind).read().splitlines()
+        lines = Path(wind).read_text().splitlines()
         lines[2] = "1,gusty"
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="bad.csv:3.*not a number"):
@@ -186,7 +194,7 @@ class TestTraceFiles:
 
     def test_non_finite_field(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
-        lines = open(wind).read().splitlines()
+        lines = Path(wind).read_text().splitlines()
         lines[2] = "1,nan"
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="not finite"):
@@ -194,7 +202,7 @@ class TestTraceFiles:
 
     def test_duplicate_slot(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
-        lines = open(wind).read().splitlines()
+        lines = Path(wind).read_text().splitlines()
         lines.append(lines[1])
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="duplicate slot 0"):
@@ -202,7 +210,7 @@ class TestTraceFiles:
 
     def test_missing_slot(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
-        lines = open(wind).read().splitlines()
+        lines = Path(wind).read_text().splitlines()
         del lines[3]
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="missing slot 2"):
@@ -210,7 +218,7 @@ class TestTraceFiles:
 
     def test_wrong_field_count(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
-        lines = open(wind).read().splitlines()
+        lines = Path(wind).read_text().splitlines()
         lines[2] += ",0.5"
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="expected 2 fields"):
@@ -218,7 +226,7 @@ class TestTraceFiles:
 
     def test_resident_out_of_range(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
-        lines = open(demand).read().splitlines()
+        lines = Path(demand).read_text().splitlines()
         lines[1] = lines[1].replace("0,0,", "0,7,", 1)
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match="resident 7 outside"):
@@ -226,7 +234,7 @@ class TestTraceFiles:
 
     def test_price_outside_band(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
-        lines = open(prices).read().splitlines()
+        lines = Path(prices).read_text().splitlines()
         parts = lines[1].split(",")
         parts[1] = "0.5"
         lines[1] = ",".join(parts)
@@ -242,7 +250,7 @@ class TestTraceFiles:
     def test_negative_slot_rejected(self, tmp_path, kind, row):
         config, paths = self._write_files(tmp_path)
         paths = dict(zip(("wind", "prices", "demand"), paths))
-        lines = open(paths[kind]).read().splitlines()
+        lines = Path(paths[kind]).read_text().splitlines()
         lines.append(row)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
@@ -699,6 +707,21 @@ class TestRun:
             9, "battery_band", "battery 0: level 18.0 outside [0.0, 16.0]")
         assert "18.0" not in format_summary(summary)
 
+    def test_misshaped_custom_dispatch_names_slot_and_field(self):
+        # five_day has 2 batteries and 5 residents; from slot 3 on the
+        # policy returns one recharge entry, which run() must name before
+        # the audit stacks the slots' flows into arrays
+        config = replace(load_config("configs/five_day.yaml"), horizon=10)
+
+        def short_r(state, obs):
+            r = (0.0,) if state.t >= 3 else (0.0, 0.0)
+            return Dispatch(q=0.0, s=surplus_power(obs), r=r, d=(0.0, 0.0),
+                            p=(0.0,) * 5, objective=0.0)
+
+        with pytest.raises(ValueError, match=r"^slot 3: .*\br has 1 entries, "
+                                             r"expected 2$"):
+            run(config, generate_traces(config), policy=short_r)
+
     def test_overweighted_scheduler_counters_are_pinned(self, monkeypatch):
         # The scheduler at 4x its control weight without the headroom
         # clamp, on one random system drawn at up to 5 batteries x 20
@@ -1062,7 +1085,7 @@ class TestLoadConfig:
          "count must be an integer, got True"),
     ])
     def test_field_errors_name_the_file(self, tmp_path, old, new, match):
-        base = open("configs/five_day.yaml").read()
+        base = Path("configs/five_day.yaml").read_text()
         assert old in base
         path = tmp_path / "bad.yaml"
         path.write_text(base.replace(old, new, 1))
@@ -1083,7 +1106,7 @@ class TestLoadConfig:
          "      surplus: [0, 1]\n", "'surplus' in traces.regimes"),
     ])
     def test_unknown_keys_rejected(self, tmp_path, old, new, key):
-        base = open("configs/five_day.yaml").read()
+        base = Path("configs/five_day.yaml").read_text()
         assert old in base
         path = tmp_path / "bad.yaml"
         path.write_text(base.replace(old, new, 1))
@@ -1106,7 +1129,7 @@ class TestLoadConfig:
         assert str(err.value).startswith(f"{path}: ")
 
     def test_regime_missing_start(self, tmp_path):
-        base = open("configs/five_day.yaml").read()
+        base = Path("configs/five_day.yaml").read_text()
         path = tmp_path / "bad.yaml"
         path.write_text(base.replace(
             "traces:\n",

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,10 @@ import pytest
 
 import mgsched.validate
 from mgsched import (
+    bound_constants,
     generate_traces,
-    random_state,
+    load_config,
+    random_states,
     random_system,
     run_all_suites,
     run_bound_trials,
@@ -22,7 +26,30 @@ from mgsched.sim import outage_windows
 from conftest import make_resident
 
 
+# sha256 of the reprs below: it pins the systems and traces the two
+# generators draw, so a rewrite of either must reproduce it exactly.
+STREAM_DIGEST = (
+    "b02c936170edb663a16f79aaa29fe715455bc16ecc362ec22e749518f7c6ac80")
+
+
+def _stream_digest() -> str:
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(8)
+    for horizon in range(1, 71):
+        config = random_system(rng, horizon, 5, 20)
+        digest.update(repr(config).encode())
+        digest.update(repr(generate_traces(config, rng)).encode())
+    # the next draw pins where the stream was left
+    digest.update(repr(rng.random()).encode())
+    for path in ("configs/five_day.yaml", "configs/seven_day.yaml"):
+        digest.update(repr(generate_traces(load_config(path))).encode())
+    return digest.hexdigest()
+
+
 class TestScenarioGenerators:
+    def test_system_and_trace_streams_are_pinned(self):
+        assert _stream_digest() == STREAM_DIGEST
+
     def test_systems_are_well_posed_and_caps_dominate(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -39,7 +66,7 @@ class TestScenarioGenerators:
             assert grid.w_max < grid.c_min
             assert config.surplus_range[1] == config.burst_range[0]
 
-    def test_observations_and_states_fit_the_system(self):
+    def test_observations_fit_the_system(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             config = random_system(rng, 4)
@@ -48,9 +75,33 @@ class TestScenarioGenerators:
             assert len(traces) == 4
             for obs in traces:
                 assert validate_observation(obs, system) == []
-            state = random_state(system, rng, v=10.0)
+
+    def test_random_states_fit_bands_and_caps(self):
+        rng = np.random.default_rng(2)
+        system = random_system(rng, 1, 5, 20).system
+        v, z_scale, zero_prob = 10.0, 1.25, 0.3
+        z_max = bound_constants(system, v).z_max
+        count = math.ceil(20_000 / system.n_residents)
+        states = random_states(system, rng, v, count, z_scale, zero_prob)
+        assert len(states) == count
+        zeros = draws = 0
+        for state in states:
+            assert state.t == 0
+            assert len(state.e) == system.n_batteries
+            assert len(state.z) == system.n_residents
             for e, spec in zip(state.e, system.batteries):
                 assert spec.e_min <= e <= spec.e_max
+            for z, cap in zip(state.z, z_max):
+                assert z == 0.0 or 0.0 < z <= z_scale * cap
+            zeros += state.z.count(0.0)
+            draws += len(state.z)
+        # the zero coin is fair to within 5 binomial standard deviations
+        assert draws >= 20_000
+        sigma = math.sqrt(zero_prob * (1.0 - zero_prob) / draws)
+        assert abs(zeros / draws - zero_prob) <= 5.0 * sigma
+        # each call draws afresh
+        assert random_states(system, rng, v, 2) != random_states(system, rng,
+                                                                 v, 2)
 
 
 class TestBoundSuites:
