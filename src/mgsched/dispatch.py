@@ -3,25 +3,26 @@
 Each slot poses a linear program: box-constrained flows (market purchase,
 market sale, battery recharge/discharge, quality service) tied together by
 a single supply/demand balance, with renewable surplus as a mandatory
-supply that must be absorbed. Because buying and selling in the same slot
-never pays, the problem splits into a purchase-only and a sale-only
-sub-problem; each is solved exactly by merit order. Supply is ranked by
-unit cost, demand by unit value, the surplus is poured into the most
-valuable sinks first, and then supply and demand are matched while the
-marginal unit is strictly profitable. Strict profitability is what keeps a
-battery from trading with itself: its discharge cost equals its own
-recharge value, so the pair never matches.
+supply that must be absorbed. It is solved exactly by merit order. Supply
+is ranked by unit cost, demand by unit value, the surplus is poured into
+the most valuable sinks first, and then supply and demand are matched
+while the marginal unit is strictly profitable. Strict profitability is
+what keeps a battery from trading with itself: its discharge cost equals
+its own recharge value, so the pair never matches. No slot may both buy
+and sell, and the sweep never does: the sell price w lies strictly below
+the purchase price c, so it stops before the sale bid (value v*w) once
+the purchase offer (cost v*c) has traded, and vice versa.
 
-One kernel, merit_order_allocate, solves a mode on sorted books of
+One kernel, merit_order_allocate, runs the sweep on sorted books of
 sort-key tuples: supply (cost, rank, index, cap) and demand (-value, rank,
 index, cap). Ranks break price ties as surplus, discharge, purchase on the
 supply side and quality, recharge, sale on the demand side, then by
 ascending index; system-level entries carry index -1. dispatch_slot sorts
-the book both modes share once per slot and inserts each mode's trade
-entry; build_subproblem places it by a full sort instead, the reference
-the tests hold that path to. The hindsight bound in sim solves the same
-sweep in closed form for all slots at once; its tests check it against
-this kernel.
+the battery and quality entries once per slot and inserts both trade
+entries; build_subproblem places them by a full sort instead, the
+reference the tests hold that path to. The hindsight bound in sim solves
+the same sweep in closed form for all slots at once; its tests check it
+against this kernel.
 
 The module also ships an exact dual oracle that checks the allocator at
 any size, structural audits of the optimum (threshold form of the
@@ -47,13 +48,8 @@ from .model import (
 )
 from .queues import battery_queue
 
-PURCHASE = "purchase"
-SELL = "sell"
-MODES = (PURCHASE, SELL)
-
-
 class SubproblemResult(NamedTuple):
-    """One mode's outcome; objective +inf and dispatch None if infeasible.
+    """One sweep's outcome; objective +inf and dispatch None if infeasible.
 
     mandatory counts the leading bids that absorbed surplus: their flows may
     sit inside their boxes without breaking the optimum's vertex structure.
@@ -67,7 +63,7 @@ class SubproblemResult(NamedTuple):
 
 def _slot_books(system: SystemSpec, state: SystemState, obs: SlotObservation,
                 v: float, headroom_clamp: bool) -> tuple[list, list]:
-    """The sorted supply and demand books shared by both modes.
+    """The sorted supply and demand books without the trade entries.
 
     Batteries are priced by the negated battery queue, so a deeply
     discharged battery bids high to recharge and offers its discharge
@@ -95,31 +91,27 @@ def _slot_books(system: SystemSpec, state: SystemState, obs: SlotObservation,
     return supply, demand
 
 
-def build_subproblem(mode: str, system: SystemSpec, state: SystemState,
+def build_subproblem(system: SystemSpec, state: SystemState,
                      obs: SlotObservation, v: float,
                      headroom_clamp: bool = True) -> tuple[list, list]:
-    """The sorted (supply, demand) books of one mode of the slot problem.
+    """The sorted (supply, demand) books of the slot problem.
 
-    These are the shared books of dispatch_slot plus the mode's trade
-    entry, the purchase offer at v*c or the sale bid at v*w, placed by a
-    full sort rather than by insertion.
+    These are dispatch_slot's books: the battery and quality entries plus
+    the purchase offer at v*c and the sale bid at v*w, placed by a full
+    sort rather than by insertion.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
-    if mode == PURCHASE:
-        supply.append((v * obs.c, 2, -1, system.grid.q_max))
-        supply.sort()
-    else:
-        demand.append((-(v * obs.w), 2, -1, system.grid.s_max))
-        demand.sort()
+    supply.append((v * obs.c, 2, -1, system.grid.q_max))
+    demand.append((-(v * obs.w), 2, -1, system.grid.s_max))
+    supply.sort()
+    demand.sort()
     return supply, demand
 
 
 def merit_order_allocate(offers: list[tuple], bids: list[tuple],
                          n_batteries: int, n_residents: int,
                          allow_shortfall: bool = False) -> SubproblemResult:
-    """Solve one sub-problem exactly by merit order on sorted books.
+    """Solve one slot problem exactly by merit order on sorted books.
 
     offers is the supply book and bids the demand book. The surplus entry
     (cost -inf, rank 0) leads offers and is poured first, into bids of any
@@ -191,34 +183,25 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
 def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
                   v: float, curtail: bool = False,
                   headroom_clamp: bool = True) -> Dispatch:
-    """Solve both modes of the slot problem and return the better dispatch.
+    """Solve the slot problem by one merit_order_allocate call.
 
-    Each mode is one merit_order_allocate call on the shared books plus its
-    trade entry. On an exact objective tie a no-trade dispatch (neither
-    buying nor selling) wins, then the purchase mode. If neither mode can
-    absorb the surplus the slot is unservable; with curtail=True the excess
-    is discarded at zero value and recorded on the dispatch instead.
+    The books are _slot_books' with the purchase offer and the sale bid
+    inserted; since w < c the sweep buys or sells, never both. If the
+    surplus exceeds every sink, the sale cap included, the slot is
+    unservable; with curtail=True the excess is discarded at zero value
+    and recorded on the dispatch instead.
     """
     g = system.grid
     supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
-    buy_supply = supply.copy()
-    insort(buy_supply, (v * obs.c, 2, -1, g.q_max))
-    pu = merit_order_allocate(buy_supply, demand, system.n_batteries,
-                              system.n_residents, curtail).dispatch
+    insort(supply, (v * obs.c, 2, -1, g.q_max))
     insort(demand, (-(v * obs.w), 2, -1, g.s_max))
-    se = merit_order_allocate(supply, demand, system.n_batteries,
-                              system.n_residents, curtail).dispatch
-    if pu is None and se is None:
+    result = merit_order_allocate(supply, demand, system.n_batteries,
+                                  system.n_residents, curtail)
+    if not result.feasible:
         raise UnservableSurplusError(
             f"slot {state.t}: surplus {surplus_power(obs)} kWh exceeds every "
             "sink; enable curtailment or resize the scenario")
-    if se is None or (pu is not None and pu.objective < se.objective):
-        return pu
-    if pu is None or se.objective < pu.objective:
-        return se
-    if se.q == 0.0 and se.s == 0.0 and not (pu.q == 0.0 and pu.s == 0.0):
-        return se
-    return pu
+    return result.dispatch
 
 
 def slot_objective(system: SystemSpec, state: SystemState, obs: SlotObservation,
@@ -298,22 +281,25 @@ def threshold_violations(system: SystemSpec, state: SystemState,
 
 
 def oracle_solve(system: SystemSpec, state: SystemState, obs: SlotObservation,
-                 v: float) -> dict[str, float]:
-    """Exact optimum of each mode's slot LP, by its Lagrangian dual.
+                 v: float) -> float:
+    """Exact optimum of the slot LP, by its Lagrangian dual.
 
-    Each mode minimizes the slot objective over box-bounded flows tied by
-    one balance, surplus + supply = demand. Dualizing that balance at an
-    energy price pi gives the concave piecewise-linear
+    The LP minimizes the slot objective over box-bounded flows tied by one
+    balance, surplus + supply = demand, with both trade entries present.
+    Dualizing that balance at an energy price pi gives the concave
+    piecewise-linear
 
         g(pi) = -pi*surplus - sum_demand cap*max(0, value - pi)
                             - sum_supply cap*max(0, pi - cost),
 
-    whose kinks are the unit prices. By LP strong duality the optimum is
-    the largest g at a kink; when the surplus exceeds the mode's total sink
-    capacity g grows without bound and the mode is infeasible (math.inf).
-    Prices and headroom-clamped caps are computed here from battery_queue,
-    z + alpha, v*c and v*w, independently of the books the allocator uses.
-    Returns mode -> optimum.
+    whose kinks are the unit prices, v*c and v*w among them. By LP strong
+    duality the optimum is the largest g at a kink; when the surplus
+    exceeds the total sink capacity, s_max included, g grows without bound
+    and the slot is infeasible (math.inf). The LP allows buying and
+    selling at once, but since w < c an optimum never does both, so this
+    is also the optimum of the exclusive slot problem. Prices and
+    headroom-clamped caps are computed here from battery_queue, z + alpha,
+    v*c and v*w, independently of the books the allocator uses.
     """
     g = system.grid
     surplus = surplus_power(obs)
@@ -323,21 +309,15 @@ def oracle_solve(system: SystemSpec, state: SystemState, obs: SlotObservation,
         x = battery_queue(e, spec, v, g)
         demand.append((-x, max(0.0, min(spec.r_max, spec.e_max - e))))
         supply.append((-x, max(0.0, min(spec.d_max, e - spec.e_min))))
-    optimum = {}
-    for mode, sinks, sources in (
-            (PURCHASE, demand, supply + [(v * obs.c, g.q_max)]),
-            (SELL, demand + [(v * obs.w, g.s_max)], supply)):
-        value, v_cap = np.reshape(sinks, (-1, 2)).T
-        cost, c_cap = np.reshape(sources, (-1, 2)).T
-        if surplus > v_cap.sum():
-            optimum[mode] = math.inf
-            continue
-        pi = np.concatenate([value, cost])
-        dual = (-pi * surplus
-                - v_cap @ np.maximum(0.0, value[:, None] - pi)
-                - c_cap @ np.maximum(0.0, pi - cost[:, None]))
-        optimum[mode] = float(dual.max())
-    return optimum
+    value, v_cap = np.array(demand + [(v * obs.w, g.s_max)]).T
+    cost, c_cap = np.array(supply + [(v * obs.c, g.q_max)]).T
+    if surplus > v_cap.sum():
+        return math.inf
+    pi = np.concatenate([value, cost])
+    dual = (-pi * surplus
+            - v_cap @ np.maximum(0.0, value[:, None] - pi)
+            - c_cap @ np.maximum(0.0, pi - cost[:, None]))
+    return float(dual.max())
 
 
 def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,

@@ -56,6 +56,19 @@ VIOLATION_KEYS = ("battery_band", "queue_bound", "outage_window",
                   "balance", "exclusivity", "threshold")
 
 
+def _check_fields(spec, probs: tuple[str, ...],
+                  ranges: tuple[str, ...]) -> None:
+    """Check spec's named probabilities and (lo, hi) ranges; None passes."""
+    for name in probs:
+        prob = getattr(spec, name)
+        if prob is not None and not 0.0 <= prob <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {prob}")
+    for name in ranges:
+        pair = getattr(spec, name)
+        if pair is not None and not 0.0 <= pair[0] <= pair[1]:
+            raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got {pair}")
+
+
 @dataclass(frozen=True, slots=True)
 class Regime:
     """Trace-generator overrides active from start_slot onward.
@@ -76,6 +89,10 @@ class Regime:
     def __post_init__(self) -> None:
         if self.start_slot < 0:
             raise ValueError(f"start_slot must be >= 0, got {self.start_slot}")
+        if self.alpha_hi is not None and not self.alpha_hi > 0.0:
+            raise ValueError(f"alpha_hi must be positive, got {self.alpha_hi}")
+        _check_fields(self, ("burst_prob",),
+                      ("basic_range", "surplus_range", "burst_range"))
 
 
 @dataclass(frozen=True)
@@ -122,16 +139,8 @@ class RunConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        for name, prob in (("block_prob", self.block_prob),
-                           ("charge_prob", self.charge_prob),
-                           ("burst_prob", self.burst_prob)):
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {prob}")
-        for name, rng_ in (("surplus_range", self.surplus_range),
-                           ("burst_range", self.burst_range)):
-            lo, hi = rng_
-            if not 0.0 <= lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got {rng_}")
+        _check_fields(self, ("block_prob", "charge_prob", "burst_prob"),
+                      ("surplus_range", "burst_range"))
         if self.convergence_tol < 0.0:
             raise ValueError(
                 f"convergence_tol must be >= 0, got {self.convergence_tol}")
@@ -757,25 +766,24 @@ def _relaxed_slots(mu: list[float], nu: list[float],
                    batteries: tuple[BatterySpec, ...], grid: GridSpec,
                    surplus: np.ndarray, alpha: np.ndarray, c: np.ndarray,
                    w: np.ndarray, curtail: bool):
-    """Merit-order optimum of every relaxed slot problem, both modes at once.
+    """Merit-order optimum of every relaxed slot problem at once.
 
     Each slot's problem is the one dispatch.merit_order_allocate solves on
     the books the multipliers price: quality bids at nu_n (capacity
     alpha_tn), recharge bids and discharge offers at -mu_k (capacities
-    r_max, d_max), the surplus poured first, and one trade entry: the
-    purchase offer at c_t (mode 0) or the sale bid at w_t (mode 1). The
-    multipliers are the same in every slot, so the fixed entries are sorted
-    once by the kernel's book keys; the trade entry (rank 2) goes after
-    every fixed entry with an equal key. The greedy sweep then has a closed
-    form: a bid is filled up to the supply priced strictly below its value
+    r_max, d_max), the surplus poured first, and the two trade entries,
+    the purchase offer at c_t and the sale bid at w_t. The multipliers are
+    the same in every slot, so the fixed entries are sorted once by the
+    kernel's book keys; a trade entry (rank 2) goes after every fixed
+    entry with an equal key. The greedy sweep then has a closed form: a
+    bid is filled up to the supply priced strictly below its value
     (surplus included), less the demand queued ahead of it, and an offer
     symmetrically, so the strict comparisons reproduce the kernel's strict
-    matching and tie-breaks. The other mode's trade entry is present with
-    capacity zero.
+    matching and tie-breaks. As w_t < c_t, no slot both buys and sells.
 
-    Returns (objective, feasible, q, s, r, d, p): arrays with a leading
-    mode axis and one row per slot. feasible is surplus <= total sink
-    capacity, or everywhere true with curtail.
+    Returns (objective, feasible, q, s, r, d, p): arrays with one row per
+    slot. feasible is surplus <= total sink capacity, or everywhere true
+    with curtail.
     """
     n_res, horizon = len(nu), len(c)
     # Bids (demand) and offers (supply) in the kernel's key order; demand
@@ -791,8 +799,7 @@ def _relaxed_slots(mu: list[float], nu: list[float],
                             (horizon, len(mu)))
     b_cap = np.hstack([alpha, r_max])[:, cols]
     o_cap = np.array([batteries[k].d_max for k in order])
-    q_cap = np.array([[grid.q_max], [0.0]])
-    s_cap = np.array([[0.0], [grid.s_max]])
+    q_cap, s_cap = grid.q_max, grid.s_max
     below = (cost[:, None] < value).astype(float)
     pour = surplus[:, None]
     c_col = c[:, None]
@@ -802,11 +809,11 @@ def _relaxed_slots(mu: list[float], nu: list[float],
     # capacity queued ahead of it in its own book (the trade entry counted
     # where it sorts first) with the capacity on the other side priced
     # strictly better (the surplus counted first on the supply side).
-    b_ahead = (b_cap.cumsum(1) - b_cap) + s_cap[..., None] * (w_col > value)
-    b_reach = pour + o_cap @ below + q_cap[..., None] * (c_col < value)
+    b_ahead = (b_cap.cumsum(1) - b_cap) + s_cap * (w_col > value)
+    b_reach = pour + o_cap @ below + q_cap * (c_col < value)
     take = np.minimum(np.maximum(b_reach - b_ahead, 0.0), b_cap)
-    o_ahead = (o_cap.cumsum() - o_cap) + q_cap[..., None] * (c_col < cost)
-    o_reach = b_cap @ below.T + s_cap[..., None] * (w_col > cost)
+    o_ahead = (o_cap.cumsum() - o_cap) + q_cap * (c_col < cost)
+    o_reach = b_cap @ below.T + s_cap * (w_col > cost)
     give = np.minimum(np.maximum(o_reach - pour - o_ahead, 0.0), o_cap)
     q = np.minimum(np.maximum((b_cap * (value > c_col)).sum(1) - surplus
                               - (o_cap * (cost <= c_col)).sum(1), 0.0), q_cap)
@@ -815,9 +822,13 @@ def _relaxed_slots(mu: list[float], nu: list[float],
 
     objective = give @ cost + q * c - take @ value - s * w
     feasible = curtail | (surplus <= b_cap.sum(1) + s_cap)
-    take = take[..., np.argsort(cols)]
-    d = give[..., np.argsort(order)]
-    return objective, feasible, q, s, take[..., n_res:], d, take[..., :n_res]
+    # np.take copies each flow array C-contiguous: the bound's gradient
+    # sums over slots, and numpy sums a strided view or a fancy-indexed
+    # column pick in another order than a C-contiguous array.
+    back = np.argsort(cols)
+    return (objective, feasible, q, s, take.take(back[n_res:], axis=1),
+            give.take(np.argsort(order), axis=1),
+            take.take(back[:n_res], axis=1))
 
 
 def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
@@ -867,7 +878,6 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     allowance = ((1.0 - np.array([res.delta for res in residents]))
                  * alpha).sum(0)
     headroom = np.array([spec.e_init - spec.e_min for spec in batteries])
-    slots = np.arange(horizon)
 
     mu = np.zeros(len(batteries))
     nu = np.zeros(len(residents))
@@ -876,24 +886,20 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
         objective, feasible, _, _, r, d, p = _relaxed_slots(
             mu.tolist(), nu.tolist(), batteries, g, surplus, alpha, c, w,
             config.curtailment)
-        unservable = ~(feasible[0] | feasible[1])
-        if unservable.any():
-            t = int(unservable.argmax())
+        if not feasible.all():
+            t = int(feasible.argmin())
             raise UnservableSurplusError(
                 f"slot {t}: surplus {surplus[t]} kWh exceeds every sink "
                 "in the relaxed problem")
-        buy = feasible[0] & (~feasible[1] | (objective[0] <= objective[1]))
-        pick = np.where(buy, 0, 1)
-        total = (objective[pick, slots].sum() + nu @ allowance
-                 + mu @ headroom)
+        total = objective.sum() + nu @ allowance + mu @ headroom
         lb = float(total) / horizon
         if lb > best:
             best = lb
         if it == iterations:
             break
         step = step0 / math.sqrt(it)
-        grad_mu = headroom + (r[pick, slots] - d[pick, slots]).sum(0)
-        grad_nu = allowance - p[pick, slots].sum(0)
+        grad_mu = headroom + (r - d).sum(0)
+        grad_nu = allowance - p.sum(0)
         mu = np.clip(mu + step * grad_mu / horizon, -g.c_max, -g.w_min)
         nu = np.maximum(nu + step * grad_nu / horizon, 0.0)
     return best

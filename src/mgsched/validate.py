@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispatch import (
-    MODES,
     build_subproblem,
     dispatch_slot,
     merit_order_allocate,
@@ -285,11 +284,11 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     """Cross-check the merit-order solver against the exact dual oracle.
 
     Instances are drawn at the acceptance maximum of 5 batteries and 20
-    residents. For each mode the feasibility verdicts must agree and, when
-    feasible, the merit-order objective must equal the oracle's optimum to
-    within 1e-9 relative and its dispatch must pass every dispatch
-    invariant; dispatch_slot's objective must equal the best mode's optimum
-    to the same tolerance.
+    residents. The feasibility verdicts must agree and, when feasible, the
+    merit-order objective on build_subproblem's books must equal the
+    oracle's optimum to within 1e-9 relative and its dispatch must pass
+    every dispatch invariant; dispatch_slot's objective must equal the
+    optimum to the same tolerance.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -305,26 +304,20 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
         obs = generate_traces(config, rng)[0]
         oracle = oracle_solve(system, state, obs, v)
         chosen = dispatch_slot(system, state, obs, v)
+        res = merit_order_allocate(*build_subproblem(system, state, obs, v),
+                                   system.n_batteries, system.n_residents)
         problems = []
-        for mode in MODES:
-            res = merit_order_allocate(
-                *build_subproblem(mode, system, state, obs, v),
-                system.n_batteries, system.n_residents)
-            if res.feasible != math.isfinite(oracle[mode]):
-                problems.append(
-                    f"{mode}: merit feasible={res.feasible} but "
-                    f"oracle optimum {oracle[mode]}")
-            elif res.feasible:
-                if not _agrees(res.objective, oracle[mode]):
-                    problems.append(
-                        f"{mode}: merit objective {res.objective} but "
-                        f"oracle optimum {oracle[mode]}")
-                problems += [f"{mode}: {msg}" for msg
-                             in check_dispatch(res.dispatch, system, obs)]
-        best = min(oracle.values())
-        if not _agrees(chosen.objective, best):
+        if res.feasible != math.isfinite(oracle):
+            problems.append(f"merit feasible={res.feasible} but "
+                            f"oracle optimum {oracle}")
+        elif res.feasible:
+            if not _agrees(res.objective, oracle):
+                problems.append(f"merit objective {res.objective} but "
+                                f"oracle optimum {oracle}")
+            problems += check_dispatch(res.dispatch, system, obs)
+        if not _agrees(chosen.objective, oracle):
             problems.append(f"dispatch_slot objective {chosen.objective} "
-                            f"but best mode's optimum {best}")
+                            f"but oracle optimum {oracle}")
         if problems:
             violations += 1
             if ce is None:

@@ -269,6 +269,16 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_bad_regime_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(Path(SEVEN_DAY).read_text().replace(
+            "burst_prob: 0.08", "burst_prob: 1.5"))
+        code = main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: burst_prob must lie in [0, 1], got 1.5")
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err

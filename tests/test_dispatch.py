@@ -25,7 +25,6 @@ from mgsched import (
     threshold_violations,
 )
 from mgsched import dispatch
-from mgsched.dispatch import PURCHASE, SELL
 
 from conftest import make_system
 
@@ -56,60 +55,41 @@ def reference_slot():
 
 def pick_by_full_sort(system, state, obs, v, curtail=False,
                       headroom_clamp=True):
-    """dispatch_slot's choice, rebuilt from both modes' full-sort books.
+    """dispatch_slot's result, rebuilt from the full-sort books.
 
     Returns None where dispatch_slot must raise UnservableSurplusError.
     """
-    pu, se = (merit_order_allocate(
-        *build_subproblem(mode, system, state, obs, v,
+    return merit_order_allocate(
+        *build_subproblem(system, state, obs, v,
                           headroom_clamp=headroom_clamp),
-        system.n_batteries, system.n_residents, allow_shortfall=curtail)
-        for mode in (PURCHASE, SELL))
-    if not pu.feasible and not se.feasible:
-        return None
-    if not se.feasible or (pu.feasible and pu.objective < se.objective):
-        return pu.dispatch
-    if not pu.feasible or se.objective < pu.objective:
-        return se.dispatch
-    pu_trades = pu.dispatch.q != 0.0 or pu.dispatch.s != 0.0
-    se_trades = se.dispatch.q != 0.0 or se.dispatch.s != 0.0
-    return se.dispatch if pu_trades and not se_trades else pu.dispatch
+        system.n_batteries, system.n_residents,
+        allow_shortfall=curtail).dispatch
 
 
 class TestBuildSubproblem:
     """Books are sorted (cost, rank, index, cap) supply and (-value, rank,
     index, cap) demand tuples; rank 0 is the surplus or a quality bid, 1 a
-    battery entry, 2 the mode's trade entry."""
+    battery entry, 2 a trade entry."""
 
-    def test_purchase_mode_books(self):
+    def test_books_hold_both_trade_entries(self):
         system, state, obs = reference_slot()
-        supply, demand = build_subproblem(PURCHASE, system, state, obs, V_REF)
+        supply, demand = build_subproblem(system, state, obs, V_REF)
         assert supply == [(-math.inf, 0, -1, pytest.approx(1.0)),
                           (pytest.approx(5.0), 1, 0, pytest.approx(2.0)),
                           (pytest.approx(6.0), 2, -1, pytest.approx(25.0))]
         assert demand == [(pytest.approx(-8.0), 0, 0, pytest.approx(2.0)),
-                          (pytest.approx(-5.0), 1, 0, pytest.approx(2.0))]
-
-    def test_sell_mode_books(self):
-        system, state, obs = reference_slot()
-        supply, demand = build_subproblem(SELL, system, state, obs, V_REF)
-        assert [rank for _, rank, _, _ in supply] == [0, 1]
-        assert demand[-1] == (pytest.approx(-2.0), 2, -1, pytest.approx(25.0))
+                          (pytest.approx(-5.0), 1, 0, pytest.approx(2.0)),
+                          (pytest.approx(-2.0), 2, -1, pytest.approx(25.0))]
 
     def test_headroom_clamp(self):
         system = make_system()
         state = SystemState(t=0, e=(15.5,), z=(0.0,))
         obs = obs_of(0.0, (0.0,))
         for clamp, cap in ((True, 0.5), (False, 2.0)):
-            _, demand = build_subproblem(PURCHASE, system, state, obs, 150.0,
+            _, demand = build_subproblem(system, state, obs, 150.0,
                                          headroom_clamp=clamp)
             recharge = next(entry for entry in demand if entry[1] == 1)
             assert recharge[3] == pytest.approx(cap)
-
-    def test_rejects_unknown_mode(self):
-        system, state, obs = reference_slot()
-        with pytest.raises(ValueError):
-            build_subproblem("barter", system, state, obs, V_REF)
 
 
 class TestMeritOrderAllocate:
@@ -248,14 +228,26 @@ class TestDispatchSlot:
         assert dd.curtailed == pytest.approx(73.0)
         assert check_dispatch(dd, system, obs) == []
 
+    def test_zero_sell_price_sells_before_curtailing(self):
+        # At w = 0 a sale earns nothing, but curtailment is only for the
+        # surplus left once every sink, the sale cap included, is full.
+        system = make_system(w_min=0.0)
+        state = SystemState(t=0, e=(8.0,), z=(0.0,))
+        obs = obs_of(100.0, (0.0,), c=0.10, w=0.0)
+        dd = dispatch_slot(system, state, obs, 150.0, curtail=True)
+        assert dd.s == 25.0
+        assert dd.r == (2.0,)
+        assert dd.curtailed == 73.0
+        assert check_dispatch(dd, system, obs) == []
+
     def test_deterministic(self):
         system, state, obs = reference_slot()
         assert dispatch_slot(system, state, obs, V_REF) == dispatch_slot(
             system, state, obs, V_REF)
 
     def test_run_goes_through_the_public_kernel(self, monkeypatch):
-        # run() must solve every slot with merit_order_allocate, once per
-        # mode, so what the tests and the oracle suite check is what runs.
+        # run() must solve every slot with one merit_order_allocate call,
+        # so what the tests and the oracle suite check is what runs.
         calls = []
         kernel = dispatch.merit_order_allocate
 
@@ -267,13 +259,13 @@ class TestDispatchSlot:
         config = replace(load_config(str(FIVE_DAY)), horizon=20)
         summary = run(config, generate_traces(config), keep_records=False)[1]
         assert summary.slots == 20
-        assert len(calls) == 2 * 20
+        assert len(calls) == 20
 
 
 class TestTradeEntryTieBreaks:
-    """dispatch_slot inserts each mode's trade entry into the sorted shared
-    book; at an equal price it must rank after the battery and quality
-    entries, as the rank tables order a full sort. At v=10 the battery
+    """dispatch_slot inserts the trade entries into the sorted books; at an
+    equal price each must rank after the battery and quality entries, as
+    the rank tables order a full sort. At v=10 the battery
     queue is e - 3, so these levels and prices tie exactly."""
 
     V = 10.0
@@ -387,41 +379,39 @@ class TestThresholdAudit:
 class TestOracle:
     def test_reference_slot_is_exact(self):
         system, state, obs = reference_slot()
-        results = oracle_solve(system, state, obs, V_REF)
-        assert results == {PURCHASE: -11.0, SELL: -11.0}
+        assert oracle_solve(system, state, obs, V_REF) == -11.0
         assert dispatch_slot(system, state, obs, V_REF).objective == -11.0
 
     def test_inert_slot_is_exactly_zero(self):
         system = make_system()
         state = SystemState(t=0, e=(8.0,), z=(0.0,))
         obs = obs_of(0.0, (0.0,), c=0.10, w=0.02)
-        results = oracle_solve(system, state, obs, 150.0)
-        assert results == {PURCHASE: 0.0, SELL: 0.0}
+        assert oracle_solve(system, state, obs, 150.0) == 0.0
 
-    def test_purchase_mode_infeasibility_detected(self):
-        # 10 kWh of surplus, no demand, 2 kWh of recharge headroom: only
-        # the sale mode can close the balance, recharging 2 kWh at value 3
-        # and selling 8 kWh at v*w = 3.
+    def test_infeasibility_detected(self):
+        # 10 kWh of surplus, no demand, 2 kWh of recharge headroom: only a
+        # sale can close the balance, recharging 2 kWh at value 3 and
+        # selling 8 kWh at v*w = 3. 100 kWh overflow the 25 kWh sale cap.
         system = make_system()
         state = SystemState(t=0, e=(14.0,), z=(0.0,))
         obs = obs_of(10.0, (0.0,), c=0.10, w=0.02)
-        results = oracle_solve(system, state, obs, 150.0)
-        assert results == {PURCHASE: math.inf, SELL: -30.0}
+        assert oracle_solve(system, state, obs, 150.0) == -30.0
+        obs = obs_of(100.0, (0.0,), c=0.10, w=0.02)
+        assert oracle_solve(system, state, obs, 150.0) == math.inf
 
     @pytest.mark.parametrize("level,u,z", [
-        (-1.0, 0.0, 10.0),   # no discharge: selling mode has no supply
+        (-1.0, 0.0, 10.0),   # no discharge: only a purchase can supply
         (17.0, 1.5, 6.0),    # no recharge: only the 2 kWh request sinks
     ])
     def test_levels_outside_the_band_clamp_caps_to_zero(self, level, u, z):
         system = make_system()
         state = SystemState(t=0, e=(level,), z=(z,))
         obs = obs_of(u, (2.0,), c=0.10, w=1.0 / 30.0)
-        results = oracle_solve(system, state, obs, V_REF)
-        for mode in (PURCHASE, SELL):
-            merit = merit_order_allocate(
-                *build_subproblem(mode, system, state, obs, V_REF), 1, 1)
-            assert merit.feasible
-            assert merit.objective == pytest.approx(results[mode], rel=1e-12)
+        merit = merit_order_allocate(
+            *build_subproblem(system, state, obs, V_REF), 1, 1)
+        assert merit.feasible
+        assert merit.objective == pytest.approx(
+            oracle_solve(system, state, obs, V_REF), rel=1e-12)
 
 
 class TestMecp:
@@ -550,6 +540,33 @@ def large_slot(draw):
     return system, state, obs, v
 
 
+@st.composite
+def tied_slot(draw):
+    """Slots whose prices tie on purpose, at up to 5 batteries x 20
+    residents. v and the prices are dyadic, so every tie is exact: battery
+    queues sit at -v*c, -v*w or 0, quality values z + alpha at v*c or v*w,
+    and the sell price can be zero."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 20))
+    system = make_system(n_batteries=k, n_residents=n, c_min=0.0625,
+                         c_max=0.125, w_min=0.0, w_max=0.0625)
+    c_step = draw(st.integers(16, 32))
+    c = c_step / 256
+    w = draw(st.integers(0, min(c_step - 1, 16))) / 256
+    v = float(draw(st.integers(1, 100)))
+    queues = st.sampled_from([-v * c, -v * w, 0.0])
+    # battery_queue is e - d_max - e_min - v*c_max, with d_max = 2.
+    e = tuple(draw(queues) + 2.0 + v * 0.125 for _ in range(k))
+    alpha = tuple(draw(st.integers(0, 160)) / 64 for _ in range(n))
+    z = tuple(max(draw(st.sampled_from([v * c, v * w])) - a, 0.0)
+              for a in alpha)
+    u = draw(st.one_of(st.sampled_from([0.0, 2.0, 25.0]),
+                       st.floats(0.0, 80.0)))
+    state = SystemState(t=0, e=e, z=z)
+    obs = SlotObservation(u=u, basic=(0.0,) * n, alpha=alpha, c=c, w=w)
+    return system, state, obs, v
+
+
 class TestSolverProperties:
     @given(random_slot())
     @settings(deadline=None, max_examples=150)
@@ -564,29 +581,47 @@ class TestSolverProperties:
             dd.objective, abs=1e-9)
         assert threshold_violations(system, state, obs, v, dd) == []
 
-    @given(random_slot(), st.sampled_from([PURCHASE, SELL]))
+    @given(random_slot())
     @settings(deadline=None, max_examples=150)
-    def test_at_most_one_interior_flow(self, slot, mode):
+    def test_at_most_one_interior_flow(self, slot):
         system, state, obs, v = slot
-        supply, demand = build_subproblem(mode, system, state, obs, v)
+        supply, demand = build_subproblem(system, state, obs, v)
         result = merit_order_allocate(supply, demand, system.n_batteries,
                                       system.n_residents)
         if result.feasible:
             assert interior_flows(result, supply, demand) <= 1
+
+    @given(tied_slot(), st.booleans())
+    @settings(deadline=None, max_examples=300)
+    def test_forced_ties_keep_the_exclusive_optimum(self, slot, curtail):
+        system, state, obs, v = slot
+        expected = pick_by_full_sort(system, state, obs, v, curtail=curtail)
+        optimum = oracle_solve(system, state, obs, v)
+        if expected is None:
+            assert optimum == math.inf
+            with pytest.raises(UnservableSurplusError):
+                dispatch_slot(system, state, obs, v)
+            return
+        dd = dispatch_slot(system, state, obs, v, curtail=curtail)
+        assert dd == expected
+        if math.isfinite(optimum):
+            assert dd.objective == pytest.approx(optimum, rel=1e-9, abs=1e-9)
+        assert dd.q * dd.s == 0.0
+        for rk, dk in zip(dd.r, dd.d):
+            assert rk * dk == 0.0
+        assert check_dispatch(dd, system, obs) == []
 
     @given(large_slot())
     @settings(deadline=None, max_examples=150)
     def test_merit_order_matches_oracle(self, slot):
         system, state, obs, v = slot
         oracle = oracle_solve(system, state, obs, v)
-        for mode in (PURCHASE, SELL):
-            merit = merit_order_allocate(
-                *build_subproblem(mode, system, state, obs, v),
-                system.n_batteries, system.n_residents)
-            assert merit.feasible == math.isfinite(oracle[mode])
-            if merit.feasible:
-                assert merit.objective == pytest.approx(
-                    oracle[mode], rel=1e-9, abs=1e-9)
+        merit = merit_order_allocate(*build_subproblem(system, state, obs, v),
+                                     system.n_batteries, system.n_residents)
+        assert merit.feasible == math.isfinite(oracle)
+        if merit.feasible:
+            assert merit.objective == pytest.approx(oracle, rel=1e-9,
+                                                    abs=1e-9)
 
 
 class TestSortedOncePath:

@@ -864,8 +864,7 @@ class TestHindsight:
         assert type(lb) is float and math.isfinite(lb)
 
 
-def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, sell,
-                     curtail):
+def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, curtail):
     """One relaxed slot problem through merit_order_allocate, on the books
     the hindsight bound priced slot by slot; None when infeasible."""
     supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
@@ -874,10 +873,8 @@ def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, sell,
     demand = [(m, 1, k, b.r_max) for k, (m, b) in pairs]
     demand += [(-x, 0, n, a) for n, (x, a) in enumerate(zip(nu, alpha))
                if a > 0.0]
-    if sell:
-        demand.append((-w, 2, -1, grid.s_max))
-    else:
-        supply.append((c, 2, -1, grid.q_max))
+    supply.append((c, 2, -1, grid.q_max))
+    demand.append((-w, 2, -1, grid.s_max))
     supply.sort()
     demand.sort()
     return merit_order_allocate(supply, demand, len(batteries), len(nu),
@@ -890,8 +887,8 @@ def relaxed_slots(draw):
 
     Ties are forced: multipliers repeat, -mu_k lands on a slot's c or w,
     nu_n on a price or on -mu_k, and quality requests are often zero.
-    Surpluses reach past every sink, and the sale cap varies so that both
-    modes can be infeasible.
+    Surpluses reach past every sink, and the sale cap varies so that a
+    slot can be infeasible.
     """
     grid = make_grid(s_max=draw(st.floats(0.5, 25.0)))
     batteries = tuple(make_battery(r_max=draw(st.floats(0.1, 4.0)),
@@ -925,21 +922,18 @@ class TestRelaxedSlots:
         objective, feasible, q, s, r, d, p = _relaxed_slots(
             mu, nu, batteries, grid, np.array(surplus), np.array(alpha),
             np.array(c), np.array(w), curtail)
-        for mode, sell in enumerate((False, True)):
-            for t in range(len(c)):
-                expected = allocate_relaxed(mu, nu, batteries, grid,
-                                            surplus[t], alpha[t], c[t], w[t],
-                                            sell, curtail)
-                assert feasible[mode, t] == (expected is not None)
-                if expected is None:
-                    continue
-                flows = (q[mode, t], s[mode, t], *r[mode, t], *d[mode, t],
-                         *p[mode, t])
-                assert flows == pytest.approx(
-                    (expected.q, expected.s, *expected.r, *expected.d,
-                     *expected.p), rel=0.0, abs=1e-12)
-                assert objective[mode, t] == pytest.approx(
-                    expected.objective, rel=1e-12)
+        for t in range(len(c)):
+            expected = allocate_relaxed(mu, nu, batteries, grid, surplus[t],
+                                        alpha[t], c[t], w[t], curtail)
+            assert feasible[t] == (expected is not None)
+            if expected is None:
+                continue
+            flows = (q[t], s[t], *r[t], *d[t], *p[t])
+            assert flows == pytest.approx(
+                (expected.q, expected.s, *expected.r, *expected.d,
+                 *expected.p), rel=0.0, abs=1e-12)
+            assert objective[t] == pytest.approx(expected.objective,
+                                                 rel=1e-12)
 
 
 class TestReporting:
@@ -1072,6 +1066,19 @@ class TestLoadConfig:
          "q_max must be positive, got 0.0"),
         ("traces:\n", "traces:\n  regimes:\n    - start_slot: -3\n",
          "start_slot must be >= 0, got -3"),
+        ("traces:\n", "traces:\n  regimes:\n    - start_slot: 9\n"
+         "      burst_prob: 1.5\n", r"burst_prob must lie in \[0, 1\]"),
+        ("traces:\n", "traces:\n  regimes:\n    - start_slot: 9\n"
+         "      surplus_kw: [40.0, 0.0]\n",
+         "surplus_range must satisfy 0 <= lo <= hi"),
+        ("traces:\n", "traces:\n  regimes:\n    - start_slot: 9\n"
+         "      quality_max_kw: -4.0\n", "alpha_hi must be positive"),
+        ("traces:\n", "traces:\n  regimes:\n    - start_slot: 9\n"
+         "      burst_kw: [-40.0, 120.0]\n",
+         "burst_range must satisfy 0 <= lo <= hi"),
+        ("traces:\n", "traces:\n  regimes:\n    - start_slot: 9\n"
+         "      basic_range_kw: [5.0, 1.0]\n",
+         "basic_range must satisfy 0 <= lo <= hi"),
         ("v_fraction: 1.0\n", "v_fraction: 2.0\n", "v_fraction must lie in"),
         ("horizon: 480\n", "horizon: 480.7\n",
          "horizon must be an integer, got 480.7"),
