@@ -492,6 +492,36 @@ def _row_total(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=1)[:, -1]
 
 
+def _check_widths(observations: list[SlotObservation], n_res: int) -> None:
+    """Raise ValueError naming the first slot whose basic or alpha request
+    does not have n_res entries."""
+    for t, obs in enumerate(observations):
+        if len(obs.basic) != n_res or len(obs.alpha) != n_res:
+            name = "basic" if len(obs.basic) != n_res else "alpha"
+            raise ValueError(
+                f"slot {t}: observation {name} has "
+                f"{len(getattr(obs, name))} entries, expected {n_res}")
+
+
+def _observation_arrays(observations: list[SlotObservation], n_res: int):
+    """(surplus, alpha, c, w) of T observations with n_res residents.
+
+    surplus (T,) is u less the basic usage added left to right, equal to
+    surplus_power's value, and surplus_power's ValueError for the first
+    slot whose basic usage exceeds generation propagates. alpha is
+    (T, n_res), the prices (T,).
+    """
+    horizon = len(observations)
+    u = np.fromiter([o.u for o in observations], float, horizon)
+    surplus = u - _row_total(_stack([o.basic for o in observations], n_res))
+    short = surplus < 0.0
+    if short.any():
+        surplus_power(observations[int(short.argmax())])
+    return (surplus, _stack([o.alpha for o in observations], n_res),
+            np.fromiter([o.c for o in observations], float, horizon),
+            np.fromiter([o.w for o in observations], float, horizon))
+
+
 def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
                 observations: list[SlotObservation],
                 dispatches: list[Dispatch],
@@ -535,10 +565,7 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
     d = _stack([x.d for x in dispatches], n_bat)
     p = _stack([x.p for x in dispatches], n_res)
     curtailed = np.array([x.curtailed for x in dispatches], dtype=float)
-    surplus = np.array([surplus_power(o) for o in observations])
-    alpha = _stack([o.alpha for o in observations], n_res)
-    c = np.array([o.c for o in observations])
-    w = np.array([o.w for o in observations])
+    surplus, alpha, c, w = _observation_arrays(observations, n_res)
     e = _stack([st.e for st in states], n_bat)
     z = _stack([st.z for st in states], n_res)
 
@@ -685,6 +712,7 @@ def run(config: RunConfig, traces: list[SlotObservation],
         keys = ("battery_band", "balance", "exclusivity")
 
     observations = traces[:horizon]
+    _check_widths(observations, n_res)
     state = SystemState(t=0, e=tuple(b.e_init for b in batteries),
                         z=(0.0,) * n_res)
     states = [state]
@@ -762,10 +790,9 @@ def run(config: RunConfig, traces: list[SlotObservation],
     return records, summary
 
 
-def _relaxed_slots(mu: list[float], nu: list[float],
-                   batteries: tuple[BatterySpec, ...], grid: GridSpec,
-                   surplus: np.ndarray, alpha: np.ndarray, c: np.ndarray,
-                   w: np.ndarray, curtail: bool):
+def _relaxed_slots(mu: list[float], nu: list[float], caps: np.ndarray,
+                   d_max: np.ndarray, grid: GridSpec, surplus: np.ndarray,
+                   c: np.ndarray, w: np.ndarray):
     """Merit-order optimum of every relaxed slot problem at once.
 
     Each slot's problem is the one dispatch.merit_order_allocate solves on
@@ -781,54 +808,85 @@ def _relaxed_slots(mu: list[float], nu: list[float],
     symmetrically, so the strict comparisons reproduce the kernel's strict
     matching and tie-breaks. As w_t < c_t, no slot both buys and sells.
 
-    Returns (objective, feasible, q, s, r, d, p): arrays with one row per
-    slot. feasible is surplus <= total sink capacity, or everywhere true
-    with curtail.
+    The books are entry-major: caps (from _demand_caps) holds one row per
+    bid, alpha's N rows and then the K batteries' r_max rows, and one
+    column per slot, so every cumsum, sum and broadcast runs along the
+    contiguous slot axis; d_max holds the K discharge caps, and surplus, c
+    and w one value per slot. Returns (objective, q, s, r, d, p):
+    objective, q and s shaped (T,), r and d (K, T), p (N, T). Feasibility
+    does not depend on the multipliers; _unservable checks it.
+
+    Two reductions must add in the order a slot-major (T, entries) array
+    does, or the bound's floats depend on the layout: each slot's two
+    objective dot products run over C-contiguous (T, entries) copies, and
+    the bound's sums over slots go through _slot_sums. The masked sums
+    behind q and s add the bids one after another, which a slot-major row
+    sum also does below 8 bids; from 8 bids on it adds them pairwise, so
+    there the objective can differ from that layout's by an ulp.
     """
-    n_res, horizon = len(nu), len(c)
+    n_res = len(nu)
     # Bids (demand) and offers (supply) in the kernel's key order; demand
-    # columns number alpha's columns first, then the batteries'.
+    # rows number caps' rows.
     demand = sorted([(-nu[n], 0, n) for n in range(n_res)]
                     + [(mu[k], 1, n_res + k) for k in range(len(mu))])
     supply = sorted((-m, 1, k) for k, m in enumerate(mu))
     value = np.array([-key for key, _, _ in demand])
-    cols = [col for _, _, col in demand]
+    rows = [row for _, _, row in demand]
     cost = np.array([key for key, _, _ in supply])
     order = [k for _, _, k in supply]
-    r_max = np.broadcast_to([spec.r_max for spec in batteries],
-                            (horizon, len(mu)))
-    b_cap = np.hstack([alpha, r_max])[:, cols]
-    o_cap = np.array([batteries[k].d_max for k in order])
+    b_cap = caps[rows]
+    o_cap = d_max[order]
+    o_col = o_cap[:, None]
     q_cap, s_cap = grid.q_max, grid.s_max
-    below = (cost[:, None] < value).astype(float)
-    pour = surplus[:, None]
-    c_col = c[:, None]
-    w_col = w[:, None]
+    v_col = value[:, None]
+    k_col = cost[:, None]
+    below = (k_col < value).astype(float)
 
     # Each entry's flow is the overlap, clipped to its box, of the
     # capacity queued ahead of it in its own book (the trade entry counted
     # where it sorts first) with the capacity on the other side priced
     # strictly better (the surplus counted first on the supply side).
-    b_ahead = (b_cap.cumsum(1) - b_cap) + s_cap * (w_col > value)
-    b_reach = pour + o_cap @ below + q_cap * (c_col < value)
+    b_ahead = (b_cap.cumsum(0) - b_cap) + s_cap * (w > v_col)
+    b_reach = surplus + (o_cap @ below)[:, None] + q_cap * (c < v_col)
     take = np.minimum(np.maximum(b_reach - b_ahead, 0.0), b_cap)
-    o_ahead = (o_cap.cumsum() - o_cap) + q_cap * (c_col < cost)
-    o_reach = b_cap @ below.T + s_cap * (w_col > cost)
-    give = np.minimum(np.maximum(o_reach - pour - o_ahead, 0.0), o_cap)
-    q = np.minimum(np.maximum((b_cap * (value > c_col)).sum(1) - surplus
-                              - (o_cap * (cost <= c_col)).sum(1), 0.0), q_cap)
-    s = np.minimum(np.maximum(surplus + (o_cap * (cost < w_col)).sum(1)
-                              - (b_cap * (value >= w_col)).sum(1), 0.0), s_cap)
+    o_ahead = (o_cap.cumsum() - o_cap)[:, None] + q_cap * (c < k_col)
+    o_reach = below @ b_cap + s_cap * (w > k_col)
+    give = np.minimum(np.maximum(o_reach - surplus - o_ahead, 0.0), o_col)
+    q = np.minimum(np.maximum((b_cap * (v_col > c)).sum(0) - surplus
+                              - (o_col * (k_col <= c)).sum(0), 0.0), q_cap)
+    s = np.minimum(np.maximum(surplus + (o_col * (k_col < w)).sum(0)
+                              - (b_cap * (v_col >= w)).sum(0), 0.0), s_cap)
 
-    objective = give @ cost + q * c - take @ value - s * w
-    feasible = curtail | (surplus <= b_cap.sum(1) + s_cap)
-    # np.take copies each flow array C-contiguous: the bound's gradient
-    # sums over slots, and numpy sums a strided view or a fancy-indexed
-    # column pick in another order than a C-contiguous array.
-    back = np.argsort(cols)
-    return (objective, feasible, q, s, take.take(back[n_res:], axis=1),
-            give.take(np.argsort(order), axis=1),
-            take.take(back[:n_res], axis=1))
+    # BLAS adds a product with a transposed matrix in another order.
+    objective = (np.ascontiguousarray(give.T) @ cost + q * c
+                 - np.ascontiguousarray(take.T) @ value - s * w)
+    back = np.argsort(rows)
+    return (objective, q, s, take[back[n_res:]], give[np.argsort(order)],
+            take[back[:n_res]])
+
+
+def _slot_sums(a: np.ndarray) -> np.ndarray:
+    # Sums (entries, T) over slots as a C-contiguous (T, entries) array's
+    # sum(0) does: row after row, or pairwise for one entry. numpy sums a
+    # strided view, such as a.sum(1), in another order.
+    return np.ascontiguousarray(a.T).sum(0)
+
+
+def _demand_caps(alpha: np.ndarray,
+                 batteries: tuple[BatterySpec, ...]) -> np.ndarray:
+    """_relaxed_slots' caps: alpha (T, N) transposed, then r_max rows."""
+    horizon, n_res = alpha.shape
+    caps = np.empty((n_res + len(batteries), horizon))
+    caps[:n_res] = alpha.T
+    caps[n_res:] = [[spec.r_max] for spec in batteries]
+    return caps
+
+
+def _unservable(surplus: np.ndarray, caps: np.ndarray,
+                grid: GridSpec) -> np.ndarray:
+    """Mask of the slots whose surplus exceeds every sink of the relaxed
+    problem: the bids' caps (caps as in _relaxed_slots) and the sale cap."""
+    return surplus > caps.sum(0) + grid.s_max
 
 
 def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
@@ -836,10 +894,12 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
                           step0: float | None = None) -> float:
     """Lower-bound the per-slot cost of any feasible policy on this trace.
 
-    Feasible here means the battery flow caps, the trade caps, and service
-    of at least (1 - delta_n) of resident n's quality demand summed over
-    the horizon. The online scheduler meets that service level only in the
-    long run, so over a few hundred slots its cost can sit below the bound.
+    The trace is the first min(config.horizon, len(traces)) slots of
+    traces. Feasible here means the battery flow caps, the trade caps, and
+    service of at least (1 - delta_n) of resident n's quality demand
+    summed over that trace. The online scheduler meets that service level
+    only in the long run, so over a few hundred slots its cost can sit
+    below the bound.
 
     Works on a relaxation whose storage dynamics are replaced by one
     horizon-wide energy balance per battery, sum(r - d) = e_T - e_init,
@@ -856,7 +916,16 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     gradient. Every multiplier evaluation is a valid bound by weak
     duality; projected subgradient ascent just tightens it, and the best
     value seen is returned. Battery multipliers are kept in [-c_max,
-    -w_min], outside which the inner solutions saturate. Raises
+    -w_min], outside which the inner solutions saturate.
+
+    The trace is stacked into entry-major arrays (one row per resident or
+    battery, one column per slot) once per call, and the feasibility check
+    runs once, before the first iteration. The service allowance and the
+    gradient sum over slots in _slot_sums' order, that of a slot-major
+    array, so the multipliers do not depend on the layout. Raises
+    ValueError naming the first slot whose basic or quality request does
+    not have one entry per resident, surplus_power's ValueError for the
+    first slot whose basic usage exceeds generation, and
     UnservableSurplusError naming the first slot whose surplus exceeds
     every sink, unless the config enables curtailment.
     """
@@ -870,27 +939,29 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     residents = config.residents
     if step0 is None:
         step0 = g.c_max - g.w_min
+    n_res = len(residents)
     traces = traces[:horizon]
-    surplus = np.array([surplus_power(obs) for obs in traces])
-    alpha = np.array([obs.alpha for obs in traces])
-    c = np.array([obs.c for obs in traces])
-    w = np.array([obs.w for obs in traces])
-    allowance = ((1.0 - np.array([res.delta for res in residents]))
-                 * alpha).sum(0)
-    headroom = np.array([spec.e_init - spec.e_min for spec in batteries])
-
-    mu = np.zeros(len(batteries))
-    nu = np.zeros(len(residents))
-    best = -math.inf
-    for it in range(1, iterations + 1):
-        objective, feasible, _, _, r, d, p = _relaxed_slots(
-            mu.tolist(), nu.tolist(), batteries, g, surplus, alpha, c, w,
-            config.curtailment)
-        if not feasible.all():
-            t = int(feasible.argmin())
+    _check_widths(traces, n_res)
+    surplus, alpha, c, w = _observation_arrays(traces, n_res)
+    caps = _demand_caps(alpha, batteries)
+    if not config.curtailment:
+        unservable = _unservable(surplus, caps, g)
+        if unservable.any():
+            t = int(unservable.argmax())
             raise UnservableSurplusError(
                 f"slot {t}: surplus {surplus[t]} kWh exceeds every sink "
                 "in the relaxed problem")
+    d_max = np.array([spec.d_max for spec in batteries])
+    delta = np.array([res.delta for res in residents])
+    allowance = _slot_sums((1.0 - delta)[:, None] * caps[:n_res])
+    headroom = np.array([spec.e_init - spec.e_min for spec in batteries])
+
+    mu = np.zeros(len(batteries))
+    nu = np.zeros(n_res)
+    best = -math.inf
+    for it in range(1, iterations + 1):
+        objective, _, _, r, d, p = _relaxed_slots(
+            mu.tolist(), nu.tolist(), caps, d_max, g, surplus, c, w)
         total = objective.sum() + nu @ allowance + mu @ headroom
         lb = float(total) / horizon
         if lb > best:
@@ -898,8 +969,8 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
         if it == iterations:
             break
         step = step0 / math.sqrt(it)
-        grad_mu = headroom + (r - d).sum(0)
-        grad_nu = allowance - p.sum(0)
+        grad_mu = headroom + _slot_sums(r - d)
+        grad_nu = allowance - _slot_sums(p)
         mu = np.clip(mu + step * grad_mu / horizon, -g.c_max, -g.w_min)
         nu = np.maximum(nu + step * grad_nu / horizon, 0.0)
     return best
@@ -1023,7 +1094,10 @@ def load_config(path: str) -> RunConfig:
     """
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML was built with it; construction
+            # stays PyYAML's safe constructor either way.
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                                yaml.SafeLoader))
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except yaml.YAMLError as exc:

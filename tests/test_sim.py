@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from mgsched import (
     battery_queue,
     bound_constants,
     check_dispatch,
+    dispatch_slot,
     format_summary,
     generate_traces,
     hindsight_lower_bound,
@@ -41,7 +43,9 @@ from mgsched import (
     write_traces,
 )
 from mgsched.sim import (
+    _demand_caps,
     _relaxed_slots,
+    _unservable,
     first_violation,
     outage_window_flags,
 )
@@ -722,6 +726,27 @@ class TestRun:
                                              r"expected 2$"):
             run(config, generate_traces(config), policy=short_r)
 
+    @pytest.mark.parametrize("field,width", [("alpha", 4), ("basic", 6)])
+    def test_misshaped_observation_named_before_any_slot(self, field, width):
+        # A slot with the wrong number of resident entries is named before
+        # any slot is solved, not left to the audit's stacking of the slots
+        config = replace(load_config("configs/five_day.yaml"), horizon=10)
+        traces = generate_traces(config)
+        traces[3] = replace(traces[3], **{field: (0.1,) * width})
+        solved = []
+
+        def policy(state, obs):
+            solved.append(state.t)
+            return dispatch_slot(config.system, state, obs, 1.0)
+
+        for how in (None, policy):
+            with pytest.raises(ValueError) as err:
+                run(config, traces, policy=how)
+            assert str(err.value) == (
+                f"slot 3: observation {field} has {width} entries, "
+                "expected 5")
+        assert solved == []
+
     def test_overweighted_scheduler_counters_are_pinned(self, monkeypatch):
         # The scheduler at 4x its control weight without the headroom
         # clamp, on one random system drawn at up to 5 batteries x 20
@@ -863,6 +888,79 @@ class TestHindsight:
                                    iterations=3)
         assert type(lb) is float and math.isfinite(lb)
 
+    # The bound on ten 500-slot five_day traces (seeds 0-9, 10 iterations)
+    # and on six random systems (300 slots, up to 5 batteries x 20
+    # residents, 8 iterations). Rewriting how the slot problems are solved
+    # must reproduce the five_day floats exactly: their books hold 7 bids,
+    # whose sums keep one order in any layout. From 8 bids on, numpy adds
+    # a row of bids pairwise and a column one after another, so the random
+    # ones may move by an ulp.
+    FIVE_DAY_BOUNDS = (
+        0.23143150397566717,
+        0.2436763297457619,
+        0.24184291977480757,
+        0.23804356767322168,
+        0.2276815799913768,
+        0.24516590716050235,
+        0.22438142593971444,
+        0.24214659142633113,
+        0.23625607454699205,
+        0.23163111371079875,
+    )
+    RANDOM_BOUNDS = (
+        0.3208292090768654,
+        0.009079941752677916,
+        -0.14058372516635664,
+        0.10255997160377926,
+        0.07832300980882768,
+        0.10058770295484344,
+    )
+
+    def test_five_day_bounds_are_pinned(self):
+        base = load_config("configs/five_day.yaml")
+        for seed, expected in enumerate(self.FIVE_DAY_BOUNDS):
+            config = replace(base, horizon=500, seed=seed)
+            lb = hindsight_lower_bound(generate_traces(config), config,
+                                       iterations=10)
+            assert lb == expected
+
+    def test_random_system_bounds_match_to_an_ulp(self):
+        rng = np.random.default_rng(2024)
+        for expected in self.RANDOM_BOUNDS:
+            config = random_system(rng, 300, 5, 20)
+            traces = generate_traces(config, rng)
+            lb = hindsight_lower_bound(traces, config, iterations=8)
+            assert lb == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_bound_uses_the_first_horizon_slots(self):
+        config = make_config(horizon=30, seed=2)
+        traces = generate_traces(replace(config, horizon=60))
+        lb = hindsight_lower_bound(traces, config, iterations=4)
+        assert lb == hindsight_lower_bound(traces[:30], config, iterations=4)
+        short = replace(config, horizon=20)
+        assert (hindsight_lower_bound(traces[:20], config, iterations=4)
+                == hindsight_lower_bound(traces, short, iterations=4))
+
+    @pytest.mark.parametrize("field,width", [("basic", 4), ("alpha", 6)])
+    def test_misshaped_observation_names_the_slot(self, field, width):
+        config = replace(load_config("configs/five_day.yaml"), horizon=20)
+        traces = generate_traces(config)
+        traces[3] = replace(traces[3], **{field: (0.1,) * width})
+        with pytest.raises(ValueError) as err:
+            hindsight_lower_bound(traces, config, iterations=2)
+        assert str(err.value) == (
+            f"slot 3: observation {field} has {width} entries, expected 5")
+
+    def test_unfed_basic_usage_raises_as_surplus_power_does(self):
+        config = make_config(horizon=4)
+        traces = generate_traces(config)
+        traces[2] = replace(traces[2], u=0.5 * sum(traces[2].basic))
+        with pytest.raises(ValueError) as expected:
+            surplus_power(traces[2])
+        with pytest.raises(ValueError) as err:
+            hindsight_lower_bound(traces, config, iterations=2)
+        assert str(err.value) == str(expected.value)
+
 
 def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, curtail):
     """One relaxed slot problem through merit_order_allocate, on the books
@@ -919,16 +1017,21 @@ class TestRelaxedSlots:
     @settings(deadline=None, max_examples=300)
     def test_matches_the_merit_order_kernel_slot_by_slot(self, case, curtail):
         mu, nu, batteries, grid, surplus, alpha, c, w = case
-        objective, feasible, q, s, r, d, p = _relaxed_slots(
-            mu, nu, batteries, grid, np.array(surplus), np.array(alpha),
-            np.array(c), np.array(w), curtail)
+        caps = _demand_caps(np.array(alpha), batteries)
+        d_max = np.array([b.d_max for b in batteries])
+        objective, q, s, r, d, p = _relaxed_slots(
+            mu, nu, caps, d_max, grid, np.array(surplus), np.array(c),
+            np.array(w))
+        assert r.shape == d.shape == (len(batteries), len(c))
+        assert p.shape == (len(nu), len(c))
+        unservable = _unservable(np.array(surplus), caps, grid)
         for t in range(len(c)):
             expected = allocate_relaxed(mu, nu, batteries, grid, surplus[t],
                                         alpha[t], c[t], w[t], curtail)
-            assert feasible[t] == (expected is not None)
+            assert (unservable[t] and not curtail) == (expected is None)
             if expected is None:
                 continue
-            flows = (q[t], s[t], *r[t], *d[t], *p[t])
+            flows = (q[t], s[t], *r[:, t], *d[:, t], *p[:, t])
             assert flows == pytest.approx(
                 (expected.q, expected.s, *expected.r, *expected.d,
                  *expected.p), rel=0.0, abs=1e-12)
@@ -1022,6 +1125,26 @@ class TestLoadConfig:
     def test_missing_file(self):
         with pytest.raises(ValueError, match="nowhere"):
             load_config("configs/nowhere.yaml")
+
+    @pytest.mark.parametrize("name", ["five_day", "seven_day"])
+    def test_libyaml_parses_as_pyyaml_does(self, name, monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        path = f"configs/{name}.yaml"
+        text = Path(path).read_text()
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
+        config = load_config(path)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert load_config(path) == config
+
+    def test_syntax_error_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("horizon: [480\nseed: 3\n")
+        with pytest.raises(ValueError) as err:
+            load_config(str(path))
+        assert str(err.value).startswith(f"{path}: invalid YAML: ")
+        assert "line 2, column 5" in str(err.value)
 
     @pytest.mark.parametrize("text,match", [
         ("- 1\n- 2\n", "top level"),
