@@ -16,8 +16,10 @@ from dataclasses import replace
 from .model import TraceError, UnservableSurplusError
 from .sim import (
     RunConfig,
+    check_seed,
     generate_traces,
     load_config,
+    load_seed,
     load_traces,
     run,
     write_slot_records,
@@ -194,10 +196,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    config = _load(args.config, args.seed)
+    # The suites draw their own systems, so only the seed is read.
+    seed = load_seed(args.config)
+    if args.seed is not None:
+        check_seed(args.seed)
+        seed = args.seed
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
-    results = run_all_suites(args.trials, config.seed)
+    results = run_all_suites(args.trials, seed)
     width = max(len(r.name) for r in results) + 2
     print(f"{'suite':<{width}}{'trials':>10}{'violations':>12}  verdict")
     for r in results:

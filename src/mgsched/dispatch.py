@@ -20,14 +20,17 @@ supply side and quality, recharge, sale on the demand side, then by
 ascending index; system-level entries carry index -1. dispatch_slot sorts
 the battery and quality entries once per slot and inserts both trade
 entries; build_subproblem places them by a full sort instead, the
-reference the tests hold that path to. The hindsight bound in sim solves
-the same sweep in closed form for all slots at once; its tests check it
-against this kernel.
+reference the tests hold that path to. merit_order_columns solves the
+same sweep in closed form for many independent slot problems at once, one
+per column, for the validate suites; the hindsight bound in sim has its
+own closed form for all slots under fixed multipliers. The tests check
+both against this kernel and against each other.
 
 The module also ships an exact dual oracle that checks the allocator at
-any size, structural audits of the optimum (threshold form of the
-solution), and a randomized benchmark policy that blocks quality requests
-by coin toss instead of solving anything.
+any size, one slot (oracle_solve) or a batch (oracle_columns) at a time,
+structural audits of the optimum (threshold form of the solution), and a
+randomized benchmark policy that blocks quality requests by coin toss
+instead of solving anything.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .model import (
     SystemState,
     UnservableSurplusError,
     surplus_power,
+    width_error,
 )
 from .queues import battery_queue
 
@@ -180,6 +184,76 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
     return SubproblemResult(True, dispatch, objective, n_mandatory)
 
 
+def merit_order_columns(quality, alpha, x, r_cap, d_cap, surplus, c, w,
+                        q_cap, s_cap):
+    """Solve B independent slot problems at once, one per column.
+
+    The arrays are entry-major, one row per resident or battery and one
+    column per problem: quality (N, B) holds the quality bids' values
+    z + alpha and alpha (N, B) their caps; x (K, B) the battery queues,
+    which price recharge bids at value -x and discharge offers at cost -x,
+    with caps r_cap and d_cap (K, B); surplus, c and w (B,) the surplus
+    and the trade prices (v*c and v*w in the scheduler's units); q_cap
+    and s_cap the trade caps, scalars or (B,). Caps must be >= 0, and an
+    entry with cap 0 is inert, so problems of different sizes can share
+    one array padded with zero-capacity entries.
+
+    Each column's books are those merit_order_allocate sweeps: bids in
+    rank order quality, recharge, sale and offers discharge, purchase, so
+    a stable sort by price orders every column by the (key, rank, index)
+    of the kernel's tuples. The sweep then has a closed form. A bid is
+    filled up to the supply (surplus first) priced strictly below its
+    value, less the demand queued ahead of it, and an offer up to the
+    demand priced strictly above its cost, less the supply queued ahead
+    of it. Both sides read those quantities off the same two prefix sums,
+    so the strict comparisons reproduce the kernel's matching and
+    tie-breaks, and q*s and r_k*d_k are exactly zero: a battery whose
+    recharge is reached has its discharge queued behind supply that
+    already covers every bid above its price, and likewise for the two
+    trade entries while w <= c.
+
+    Returns (objective, q, s, r, d, p, infeasible): objective, q, s and
+    infeasible shaped (B,), r and d (K, B), p (N, B). infeasible flags the
+    columns whose surplus exceeds every sink, sale cap included, by the
+    kernel's own test (the surplus less each bid's cap in book order stays
+    positive); their flows are those of a sweep that curtails the excess.
+    """
+    n_res, width = len(quality), len(surplus)
+    value = np.concatenate([quality, -x, w[None]])
+    b_cap = np.concatenate([alpha, r_cap,
+                            np.broadcast_to(s_cap, (1, width))])
+    cost = np.concatenate([-x, c[None]])
+    o_cap = np.concatenate([d_cap, np.broadcast_to(q_cap, (1, width))])
+    b_order = np.argsort(-value, axis=0, kind="stable")
+    o_order = np.argsort(cost, axis=0, kind="stable")
+    value = np.take_along_axis(value, b_order, 0)
+    b_cap = np.take_along_axis(b_cap, b_order, 0)
+    cost = np.take_along_axis(cost, o_order, 0)
+    o_cap = np.take_along_axis(o_cap, o_order, 0)
+
+    # Capacity queued ahead of each entry in its book, the surplus first
+    # on the supply side; row i + 1 closes entry i.
+    b_ahead = np.cumsum(np.vstack([np.zeros(width), b_cap]), axis=0)
+    o_ahead = np.cumsum(np.vstack([surplus, o_cap]), axis=0)
+    # The entries priced strictly better than a counterpart's price form a
+    # prefix of their sorted book, so their capacity is a prefix sum.
+    n_below = (cost[None] < value[:, None]).sum(1)
+    n_above = (value[None] > cost[:, None]).sum(1)
+    take = np.minimum(np.maximum(
+        np.take_along_axis(o_ahead, n_below, 0) - b_ahead[:-1], 0.0), b_cap)
+    give = np.minimum(np.maximum(
+        np.take_along_axis(b_ahead, n_above, 0) - o_ahead[:-1], 0.0), o_cap)
+    objective = (cost * give).sum(0) - (value * take).sum(0)
+    left = np.cumsum(np.vstack([surplus, -b_cap]), axis=0)[-1]
+
+    bids = np.empty_like(take)
+    np.put_along_axis(bids, b_order, take, 0)
+    offers = np.empty_like(give)
+    np.put_along_axis(offers, o_order, give, 0)
+    return (objective, offers[-1], bids[-1], bids[n_res:-1], offers[:-1],
+            bids[:n_res], left > 0.0)
+
+
 def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
                   v: float, curtail: bool = False,
                   headroom_clamp: bool = True) -> Dispatch:
@@ -189,8 +263,12 @@ def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
     inserted; since w < c the sweep buys or sells, never both. If the
     surplus exceeds every sink, the sale cap included, the slot is
     unservable; with curtail=True the excess is discarded at zero value
-    and recorded on the dispatch instead.
+    and recorded on the dispatch instead. An observation whose alpha does
+    not hold one entry per resident raises ValueError naming the slot.
     """
+    if len(obs.alpha) != len(system.residents):
+        raise width_error(state.t, "alpha", len(obs.alpha),
+                          len(system.residents))
     g = system.grid
     supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
     insort(supply, (v * obs.c, 2, -1, g.q_max))
@@ -299,7 +377,8 @@ def oracle_solve(system: SystemSpec, state: SystemState, obs: SlotObservation,
     selling at once, but since w < c an optimum never does both, so this
     is also the optimum of the exclusive slot problem. Prices and
     headroom-clamped caps are computed here from battery_queue, z + alpha,
-    v*c and v*w, independently of the books the allocator uses.
+    v*c and v*w, independently of the books the allocator uses, and
+    oracle_columns evaluates the dual as a batch of one.
     """
     g = system.grid
     surplus = surplus_power(obs)
@@ -309,15 +388,34 @@ def oracle_solve(system: SystemSpec, state: SystemState, obs: SlotObservation,
         x = battery_queue(e, spec, v, g)
         demand.append((-x, max(0.0, min(spec.r_max, spec.e_max - e))))
         supply.append((-x, max(0.0, min(spec.d_max, e - spec.e_min))))
-    value, v_cap = np.array(demand + [(v * obs.w, g.s_max)]).T
-    cost, c_cap = np.array(supply + [(v * obs.c, g.q_max)]).T
-    if surplus > v_cap.sum():
-        return math.inf
+    value, v_cap = np.array(demand + [(v * obs.w, g.s_max)]).T[:, :, None]
+    cost, c_cap = np.array(supply + [(v * obs.c, g.q_max)]).T[:, :, None]
+    return float(oracle_columns(value, v_cap, cost, c_cap,
+                                np.array([surplus]))[0])
+
+
+def oracle_columns(value, v_cap, cost, c_cap, surplus) -> np.ndarray:
+    """oracle_solve's dual for B slot LPs at once, one per column.
+
+    value and v_cap (M, B) are the demand entries' unit values and caps,
+    cost and c_cap (L, B) the supply entries' unit costs and caps, trade
+    entries included, and surplus (B,) each column's surplus; caps must be
+    >= 0. Returns each column's optimum, math.inf where the surplus
+    exceeds the column's demand caps. Only prices with capacity are
+    kinks, and the entries' terms are subtracted one after another, so
+    entries with cap 0 change no column's optimum: problems of different
+    sizes can be padded into one batch.
+    """
     pi = np.concatenate([value, cost])
-    dual = (-pi * surplus
-            - v_cap @ np.maximum(0.0, value[:, None] - pi)
-            - c_cap @ np.maximum(0.0, pi - cost[:, None]))
-    return float(dual.max())
+    dual = -pi * surplus
+    for price, cap in zip(value, v_cap):
+        dual -= cap * np.maximum(0.0, price - pi)
+    for price, cap in zip(cost, c_cap):
+        dual -= cap * np.maximum(0.0, pi - price)
+    dual[np.concatenate([v_cap, c_cap]) <= 0.0] = -math.inf
+    optimum = dual.max(0)
+    optimum[surplus > np.cumsum(v_cap, axis=0)[-1]] = math.inf
+    return optimum
 
 
 def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,
@@ -334,9 +432,12 @@ def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,
     with what exists. Independently, a charge coin with probability
     charge_prob buys extra energy into batteries that did not discharge
     this slot. The dispatch's objective field is evaluated at v so runs
-    stay comparable with the scheduler.
+    stay comparable with the scheduler. An observation whose alpha does
+    not hold one entry per resident raises ValueError naming the slot.
     """
     n_res = system.n_residents
+    if len(obs.alpha) != n_res:
+        raise width_error(state.t, "alpha", len(obs.alpha), n_res)
     blocked = rng.random(n_res) < block_prob
     charge_coin = rng.random() < charge_prob
     p_surplus = surplus_power(obs)

@@ -189,6 +189,13 @@ class SystemState:
     z: tuple[float, ...]
 
 
+def width_error(t: int, name: str, width: int, n_res: int) -> ValueError:
+    """The error for slot t's observation field name holding width entries
+    where the system has n_res residents."""
+    return ValueError(
+        f"slot {t}: observation {name} has {width} entries, expected {n_res}")
+
+
 def surplus_power(obs: SlotObservation) -> float:
     """Renewable energy left once guaranteed basic usage is carved out.
 

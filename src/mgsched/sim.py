@@ -44,6 +44,7 @@ from .model import (
     shape_problems,
     surplus_power,
     validate_observation,
+    width_error,
 )
 from .queues import bound_constants, check_qose_stability, update_qose_queue
 
@@ -95,6 +96,12 @@ class Regime:
                       ("basic_range", "surplus_range", "burst_range"))
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed fits the generators' 64-bit seeds."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one simulation run depends on.
@@ -137,8 +144,7 @@ class RunConfig:
                 f"v_fraction must lie in (0, 1], got {self.v_fraction}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        check_seed(self.seed)
         _check_fields(self, ("block_prob", "charge_prob", "burst_prob"),
                       ("surplus_range", "burst_range"))
         if self.convergence_tol < 0.0:
@@ -493,14 +499,12 @@ def _row_total(a: np.ndarray) -> np.ndarray:
 
 
 def _check_widths(observations: list[SlotObservation], n_res: int) -> None:
-    """Raise ValueError naming the first slot whose basic or alpha request
-    does not have n_res entries."""
+    """Raise width_error's ValueError for the first slot whose basic or
+    alpha request does not have n_res entries."""
     for t, obs in enumerate(observations):
         if len(obs.basic) != n_res or len(obs.alpha) != n_res:
             name = "basic" if len(obs.basic) != n_res else "alpha"
-            raise ValueError(
-                f"slot {t}: observation {name} has "
-                f"{len(getattr(obs, name))} entries, expected {n_res}")
+            raise width_error(t, name, len(getattr(obs, name)), n_res)
 
 
 def _observation_arrays(observations: list[SlotObservation], n_res: int):
@@ -520,6 +524,62 @@ def _observation_arrays(observations: list[SlotObservation], n_res: int):
     return (surplus, _stack([o.alpha for o in observations], n_res),
             np.fromiter([o.c for o in observations], float, horizon),
             np.fromiter([o.w for o in observations], float, horizon))
+
+
+def _balance_masks(q, s, r, d, p, curtailed, surplus, alpha, q_max, s_max,
+                   r_max, d_max):
+    """audit_slots' balance and exclusivity masks of T slots' flows.
+
+    q, s, curtailed and surplus are (T,), r and d (T, K), p and alpha
+    (T, N); the caps broadcast against their flows, so each slot may
+    carry its own. An entry whose cap and flow are 0 changes no flag.
+    """
+    tol = BALANCE_TOL
+
+    def outside(x, hi):
+        return ~((-tol <= x) & (x <= hi + tol))
+
+    exclusivity = (q * s != 0.0) | (r * d != 0.0).any(1)
+    residual = (surplus - curtailed + q + _row_total(d) - s - _row_total(r)
+                - _row_total(p))
+    balance = (outside(q, q_max) | outside(s, s_max) | exclusivity
+               | (outside(r, r_max) | outside(d, d_max)).any(1)
+               | outside(p, alpha).any(1) | (curtailed < -tol)
+               | (np.abs(residual) > tol * np.maximum(surplus, 1.0)))
+    return balance, exclusivity
+
+
+def _threshold_mask(system: SystemSpec, v: float, q, s, r, d, p, alpha, c, w,
+                    e, z) -> np.ndarray:
+    """audit_slots' threshold mask of T slots of one system.
+
+    The flows and alpha are shaped as for _balance_masks, c and w (T,),
+    and e (T, K) and z (T, N) hold the levels and backlogs each slot
+    starts from.
+    """
+    g = system.grid
+    specs = system.batteries
+    e_min = np.array([b.e_min for b in specs])
+    d_max = np.array([b.d_max for b in specs])
+    delta = np.array([res.delta for res in system.residents])
+    alpha_max = np.array([res.alpha_max for res in system.residents])
+    x = e - d_max - e_min - v * g.c_max
+    floor = (1.0 - delta) * alpha
+
+    def broken(recharge_above, discharge_below, serve_above, block_below):
+        return ((((x > recharge_above) & (r > 1e-12))
+                 | ((x < discharge_below) & (d > 1e-12))).any(1)
+                | (((z > serve_above) & (p < floor - 1e-9))
+                   | ((z < block_below) & (p > 1e-12))).any(1))
+
+    threshold = broken(-v * g.w_min, -v * g.c_max, v * g.c_max,
+                       v * g.w_min - alpha_max)
+    for traded, price in ((q > 0.0, c), (s > 0.0, w)):
+        at_price = (-v * price)[:, None]
+        thresholds = v * price[:, None] - alpha
+        threshold |= traded & broken(at_price, at_price, thresholds,
+                                     thresholds)
+    return threshold
 
 
 def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
@@ -544,20 +604,19 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
     BALANCE_TOL, and queue_bound (T, N), a new backlog above z_max[n] by
     more than BALANCE_TOL. Every result also carries cost (T,), q*c - s*w,
     and outage (T, N), alpha - p, from which outage_window_flags derives
-    the window audit. surplus_power's ValueError for the first slot whose
-    basic usage exceeds generation propagates.
+    the window audit. Raises ValueError naming the first slot whose basic
+    or alpha request does not have one entry per resident, and
+    surplus_power's ValueError for the first slot whose basic usage
+    exceeds generation.
     """
     g = system.grid
     tol = BALANCE_TOL
     horizon = len(dispatches)
     specs = system.batteries
     n_bat, n_res = len(specs), len(system.residents)
+    _check_widths(observations, n_res)
     e_min = np.array([b.e_min for b in specs])
     e_max = np.array([b.e_max for b in specs])
-    r_max = np.array([b.r_max for b in specs])
-    d_max = np.array([b.d_max for b in specs])
-    delta = np.array([res.delta for res in system.residents])
-    alpha_max = np.array([res.alpha_max for res in system.residents])
 
     q = np.array([x.q for x in dispatches], dtype=float)
     s = np.array([x.s for x in dispatches], dtype=float)
@@ -569,38 +628,14 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
     e = _stack([st.e for st in states], n_bat)
     z = _stack([st.z for st in states], n_res)
 
-    def outside(x, hi):
-        return ~((-tol <= x) & (x <= hi + tol))
-
-    exclusivity = (q * s != 0.0) | (r * d != 0.0).any(1)
-    residual = (surplus - curtailed + q + _row_total(d) - s - _row_total(r)
-                - _row_total(p))
-    balance = (outside(q, g.q_max) | outside(s, g.s_max) | exclusivity
-               | (outside(r, r_max) | outside(d, d_max)).any(1)
-               | outside(p, alpha).any(1) | (curtailed < -tol)
-               | (np.abs(residual) > tol * np.maximum(surplus, 1.0)))
-
-    x = e[:horizon] - d_max - e_min - v * g.c_max
-    z_now = z[:horizon]
-    floor = (1.0 - delta) * alpha
-
-    def broken(recharge_above, discharge_below, serve_above, block_below):
-        return ((((x > recharge_above) & (r > 1e-12))
-                 | ((x < discharge_below) & (d > 1e-12))).any(1)
-                | (((z_now > serve_above) & (p < floor - 1e-9))
-                   | ((z_now < block_below) & (p > 1e-12))).any(1))
-
-    threshold = broken(-v * g.w_min, -v * g.c_max, v * g.c_max,
-                       v * g.w_min - alpha_max)
-    for traded, price in ((q > 0.0, c), (s > 0.0, w)):
-        at_price = (-v * price)[:, None]
-        thresholds = v * price[:, None] - alpha
-        threshold |= traded & broken(at_price, at_price, thresholds,
-                                     thresholds)
-
-    outage = alpha - p
+    balance, exclusivity = _balance_masks(
+        q, s, r, d, p, curtailed, surplus, alpha, g.q_max, g.s_max,
+        np.array([b.r_max for b in specs]), np.array([b.d_max for b in specs]))
+    threshold = _threshold_mask(system, v, q, s, r, d, p, alpha, c, w,
+                                e[:horizon], z[:horizon])
     audit = {"balance": balance, "exclusivity": exclusivity,
-             "threshold": threshold, "cost": q * c - s * w, "outage": outage}
+             "threshold": threshold, "cost": q * c - s * w,
+             "outage": alpha - p}
     if z_max is not None:
         audit["battery_band"] = (e[1:] < e_min - tol) | (e[1:] > e_max + tol)
         audit["queue_bound"] = z[1:] > np.array(z_max) + tol
@@ -1082,16 +1117,9 @@ def _pair(path: str, raw, name: str) -> tuple[float, float]:
     return _number(path, raw[0], name), _number(path, raw[1], name)
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a YAML run configuration into a RunConfig.
-
-    Resident demand and surplus processes are specified in kW and converted
-    to kWh per slot via slot_hours; battery fields are kWh, prices $/kWh,
-    grid trade caps kWh per slot. Residents' alpha_max is lifted to the
-    highest quality cap any regime uses, so regime draws always stay within
-    the declared bound. Raises ValueError on any malformed field and on
-    any key it does not know.
-    """
+def _read_yaml(path: str) -> dict:
+    """The mapping a YAML file holds; ValueError naming the file if it
+    cannot be read or parsed, or holds something else."""
     try:
         with open(path) as fh:
             # libyaml's parser where PyYAML was built with it; construction
@@ -1104,6 +1132,28 @@ def load_config(path: str) -> RunConfig:
         raise ValueError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a mapping")
+    return data
+
+
+def load_seed(path: str) -> int:
+    """The seed of a YAML run configuration (0 when absent), checked as
+    load_config checks it; no other field is read or checked."""
+    seed = _number(path, _read_yaml(path).get("seed", 0), "seed", int)
+    _build(path, check_seed, seed=seed)
+    return seed
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse a YAML run configuration into a RunConfig.
+
+    Resident demand and surplus processes are specified in kW and converted
+    to kWh per slot via slot_hours; battery fields are kWh, prices $/kWh,
+    grid trade caps kWh per slot. Residents' alpha_max is lifted to the
+    highest quality cap any regime uses, so regime draws always stay within
+    the declared bound. Raises ValueError on any malformed field and on
+    any key it does not know.
+    """
+    data = _read_yaml(path)
     _reject_unknown(path, data, (
         "slot_hours", "horizon", "seed", "v_fraction", "policy",
         "curtailment", "convergence_tol", "batteries", "residents", "grid",

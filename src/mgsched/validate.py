@@ -1,20 +1,25 @@
 """Randomized self-checks for the deterministic guarantees.
 
-Each suite draws systems, states, and observations at random, runs the
-scheduler, and counts violations of a guarantee that should never fail:
-battery levels stay inside their physical band, backlog queues stay under
-their deterministic cap, sliding outage windows stay within budget, optimal
-dispatches keep their threshold structure, and the merit-order solver and
-dispatch_slot reach the optimum that the exact dual oracle computes, at up
-to 5 batteries and 20 residents. Every suite reports trial and violation
-counts plus the first counterexample, so a failure is directly
-reproducible.
+Each suite draws systems, states, and observations at random, solves the
+slot problems, and counts violations of a guarantee that should never
+fail: battery levels stay inside their physical band, backlog queues stay
+under their deterministic cap, sliding outage windows stay within budget,
+optimal dispatches keep their threshold structure, and dispatch_slot and
+the batched kernel merit_order_columns reach the optimum that the exact
+dual oracle computes, at up to 5 batteries and 20 residents. Every suite
+reports trial and violation counts plus the first counterexample, so a
+failure is directly reproducible.
 
 Every suite draws its systems as random_system RunConfigs and their
 observations through the simulator's own generate_traces. The bound suite
-advances each slot with the simulator's step and audits each 500-slot
-stretch of a run, and the threshold suite each 64-slot block, with its
-audit_slots. The RunConfigs size the market trade caps to dominate the
+runs the scheduler: it advances each slot with dispatch_slot and the
+simulator's step and audits each 500-slot stretch of a run with
+audit_slots. The threshold and oracle suites solve independent slots, so
+they solve a block of them with one merit_order_columns call and audit
+the arrays with audit_slots' balance and threshold cores; the threshold
+suite no longer calls dispatch_slot, and the oracle suite calls it once
+per instance, so the scheduler's own path stays checked against the
+oracle too. The RunConfigs size the market trade caps to dominate the
 microgrid (purchases can cover every quality request and recharge, sales
 can absorb the largest surplus plus every discharge). The structural
 guarantees are proved under that regime; an undersized grid connection can
@@ -29,26 +34,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispatch import (
-    build_subproblem,
     dispatch_slot,
-    merit_order_allocate,
-    oracle_solve,
+    merit_order_columns,
+    oracle_columns,
     threshold_violations,
 )
 from .model import (
     BatterySpec,
+    Dispatch,
     GridSpec,
     ResidentSpec,
     SlotObservation,
     SystemSpec,
     SystemState,
+    UnservableSurplusError,
     check_dispatch,
     compute_vmax,
+    surplus_power,
 )
 from .queues import bound_constants
 from .sim import (
     OUTAGE_WINDOW,
     RunConfig,
+    _balance_masks,
+    _observation_arrays,
+    _threshold_mask,
     audit_slots,
     first_violation,
     generate_traces,
@@ -58,6 +68,8 @@ from .sim import (
 
 # Head-room added past the worst case when sizing q_max and s_max.
 CAP_MARGIN = 2.0
+# Slots per threshold-suite system, and oracle instances per batch.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -137,13 +149,52 @@ def random_states(system: SystemSpec, rng: np.random.Generator, v: float,
                   zero_prob: float = 0.3) -> list[SystemState]:
     """Draw count states with levels anywhere in band and backlogs up to
     z_scale times their cap (zero with probability zero_prob)."""
+    e, z = _state_arrays(system, rng, v, count, z_scale, zero_prob)
+    return [SystemState(t=0, e=tuple(e_row), z=tuple(z_row))
+            for e_row, z_row in zip(e.tolist(), z.tolist())]
+
+
+def _state_arrays(system: SystemSpec, rng: np.random.Generator, v: float,
+                  count: int, z_scale: float = 1.25, zero_prob: float = 0.3):
+    """random_states' draws as arrays: levels e (count, K), backlogs z
+    (count, N)."""
     z_cap = z_scale * np.array(bound_constants(system, v).z_max)
     e_min, e_max = np.array([(b.e_min, b.e_max) for b in system.batteries]).T
     e = _uniform(rng.random((count, len(e_min))), e_min, e_max)
     zero = rng.random((count, len(z_cap))) < zero_prob
     z = np.where(zero, 0.0, z_cap * rng.random(zero.shape))
-    return [SystemState(t=0, e=tuple(e_row), z=tuple(z_row))
-            for e_row, z_row in zip(e.tolist(), z.tolist())]
+    return e, z
+
+
+def _battery_specs(system: SystemSpec) -> np.ndarray:
+    """(e_min, e_max, r_max, d_max) rows, one column per battery."""
+    return np.array([(b.e_min, b.e_max, b.r_max, b.d_max)
+                     for b in system.batteries]).T
+
+
+def _books(e, z, alpha, specs, v, c_max):
+    """merit_order_columns' bids and offers for slot-major states.
+
+    e (T, K) and z, alpha (T, N) are the levels, backlogs and quality
+    requests of T slots, specs broadcasts as _battery_specs' rows against
+    e, and v and c_max against e's columns. Returns the entry-major quality
+    values and caps, battery queues (battery_queue's arithmetic), and the
+    headroom-clamped recharge and discharge caps that dispatch_slot uses.
+    """
+    e_min, e_max, r_max, d_max = specs
+    x = e - d_max - e_min - v * c_max
+    r_cap = np.maximum(np.minimum(r_max, e_max - e), 0.0)
+    d_cap = np.maximum(np.minimum(d_max, e - e_min), 0.0)
+    return (z + alpha).T, alpha.T, x.T, r_cap.T, d_cap.T
+
+
+def _column_dispatch(solution, i: int, system: SystemSpec) -> Dispatch:
+    """Column i of merit_order_columns' solution as system's Dispatch."""
+    objective, q, s, r, d, p, _ = solution
+    k, n = system.n_batteries, system.n_residents
+    return Dispatch(q=float(q[i]), s=float(s[i]), r=tuple(r[:k, i].tolist()),
+                    d=tuple(d[:k, i].tolist()), p=tuple(p[:n, i].tolist()),
+                    objective=float(objective[i]))
 
 
 def _counterexample(system: SystemSpec, state: SystemState,
@@ -247,83 +298,154 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
     """Audit feasibility and threshold structure of optimal dispatches.
 
     Each slot gets an independently drawn state (levels anywhere in band,
-    backlogs up to 1.25x their cap) and observation; the scheduler's
-    dispatch must satisfy every dispatch invariant and every strict
-    threshold condition. Systems are redrawn every 64 slots, each with one
-    generate_traces block of observations.
+    backlogs up to 1.25x their cap) and observation. Systems are redrawn
+    every BLOCK slots, each with one generate_traces block of
+    observations, and merit_order_columns solves a block's slots in one
+    call, with dispatch_slot's headroom-clamped books; every slot's
+    optimum must pass the balance and threshold audits of audit_slots.
+    A slot whose surplus exceeds every sink raises UnservableSurplusError
+    naming it, as dispatch_slot would.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
     rng = np.random.default_rng((seed, 3))
     violations = 0
     ce = None
-    for start in range(0, slots, 64):
-        config = random_system(rng, min(64, slots - start), k_max=k_max,
+    for start in range(0, slots, BLOCK):
+        config = random_system(rng, min(BLOCK, slots - start), k_max=k_max,
                                n_max=n_max)
         system = config.system
+        g = system.grid
         v_max = compute_vmax(config.batteries, config.grid)
         v = float(rng.uniform(0.3, 1.0)) * v_max
         block = generate_traces(config, rng)
-        states = random_states(system, rng, v, len(block))
-        dispatches = [dispatch_slot(system, state, obs, v)
-                      for state, obs in zip(states, block)]
-        audit = audit_slots(system, v, states, block, dispatches)
-        bad = audit["balance"] | audit["threshold"]
+        e, z = _state_arrays(system, rng, v, len(block))
+        surplus, alpha, c, w = _observation_arrays(block, system.n_residents)
+        specs = _battery_specs(system)
+        solution = merit_order_columns(
+            *_books(e, z, alpha, specs, v, g.c_max), surplus, v * c, v * w,
+            g.q_max, g.s_max)
+        _, q, s, r, d, p, infeasible = solution
+        if infeasible.any():
+            t = int(infeasible.argmax())
+            raise UnservableSurplusError(
+                f"slot {start + t}: surplus {surplus[t]} kWh exceeds every "
+                "sink; enable curtailment or resize the scenario")
+        flows = (q, s, r.T, d.T, p.T)
+        balance, _ = _balance_masks(*flows, np.zeros(len(block)), surplus,
+                                    alpha, g.q_max, g.s_max, specs[2],
+                                    specs[3])
+        bad = balance | _threshold_mask(system, v, *flows, alpha, c, w, e, z)
         violations += int(bad.sum())
         if ce is None and bad.any():
             t = int(bad.argmax())
-            problems = check_dispatch(dispatches[t], system, block[t])
-            problems += threshold_violations(system, states[t], block[t], v,
-                                             dispatches[t])
-            ce = _counterexample(system, states[t], block[t], dispatches[t],
-                                 "; ".join(problems))
+            state = SystemState(t=start + t, e=tuple(e[t].tolist()),
+                                z=tuple(z[t].tolist()))
+            dispatch = _column_dispatch(solution, t, system)
+            problems = check_dispatch(dispatch, system, block[t])
+            problems += threshold_violations(system, state, block[t], v,
+                                             dispatch)
+            ce = _counterexample(system, state, block[t], dispatch,
+                                 f"slot {start + t}: " + "; ".join(problems))
     return SuiteResult("threshold-structure", slots, violations, ce)
 
 
 def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
-    """Cross-check the merit-order solver against the exact dual oracle.
+    """Cross-check dispatch_slot and merit_order_columns against the exact
+    dual oracle.
 
-    Instances are drawn at the acceptance maximum of 5 batteries and 20
-    residents. The feasibility verdicts must agree and, when feasible, the
-    merit-order objective on build_subproblem's books must equal the
-    oracle's optimum to within 1e-9 relative and its dispatch must pass
-    every dispatch invariant; dispatch_slot's objective must equal the
-    optimum to the same tolerance.
+    Instances are drawn one by one at up to the acceptance maximum of 5
+    batteries and 20 residents, and dispatch_slot solves each. Every
+    BLOCK instances are then padded to the block's largest system with
+    zero-capacity entries
+    and solved again by one merit_order_columns call, and oracle_columns
+    evaluates their exact dual optima in one batch. The kernel's
+    feasibility verdicts must agree with the oracle's and, when feasible,
+    its objectives must equal the optima to within 1e-9 relative and its
+    flows must pass audit_slots' balance audit; dispatch_slot's
+    objectives must equal the optima to the same tolerance.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
     rng = np.random.default_rng((seed, 4))
     violations = 0
     ce = None
-    for _ in range(instances):
-        config = random_system(rng, 1, k_max=5, n_max=20)
-        system = config.system
-        v_max = compute_vmax(system.batteries, system.grid)
-        v = float(rng.uniform(0.3, 1.0)) * v_max
-        state = random_states(system, rng, v, 1, z_scale=1.0)[0]
-        obs = generate_traces(config, rng)[0]
-        oracle = oracle_solve(system, state, obs, v)
-        chosen = dispatch_slot(system, state, obs, v)
-        res = merit_order_allocate(*build_subproblem(system, state, obs, v),
-                                   system.n_batteries, system.n_residents)
-        problems = []
-        if res.feasible != math.isfinite(oracle):
-            problems.append(f"merit feasible={res.feasible} but "
-                            f"oracle optimum {oracle}")
-        elif res.feasible:
-            if not _agrees(res.objective, oracle):
-                problems.append(f"merit objective {res.objective} but "
-                                f"oracle optimum {oracle}")
-            problems += check_dispatch(res.dispatch, system, obs)
-        if not _agrees(chosen.objective, oracle):
-            problems.append(f"dispatch_slot objective {chosen.objective} "
-                            f"but oracle optimum {oracle}")
-        if problems:
-            violations += 1
-            if ce is None:
-                ce = _counterexample(system, state, obs, chosen,
-                                     "; ".join(problems))
+    for start in range(0, instances, BLOCK):
+        drawn = []
+        for _ in range(min(BLOCK, instances - start)):
+            config = random_system(rng, 1, k_max=5, n_max=20)
+            system = config.system
+            v_max = compute_vmax(system.batteries, system.grid)
+            v = float(rng.uniform(0.3, 1.0)) * v_max
+            state = random_states(system, rng, v, 1, z_scale=1.0)[0]
+            obs = generate_traces(config, rng)[0]
+            drawn.append((system, state, obs, v,
+                          dispatch_slot(system, state, obs, v)))
+        problems = _oracle_block(drawn)
+        violations += sum(map(bool, problems))
+        if ce is None:
+            for (system, state, obs, _, chosen), found in zip(drawn,
+                                                              problems):
+                if found:
+                    ce = _counterexample(system, state, obs, chosen,
+                                         "; ".join(found))
+                    break
     return SuiteResult("solver-oracle", instances, violations, ce)
+
+
+def _oracle_block(drawn) -> list[list[str]]:
+    """solver_oracle_trials' checks of one block of (system, state, obs, v,
+    dispatch_slot's dispatch) instances; one list of problems each."""
+    width = len(drawn)
+    n_bat = max(system.n_batteries for system, *_ in drawn)
+    n_res = max(system.n_residents for system, *_ in drawn)
+    # Padding: batteries with zero band and caps, residents with no request.
+    specs = np.zeros((4, width, n_bat))
+    e = np.zeros((width, n_bat))
+    z = np.zeros((width, n_res))
+    alpha = np.zeros((width, n_res))
+    scalars = np.empty((6, width))
+    for i, (system, state, obs, v, _) in enumerate(drawn):
+        k, n = system.n_batteries, system.n_residents
+        specs[:, i, :k] = _battery_specs(system)
+        e[i, :k] = state.e
+        z[i, :n] = state.z
+        alpha[i, :n] = obs.alpha
+        g = system.grid
+        scalars[:, i] = (v, g.c_max, g.q_max, g.s_max, v * obs.c, v * obs.w)
+    v, c_max, q_max, s_max, vc, vw = scalars
+    surplus = np.array([surplus_power(obs) for _, _, obs, _, _ in drawn])
+    quality, caps, x, r_cap, d_cap = _books(e, z, alpha, specs, v[:, None],
+                                            c_max[:, None])
+    solution = merit_order_columns(quality, caps, x, r_cap, d_cap, surplus,
+                                   vc, vw, q_max, s_max)
+    objective, q, s, r, d, p, infeasible = solution
+    optimum = oracle_columns(np.vstack([quality, -x, vw]),
+                             np.vstack([caps, r_cap, s_max]),
+                             np.vstack([-x, vc]), np.vstack([d_cap, q_max]),
+                             surplus)
+    balance, _ = _balance_masks(q, s, r.T, d.T, p.T, np.zeros(width),
+                                surplus, alpha, q_max, s_max, specs[2],
+                                specs[3])
+    problems = []
+    for i, (system, _, obs, _, chosen) in enumerate(drawn):
+        found = []
+        oracle = float(optimum[i])
+        if infeasible[i] == math.isfinite(oracle):
+            found.append(f"merit feasible={not infeasible[i]} but "
+                         f"oracle optimum {oracle}")
+        elif not infeasible[i]:
+            if not _agrees(float(objective[i]), oracle):
+                found.append(f"merit objective {objective[i]} but "
+                             f"oracle optimum {oracle}")
+            if balance[i]:
+                found += check_dispatch(_column_dispatch(solution, i, system),
+                                        system, obs)
+        if not _agrees(chosen.objective, oracle):
+            found.append(f"dispatch_slot objective {chosen.objective} "
+                         f"but oracle optimum {oracle}")
+        problems.append(found)
+    return problems
 
 
 def run_all_suites(trials: int, seed: int, k_max: int = 3,

@@ -195,6 +195,41 @@ class TestValidateCommand:
         assert main(["validate", "--config", FIVE_DAY, "--trials", "0"]) == 1
         assert "--trials" in capsys.readouterr().err
 
+    def test_fields_other_than_the_seed_are_not_read(self, tmp_path, capsys):
+        odd = tmp_path / "odd.yaml"
+        odd.write_text(Path(FIVE_DAY).read_text().replace("delta:", "detla:"))
+        assert main(["validate", "--config", str(odd), "--trials", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["7.5", "true", "abc", "-1",
+                                      "18446744073709551616"])
+    def test_bad_seed_names_the_file(self, tmp_path, capsys, seed):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(Path(FIVE_DAY).read_text().replace(
+            "seed: 7", f"seed: {seed}"))
+        assert main(["validate", "--config", str(bad), "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "seed" in err
+
+    def test_unreadable_config_and_bad_override_exit_one(self, tmp_path,
+                                                         capsys):
+        missing = str(tmp_path / "nowhere.yaml")
+        assert main(["validate", "--config", missing, "--trials", "1"]) == 1
+        assert missing in capsys.readouterr().err
+        assert main(["validate", "--config", FIVE_DAY, "--trials", "1",
+                     "--seed", "-4"]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_seed_override_wins(self, monkeypatch):
+        seeds = []
+        passing = [SuiteResult(name="battery-band", trials=1, violations=0)]
+        monkeypatch.setattr("mgsched.cli.run_all_suites",
+                            lambda trials, seed: seeds.append(seed) or passing)
+        assert main(["validate", "--config", FIVE_DAY, "--trials", "1"]) == 0
+        assert main(["validate", "--config", FIVE_DAY, "--trials", "1",
+                     "--seed", "19"]) == 0
+        assert seeds == [7, 19]
+
     def test_failing_suite_exits_two(self, capsys, monkeypatch):
         results = [
             SuiteResult(name="battery-band", trials=10, violations=0),

@@ -14,12 +14,17 @@ from mgsched import (
     battery_queue,
     build_subproblem,
     check_dispatch,
+    compute_vmax,
     dispatch_slot,
     generate_traces,
     load_config,
     mecp_dispatch,
     merit_order_allocate,
+    merit_order_columns,
+    oracle_columns,
     oracle_solve,
+    random_states,
+    random_system,
     run,
     slot_objective,
     threshold_violations,
@@ -260,6 +265,26 @@ class TestDispatchSlot:
         summary = run(config, generate_traces(config), keep_records=False)[1]
         assert summary.slots == 20
         assert len(calls) == 20
+
+
+class TestObservationWidths:
+    @pytest.mark.parametrize("width", [4, 6])
+    @pytest.mark.parametrize("policy", ["dispatch_slot", "mecp_dispatch"])
+    def test_misshaped_alpha_names_the_slot(self, policy, width):
+        config = load_config(str(FIVE_DAY))
+        obs = generate_traces(config)[2]
+        obs = replace(obs, alpha=(0.1,) * width)
+        state = SystemState(t=2, e=tuple(b.e_init for b in config.batteries),
+                            z=(0.0,) * 5)
+        solve = {"dispatch_slot": lambda: dispatch_slot(
+                     config.system, state, obs, 10.0),
+                 "mecp_dispatch": lambda: mecp_dispatch(
+                     config.system, state, obs, np.random.default_rng(0),
+                     0.07, 0.5, 10.0)}[policy]
+        with pytest.raises(ValueError) as err:
+            solve()
+        assert str(err.value) == (
+            f"slot 2: observation alpha has {width} entries, expected 5")
 
 
 class TestTradeEntryTieBreaks:
@@ -652,3 +677,120 @@ class TestSortedOncePath:
                           else spec.r_max)
             assert dk <= (min(spec.d_max, e - spec.e_min) if clamp
                           else spec.d_max)
+
+
+def oracle_arrays(system, state, obs, v, pad_batteries=0, pad_residents=0,
+                  pad_price=0.0):
+    """oracle_solve's demand and supply entries for one slot as one column
+    of oracle_columns' arrays, with zero-capacity entries appended."""
+    g = system.grid
+    demand = [(z + a, a) for z, a in zip(state.z, obs.alpha)]
+    demand += [(pad_price, 0.0)] * pad_residents
+    supply = []
+    for e, spec in zip(state.e, system.batteries):
+        x = battery_queue(e, spec, v, g)
+        demand.append((-x, max(0.0, min(spec.r_max, spec.e_max - e))))
+        supply.append((-x, max(0.0, min(spec.d_max, e - spec.e_min))))
+    demand += [(pad_price, 0.0)] * pad_batteries
+    supply += [(pad_price, 0.0)] * pad_batteries
+    value, v_cap = np.array(demand + [(v * obs.w, g.s_max)]).T
+    cost, c_cap = np.array(supply + [(v * obs.c, g.q_max)]).T
+    return value, v_cap, cost, c_cap
+
+
+class TestOracleColumns:
+    @given(large_slot(), st.integers(0, 4), st.integers(0, 19),
+           st.sampled_from([0.0, -3.0, 1e3]))
+    @settings(deadline=None, max_examples=100)
+    def test_zero_capacity_padding_changes_no_optimum(self, slot, k, n,
+                                                      price):
+        system, state, obs, v = slot
+        surplus = np.array([obs.u])
+        plain = oracle_columns(*(a[:, None] for a in oracle_arrays(
+            system, state, obs, v)), surplus)
+        padded = oracle_columns(*(a[:, None] for a in oracle_arrays(
+            system, state, obs, v, k, n, price)), surplus)
+        assert padded[0] == plain[0] == oracle_solve(system, state, obs, v)
+
+    @given(st.lists(large_slot(), min_size=1, max_size=6))
+    @settings(deadline=None, max_examples=60)
+    def test_a_batch_returns_each_columns_own_optimum(self, slots):
+        columns = [oracle_arrays(system, state, obs, v,
+                                 5 - system.n_batteries,
+                                 20 - system.n_residents)
+                   for system, state, obs, v in slots]
+        batch = oracle_columns(*(np.stack(a, axis=1) for a in zip(*columns)),
+                               np.array([obs.u for _, _, obs, _ in slots]))
+        assert batch.tolist() == [oracle_solve(*slot) for slot in slots]
+
+
+@st.composite
+def regime_slot(draw):
+    """A slot in the threshold suite's regime: a random_system of up to 5
+    batteries x 20 residents, levels anywhere in band (some pinned to an
+    edge, so a headroom-clamped cap is 0) and backlogs up to 1.25x their
+    cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    config = random_system(rng, 1, 5, 20)
+    system = config.system
+    v = float(rng.uniform(0.3, 1.0)) * compute_vmax(system.batteries,
+                                                    system.grid)
+    state = random_states(system, rng, v, 1)[0]
+    edges = draw(st.lists(st.sampled_from([None, "e_min", "e_max"]),
+                          min_size=system.n_batteries,
+                          max_size=system.n_batteries))
+    e = tuple(getattr(spec, edge) if edge else level
+              for level, spec, edge in zip(state.e, system.batteries, edges))
+    return system, replace(state, e=e), generate_traces(config, rng)[0], v
+
+
+def kernel_columns(slots, pad_prices):
+    """merit_order_columns' arguments for slots, one column each, padded
+    to 5 batteries x 20 residents with zero-capacity entries priced at
+    pad_prices (one per column)."""
+    columns = []
+    for (system, state, obs, v), pad in zip(slots, pad_prices):
+        k, n = 5 - system.n_batteries, 20 - system.n_residents
+        specs = list(zip(state.e, system.batteries))
+        columns.append((
+            [z + a for z, a in zip(state.z, obs.alpha)] + [pad] * n,
+            list(obs.alpha) + [0.0] * n,
+            [battery_queue(e, b, v, system.grid) for e, b in specs]
+            + [-pad] * k,
+            [max(0.0, min(b.r_max, b.e_max - e)) for e, b in specs]
+            + [0.0] * k,
+            [max(0.0, min(b.d_max, e - b.e_min)) for e, b in specs]
+            + [0.0] * k))
+    arrays = [np.array(a, dtype=float).T for a in zip(*columns)]
+    rows = np.array([(obs.u - sum(obs.basic), v * obs.c, v * obs.w,
+                      system.grid.q_max, system.grid.s_max)
+                     for system, _, obs, v in slots]).T
+    return (*arrays, *rows)
+
+
+class TestMeritOrderColumns:
+    @given(st.lists(st.one_of(regime_slot(), tied_slot(), large_slot()),
+                    min_size=1, max_size=6), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_each_column_equals_dispatch_slot(self, slots, data):
+        pads = [data.draw(st.sampled_from([0.0, v * obs.c, v * obs.w]))
+                for _, _, obs, v in slots]
+        objective, q, s, r, d, p, infeasible = merit_order_columns(
+            *kernel_columns(slots, pads))
+        assert r.shape == d.shape == (5, len(slots))
+        assert p.shape == (20, len(slots))
+        for i, (system, state, obs, v) in enumerate(slots):
+            k, n = system.n_batteries, system.n_residents
+            try:
+                dd = dispatch_slot(system, state, obs, v)
+            except UnservableSurplusError:
+                assert infeasible[i]
+                continue
+            assert not infeasible[i]
+            flows = (q[i], s[i], *r[:k, i], *d[:k, i], *p[:n, i])
+            assert flows == pytest.approx((dd.q, dd.s, *dd.r, *dd.d, *dd.p),
+                                          rel=0.0, abs=1e-12)
+            assert objective[i] == pytest.approx(dd.objective, rel=1e-12)
+            assert q[i] * s[i] == 0.0
+            assert (r[:, i] * d[:, i] == 0.0).all()
+            assert not (r[k:, i].any() or d[k:, i].any() or p[n:, i].any())

@@ -31,6 +31,7 @@ from mgsched import (
     load_config,
     load_traces,
     merit_order_allocate,
+    merit_order_columns,
     random_system,
     run,
     step,
@@ -620,6 +621,20 @@ class TestAuditSlots:
             "resident 0: slots 1..500 leave 125.25 unserved, above budget "
             "125.0")
 
+    @pytest.mark.parametrize("field,width", [("basic", 4), ("alpha", 6)])
+    def test_misshaped_observation_names_the_slot(self, field, width):
+        config = replace(load_config("configs/five_day.yaml"), horizon=5)
+        observations = generate_traces(config)
+        observations[3] = replace(observations[3], **{field: (0.1,) * width})
+        state = SystemState(t=0, e=(8.0, 8.0), z=(0.0,) * 5)
+        idle = Dispatch(q=0.0, s=0.0, r=(0.0, 0.0), d=(0.0, 0.0),
+                        p=(0.0,) * 5, objective=0.0)
+        with pytest.raises(ValueError) as err:
+            audit_slots(config.system, 10.0, [state] * 5, observations,
+                        [idle] * 5)
+        assert str(err.value) == (
+            f"slot 3: observation {field} has {width} entries, expected 5")
+
     def test_unfed_basic_usage_raises_as_surplus_power_does(self):
         system = make_system()
         obs = SlotObservation(u=1.0, basic=(1.5,), alpha=(0.0,), c=0.10,
@@ -1037,6 +1052,32 @@ class TestRelaxedSlots:
                  *expected.p), rel=0.0, abs=1e-12)
             assert objective[t] == pytest.approx(expected.objective,
                                                  rel=1e-12)
+
+    @given(relaxed_slots())
+    @settings(deadline=None, max_examples=300)
+    def test_equals_the_batched_slot_kernel(self, case):
+        # The hindsight bound's closed form and the validate suites' one
+        # must not drift apart: with the multipliers in every column,
+        # merit_order_columns solves the same books.
+        mu, nu, batteries, grid, surplus, alpha, c, w = case
+        caps = _demand_caps(np.array(alpha), batteries)
+        d_max = np.array([b.d_max for b in batteries])
+        surplus, c, w = np.array(surplus), np.array(c), np.array(w)
+        n_res = len(nu)
+
+        def every_slot(values):
+            return np.repeat(np.array(values, float)[:, None], len(c), 1)
+
+        objective, *flows = _relaxed_slots(mu, nu, caps, d_max, grid,
+                                           surplus, c, w)
+        got, *got_flows, _ = merit_order_columns(
+            every_slot(nu), caps[:n_res], every_slot(mu), caps[n_res:],
+            every_slot(d_max), surplus, c, w, grid.q_max, grid.s_max)
+        for expected, actual in zip(flows, got_flows):
+            assert actual.shape == expected.shape
+            assert actual.ravel() == pytest.approx(expected.ravel(), rel=0.0,
+                                                   abs=1e-12)
+        assert got == pytest.approx(objective, rel=1e-12)
 
 
 class TestReporting:

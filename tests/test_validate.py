@@ -10,7 +10,9 @@ import pytest
 
 import mgsched.validate
 from mgsched import (
+    battery_queue,
     bound_constants,
+    compute_vmax,
     generate_traces,
     load_config,
     random_states,
@@ -18,6 +20,7 @@ from mgsched import (
     run_all_suites,
     run_bound_trials,
     solver_oracle_trials,
+    surplus_power,
     threshold_trials,
     validate_observation,
 )
@@ -158,6 +161,114 @@ class TestBoundSuites:
 
 
 class TestOtherSuites:
+    def test_oracle_suite_catches_a_wrong_dispatch_slot_objective(
+            self, monkeypatch):
+        real = mgsched.validate.dispatch_slot
+
+        def off_by_a_millionth(system, state, obs, v, **kwargs):
+            dispatch = real(system, state, obs, v, **kwargs)
+            return replace(dispatch, objective=dispatch.objective
+                           + 1e-6 * max(1.0, abs(dispatch.objective)))
+
+        monkeypatch.setattr(mgsched.validate, "dispatch_slot",
+                            off_by_a_millionth)
+        suite = solver_oracle_trials(64, seed=6)
+        assert suite.violations == 64
+        assert "dispatch_slot objective" in suite.counterexample
+
+    def test_oracle_suite_catches_a_wrong_kernel_objective(self,
+                                                           monkeypatch):
+        real = mgsched.validate.merit_order_columns
+
+        def off_by_a_millionth(*args):
+            objective, *rest = real(*args)
+            return (objective + 1e-6 * np.maximum(1.0, np.abs(objective)),
+                    *rest)
+
+        monkeypatch.setattr(mgsched.validate, "merit_order_columns",
+                            off_by_a_millionth)
+        suite = solver_oracle_trials(64, seed=6)
+        assert suite.violations == 64
+        assert "merit objective" in suite.counterexample
+
+    @staticmethod
+    def drop_resident_zero(monkeypatch):
+        """Patch the suites' kernel to serve resident 0 nothing; returns the
+        (service dropped, surplus) of each call."""
+        real = mgsched.validate.merit_order_columns
+        calls = []
+
+        def dropping(*args):
+            objective, q, s, r, d, p, infeasible = real(*args)
+            calls.append((p[0].copy(), args[5]))
+            p[0] = 0.0
+            return objective, q, s, r, d, p, infeasible
+
+        monkeypatch.setattr(mgsched.validate, "merit_order_columns",
+                            dropping)
+        return calls
+
+    @staticmethod
+    def unbalanced(dropped, surplus):
+        return dropped > 1e-9 * np.maximum(surplus, 1.0)
+
+    def test_threshold_suite_counts_balance_violations(self, monkeypatch):
+        calls = self.drop_resident_zero(monkeypatch)
+        # With the threshold audit silenced, only the balance audit can
+        # see the service that went missing.
+        monkeypatch.setattr(mgsched.validate, "_threshold_mask",
+                            lambda *args: False)
+        suite = threshold_trials(slots=128, seed=5)
+        flagged = [self.unbalanced(*call) for call in calls]
+        assert suite.violations == sum(f.sum() for f in flagged) > 0
+        slot = int(np.concatenate(flagged).argmax())
+        assert f"detail: slot {slot}: " in suite.counterexample
+        assert "balance residual" in suite.counterexample
+        assert f"state: SystemState(t={slot}," in suite.counterexample
+
+    def test_oracle_suite_audits_the_kernels_flows(self, monkeypatch):
+        calls = self.drop_resident_zero(monkeypatch)
+        suite = solver_oracle_trials(64, seed=6)
+        assert suite.violations == self.unbalanced(*calls[0]).sum() > 0
+        assert "balance residual" in suite.counterexample
+
+    def test_threshold_suite_solves_the_slots_it_always_drew(self,
+                                                             monkeypatch):
+        # Each block's systems, states and observations are those of
+        # random_system, random_states and generate_traces in the suite's
+        # order, priced as dispatch_slot prices them.
+        real = mgsched.validate.merit_order_columns
+        calls = []
+        monkeypatch.setattr(mgsched.validate, "merit_order_columns",
+                            lambda *args: calls.append(args) or real(*args))
+        threshold_trials(slots=100, seed=5, k_max=5, n_max=20)
+        rng = np.random.default_rng((5, 3))
+        assert len(calls) == 2
+        for args, size in zip(calls, (64, 36)):
+            config = random_system(rng, size, 5, 20)
+            system = config.system
+            v = float(rng.uniform(0.3, 1.0)) * compute_vmax(
+                config.batteries, config.grid)
+            block = generate_traces(config, rng)
+            states = random_states(system, rng, v, size)
+            assert args[0].T.tolist() == [
+                [z + a for z, a in zip(state.z, obs.alpha)]
+                for state, obs in zip(states, block)]
+            assert args[2].T.tolist() == [
+                [battery_queue(e, spec, v, system.grid)
+                 for e, spec in zip(state.e, system.batteries)]
+                for state in states]
+            assert args[3].T.tolist() == [
+                [max(0.0, min(spec.r_max, spec.e_max - e))
+                 for e, spec in zip(state.e, system.batteries)]
+                for state in states]
+            assert args[4].T.tolist() == [
+                [max(0.0, min(spec.d_max, e - spec.e_min))
+                 for e, spec in zip(state.e, system.batteries)]
+                for state in states]
+            assert args[5].tolist() == [surplus_power(obs) for obs in block]
+            assert args[6].tolist() == [v * obs.c for obs in block]
+
     def test_threshold_suite_passes(self):
         suite = threshold_trials(slots=400, seed=5)
         assert suite.name == "threshold-structure"
