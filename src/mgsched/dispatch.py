@@ -53,16 +53,11 @@ from .model import (
 from .queues import battery_queue
 
 class SubproblemResult(NamedTuple):
-    """One sweep's outcome; objective +inf and dispatch None if infeasible.
-
-    mandatory counts the leading bids that absorbed surplus: their flows may
-    sit inside their boxes without breaking the optimum's vertex structure.
-    """
+    """One sweep's outcome; objective +inf and dispatch None if infeasible."""
 
     feasible: bool
     dispatch: Dispatch | None
     objective: float
-    mandatory: int
 
 
 def _slot_books(system: SystemSpec, state: SystemState, obs: SlotObservation,
@@ -136,7 +131,6 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
     sinks = (p, r, s)
     objective = 0.0
     surplus_left = offers[0][3] if offers and offers[0][1] == 0 else 0.0
-    n_mandatory = 0
     if offers and bids:
         i = j = 0
         cost, o_rank, o_idx, o_cap = offers[0]
@@ -162,7 +156,6 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
             else:
                 objective += neg_value * take
                 surplus_left -= take
-                n_mandatory = j + 1
             o_left -= take
             b_left -= take
             if o_left <= 0.0:
@@ -178,10 +171,10 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
                 neg_value, rank, idx, cap = bids[j]
                 b_left = cap
     if surplus_left > 0.0 and not allow_shortfall:
-        return SubproblemResult(False, None, math.inf, n_mandatory)
+        return SubproblemResult(False, None, math.inf)
     dispatch = Dispatch(q=q[0], s=s[0], r=tuple(r), d=tuple(d), p=tuple(p),
                         objective=objective, curtailed=surplus_left)
-    return SubproblemResult(True, dispatch, objective, n_mandatory)
+    return SubproblemResult(True, dispatch, objective)
 
 
 def merit_order_columns(quality, alpha, x, r_cap, d_cap, surplus, c, w,

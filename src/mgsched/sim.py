@@ -219,6 +219,36 @@ class Summary:
     first_violation: tuple[int, str, str] | None = None
 
 
+def _uniform(u, lo, hi):
+    """Map unit draws u onto [lo, hi) exactly as Generator.uniform does,
+    without its per-call cost for array bounds."""
+    return lo + (hi - lo) * u
+
+
+def _slot_draws(units, surplus_range, burst_range, burst_prob, c_min, c_max,
+               w_min, w_max):
+    """generate_traces' per-slot surplus and prices from unit draws.
+
+    units is (5, T): the surplus, burst, burst-coin, purchase-price and
+    sell-price draws of T slots. The surplus is uniform on surplus_range,
+    replaced with probability burst_prob by a draw on burst_range; the
+    purchase price is uniform on [c_min, c_max) and the sell price on
+    [w_min, min(w_max, c)). Every bound broadcasts against T, so each slot
+    may carry its own system's. Returns (surplus, c, w), each (T,).
+    """
+    surplus_u, burst_u, coin, c_u, w_u = units
+    surplus = np.where(coin < burst_prob, _uniform(burst_u, *burst_range),
+                       _uniform(surplus_u, *surplus_range))
+    c = _uniform(c_u, c_min, c_max)
+    # Keep the sell price strictly below the purchase price. A quote at
+    # exactly w_min == c can only occur in degenerate configurations;
+    # nudge the purchase price up inside its band in that case.
+    c = np.where(c <= w_min, w_min + 1e-6 * (c_max - w_min), c)
+    w = _uniform(w_u, w_min, np.minimum(w_max, c))
+    w = np.where(w >= c, 0.5 * (w_min + c), w)
+    return surplus, c, w
+
+
 def generate_traces(config: RunConfig,
                     rng: np.random.Generator | None = None) -> list[SlotObservation]:
     """Draw a synthetic trace of config.horizon observations.
@@ -261,22 +291,17 @@ def generate_traces(config: RunConfig,
         else:
             alpha_cap = np.array([res.alpha_max for res in residents])
 
-        # lo + (hi - lo) * u is what rng.uniform computes, without its
-        # per-call cost for array bounds.
-        basics = basic_lo + (basic_hi - basic_lo) * rng.random((steps, n_res))
-        alphas = alpha_cap * rng.random((steps, n_res))
-        surplus = rng.uniform(*pick(regime, "surplus_range"), size=steps)
-        bursts = rng.uniform(*pick(regime, "burst_range"), size=steps)
-        is_burst = rng.random(steps) < pick(regime, "burst_prob")
-        surplus = np.where(is_burst, bursts, surplus)
-        c = rng.uniform(g.c_min, g.c_max, size=steps)
-        # Keep the sell price strictly below the purchase price. A quote at
-        # exactly w_min == c can only occur in degenerate configurations;
-        # nudge the purchase price up inside its band in that case.
-        c = np.where(c <= g.w_min, g.w_min + 1e-6 * (g.c_max - g.w_min), c)
-        w_hi = np.minimum(g.w_max, c)
-        w = g.w_min + (w_hi - g.w_min) * rng.random(steps)
-        w = np.where(w >= c, 0.5 * (g.w_min + c), w)
+        # One block of unit draws: basic usage, then quality requests, then
+        # _slot_draws' five per-slot draws.
+        units = rng.random(steps * (2 * n_res + 5))
+        basics = _uniform(units[:steps * n_res].reshape(steps, n_res),
+                          basic_lo, basic_hi)
+        alphas = alpha_cap * units[steps * n_res:2 * steps * n_res].reshape(
+            steps, n_res)
+        surplus, c, w = _slot_draws(
+            units[2 * steps * n_res:].reshape(5, steps),
+            pick(regime, "surplus_range"), pick(regime, "burst_range"),
+            pick(regime, "burst_prob"), g.c_min, g.c_max, g.w_min, g.w_max)
 
         for row, alpha, extra, c_t, w_t in zip(
                 basics.tolist(), alphas.tolist(), surplus.tolist(),
@@ -492,10 +517,10 @@ def _stack(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
 
 
 def _row_total(a: np.ndarray) -> np.ndarray:
-    # Adds each row left to right, as check_dispatch's sum() over a tuple
-    # does up to Python 3.11; a.sum(axis=1) adds pairwise from 8 columns
-    # on.
-    return np.cumsum(a, axis=1)[:, -1]
+    # Adds each row (last axis) left to right, as check_dispatch's sum()
+    # over a tuple does up to Python 3.11; a.sum(axis=-1) adds pairwise
+    # from 8 columns on.
+    return np.cumsum(a, axis=-1)[..., -1]
 
 
 def _check_widths(observations: list[SlotObservation], n_res: int) -> None:

@@ -10,18 +10,22 @@ dual oracle computes, at up to 5 batteries and 20 residents. Every suite
 reports trial and violation counts plus the first counterexample, so a
 failure is directly reproducible.
 
-Every suite draws its systems as random_system RunConfigs and their
-observations through the simulator's own generate_traces. The bound suite
-runs the scheduler: it advances each slot with dispatch_slot and the
+The bound and threshold suites draw their systems as random_system
+RunConfigs and their observations through the simulator's own
+generate_traces; the oracle suite draws a block of instances at once with
+_oracle_instances, which applies the same field mapping and per-slot rules
+to whole arrays: the same distributions, but another stream than
+per-instance draws from the same seed would give. The bound suite runs
+the scheduler: it advances each slot with dispatch_slot and the
 simulator's step and audits each 500-slot stretch of a run with
 audit_slots. The threshold and oracle suites solve independent slots, so
 they solve a block of them with one merit_order_columns call and audit
 the arrays with audit_slots' balance and threshold cores; the threshold
 suite no longer calls dispatch_slot, and the oracle suite calls it once
 per instance, so the scheduler's own path stays checked against the
-oracle too. The RunConfigs size the market trade caps to dominate the
-microgrid (purchases can cover every quality request and recharge, sales
-can absorb the largest surplus plus every discharge). The structural
+oracle too. Every drawn system sizes the market trade caps to dominate
+the microgrid (purchases can cover every quality request and recharge,
+sales can absorb the largest surplus plus every discharge). The structural
 guarantees are proved under that regime; an undersized grid connection can
 force optima with a genuinely different shape.
 """
@@ -50,7 +54,6 @@ from .model import (
     UnservableSurplusError,
     check_dispatch,
     compute_vmax,
-    surplus_power,
 )
 from .queues import bound_constants
 from .sim import (
@@ -58,7 +61,10 @@ from .sim import (
     RunConfig,
     _balance_masks,
     _observation_arrays,
+    _row_total,
+    _slot_draws,
     _threshold_mask,
+    _uniform,
     audit_slots,
     first_violation,
     generate_traces,
@@ -70,6 +76,8 @@ from .sim import (
 CAP_MARGIN = 2.0
 # Slots per threshold-suite system, and oracle instances per batch.
 BLOCK = 64
+# Chance that a random system's slot draws a surplus burst.
+BURST_PROB = 0.08
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,62 @@ class SuiteResult:
         return self.violations == 0
 
 
-def _uniform(u, lo, hi):
-    """Map unit draws u onto [lo, hi) exactly as Generator.uniform does."""
-    return lo + (hi - lo) * u
+def _check_sizes(k_max: int, n_max: int) -> None:
+    for name, size in (("k_max", k_max), ("n_max", n_max)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+
+
+def _system_fields(bat, res, grid, k_on=True, n_on=True):
+    """random_system's mapping of unit draws onto system fields.
+
+    bat (..., K, 5) holds per battery the r_max, d_max, band_extra, e_min
+    and e_init draws, res (..., N, 4) per resident the alpha_max, lo,
+    hi - lo and delta draws, and grid (..., 6) the w_min draw, the three
+    price gaps above it and the surplus and burst factors. k_on (..., K)
+    and n_on (..., N) mark the drawn entries of padded rows: the others
+    get zero fields, which add nothing to the trade caps. Returns
+    BatterySpec rows (..., K, 5), (delta, alpha_max, lo, hi) rows
+    (..., N, 4) and grid rows (..., 8): GridSpec's six fields, then the
+    surplus and burst tops.
+    """
+    r_max, d_max, band_extra, e_min = np.moveaxis(_uniform(
+        bat[..., :4], np.array([0.5, 0.5, 0.5, 0.0]),
+        np.array([2.0, 2.0, 8.0, 1.5])), -1, 0)
+    e_max = e_min + r_max + d_max + band_extra
+    e_init = _uniform(bat[..., 4], e_min, e_max)
+    batteries = np.where(np.expand_dims(k_on, -1), np.stack(
+        [e_min, e_max, r_max, d_max, e_init], axis=-1), 0.0)
+    alpha_max, lo, width, delta = np.moveaxis(_uniform(
+        res, np.array([0.8, 0.05, 0.1, 0.02]),
+        np.array([2.6, 0.4, 1.5, 0.15])), -1, 0)
+    residents = np.where(np.expand_dims(n_on, -1), np.stack(
+        [delta, alpha_max, lo, lo + width], axis=-1), 0.0)
+    w_min, w_width, c_gap, c_width, surplus_f, burst_f = np.moveaxis(
+        _uniform(grid, np.array([0.01, 0.004, 0.002, 0.01, 0.2, 1.5]),
+                 np.array([0.035, 0.02, 0.02, 0.06, 1.0, 3.0])), -1, 0)
+    # Price bands are drawn strictly separated (sell band below purchase
+    # band) so every observation has w < c without per-slot fixups.
+    w_max = w_min + w_width
+    c_min = w_max + c_gap
+    sum_alpha = _row_total(residents[..., 1])
+    sum_r = _row_total(batteries[..., 2])
+    sum_d = _row_total(batteries[..., 3])
+    surplus_hi = surplus_f * (sum_alpha + sum_r)
+    burst_hi = surplus_hi * burst_f
+    grids = np.stack([sum_alpha + sum_r + CAP_MARGIN,
+                      burst_hi + sum_d + CAP_MARGIN, c_min, c_min + c_width,
+                      w_min, w_max, surplus_hi, burst_hi], axis=-1)
+    return batteries, residents, grids
+
+
+def _specs(batteries, residents, grid) -> tuple:
+    """The BatterySpecs, ResidentSpecs and GridSpec of one system's
+    _system_fields rows, given as lists."""
+    return (tuple(BatterySpec(*row) for row in batteries),
+            tuple(ResidentSpec(delta, alpha_max, (lo, hi))
+                  for delta, alpha_max, lo, hi in residents),
+            GridSpec(*grid[:6]))
 
 
 def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
@@ -103,45 +164,18 @@ def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
     sizing: uniform on [0, surplus_hi], replaced with probability
     burst_prob by a burst on [surplus_hi, burst_hi].
     """
+    _check_sizes(k_max, n_max)
     k = int(rng.integers(1, k_max + 1))
     n = int(rng.integers(1, n_max + 1))
-    # One block of unit draws: per battery r_max, d_max, band_extra, e_min
-    # and e_init; per resident alpha_max, lo, hi - lo and delta; then w_min,
-    # the three price gaps above it, and the surplus and burst factors.
+    # One block of unit draws: per battery, per resident, then the grid.
     u = rng.random(5 * k + 4 * n + 6)
-    bat = u[:5 * k].reshape(k, 5)
-    r_max, d_max, band_extra, e_min = _uniform(
-        bat[:, :4], np.array([0.5, 0.5, 0.5, 0.0]),
-        np.array([2.0, 2.0, 8.0, 1.5])).T
-    e_max = e_min + r_max + d_max + band_extra
-    e_init = _uniform(bat[:, 4], e_min, e_max)
-    batteries = tuple(
-        BatterySpec(e_min=lo, e_max=hi, r_max=r, d_max=d, e_init=e0)
-        for lo, hi, r, d, e0 in zip(e_min.tolist(), e_max.tolist(),
-                                    r_max.tolist(), d_max.tolist(),
-                                    e_init.tolist()))
-    residents = tuple(
-        ResidentSpec(delta=delta, alpha_max=a_max, basic_range=(lo, lo + w))
-        for a_max, lo, w, delta in _uniform(
-            u[5 * k:-6].reshape(n, 4), np.array([0.8, 0.05, 0.1, 0.02]),
-            np.array([2.6, 0.4, 1.5, 0.15])).tolist())
-    w_min, w_width, c_gap, c_width, surplus_f, burst_f = _uniform(
-        u[-6:], np.array([0.01, 0.004, 0.002, 0.01, 0.2, 1.5]),
-        np.array([0.035, 0.02, 0.02, 0.06, 1.0, 3.0])).tolist()
-    # Price bands are drawn strictly separated (sell band below purchase
-    # band) so every observation has w < c without per-slot fixups.
-    w_max = w_min + w_width
-    c_min = w_max + c_gap
-    sum_alpha = sum(res.alpha_max for res in residents)
-    sum_r, sum_d = sum(r_max.tolist()), sum(d_max.tolist())
-    surplus_hi = surplus_f * (sum_alpha + sum_r)
-    burst_hi = surplus_hi * burst_f
-    grid = GridSpec(q_max=sum_alpha + sum_r + CAP_MARGIN,
-                    s_max=burst_hi + sum_d + CAP_MARGIN, c_min=c_min,
-                    c_max=c_min + c_width, w_min=w_min, w_max=w_max)
-    return RunConfig(batteries=batteries, residents=residents, grid=grid,
-                     horizon=horizon, surplus_range=(0.0, surplus_hi),
-                     burst_range=(surplus_hi, burst_hi), burst_prob=0.08)
+    batteries, residents, grid = (fields.tolist() for fields in _system_fields(
+        u[:5 * k].reshape(k, 5), u[5 * k:-6].reshape(n, 4), u[-6:]))
+    surplus_hi, burst_hi = grid[6:]
+    return RunConfig(*_specs(batteries, residents, grid), horizon=horizon,
+                     surplus_range=(0.0, surplus_hi),
+                     burst_range=(surplus_hi, burst_hi),
+                     burst_prob=BURST_PROB)
 
 
 def random_states(system: SystemSpec, rng: np.random.Generator, v: float,
@@ -160,8 +194,16 @@ def _state_arrays(system: SystemSpec, rng: np.random.Generator, v: float,
     (count, N)."""
     z_cap = z_scale * np.array(bound_constants(system, v).z_max)
     e_min, e_max = np.array([(b.e_min, b.e_max) for b in system.batteries]).T
-    e = _uniform(rng.random((count, len(e_min))), e_min, e_max)
-    zero = rng.random((count, len(z_cap))) < zero_prob
+    return _draw_states(rng, count, e_min, e_max, z_cap, zero_prob)
+
+
+def _draw_states(rng: np.random.Generator, count: int, e_min, e_max, z_cap,
+                 zero_prob: float):
+    """count rows of levels uniform on [e_min, e_max) and backlogs uniform
+    on [0, z_cap), zero with probability zero_prob; the bounds broadcast
+    against (count, K) and (count, N)."""
+    e = _uniform(rng.random((count, np.shape(e_min)[-1])), e_min, e_max)
+    zero = rng.random((count, np.shape(z_cap)[-1])) < zero_prob
     z = np.where(zero, 0.0, z_cap * rng.random(zero.shape))
     return e, z
 
@@ -354,15 +396,16 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     """Cross-check dispatch_slot and merit_order_columns against the exact
     dual oracle.
 
-    Instances are drawn one by one at up to the acceptance maximum of 5
-    batteries and 20 residents, and dispatch_slot solves each. Every
-    BLOCK instances are then padded to the block's largest system with
-    zero-capacity entries
-    and solved again by one merit_order_columns call, and oracle_columns
-    evaluates their exact dual optima in one batch. The kernel's
-    feasibility verdicts must agree with the oracle's and, when feasible,
-    its objectives must equal the optima to within 1e-9 relative and its
-    flows must pass audit_slots' balance audit; dispatch_slot's
+    Instances are drawn BLOCK at a time by _oracle_instances, at up to the
+    acceptance maximum of 5 batteries and 20 residents (so a seed draws
+    other instances than random_system, random_states and generate_traces
+    would one by one, from the same distributions), and dispatch_slot
+    solves each. Each block is then solved again, padded to 5 x 20 with
+    zero-capacity entries, by one merit_order_columns call, and
+    oracle_columns evaluates its exact dual optima in one batch. The
+    kernel's feasibility verdicts must agree with the oracle's and, when
+    feasible, its objectives must equal the optima to within 1e-9 relative
+    and its flows must pass audit_slots' balance audit; dispatch_slot's
     objectives must equal the optima to the same tolerance.
     """
     if instances < 1:
@@ -371,50 +414,85 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     violations = 0
     ce = None
     for start in range(0, instances, BLOCK):
-        drawn = []
-        for _ in range(min(BLOCK, instances - start)):
-            config = random_system(rng, 1, k_max=5, n_max=20)
-            system = config.system
-            v_max = compute_vmax(system.batteries, system.grid)
-            v = float(rng.uniform(0.3, 1.0)) * v_max
-            state = random_states(system, rng, v, 1, z_scale=1.0)[0]
-            obs = generate_traces(config, rng)[0]
-            drawn.append((system, state, obs, v,
-                          dispatch_slot(system, state, obs, v)))
-        problems = _oracle_block(drawn)
+        drawn, arrays = _oracle_instances(rng, min(BLOCK, instances - start))
+        chosen = [dispatch_slot(system, state, obs, v)
+                  for system, state, obs, v in drawn]
+        problems = _oracle_block(drawn, chosen, arrays)
         violations += sum(map(bool, problems))
         if ce is None:
-            for (system, state, obs, _, chosen), found in zip(drawn,
-                                                              problems):
+            for (system, state, obs, _), dispatch, found in zip(
+                    drawn, chosen, problems):
                 if found:
-                    ce = _counterexample(system, state, obs, chosen,
+                    ce = _counterexample(system, state, obs, dispatch,
                                          "; ".join(found))
                     break
     return SuiteResult("solver-oracle", instances, violations, ce)
 
 
-def _oracle_block(drawn) -> list[list[str]]:
-    """solver_oracle_trials' checks of one block of (system, state, obs, v,
-    dispatch_slot's dispatch) instances; one list of problems each."""
-    width = len(drawn)
-    n_bat = max(system.n_batteries for system, *_ in drawn)
-    n_res = max(system.n_residents for system, *_ in drawn)
-    # Padding: batteries with zero band and caps, residents with no request.
-    specs = np.zeros((4, width, n_bat))
-    e = np.zeros((width, n_bat))
-    z = np.zeros((width, n_res))
-    alpha = np.zeros((width, n_res))
-    scalars = np.empty((6, width))
-    for i, (system, state, obs, v, _) in enumerate(drawn):
-        k, n = system.n_batteries, system.n_residents
-        specs[:, i, :k] = _battery_specs(system)
-        e[i, :k] = state.e
-        z[i, :n] = state.z
-        alpha[i, :n] = obs.alpha
-        g = system.grid
-        scalars[:, i] = (v, g.c_max, g.q_max, g.s_max, v * obs.c, v * obs.w)
-    v, c_max, q_max, s_max, vc, vw = scalars
-    surplus = np.array([surplus_power(obs) for _, _, obs, _, _ in drawn])
+def _oracle_instances(rng: np.random.Generator, count: int, k_max: int = 5,
+                      n_max: int = 20):
+    """Draw count solver-oracle instances with a few array-sized draws.
+
+    Each instance is a random_system system of up to k_max batteries and
+    n_max residents, v uniform on [0.3, 1) times its v_max, a
+    random_states state (backlogs up to 1x their cap) and a one-slot
+    generate_traces observation: the same distributions and rules, drawn
+    for the whole block at once. Returns the (system, state, obs, v)
+    instances and the padded arrays (specs (4, count, k_max) as
+    _battery_specs' rows, e (count, k_max), z and alpha (count, n_max),
+    then surplus, v, c, w, c_max, q_max and s_max, each (count,)), whose
+    padding entries have zero capacity. surplus is surplus_power(obs).
+    """
+    _check_sizes(k_max, n_max)
+    k = rng.integers(1, k_max + 1, size=count)
+    n = rng.integers(1, n_max + 1, size=count)
+    k_on = np.arange(k_max) < k[:, None]
+    n_on = np.arange(n_max) < n[:, None]
+    u = rng.random((count, 5 * k_max + 4 * n_max + 6))
+    batteries, residents, grids = _system_fields(
+        u[:, :5 * k_max].reshape(count, k_max, 5),
+        u[:, 5 * k_max:-6].reshape(count, n_max, 4), u[:, -6:], k_on, n_on)
+    e_min, e_max, r_max, d_max, _ = np.moveaxis(batteries, -1, 0)
+    _, alpha_max, basic_lo, basic_hi = np.moveaxis(residents, -1, 0)
+    q_max, s_max, c_min, c_max, w_min, w_max, surplus_hi, burst_hi = grids.T
+    # compute_vmax's arithmetic, padding batteries left out.
+    slack = np.where(k_on, e_max - e_min - r_max - d_max, np.inf)
+    v = _uniform(rng.random(count), 0.3, 1.0) * (slack.min(axis=1)
+                                                  / (c_max - w_min))
+    # bound_constants' z_max, z_scale 1.0.
+    z_cap = np.where(n_on, v[:, None] * c_max[:, None] + alpha_max, 0.0)
+    e, z = _draw_states(rng, count, e_min, e_max, z_cap, 0.3)
+    units = rng.random((count, 2 * n_max + 5))
+    basic = _uniform(units[:, :n_max], basic_lo, basic_hi)
+    alpha = alpha_max * units[:, n_max:2 * n_max]
+    extra, c, w = _slot_draws(units[:, 2 * n_max:].T, (0.0, surplus_hi),
+                              (surplus_hi, burst_hi), BURST_PROB, c_min,
+                              c_max, w_min, w_max)
+    basic_total = _row_total(basic)
+    u_total = basic_total + extra
+    bat, res, grid, e_rows, z_rows, basic_rows, alpha_rows = (
+        a.tolist() for a in (batteries, residents, grids, e, z, basic, alpha))
+    drawn = []
+    for i, (k_i, n_i, v_i, u_i, c_i, w_i) in enumerate(zip(
+            k.tolist(), n.tolist(), v.tolist(), u_total.tolist(), c.tolist(),
+            w.tolist())):
+        system = SystemSpec(*_specs(bat[i][:k_i], res[i][:n_i], grid[i]))
+        state = SystemState(t=0, e=tuple(e_rows[i][:k_i]),
+                            z=tuple(z_rows[i][:n_i]))
+        obs = SlotObservation(u=u_i, basic=tuple(basic_rows[i][:n_i]),
+                              alpha=tuple(alpha_rows[i][:n_i]), c=c_i, w=w_i)
+        drawn.append((system, state, obs, v_i))
+    specs = np.stack([e_min, e_max, r_max, d_max])
+    return drawn, (specs, e, z, alpha, u_total - basic_total, v, c, w, c_max,
+                   q_max, s_max)
+
+
+def _oracle_block(drawn, chosen, arrays) -> list[list[str]]:
+    """solver_oracle_trials' checks of one block: _oracle_instances'
+    (system, state, obs, v) instances and padded arrays, and dispatch_slot's
+    dispatch of each; one list of problems each."""
+    specs, e, z, alpha, surplus, v, c, w, c_max, q_max, s_max = arrays
+    vc, vw = v * c, v * w
     quality, caps, x, r_cap, d_cap = _books(e, z, alpha, specs, v[:, None],
                                             c_max[:, None])
     solution = merit_order_columns(quality, caps, x, r_cap, d_cap, surplus,
@@ -424,11 +502,11 @@ def _oracle_block(drawn) -> list[list[str]]:
                              np.vstack([caps, r_cap, s_max]),
                              np.vstack([-x, vc]), np.vstack([d_cap, q_max]),
                              surplus)
-    balance, _ = _balance_masks(q, s, r.T, d.T, p.T, np.zeros(width),
+    balance, _ = _balance_masks(q, s, r.T, d.T, p.T, np.zeros(len(drawn)),
                                 surplus, alpha, q_max, s_max, specs[2],
                                 specs[3])
     problems = []
-    for i, (system, _, obs, _, chosen) in enumerate(drawn):
+    for i, ((system, _, obs, _), dispatch) in enumerate(zip(drawn, chosen)):
         found = []
         oracle = float(optimum[i])
         if infeasible[i] == math.isfinite(oracle):
@@ -441,8 +519,8 @@ def _oracle_block(drawn) -> list[list[str]]:
             if balance[i]:
                 found += check_dispatch(_column_dispatch(solution, i, system),
                                         system, obs)
-        if not _agrees(chosen.objective, oracle):
-            found.append(f"dispatch_slot objective {chosen.objective} "
+        if not _agrees(dispatch.objective, oracle):
+            found.append(f"dispatch_slot objective {dispatch.objective} "
                          f"but oracle optimum {oracle}")
         problems.append(found)
     return problems

@@ -117,8 +117,6 @@ class TestMeritOrderAllocate:
         assert dd.d == pytest.approx((1.0,))
         assert dd.r == (0.0,)
         assert dd.p == pytest.approx((2.0,))
-        # The surplus went to the quality bid alone.
-        assert result.mandatory == 1
 
     def test_no_profitable_match_is_all_zero(self):
         result = merit_order_allocate([(5.0, 1, 0, 2.0)], [(-3.0, 1, 0, 2.0)],
@@ -127,7 +125,6 @@ class TestMeritOrderAllocate:
         assert result.objective == 0.0
         assert result.dispatch.r == (0.0,)
         assert result.dispatch.d == (0.0,)
-        assert result.mandatory == 0
 
     def test_unabsorbable_surplus_is_infeasible(self):
         # purchase mode: bid capacity 2 + 2 = 4 cannot take 10
@@ -146,7 +143,6 @@ class TestMeritOrderAllocate:
         assert dd.p == pytest.approx((2.0,))
         assert dd.r == pytest.approx((2.0,))
         assert dd.curtailed == pytest.approx(6.0)
-        assert result.mandatory == 2
 
     def test_mandatory_pour_accepts_negative_value(self):
         result = merit_order_allocate([(-math.inf, 0, -1, 1.0)],
@@ -536,13 +532,27 @@ def random_slot(draw):
     return system, state, obs, v
 
 
+def poured_bids(supply, demand):
+    """How many leading bids the surplus entry pours into, as the sweep
+    pours it: their flows may sit inside their boxes without breaking the
+    optimum's vertex structure."""
+    left = supply[0][3] if supply and supply[0][1] == 0 else 0.0
+    count = 0
+    for *_, cap in demand:
+        if left <= 0.0:
+            break
+        left -= min(left, cap)
+        count += 1
+    return count
+
+
 def interior_flows(result, supply, demand):
     """Flows strictly inside their boxes, minus mandatory-pour targets."""
     dd = result.dispatch
     boxes = [(dd.d[i] if rank == 1 else dd.q, cap)
              for _, rank, i, cap in supply if rank]
     boxes += [((dd.p, dd.r)[rank][i] if rank < 2 else dd.s, cap)
-              for _, rank, i, cap in demand[result.mandatory:]]
+              for _, rank, i, cap in demand[poured_bids(supply, demand):]]
     return sum(1e-12 < flow < cap - 1e-12 for flow, cap in boxes)
 
 

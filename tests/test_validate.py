@@ -25,6 +25,7 @@ from mgsched import (
     validate_observation,
 )
 from mgsched.sim import outage_windows
+from mgsched.validate import _oracle_instances
 
 from conftest import make_resident
 
@@ -105,6 +106,190 @@ class TestScenarioGenerators:
         # each call draws afresh
         assert random_states(system, rng, v, 2) != random_states(system, rng,
                                                                  v, 2)
+
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((0, 6), "k_max must be >= 1, got 0"),
+        ((3, 0), "n_max must be >= 1, got 0"),
+        ((-2, 6), "k_max must be >= 1, got -2")])
+    def test_sizes_below_one_are_rejected(self, sizes, message):
+        k_max, n_max = sizes
+        rng = np.random.default_rng(0)
+        calls = [
+            lambda: random_system(rng, 1, k_max, n_max),
+            lambda: _oracle_instances(rng, 4, k_max, n_max),
+            lambda: threshold_trials(slots=3, seed=1, k_max=k_max,
+                                     n_max=n_max),
+            lambda: run_bound_trials(runs=1, slots=1, seed=1, k_max=k_max,
+                                     n_max=n_max),
+            lambda: run_all_suites(1, seed=1, k_max=k_max, n_max=n_max)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+
+class TestOracleDraw:
+    """_oracle_instances draws a block of solver-oracle instances with the
+    rules random_system, random_states and generate_traces apply one at a
+    time."""
+
+    def test_mapping_matches_random_system_on_identical_units(self):
+        # random_system's unit rows, placed in one row of a padded block
+        # whose padding holds draws of its own, map to the same fields.
+        rng = np.random.default_rng(9)
+        fill = np.random.default_rng(10)
+        for _ in range(40):
+            replay = np.random.default_rng()
+            replay.bit_generator.state = rng.bit_generator.state
+            config = random_system(rng, 1, 5, 20)
+            k = int(replay.integers(1, 6))
+            n = int(replay.integers(1, 21))
+            u = replay.random(5 * k + 4 * n + 6)
+            bat = fill.random((3, 5, 5))
+            res = fill.random((3, 20, 4))
+            grid = fill.random((3, 6))
+            bat[1, :k] = u[:5 * k].reshape(k, 5)
+            res[1, :n] = u[5 * k:-6].reshape(n, 4)
+            grid[1] = u[-6:]
+            k_on = np.arange(5) < np.array([[5], [k], [1]])
+            n_on = np.arange(20) < np.array([[20], [n], [1]])
+            batteries, residents, grids = (
+                a[1].tolist() for a in mgsched.validate._system_fields(
+                    bat, res, grid, k_on, n_on))
+            assert mgsched.validate._specs(
+                batteries[:k], residents[:n], grids) == (
+                config.batteries, config.residents, config.grid)
+            assert grids[6:] == [config.surplus_range[1],
+                                 config.burst_range[1]]
+            assert batteries[k:] == [[0.0] * 5] * (5 - k)
+            assert residents[n:] == [[0.0] * 4] * (20 - n)
+
+    @staticmethod
+    def padded(values, width):
+        return [*values] + [0.0] * (width - len(values))
+
+    def test_suite_solves_what_it_drew(self, monkeypatch):
+        draws, kernel, dispatched = [], [], []
+        real_draw = mgsched.validate._oracle_instances
+        real_kernel = mgsched.validate.merit_order_columns
+        real_dispatch = mgsched.validate.dispatch_slot
+        monkeypatch.setattr(
+            mgsched.validate, "_oracle_instances",
+            lambda *args: draws.append(real_draw(*args)) or draws[-1])
+        monkeypatch.setattr(
+            mgsched.validate, "merit_order_columns",
+            lambda *args: kernel.append(args) or real_kernel(*args))
+        monkeypatch.setattr(
+            mgsched.validate, "dispatch_slot",
+            lambda *args: dispatched.append(args) or real_dispatch(*args))
+        suite = solver_oracle_trials(100, seed=6)
+        assert suite.trials == 100 and suite.passed
+        assert [len(drawn) for drawn, _ in draws] == [64, 36]
+        instances = [inst for drawn, _ in draws for inst in drawn]
+        # dispatch_slot solves each drawn instance once, in draw order
+        assert len(dispatched) == 100
+        assert all(a is b for call, inst in zip(dispatched, instances)
+                   for a, b in zip(call, inst))
+        assert len(kernel) == 2
+        for args, (drawn, _) in zip(kernel, draws):
+            quality, caps, x, r_cap, d_cap, surplus, c, w, q_cap, s_cap = (
+                np.asarray(a).tolist() for a in args)
+            assert q_cap == [system.grid.q_max for system, *_ in drawn]
+            assert s_cap == [system.grid.s_max for system, *_ in drawn]
+            for i, (system, state, obs, v) in enumerate(drawn):
+                k, g = system.n_batteries, system.grid
+                assert [row[i] for row in quality] == self.padded(
+                    [z + a for z, a in zip(state.z, obs.alpha)], 20)
+                assert [row[i] for row in caps] == self.padded(obs.alpha, 20)
+                assert [row[i] for row in x[:k]] == [
+                    battery_queue(e, spec, v, g)
+                    for e, spec in zip(state.e, system.batteries)]
+                assert [row[i] for row in r_cap] == self.padded(
+                    [max(0.0, min(spec.r_max, spec.e_max - e))
+                     for e, spec in zip(state.e, system.batteries)], 5)
+                assert [row[i] for row in d_cap] == self.padded(
+                    [max(0.0, min(spec.d_max, e - spec.e_min))
+                     for e, spec in zip(state.e, system.batteries)], 5)
+                assert surplus[i] == surplus_power(obs)
+                assert (c[i], w[i]) == (v * obs.c, v * obs.w)
+
+    def test_draws_follow_the_generators_distributions(self):
+        # 20,032 instances in the suite's blocks of 64; every spec was built
+        # through its __post_init__, and each block's fields are gathered
+        # and checked against random_system's ranges at once.
+        rng = np.random.default_rng(11)
+        ks, ns, zeros, draws = set(), set(), 0, 0
+        for _ in range(313):
+            drawn, (specs, e, z, alpha, *_) = _oracle_instances(rng, 64)
+            systems = [system for system, *_ in drawn]
+            ks.update(system.n_batteries for system in systems)
+            ns.update(system.n_residents for system in systems)
+            bats = np.array([(b.r_max, b.d_max, b.e_min, b.slack, b.e_init,
+                              b.e_max, level)
+                             for system, state, *_ in drawn
+                             for b, level in zip(system.batteries, state.e)])
+            r_max, d_max, e_min, slack, e_init, e_max, level = bats.T
+            assert ((0.5 <= r_max) & (r_max < 2.0)).all()
+            assert ((0.5 <= d_max) & (d_max < 2.0)).all()
+            assert ((0.0 <= e_min) & (e_min < 1.5)).all()
+            assert ((0.5 - 1e-12 <= slack) & (slack < 8.0 + 1e-12)).all()
+            assert ((e_min <= e_init) & (e_init <= e_max)).all()
+            # levels anywhere in band
+            assert ((e_min <= level) & (level <= e_max)).all()
+            res = np.array([(r.alpha_max, *r.basic_range, r.delta, basic, a,
+                             backlog, cap)
+                            for system, state, obs, v in drawn
+                            for r, basic, a, backlog, cap in zip(
+                                system.residents, obs.basic, obs.alpha,
+                                state.z, bound_constants(system, v).z_max)])
+            alpha_max, lo, hi, delta, basic, a, backlog, cap = res.T
+            assert ((0.8 <= alpha_max) & (alpha_max < 2.6)).all()
+            assert ((0.05 <= lo) & (lo < 0.4)).all()
+            assert ((0.1 - 1e-12 <= hi - lo) & (hi - lo < 1.5)).all()
+            assert ((0.02 <= delta) & (delta < 0.15)).all()
+            assert ((lo <= basic) & (basic <= hi)).all()
+            assert ((0.0 <= a) & (a <= alpha_max)).all()
+            # backlogs up to 1x their cap
+            assert ((0.0 <= backlog) & (backlog <= cap)).all()
+            zeros += int((backlog == 0.0).sum())
+            draws += backlog.size
+            grid = np.array([
+                (g.w_min, g.w_max, g.c_min, g.c_max, g.q_max, g.s_max,
+                 sum(r.alpha_max for r in system.residents),
+                 sum(b.r_max for b in system.batteries),
+                 sum(b.d_max for b in system.batteries),
+                 compute_vmax(system.batteries, g), v, surplus_power(obs),
+                 obs.c, obs.w)
+                for (system, _, obs, v) in drawn
+                for g in (system.grid,)])
+            (w_min, w_max, c_min, c_max, q_max, s_max, sum_alpha, sum_r,
+             sum_d, v_max, v, surplus, c, w) = grid.T
+            tol = 1e-12
+            assert ((0.01 <= w_min) & (w_min < 0.035)).all()
+            assert ((0.004 - tol <= w_max - w_min)
+                    & (w_max - w_min < 0.02 + tol)).all()
+            assert ((0.002 - tol <= c_min - w_max)
+                    & (c_min - w_max < 0.02 + tol)).all()
+            assert ((0.01 - tol <= c_max - c_min)
+                    & (c_max - c_min < 0.06 + tol)).all()
+            assert q_max == pytest.approx(sum_alpha + sum_r + 2.0, rel=tol)
+            burst_hi = s_max - sum_d - 2.0
+            assert ((0.3 - 1e-9 <= burst_hi / (sum_alpha + sum_r))
+                    & (burst_hi / (sum_alpha + sum_r) < 3.0)).all()
+            assert ((0.3 <= v / v_max) & (v / v_max < 1.0)).all()
+            assert ((0.0 <= surplus) & (surplus <= burst_hi * (1 + tol))).all()
+            assert ((c_min <= c) & (c <= c_max)).all()
+            assert ((w_min <= w) & (w <= w_max) & (w < c)).all()
+            # the padded arrays hold each instance, then zero padding
+            for i, (system, state, obs, _) in enumerate(drawn):
+                assert e[i].tolist() == self.padded(state.e, 5)
+                assert z[i].tolist() == self.padded(state.z, 20)
+                assert alpha[i].tolist() == self.padded(obs.alpha, 20)
+                assert not specs[:, i, system.n_batteries:].any()
+        assert ks == set(range(1, 6)) and ns == set(range(1, 21))
+        # the zero coin is fair to within 5 binomial standard deviations
+        sigma = math.sqrt(0.3 * 0.7 / draws)
+        assert abs(zeros / draws - 0.3) <= 5.0 * sigma
 
 
 class TestBoundSuites:
