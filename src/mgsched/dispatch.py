@@ -77,10 +77,18 @@ def _slot_books(system: SystemSpec, state: SystemState, obs: SlotObservation,
     demand = [(-(z + alpha), 0, n, alpha)
               for n, (z, alpha) in enumerate(zip(state.z, obs.alpha))
               if alpha > 0.0]
+    v_c_max = v * system.grid.c_max
     for k, (e, spec) in enumerate(zip(state.e, system.batteries)):
-        x = battery_queue(e, spec, v, system.grid)
-        d_cap = min(spec.d_max, e - spec.e_min) if headroom_clamp else spec.d_max
-        r_cap = min(spec.r_max, spec.e_max - e) if headroom_clamp else spec.r_max
+        # battery_queue(e, spec, v, grid), in its order of operations.
+        d_max = spec.d_max
+        x = e - d_max - spec.e_min - v_c_max
+        # A clamped cap is min(cap, headroom): the headroom only where it
+        # is strictly smaller.
+        headroom = e - spec.e_min
+        d_cap = headroom if headroom_clamp and headroom < d_max else d_max
+        headroom = spec.e_max - e
+        r_cap = (headroom if headroom_clamp and headroom < spec.r_max
+                 else spec.r_max)
         if d_cap > 0.0:
             supply.append((-x, 1, k, d_cap))
         if r_cap > 0.0:
@@ -172,9 +180,9 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
                 b_left = cap
     if surplus_left > 0.0 and not allow_shortfall:
         return SubproblemResult(False, None, math.inf)
-    dispatch = Dispatch(q=q[0], s=s[0], r=tuple(r), d=tuple(d), p=tuple(p),
-                        objective=objective, curtailed=surplus_left)
-    return SubproblemResult(True, dispatch, objective)
+    return SubproblemResult(True, Dispatch(q[0], s[0], tuple(r), tuple(d),
+                                           tuple(p), objective, surplus_left),
+                            objective)
 
 
 def merit_order_columns(quality, alpha, x, r_cap, d_cap, surplus, c, w,
@@ -259,15 +267,15 @@ def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
     and recorded on the dispatch instead. An observation whose alpha does
     not hold one entry per resident raises ValueError naming the slot.
     """
-    if len(obs.alpha) != len(system.residents):
-        raise width_error(state.t, "alpha", len(obs.alpha),
-                          len(system.residents))
+    n_res = len(system.residents)
+    if len(obs.alpha) != n_res:
+        raise width_error(state.t, "alpha", len(obs.alpha), n_res)
     g = system.grid
     supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
     insort(supply, (v * obs.c, 2, -1, g.q_max))
     insort(demand, (-(v * obs.w), 2, -1, g.s_max))
-    result = merit_order_allocate(supply, demand, system.n_batteries,
-                                  system.n_residents, curtail)
+    result = merit_order_allocate(supply, demand, len(system.batteries),
+                                  n_res, curtail)
     if not result.feasible:
         raise UnservableSurplusError(
             f"slot {state.t}: surplus {surplus_power(obs)} kWh exceeds every "
@@ -283,12 +291,19 @@ def slot_objective(system: SystemSpec, state: SystemState, obs: SlotObservation,
     service by backlog plus demand. Lower is better; the merit-order
     optimum minimizes exactly this.
     """
-    val = v * (dispatch.q * obs.c - dispatch.s * obs.w)
+    return _flow_objective(system, state, obs, v, dispatch.q, dispatch.s,
+                           dispatch.r, dispatch.d, dispatch.p)
+
+
+def _flow_objective(system, state, obs, v, q, s, r, d, p) -> float:
+    """slot_objective of the flows q, s, r, d and p."""
+    val = v * (q * obs.c - s * obs.w)
+    v_c_max = v * system.grid.c_max
     for k, (e, spec) in enumerate(zip(state.e, system.batteries)):
-        x = battery_queue(e, spec, v, system.grid)
-        val += x * (dispatch.r[k] - dispatch.d[k])
+        # battery_queue(e, spec, v, grid), in its order of operations.
+        val += (e - spec.d_max - spec.e_min - v_c_max) * (r[k] - d[k])
     for n, alpha in enumerate(obs.alpha):
-        val -= (state.z[n] + alpha) * dispatch.p[n]
+        val -= (state.z[n] + alpha) * p[n]
     return val
 
 
@@ -427,17 +442,22 @@ def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,
     this slot. The dispatch's objective field is evaluated at v so runs
     stay comparable with the scheduler. An observation whose alpha does
     not hold one entry per resident raises ValueError naming the slot.
+
+    Each call draws rng.random(n_residents + 1): the blocking coins of
+    residents 0..N-1 in order, then the charge coin.
     """
-    n_res = system.n_residents
+    n_res = len(system.residents)
     if len(obs.alpha) != n_res:
         raise width_error(state.t, "alpha", len(obs.alpha), n_res)
-    blocked = rng.random(n_res) < block_prob
-    charge_coin = rng.random() < charge_prob
+    coins = rng.random(n_res + 1).tolist()
+    charge_coin = coins[n_res] < charge_prob
     p_surplus = surplus_power(obs)
-    admitted = [0.0 if blocked[n] else obs.alpha[n] for n in range(n_res)]
+    admitted = [0.0 if coin < block_prob else alpha
+                for coin, alpha in zip(coins, obs.alpha)]
     demand = sum(admitted)
-    r = [0.0] * system.n_batteries
-    d = [0.0] * system.n_batteries
+    n_bat = len(system.batteries)
+    r = [0.0] * n_bat
+    d = [0.0] * n_bat
     p = [0.0] * n_res
     q = 0.0
     s = 0.0
@@ -497,8 +517,5 @@ def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,
                 r[k] += room
                 q += room
                 budget -= room
-    dispatch = Dispatch(q=q, s=s, r=tuple(r), d=tuple(d), p=tuple(p),
-                        objective=0.0, curtailed=curtailed)
-    objective = slot_objective(system, state, obs, v, dispatch)
-    return Dispatch(q=q, s=s, r=tuple(r), d=tuple(d), p=tuple(p),
-                    objective=objective, curtailed=curtailed)
+    objective = _flow_objective(system, state, obs, v, q, s, r, d, p)
+    return Dispatch(q, s, tuple(r), tuple(d), tuple(p), objective, curtailed)

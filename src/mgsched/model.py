@@ -149,8 +149,10 @@ class SlotObservation:
 
     u is the renewable generation (kWh), basic/alpha the per-resident
     inelastic and quality requests, c/w the purchase and sell prices.
-    Construction is unchecked for speed; validate_observation performs the
-    full bound audit used at trace ingestion.
+    Construction is unchecked for speed. validate_observation audits one
+    observation against every bound of the system model; load_traces
+    checks the same bounds on whole columns at ingestion and words the
+    first offender with validate_observation.
     """
 
     u: float

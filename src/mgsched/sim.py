@@ -23,6 +23,8 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
+from typing import NoReturn
 
 import numpy as np
 import yaml
@@ -307,13 +309,17 @@ def generate_traces(config: RunConfig,
                 basics.tolist(), alphas.tolist(), surplus.tolist(),
                 c.tolist(), w.tolist()):
             row = tuple(row)
-            traces.append(SlotObservation(u=sum(row) + extra, basic=row,
-                                          alpha=tuple(alpha), c=c_t, w=w_t))
+            traces.append(SlotObservation(sum(row) + extra, row,
+                                          tuple(alpha), c_t, w_t))
     return traces
 
 
-def _read_csv(path: str, expected_header: list[str]) -> list[tuple[int, list[str]]]:
-    """Read a CSV, check its header, return (line_number, row) pairs."""
+def _read_csv(path: str, expected_header: list[str]):
+    """Read a CSV and check its header and field counts.
+
+    Returns (rows, lines): the rows that are not blank and their line
+    numbers; blank lines are skipped but still counted.
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -328,16 +334,17 @@ def _read_csv(path: str, expected_header: list[str]) -> list[tuple[int, list[str
             raise TraceError(
                 f"{path}:1: expected header {','.join(expected_header)}, "
                 f"got {','.join(header)}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise TraceError(
-                    f"{path}:{line_no}: expected {len(expected_header)} "
-                    f"fields, got {len(row)}")
-            rows.append((line_no, row))
-    return rows
+        rows = list(reader)
+    lines = range(2, len(rows) + 2)
+    if not all(rows):
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    width = len(expected_header)
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise TraceError(f"{path}:{lines[i]}: expected {width} fields, "
+                         f"got {len(rows[i])}")
+    return rows, lines
 
 
 def _parse_float(path: str, line_no: int, field: str, raw: str) -> float:
@@ -366,6 +373,100 @@ def _parse_slot(path: str, line_no: int, raw: str) -> int:
     return slot
 
 
+def _parsed(column: tuple[str, ...], kind, bad) -> list:
+    """kind(raw) (int or float) of each string in column, bad where kind
+    raises ValueError."""
+    try:
+        return list(map(kind, column))
+    except ValueError:
+        pass
+    values = []
+    for raw in column:
+        try:
+            values.append(kind(raw))
+        except ValueError:
+            values.append(bad)
+    return values
+
+
+def _reject_row(path: str, line_no: int, row: list[str], header: list[str],
+                n_res: int, duplicate: bool) -> NoReturn:
+    """Raise the TraceError for a row that _trace_table flags, found by
+    checking its slot, its resident (when n_res), whether it repeats an
+    earlier row, and its value fields left to right."""
+    slot = _parse_slot(path, line_no, row[0])
+    where = f"slot {slot}"
+    if n_res:
+        res = _parse_int(path, line_no, "resident", row[1])
+        if not 0 <= res < n_res:
+            raise TraceError(
+                f"{path}:{line_no}: resident {res} outside 0..{n_res - 1}")
+        where += f" resident {res}"
+    if duplicate:
+        raise TraceError(f"{path}:{line_no}: duplicate {where}")
+    keys = 2 if n_res else 1
+    for field, raw in zip(header[keys:], row[keys:]):
+        _parse_float(path, line_no, field, raw)
+    raise AssertionError(f"{path}:{line_no}: row flagged without a fault")
+
+
+def _trace_table(path: str, header: list[str], horizon: int, n_res: int = 0):
+    """One trace file's value columns, placed by slot (and resident).
+
+    header names the slot column, then the resident column when n_res is
+    nonzero, then the value columns. Returns one float array per value
+    column, shaped (horizon,), or (horizon, n_res) when n_res, with NaN
+    where no row fills a cell. Rows at or past the horizon are ignored
+    once their slot (and resident) are checked. Each fault is a mask over
+    the rows; _reject_row words the first flagged row's.
+    """
+    rows, lines = _read_csv(path, header)
+    columns = list(zip(*rows)) or [()] * len(header)
+    slot = np.array([(t if t < horizon else horizon) if t >= 0 else -1
+                     for t in _parsed(columns[0], int, -1)], dtype=np.int64)
+    bad = slot < 0
+    cell, size, keys = slot, horizon, 1
+    if n_res:
+        res = np.array([n if 0 <= n < n_res else -1
+                        for n in _parsed(columns[1], int, -1)],
+                       dtype=np.int64)
+        bad |= res < 0
+        cell, size, keys = slot * n_res + res, horizon * n_res, 2
+    kept = np.flatnonzero(~bad & (slot < horizon))
+    # A kept row repeats a cell when an earlier kept row filled it.
+    duplicate = np.zeros(len(rows), dtype=bool)
+    duplicate[kept] = True
+    duplicate[kept[np.unique(cell[kept], return_index=True)[1]]] = False
+    parsed = [np.array(_parsed(column, float, math.nan))
+              for column in columns[keys:]]
+    fault = bad | duplicate
+    for column in parsed:
+        fault[kept] |= ~np.isfinite(column[kept])
+    if fault.any():
+        i = int(fault.argmax())
+        _reject_row(path, lines[i], rows[i], header, n_res, bool(duplicate[i]))
+    values = []
+    for column in parsed:
+        placed = np.full(size, math.nan)
+        placed[cell[kept]] = column[kept]
+        values.append(placed.reshape(horizon, n_res) if n_res else placed)
+    return values
+
+
+def _bound_mask(u, basic, alpha, c, w, system: SystemSpec) -> np.ndarray:
+    """Flag each slot for which validate_observation reports a problem.
+
+    u, c and w are (T,), basic and alpha (T, N) with N the system's
+    residents; the basic total is added left to right, as sum() does.
+    """
+    g = system.grid
+    alpha_max = np.array([res.alpha_max for res in system.residents])
+    return ((u < 0.0) | (basic < 0.0).any(1) | (alpha < 0.0).any(1)
+            | (alpha > alpha_max).any(1) | (_row_total(basic) > u)
+            | ~((g.c_min <= c) & (c <= g.c_max))
+            | ~((g.w_min <= w) & (w <= g.w_max)) | (w >= c))
+
+
 def load_traces(wind_path: str, price_path: str, demand_path: str,
                 config: RunConfig) -> list[SlotObservation]:
     """Load and validate recorded traces from three CSV files.
@@ -375,66 +476,47 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     slot,resident,basic_kwh,quality_kwh with resident indices 0..N-1.
     Slots must cover 0..horizon-1 densely; rows at or past the horizon are
     ignored, so a longer recording replays over a shorter horizon, and a
-    negative slot is an error. Every bound of the system model is checked
-    and the first offender reported with file and line.
+    negative slot is an error. Fields are parsed by Python's int() and
+    float(). Every bound of the system model is checked, and of several
+    faults the one a row-at-a-time reader meets first is reported, with
+    file and line where it has one. The files are read wind, prices,
+    demand. Within a file all field counts are checked first; then the
+    earliest faulty line wins, and within a line its slot, its resident,
+    a repeat of an earlier row's slot (and resident), then its values.
+    Once all three files parse, the earliest faulty slot wins, and
+    within a slot a missing wind row, a missing price row, the first
+    missing resident, then validate_observation's first problem.
     """
     horizon = config.horizon
-    n_res = len(config.residents)
+    (gen,) = _trace_table(wind_path, ["slot", "generation_kwh"], horizon)
+    c, w = _trace_table(price_path, ["slot", "purchase_price", "sell_price"],
+                        horizon)
+    basic, alpha = _trace_table(
+        demand_path, ["slot", "resident", "basic_kwh", "quality_kwh"],
+        horizon, len(config.residents))
+
+    # Parsed values are finite, so NaN marks a cell no row filled.
+    missing_gen, missing_prices = np.isnan(gen), np.isnan(c)
+    missing_demand = np.isnan(basic)
     system = config.system
-
-    gen = [math.nan] * horizon
-    for line_no, row in _read_csv(wind_path, ["slot", "generation_kwh"]):
-        slot = _parse_slot(wind_path, line_no, row[0])
-        if slot < horizon:
-            if not math.isnan(gen[slot]):
-                raise TraceError(f"{wind_path}:{line_no}: duplicate slot {slot}")
-            gen[slot] = _parse_float(wind_path, line_no, "generation_kwh", row[1])
-
-    prices = [(math.nan, math.nan)] * horizon
-    for line_no, row in _read_csv(price_path,
-                                  ["slot", "purchase_price", "sell_price"]):
-        slot = _parse_slot(price_path, line_no, row[0])
-        if slot < horizon:
-            if not math.isnan(prices[slot][0]):
-                raise TraceError(f"{price_path}:{line_no}: duplicate slot {slot}")
-            prices[slot] = (
-                _parse_float(price_path, line_no, "purchase_price", row[1]),
-                _parse_float(price_path, line_no, "sell_price", row[2]))
-
-    basic = [[math.nan] * n_res for _ in range(horizon)]
-    alpha = [[math.nan] * n_res for _ in range(horizon)]
-    for line_no, row in _read_csv(
-            demand_path, ["slot", "resident", "basic_kwh", "quality_kwh"]):
-        slot = _parse_slot(demand_path, line_no, row[0])
-        res = _parse_int(demand_path, line_no, "resident", row[1])
-        if not 0 <= res < n_res:
-            raise TraceError(
-                f"{demand_path}:{line_no}: resident {res} outside 0..{n_res - 1}")
-        if slot < horizon:
-            if not math.isnan(basic[slot][res]):
-                raise TraceError(
-                    f"{demand_path}:{line_no}: duplicate slot {slot} resident {res}")
-            basic[slot][res] = _parse_float(demand_path, line_no, "basic_kwh", row[2])
-            alpha[slot][res] = _parse_float(demand_path, line_no, "quality_kwh", row[3])
-
-    traces: list[SlotObservation] = []
-    for t in range(horizon):
-        if math.isnan(gen[t]):
+    flagged = (missing_gen | missing_prices | missing_demand.any(1)
+               | _bound_mask(gen, basic, alpha, c, w, system))
+    traces = [SlotObservation(u, tuple(b), tuple(a), c_t, w_t)
+              for u, b, a, c_t, w_t in zip(gen.tolist(), basic.tolist(),
+                                           alpha.tolist(), c.tolist(),
+                                           w.tolist())]
+    if flagged.any():
+        t = int(flagged.argmax())
+        if missing_gen[t]:
             raise TraceError(f"{wind_path}: missing slot {t} (horizon {horizon})")
-        if math.isnan(prices[t][0]):
+        if missing_prices[t]:
             raise TraceError(f"{price_path}: missing slot {t} (horizon {horizon})")
-        for n in range(n_res):
-            if math.isnan(basic[t][n]) or math.isnan(alpha[t][n]):
-                raise TraceError(
-                    f"{demand_path}: missing slot {t} resident {n} "
-                    f"(horizon {horizon})")
-        obs = SlotObservation(u=gen[t], basic=tuple(basic[t]),
-                              alpha=tuple(alpha[t]),
-                              c=prices[t][0], w=prices[t][1])
-        problems = validate_observation(obs, system)
-        if problems:
-            raise TraceError(f"slot {t}: {problems[0]}")
-        traces.append(obs)
+        if missing_demand[t].any():
+            raise TraceError(
+                f"{demand_path}: missing slot {t} resident "
+                f"{int(missing_demand[t].argmax())} (horizon {horizon})")
+        raise TraceError(
+            f"slot {t}: {validate_observation(traces[t], system)[0]}")
     return traces
 
 
@@ -459,6 +541,9 @@ def write_traces(traces: list[SlotObservation], prefix: str) -> tuple[str, str, 
     return wind_path, price_path, demand_path
 
 
+_delta = attrgetter("delta")
+
+
 def step(system: SystemSpec, state: SystemState, obs: SlotObservation,
          dispatch: Dispatch) -> SystemState:
     """Advance one slot: e' = e - d + r and z' = max(z - delta*alpha, 0) + alpha - p.
@@ -470,10 +555,9 @@ def step(system: SystemSpec, state: SystemState, obs: SlotObservation,
     """
     e_next = tuple([e - d + r for e, d, r
                     in zip(state.e, dispatch.d, dispatch.r)])
-    z_next = tuple([update_qose_queue(z, alpha, p, res.delta)
-                    for z, alpha, p, res in zip(state.z, obs.alpha, dispatch.p,
-                                                system.residents)])
-    return SystemState(t=state.t + 1, e=e_next, z=z_next)
+    z_next = tuple(map(update_qose_queue, state.z, obs.alpha, dispatch.p,
+                       map(_delta, system.residents)))
+    return SystemState(state.t + 1, e_next, z_next)
 
 
 def outage_windows(outage: np.ndarray, residents: tuple[ResidentSpec, ...],
@@ -741,19 +825,19 @@ def run(config: RunConfig, traces: list[SlotObservation],
 
     if policy is None:
         policy = config.policy
+    curtail = config.curtailment
     if isinstance(policy, str):
         policy_name = policy
         if policy == "proposed":
             def policy_fn(state: SystemState, obs: SlotObservation) -> Dispatch:
-                return dispatch_slot(system, state, obs, v,
-                                     curtail=config.curtailment)
+                return dispatch_slot(system, state, obs, v, curtail=curtail)
         elif policy == "mecp":
             mecp_rng = np.random.default_rng((config.seed, 1))
+            block_prob, charge_prob = config.block_prob, config.charge_prob
 
             def policy_fn(state: SystemState, obs: SlotObservation) -> Dispatch:
-                return mecp_dispatch(system, state, obs, mecp_rng,
-                                     config.block_prob, config.charge_prob,
-                                     v, curtail=config.curtailment)
+                return mecp_dispatch(system, state, obs, mecp_rng, block_prob,
+                                     charge_prob, v, curtail=curtail)
         else:
             raise ValueError(f"unknown policy {policy!r}")
     else:
@@ -800,9 +884,7 @@ def run(config: RunConfig, traces: list[SlotObservation],
     records: list[SlotRecord] = []
     if keep_records:
         records = [
-            SlotRecord(t=t, dispatch=dispatch, cost_increment=ci,
-                       cumulative_cost=cum, e=after.e, z=after.z,
-                       outage=tuple(row))
+            SlotRecord(t, dispatch, ci, cum, after.e, after.z, tuple(row))
             for t, (dispatch, ci, cum, after, row) in enumerate(zip(
                 dispatches, cost.tolist(), cumulative.tolist(), states[1:],
                 outage_hist.tolist()))]
@@ -1038,22 +1120,24 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
 
 def write_slot_records(records: list[SlotRecord], path: str,
                        n_batteries: int, n_residents: int) -> None:
-    """Write per-slot records as CSV, one row per slot."""
+    """Write per-slot records as CSV, one row per slot.
+
+    The slot index is written with str and every other field with repr;
+    a record whose e, z or outage width differs from the header's raises
+    TypeError.
+    """
     cols = ["t", "cost_increment", "cumulative_cost", "q", "s", "sum_r", "sum_d"]
     cols += [f"e_{k + 1}" for k in range(n_batteries)]
     cols += [f"z_{n + 1}" for n in range(n_residents)]
     cols += [f"outage_{n + 1}" for n in range(n_residents)]
+    row = "%s" + ",%r" * (len(cols) - 1) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for rec in records:
-            d = rec.dispatch
-            vals = [str(rec.t), repr(rec.cost_increment),
-                    repr(rec.cumulative_cost), repr(d.q), repr(d.s),
-                    repr(sum(d.r)), repr(sum(d.d))]
-            vals += [repr(e) for e in rec.e]
-            vals += [repr(z) for z in rec.z]
-            vals += [repr(o) for o in rec.outage]
-            fh.write(",".join(vals) + "\n")
+        fh.writelines([
+            row % (rec.t, rec.cost_increment, rec.cumulative_cost,
+                   rec.dispatch.q, rec.dispatch.s, sum(rec.dispatch.r),
+                   sum(rec.dispatch.d), *rec.e, *rec.z, *rec.outage)
+            for rec in records])
 
 
 def format_summary(summary: Summary) -> str:

@@ -27,6 +27,22 @@ SHIPPED_DIGESTS = {
     },
 }
 
+# SHA-256 of the files `mgsched compare` writes for each shipped config,
+# pinned like SHIPPED_DIGESTS; the mecp summary also pins the baseline's
+# coin stream.
+COMPARE_DIGESTS = {
+    FIVE_DAY: {
+        "compare.csv": "63b25172d6b0bcce62a902e51bf39c426565ac30edf6b9b1ad1a18a8496dcce0",
+        "proposed.summary.txt": "e2dd37364bc8ff7221a0e0cfc6d3bd4848253fdb4c64539b8633a6e91284463b",
+        "mecp.summary.txt": "ddff6d38a0cdaee88508c92b562c19b6764a839e0c0ab178b5125a6b8bd01447",
+    },
+    SEVEN_DAY: {
+        "compare.csv": "5cbff6ed791aab5c9d10ad8f26972b966b9d27b02769de4c98e24ceaad4bc2fb",
+        "proposed.summary.txt": "206d89873bbdceba73020c3a9de1b36881f7f2f4dad4a97f8acafbab0236bce0",
+        "mecp.summary.txt": "dcfeab2e8b33317e8305e2cef9bee78261cdb80dd69d5159c28efaf79d024552",
+    },
+}
+
 
 class TestRunCommand:
     def test_writes_outputs_and_exits_clean(self, tmp_path, capsys):
@@ -180,6 +196,16 @@ class TestCompareCommand:
         assert proposed_cost <= mecp_cost
         assert (tmp_path / "c.proposed.summary.txt").exists()
         assert (tmp_path / "c.mecp.summary.txt").exists()
+
+    @pytest.mark.parametrize("config", [FIVE_DAY, SEVEN_DAY])
+    def test_shipped_outputs_are_pinned(self, tmp_path, config):
+        out = str(tmp_path / "c")
+        assert main(["compare", "--config", config, "--out", out]) == 0
+        digests = {
+            suffix: hashlib.sha256(
+                (tmp_path / f"c.{suffix}").read_bytes()).hexdigest()
+            for suffix in COMPARE_DIGESTS[config]}
+        assert digests == COMPARE_DIGESTS[config]
 
 
 class TestValidateCommand:

@@ -494,6 +494,39 @@ class TestMecp:
                           block_prob=0.4, charge_prob=0.6, v=150.0)
         assert a == b
 
+    @pytest.mark.parametrize("n_res", [1, 5, 20])
+    def test_one_call_draws_one_coin_per_resident_and_a_charge_coin(
+            self, n_res):
+        system = make_system(n_batteries=2, n_residents=n_res)
+        state = SystemState(t=0, e=(5.0, 9.0), z=(1.0,) * n_res)
+        obs = obs_of(3.0, (0.5,) * n_res, c=0.08, w=0.03)
+        rng = np.random.default_rng(21)
+        reference = np.random.default_rng(21)
+        for _ in range(3):
+            mecp_dispatch(system, state, obs, rng, block_prob=0.3,
+                          charge_prob=0.5, v=150.0)
+            reference.random(n_res + 1)
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_blocking_coins_come_before_the_charge_coin(self):
+        n_res = 5
+        system = make_system(n_batteries=2, n_residents=n_res)
+        state = SystemState(t=0, e=(5.0, 9.0), z=(0.0,) * n_res)
+        # Generation covers every request, so exactly the blocked residents
+        # go unserved; with nothing to serve, only the charge coin buys.
+        serve = obs_of(2.5 * n_res, (2.5,) * n_res, c=0.08, w=0.03)
+        idle = obs_of(0.0, (0.0,) * n_res, c=0.08, w=0.03)
+        for seed in range(40):
+            coins = np.random.default_rng(seed).random(n_res + 1)
+            dd = mecp_dispatch(system, state, serve,
+                               np.random.default_rng(seed), block_prob=0.5,
+                               charge_prob=0.5, v=150.0)
+            assert [p == 0.0 for p in dd.p] == list(coins[:n_res] < 0.5)
+            dd = mecp_dispatch(system, state, idle,
+                               np.random.default_rng(seed), block_prob=0.5,
+                               charge_prob=0.5, v=150.0)
+            assert (dd.q > 0.0) == (coins[n_res] < 0.5)
+
     def test_random_slots_stay_valid(self):
         system = make_system(n_batteries=2, n_residents=3)
         rng = np.random.default_rng(9)

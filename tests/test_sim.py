@@ -46,6 +46,7 @@ from mgsched import (
 from mgsched.sim import (
     _demand_caps,
     _relaxed_slots,
+    _row_total,
     _unservable,
     first_violation,
     outage_window_flags,
@@ -270,6 +271,250 @@ class TestTraceFiles:
         (tmp_path / "bad.csv").write_text("")
         with pytest.raises(TraceError, match="empty file"):
             load_traces(str(tmp_path / "bad.csv"), prices, demand, config)
+
+
+def _set(i, text):
+    def edit(lines):
+        lines[i] = text
+    return edit
+
+
+def _append(text):
+    return lambda lines: lines.append(text)
+
+
+def _insert(i, text):
+    return lambda lines: lines.insert(i, text)
+
+
+def _delete(i):
+    def edit(lines):
+        del lines[i]
+    return edit
+
+
+# Trace faults and the one message load_traces reports for them; edits
+# apply to the lines (header first) of the files of a valid trace with 8
+# slots and 2 residents. {wind}, {prices} and {demand} stand for the paths.
+PRECEDENCE = {
+    "earlier line wins, bad value first": (
+        {"wind": [_set(2, "1,gusty"), _set(4, "3,nan")]},
+        "{wind}:3: field generation_kwh is not a number: 'gusty'"),
+    "earlier line wins, non-finite first": (
+        {"wind": [_set(2, "1,nan"), _set(4, "3,gusty")]},
+        "{wind}:3: field generation_kwh is not finite: 'nan'"),
+    "earlier bad value beats later duplicate": (
+        {"prices": [_set(3, "2,0.08,cheap"), _append("0,0.08,0.03")]},
+        "{prices}:4: field sell_price is not a number: 'cheap'"),
+    "earlier duplicate beats later bad value": (
+        {"wind": [_set(2, "0,1.0"), _set(5, "4,gusty")]},
+        "{wind}:3: duplicate slot 0"),
+    "slot beats value on one row": (
+        {"wind": [_set(2, "x,gusty")]},
+        "{wind}:3: field slot is not an integer: 'x'"),
+    "negative slot beats value on one row": (
+        {"prices": [_set(2, "-1,0.08,cheap")]},
+        "{prices}:3: slot -1 is negative"),
+    "slot beats resident on one row": (
+        {"demand": [_set(3, "x,9,1.0,1.0")]},
+        "{demand}:4: field slot is not an integer: 'x'"),
+    "resident beats duplicate and value": (
+        {"demand": [_set(3, "0,7,oops,1.0")]},
+        "{demand}:4: resident 7 outside 0..1"),
+    "duplicate beats value on one row": (
+        {"demand": [_set(3, "0,0,oops,1.0")]},
+        "{demand}:4: duplicate slot 0 resident 0"),
+    "basic beats quality on one row": (
+        {"demand": [_set(3, "1,0,oops,nope")]},
+        "{demand}:4: field basic_kwh is not a number: 'oops'"),
+    "wind before prices and demand": (
+        {"wind": [_set(4, "3,gusty")], "prices": [_set(2, "1,0.08,cheap")],
+         "demand": [_set(2, "0,1,oops,1.0")]},
+        "{wind}:5: field generation_kwh is not a number: 'gusty'"),
+    "prices before demand": (
+        {"prices": [_set(4, "3,0.08,cheap")],
+         "demand": [_set(2, "0,1,oops,1.0")]},
+        "{prices}:5: field sell_price is not a number: 'cheap'"),
+    "parse fault in a later file beats a missing slot": (
+        {"wind": [_delete(2)], "demand": [_set(16, "7,1,oops,1.0")]},
+        "{demand}:17: field basic_kwh is not a number: 'oops'"),
+    "field count is checked over the whole file first": (
+        {"wind": [_set(2, "1,gusty"), _set(6, "5,1.0,2.0")]},
+        "{wind}:7: expected 2 fields, got 3"),
+    "bound at slot 3 before missing slot 5": (
+        {"prices": [_set(4, "3,0.5,0.03")], "wind": [_delete(6)]},
+        "slot 3: purchase price 0.5 outside [0.05, 0.1]"),
+    "missing slot 2 before bound at slot 3": (
+        {"prices": [_set(4, "3,0.5,0.03")], "wind": [_delete(3)]},
+        "{wind}: missing slot 2 (horizon 8)"),
+    "missing wind before missing prices at one slot": (
+        {"prices": [_delete(3)], "wind": [_delete(3)],
+         "demand": [_delete(5)]},
+        "{wind}: missing slot 2 (horizon 8)"),
+    "missing prices before missing demand at one slot": (
+        {"prices": [_delete(3)], "demand": [_delete(5)]},
+        "{prices}: missing slot 2 (horizon 8)"),
+    "first missing resident": (
+        {"demand": [_delete(6), _delete(5)]},
+        "{demand}: missing slot 2 resident 0 (horizon 8)"),
+    "missing second resident": (
+        {"demand": [_delete(6)]},
+        "{demand}: missing slot 2 resident 1 (horizon 8)"),
+    "slot too negative for int64": (
+        {"wind": [_set(3, f"{-10 ** 30},1.0")]},
+        f"{{wind}}:4: slot {-10 ** 30} is negative"),
+    "malformed row past the horizon": (
+        {"wind": [_append("9,1.0,2.0")]},
+        "{wind}:10: expected 2 fields, got 3"),
+    "unparsable slot past the horizon rows": (
+        {"wind": [_append("9,1.0"), _append("ten,1.0")]},
+        "{wind}:11: field slot is not an integer: 'ten'"),
+    "resident out of range past the horizon": (
+        {"demand": [_append("9,7,1.0,1.0")]},
+        "{demand}:18: resident 7 outside 0..1"),
+    "blank lines count": (
+        {"wind": [_insert(1, ""), _insert(3, ""), _set(4, "1,gusty")]},
+        "{wind}:5: field generation_kwh is not a number: 'gusty'"),
+    "Infinity is not finite": (
+        {"wind": [_set(3, "2,Infinity")]},
+        "{wind}:4: field generation_kwh is not finite: 'Infinity'"),
+    "negative infinity is not finite": (
+        {"demand": [_set(5, "2,0,1.0,-inf")]},
+        "{demand}:6: field quality_kwh is not finite: '-inf'"),
+}
+
+# Edits that load_traces accepts, with the (slot, field, value) they give.
+ACCEPTED = {
+    "underscore digits": ({"wind": [_set(1, "0,1_000.5")]}, (0, "u", 1000.5)),
+    "padded float": ({"wind": [_set(1, "0, 2.5e3 ")]}, (0, "u", 2500.0)),
+    "padded and underscored slot": (
+        {"wind": [_delete(1), _append(" 0_0 ,1000.5")]}, (0, "u", 1000.5)),
+    "garbage values past the horizon": (
+        {"wind": [_append("9,gusty")], "prices": [_append("9,x,y")],
+         "demand": [_append("9,1,x,y")]}, None),
+    "slot too large for int64": (
+        {"wind": [_append(f"{10 ** 30},gusty")],
+         "prices": [_append(f"{10 ** 30},0.08,0.03")],
+         "demand": [_append(f"{10 ** 30},0,1.0,1.0")]}, None),
+}
+
+
+class TestLoaderFaultPrecedence:
+    """When a trace has several faults, load_traces reports the one its
+    row-at-a-time reading order meets first."""
+
+    def _load(self, tmp_path, edits):
+        config = make_config(horizon=8, residents=(make_resident(),) * 2)
+        traces = generate_traces(config)
+        paths = dict(zip(("wind", "prices", "demand"),
+                         write_traces(traces, str(tmp_path / "t"))))
+        for kind, kind_edits in edits.items():
+            lines = Path(paths[kind]).read_text().split("\n")[:-1]
+            for edit in kind_edits:
+                edit(lines)
+            Path(paths[kind]).write_text("\n".join(lines) + "\n")
+        return paths, traces, lambda: load_traces(
+            paths["wind"], paths["prices"], paths["demand"], config)
+
+    @pytest.mark.parametrize("edits,message", PRECEDENCE.values(),
+                             ids=PRECEDENCE.keys())
+    def test_reports_the_first_fault(self, tmp_path, edits, message):
+        paths, _, load = self._load(tmp_path, edits)
+        with pytest.raises(TraceError) as info:
+            load()
+        assert str(info.value) == message.format(**paths)
+
+    @pytest.mark.parametrize("edits,changed", ACCEPTED.values(),
+                             ids=ACCEPTED.keys())
+    def test_accepts_what_float_and_int_accept(self, tmp_path, edits,
+                                               changed):
+        _, traces, load = self._load(tmp_path, edits)
+        if changed is not None:
+            t, field, value = changed
+            traces[t] = replace(traces[t], **{field: value})
+        assert load() == traces
+
+
+def _bump(field, i, value):
+    """Set entry i of the observation's tuple field to value."""
+    def perturb(obs, system):
+        values = list(getattr(obs, field))
+        values[i] = value(obs, system) if callable(value) else value
+        return replace(obs, **{field: tuple(values)})
+    return perturb
+
+
+def _put(field, value):
+    def perturb(obs, system):
+        return replace(obs, **{field: value(obs, system)
+                               if callable(value) else value})
+    return perturb
+
+
+# One perturbation per bound validate_observation checks, with the number
+# of problems it then reports: a negative generation is always below the
+# basic total too, every other perturbation breaks one bound. The grid's
+# purchase band is widened down to 0.03 so that a sell price at the
+# purchase price breaks only the w < c bound.
+BOUND_PERTURBATIONS = {
+    "negative generation": (_put("u", -1.0), 2),
+    "negative basic": (_bump("basic", 2, -0.5), 1),
+    "negative quality": (_bump("alpha", 3, -0.25), 1),
+    "quality above alpha_max": (_bump(
+        "alpha", 1, lambda obs, system: system.residents[1].alpha_max + 0.5),
+        1),
+    "basic above generation": (
+        _put("u", lambda obs, system: 0.5 * sum(obs.basic)), 1),
+    "purchase price below band": (
+        lambda obs, system: replace(obs, c=0.025, w=0.02), 1),
+    "purchase price above band": (_put("c", 0.11), 1),
+    "sell price below band": (_put("w", 0.015), 1),
+    "sell price above band": (
+        lambda obs, system: replace(obs, c=0.08, w=0.045), 1),
+    "sell price at purchase price": (
+        lambda obs, system: replace(obs, c=0.035, w=0.035), 1),
+}
+
+
+class TestLoaderBounds:
+    """load_traces' bound masks flag exactly what validate_observation
+    reports, and its basic totals are those of sum()."""
+
+    def config(self):
+        config = load_config("configs/five_day.yaml")
+        return replace(config, grid=replace(config.grid, c_min=0.03))
+
+    @pytest.mark.parametrize("perturb,count", BOUND_PERTURBATIONS.values(),
+                             ids=BOUND_PERTURBATIONS.keys())
+    def test_reports_validate_observations_first_problem(self, tmp_path,
+                                                         perturb, count):
+        config = self.config()
+        system = config.system
+        traces = generate_traces(config)
+        t = 217
+        traces[t] = perturb(traces[t], system)
+        problems = validate_observation(traces[t], system)
+        assert len(problems) == count
+        paths = write_traces(traces, str(tmp_path / "t"))
+        with pytest.raises(TraceError) as info:
+            load_traces(*paths, config)
+        assert str(info.value) == f"slot {t}: {problems[0]}"
+
+    def test_valid_trace_loads_without_auditing_each_slot(self, tmp_path,
+                                                          monkeypatch):
+        config = self.config()
+        traces = generate_traces(config)
+        paths = write_traces(traces, str(tmp_path / "t"))
+        monkeypatch.setattr(mgsched.sim, "validate_observation", None)
+        assert load_traces(*paths, config) == traces
+
+    @pytest.mark.parametrize("path", ["configs/five_day.yaml",
+                                      "configs/seven_day.yaml"])
+    def test_row_total_adds_as_sum_does(self, path):
+        traces = generate_traces(load_config(path))
+        basic = np.array([obs.basic for obs in traces])
+        assert _row_total(basic).tolist() == [sum(obs.basic)
+                                              for obs in traces]
 
 
 def inert_trace(n=1):
