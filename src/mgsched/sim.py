@@ -521,24 +521,25 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
 
 
 def write_traces(traces: list[SlotObservation], prefix: str) -> tuple[str, str, str]:
-    """Write a trace as the three CSV files load_traces expects."""
-    wind_path = f"{prefix}.wind.csv"
-    price_path = f"{prefix}.prices.csv"
-    demand_path = f"{prefix}.demand.csv"
-    with open(wind_path, "w", newline="") as fh:
-        fh.write("slot,generation_kwh\n")
-        for t, obs in enumerate(traces):
-            fh.write(f"{t},{obs.u!r}\n")
-    with open(price_path, "w", newline="") as fh:
-        fh.write("slot,purchase_price,sell_price\n")
-        for t, obs in enumerate(traces):
-            fh.write(f"{t},{obs.c!r},{obs.w!r}\n")
-    with open(demand_path, "w", newline="") as fh:
-        fh.write("slot,resident,basic_kwh,quality_kwh\n")
-        for t, obs in enumerate(traces):
-            for n, (b, a) in enumerate(zip(obs.basic, obs.alpha)):
-                fh.write(f"{t},{n},{b!r},{a!r}\n")
-    return wind_path, price_path, demand_path
+    """Write a trace as the three CSV files load_traces expects.
+
+    Slot and resident indices are written with str and every other field
+    with repr, one format string per row.
+    """
+    paths = (f"{prefix}.wind.csv", f"{prefix}.prices.csv",
+             f"{prefix}.demand.csv")
+    tables = (
+        ["slot,generation_kwh\n"]
+        + ["%s,%r\n" % (t, obs.u) for t, obs in enumerate(traces)],
+        ["slot,purchase_price,sell_price\n"]
+        + ["%s,%r,%r\n" % (t, obs.c, obs.w) for t, obs in enumerate(traces)],
+        ["slot,resident,basic_kwh,quality_kwh\n"]
+        + ["%s,%s,%r,%r\n" % (t, n, b, a) for t, obs in enumerate(traces)
+           for n, (b, a) in enumerate(zip(obs.basic, obs.alpha))])
+    for path, lines in zip(paths, tables):
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines)
+    return paths
 
 
 _delta = attrgetter("delta")
@@ -658,21 +659,18 @@ def _balance_masks(q, s, r, d, p, curtailed, surplus, alpha, q_max, s_max,
     return balance, exclusivity
 
 
-def _threshold_mask(system: SystemSpec, v: float, q, s, r, d, p, alpha, c, w,
-                    e, z) -> np.ndarray:
-    """audit_slots' threshold mask of T slots of one system.
+def _threshold_mask(v, c_max, w_min, e_min, d_max, delta, alpha_max, q, s, r,
+                    d, p, alpha, c, w, e, z) -> np.ndarray:
+    """audit_slots' threshold mask of T slots' flows.
 
     The flows and alpha are shaped as for _balance_masks, c and w (T,),
     and e (T, K) and z (T, N) hold the levels and backlogs each slot
-    starts from.
+    starts from. v, c_max and w_min broadcast against (T, 1), e_min and
+    d_max against e, and delta and alpha_max against z, so each slot may
+    carry its own system. A padding entry, whose flows, request and
+    backlog are 0, changes no flag.
     """
-    g = system.grid
-    specs = system.batteries
-    e_min = np.array([b.e_min for b in specs])
-    d_max = np.array([b.d_max for b in specs])
-    delta = np.array([res.delta for res in system.residents])
-    alpha_max = np.array([res.alpha_max for res in system.residents])
-    x = e - d_max - e_min - v * g.c_max
+    x = e - d_max - e_min - v * c_max
     floor = (1.0 - delta) * alpha
 
     def broken(recharge_above, discharge_below, serve_above, block_below):
@@ -681,10 +679,10 @@ def _threshold_mask(system: SystemSpec, v: float, q, s, r, d, p, alpha, c, w,
                 | (((z > serve_above) & (p < floor - 1e-9))
                    | ((z < block_below) & (p > 1e-12))).any(1))
 
-    threshold = broken(-v * g.w_min, -v * g.c_max, v * g.c_max,
-                       v * g.w_min - alpha_max)
+    threshold = broken(-v * w_min, -v * c_max, v * c_max,
+                       v * w_min - alpha_max)
     for traded, price in ((q > 0.0, c), (s > 0.0, w)):
-        at_price = (-v * price)[:, None]
+        at_price = -v * price[:, None]
         thresholds = v * price[:, None] - alpha
         threshold |= traded & broken(at_price, at_price, thresholds,
                                      thresholds)
@@ -712,11 +710,11 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
     battery_band (T, K), a new level outside its band by more than
     BALANCE_TOL, and queue_bound (T, N), a new backlog above z_max[n] by
     more than BALANCE_TOL. Every result also carries cost (T,), q*c - s*w,
-    and outage (T, N), alpha - p, from which outage_window_flags derives
-    the window audit. Raises ValueError naming the first slot whose basic
-    or alpha request does not have one entry per resident, and
-    surplus_power's ValueError for the first slot whose basic usage
-    exceeds generation.
+    the quality requests alpha (T, N), and outage (T, N), alpha - p, from
+    which outage_window_flags derives the window audit. Raises ValueError
+    naming the first slot whose basic or alpha request does not have one
+    entry per resident, and surplus_power's ValueError for the first slot
+    whose basic usage exceeds generation.
     """
     g = system.grid
     tol = BALANCE_TOL
@@ -726,6 +724,7 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
     _check_widths(observations, n_res)
     e_min = np.array([b.e_min for b in specs])
     e_max = np.array([b.e_max for b in specs])
+    d_max = np.array([b.d_max for b in specs])
 
     q = np.array([x.q for x in dispatches], dtype=float)
     s = np.array([x.s for x in dispatches], dtype=float)
@@ -739,11 +738,14 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
 
     balance, exclusivity = _balance_masks(
         q, s, r, d, p, curtailed, surplus, alpha, g.q_max, g.s_max,
-        np.array([b.r_max for b in specs]), np.array([b.d_max for b in specs]))
-    threshold = _threshold_mask(system, v, q, s, r, d, p, alpha, c, w,
-                                e[:horizon], z[:horizon])
+        np.array([b.r_max for b in specs]), d_max)
+    threshold = _threshold_mask(
+        v, g.c_max, g.w_min, e_min, d_max,
+        np.array([res.delta for res in system.residents]),
+        np.array([res.alpha_max for res in system.residents]), q, s, r, d, p,
+        alpha, c, w, e[:horizon], z[:horizon])
     audit = {"balance": balance, "exclusivity": exclusivity,
-             "threshold": threshold, "cost": q * c - s * w,
+             "threshold": threshold, "cost": q * c - s * w, "alpha": alpha,
              "outage": alpha - p}
     if z_max is not None:
         audit["battery_band"] = (e[1:] < e_min - tol) | (e[1:] > e_max + tol)
@@ -889,8 +891,7 @@ def run(config: RunConfig, traces: list[SlotObservation],
                 dispatches, cost.tolist(), cumulative.tolist(), states[1:],
                 outage_hist.tolist()))]
 
-    alpha_cum = np.cumsum(_stack([obs.alpha for obs in observations], n_res),
-                          axis=0)
+    alpha_cum = np.cumsum(audit["alpha"], axis=0)
     outage_cum = np.cumsum(outage_hist, axis=0)
     safe_alpha = np.where(alpha_cum > 0.0, alpha_cum, 1.0)
     ratios = np.where(alpha_cum > 0.0, outage_cum / safe_alpha, 0.0)

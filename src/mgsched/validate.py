@@ -10,29 +10,31 @@ dual oracle computes, at up to 5 batteries and 20 residents. Every suite
 reports trial and violation counts plus the first counterexample, so a
 failure is directly reproducible.
 
-The bound and threshold suites draw their systems as random_system
-RunConfigs and their observations through the simulator's own
-generate_traces; the oracle suite draws a block of instances at once with
-_oracle_instances, which applies the same field mapping and per-slot rules
-to whole arrays: the same distributions, but another stream than
-per-instance draws from the same seed would give. The bound suite runs
-the scheduler: it advances each slot with dispatch_slot and the
-simulator's step and audits each 500-slot stretch of a run with
-audit_slots. The threshold and oracle suites solve independent slots, so
-they solve a block of them with one merit_order_columns call and audit
-the arrays with audit_slots' balance and threshold cores; the threshold
-suite no longer calls dispatch_slot, and the oracle suite calls it once
-per instance, so the scheduler's own path stays checked against the
-oracle too. Every drawn system sizes the market trade caps to dominate
-the microgrid (purchases can cover every quality request and recharge,
-sales can absorb the largest surplus plus every discharge). The structural
-guarantees are proved under that regime; an undersized grid connection can
-force optima with a genuinely different shape.
+The bound suite draws its systems as random_system RunConfigs and its
+observations through the simulator's own generate_traces, and runs the
+scheduler: it advances each slot with dispatch_slot and the simulator's
+step and audits each 500-slot stretch of a run with audit_slots. The
+threshold and oracle suites check independent slot problems, each with a
+system of its own. _draw_block draws a block of them at once with the
+same field mapping and per-slot rules applied to whole arrays (the same
+distributions, but another stream than one-by-one draws from the same
+seed would give), and _solve_block solves the block with one
+merit_order_columns call and audits the flows with audit_slots' balance
+core. The threshold suite adds audit_slots' threshold core and builds
+slot objects only for its first counterexample; the oracle suite builds
+every instance and calls dispatch_slot once per instance, so the
+scheduler's own path stays checked against the oracle too. Every drawn
+system sizes the market trade caps to dominate the microgrid (purchases
+can cover every quality request and recharge, sales can absorb the
+largest surplus plus every discharge). The structural guarantees are
+proved under that regime; an undersized grid connection can force optima
+with a genuinely different shape.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +62,6 @@ from .sim import (
     OUTAGE_WINDOW,
     RunConfig,
     _balance_masks,
-    _observation_arrays,
     _row_total,
     _slot_draws,
     _threshold_mask,
@@ -74,7 +75,7 @@ from .sim import (
 
 # Head-room added past the worst case when sizing q_max and s_max.
 CAP_MARGIN = 2.0
-# Slots per threshold-suite system, and oracle instances per batch.
+# Slot problems per block draw of the threshold and oracle suites.
 BLOCK = 64
 # Chance that a random system's slot draws a surplus burst.
 BURST_PROB = 0.08
@@ -183,18 +184,11 @@ def random_states(system: SystemSpec, rng: np.random.Generator, v: float,
                   zero_prob: float = 0.3) -> list[SystemState]:
     """Draw count states with levels anywhere in band and backlogs up to
     z_scale times their cap (zero with probability zero_prob)."""
-    e, z = _state_arrays(system, rng, v, count, z_scale, zero_prob)
-    return [SystemState(t=0, e=tuple(e_row), z=tuple(z_row))
-            for e_row, z_row in zip(e.tolist(), z.tolist())]
-
-
-def _state_arrays(system: SystemSpec, rng: np.random.Generator, v: float,
-                  count: int, z_scale: float = 1.25, zero_prob: float = 0.3):
-    """random_states' draws as arrays: levels e (count, K), backlogs z
-    (count, N)."""
     z_cap = z_scale * np.array(bound_constants(system, v).z_max)
     e_min, e_max = np.array([(b.e_min, b.e_max) for b in system.batteries]).T
-    return _draw_states(rng, count, e_min, e_max, z_cap, zero_prob)
+    e, z = _draw_states(rng, count, e_min, e_max, z_cap, zero_prob)
+    return [SystemState(t=0, e=tuple(e_row), z=tuple(z_row))
+            for e_row, z_row in zip(e.tolist(), z.tolist())]
 
 
 def _draw_states(rng: np.random.Generator, count: int, e_min, e_max, z_cap,
@@ -208,26 +202,95 @@ def _draw_states(rng: np.random.Generator, count: int, e_min, e_max, z_cap,
     return e, z
 
 
-def _battery_specs(system: SystemSpec) -> np.ndarray:
-    """(e_min, e_max, r_max, d_max) rows, one column per battery."""
-    return np.array([(b.e_min, b.e_max, b.r_max, b.d_max)
-                     for b in system.batteries]).T
+# _draw_block's count independent slot problems, padded to k_max batteries
+# and n_max residents with zero-field entries: the drawn sizes k and n
+# (count,); _system_fields' batteries (count, k_max, 5), residents
+# (count, n_max, 4) and grids (count, 8) rows; v (count,); the levels e
+# (count, k_max); backlogs z, basic and alpha requests (count, n_max); and
+# u, c, w and surplus (surplus_power's value) (count,).
+_Block = namedtuple("_Block", "k n batteries residents grids v e z basic "
+                              "alpha u c w surplus")
 
 
-def _books(e, z, alpha, specs, v, c_max):
-    """merit_order_columns' bids and offers for slot-major states.
+def _draw_block(rng: np.random.Generator, count: int, k_max: int,
+                n_max: int, z_scale: float) -> _Block:
+    """Draw count independent slot problems with a few array-sized draws.
 
-    e (T, K) and z, alpha (T, N) are the levels, backlogs and quality
-    requests of T slots, specs broadcasts as _battery_specs' rows against
-    e, and v and c_max against e's columns. Returns the entry-major quality
-    values and caps, battery queues (battery_queue's arithmetic), and the
-    headroom-clamped recharge and discharge caps that dispatch_slot uses.
+    Each slot gets its own random_system system of up to k_max batteries
+    and n_max residents, v uniform on [0.3, 1) times its v_max, a
+    random_states state (backlogs up to z_scale times their cap) and a
+    one-slot generate_traces observation: the same distributions and
+    rules, drawn for the whole block at once, so a seed draws other slots
+    than those generators would one by one.
     """
-    e_min, e_max, r_max, d_max = specs
-    x = e - d_max - e_min - v * c_max
+    _check_sizes(k_max, n_max)
+    k = rng.integers(1, k_max + 1, size=count)
+    n = rng.integers(1, n_max + 1, size=count)
+    k_on = np.arange(k_max) < k[:, None]
+    n_on = np.arange(n_max) < n[:, None]
+    u = rng.random((count, 5 * k_max + 4 * n_max + 6))
+    batteries, residents, grids = _system_fields(
+        u[:, :5 * k_max].reshape(count, k_max, 5),
+        u[:, 5 * k_max:-6].reshape(count, n_max, 4), u[:, -6:], k_on, n_on)
+    e_min, e_max, r_max, d_max, _ = np.moveaxis(batteries, -1, 0)
+    _, alpha_max, basic_lo, basic_hi = np.moveaxis(residents, -1, 0)
+    _, _, c_min, c_max, w_min, w_max, surplus_hi, burst_hi = grids.T
+    # compute_vmax's arithmetic, padding batteries left out.
+    slack = np.where(k_on, e_max - e_min - r_max - d_max, np.inf)
+    v = _uniform(rng.random(count), 0.3, 1.0) * (slack.min(axis=1)
+                                                  / (c_max - w_min))
+    # z_scale times bound_constants' z_max.
+    z_cap = np.where(n_on, z_scale * (v[:, None] * c_max[:, None]
+                                      + alpha_max), 0.0)
+    e, z = _draw_states(rng, count, e_min, e_max, z_cap, 0.3)
+    units = rng.random((count, 2 * n_max + 5))
+    basic = _uniform(units[:, :n_max], basic_lo, basic_hi)
+    alpha = alpha_max * units[:, n_max:2 * n_max]
+    extra, c, w = _slot_draws(units[:, 2 * n_max:].T, (0.0, surplus_hi),
+                              (surplus_hi, burst_hi), BURST_PROB, c_min,
+                              c_max, w_min, w_max)
+    basic_total = _row_total(basic)
+    u_total = basic_total + extra
+    return _Block(k, n, batteries, residents, grids, v, e, z, basic, alpha,
+                  u_total, c, w, u_total - basic_total)
+
+
+def _block_instances(block: _Block, columns, t: int = 0) -> list[tuple]:
+    """The (system, state, obs, v) instances of block's columns (any numpy
+    row index), each state at slot t, built from every field but the last,
+    surplus."""
+    return [(SystemSpec(*_specs(bat[:k], res[:n], grid)),
+             SystemState(t, tuple(e[:k]), tuple(z[:n])),
+             SlotObservation(u, tuple(basic[:n]), tuple(alpha[:n]), c, w), v)
+            for k, n, bat, res, grid, v, e, z, basic, alpha, u, c, w
+            in zip(*(a[columns].tolist() for a in block[:-1]))]
+
+
+def _solve_block(block: _Block):
+    """Solve a block's slots with one merit_order_columns call and audit
+    the flows with audit_slots' balance core.
+
+    The books are dispatch_slot's: entry-major quality values z + alpha
+    and caps alpha, battery queues (battery_queue's arithmetic) and the
+    headroom-clamped recharge and discharge caps, with trades priced at v
+    times c and w. Returns those five books, the kernel's solution and the
+    balance mask (count,).
+    """
+    e, v = block.e, block.v
+    e_min, e_max, r_max, d_max, _ = np.moveaxis(block.batteries, -1, 0)
+    q_max, s_max, _, c_max = block.grids.T[:4]
+    x = e - d_max - e_min - v[:, None] * c_max[:, None]
     r_cap = np.maximum(np.minimum(r_max, e_max - e), 0.0)
     d_cap = np.maximum(np.minimum(d_max, e - e_min), 0.0)
-    return (z + alpha).T, alpha.T, x.T, r_cap.T, d_cap.T
+    books = ((block.z + block.alpha).T, block.alpha.T, x.T, r_cap.T,
+             d_cap.T)
+    solution = merit_order_columns(*books, block.surplus, v * block.c,
+                                   v * block.w, q_max, s_max)
+    _, q, s, r, d, p, _ = solution
+    balance, _ = _balance_masks(q, s, r.T, d.T, p.T, np.zeros(len(v)),
+                                block.surplus, block.alpha, q_max, s_max,
+                                r_max, d_max)
+    return books, solution, balance
 
 
 def _column_dispatch(solution, i: int, system: SystemSpec) -> Dispatch:
@@ -339,14 +402,13 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
                      n_max: int = 6) -> SuiteResult:
     """Audit feasibility and threshold structure of optimal dispatches.
 
-    Each slot gets an independently drawn state (levels anywhere in band,
-    backlogs up to 1.25x their cap) and observation. Systems are redrawn
-    every BLOCK slots, each with one generate_traces block of
-    observations, and merit_order_columns solves a block's slots in one
-    call, with dispatch_slot's headroom-clamped books; every slot's
-    optimum must pass the balance and threshold audits of audit_slots.
-    A slot whose surplus exceeds every sink raises UnservableSurplusError
-    naming it, as dispatch_slot would.
+    Every slot is an independent problem with its own system, state
+    (levels anywhere in band, backlogs up to 1.25x their cap) and
+    observation, drawn BLOCK slots at a time by _draw_block. _solve_block
+    solves a block with one merit_order_columns call, with dispatch_slot's
+    headroom-clamped books; every slot's optimum must pass the balance and
+    threshold audits of audit_slots. A slot whose surplus exceeds every
+    sink raises UnservableSurplusError naming it, as dispatch_slot would.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -354,40 +416,31 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
     violations = 0
     ce = None
     for start in range(0, slots, BLOCK):
-        config = random_system(rng, min(BLOCK, slots - start), k_max=k_max,
-                               n_max=n_max)
-        system = config.system
-        g = system.grid
-        v_max = compute_vmax(config.batteries, config.grid)
-        v = float(rng.uniform(0.3, 1.0)) * v_max
-        block = generate_traces(config, rng)
-        e, z = _state_arrays(system, rng, v, len(block))
-        surplus, alpha, c, w = _observation_arrays(block, system.n_residents)
-        specs = _battery_specs(system)
-        solution = merit_order_columns(
-            *_books(e, z, alpha, specs, v, g.c_max), surplus, v * c, v * w,
-            g.q_max, g.s_max)
+        block = _draw_block(rng, min(BLOCK, slots - start), k_max, n_max,
+                            1.25)
+        _, solution, balance = _solve_block(block)
         _, q, s, r, d, p, infeasible = solution
         if infeasible.any():
             t = int(infeasible.argmax())
             raise UnservableSurplusError(
-                f"slot {start + t}: surplus {surplus[t]} kWh exceeds every "
-                "sink; enable curtailment or resize the scenario")
-        flows = (q, s, r.T, d.T, p.T)
-        balance, _ = _balance_masks(*flows, np.zeros(len(block)), surplus,
-                                    alpha, g.q_max, g.s_max, specs[2],
-                                    specs[3])
-        bad = balance | _threshold_mask(system, v, *flows, alpha, c, w, e, z)
+                f"slot {start + t}: surplus {block.surplus[t]} kWh exceeds "
+                "every sink; enable curtailment or resize the scenario")
+        e_min, _, _, d_max, _ = np.moveaxis(block.batteries, -1, 0)
+        delta, alpha_max = np.moveaxis(block.residents[..., :2], -1, 0)
+        c_max, w_min = block.grids.T[3:5, :, None]
+        bad = balance | _threshold_mask(
+            block.v[:, None], c_max, w_min, e_min, d_max, delta, alpha_max,
+            q, s, r.T, d.T, p.T, block.alpha, block.c, block.w, block.e,
+            block.z)
         violations += int(bad.sum())
         if ce is None and bad.any():
             t = int(bad.argmax())
-            state = SystemState(t=start + t, e=tuple(e[t].tolist()),
-                                z=tuple(z[t].tolist()))
+            [(system, state, obs, v)] = _block_instances(block, [t],
+                                                         start + t)
             dispatch = _column_dispatch(solution, t, system)
-            problems = check_dispatch(dispatch, system, block[t])
-            problems += threshold_violations(system, state, block[t], v,
-                                             dispatch)
-            ce = _counterexample(system, state, block[t], dispatch,
+            problems = check_dispatch(dispatch, system, obs)
+            problems += threshold_violations(system, state, obs, v, dispatch)
+            ce = _counterexample(system, state, obs, dispatch,
                                  f"slot {start + t}: " + "; ".join(problems))
     return SuiteResult("threshold-structure", slots, violations, ce)
 
@@ -396,11 +449,10 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     """Cross-check dispatch_slot and merit_order_columns against the exact
     dual oracle.
 
-    Instances are drawn BLOCK at a time by _oracle_instances, at up to the
-    acceptance maximum of 5 batteries and 20 residents (so a seed draws
-    other instances than random_system, random_states and generate_traces
-    would one by one, from the same distributions), and dispatch_slot
-    solves each. Each block is then solved again, padded to 5 x 20 with
+    Instances are drawn BLOCK at a time by _draw_block, the threshold
+    suite's draw, at up to the acceptance maximum of 5 batteries and 20
+    residents with backlogs up to 1x their cap, and dispatch_slot solves
+    each. _solve_block solves each block again, padded to 5 x 20 with
     zero-capacity entries, by one merit_order_columns call, and
     oracle_columns evaluates its exact dual optima in one batch. The
     kernel's feasibility verdicts must agree with the oracle's and, when
@@ -414,10 +466,10 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     violations = 0
     ce = None
     for start in range(0, instances, BLOCK):
-        drawn, arrays = _oracle_instances(rng, min(BLOCK, instances - start))
-        chosen = [dispatch_slot(system, state, obs, v)
-                  for system, state, obs, v in drawn]
-        problems = _oracle_block(drawn, chosen, arrays)
+        block = _draw_block(rng, min(BLOCK, instances - start), 5, 20, 1.0)
+        drawn = _block_instances(block, slice(None))
+        chosen = [dispatch_slot(*instance) for instance in drawn]
+        problems = _oracle_block(drawn, chosen, block)
         violations += sum(map(bool, problems))
         if ce is None:
             for (system, state, obs, _), dispatch, found in zip(
@@ -429,82 +481,17 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     return SuiteResult("solver-oracle", instances, violations, ce)
 
 
-def _oracle_instances(rng: np.random.Generator, count: int, k_max: int = 5,
-                      n_max: int = 20):
-    """Draw count solver-oracle instances with a few array-sized draws.
-
-    Each instance is a random_system system of up to k_max batteries and
-    n_max residents, v uniform on [0.3, 1) times its v_max, a
-    random_states state (backlogs up to 1x their cap) and a one-slot
-    generate_traces observation: the same distributions and rules, drawn
-    for the whole block at once. Returns the (system, state, obs, v)
-    instances and the padded arrays (specs (4, count, k_max) as
-    _battery_specs' rows, e (count, k_max), z and alpha (count, n_max),
-    then surplus, v, c, w, c_max, q_max and s_max, each (count,)), whose
-    padding entries have zero capacity. surplus is surplus_power(obs).
-    """
-    _check_sizes(k_max, n_max)
-    k = rng.integers(1, k_max + 1, size=count)
-    n = rng.integers(1, n_max + 1, size=count)
-    k_on = np.arange(k_max) < k[:, None]
-    n_on = np.arange(n_max) < n[:, None]
-    u = rng.random((count, 5 * k_max + 4 * n_max + 6))
-    batteries, residents, grids = _system_fields(
-        u[:, :5 * k_max].reshape(count, k_max, 5),
-        u[:, 5 * k_max:-6].reshape(count, n_max, 4), u[:, -6:], k_on, n_on)
-    e_min, e_max, r_max, d_max, _ = np.moveaxis(batteries, -1, 0)
-    _, alpha_max, basic_lo, basic_hi = np.moveaxis(residents, -1, 0)
-    q_max, s_max, c_min, c_max, w_min, w_max, surplus_hi, burst_hi = grids.T
-    # compute_vmax's arithmetic, padding batteries left out.
-    slack = np.where(k_on, e_max - e_min - r_max - d_max, np.inf)
-    v = _uniform(rng.random(count), 0.3, 1.0) * (slack.min(axis=1)
-                                                  / (c_max - w_min))
-    # bound_constants' z_max, z_scale 1.0.
-    z_cap = np.where(n_on, v[:, None] * c_max[:, None] + alpha_max, 0.0)
-    e, z = _draw_states(rng, count, e_min, e_max, z_cap, 0.3)
-    units = rng.random((count, 2 * n_max + 5))
-    basic = _uniform(units[:, :n_max], basic_lo, basic_hi)
-    alpha = alpha_max * units[:, n_max:2 * n_max]
-    extra, c, w = _slot_draws(units[:, 2 * n_max:].T, (0.0, surplus_hi),
-                              (surplus_hi, burst_hi), BURST_PROB, c_min,
-                              c_max, w_min, w_max)
-    basic_total = _row_total(basic)
-    u_total = basic_total + extra
-    bat, res, grid, e_rows, z_rows, basic_rows, alpha_rows = (
-        a.tolist() for a in (batteries, residents, grids, e, z, basic, alpha))
-    drawn = []
-    for i, (k_i, n_i, v_i, u_i, c_i, w_i) in enumerate(zip(
-            k.tolist(), n.tolist(), v.tolist(), u_total.tolist(), c.tolist(),
-            w.tolist())):
-        system = SystemSpec(*_specs(bat[i][:k_i], res[i][:n_i], grid[i]))
-        state = SystemState(t=0, e=tuple(e_rows[i][:k_i]),
-                            z=tuple(z_rows[i][:n_i]))
-        obs = SlotObservation(u=u_i, basic=tuple(basic_rows[i][:n_i]),
-                              alpha=tuple(alpha_rows[i][:n_i]), c=c_i, w=w_i)
-        drawn.append((system, state, obs, v_i))
-    specs = np.stack([e_min, e_max, r_max, d_max])
-    return drawn, (specs, e, z, alpha, u_total - basic_total, v, c, w, c_max,
-                   q_max, s_max)
-
-
-def _oracle_block(drawn, chosen, arrays) -> list[list[str]]:
-    """solver_oracle_trials' checks of one block: _oracle_instances'
-    (system, state, obs, v) instances and padded arrays, and dispatch_slot's
-    dispatch of each; one list of problems each."""
-    specs, e, z, alpha, surplus, v, c, w, c_max, q_max, s_max = arrays
-    vc, vw = v * c, v * w
-    quality, caps, x, r_cap, d_cap = _books(e, z, alpha, specs, v[:, None],
-                                            c_max[:, None])
-    solution = merit_order_columns(quality, caps, x, r_cap, d_cap, surplus,
-                                   vc, vw, q_max, s_max)
-    objective, q, s, r, d, p, infeasible = solution
-    optimum = oracle_columns(np.vstack([quality, -x, vw]),
+def _oracle_block(drawn, chosen, block: _Block) -> list[list[str]]:
+    """solver_oracle_trials' checks of one block: its (system, state, obs,
+    v) instances and dispatch_slot's dispatch of each; one list of problems
+    each."""
+    (quality, caps, x, r_cap, d_cap), solution, balance = _solve_block(block)
+    objective, *_, infeasible = solution
+    q_max, s_max = block.grids.T[:2]
+    optimum = oracle_columns(np.vstack([quality, -x, block.v * block.w]),
                              np.vstack([caps, r_cap, s_max]),
-                             np.vstack([-x, vc]), np.vstack([d_cap, q_max]),
-                             surplus)
-    balance, _ = _balance_masks(q, s, r.T, d.T, p.T, np.zeros(len(drawn)),
-                                surplus, alpha, q_max, s_max, specs[2],
-                                specs[3])
+                             np.vstack([-x, block.v * block.c]),
+                             np.vstack([d_cap, q_max]), block.surplus)
     problems = []
     for i, ((system, _, obs, _), dispatch) in enumerate(zip(drawn, chosen)):
         found = []

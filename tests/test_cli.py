@@ -43,6 +43,21 @@ COMPARE_DIGESTS = {
     },
 }
 
+# SHA-256 of the three CSVs `mgsched gen-traces` writes for each shipped
+# config, pinned like SHIPPED_DIGESTS.
+TRACE_DIGESTS = {
+    FIVE_DAY: {
+        "wind": "d4929234f7b660f7b83248f412371dfddd2646984ade79faaa51f980ab127e67",
+        "prices": "c8c2dd5af4bd21271c13f0af4f09afd0255992756b41c3ab1b75c94bf33dbdc6",
+        "demand": "b4beb84c72553bae6a62ad997ab3b9a435d3ff4e42d618dd2fecc68901926e9b",
+    },
+    SEVEN_DAY: {
+        "wind": "b58d7fcd2db1314a8890b685f7874a1cb76206c7b340284b1b499004a160f4e7",
+        "prices": "e028cad1936d7fb26381d173b693e0b05ec4a2889a954010757840e6ff2e6ae4",
+        "demand": "3eb890648da40d1f5f32a7f40a6c0d7e087e28d29b6357ec7828ef9f0bf817e1",
+    },
+}
+
 
 class TestRunCommand:
     def test_writes_outputs_and_exits_clean(self, tmp_path, capsys):
@@ -279,6 +294,16 @@ class TestGenTracesCommand:
             path = tmp_path / f"t.{suffix}.csv"
             assert path.exists()
             assert len(path.read_text().splitlines()) > 480
+
+    @pytest.mark.parametrize("config", [FIVE_DAY, SEVEN_DAY])
+    def test_shipped_traces_are_pinned(self, tmp_path, config):
+        out = str(tmp_path / "t")
+        assert main(["gen-traces", "--config", config, "--out", out]) == 0
+        digests = {
+            suffix: hashlib.sha256(
+                (tmp_path / f"t.{suffix}.csv").read_bytes()).hexdigest()
+            for suffix in ("wind", "prices", "demand")}
+        assert digests == TRACE_DIGESTS[config]
 
     def test_seed_override(self, tmp_path):
         assert main(["gen-traces", "--config", FIVE_DAY,

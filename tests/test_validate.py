@@ -10,6 +10,7 @@ import pytest
 
 import mgsched.validate
 from mgsched import (
+    UnservableSurplusError,
     battery_queue,
     bound_constants,
     compute_vmax,
@@ -22,10 +23,11 @@ from mgsched import (
     solver_oracle_trials,
     surplus_power,
     threshold_trials,
+    threshold_violations,
     validate_observation,
 )
 from mgsched.sim import outage_windows
-from mgsched.validate import _oracle_instances
+from mgsched.validate import _block_instances, _draw_block
 
 from conftest import make_resident
 
@@ -47,6 +49,25 @@ def _stream_digest() -> str:
     digest.update(repr(rng.random()).encode())
     for path in ("configs/five_day.yaml", "configs/seven_day.yaml"):
         digest.update(repr(generate_traces(load_config(path))).encode())
+    return digest.hexdigest()
+
+
+# sha256 of the reprs below: it pins the slot problems _draw_block draws
+# at the oracle suite's z_scale, so the solver-oracle suite keeps checking
+# the same instances.
+BLOCK_STREAM_DIGEST = (
+    "709bb84bb2037187c19d23d965900490f957c529cbcbf9871d8ce312d2057fcf")
+
+
+def _block_stream_digest() -> str:
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(12)
+    for count, k_max, n_max in ((64, 5, 20), (1, 5, 20), (37, 5, 20),
+                                (64, 3, 6), (9, 1, 1)):
+        block = _draw_block(rng, count, k_max, n_max, 1.0)
+        digest.update(repr(_block_instances(block, slice(None))).encode())
+    # the next draw pins where the stream was left
+    digest.update(repr(rng.random()).encode())
     return digest.hexdigest()
 
 
@@ -117,7 +138,7 @@ class TestScenarioGenerators:
         rng = np.random.default_rng(0)
         calls = [
             lambda: random_system(rng, 1, k_max, n_max),
-            lambda: _oracle_instances(rng, 4, k_max, n_max),
+            lambda: _draw_block(rng, 4, k_max, n_max, 1.0),
             lambda: threshold_trials(slots=3, seed=1, k_max=k_max,
                                      n_max=n_max),
             lambda: run_bound_trials(runs=1, slots=1, seed=1, k_max=k_max,
@@ -129,9 +150,12 @@ class TestScenarioGenerators:
 
 
 class TestOracleDraw:
-    """_oracle_instances draws a block of solver-oracle instances with the
-    rules random_system, random_states and generate_traces apply one at a
-    time."""
+    """_draw_block draws the oracle and threshold suites' blocks of
+    independent slot problems with the rules random_system, random_states
+    and generate_traces apply one at a time."""
+
+    def test_oracle_stream_is_pinned(self):
+        assert _block_stream_digest() == BLOCK_STREAM_DIGEST
 
     def test_mapping_matches_random_system_on_identical_units(self):
         # random_system's unit rows, placed in one row of a padded block
@@ -170,28 +194,43 @@ class TestOracleDraw:
 
     def test_suite_solves_what_it_drew(self, monkeypatch):
         draws, kernel, dispatched = [], [], []
-        real_draw = mgsched.validate._oracle_instances
+        real_draw = mgsched.validate._draw_block
         real_kernel = mgsched.validate.merit_order_columns
         real_dispatch = mgsched.validate.dispatch_slot
         monkeypatch.setattr(
-            mgsched.validate, "_oracle_instances",
-            lambda *args: draws.append(real_draw(*args)) or draws[-1])
+            mgsched.validate, "_draw_block",
+            lambda *args: draws.append((args, real_draw(*args))) or
+            draws[-1][1])
         monkeypatch.setattr(
             mgsched.validate, "merit_order_columns",
             lambda *args: kernel.append(args) or real_kernel(*args))
         monkeypatch.setattr(
             mgsched.validate, "dispatch_slot",
             lambda *args: dispatched.append(args) or real_dispatch(*args))
-        suite = solver_oracle_trials(100, seed=6)
-        assert suite.trials == 100 and suite.passed
-        assert [len(drawn) for drawn, _ in draws] == [64, 36]
-        instances = [inst for drawn, _ in draws for inst in drawn]
-        # dispatch_slot solves each drawn instance once, in draw order
-        assert len(dispatched) == 100
-        assert all(a is b for call, inst in zip(dispatched, instances)
-                   for a, b in zip(call, inst))
+        for suite, kwargs, k_max, n_max, z_scale in (
+                (solver_oracle_trials, {"instances": 100, "seed": 6}, 5, 20,
+                 1.0),
+                (threshold_trials, {"slots": 100, "seed": 5, "k_max": 5,
+                                    "n_max": 20}, 5, 20, 1.25),
+                (threshold_trials, {"slots": 100, "seed": 5}, 3, 6, 1.25)):
+            for calls in (draws, kernel, dispatched):
+                calls.clear()
+            self.check_solved_as_drawn(suite(**kwargs), draws, kernel,
+                                       dispatched, k_max, n_max, z_scale)
+
+    def check_solved_as_drawn(self, result, draws, kernel, dispatched,
+                              k_max, n_max, z_scale):
+        assert result.trials == 100 and result.passed
+        assert [args[1:] for args, _ in draws] == [
+            (64, k_max, n_max, z_scale), (36, k_max, n_max, z_scale)]
+        blocks = [_block_instances(block, slice(None)) for _, block in draws]
+        if result.name == "solver-oracle":
+            # dispatch_slot solves each drawn instance once, in draw order
+            assert dispatched == [inst for drawn in blocks for inst in drawn]
+        else:
+            assert dispatched == []
         assert len(kernel) == 2
-        for args, (drawn, _) in zip(kernel, draws):
+        for args, drawn in zip(kernel, blocks):
             quality, caps, x, r_cap, d_cap, surplus, c, w, q_cap, s_cap = (
                 np.asarray(a).tolist() for a in args)
             assert q_cap == [system.grid.q_max for system, *_ in drawn]
@@ -199,28 +238,36 @@ class TestOracleDraw:
             for i, (system, state, obs, v) in enumerate(drawn):
                 k, g = system.n_batteries, system.grid
                 assert [row[i] for row in quality] == self.padded(
-                    [z + a for z, a in zip(state.z, obs.alpha)], 20)
-                assert [row[i] for row in caps] == self.padded(obs.alpha, 20)
+                    [z + a for z, a in zip(state.z, obs.alpha)], n_max)
+                assert [row[i] for row in caps] == self.padded(obs.alpha,
+                                                               n_max)
                 assert [row[i] for row in x[:k]] == [
                     battery_queue(e, spec, v, g)
                     for e, spec in zip(state.e, system.batteries)]
                 assert [row[i] for row in r_cap] == self.padded(
                     [max(0.0, min(spec.r_max, spec.e_max - e))
-                     for e, spec in zip(state.e, system.batteries)], 5)
+                     for e, spec in zip(state.e, system.batteries)], k_max)
                 assert [row[i] for row in d_cap] == self.padded(
                     [max(0.0, min(spec.d_max, e - spec.e_min))
-                     for e, spec in zip(state.e, system.batteries)], 5)
+                     for e, spec in zip(state.e, system.batteries)], k_max)
                 assert surplus[i] == surplus_power(obs)
                 assert (c[i], w[i]) == (v * obs.c, v * obs.w)
 
     def test_draws_follow_the_generators_distributions(self):
-        # 20,032 instances in the suite's blocks of 64; every spec was built
+        # The oracle suite's backlogs reach 1x their cap, the threshold
+        # suite's 1.25x.
+        for z_scale in (1.0, 1.25):
+            self.check_distributions(z_scale)
+
+    def check_distributions(self, z_scale):
+        # 20,032 instances in the suites' blocks of 64; every spec was built
         # through its __post_init__, and each block's fields are gathered
         # and checked against random_system's ranges at once.
         rng = np.random.default_rng(11)
-        ks, ns, zeros, draws = set(), set(), 0, 0
+        ks, ns, zeros, draws, top = set(), set(), 0, 0, 0.0
         for _ in range(313):
-            drawn, (specs, e, z, alpha, *_) = _oracle_instances(rng, 64)
+            block = _draw_block(rng, 64, 5, 20, z_scale)
+            drawn = _block_instances(block, slice(None))
             systems = [system for system, *_ in drawn]
             ks.update(system.n_batteries for system in systems)
             ns.update(system.n_residents for system in systems)
@@ -249,8 +296,9 @@ class TestOracleDraw:
             assert ((0.02 <= delta) & (delta < 0.15)).all()
             assert ((lo <= basic) & (basic <= hi)).all()
             assert ((0.0 <= a) & (a <= alpha_max)).all()
-            # backlogs up to 1x their cap
-            assert ((0.0 <= backlog) & (backlog <= cap)).all()
+            # backlogs up to z_scale times their cap
+            assert ((0.0 <= backlog) & (backlog <= z_scale * cap)).all()
+            top = max(top, float((backlog / cap).max()))
             zeros += int((backlog == 0.0).sum())
             draws += backlog.size
             grid = np.array([
@@ -282,11 +330,14 @@ class TestOracleDraw:
             assert ((w_min <= w) & (w <= w_max) & (w < c)).all()
             # the padded arrays hold each instance, then zero padding
             for i, (system, state, obs, _) in enumerate(drawn):
-                assert e[i].tolist() == self.padded(state.e, 5)
-                assert z[i].tolist() == self.padded(state.z, 20)
-                assert alpha[i].tolist() == self.padded(obs.alpha, 20)
-                assert not specs[:, i, system.n_batteries:].any()
+                assert block.e[i].tolist() == self.padded(state.e, 5)
+                assert block.z[i].tolist() == self.padded(state.z, 20)
+                assert block.alpha[i].tolist() == self.padded(obs.alpha, 20)
+                assert not block.batteries[i, system.n_batteries:].any()
+                assert not block.residents[i, system.n_residents:].any()
         assert ks == set(range(1, 6)) and ns == set(range(1, 21))
+        # the backlogs fill their range
+        assert 0.99 * z_scale < top <= z_scale
         # the zero coin is fair to within 5 binomial standard deviations
         sigma = math.sqrt(0.3 * 0.7 / draws)
         assert abs(zeros / draws - 0.3) <= 5.0 * sigma
@@ -417,42 +468,69 @@ class TestOtherSuites:
         assert suite.violations == self.unbalanced(*calls[0]).sum() > 0
         assert "balance residual" in suite.counterexample
 
-    def test_threshold_suite_solves_the_slots_it_always_drew(self,
-                                                             monkeypatch):
-        # Each block's systems, states and observations are those of
-        # random_system, random_states and generate_traces in the suite's
-        # order, priced as dispatch_slot prices them.
-        real = mgsched.validate.merit_order_columns
-        calls = []
+    def test_threshold_suite_flags_what_threshold_violations_flags(
+            self, monkeypatch):
+        # Flows drawn at random inside their caps break the threshold
+        # structure in many slots. With the balance audit silenced, the
+        # suite's padded per-column mask must flag exactly the slots that
+        # threshold_violations flags on each slot's own objects.
+        flows_rng = np.random.default_rng(13)
+        draws, solutions = [], []
+        real_draw = mgsched.validate._draw_block
+
+        def some(cap, share):
+            # a random flow under cap on a random share of the entries
+            return cap * flows_rng.random(cap.shape) * (
+                flows_rng.random(cap.shape) < share)
+
+        def random_flows(quality, caps, x, r_cap, d_cap, surplus, *_):
+            ones = np.ones(surplus.size)
+            # each resident is served its full request or nothing
+            p = caps * (flows_rng.random(caps.shape) < 0.8)
+            solutions.append((0.0 * ones, some(ones, 0.2), some(ones, 0.2),
+                              some(r_cap, 0.2), some(d_cap, 0.2), p,
+                              ones < 0.0))
+            return solutions[-1]
+
+        monkeypatch.setattr(
+            mgsched.validate, "_draw_block",
+            lambda *args: draws.append(real_draw(*args)) or draws[-1])
         monkeypatch.setattr(mgsched.validate, "merit_order_columns",
-                            lambda *args: calls.append(args) or real(*args))
-        threshold_trials(slots=100, seed=5, k_max=5, n_max=20)
-        rng = np.random.default_rng((5, 3))
-        assert len(calls) == 2
-        for args, size in zip(calls, (64, 36)):
-            config = random_system(rng, size, 5, 20)
-            system = config.system
-            v = float(rng.uniform(0.3, 1.0)) * compute_vmax(
-                config.batteries, config.grid)
-            block = generate_traces(config, rng)
-            states = random_states(system, rng, v, size)
-            assert args[0].T.tolist() == [
-                [z + a for z, a in zip(state.z, obs.alpha)]
-                for state, obs in zip(states, block)]
-            assert args[2].T.tolist() == [
-                [battery_queue(e, spec, v, system.grid)
-                 for e, spec in zip(state.e, system.batteries)]
-                for state in states]
-            assert args[3].T.tolist() == [
-                [max(0.0, min(spec.r_max, spec.e_max - e))
-                 for e, spec in zip(state.e, system.batteries)]
-                for state in states]
-            assert args[4].T.tolist() == [
-                [max(0.0, min(spec.d_max, e - spec.e_min))
-                 for e, spec in zip(state.e, system.batteries)]
-                for state in states]
-            assert args[5].tolist() == [surplus_power(obs) for obs in block]
-            assert args[6].tolist() == [v * obs.c for obs in block]
+                            random_flows)
+        monkeypatch.setattr(mgsched.validate, "_balance_masks",
+                            lambda q, *_: (np.zeros(q.size, dtype=bool),
+                                           None))
+        suite = threshold_trials(slots=128, seed=5)
+        expected = [
+            bool(threshold_violations(
+                system, state, obs, v,
+                mgsched.validate._column_dispatch(solution, i, system)))
+            for block, solution in zip(draws, solutions)
+            for i, (system, state, obs, v) in enumerate(
+                _block_instances(block, slice(None)))]
+        assert 0 < sum(expected) < len(expected) == 128
+        assert suite.violations == sum(expected)
+        assert (f"detail: slot {expected.index(True)}: "
+                in suite.counterexample)
+
+    def test_threshold_suite_names_an_unservable_slot(self, monkeypatch):
+        # A column the kernel finds infeasible raises as dispatch_slot
+        # would, naming the slot and its surplus.
+        real = mgsched.validate.merit_order_columns
+        surpluses = []
+
+        def sixth_infeasible(*args):
+            *solution, infeasible = real(*args)
+            surpluses.append(args[5][5])
+            infeasible[5] = True
+            return (*solution, infeasible)
+
+        monkeypatch.setattr(mgsched.validate, "merit_order_columns",
+                            sixth_infeasible)
+        with pytest.raises(UnservableSurplusError) as err:
+            threshold_trials(slots=128, seed=5)
+        assert str(err.value).startswith(
+            f"slot 5: surplus {surpluses[0]} kWh exceeds every sink")
 
     def test_threshold_suite_passes(self):
         suite = threshold_trials(slots=400, seed=5)
