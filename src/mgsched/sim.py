@@ -2,19 +2,19 @@
 
 The simulator replays exogenous traces (renewable generation, prices,
 demand) through a per-slot policy, audits every guarantee the scheduler is
-supposed to keep, and reports end-of-run metrics. Its slot loop only calls
-the policy and step, the one slot recurrence; audit_slots then checks all
-slots at once in numpy and flags each slot and entity that broke a
-guarantee, and run reads its counters and the first violation off those
-masks. Synthetic traces are
-generated from the run configuration; recorded traces load from three CSV
-files. A projected-subgradient hindsight bound provides the reference
-point for cost-gap checks: it lower-bounds the per-slot cost of any policy
-on the given trace whose horizon-average quality service reaches
-(1 - delta)*alpha, under relaxed storage dynamics, so the scheduler's
-average cost can be judged without knowing the true offline optimum. Each
-of its iterations solves the relaxed slot problems of all slots at once in
-numpy, with the merit order in closed form.
+supposed to keep, and reports end-of-run metrics. Its slot loop,
+_simulate, which validate's bound suites share, only calls the policy and
+step, the one slot recurrence; audit_slots then checks all slots at once
+in numpy and flags each slot and entity that broke a guarantee, and run
+reads its counters and the first violation off those masks. Synthetic
+traces are generated from the run configuration; recorded traces load
+from three CSV files. A projected-subgradient hindsight bound provides
+the reference point for cost-gap checks: it lower-bounds the per-slot
+cost of any policy on the given trace whose horizon-average quality
+service reaches (1 - delta)*alpha, under relaxed storage dynamics, so the
+scheduler's average cost can be judged without knowing the true offline
+optimum. Each of its iterations solves the relaxed slot problems of all
+slots at once in numpy, with the merit order in closed form.
 """
 
 from __future__ import annotations
@@ -692,26 +692,27 @@ def _threshold_mask(v, c_max, w_min, e_min, d_max, delta, alpha_max, q, s, r,
 def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
                 observations: list[SlotObservation],
                 dispatches: list[Dispatch],
-                z_max: tuple[float, ...] | list[float] | None = None
+                z_max: tuple[float, ...] | list[float]
                 ) -> dict[str, np.ndarray]:
     """Audit T slots at once, in one numpy pass over the stacked slots.
 
-    dispatches[t] is the decision taken on observations[t] from states[t].
+    dispatches[t] is the decision taken on observations[t] from states[t],
+    and states[t + 1] is the state slot t produced (T + 1 states).
     Returns boolean masks under their VIOLATION_KEYS names, each flag
     equal to what its per-slot producer says:
 
     - balance (T,): check_dispatch reports a box, curtailment,
       exclusivity or balance-residual problem;
     - exclusivity (T,): q*s or some r_k*d_k is nonzero;
-    - threshold (T,): threshold_violations reports a break at v.
+    - threshold (T,): threshold_violations reports a break at v;
+    - battery_band (T, K): a new level outside its band by more than
+      BALANCE_TOL;
+    - queue_bound (T, N): a new backlog above z_max[n] by more than
+      BALANCE_TOL.
 
-    With z_max, states also holds the state after the last slot, so that
-    states[t + 1] is the state slot t produced, and the result adds
-    battery_band (T, K), a new level outside its band by more than
-    BALANCE_TOL, and queue_bound (T, N), a new backlog above z_max[n] by
-    more than BALANCE_TOL. Every result also carries cost (T,), q*c - s*w,
-    the quality requests alpha (T, N), and outage (T, N), alpha - p, from
-    which outage_window_flags derives the window audit. Raises ValueError
+    The result also carries cost (T,), q*c - s*w, the quality requests
+    alpha (T, N), and outage (T, N), alpha - p, from which
+    outage_window_flags derives the window audit. Raises ValueError
     naming the first slot whose basic or alpha request does not have one
     entry per resident, and surplus_power's ValueError for the first slot
     whose basic usage exceeds generation.
@@ -744,20 +745,18 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
         np.array([res.delta for res in system.residents]),
         np.array([res.alpha_max for res in system.residents]), q, s, r, d, p,
         alpha, c, w, e[:horizon], z[:horizon])
-    audit = {"balance": balance, "exclusivity": exclusivity,
-             "threshold": threshold, "cost": q * c - s * w, "alpha": alpha,
-             "outage": alpha - p}
-    if z_max is not None:
-        audit["battery_band"] = (e[1:] < e_min - tol) | (e[1:] > e_max + tol)
-        audit["queue_bound"] = z[1:] > np.array(z_max) + tol
-    return audit
+    return {"balance": balance, "exclusivity": exclusivity,
+            "threshold": threshold, "cost": q * c - s * w, "alpha": alpha,
+            "outage": alpha - p,
+            "battery_band": (e[1:] < e_min - tol) | (e[1:] > e_max + tol),
+            "queue_bound": z[1:] > np.array(z_max) + tol}
 
 
 def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
                     system: SystemSpec, v: float, states: list[SystemState],
                     observations: list[SlotObservation],
                     dispatches: list[Dispatch],
-                    z_max: tuple[float, ...] | list[float] | None = None):
+                    z_max: tuple[float, ...] | list[float]):
     """Earliest slot that one of audit's masks under keys flags.
 
     audit is audit_slots' result, with outage_window_flags' mask added as
@@ -801,17 +800,46 @@ def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
     return t, key, msg
 
 
+def _simulate(config: RunConfig, observations: list[SlotObservation],
+              policy, v: float, z_max: tuple[float, ...]):
+    """Step config's system through observations, then audit every slot.
+
+    The run starts from the batteries' e_init levels and zero backlogs,
+    and policy is a callable (state, obs) -> Dispatch. The slot loop only
+    calls the policy and step; one audit_slots pass at v and z_max follows
+    it, and outage_window_flags' mask is added as outage_window. Returns
+    (states, dispatches, audit), with the T + 1 states audit_slots takes.
+    Raises _check_widths' ValueError before the first slot; policy and
+    step errors propagate.
+    """
+    system = config.system
+    _check_widths(observations, system.n_residents)
+    state = SystemState(0, tuple(b.e_init for b in config.batteries),
+                        (0.0,) * system.n_residents)
+    states = [state]
+    dispatches: list[Dispatch] = []
+    for obs in observations:
+        dispatch = policy(state, obs)
+        state = step(system, state, obs, dispatch)
+        dispatches.append(dispatch)
+        states.append(state)
+    audit = audit_slots(system, v, states, observations, dispatches, z_max)
+    audit["outage_window"] = outage_window_flags(audit["outage"],
+                                                 config.residents, z_max)
+    return states, dispatches, audit
+
+
 def run(config: RunConfig, traces: list[SlotObservation],
         policy=None, keep_records: bool = True):
     """Simulate the configured horizon, then audit every slot.
 
     policy may be None (use config.policy), a policy name, or a callable
     (state, obs) -> Dispatch. Returns (records, summary); records is empty
-    when keep_records is false. The slot loop only calls the policy and
-    step; one audit_slots pass after it counts the violations, derives
-    costs and outages, and finds the first violation. Policy and step
-    errors propagate; audit failures are counted in the summary, never
-    raised, so a broken setup still yields a diagnosable run.
+    when keep_records is false. _simulate steps and audits the run, and
+    the counters, costs, outages and first violation are read off its
+    audit. Policy and step errors propagate; audit failures are counted in
+    the summary, never raised, so a broken setup still yields a
+    diagnosable run.
     """
     if len(traces) < config.horizon:
         raise ValueError(
@@ -819,7 +847,6 @@ def run(config: RunConfig, traces: list[SlotObservation],
     system = config.system
     batteries = config.batteries
     residents = config.residents
-    n_res = len(residents)
     horizon = config.horizon
     v_max = compute_vmax(batteries, config.grid)
     v = config.v_fraction * v_max
@@ -858,22 +885,9 @@ def run(config: RunConfig, traces: list[SlotObservation],
         keys = ("battery_band", "balance", "exclusivity")
 
     observations = traces[:horizon]
-    _check_widths(observations, n_res)
-    state = SystemState(t=0, e=tuple(b.e_init for b in batteries),
-                        z=(0.0,) * n_res)
-    states = [state]
-    dispatches: list[Dispatch] = []
-    for obs in observations:
-        dispatch = policy_fn(state, obs)
-        state = step(system, state, obs, dispatch)
-        dispatches.append(dispatch)
-        states.append(state)
-
-    audit = audit_slots(system, v, states, observations, dispatches,
-                        consts.z_max)
+    states, dispatches, audit = _simulate(config, observations, policy_fn, v,
+                                          consts.z_max)
     outage_hist = audit["outage"]
-    audit["outage_window"] = outage_window_flags(outage_hist, residents,
-                                                 consts.z_max)
     counters = {key: int(audit[key].sum()) if key in keys else 0
                 for key in VIOLATION_KEYS}
     cost = audit["cost"]
@@ -1033,8 +1047,7 @@ def _unservable(surplus: np.ndarray, caps: np.ndarray,
 
 
 def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
-                          iterations: int,
-                          step0: float | None = None) -> float:
+                          iterations: int) -> float:
     """Lower-bound the per-slot cost of any feasible policy on this trace.
 
     The trace is the first min(config.horizon, len(traces)) slots of
@@ -1080,8 +1093,6 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     g = config.grid
     batteries = config.batteries
     residents = config.residents
-    if step0 is None:
-        step0 = g.c_max - g.w_min
     n_res = len(residents)
     traces = traces[:horizon]
     _check_widths(traces, n_res)
@@ -1111,7 +1122,7 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
             best = lb
         if it == iterations:
             break
-        step = step0 / math.sqrt(it)
+        step = (g.c_max - g.w_min) / math.sqrt(it)
         grad_mu = headroom + _slot_sums(r - d)
         grad_nu = allowance - _slot_sums(p)
         mu = np.clip(mu + step * grad_mu / horizon, -g.c_max, -g.w_min)

@@ -12,23 +12,25 @@ failure is directly reproducible.
 
 The bound suite draws its systems as random_system RunConfigs and its
 observations through the simulator's own generate_traces, and runs the
-scheduler: it advances each slot with dispatch_slot and the simulator's
-step and audits each 500-slot stretch of a run with audit_slots. The
-threshold and oracle suites check independent slot problems, each with a
-system of its own. _draw_block draws a block of them at once with the
-same field mapping and per-slot rules applied to whole arrays (the same
-distributions, but another stream than one-by-one draws from the same
-seed would give), and _solve_block solves the block with one
-merit_order_columns call and audits the flows with audit_slots' balance
-core. The threshold suite adds audit_slots' threshold core and builds
-slot objects only for its first counterexample; the oracle suite builds
-every instance and calls dispatch_slot once per instance, so the
-scheduler's own path stays checked against the oracle too. Every drawn
-system sizes the market trade caps to dominate the microgrid (purchases
-can cover every quality request and recharge, sales can absorb the
-largest surplus plus every discharge). The structural guarantees are
-proved under that regime; an undersized grid connection can force optima
-with a genuinely different shape.
+scheduler through run()'s own slot loop, sim._simulate: dispatch_slot and
+step advance each slot, and audit_slots checks the whole run at once,
+with no 500-slot stretches. Its counterexamples are first_violation's
+lines for the earliest flagged slot. The threshold and oracle suites
+check independent slot problems, each with a system of its own.
+_draw_block draws a block of them at once with the same field mapping
+and per-slot rules applied to whole arrays (the same distributions, but
+another stream than one-by-one draws from the same seed would give), and
+_solve_block solves the block with one merit_order_columns call and
+audits the flows with audit_slots' balance core. The threshold suite
+adds audit_slots' threshold core and builds slot objects only for its
+first counterexample; the oracle suite builds every instance and calls
+dispatch_slot once per instance, so the scheduler's own path stays
+checked against the oracle too. Every drawn system sizes the market
+trade caps to dominate the microgrid (purchases can cover every quality
+request and recharge, sales can absorb the largest surplus plus every
+discharge). The structural guarantees are proved under that regime; an
+undersized grid connection can force optima with a genuinely different
+shape.
 """
 
 from __future__ import annotations
@@ -63,14 +65,12 @@ from .sim import (
     RunConfig,
     _balance_masks,
     _row_total,
+    _simulate,
     _slot_draws,
     _threshold_mask,
     _uniform,
-    audit_slots,
     first_violation,
     generate_traces,
-    outage_windows,
-    step,
 )
 
 # Head-room added past the worst case when sizing q_max and s_max.
@@ -308,18 +308,6 @@ def _counterexample(system: SystemSpec, state: SystemState,
             f"state: {state!r}\nobs: {obs!r}\ndispatch: {dispatch!r}")
 
 
-def _first_counterexample(audit, key: str, system: SystemSpec, v: float,
-                          states, observations, dispatches,
-                          z_max) -> str | None:
-    first = first_violation(audit, (key,), system, v, states, observations,
-                            dispatches, z_max)
-    if first is None:
-        return None
-    t, _, msg = first
-    return _counterexample(system, states[t], observations[t], dispatches[t],
-                           msg)
-
-
 def _agrees(objective: float, optimum: float) -> bool:
     return abs(objective - optimum) <= 1e-9 * max(1.0, abs(optimum))
 
@@ -330,72 +318,46 @@ def run_bound_trials(runs: int, slots: int, seed: int,
     """Simulate random systems and audit the deterministic state bounds.
 
     Returns three SuiteResults: battery levels inside their band, backlog
-    queues under their cap, and sliding outage windows within budget. The
-    per-slot flow caps are deliberately not headroom-clamped here, so a
-    misparametrized control weight (v_factor > 1) produces real, countable
-    band violations instead of being silently repaired.
+    queues under their cap, and sliding outage windows within budget. Each
+    run steps the scheduler through run()'s slot loop, sim._simulate, and
+    is audited once; a run of T slots with N residents checks T levels and
+    backlogs and max(T - OUTAGE_WINDOW + 1, 0) * N windows, and each
+    counterexample is worded by first_violation. The per-slot flow caps
+    are deliberately not headroom-clamped here, so a misparametrized
+    control weight (v_factor > 1) produces real, countable band violations
+    instead of being silently repaired.
     """
     if runs < 1 or slots < 1:
         raise ValueError("runs and slots must both be >= 1")
     rng = np.random.default_rng((seed, 2))
-    band_v = queue_v = window_v = 0
-    band_ce = queue_ce = window_ce = None
-    windows_checked = 0
+    keys = ("battery_band", "queue_bound", "outage_window")
+    violations = dict.fromkeys(keys, 0)
+    counterexamples = dict.fromkeys(keys)
+    windows = 0
     for _ in range(runs):
         config = random_system(rng, slots, k_max=k_max, n_max=n_max)
         system = config.system
-        residents = config.residents
         v = v_factor * compute_vmax(config.batteries, config.grid)
-        consts = bound_constants(system, v)
-        state = SystemState(t=0, e=tuple(b.e_init for b in config.batteries),
-                            z=(0.0,) * len(residents))
+        z_max = bound_constants(system, v).z_max
         observations = generate_traces(config, rng)
-        # Each OUTAGE_WINDOW-slot stretch is audited on its own, so only
-        # one stretch's states and dispatches are alive at a time; keeping
-        # all of a long run's objects until one audit costs more in
-        # garbage-collector and allocator time than the audit saves.
-        # Windows span stretches and are summed over the run's outage rows.
-        outage = []
-        for start in range(0, slots, OUTAGE_WINDOW):
-            stretch = observations[start:start + OUTAGE_WINDOW]
-            states = [state]
-            dispatches = []
-            for obs in stretch:
-                dispatch = dispatch_slot(system, state, obs, v,
-                                         headroom_clamp=False)
-                state = step(system, state, obs, dispatch)
-                dispatches.append(dispatch)
-                states.append(state)
-            audit = audit_slots(system, v, states, stretch, dispatches,
-                                consts.z_max)
-            band_v += int(audit["battery_band"].sum())
-            queue_v += int(audit["queue_bound"].sum())
-            outage.append(audit["outage"])
-            context = (system, v, states, stretch, dispatches, consts.z_max)
-            if band_ce is None:
-                band_ce = _first_counterexample(audit, "battery_band",
-                                                *context)
-            if queue_ce is None:
-                queue_ce = _first_counterexample(audit, "queue_bound",
-                                                 *context)
-        sums, budgets = outage_windows(np.vstack(outage), residents,
-                                       consts.z_max)
-        windows_checked += sums.size
-        bad = sums > budgets
-        window_v += int(bad.sum())
-        if window_ce is None and bad.any():
-            n = int(np.nonzero(bad.any(axis=0))[0][0])
-            worst = int(np.argmax(sums[:, n]))
-            window_ce = (
-                f"detail: window starting at slot {worst} sums to "
-                f"{sums[worst, n]} > budget {budgets[n]} for resident "
-                f"{n}\nsystem: {system!r}")
-    slot_total = runs * slots
-    return [
-        SuiteResult("battery-band", slot_total, band_v, band_ce),
-        SuiteResult("queue-bound", slot_total, queue_v, queue_ce),
-        SuiteResult("outage-window", windows_checked, window_v, window_ce),
-    ]
+
+        def policy(state, obs):
+            return dispatch_slot(system, state, obs, v, headroom_clamp=False)
+
+        states, dispatches, audit = _simulate(config, observations, policy,
+                                              v, z_max)
+        windows += max(slots - OUTAGE_WINDOW + 1, 0) * system.n_residents
+        for key in keys:
+            violations[key] += int(audit[key].sum())
+            if counterexamples[key] is None and audit[key].any():
+                t, _, msg = first_violation(audit, (key,), system, v, states,
+                                            observations, dispatches, z_max)
+                counterexamples[key] = _counterexample(
+                    system, states[t], observations[t], dispatches[t], msg)
+    names = ("battery-band", "queue-bound", "outage-window")
+    trials = (runs * slots, runs * slots, windows)
+    return [SuiteResult(name, count, violations[key], counterexamples[key])
+            for name, count, key in zip(names, trials, keys)]
 
 
 def threshold_trials(slots: int, seed: int, k_max: int = 3,

@@ -875,8 +875,8 @@ class TestAuditSlots:
         idle = Dispatch(q=0.0, s=0.0, r=(0.0, 0.0), d=(0.0, 0.0),
                         p=(0.0,) * 5, objective=0.0)
         with pytest.raises(ValueError) as err:
-            audit_slots(config.system, 10.0, [state] * 5, observations,
-                        [idle] * 5)
+            audit_slots(config.system, 10.0, [state] * 6, observations,
+                        [idle] * 5, (4.0,) * 5)
         assert str(err.value) == (
             f"slot 3: observation {field} has {width} entries, expected 5")
 
@@ -888,7 +888,8 @@ class TestAuditSlots:
         with pytest.raises(ValueError) as expected:
             surplus_power(obs)
         with pytest.raises(ValueError) as err:
-            audit_slots(system, 150.0, [state], [obs], [one_by_one()])
+            audit_slots(system, 150.0, [state] * 2, [obs], [one_by_one()],
+                        (4.0,))
         assert str(err.value) == str(expected.value)
 
 

@@ -368,6 +368,19 @@ class TestBoundSuites:
             ("battery-band", 1800, 535), ("queue-bound", 1800, 0),
             ("outage-window", 1111, 0)]
 
+    def test_runs_longer_than_a_window_count_every_slot_and_window(self):
+        # 1700-slot runs at up to 5x20 span several 500-slot windows; the
+        # counts and the band counterexample's sha256 pin how such runs are
+        # stepped and audited
+        results = run_bound_trials(runs=2, slots=1700, seed=5,
+                                   v_factor=1.5, k_max=5, n_max=20)
+        assert [(r.name, r.trials, r.violations) for r in results] == [
+            ("battery-band", 3400, 776), ("queue-bound", 3400, 0),
+            ("outage-window", 16814, 0)]
+        assert hashlib.sha256(
+            results[0].counterexample.encode()).hexdigest() == (
+            "170c5fb6ba682e741f5a8abf8f833aa61837ae2f84c2327a6a57e8dd0b645cd8")
+
     def test_window_sums_above_budget_are_flagged(self):
         # One resident left unserved 1.0 kWh every slot for 600 slots: each
         # of the 101 windows sums to 500, past the budget 5 + 500*0.07*2.5.
@@ -391,8 +404,13 @@ class TestBoundSuites:
         _, queue, window = run_bound_trials(runs=1, slots=600, seed=4,
                                             k_max=2, n_max=3)
         assert window.name == "outage-window"
-        assert window.violations > 0
-        assert "for resident" in window.counterexample
+        # every window is flagged, so the earliest is slots 0..499 of
+        # the first resident, worded as mgsched run words it
+        assert window.violations == window.trials > 0
+        detail = window.counterexample.split("\n", 1)[0]
+        assert detail.startswith("detail: resident 0: slots 0..499 leave ")
+        assert " unserved, above budget " in detail
+        assert "state: SystemState(t=499," in window.counterexample
         assert queue.violations > 0
 
 
