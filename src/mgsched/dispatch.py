@@ -17,10 +17,13 @@ One kernel, merit_order_allocate, runs the sweep on sorted books of
 sort-key tuples: supply (cost, rank, index, cap) and demand (-value, rank,
 index, cap). Ranks break price ties as surplus, discharge, purchase on the
 supply side and quality, recharge, sale on the demand side, then by
-ascending index; system-level entries carry index -1. dispatch_slot sorts
-the battery and quality entries once per slot and inserts both trade
-entries; build_subproblem places them by a full sort instead, the
-reference the tests hold that path to. merit_order_columns solves the
+ascending index; system-level entries carry index -1. slot_solver
+prepares one system's slot problem at a given v, reading its specs once,
+and then solves each slot from its levels, backlogs and observation with
+one sort per book, trade entries included, and one kernel call; run()
+and the bound suite build one per run. dispatch_slot (one slot's
+decision) and build_subproblem (one slot's books) are thin wrappers over
+it, so the books have one builder. merit_order_columns solves the
 same sweep in closed form for many independent slot problems at once, one
 per column, for the validate suites; the hindsight bound in sim has its
 own closed form for all slots under fixed multipliers. The tests check
@@ -36,7 +39,6 @@ instead of solving anything.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from typing import NamedTuple
 
 import numpy as np
@@ -60,59 +62,91 @@ class SubproblemResult(NamedTuple):
     objective: float
 
 
-def _slot_books(system: SystemSpec, state: SystemState, obs: SlotObservation,
-                v: float, headroom_clamp: bool) -> tuple[list, list]:
-    """The sorted supply and demand books without the trade entries.
+def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
+    """Prepare system's slot books at v: a builder (e, z, obs) -> (supply,
+    demand), both sorted, from levels e and backlogs z.
 
     Batteries are priced by the negated battery queue, so a deeply
     discharged battery bids high to recharge and offers its discharge
     dearly, and quality bids by backlog plus demand, so long-unserved
-    residents outbid the market. headroom_clamp also clamps the flow caps
-    to the energy storable or extractable this slot; audits can turn it
-    off to expose misparametrization instead of masking it. Entries
-    without capacity are left out.
+    residents outbid the market. The purchase offer at v*c and the sale
+    bid at v*w join each book before its one sort; no other entry has
+    their rank 2, so no tie is left to the sort's order. headroom_clamp
+    also clamps the flow caps to the energy storable or extractable this
+    slot; audits can turn it off to expose misparametrization instead of
+    masking it. Entries without capacity are left out. Each battery's
+    limits, the trade caps and v*c_max are read once, here.
     """
-    surplus = surplus_power(obs)
-    supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
-    demand = [(-(z + alpha), 0, n, alpha)
-              for n, (z, alpha) in enumerate(zip(state.z, obs.alpha))
-              if alpha > 0.0]
-    v_c_max = v * system.grid.c_max
-    for k, (e, spec) in enumerate(zip(state.e, system.batteries)):
-        # battery_queue(e, spec, v, grid), in its order of operations.
-        d_max = spec.d_max
-        x = e - d_max - spec.e_min - v_c_max
-        # A clamped cap is min(cap, headroom): the headroom only where it
-        # is strictly smaller.
-        headroom = e - spec.e_min
-        d_cap = headroom if headroom_clamp and headroom < d_max else d_max
-        headroom = spec.e_max - e
-        r_cap = (headroom if headroom_clamp and headroom < spec.r_max
-                 else spec.r_max)
-        if d_cap > 0.0:
-            supply.append((-x, 1, k, d_cap))
-        if r_cap > 0.0:
-            demand.append((x, 1, k, r_cap))
-    supply.sort()
-    demand.sort()
-    return supply, demand
+    g = system.grid
+    q_max, s_max = g.q_max, g.s_max
+    v_c_max = v * g.c_max
+    specs = [(k, b.d_max, b.e_min, b.e_max, b.r_max)
+             for k, b in enumerate(system.batteries)]
+
+    def books(e, z, obs: SlotObservation) -> tuple[list, list]:
+        surplus = surplus_power(obs)
+        supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
+        demand = [(-(zn + alpha), 0, n, alpha)
+                  for n, (zn, alpha) in enumerate(zip(z, obs.alpha))
+                  if alpha > 0.0]
+        for level, (k, d_max, e_min, e_max, r_max) in zip(e, specs):
+            # battery_queue(level, spec, v, grid), in its order of operations.
+            x = level - d_max - e_min - v_c_max
+            # A clamped cap is min(cap, headroom): the headroom only where
+            # it is strictly smaller.
+            headroom = level - e_min
+            d_cap = headroom if headroom_clamp and headroom < d_max else d_max
+            headroom = e_max - level
+            r_cap = headroom if headroom_clamp and headroom < r_max else r_max
+            if d_cap > 0.0:
+                supply.append((-x, 1, k, d_cap))
+            if r_cap > 0.0:
+                demand.append((x, 1, k, r_cap))
+        supply.append((v * obs.c, 2, -1, q_max))
+        demand.append((-(v * obs.w), 2, -1, s_max))
+        supply.sort()
+        demand.sort()
+        return supply, demand
+
+    return books
+
+
+def slot_solver(system: SystemSpec, v: float, curtail: bool = False,
+                headroom_clamp: bool = True):
+    """Prepare system's slot problem at v: a solver (e, z, obs, t) ->
+    Dispatch for levels e, backlogs z and observation obs at slot t.
+
+    Each call builds the books and makes one merit_order_allocate call;
+    since w < c the sweep buys or sells, never both. If the surplus
+    exceeds every sink, the sale cap included, the slot is unservable;
+    with curtail=True the excess is discarded at zero value and recorded
+    on the dispatch instead. An observation whose alpha does not hold one
+    entry per resident raises ValueError naming slot t.
+    """
+    books = _book_builder(system, v, headroom_clamp)
+    n_bat, n_res = len(system.batteries), len(system.residents)
+
+    def solve(e, z, obs: SlotObservation, t: int) -> Dispatch:
+        if len(obs.alpha) != n_res:
+            raise width_error(t, "alpha", len(obs.alpha), n_res)
+        supply, demand = books(e, z, obs)
+        result = merit_order_allocate(supply, demand, n_bat, n_res, curtail)
+        if not result.feasible:
+            raise UnservableSurplusError(
+                f"slot {t}: surplus {surplus_power(obs)} kWh exceeds every "
+                "sink; enable curtailment or resize the scenario")
+        return result.dispatch
+
+    return solve
 
 
 def build_subproblem(system: SystemSpec, state: SystemState,
                      obs: SlotObservation, v: float,
                      headroom_clamp: bool = True) -> tuple[list, list]:
-    """The sorted (supply, demand) books of the slot problem.
-
-    These are dispatch_slot's books: the battery and quality entries plus
-    the purchase offer at v*c and the sale bid at v*w, placed by a full
-    sort rather than by insertion.
-    """
-    supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
-    supply.append((v * obs.c, 2, -1, system.grid.q_max))
-    demand.append((-(v * obs.w), 2, -1, system.grid.s_max))
-    supply.sort()
-    demand.sort()
-    return supply, demand
+    """The sorted (supply, demand) books that dispatch_slot sweeps: the
+    battery and quality entries plus the purchase offer at v*c and the
+    sale bid at v*w."""
+    return _book_builder(system, v, headroom_clamp)(state.e, state.z, obs)
 
 
 def merit_order_allocate(offers: list[tuple], bids: list[tuple],
@@ -258,45 +292,18 @@ def merit_order_columns(quality, alpha, x, r_cap, d_cap, surplus, c, w,
 def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
                   v: float, curtail: bool = False,
                   headroom_clamp: bool = True) -> Dispatch:
-    """Solve the slot problem by one merit_order_allocate call.
-
-    The books are _slot_books' with the purchase offer and the sale bid
-    inserted; since w < c the sweep buys or sells, never both. If the
-    surplus exceeds every sink, the sale cap included, the slot is
-    unservable; with curtail=True the excess is discarded at zero value
-    and recorded on the dispatch instead. An observation whose alpha does
-    not hold one entry per resident raises ValueError naming the slot.
-    """
-    n_res = len(system.residents)
-    if len(obs.alpha) != n_res:
-        raise width_error(state.t, "alpha", len(obs.alpha), n_res)
-    g = system.grid
-    supply, demand = _slot_books(system, state, obs, v, headroom_clamp)
-    insort(supply, (v * obs.c, 2, -1, g.q_max))
-    insort(demand, (-(v * obs.w), 2, -1, g.s_max))
-    result = merit_order_allocate(supply, demand, len(system.batteries),
-                                  n_res, curtail)
-    if not result.feasible:
-        raise UnservableSurplusError(
-            f"slot {state.t}: surplus {surplus_power(obs)} kWh exceeds every "
-            "sink; enable curtailment or resize the scenario")
-    return result.dispatch
+    """Solve one slot problem with a slot_solver prepared for it alone."""
+    return slot_solver(system, v, curtail, headroom_clamp)(state.e, state.z,
+                                                           obs, state.t)
 
 
-def slot_objective(system: SystemSpec, state: SystemState, obs: SlotObservation,
-                   v: float, dispatch: Dispatch) -> float:
-    """Evaluate the per-slot scheduling objective for any dispatch.
+def _flow_objective(system, state, obs, v, q, s, r, d, p) -> float:
+    """The per-slot scheduling objective of the flows q, s, r, d and p.
 
     Trades are weighted by v, battery flows by their queue levels, quality
     service by backlog plus demand. Lower is better; the merit-order
     optimum minimizes exactly this.
     """
-    return _flow_objective(system, state, obs, v, dispatch.q, dispatch.s,
-                           dispatch.r, dispatch.d, dispatch.p)
-
-
-def _flow_objective(system, state, obs, v, q, s, r, d, p) -> float:
-    """slot_objective of the flows q, s, r, d and p."""
     val = v * (q * obs.c - s * obs.w)
     v_c_max = v * system.grid.c_max
     for k, (e, spec) in enumerate(zip(state.e, system.batteries)):

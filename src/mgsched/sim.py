@@ -1,20 +1,25 @@
 """Trace-driven simulation: synthetic traces, the run loop, a hindsight bound.
 
 The simulator replays exogenous traces (renewable generation, prices,
-demand) through a per-slot policy, audits every guarantee the scheduler is
-supposed to keep, and reports end-of-run metrics. Its slot loop,
-_simulate, which validate's bound suites share, only calls the policy and
-step, the one slot recurrence; audit_slots then checks all slots at once
-in numpy and flags each slot and entity that broke a guarantee, and run
-reads its counters and the first violation off those masks. Synthetic
-traces are generated from the run configuration; recorded traces load
-from three CSV files. A projected-subgradient hindsight bound provides
-the reference point for cost-gap checks: it lower-bounds the per-slot
-cost of any policy on the given trace whose horizon-average quality
-service reaches (1 - delta)*alpha, under relaxed storage dynamics, so the
-scheduler's average cost can be judged without knowing the true offline
-optimum. Each of its iterations solves the relaxed slot problems of all
-slots at once in numpy, with the merit order in closed form.
+demand) through a per-slot policy, audits every guarantee the scheduler
+is supposed to keep, and reports end-of-run metrics. Its slot loop,
+_simulate, which validate's bound suites share, carries the battery
+levels and backlogs as tuples and only calls the policy and _advance,
+the one slot recurrence, which step wraps for SystemState objects. The
+scheduler's policy is a dispatch.slot_solver prepared once per run, so
+the loop builds no state object; run adapts mecp and custom policies,
+which take a SystemState, with one wrapper. audit_slots then checks all
+slots at once in numpy from the level and backlog rows and flags each
+slot and entity that broke a guarantee, and run reads its counters and
+the first violation off those masks. Synthetic traces are generated from
+the run configuration; recorded traces load from three CSV files. A
+projected-subgradient hindsight bound provides the reference point for
+cost-gap checks: it lower-bounds the per-slot cost of any policy on the
+given trace whose horizon-average quality service reaches
+(1 - delta)*alpha, under relaxed storage dynamics, so the scheduler's
+average cost can be judged without knowing the true offline optimum.
+Each of its iterations solves the relaxed slot problems of all slots at
+once in numpy, with the merit order in closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import NoReturn
 import numpy as np
 import yaml
 
-from .dispatch import dispatch_slot, mecp_dispatch, threshold_violations
+from .dispatch import mecp_dispatch, slot_solver, threshold_violations
 from .model import (
     BALANCE_TOL,
     BatterySpec,
@@ -545,6 +550,16 @@ def write_traces(traces: list[SlotObservation], prefix: str) -> tuple[str, str, 
 _delta = attrgetter("delta")
 
 
+def _advance(e: tuple[float, ...], z: tuple[float, ...],
+             alpha: tuple[float, ...], dispatch: Dispatch,
+             deltas) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """step's recurrence on tuples: the levels e - d + r and the backlogs
+    update_qose_queue(z, alpha, p, delta), one per resident's delta."""
+    return (tuple([level - d + r for level, d, r
+                   in zip(e, dispatch.d, dispatch.r)]),
+            tuple(map(update_qose_queue, z, alpha, dispatch.p, deltas)))
+
+
 def step(system: SystemSpec, state: SystemState, obs: SlotObservation,
          dispatch: Dispatch) -> SystemState:
     """Advance one slot: e' = e - d + r and z' = max(z - delta*alpha, 0) + alpha - p.
@@ -554,11 +569,9 @@ def step(system: SystemSpec, state: SystemState, obs: SlotObservation,
     caps. update_qose_queue's ValueErrors (negative backlog, demand or
     service, or service above demand) propagate.
     """
-    e_next = tuple([e - d + r for e, d, r
-                    in zip(state.e, dispatch.d, dispatch.r)])
-    z_next = tuple(map(update_qose_queue, state.z, obs.alpha, dispatch.p,
-                       map(_delta, system.residents)))
-    return SystemState(state.t + 1, e_next, z_next)
+    e, z = _advance(state.e, state.z, obs.alpha, dispatch,
+                    map(_delta, system.residents))
+    return SystemState(state.t + 1, e, z)
 
 
 def outage_windows(outage: np.ndarray, residents: tuple[ResidentSpec, ...],
@@ -689,15 +702,18 @@ def _threshold_mask(v, c_max, w_min, e_min, d_max, delta, alpha_max, q, s, r,
     return threshold
 
 
-def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
+def audit_slots(system: SystemSpec, v: float,
+                levels: list[tuple[float, ...]],
+                backlogs: list[tuple[float, ...]],
                 observations: list[SlotObservation],
                 dispatches: list[Dispatch],
                 z_max: tuple[float, ...] | list[float]
                 ) -> dict[str, np.ndarray]:
     """Audit T slots at once, in one numpy pass over the stacked slots.
 
-    dispatches[t] is the decision taken on observations[t] from states[t],
-    and states[t + 1] is the state slot t produced (T + 1 states).
+    dispatches[t] is the decision taken on observations[t] from the
+    battery levels levels[t] and backlogs backlogs[t], and levels[t + 1]
+    and backlogs[t + 1] are what slot t produced (T + 1 rows each).
     Returns boolean masks under their VIOLATION_KEYS names, each flag
     equal to what its per-slot producer says:
 
@@ -734,8 +750,8 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
     p = _stack([x.p for x in dispatches], n_res)
     curtailed = np.array([x.curtailed for x in dispatches], dtype=float)
     surplus, alpha, c, w = _observation_arrays(observations, n_res)
-    e = _stack([st.e for st in states], n_bat)
-    z = _stack([st.z for st in states], n_res)
+    e = _stack(levels, n_bat)
+    z = _stack(backlogs, n_res)
 
     balance, exclusivity = _balance_masks(
         q, s, r, d, p, curtailed, surplus, alpha, g.q_max, g.s_max,
@@ -753,7 +769,9 @@ def audit_slots(system: SystemSpec, v: float, states: list[SystemState],
 
 
 def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
-                    system: SystemSpec, v: float, states: list[SystemState],
+                    system: SystemSpec, v: float,
+                    levels: list[tuple[float, ...]],
+                    backlogs: list[tuple[float, ...]],
                     observations: list[SlotObservation],
                     dispatches: list[Dispatch],
                     z_max: tuple[float, ...] | list[float]):
@@ -781,16 +799,17 @@ def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
     if key in ("balance", "exclusivity"):
         return t, key, "; ".join(check_dispatch(dispatch, system, obs))
     if key == "threshold":
+        state = SystemState(t, levels[t], backlogs[t])
         return t, key, "; ".join(
-            threshold_violations(system, states[t], obs, v, dispatch))
+            threshold_violations(system, state, obs, v, dispatch))
     i = int(audit[key][t].argmax())
-    after = states[t + 1]
     if key == "battery_band":
         spec = system.batteries[i]
-        msg = (f"battery {i}: level {after.e[i]} outside "
+        msg = (f"battery {i}: level {levels[t + 1][i]} outside "
                f"[{spec.e_min}, {spec.e_max}]")
     elif key == "queue_bound":
-        msg = f"resident {i}: backlog {after.z[i]} above cap {z_max[i]}"
+        msg = (f"resident {i}: backlog {backlogs[t + 1][i]} above cap "
+               f"{z_max[i]}")
     else:
         sums, budgets = outage_windows(audit["outage"], system.residents,
                                        z_max)
@@ -805,28 +824,33 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
     """Step config's system through observations, then audit every slot.
 
     The run starts from the batteries' e_init levels and zero backlogs,
-    and policy is a callable (state, obs) -> Dispatch. The slot loop only
-    calls the policy and step; one audit_slots pass at v and z_max follows
-    it, and outage_window_flags' mask is added as outage_window. Returns
-    (states, dispatches, audit), with the T + 1 states audit_slots takes.
-    Raises _check_widths' ValueError before the first slot; policy and
-    step errors propagate.
+    carried as tuples, and policy is a callable (e, z, obs, t) -> Dispatch
+    of slot t's levels, backlogs and observation, such as a slot_solver.
+    The slot loop only calls the policy and _advance, step's recurrence;
+    one audit_slots pass at v and z_max follows it, and
+    outage_window_flags' mask is added as outage_window. Returns (levels,
+    backlogs, dispatches, audit), with the T + 1 level and backlog rows
+    audit_slots takes. Raises _check_widths' ValueError before the first
+    slot; policy and update_qose_queue errors propagate.
     """
-    system = config.system
-    _check_widths(observations, system.n_residents)
-    state = SystemState(0, tuple(b.e_init for b in config.batteries),
-                        (0.0,) * system.n_residents)
-    states = [state]
+    residents = config.residents
+    _check_widths(observations, len(residents))
+    deltas = tuple(map(_delta, residents))
+    e = tuple(b.e_init for b in config.batteries)
+    z = (0.0,) * len(residents)
+    levels, backlogs = [e], [z]
     dispatches: list[Dispatch] = []
-    for obs in observations:
-        dispatch = policy(state, obs)
-        state = step(system, state, obs, dispatch)
+    for t, obs in enumerate(observations):
+        dispatch = policy(e, z, obs, t)
+        e, z = _advance(e, z, obs.alpha, dispatch, deltas)
         dispatches.append(dispatch)
-        states.append(state)
-    audit = audit_slots(system, v, states, observations, dispatches, z_max)
-    audit["outage_window"] = outage_window_flags(audit["outage"],
-                                                 config.residents, z_max)
-    return states, dispatches, audit
+        levels.append(e)
+        backlogs.append(z)
+    audit = audit_slots(config.system, v, levels, backlogs, observations,
+                        dispatches, z_max)
+    audit["outage_window"] = outage_window_flags(audit["outage"], residents,
+                                                 z_max)
+    return levels, backlogs, dispatches, audit
 
 
 def run(config: RunConfig, traces: list[SlotObservation],
@@ -837,9 +861,10 @@ def run(config: RunConfig, traces: list[SlotObservation],
     (state, obs) -> Dispatch. Returns (records, summary); records is empty
     when keep_records is false. _simulate steps and audits the run, and
     the counters, costs, outages and first violation are read off its
-    audit. Policy and step errors propagate; audit failures are counted in
-    the summary, never raised, so a broken setup still yields a
-    diagnosable run.
+    audit. The scheduler runs as one slot_solver; mecp and a custom policy
+    get each slot's SystemState from one adapter. Policy and step errors
+    propagate; audit failures are counted in the summary, never raised, so
+    a broken setup still yields a diagnosable run.
     """
     if len(traces) < config.horizon:
         raise ValueError(
@@ -858,13 +883,13 @@ def run(config: RunConfig, traces: list[SlotObservation],
     if isinstance(policy, str):
         policy_name = policy
         if policy == "proposed":
-            def policy_fn(state: SystemState, obs: SlotObservation) -> Dispatch:
-                return dispatch_slot(system, state, obs, v, curtail=curtail)
+            policy_fn = slot_solver(system, v, curtail=curtail)
         elif policy == "mecp":
             mecp_rng = np.random.default_rng((config.seed, 1))
             block_prob, charge_prob = config.block_prob, config.charge_prob
 
-            def policy_fn(state: SystemState, obs: SlotObservation) -> Dispatch:
+            def state_policy(state: SystemState,
+                             obs: SlotObservation) -> Dispatch:
                 return mecp_dispatch(system, state, obs, mecp_rng, block_prob,
                                      charge_prob, v, curtail=curtail)
         else:
@@ -872,7 +897,7 @@ def run(config: RunConfig, traces: list[SlotObservation],
     else:
         policy_name = "custom"
 
-        def policy_fn(state: SystemState, obs: SlotObservation) -> Dispatch:
+        def state_policy(state: SystemState, obs: SlotObservation) -> Dispatch:
             dispatch = policy(state, obs)
             if problems := shape_problems(dispatch, system):
                 raise ValueError(f"slot {state.t}: custom policy dispatch "
@@ -884,9 +909,12 @@ def run(config: RunConfig, traces: list[SlotObservation],
     else:
         keys = ("battery_band", "balance", "exclusivity")
 
+        def policy_fn(e, z, obs: SlotObservation, t: int) -> Dispatch:
+            return state_policy(SystemState(t, e, z), obs)
+
     observations = traces[:horizon]
-    states, dispatches, audit = _simulate(config, observations, policy_fn, v,
-                                          consts.z_max)
+    levels, backlogs, dispatches, audit = _simulate(
+        config, observations, policy_fn, v, consts.z_max)
     outage_hist = audit["outage"]
     counters = {key: int(audit[key].sum()) if key in keys else 0
                 for key in VIOLATION_KEYS}
@@ -900,10 +928,10 @@ def run(config: RunConfig, traces: list[SlotObservation],
     records: list[SlotRecord] = []
     if keep_records:
         records = [
-            SlotRecord(t, dispatch, ci, cum, after.e, after.z, tuple(row))
-            for t, (dispatch, ci, cum, after, row) in enumerate(zip(
-                dispatches, cost.tolist(), cumulative.tolist(), states[1:],
-                outage_hist.tolist()))]
+            SlotRecord(t, dispatch, ci, cum, e, z, tuple(row))
+            for t, (dispatch, ci, cum, e, z, row) in enumerate(zip(
+                dispatches, cost.tolist(), cumulative.tolist(), levels[1:],
+                backlogs[1:], outage_hist.tolist()))]
 
     alpha_cum = np.cumsum(audit["alpha"], axis=0)
     outage_cum = np.cumsum(outage_hist, axis=0)
@@ -942,8 +970,8 @@ def run(config: RunConfig, traces: list[SlotObservation],
         violations=counters,
         curtailed_total=curtailed_total,
         first_violation=first_violation(
-            audit, keys, system, v, states, observations, dispatches,
-            consts.z_max))
+            audit, keys, system, v, levels, backlogs, observations,
+            dispatches, consts.z_max))
     return records, summary
 
 
@@ -1134,10 +1162,19 @@ def write_slot_records(records: list[SlotRecord], path: str,
                        n_batteries: int, n_residents: int) -> None:
     """Write per-slot records as CSV, one row per slot.
 
-    The slot index is written with str and every other field with repr;
-    a record whose e, z or outage width differs from the header's raises
-    TypeError.
+    The slot index is written with str and every other field with repr.
+    A record whose e, z or outage width differs from the header's raises
+    TypeError naming the first such slot, before anything is written.
     """
+    widths = (("e", n_batteries), ("z", n_residents), ("outage", n_residents))
+    if any(set(map(len, map(attrgetter(name), records))) - {width}
+           for name, width in widths):
+        for rec in records:
+            for name, width in widths:
+                if len(getattr(rec, name)) != width:
+                    raise TypeError(
+                        f"slot {rec.t}: record {name} has "
+                        f"{len(getattr(rec, name))} entries, expected {width}")
     cols = ["t", "cost_increment", "cumulative_cost", "q", "s", "sum_r", "sum_d"]
     cols += [f"e_{k + 1}" for k in range(n_batteries)]
     cols += [f"z_{n + 1}" for n in range(n_residents)]

@@ -12,20 +12,23 @@ failure is directly reproducible.
 
 The bound suite draws its systems as random_system RunConfigs and its
 observations through the simulator's own generate_traces, and runs the
-scheduler through run()'s own slot loop, sim._simulate: dispatch_slot and
-step advance each slot, and audit_slots checks the whole run at once,
-with no 500-slot stretches. Its counterexamples are first_violation's
-lines for the earliest flagged slot. The threshold and oracle suites
-check independent slot problems, each with a system of its own.
-_draw_block draws a block of them at once with the same field mapping
-and per-slot rules applied to whole arrays (the same distributions, but
-another stream than one-by-one draws from the same seed would give), and
-_solve_block solves the block with one merit_order_columns call and
-audits the flows with audit_slots' balance core. The threshold suite
-adds audit_slots' threshold core and builds slot objects only for its
-first counterexample; the oracle suite builds every instance and calls
-dispatch_slot once per instance, so the scheduler's own path stays
-checked against the oracle too. Every drawn system sizes the market
+scheduler through run()'s own slot loop, sim._simulate: a slot_solver
+prepared once per run and step's tuple recurrence advance each slot, and
+audit_slots checks the whole run at once, with no 500-slot stretches.
+Its counterexamples are first_violation's lines for the earliest flagged
+slot, and the only SystemStates it builds. The threshold and
+oracle suites check independent slot problems, each with a system of its
+own. _draw_block draws a block of them at once with the same field
+mapping and per-slot rules applied to whole arrays (the same
+distributions, but another stream than one-by-one draws from the same
+seed would give), and _solve_block solves the block with one
+merit_order_columns call and audits the flows with audit_slots' balance
+core. The threshold suite draws up to THRESHOLD_BLOCK (1024) slots per
+block, adds audit_slots' threshold core and builds slot objects only for
+its first counterexample; the oracle suite draws BLOCK (64) instances
+per block, builds every instance and calls dispatch_slot once per
+instance, so the scheduler's own path stays checked against the oracle
+too. Every drawn system sizes the market
 trade caps to dominate the microgrid (purchases can cover every quality
 request and recharge, sales can absorb the largest surplus plus every
 discharge). The structural guarantees are proved under that regime; an
@@ -45,6 +48,7 @@ from .dispatch import (
     dispatch_slot,
     merit_order_columns,
     oracle_columns,
+    slot_solver,
     threshold_violations,
 )
 from .model import (
@@ -75,8 +79,10 @@ from .sim import (
 
 # Head-room added past the worst case when sizing q_max and s_max.
 CAP_MARGIN = 2.0
-# Slot problems per block draw of the threshold and oracle suites.
+# Slot problems per block draw of the oracle suite, and at most per block
+# draw of the threshold suite.
 BLOCK = 64
+THRESHOLD_BLOCK = 1024
 # Chance that a random system's slot draws a surplus burst.
 BURST_PROB = 0.08
 
@@ -179,18 +185,6 @@ def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
                      burst_prob=BURST_PROB)
 
 
-def random_states(system: SystemSpec, rng: np.random.Generator, v: float,
-                  count: int, z_scale: float = 1.25,
-                  zero_prob: float = 0.3) -> list[SystemState]:
-    """Draw count states with levels anywhere in band and backlogs up to
-    z_scale times their cap (zero with probability zero_prob)."""
-    z_cap = z_scale * np.array(bound_constants(system, v).z_max)
-    e_min, e_max = np.array([(b.e_min, b.e_max) for b in system.batteries]).T
-    e, z = _draw_states(rng, count, e_min, e_max, z_cap, zero_prob)
-    return [SystemState(t=0, e=tuple(e_row), z=tuple(z_row))
-            for e_row, z_row in zip(e.tolist(), z.tolist())]
-
-
 def _draw_states(rng: np.random.Generator, count: int, e_min, e_max, z_cap,
                  zero_prob: float):
     """count rows of levels uniform on [e_min, e_max) and backlogs uniform
@@ -218,10 +212,11 @@ def _draw_block(rng: np.random.Generator, count: int, k_max: int,
 
     Each slot gets its own random_system system of up to k_max batteries
     and n_max residents, v uniform on [0.3, 1) times its v_max, a
-    random_states state (backlogs up to z_scale times their cap) and a
-    one-slot generate_traces observation: the same distributions and
-    rules, drawn for the whole block at once, so a seed draws other slots
-    than those generators would one by one.
+    _draw_states state (levels anywhere in band, backlogs up to z_scale
+    times their cap, zero with probability 0.3) and a one-slot
+    generate_traces observation: the same distributions and rules, drawn
+    for the whole block at once, so a seed draws other slots than those
+    generators would one by one.
     """
     _check_sizes(k_max, n_max)
     k = rng.integers(1, k_max + 1, size=count)
@@ -319,13 +314,13 @@ def run_bound_trials(runs: int, slots: int, seed: int,
 
     Returns three SuiteResults: battery levels inside their band, backlog
     queues under their cap, and sliding outage windows within budget. Each
-    run steps the scheduler through run()'s slot loop, sim._simulate, and
-    is audited once; a run of T slots with N residents checks T levels and
-    backlogs and max(T - OUTAGE_WINDOW + 1, 0) * N windows, and each
-    counterexample is worded by first_violation. The per-slot flow caps
-    are deliberately not headroom-clamped here, so a misparametrized
-    control weight (v_factor > 1) produces real, countable band violations
-    instead of being silently repaired.
+    run steps the scheduler, one slot_solver per run, through run()'s slot
+    loop, sim._simulate, and is audited once; a run of T slots with N
+    residents checks T levels and backlogs and max(T - OUTAGE_WINDOW + 1,
+    0) * N windows, and each counterexample is worded by first_violation.
+    The per-slot flow caps are deliberately not headroom-clamped here, so
+    a misparametrized control weight (v_factor > 1) produces real,
+    countable band violations instead of being silently repaired.
     """
     if runs < 1 or slots < 1:
         raise ValueError("runs and slots must both be >= 1")
@@ -341,19 +336,19 @@ def run_bound_trials(runs: int, slots: int, seed: int,
         z_max = bound_constants(system, v).z_max
         observations = generate_traces(config, rng)
 
-        def policy(state, obs):
-            return dispatch_slot(system, state, obs, v, headroom_clamp=False)
-
-        states, dispatches, audit = _simulate(config, observations, policy,
-                                              v, z_max)
+        levels, backlogs, dispatches, audit = _simulate(
+            config, observations, slot_solver(system, v, headroom_clamp=False),
+            v, z_max)
         windows += max(slots - OUTAGE_WINDOW + 1, 0) * system.n_residents
         for key in keys:
             violations[key] += int(audit[key].sum())
             if counterexamples[key] is None and audit[key].any():
-                t, _, msg = first_violation(audit, (key,), system, v, states,
-                                            observations, dispatches, z_max)
+                t, _, msg = first_violation(audit, (key,), system, v, levels,
+                                            backlogs, observations,
+                                            dispatches, z_max)
                 counterexamples[key] = _counterexample(
-                    system, states[t], observations[t], dispatches[t], msg)
+                    system, SystemState(t, levels[t], backlogs[t]),
+                    observations[t], dispatches[t], msg)
     names = ("battery-band", "queue-bound", "outage-window")
     trials = (runs * slots, runs * slots, windows)
     return [SuiteResult(name, count, violations[key], counterexamples[key])
@@ -366,20 +361,21 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
 
     Every slot is an independent problem with its own system, state
     (levels anywhere in band, backlogs up to 1.25x their cap) and
-    observation, drawn BLOCK slots at a time by _draw_block. _solve_block
-    solves a block with one merit_order_columns call, with dispatch_slot's
-    headroom-clamped books; every slot's optimum must pass the balance and
-    threshold audits of audit_slots. A slot whose surplus exceeds every
-    sink raises UnservableSurplusError naming it, as dispatch_slot would.
+    observation, drawn up to THRESHOLD_BLOCK slots at a time by
+    _draw_block. _solve_block solves a block with one merit_order_columns
+    call, with dispatch_slot's headroom-clamped books; every slot's
+    optimum must pass the balance and threshold audits of audit_slots. A
+    slot whose surplus exceeds every sink raises UnservableSurplusError
+    naming it, as dispatch_slot would.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
     rng = np.random.default_rng((seed, 3))
     violations = 0
     ce = None
-    for start in range(0, slots, BLOCK):
-        block = _draw_block(rng, min(BLOCK, slots - start), k_max, n_max,
-                            1.25)
+    for start in range(0, slots, THRESHOLD_BLOCK):
+        block = _draw_block(rng, min(THRESHOLD_BLOCK, slots - start), k_max,
+                            n_max, 1.25)
         _, solution, balance = _solve_block(block)
         _, q, s, r, d, p, infeasible = solution
         if infeasible.any():

@@ -143,13 +143,12 @@ class TestRunCommand:
 
     def test_violations_exit_two_and_name_the_first(self, tmp_path, capsys,
                                                     monkeypatch):
-        real = mgsched.sim.dispatch_slot
+        real = mgsched.sim.slot_solver
 
-        def overweighted(system, state, obs, v, **kwargs):
-            return real(system, state, obs, 4.0 * v, headroom_clamp=False,
-                        **kwargs)
+        def overweighted(system, v, **kwargs):
+            return real(system, 4.0 * v, headroom_clamp=False, **kwargs)
 
-        monkeypatch.setattr(mgsched.sim, "dispatch_slot", overweighted)
+        monkeypatch.setattr(mgsched.sim, "slot_solver", overweighted)
         code = main(["run", "--config", FIVE_DAY,
                      "--out", str(tmp_path / "x")])
         assert code == 2

@@ -1,4 +1,5 @@
 import math
+from bisect import insort
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgsched import (
+    RunConfig,
     SlotObservation,
     SystemState,
     UnservableSurplusError,
@@ -23,15 +25,15 @@ from mgsched import (
     merit_order_columns,
     oracle_columns,
     oracle_solve,
-    random_states,
     random_system,
     run,
-    slot_objective,
+    slot_solver,
+    surplus_power,
     threshold_violations,
 )
 from mgsched import dispatch
 
-from conftest import make_system
+from conftest import make_system, random_states
 
 FIVE_DAY = Path(__file__).resolve().parent.parent / "configs" / "five_day.yaml"
 
@@ -58,9 +60,50 @@ def reference_slot():
     return system, state, obs
 
 
+def slot_objective(system, state, obs, v, dispatch):
+    """The per-slot scheduling objective of any dispatch, evaluated entry by
+    entry: trades weighted by v, battery flows by their queues, quality
+    service by backlog plus demand. The merit-order optimum minimizes it."""
+    g = system.grid
+    val = v * (dispatch.q * obs.c - dispatch.s * obs.w)
+    for e, spec, r, d in zip(state.e, system.batteries, dispatch.r,
+                             dispatch.d):
+        val += battery_queue(e, spec, v, g) * (r - d)
+    for z, alpha, p in zip(state.z, obs.alpha, dispatch.p):
+        val -= (z + alpha) * p
+    return val
+
+
+def reference_books(system, state, obs, v, headroom_clamp=True):
+    """The slot's books, built from the spec objects one slot at a time:
+    the battery and quality entries sorted, then both trade entries
+    inserted by bisection."""
+    g = system.grid
+    surplus = surplus_power(obs)
+    supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
+    demand = [(-(z + alpha), 0, n, alpha)
+              for n, (z, alpha) in enumerate(zip(state.z, obs.alpha))
+              if alpha > 0.0]
+    for k, (e, spec) in enumerate(zip(state.e, system.batteries)):
+        x = battery_queue(e, spec, v, g)
+        d_cap, r_cap = spec.d_max, spec.r_max
+        if headroom_clamp:
+            d_cap = min(d_cap, e - spec.e_min)
+            r_cap = min(r_cap, spec.e_max - e)
+        if d_cap > 0.0:
+            supply.append((-x, 1, k, d_cap))
+        if r_cap > 0.0:
+            demand.append((x, 1, k, r_cap))
+    supply.sort()
+    demand.sort()
+    insort(supply, (v * obs.c, 2, -1, g.q_max))
+    insort(demand, (-(v * obs.w), 2, -1, g.s_max))
+    return supply, demand
+
+
 def pick_by_full_sort(system, state, obs, v, curtail=False,
                       headroom_clamp=True):
-    """dispatch_slot's result, rebuilt from the full-sort books.
+    """dispatch_slot's result, rebuilt from build_subproblem's books.
 
     Returns None where dispatch_slot must raise UnservableSurplusError.
     """
@@ -837,3 +880,60 @@ class TestMeritOrderColumns:
             assert q[i] * s[i] == 0.0
             assert (r[:, i] * d[:, i] == 0.0).all()
             assert not (r[k:, i].any() or d[k:, i].any() or p[n:, i].any())
+
+
+@st.composite
+def prepared_slots(draw):
+    """A system at up to 5 batteries x 20 residents, its v, and up to four
+    slots of it: one tied_slot, large_slot (whose surplus can exceed every
+    sink) or regime_slot, then states drawn as the validate suites draw
+    them, with generate_traces observations."""
+    system, state, obs, v = draw(st.one_of(regime_slot(), tied_slot(),
+                                           large_slot()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(0, 3))
+    config = RunConfig(system.batteries, system.residents, system.grid,
+                       horizon=max(count, 1))
+    more = zip(random_states(system, rng, v, count),
+               generate_traces(config, rng))
+    return system, v, [(state, obs)] + [
+        (replace(other, t=t), seen) for t, (other, seen) in enumerate(more, 1)]
+
+
+class TestSlotSolver:
+    @given(prepared_slots(), st.booleans(), st.booleans())
+    @settings(deadline=None, max_examples=200)
+    def test_one_solver_serves_every_slot_of_its_system(self, case, clamp,
+                                                        curtail):
+        # One solver, prepared once, solves each slot as dispatch_slot does
+        # and as merit_order_allocate does on build_subproblem's books,
+        # which equal the books built from the spec objects by insertion.
+        system, v, slots = case
+        solve = slot_solver(system, v, curtail=curtail, headroom_clamp=clamp)
+        for state, obs in slots:
+            books = build_subproblem(system, state, obs, v,
+                                     headroom_clamp=clamp)
+            assert books == reference_books(system, state, obs, v,
+                                            headroom_clamp=clamp)
+            expected = merit_order_allocate(
+                *books, system.n_batteries, system.n_residents,
+                allow_shortfall=curtail).dispatch
+            calls = (lambda: solve(state.e, state.z, obs, state.t),
+                     lambda: dispatch_slot(system, state, obs, v,
+                                           curtail=curtail,
+                                           headroom_clamp=clamp))
+            for call in calls:
+                if expected is None:
+                    with pytest.raises(UnservableSurplusError,
+                                       match=f"^slot {state.t}: surplus "):
+                        call()
+                else:
+                    assert call() == expected
+
+    def test_misshaped_request_names_the_slot(self):
+        system, state, obs = reference_slot()
+        solve = slot_solver(system, V_REF)
+        with pytest.raises(ValueError) as err:
+            solve(state.e, state.z, replace(obs, alpha=(1.0, 1.0)), 7)
+        assert str(err.value) == (
+            "slot 7: observation alpha has 2 entries, expected 1")

@@ -24,6 +24,7 @@ from mgsched import (
     battery_queue,
     bound_constants,
     check_dispatch,
+    compute_vmax,
     dispatch_slot,
     format_summary,
     generate_traces,
@@ -34,6 +35,7 @@ from mgsched import (
     merit_order_columns,
     random_system,
     run,
+    slot_solver,
     step,
     surplus_power,
     threshold_violations,
@@ -47,6 +49,7 @@ from mgsched.sim import (
     _demand_caps,
     _relaxed_slots,
     _row_total,
+    _simulate,
     _unservable,
     first_violation,
     outage_window_flags,
@@ -759,10 +762,16 @@ def audited_slots(draw):
     return system, v, z_max, states, observations, dispatches
 
 
+def rows(states):
+    """The level and backlog rows of states, as audit_slots takes them."""
+    return [state.e for state in states], [state.z for state in states]
+
+
 def audit_one(system, state, obs, dispatch, z_max, v=150.0):
     """Step one slot and audit it."""
     states = [state, step(system, state, obs, dispatch)]
-    return audit_slots(system, v, states, [obs], [dispatch], z_max), states
+    return (audit_slots(system, v, *rows(states), [obs], [dispatch], z_max),
+            states)
 
 
 class TestAuditSlots:
@@ -770,7 +779,7 @@ class TestAuditSlots:
     @settings(deadline=None, max_examples=40)
     def test_masks_equal_the_per_slot_audits(self, case):
         system, v, z_max, states, observations, dispatches = case
-        audit = audit_slots(system, v, states, observations, dispatches,
+        audit = audit_slots(system, v, *rows(states), observations, dispatches,
                             z_max)
         for t, (obs, dispatch) in enumerate(zip(observations, dispatches)):
             after = states[t + 1]
@@ -800,7 +809,7 @@ class TestAuditSlots:
         audit, states = audit_one(system, state, obs, dispatch, (4.0,))
         assert audit["battery_band"].tolist() == [[True]]
         assert audit["queue_bound"].tolist() == [[True]]
-        args = (system, 150.0, states, [obs], [dispatch], (4.0,))
+        args = (system, 150.0, *rows(states), [obs], [dispatch], (4.0,))
         assert first_violation(audit, ("battery_band",), *args) == (
             0, "battery_band", "battery 0: level 17.0 outside [0.0, 16.0]")
         assert first_violation(audit, ("queue_bound",), *args) == (
@@ -837,7 +846,7 @@ class TestAuditSlots:
             dispatches.append(overfill(states[-1], obs))
             states.append(step(config.system, states[-1], obs,
                                dispatches[-1]))
-        audit = audit_slots(config.system, summary.v, states, traces,
+        audit = audit_slots(config.system, summary.v, *rows(states), traces,
                             dispatches, z_max)
         assert audit["battery_band"].sum() == 40 + 32
         assert summary.violations["battery_band"] == 40 + 32
@@ -856,7 +865,7 @@ class TestAuditSlots:
                                w=0.02) for alpha in [0.25] * 500 + [0.5]]
         dispatches = [one_by_one()] * len(obs)
         states = [SystemState(t=0, e=(8.0,), z=(0.0,))] * (len(obs) + 1)
-        args = (system, 150.0, states, obs, dispatches, (46.875,))
+        args = (system, 150.0, *rows(states), obs, dispatches, (46.875,))
         audit = audit_slots(*args)
         audit["outage_window"] = outage_window_flags(
             audit["outage"], system.residents, (46.875,))
@@ -875,7 +884,7 @@ class TestAuditSlots:
         idle = Dispatch(q=0.0, s=0.0, r=(0.0, 0.0), d=(0.0, 0.0),
                         p=(0.0,) * 5, objective=0.0)
         with pytest.raises(ValueError) as err:
-            audit_slots(config.system, 10.0, [state] * 6, observations,
+            audit_slots(config.system, 10.0, *rows([state] * 6), observations,
                         [idle] * 5, (4.0,) * 5)
         assert str(err.value) == (
             f"slot 3: observation {field} has {width} entries, expected 5")
@@ -888,8 +897,49 @@ class TestAuditSlots:
         with pytest.raises(ValueError) as expected:
             surplus_power(obs)
         with pytest.raises(ValueError) as err:
-            audit_slots(system, 150.0, [state] * 2, [obs], [one_by_one()],
-                        (4.0,))
+            audit_slots(system, 150.0, *rows([state] * 2), [obs],
+                        [one_by_one()], (4.0,))
+        assert str(err.value) == str(expected.value)
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("seed, v_factor", [(3, 1.0), (4, 2.0)])
+    def test_levels_and_backlogs_are_those_of_step(self, seed, v_factor):
+        # The slot loop's tuple recurrence gives, bit for bit, the levels
+        # and backlogs that step gives slot by slot on the same dispatches,
+        # also past band escapes (at twice the safe v, without the
+        # headroom clamp); each dispatch is dispatch_slot's at its state.
+        config = random_system(np.random.default_rng(seed), 600, 5, 20)
+        system = config.system
+        v = v_factor * compute_vmax(config.batteries, config.grid)
+        z_max = bound_constants(system, v).z_max
+        observations = generate_traces(config)
+        levels, backlogs, dispatches, audit = _simulate(
+            config, observations,
+            slot_solver(system, v, headroom_clamp=False), v, z_max)
+        states = [SystemState(0, tuple(b.e_init for b in config.batteries),
+                              (0.0,) * system.n_residents)]
+        for obs, dispatch in zip(observations, dispatches):
+            assert dispatch == dispatch_slot(system, states[-1], obs, v,
+                                             headroom_clamp=False)
+            states.append(step(system, states[-1], obs, dispatch))
+        assert [state.t for state in states] == list(range(601))
+        assert repr(levels) == repr([state.e for state in states])
+        assert repr(backlogs) == repr([state.z for state in states])
+        assert audit["battery_band"].any() == (v_factor > 1.0)
+
+    def test_custom_service_above_demand_raises_as_step_does(self):
+        config = make_config(horizon=5, seed=8)
+        traces = generate_traces(config)
+
+        def overserve(state, obs):
+            return one_by_one(p=obs.alpha[0] + 1e-6)
+
+        start = SystemState(0, (config.batteries[0].e_init,), (0.0,))
+        with pytest.raises(ValueError, match="exceeds demand") as expected:
+            step(config.system, start, traces[0], overserve(start, traces[0]))
+        with pytest.raises(ValueError) as err:
+            run(config, traces, policy=overserve)
         assert str(err.value) == str(expected.value)
 
 
@@ -1013,13 +1063,12 @@ class TestRun:
         # clamp, on one random system drawn at up to 5 batteries x 20
         # residents (here 5 x 10). The counts are those of the per-slot
         # audits the simulator ran before audit_slots existed.
-        real = mgsched.sim.dispatch_slot
+        real = mgsched.sim.slot_solver
 
-        def overweighted(system, state, obs, v, **kwargs):
-            return real(system, state, obs, 4.0 * v, headroom_clamp=False,
-                        **kwargs)
+        def overweighted(system, v, **kwargs):
+            return real(system, 4.0 * v, headroom_clamp=False, **kwargs)
 
-        monkeypatch.setattr(mgsched.sim, "dispatch_slot", overweighted)
+        monkeypatch.setattr(mgsched.sim, "slot_solver", overweighted)
         config = replace(random_system(np.random.default_rng(26), 800,
                                        k_max=5, n_max=20), seed=26)
         _, summary = run(config, generate_traces(config))
@@ -1340,6 +1389,20 @@ class TestReporting:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[7]) == records[0].e[0]
+
+    def test_record_widths_are_checked_before_writing(self, tmp_path):
+        # At 2 batteries x 5 residents, a record with one level and six
+        # backlogs fills as many fields as the header names; it must still
+        # be refused, naming its slot, before anything is written.
+        config = replace(load_config("configs/five_day.yaml"), horizon=4)
+        records, _ = run(config, generate_traces(config))
+        records[2] = replace(records[2], e=records[2].e[:1],
+                             z=records[2].z + (0.0,))
+        path = tmp_path / "records.csv"
+        with pytest.raises(TypeError) as err:
+            write_slot_records(records, str(path), 2, 5)
+        assert str(err.value) == "slot 2: record e has 1 entries, expected 2"
+        assert not path.exists()
 
     def test_summary_document(self, tmp_path):
         config = make_config(horizon=1)

@@ -16,7 +16,6 @@ from mgsched import (
     compute_vmax,
     generate_traces,
     load_config,
-    random_states,
     random_system,
     run_all_suites,
     run_bound_trials,
@@ -29,7 +28,7 @@ from mgsched import (
 from mgsched.sim import outage_windows
 from mgsched.validate import _block_instances, _draw_block
 
-from conftest import make_resident
+from conftest import make_resident, random_states
 
 
 # sha256 of the reprs below: it pins the systems and traces the two
@@ -221,15 +220,18 @@ class TestOracleDraw:
     def check_solved_as_drawn(self, result, draws, kernel, dispatched,
                               k_max, n_max, z_scale):
         assert result.trials == 100 and result.passed
+        # The oracle suite draws BLOCK instances at a time, the threshold
+        # suite all 100 slots in one block.
+        counts = (64, 36) if result.name == "solver-oracle" else (100,)
         assert [args[1:] for args, _ in draws] == [
-            (64, k_max, n_max, z_scale), (36, k_max, n_max, z_scale)]
+            (count, k_max, n_max, z_scale) for count in counts]
         blocks = [_block_instances(block, slice(None)) for _, block in draws]
         if result.name == "solver-oracle":
             # dispatch_slot solves each drawn instance once, in draw order
             assert dispatched == [inst for drawn in blocks for inst in drawn]
         else:
             assert dispatched == []
-        assert len(kernel) == 2
+        assert len(kernel) == len(draws)
         for args, drawn in zip(kernel, blocks):
             quality, caps, x, r_cap, d_cap, surplus, c, w, q_cap, s_cap = (
                 np.asarray(a).tolist() for a in args)
@@ -394,13 +396,18 @@ class TestBoundSuites:
         assert (sums > budgets).sum() == 101
 
     def test_unserved_residents_break_the_window_audit(self, monkeypatch):
-        real = mgsched.validate.dispatch_slot
+        real = mgsched.validate.slot_solver
 
-        def serve_nobody(system, state, obs, v, **kwargs):
-            dispatch = real(system, state, obs, v, **kwargs)
-            return replace(dispatch, p=(0.0,) * len(dispatch.p))
+        def serve_nobody(system, v, **kwargs):
+            solve = real(system, v, **kwargs)
 
-        monkeypatch.setattr(mgsched.validate, "dispatch_slot", serve_nobody)
+            def unserved(e, z, obs, t):
+                dispatch = solve(e, z, obs, t)
+                return replace(dispatch, p=(0.0,) * len(dispatch.p))
+
+            return unserved
+
+        monkeypatch.setattr(mgsched.validate, "slot_solver", serve_nobody)
         _, queue, window = run_bound_trials(runs=1, slots=600, seed=4,
                                             k_max=2, n_max=3)
         assert window.name == "outage-window"
