@@ -310,12 +310,12 @@ def generate_traces(config: RunConfig,
             pick(regime, "surplus_range"), pick(regime, "burst_range"),
             pick(regime, "burst_prob"), g.c_min, g.c_max, g.w_min, g.w_max)
 
-        for row, alpha, extra, c_t, w_t in zip(
-                basics.tolist(), alphas.tolist(), surplus.tolist(),
+        generation = _row_total(basics) + surplus
+        for u, row, alpha, c_t, w_t in zip(
+                generation.tolist(), basics.tolist(), alphas.tolist(),
                 c.tolist(), w.tolist()):
-            row = tuple(row)
-            traces.append(SlotObservation(sum(row) + extra, row,
-                                          tuple(alpha), c_t, w_t))
+            traces.append(SlotObservation(u, tuple(row), tuple(alpha), c_t,
+                                          w_t))
     return traces
 
 
@@ -1223,42 +1223,119 @@ def write_summary(summary: Summary, path: str) -> None:
         fh.write(format_summary(summary))
 
 
-def _reject_unknown(path: str, raw: dict, known: tuple[str, ...],
-                    where: str) -> None:
-    for key in raw:
-        if key not in known:
-            raise ValueError(f"{path}: unknown key {key!r} in {where}")
-
-
-def _expand_entries(raw, kind: str, path: str, known: tuple[str, ...]):
-    """Expand a list of spec dicts, honoring an optional count per entry."""
-    if not isinstance(raw, list) or not raw:
-        raise ValueError(f"{path}: {kind} must be a non-empty list")
-    out = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: each {kind} entry must be a mapping")
-        _reject_unknown(path, entry, ("count",) + known, kind)
-        entry = dict(entry)
-        count = _number(path, entry.pop("count", 1), "count", int)
-        if count < 1:
-            raise ValueError(f"{path}: count must be a positive integer")
-        out.extend([entry] * count)
-    return out
+# load_config's tables, one per section, map a YAML key to (field, kind,
+# default). Kinds: "number", "whole" (an integer), "flag" (a YAML boolean),
+# "kW" or "kW pair" (a number or [lo, hi] pair times slot_hours), "pair" (a
+# [lo, hi] pair filling the two fields named) and "raw" (taken as is). An
+# absent key takes its default: None keeps the dataclass's, REQUIRED refuses.
+REQUIRED = object()
+TOP_KEYS = {"slot_hours": ("slot_hours", "number", None),
+            "horizon": ("horizon", "whole", 480),
+            "seed": ("seed", "whole", None),
+            "v_fraction": ("v_fraction", "number", None),
+            "policy": ("policy", "raw", None),
+            "curtailment": ("curtailment", "flag", None),
+            "convergence_tol": ("convergence_tol", "number", None),
+            **{name: (name, "raw", None) for name in (
+                "batteries", "residents", "grid", "traces", "mecp")}}
+# Both list sections take a count, repeating the entry that holds it.
+COUNT_KEYS = {"count": ("count", "whole", None)}
+BATTERY_KEYS = {f"{name}_kwh": (name, "number", REQUIRED)
+                for name in ("e_min", "e_max", "r_max", "d_max", "e_init")}
+# quality_max_kw is alpha_base, and alpha_max once lifted to regime caps.
+RESIDENT_KEYS = {"delta": ("delta", "number", 0.07),
+                 "basic_range_kw": ("basic_range", "kW pair", REQUIRED),
+                 "quality_max_kw": ("alpha_max", "kW", REQUIRED)}
+GRID_KEYS = {"q_max_kwh": ("q_max", "number", REQUIRED),
+             "s_max_kwh": ("s_max", "number", REQUIRED),
+             "purchase_price": (("c_min", "c_max"), "pair", REQUIRED),
+             "sell_price": (("w_min", "w_max"), "pair", REQUIRED)}
+# The surplus process, for the run and from each regime's start_slot on.
+SURPLUS_KEYS = {"surplus_kw": ("surplus_range", "kW pair", None),
+                "burst_prob": ("burst_prob", "number", None),
+                "burst_kw": ("burst_range", "kW pair", None)}
+TRACE_KEYS = {**SURPLUS_KEYS, "regimes": ("regimes", "raw", None)}
+REGIME_KEYS = {"start_slot": ("start_slot", "whole", REQUIRED),
+               "basic_range_kw": ("basic_range", "kW pair", None),
+               "quality_max_kw": ("alpha_hi", "kW", None), **SURPLUS_KEYS}
+MECP_KEYS = {"block_prob": ("block_prob", "number", None),
+             "charge_prob": ("charge_prob", "number", None)}
 
 
 def _number(path: str, raw, name: str, kind=float):
     """raw as a float (or kind), or a ValueError naming the file and field.
-    Booleans are refused, and so are fractions where kind is int."""
+    Booleans, NaN and infinities are refused, and so are fractions where
+    kind is int."""
     try:
         if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
                                      and not raw.is_integer()):
             raise TypeError
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError):
         noun = "a number" if kind is float else "an integer"
         raise ValueError(
             f"{path}: {name} must be {noun}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{path}: {name} must be finite, got {raw!r}")
+    return value
+
+
+def _value(path: str, raw, name: str, kind: str, sh: float):
+    """raw read as kind, or a ValueError naming the file and field."""
+    if kind == "flag" and not isinstance(raw, bool):
+        raise ValueError(f"{path}: {name} must be true or false, got {raw!r}")
+    if kind in ("raw", "flag"):
+        return raw
+    if kind == "whole":
+        return _number(path, raw, name, int)
+    scale = sh if kind.startswith("kW") else 1.0
+    if not kind.endswith("pair"):
+        return _number(path, raw, name) * scale
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ValueError(f"{path}: {name} must be a [lo, hi] pair")
+    return tuple(_number(path, v, name) * scale for v in raw)
+
+
+def _fields(path: str, raw, keys: dict, where: str, noun: str = "",
+            sh: float = 1.0, entry: bool = False) -> dict:
+    """The fields the mapping raw fills, read through its section's table.
+    where names the section in unknown-key errors, noun its field names
+    ("grid.q_max_kwh") and missing keys, in it or in one of its entries."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {where} must be a mapping")
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"{path}: unknown key {key!r} in {where}")
+    fields = {}
+    for key, (field, kind, value) in keys.items():
+        if key in raw:
+            value = _value(path, raw[key], f"{noun}.{key}".lstrip("."), kind,
+                           sh)
+        elif value is REQUIRED:
+            raise ValueError(f"{path}: {noun}{' entry' if entry else ''} "
+                             f"missing {key!r}")
+        if value is not None:
+            fields.update(zip(field, value) if kind == "pair"
+                          else [(field, value)])
+    return fields
+
+
+def _entries(path: str, raw, keys: dict, where: str, noun: str,
+             sh: float = 1.0) -> list[dict]:
+    """The fields of each entry of a list section, count times each."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"{path}: {where} must be a non-empty list")
+    out = []
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: each {where} entry must be a mapping")
+        fields = _fields(path, entry, {**COUNT_KEYS, **keys}, where, noun, sh,
+                         entry=True)
+        count = fields.pop("count", 1)
+        if count < 1:
+            raise ValueError(f"{path}: count must be a positive integer")
+        out.extend([fields] * count)
+    return out
 
 
 def _build(path: str, spec, **fields):
@@ -1267,12 +1344,6 @@ def _build(path: str, spec, **fields):
         return spec(**fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _pair(path: str, raw, name: str) -> tuple[float, float]:
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2):
-        raise ValueError(f"{path}: {name} must be a [lo, hi] pair")
-    return _number(path, raw[0], name), _number(path, raw[1], name)
 
 
 def _read_yaml(path: str) -> dict:
@@ -1311,138 +1382,33 @@ def load_config(path: str) -> RunConfig:
     the declared bound. Raises ValueError on any malformed field and on
     any key it does not know.
     """
-    data = _read_yaml(path)
-    _reject_unknown(path, data, (
-        "slot_hours", "horizon", "seed", "v_fraction", "policy",
-        "curtailment", "convergence_tol", "batteries", "residents", "grid",
-        "traces", "mecp"), "the top level")
-
-    sh = _number(path, data.get("slot_hours", 0.25), "slot_hours")
+    fields = _fields(path, _read_yaml(path), TOP_KEYS, "the top level")
+    sh = fields.get("slot_hours", RunConfig.slot_hours)
     if sh <= 0.0:
         raise ValueError(f"{path}: slot_hours must be positive")
-    if not isinstance(data.get("curtailment", False), bool):
-        raise ValueError(f"{path}: curtailment must be true or false, "
-                         f"got {data['curtailment']!r}")
-
-    traces_raw = data.get("traces", {})
-    if not isinstance(traces_raw, dict):
-        raise ValueError(f"{path}: traces must be a mapping")
-    _reject_unknown(path, traces_raw,
-                    ("surplus_kw", "burst_prob", "burst_kw", "regimes"),
-                    "traces")
-    regimes_raw = traces_raw.get("regimes", [])
-    if not isinstance(regimes_raw, list):
+    fields.update(_fields(path, fields.pop("traces", {}), TRACE_KEYS,
+                          "traces", "traces", sh))
+    regimes = fields.get("regimes", [])
+    if not isinstance(regimes, list):
         raise ValueError(f"{path}: traces.regimes must be a list")
-
-    batteries = []
-    for entry in _expand_entries(data.get("batteries"), "batteries", path, (
-            "e_min_kwh", "e_max_kwh", "r_max_kwh", "d_max_kwh",
-            "e_init_kwh")):
-        fields = {}
-        for name in ("e_min", "e_max", "r_max", "d_max", "e_init"):
-            key = f"{name}_kwh"
-            if key not in entry:
-                raise ValueError(f"{path}: battery entry missing {key!r}")
-            fields[name] = _number(path, entry[key], key)
-        batteries.append(_build(path, BatterySpec, **fields))
-
-    regime_quality_kw = [_number(path, r["quality_max_kw"], "quality_max_kw")
-                         for r in regimes_raw
-                         if isinstance(r, dict) and "quality_max_kw" in r]
-    residents = []
-    alpha_base = []
-    for entry in _expand_entries(data.get("residents"), "residents", path, (
-            "delta", "basic_range_kw", "quality_max_kw")):
-        try:
-            base_quality_kw = _number(path, entry["quality_max_kw"],
-                                      "quality_max_kw")
-            basic_kw = _pair(path, entry["basic_range_kw"], "basic_range_kw")
-        except KeyError as exc:
-            raise ValueError(f"{path}: resident entry missing {exc}") from None
-        # alpha_max must cover the widest quality cap any regime uses, but
-        # baseline slots keep drawing from the entry's own cap.
-        peak_kw = max([base_quality_kw] + regime_quality_kw)
-        residents.append(_build(
-            path, ResidentSpec,
-            delta=_number(path, entry.get("delta", 0.07), "delta"),
-            alpha_max=peak_kw * sh,
-            basic_range=(basic_kw[0] * sh, basic_kw[1] * sh)))
-        alpha_base.append(base_quality_kw * sh)
-
-    grid_raw = data.get("grid")
-    if not isinstance(grid_raw, dict):
-        raise ValueError(f"{path}: grid must be a mapping")
-    _reject_unknown(path, grid_raw, ("q_max_kwh", "s_max_kwh",
-                                     "purchase_price", "sell_price"), "grid")
-    try:
-        c_lo, c_hi = _pair(path, grid_raw["purchase_price"],
-                           "grid.purchase_price")
-        w_lo, w_hi = _pair(path, grid_raw["sell_price"], "grid.sell_price")
-        q_max = _number(path, grid_raw["q_max_kwh"], "q_max_kwh")
-        s_max = _number(path, grid_raw["s_max_kwh"], "s_max_kwh")
-    except KeyError as exc:
-        raise ValueError(f"{path}: grid missing {exc}") from None
-    grid = _build(path, GridSpec, q_max=q_max, s_max=s_max, c_min=c_lo,
-                  c_max=c_hi, w_min=w_lo, w_max=w_hi)
-
-    regimes = []
-    for r in regimes_raw:
-        if not isinstance(r, dict):
-            raise ValueError(f"{path}: each regime must be a mapping")
-        _reject_unknown(path, r, ("start_slot", "basic_range_kw",
-                                  "quality_max_kw", "surplus_kw",
-                                  "burst_prob", "burst_kw"), "traces.regimes")
-        if "start_slot" not in r:
-            raise ValueError(f"{path}: regime missing start_slot")
-        regimes.append(_build(
-            path, Regime,
-            start_slot=_number(path, r["start_slot"], "start_slot", int),
-            basic_range=tuple(v * sh for v in _pair(
-                path, r["basic_range_kw"], "regime.basic_range_kw"))
-            if "basic_range_kw" in r else None,
-            alpha_hi=_number(path, r["quality_max_kw"], "quality_max_kw") * sh
-            if "quality_max_kw" in r else None,
-            surplus_range=tuple(v * sh for v in _pair(
-                path, r["surplus_kw"], "regime.surplus_kw"))
-            if "surplus_kw" in r else None,
-            burst_prob=_number(path, r["burst_prob"], "burst_prob")
-            if "burst_prob" in r else None,
-            burst_range=tuple(v * sh for v in _pair(
-                path, r["burst_kw"], "regime.burst_kw"))
-            if "burst_kw" in r else None))
-
-    mecp_raw = data.get("mecp", {})
-    if not isinstance(mecp_raw, dict):
-        raise ValueError(f"{path}: mecp must be a mapping")
-    _reject_unknown(path, mecp_raw, ("block_prob", "charge_prob"), "mecp")
-
-    kwargs = dict(
-        batteries=tuple(batteries),
-        residents=tuple(residents),
-        grid=grid,
-        horizon=_number(path, data.get("horizon", 480), "horizon", int),
-        slot_hours=sh,
-        seed=_number(path, data.get("seed", 0), "seed", int),
-        v_fraction=_number(path, data.get("v_fraction", 1.0), "v_fraction"),
-        policy=str(data.get("policy", "proposed")),
-        curtailment=data.get("curtailment", False),
-        block_prob=_number(path, mecp_raw.get("block_prob", 0.07),
-                           "block_prob"),
-        charge_prob=_number(path, mecp_raw.get("charge_prob", 0.5),
-                            "charge_prob"),
-        regimes=tuple(regimes),
-        convergence_tol=_number(path, data.get("convergence_tol", 0.03),
-                                "convergence_tol"),
-        alpha_base=tuple(alpha_base),
-    )
-    if "surplus_kw" in traces_raw:
-        lo, hi = _pair(path, traces_raw["surplus_kw"], "traces.surplus_kw")
-        kwargs["surplus_range"] = (lo * sh, hi * sh)
-    if "burst_prob" in traces_raw:
-        kwargs["burst_prob"] = _number(path, traces_raw["burst_prob"],
-                                       "burst_prob")
-    if "burst_kw" in traces_raw:
-        lo, hi = _pair(path, traces_raw["burst_kw"], "traces.burst_kw")
-        kwargs["burst_range"] = (lo * sh, hi * sh)
-
-    return _build(path, RunConfig, **kwargs)
+    if not all(isinstance(regime, dict) for regime in regimes):
+        raise ValueError(f"{path}: each regime must be a mapping")
+    fields["regimes"] = tuple(_build(path, Regime, **_fields(
+        path, regime, REGIME_KEYS, "traces.regimes", "regime", sh))
+        for regime in regimes)
+    batteries = _entries(path, fields.get("batteries"), BATTERY_KEYS,
+                         "batteries", "battery")
+    fields["batteries"] = tuple(_build(path, BatterySpec, **entry)
+                                for entry in batteries)
+    residents = _entries(path, fields.get("residents"), RESIDENT_KEYS,
+                         "residents", "resident", sh)
+    caps = [r.alpha_hi for r in fields["regimes"] if r.alpha_hi is not None]
+    fields["residents"] = tuple(_build(path, ResidentSpec, **{
+        **entry, "alpha_max": max([entry["alpha_max"], *caps])})
+        for entry in residents)
+    fields["grid"] = _build(path, GridSpec, **_fields(
+        path, fields.get("grid"), GRID_KEYS, "grid", "grid"))
+    fields.update(_fields(path, fields.pop("mecp", {}), MECP_KEYS, "mecp",
+                          "mecp"))
+    return _build(path, RunConfig, **fields, alpha_base=tuple(
+        entry["alpha_max"] for entry in residents))

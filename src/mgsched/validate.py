@@ -14,26 +14,25 @@ The bound suite draws its systems as random_system RunConfigs and its
 observations through the simulator's own generate_traces, and runs the
 scheduler through run()'s own slot loop, sim._simulate: a slot_solver
 prepared once per run and step's tuple recurrence advance each slot, and
-audit_slots checks the whole run at once, with no 500-slot stretches.
-Its counterexamples are first_violation's lines for the earliest flagged
-slot, and the only SystemStates it builds. The threshold and
-oracle suites check independent slot problems, each with a system of its
-own. _draw_block draws a block of them at once with the same field
-mapping and per-slot rules applied to whole arrays (the same
-distributions, but another stream than one-by-one draws from the same
-seed would give), and _solve_block solves the block with one
-merit_order_columns call and audits the flows with audit_slots' balance
-core. The threshold suite draws up to THRESHOLD_BLOCK (1024) slots per
-block, adds audit_slots' threshold core and builds slot objects only for
-its first counterexample; the oracle suite draws BLOCK (64) instances
-per block, builds every instance and calls dispatch_slot once per
-instance, so the scheduler's own path stays checked against the oracle
-too. Every drawn system sizes the market
-trade caps to dominate the microgrid (purchases can cover every quality
-request and recharge, sales can absorb the largest surplus plus every
-discharge). The structural guarantees are proved under that regime; an
-undersized grid connection can force optima with a genuinely different
-shape.
+audit_slots checks the whole run at once. Its counterexamples are
+first_violation's lines for the earliest flagged slot, and the only
+SystemStates it builds. The threshold and oracle suites check
+independent slot problems, each with a system of its own. _draw_block
+draws a block of them at once with the same field mapping and per-slot
+rules applied to whole arrays (the same distributions, but another
+stream than one-by-one draws from the same seed would give), and
+_solve_block solves the block with one merit_order_columns call and
+audits the flows with audit_slots' balance core. The threshold suite
+draws up to THRESHOLD_BLOCK (1024) slots per block, adds audit_slots'
+threshold core and builds slot objects only for its first
+counterexample; the oracle suite draws BLOCK (64) instances per block,
+builds every instance and calls dispatch_slot once per instance, so the
+scheduler's own path stays checked against the oracle too. Every drawn
+system sizes the market trade caps to dominate the microgrid (purchases
+can cover every quality request and recharge, sales can absorb the
+largest surplus plus every discharge). The structural guarantees are
+proved under that regime; an undersized grid connection can force optima
+with a genuinely different shape.
 """
 
 from __future__ import annotations

@@ -354,6 +354,23 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("old,new", [
+        ("q_max_kwh: 25.0", "q_max_kwh: .nan"),
+        ("seed: 7", "seed: 7\nconvergence_tol: .nan"),
+        ("r_max_kwh: 2.0", "r_max_kwh: .nan"),
+        ("quality_max_kw: 10.0", "quality_max_kw: .inf"),
+    ])
+    def test_non_finite_config_values_exit_one(self, tmp_path, capsys, old,
+                                               new):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(Path(FIVE_DAY).read_text().replace(old, new))
+        code = main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "must be finite" in err
+        assert not (tmp_path / "x.slots.csv").exists()
+
     def test_bad_regime_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(Path(SEVEN_DAY).read_text().replace(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from dataclasses import replace
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 import mgsched.sim
 from mgsched import (
     BALANCE_TOL,
+    BatterySpec,
     Dispatch,
+    GridSpec,
+    ResidentSpec,
     RunConfig,
     Regime,
     SlotObservation,
@@ -1608,6 +1612,34 @@ class TestLoadConfig:
             load_config(str(path))
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("  q_max_kwh: 25.0\n", "  q_max_kwh: .nan\n",
+         "grid.q_max_kwh must be finite, got nan"),
+        ("seed: 7\n", "seed: 7\nconvergence_tol: .nan\n",
+         "convergence_tol must be finite, got nan"),
+        ("    r_max_kwh: 2.0\n", "    r_max_kwh: .NaN\n",
+         "battery.r_max_kwh must be finite, got nan"),
+        ("    quality_max_kw: 10.0\n", "    quality_max_kw: .inf\n",
+         "resident.quality_max_kw must be finite, got inf"),
+        ("slot_hours: 0.25\n", "slot_hours: -.inf\n",
+         "slot_hours must be finite, got -inf"),
+        ("[0.0, 10.0]", "[0.0, .Inf]",
+         "traces.surplus_kw must be finite, got inf"),
+        ("[0.05, 0.10]", '[0.05, "nan"]',
+         "grid.purchase_price must be finite, got 'nan'"),
+        ("  block_prob: 0.07\n", "  block_prob: -.INF\n",
+         "mecp.block_prob must be finite, got -inf"),
+    ])
+    def test_non_finite_numbers_are_refused(self, tmp_path, old, new,
+                                            message):
+        base = Path("configs/five_day.yaml").read_text()
+        assert old in base
+        path = tmp_path / "bad.yaml"
+        path.write_text(base.replace(old, new, 1))
+        with pytest.raises(ValueError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}: {message}"
+
     def test_regime_missing_start(self, tmp_path):
         base = Path("configs/five_day.yaml").read_text()
         path = tmp_path / "bad.yaml"
@@ -1617,3 +1649,50 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="start_slot") as err:
             load_config(str(path))
         assert str(err.value).startswith(f"{path}: ")
+
+
+CONFIG_TABLES = [
+    (mgsched.sim.TOP_KEYS, RunConfig),
+    (mgsched.sim.BATTERY_KEYS, BatterySpec),
+    (mgsched.sim.RESIDENT_KEYS, ResidentSpec),
+    (mgsched.sim.GRID_KEYS, GridSpec),
+    (mgsched.sim.TRACE_KEYS, RunConfig),
+    (mgsched.sim.REGIME_KEYS, Regime),
+    (mgsched.sim.MECP_KEYS, RunConfig),
+]
+
+
+class TestConfigTables:
+    @pytest.mark.parametrize("keys,target", CONFIG_TABLES)
+    def test_every_field_exists_on_its_target(self, keys, target):
+        defaults = {f.name: f.default for f in dataclasses.fields(target)}
+        for key, (field, kind, default) in keys.items():
+            if key in ("traces", "mecp"):
+                # Their own tables fill the top level's fields.
+                continue
+            for name in field if kind == "pair" else (field,):
+                assert name in defaults, (key, name)
+                has_default = defaults[name] is not dataclasses.MISSING
+                if default is mgsched.sim.REQUIRED:
+                    assert not has_default, key
+                elif default is None and kind != "raw":
+                    # An absent key must leave a field its dataclass fills.
+                    assert has_default, key
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.yaml"
+        path.write_text(
+            "batteries:\n"
+            "  - {e_min_kwh: 0.0, e_max_kwh: 16.0, r_max_kwh: 2.0,"
+            " d_max_kwh: 2.0, e_init_kwh: 8.0}\n"
+            "residents:\n"
+            "  - {basic_range_kw: [2.0, 25.0], quality_max_kw: 10.0}\n"
+            "grid: {q_max_kwh: 25.0, s_max_kwh: 25.0,"
+            " purchase_price: [0.05, 0.10], sell_price: [0.02, 0.04]}\n")
+        # Only horizon and delta have loader defaults; alpha_base is always
+        # the residents' own quality caps.
+        expected = RunConfig(batteries=(make_battery(),),
+                             residents=(make_resident(delta=0.07),),
+                             grid=make_grid(), horizon=480,
+                             alpha_base=(2.5,))
+        assert repr(load_config(str(path))) == repr(expected)
