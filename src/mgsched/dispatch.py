@@ -21,9 +21,13 @@ ascending index; system-level entries carry index -1. slot_solver
 prepares one system's slot problem at a given v, reading its specs once,
 and then solves each slot from its levels, backlogs and observation with
 one sort per book, trade entries included, and one kernel call; run()
-and the bound suite build one per run. dispatch_slot (one slot's
-decision) and build_subproblem (one slot's books) are thin wrappers over
-it, so the books have one builder. merit_order_columns solves the
+and the bound suite build one per run. The kernel and the solver return
+a slot's decision as one flat flow row, (q, s, r_1..r_K, d_1..d_K,
+p_1..p_N, objective, curtailed), which the simulator's slot loop keeps
+as numbers; _row_dispatch builds a Dispatch from a row only where one is
+kept or shown. dispatch_slot (one slot's decision, as a Dispatch) and
+build_subproblem (one slot's books) are thin wrappers over the solver,
+so the books have one builder. merit_order_columns solves the
 same sweep in closed form for many independent slot problems at once, one
 per column, for the validate suites; the hindsight bound in sim has its
 own closed form for all slots under fixed multipliers. The tests check
@@ -55,11 +59,31 @@ from .model import (
 from .queues import battery_queue
 
 class SubproblemResult(NamedTuple):
-    """One sweep's outcome; objective +inf and dispatch None if infeasible."""
+    """One sweep's outcome; flows (the flow row) None and objective +inf
+    if infeasible."""
 
     feasible: bool
-    dispatch: Dispatch | None
+    flows: tuple[float, ...] | None
     objective: float
+
+
+def _flow_slices(n_batteries: int) -> tuple[slice, slice, slice]:
+    """Where r, d and p sit in a flow row (q, s, r_1..r_K, d_1..d_K,
+    p_1..p_N, objective, curtailed) with K = n_batteries."""
+    k = 2 + n_batteries
+    return slice(2, k), slice(k, k + n_batteries), slice(k + n_batteries, -2)
+
+
+def _row_dispatch(row, n_batteries: int) -> Dispatch:
+    """The Dispatch of a flow row of a system with n_batteries batteries."""
+    r, d, p = _flow_slices(n_batteries)
+    return Dispatch(row[0], row[1], tuple(row[r]), tuple(row[d]),
+                    tuple(row[p]), row[-2], row[-1])
+
+
+def _dispatch_row(x: Dispatch) -> tuple[float, ...]:
+    """The flow row of a Dispatch; _row_dispatch's inverse."""
+    return (x.q, x.s, *x.r, *x.d, *x.p, x.objective, x.curtailed)
 
 
 def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
@@ -114,19 +138,20 @@ def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
 def slot_solver(system: SystemSpec, v: float, curtail: bool = False,
                 headroom_clamp: bool = True):
     """Prepare system's slot problem at v: a solver (e, z, obs, t) ->
-    Dispatch for levels e, backlogs z and observation obs at slot t.
+    flow row for levels e, backlogs z and observation obs at slot t, the
+    row merit_order_allocate returns.
 
     Each call builds the books and makes one merit_order_allocate call;
     since w < c the sweep buys or sells, never both. If the surplus
     exceeds every sink, the sale cap included, the slot is unservable;
     with curtail=True the excess is discarded at zero value and recorded
-    on the dispatch instead. An observation whose alpha does not hold one
+    in the row instead. An observation whose alpha does not hold one
     entry per resident raises ValueError naming slot t.
     """
     books = _book_builder(system, v, headroom_clamp)
     n_bat, n_res = len(system.batteries), len(system.residents)
 
-    def solve(e, z, obs: SlotObservation, t: int) -> Dispatch:
+    def solve(e, z, obs: SlotObservation, t: int) -> tuple[float, ...]:
         if len(obs.alpha) != n_res:
             raise width_error(t, "alpha", len(obs.alpha), n_res)
         supply, demand = books(e, z, obs)
@@ -135,7 +160,7 @@ def slot_solver(system: SystemSpec, v: float, curtail: bool = False,
             raise UnservableSurplusError(
                 f"slot {t}: surplus {surplus_power(obs)} kWh exceeds every "
                 "sink; enable curtailment or resize the scenario")
-        return result.dispatch
+        return result.flows
 
     return solve
 
@@ -161,16 +186,21 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
     cheapest offer is matched to the most valuable bid while value strictly
     exceeds cost. The greedy sweep is exact, as the objective is convex
     piecewise linear in the traded quantity.
+
+    Returns (feasible, flows, objective). flows is one flat row (q, s,
+    r_1..r_K, d_1..d_K, p_1..p_N, objective, curtailed) with K =
+    n_batteries and N = n_residents, curtailed being the leftover surplus
+    (0.0 unless allow_shortfall); it is None when infeasible.
     """
-    q = [0.0]
-    s = [0.0]
-    r = [0.0] * n_batteries
-    d = [0.0] * n_batteries
-    p = [0.0] * n_residents
-    # Flow lists by rank; system-level entries (index -1) land in q or s,
-    # and the surplus entry's own outflow is not kept.
-    sources = ([0.0], d, q)
-    sinks = (p, r, s)
+    k = 2 + n_batteries
+    flows = [0.0] * (k + n_batteries + n_residents + 2)
+    # Where an entry's index lands in flows, by rank: surplus, discharge,
+    # purchase on the supply side and quality, recharge, sale on the
+    # demand side. System-level entries carry index -1, so the purchase
+    # lands in q, the sale in s, and the surplus's own outflow in the last
+    # slot, which is overwritten with the curtailment at the end.
+    source_at = (0, k, 1)
+    sink_at = (k + n_batteries, 2, 2)
     objective = 0.0
     surplus_left = offers[0][3] if offers and offers[0][1] == 0 else 0.0
     if offers and bids:
@@ -187,12 +217,12 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
             # A flow filled by several takes can overshoot its cap by an
             # ulp (take1 + (cap - take1) need not round back to cap), so
             # every fill snaps the flow into its box.
-            flows = sources[o_rank]
-            f = flows[o_idx] + take
-            flows[o_idx] = f if f < o_cap else o_cap
-            flows = sinks[rank]
-            f = flows[idx] + take
-            flows[idx] = f if f < cap else cap
+            at = source_at[o_rank] + o_idx
+            f = flows[at] + take
+            flows[at] = f if f < o_cap else o_cap
+            at = sink_at[rank] + idx
+            f = flows[at] + take
+            flows[at] = f if f < cap else cap
             if o_rank:
                 objective += cost * take + neg_value * take
             else:
@@ -214,9 +244,9 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
                 b_left = cap
     if surplus_left > 0.0 and not allow_shortfall:
         return SubproblemResult(False, None, math.inf)
-    return SubproblemResult(True, Dispatch(q[0], s[0], tuple(r), tuple(d),
-                                           tuple(p), objective, surplus_left),
-                            objective)
+    flows[-2] = objective
+    flows[-1] = surplus_left
+    return SubproblemResult(True, tuple(flows), objective)
 
 
 def merit_order_columns(quality, alpha, x, r_cap, d_cap, surplus, c, w,
@@ -293,8 +323,8 @@ def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
                   v: float, curtail: bool = False,
                   headroom_clamp: bool = True) -> Dispatch:
     """Solve one slot problem with a slot_solver prepared for it alone."""
-    return slot_solver(system, v, curtail, headroom_clamp)(state.e, state.z,
-                                                           obs, state.t)
+    return _row_dispatch(slot_solver(system, v, curtail, headroom_clamp)(
+        state.e, state.z, obs, state.t), len(system.batteries))
 
 
 def _flow_objective(system, state, obs, v, q, s, r, d, p) -> float:

@@ -5,21 +5,27 @@ demand) through a per-slot policy, audits every guarantee the scheduler
 is supposed to keep, and reports end-of-run metrics. Its slot loop,
 _simulate, which validate's bound suites share, carries the battery
 levels and backlogs as tuples and only calls the policy and _advance,
-the one slot recurrence, which step wraps for SystemState objects. The
-scheduler's policy is a dispatch.slot_solver prepared once per run, so
-the loop builds no state object; run adapts mecp and custom policies,
-which take a SystemState, with one wrapper. audit_slots then checks all
-slots at once in numpy from the level and backlog rows and flags each
-slot and entity that broke a guarantee, and run reads its counters and
-the first violation off those masks. Synthetic traces are generated from
-the run configuration; recorded traces load from three CSV files. A
-projected-subgradient hindsight bound provides the reference point for
-cost-gap checks: it lower-bounds the per-slot cost of any policy on the
-given trace whose horizon-average quality service reaches
-(1 - delta)*alpha, under relaxed storage dynamics, so the scheduler's
-average cost can be judged without knowing the true offline optimum.
-Each of its iterations solves the relaxed slot problems of all slots at
-once in numpy, with the merit order in closed form.
+the one slot recurrence, which step wraps for SystemState objects. A
+policy returns each slot's decision as one flat flow row (q, s,
+r_1..r_K, d_1..d_K, p_1..p_N, objective, curtailed); the loop appends
+the rows to one flat list and reshapes it once into a (T, 2K + N + 4)
+flows array. The scheduler's policy is a dispatch.slot_solver prepared
+once per run, so the loop builds no state or Dispatch object; run adapts
+mecp and custom policies, which take a SystemState and return a
+Dispatch, with one wrapper that flattens the Dispatch into the row.
+audit_slots then checks all slots at once in numpy from the level and
+backlog rows and the flows array's columns and flags each slot and
+entity that broke a guarantee, and run reads its counters and the first
+violation off those masks. Dispatch objects are built only for the
+records run keeps and the slot first_violation words. Synthetic traces
+are generated from the run configuration; recorded traces load from
+three CSV files. A projected-subgradient hindsight bound provides the
+reference point for cost-gap checks: it lower-bounds the per-slot cost
+of any policy on the given trace whose horizon-average quality service
+reaches (1 - delta)*alpha, under relaxed storage dynamics, so the
+scheduler's average cost can be judged without knowing the true offline
+optimum. Each of its iterations solves the relaxed slot problems of all
+slots at once in numpy, with the merit order in closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +40,14 @@ from typing import NoReturn
 import numpy as np
 import yaml
 
-from .dispatch import mecp_dispatch, slot_solver, threshold_violations
+from .dispatch import (
+    _dispatch_row,
+    _flow_slices,
+    _row_dispatch,
+    mecp_dispatch,
+    slot_solver,
+    threshold_violations,
+)
 from .model import (
     BALANCE_TOL,
     BatterySpec,
@@ -551,13 +564,13 @@ _delta = attrgetter("delta")
 
 
 def _advance(e: tuple[float, ...], z: tuple[float, ...],
-             alpha: tuple[float, ...], dispatch: Dispatch,
+             alpha: tuple[float, ...], r, d, p,
              deltas) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """step's recurrence on tuples: the levels e - d + r and the backlogs
     update_qose_queue(z, alpha, p, delta), one per resident's delta."""
-    return (tuple([level - d + r for level, d, r
-                   in zip(e, dispatch.d, dispatch.r)]),
-            tuple(map(update_qose_queue, z, alpha, dispatch.p, deltas)))
+    return (tuple([level - out + into for level, out, into
+                   in zip(e, d, r)]),
+            tuple(map(update_qose_queue, z, alpha, p, deltas)))
 
 
 def step(system: SystemSpec, state: SystemState, obs: SlotObservation,
@@ -569,8 +582,8 @@ def step(system: SystemSpec, state: SystemState, obs: SlotObservation,
     caps. update_qose_queue's ValueErrors (negative backlog, demand or
     service, or service above demand) propagate.
     """
-    e, z = _advance(state.e, state.z, obs.alpha, dispatch,
-                    map(_delta, system.residents))
+    e, z = _advance(state.e, state.z, obs.alpha, dispatch.r, dispatch.d,
+                    dispatch.p, map(_delta, system.residents))
     return SystemState(state.t + 1, e, z)
 
 
@@ -705,17 +718,18 @@ def _threshold_mask(v, c_max, w_min, e_min, d_max, delta, alpha_max, q, s, r,
 def audit_slots(system: SystemSpec, v: float,
                 levels: list[tuple[float, ...]],
                 backlogs: list[tuple[float, ...]],
-                observations: list[SlotObservation],
-                dispatches: list[Dispatch],
+                observations: list[SlotObservation], flows: np.ndarray,
                 z_max: tuple[float, ...] | list[float]
                 ) -> dict[str, np.ndarray]:
     """Audit T slots at once, in one numpy pass over the stacked slots.
 
-    dispatches[t] is the decision taken on observations[t] from the
-    battery levels levels[t] and backlogs backlogs[t], and levels[t + 1]
-    and backlogs[t + 1] are what slot t produced (T + 1 rows each).
-    Returns boolean masks under their VIOLATION_KEYS names, each flag
-    equal to what its per-slot producer says:
+    Row t of flows (T, 2K + N + 4) is the flow row (q, s, r_1..r_K,
+    d_1..d_K, p_1..p_N, objective, curtailed) of the decision taken on
+    observations[t] from the battery levels levels[t] and backlogs
+    backlogs[t], and levels[t + 1] and backlogs[t + 1] are what slot t
+    produced (T + 1 rows each). Returns boolean masks under their
+    VIOLATION_KEYS names, each flag equal to what its per-slot producer
+    says of the row's Dispatch:
 
     - balance (T,): check_dispatch reports a box, curtailment,
       exclusivity or balance-residual problem;
@@ -733,22 +747,26 @@ def audit_slots(system: SystemSpec, v: float,
     entry per resident, and surplus_power's ValueError for the first slot
     whose basic usage exceeds generation.
     """
+    _check_widths(observations, len(system.residents))
+    return _audit_flows(system, v, levels, backlogs, observations, flows,
+                        z_max)
+
+
+def _audit_flows(system: SystemSpec, v: float, levels, backlogs,
+                 observations: list[SlotObservation], flows: np.ndarray,
+                 z_max) -> dict[str, np.ndarray]:
+    """audit_slots on observations whose widths are checked."""
     g = system.grid
     tol = BALANCE_TOL
-    horizon = len(dispatches)
+    horizon = len(flows)
     specs = system.batteries
     n_bat, n_res = len(specs), len(system.residents)
-    _check_widths(observations, n_res)
     e_min = np.array([b.e_min for b in specs])
     e_max = np.array([b.e_max for b in specs])
     d_max = np.array([b.d_max for b in specs])
 
-    q = np.array([x.q for x in dispatches], dtype=float)
-    s = np.array([x.s for x in dispatches], dtype=float)
-    r = _stack([x.r for x in dispatches], n_bat)
-    d = _stack([x.d for x in dispatches], n_bat)
-    p = _stack([x.p for x in dispatches], n_res)
-    curtailed = np.array([x.curtailed for x in dispatches], dtype=float)
+    q, s, curtailed = flows[:, 0], flows[:, 1], flows[:, -1]
+    r, d, p = (flows[:, at] for at in _flow_slices(n_bat))
     surplus, alpha, c, w = _observation_arrays(observations, n_res)
     e = _stack(levels, n_bat)
     z = _stack(backlogs, n_res)
@@ -772,8 +790,7 @@ def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
                     system: SystemSpec, v: float,
                     levels: list[tuple[float, ...]],
                     backlogs: list[tuple[float, ...]],
-                    observations: list[SlotObservation],
-                    dispatches: list[Dispatch],
+                    observations: list[SlotObservation], flows: np.ndarray,
                     z_max: tuple[float, ...] | list[float]):
     """Earliest slot that one of audit's masks under keys flags.
 
@@ -782,12 +799,13 @@ def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
     audit_slots was given. Returns (slot, key, message), or
     None when nothing is flagged; within one slot the key listed first
     wins. The message is what check_dispatch or threshold_violations
-    report for that slot, or a line naming the first battery, backlog or
-    window (the one ending at that slot) past its band, cap or budget.
+    report for that slot's Dispatch, the only one built here, or a line
+    naming the first battery, backlog or window (the one ending at that
+    slot) past its band, cap or budget.
     """
     first = None
     for key in keys:
-        flagged = audit[key].reshape(len(dispatches), -1).any(1)
+        flagged = audit[key].reshape(len(flows), -1).any(1)
         if flagged.any():
             t = int(flagged.argmax())
             if first is None or t < first[0]:
@@ -795,13 +813,14 @@ def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
     if first is None:
         return None
     t, key = first
-    obs, dispatch = observations[t], dispatches[t]
-    if key in ("balance", "exclusivity"):
+    obs = observations[t]
+    if key in ("balance", "exclusivity", "threshold"):
+        dispatch = _row_dispatch(flows[t].tolist(), len(system.batteries))
+        if key == "threshold":
+            state = SystemState(t, levels[t], backlogs[t])
+            return t, key, "; ".join(
+                threshold_violations(system, state, obs, v, dispatch))
         return t, key, "; ".join(check_dispatch(dispatch, system, obs))
-    if key == "threshold":
-        state = SystemState(t, levels[t], backlogs[t])
-        return t, key, "; ".join(
-            threshold_violations(system, state, obs, v, dispatch))
     i = int(audit[key][t].argmax())
     if key == "battery_band":
         spec = system.batteries[i]
@@ -824,33 +843,40 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
     """Step config's system through observations, then audit every slot.
 
     The run starts from the batteries' e_init levels and zero backlogs,
-    carried as tuples, and policy is a callable (e, z, obs, t) -> Dispatch
+    carried as tuples, and policy is a callable (e, z, obs, t) -> flow row
     of slot t's levels, backlogs and observation, such as a slot_solver.
-    The slot loop only calls the policy and _advance, step's recurrence;
-    one audit_slots pass at v and z_max follows it, and
-    outage_window_flags' mask is added as outage_window. Returns (levels,
-    backlogs, dispatches, audit), with the T + 1 level and backlog rows
-    audit_slots takes. Raises _check_widths' ValueError before the first
-    slot; policy and update_qose_queue errors propagate.
+    The slot loop only calls the policy and _advance, step's recurrence,
+    on the row's slices, and appends the row to one flat list, reshaped
+    once into the flows array; one audit pass at v and z_max follows it,
+    and outage_window_flags' mask is added as outage_window. Returns
+    (levels, backlogs, flows, audit), with the T + 1 level and backlog
+    rows and the (T, 2K + N + 4) flows array audit_slots takes. Raises
+    _check_widths' ValueError before the first slot; policy and
+    update_qose_queue errors propagate.
     """
     residents = config.residents
     _check_widths(observations, len(residents))
     deltas = tuple(map(_delta, residents))
+    n_bat = len(config.batteries)
+    r_at, d_at, p_at = _flow_slices(n_bat)
     e = tuple(b.e_init for b in config.batteries)
     z = (0.0,) * len(residents)
     levels, backlogs = [e], [z]
-    dispatches: list[Dispatch] = []
+    flat: list[float] = []
     for t, obs in enumerate(observations):
-        dispatch = policy(e, z, obs, t)
-        e, z = _advance(e, z, obs.alpha, dispatch, deltas)
-        dispatches.append(dispatch)
+        row = policy(e, z, obs, t)
+        e, z = _advance(e, z, obs.alpha, row[r_at], row[d_at], row[p_at],
+                        deltas)
+        flat += row
         levels.append(e)
         backlogs.append(z)
-    audit = audit_slots(config.system, v, levels, backlogs, observations,
-                        dispatches, z_max)
+    flows = np.array(flat, dtype=float).reshape(
+        len(observations), 2 * n_bat + len(residents) + 4)
+    audit = _audit_flows(config.system, v, levels, backlogs, observations,
+                         flows, z_max)
     audit["outage_window"] = outage_window_flags(audit["outage"], residents,
                                                  z_max)
-    return levels, backlogs, dispatches, audit
+    return levels, backlogs, flows, audit
 
 
 def run(config: RunConfig, traces: list[SlotObservation],
@@ -862,7 +888,9 @@ def run(config: RunConfig, traces: list[SlotObservation],
     when keep_records is false. _simulate steps and audits the run, and
     the counters, costs, outages and first violation are read off its
     audit. The scheduler runs as one slot_solver; mecp and a custom policy
-    get each slot's SystemState from one adapter. Policy and step errors
+    get each slot's SystemState from one adapter, which flattens their
+    Dispatch into the solver's flow row. Each kept record's Dispatch is
+    built from its slot's row. Policy and step errors
     propagate; audit failures are counted in the summary, never raised, so
     a broken setup still yields a diagnosable run.
     """
@@ -909,11 +937,12 @@ def run(config: RunConfig, traces: list[SlotObservation],
     else:
         keys = ("battery_band", "balance", "exclusivity")
 
-        def policy_fn(e, z, obs: SlotObservation, t: int) -> Dispatch:
-            return state_policy(SystemState(t, e, z), obs)
+        def policy_fn(e, z, obs: SlotObservation,
+                      t: int) -> tuple[float, ...]:
+            return _dispatch_row(state_policy(SystemState(t, e, z), obs))
 
     observations = traces[:horizon]
-    levels, backlogs, dispatches, audit = _simulate(
+    levels, backlogs, flows, audit = _simulate(
         config, observations, policy_fn, v, consts.z_max)
     outage_hist = audit["outage"]
     counters = {key: int(audit[key].sum()) if key in keys else 0
@@ -923,15 +952,16 @@ def run(config: RunConfig, traces: list[SlotObservation],
     # 0.0 turns a leading -0.0 into the 0.0 such a total would hold.
     cumulative = np.cumsum(cost) + 0.0
     total_cost = float(cumulative[-1])
-    curtailed_total = float(
-        np.cumsum([x.curtailed for x in dispatches])[-1] + 0.0)
+    curtailed_total = float(np.cumsum(flows[:, -1])[-1] + 0.0)
     records: list[SlotRecord] = []
     if keep_records:
+        n_bat = len(batteries)
         records = [
-            SlotRecord(t, dispatch, ci, cum, e, z, tuple(row))
-            for t, (dispatch, ci, cum, e, z, row) in enumerate(zip(
-                dispatches, cost.tolist(), cumulative.tolist(), levels[1:],
-                backlogs[1:], outage_hist.tolist()))]
+            SlotRecord(t, _row_dispatch(row, n_bat), ci, cum, e, z,
+                       tuple(out))
+            for t, (row, ci, cum, e, z, out) in enumerate(zip(
+                flows.tolist(), cost.tolist(), cumulative.tolist(),
+                levels[1:], backlogs[1:], outage_hist.tolist()))]
 
     alpha_cum = np.cumsum(audit["alpha"], axis=0)
     outage_cum = np.cumsum(outage_hist, axis=0)
@@ -970,8 +1000,8 @@ def run(config: RunConfig, traces: list[SlotObservation],
         violations=counters,
         curtailed_total=curtailed_total,
         first_violation=first_violation(
-            audit, keys, system, v, levels, backlogs, observations,
-            dispatches, consts.z_max))
+            audit, keys, system, v, levels, backlogs, observations, flows,
+            consts.z_max))
     return records, summary
 
 
@@ -1333,7 +1363,8 @@ def _entries(path: str, raw, keys: dict, where: str, noun: str,
                          entry=True)
         count = fields.pop("count", 1)
         if count < 1:
-            raise ValueError(f"{path}: count must be a positive integer")
+            raise ValueError(f"{path}: {noun}.count must be a positive "
+                             f"integer, got {count}")
         out.extend([fields] * count)
     return out
 
@@ -1346,19 +1377,43 @@ def _build(path: str, spec, **fields):
         raise ValueError(f"{path}: {exc}") from None
 
 
+class _RepeatedKey(Exception):
+    """A mapping's repeated key: (line, key), the line counted from 1."""
+
+
+class _UniqueKeys:
+    """A loader mixin that refuses a mapping repeating a key."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # Merge keys (<<) only bring in entries that later keys override.
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise _RepeatedKey(key_node.start_mark.line + 1, key)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def _read_yaml(path: str) -> dict:
     """The mapping a YAML file holds; ValueError naming the file if it
-    cannot be read or parsed, or holds something else."""
+    cannot be read or parsed, holds something else, or repeats a key in
+    any mapping (naming the line and key too)."""
     try:
         with open(path) as fh:
             # libyaml's parser where PyYAML was built with it; construction
             # stays PyYAML's safe constructor either way.
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
-                                                yaml.SafeLoader))
+            data = yaml.load(fh, Loader=type("Loader", (_UniqueKeys, getattr(
+                yaml, "CSafeLoader", yaml.SafeLoader)), {}))
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: invalid YAML: {exc}") from exc
+    except _RepeatedKey as exc:
+        line, key = exc.args
+        raise ValueError(f"{path}:{line}: duplicate key {key!r}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a mapping")
     return data

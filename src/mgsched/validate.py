@@ -13,10 +13,11 @@ failure is directly reproducible.
 The bound suite draws its systems as random_system RunConfigs and its
 observations through the simulator's own generate_traces, and runs the
 scheduler through run()'s own slot loop, sim._simulate: a slot_solver
-prepared once per run and step's tuple recurrence advance each slot, and
-audit_slots checks the whole run at once. Its counterexamples are
-first_violation's lines for the earliest flagged slot, and the only
-SystemStates it builds. The threshold and oracle suites check
+prepared once per run and step's tuple recurrence advance each slot, the
+flow rows are kept as one flows array, and audit_slots checks the whole
+run at once. Its counterexamples are first_violation's lines for the
+earliest flagged slot, and the only SystemStates and Dispatches it
+builds. The threshold and oracle suites check
 independent slot problems, each with a system of its own. _draw_block
 draws a block of them at once with the same field mapping and per-slot
 rules applied to whole arrays (the same distributions, but another
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispatch import (
+    _row_dispatch,
     dispatch_slot,
     merit_order_columns,
     oracle_columns,
@@ -335,7 +337,7 @@ def run_bound_trials(runs: int, slots: int, seed: int,
         z_max = bound_constants(system, v).z_max
         observations = generate_traces(config, rng)
 
-        levels, backlogs, dispatches, audit = _simulate(
+        levels, backlogs, flows, audit = _simulate(
             config, observations, slot_solver(system, v, headroom_clamp=False),
             v, z_max)
         windows += max(slots - OUTAGE_WINDOW + 1, 0) * system.n_residents
@@ -343,11 +345,13 @@ def run_bound_trials(runs: int, slots: int, seed: int,
             violations[key] += int(audit[key].sum())
             if counterexamples[key] is None and audit[key].any():
                 t, _, msg = first_violation(audit, (key,), system, v, levels,
-                                            backlogs, observations,
-                                            dispatches, z_max)
+                                            backlogs, observations, flows,
+                                            z_max)
                 counterexamples[key] = _counterexample(
                     system, SystemState(t, levels[t], backlogs[t]),
-                    observations[t], dispatches[t], msg)
+                    observations[t],
+                    _row_dispatch(flows[t].tolist(), system.n_batteries),
+                    msg)
     names = ("battery-band", "queue-bound", "outage-window")
     trials = (runs * slots, runs * slots, windows)
     return [SuiteResult(name, count, violations[key], counterexamples[key])

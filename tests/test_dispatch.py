@@ -32,6 +32,7 @@ from mgsched import (
     threshold_violations,
 )
 from mgsched import dispatch
+from mgsched.dispatch import _row_dispatch
 
 from conftest import make_system, random_states
 
@@ -107,11 +108,17 @@ def pick_by_full_sort(system, state, obs, v, curtail=False,
 
     Returns None where dispatch_slot must raise UnservableSurplusError.
     """
-    return merit_order_allocate(
+    return allocated(merit_order_allocate(
         *build_subproblem(system, state, obs, v,
                           headroom_clamp=headroom_clamp),
         system.n_batteries, system.n_residents,
-        allow_shortfall=curtail).dispatch
+        allow_shortfall=curtail), system.n_batteries)
+
+
+def allocated(result, n_batteries):
+    """The Dispatch of merit_order_allocate's flow row; None if infeasible."""
+    return None if result.flows is None else _row_dispatch(result.flows,
+                                                           n_batteries)
 
 
 class TestBuildSubproblem:
@@ -154,7 +161,10 @@ class TestMeritOrderAllocate:
         result = merit_order_allocate(supply, demand, 1, 1)
         assert result.feasible
         assert result.objective == pytest.approx(-11.0)
-        dd = result.dispatch
+        # The row: q, s, r_1, d_1, p_1, objective, curtailed.
+        assert result.flows == pytest.approx(
+            (0.0, 0.0, 0.0, 1.0, 2.0, -11.0, 0.0))
+        dd = allocated(result, 1)
         assert dd.q == 0.0
         assert dd.s == 0.0
         assert dd.d == pytest.approx((1.0,))
@@ -166,15 +176,15 @@ class TestMeritOrderAllocate:
                                       1, 1)
         assert result.feasible
         assert result.objective == 0.0
-        assert result.dispatch.r == (0.0,)
-        assert result.dispatch.d == (0.0,)
+        assert allocated(result, 1).r == (0.0,)
+        assert allocated(result, 1).d == (0.0,)
 
     def test_unabsorbable_surplus_is_infeasible(self):
         # purchase mode: bid capacity 2 + 2 = 4 cannot take 10
         supply, demand = self._reference_books(surplus=10.0)
         result = merit_order_allocate(supply, demand, 1, 1)
         assert not result.feasible
-        assert result.dispatch is None
+        assert result.flows is None
         assert result.objective == math.inf
 
     def test_shortfall_becomes_curtailment(self):
@@ -182,7 +192,7 @@ class TestMeritOrderAllocate:
         result = merit_order_allocate(supply, demand, 1, 1,
                                       allow_shortfall=True)
         assert result.feasible
-        dd = result.dispatch
+        dd = allocated(result, 1)
         assert dd.p == pytest.approx((2.0,))
         assert dd.r == pytest.approx((2.0,))
         assert dd.curtailed == pytest.approx(6.0)
@@ -191,25 +201,25 @@ class TestMeritOrderAllocate:
         result = merit_order_allocate([(-math.inf, 0, -1, 1.0)],
                                       [(4.0, 1, 0, 3.0)], 1, 1)
         assert result.feasible
-        assert result.dispatch.r == pytest.approx((1.0,))
+        assert allocated(result, 1).r == pytest.approx((1.0,))
         assert result.objective == pytest.approx(4.0)
 
     def test_price_tie_broken_by_index(self):
         demand = sorted([(-5.0, 1, 1, 2.0), (-5.0, 1, 0, 2.0)])
         result = merit_order_allocate([(-math.inf, 0, -1, 1.0)], demand, 2, 1)
-        assert result.dispatch.r == pytest.approx((1.0, 0.0))
+        assert allocated(result, 2).r == pytest.approx((1.0, 0.0))
 
     def test_offer_tie_broken_by_index(self):
         supply = sorted([(3.0, 1, 1, 1.0), (3.0, 1, 0, 1.0)])
         result = merit_order_allocate(supply, [(-8.0, 0, 0, 1.5)], 2, 1)
-        assert result.dispatch.d == pytest.approx((1.0, 0.5))
-        assert result.dispatch.p == pytest.approx((1.5,))
+        assert allocated(result, 2).d == pytest.approx((1.0, 0.5))
+        assert allocated(result, 2).p == pytest.approx((1.5,))
 
     def test_battery_never_trades_with_itself(self):
         result = merit_order_allocate([(5.0, 1, 0, 2.0)], [(-5.0, 1, 0, 2.0)],
                                       1, 1)
-        assert result.dispatch.r == (0.0,)
-        assert result.dispatch.d == (0.0,)
+        assert allocated(result, 1).r == (0.0,)
+        assert allocated(result, 1).d == (0.0,)
         assert result.objective == 0.0
 
 
@@ -622,9 +632,8 @@ def poured_bids(supply, demand):
     return count
 
 
-def interior_flows(result, supply, demand):
+def interior_flows(dd, supply, demand):
     """Flows strictly inside their boxes, minus mandatory-pour targets."""
-    dd = result.dispatch
     boxes = [(dd.d[i] if rank == 1 else dd.q, cap)
              for _, rank, i, cap in supply if rank]
     boxes += [((dd.p, dd.r)[rank][i] if rank < 2 else dd.s, cap)
@@ -700,7 +709,8 @@ class TestSolverProperties:
         result = merit_order_allocate(supply, demand, system.n_batteries,
                                       system.n_residents)
         if result.feasible:
-            assert interior_flows(result, supply, demand) <= 1
+            assert interior_flows(allocated(result, system.n_batteries),
+                                  supply, demand) <= 1
 
     @given(tied_slot(), st.booleans())
     @settings(deadline=None, max_examples=300)
@@ -905,9 +915,10 @@ class TestSlotSolver:
     @settings(deadline=None, max_examples=200)
     def test_one_solver_serves_every_slot_of_its_system(self, case, clamp,
                                                         curtail):
-        # One solver, prepared once, solves each slot as dispatch_slot does
-        # and as merit_order_allocate does on build_subproblem's books,
-        # which equal the books built from the spec objects by insertion.
+        # One solver, prepared once, solves each slot as merit_order_allocate
+        # does on build_subproblem's books, which equal the books built from
+        # the spec objects by insertion: the solver returns the kernel's
+        # flow row, and dispatch_slot that row's Dispatch.
         system, v, slots = case
         solve = slot_solver(system, v, curtail=curtail, headroom_clamp=clamp)
         for state, obs in slots:
@@ -915,15 +926,17 @@ class TestSlotSolver:
                                      headroom_clamp=clamp)
             assert books == reference_books(system, state, obs, v,
                                             headroom_clamp=clamp)
-            expected = merit_order_allocate(
+            result = merit_order_allocate(
                 *books, system.n_batteries, system.n_residents,
-                allow_shortfall=curtail).dispatch
-            calls = (lambda: solve(state.e, state.z, obs, state.t),
-                     lambda: dispatch_slot(system, state, obs, v,
-                                           curtail=curtail,
-                                           headroom_clamp=clamp))
-            for call in calls:
-                if expected is None:
+                allow_shortfall=curtail)
+            calls = ((lambda: solve(state.e, state.z, obs, state.t),
+                      result.flows),
+                     (lambda: dispatch_slot(system, state, obs, v,
+                                            curtail=curtail,
+                                            headroom_clamp=clamp),
+                      allocated(result, system.n_batteries)))
+            for call, expected in calls:
+                if not result.feasible:
                     with pytest.raises(UnservableSurplusError,
                                        match=f"^slot {state.t}: surplus "):
                         call()

@@ -49,6 +49,7 @@ from mgsched import (
     write_summary,
     write_traces,
 )
+from mgsched.dispatch import _dispatch_row, _row_dispatch
 from mgsched.sim import (
     _demand_caps,
     _relaxed_slots,
@@ -56,6 +57,7 @@ from mgsched.sim import (
     _simulate,
     _unservable,
     first_violation,
+    load_seed,
     outage_window_flags,
 )
 
@@ -771,11 +773,16 @@ def rows(states):
     return [state.e for state in states], [state.z for state in states]
 
 
+def flow_array(dispatches):
+    """The flows array audit_slots takes: one flow row per dispatch."""
+    return np.array(list(map(_dispatch_row, dispatches)), dtype=float)
+
+
 def audit_one(system, state, obs, dispatch, z_max, v=150.0):
     """Step one slot and audit it."""
     states = [state, step(system, state, obs, dispatch)]
-    return (audit_slots(system, v, *rows(states), [obs], [dispatch], z_max),
-            states)
+    return (audit_slots(system, v, *rows(states), [obs],
+                        flow_array([dispatch]), z_max), states)
 
 
 class TestAuditSlots:
@@ -783,8 +790,8 @@ class TestAuditSlots:
     @settings(deadline=None, max_examples=40)
     def test_masks_equal_the_per_slot_audits(self, case):
         system, v, z_max, states, observations, dispatches = case
-        audit = audit_slots(system, v, *rows(states), observations, dispatches,
-                            z_max)
+        audit = audit_slots(system, v, *rows(states), observations,
+                            flow_array(dispatches), z_max)
         for t, (obs, dispatch) in enumerate(zip(observations, dispatches)):
             after = states[t + 1]
             assert audit["balance"][t] == bool(
@@ -813,7 +820,8 @@ class TestAuditSlots:
         audit, states = audit_one(system, state, obs, dispatch, (4.0,))
         assert audit["battery_band"].tolist() == [[True]]
         assert audit["queue_bound"].tolist() == [[True]]
-        args = (system, 150.0, *rows(states), [obs], [dispatch], (4.0,))
+        args = (system, 150.0, *rows(states), [obs], flow_array([dispatch]),
+                (4.0,))
         assert first_violation(audit, ("battery_band",), *args) == (
             0, "battery_band", "battery 0: level 17.0 outside [0.0, 16.0]")
         assert first_violation(audit, ("queue_bound",), *args) == (
@@ -851,7 +859,7 @@ class TestAuditSlots:
             states.append(step(config.system, states[-1], obs,
                                dispatches[-1]))
         audit = audit_slots(config.system, summary.v, *rows(states), traces,
-                            dispatches, z_max)
+                            flow_array(dispatches), z_max)
         assert audit["battery_band"].sum() == 40 + 32
         assert summary.violations["battery_band"] == 40 + 32
         # backlog caps are audited for the scheduler only
@@ -867,9 +875,9 @@ class TestAuditSlots:
                             grid=make_grid())
         obs = [SlotObservation(u=0.0, basic=(0.0,), alpha=(alpha,), c=0.10,
                                w=0.02) for alpha in [0.25] * 500 + [0.5]]
-        dispatches = [one_by_one()] * len(obs)
+        flows = flow_array([one_by_one()] * len(obs))
         states = [SystemState(t=0, e=(8.0,), z=(0.0,))] * (len(obs) + 1)
-        args = (system, 150.0, *rows(states), obs, dispatches, (46.875,))
+        args = (system, 150.0, *rows(states), obs, flows, (46.875,))
         audit = audit_slots(*args)
         audit["outage_window"] = outage_window_flags(
             audit["outage"], system.residents, (46.875,))
@@ -889,7 +897,7 @@ class TestAuditSlots:
                         p=(0.0,) * 5, objective=0.0)
         with pytest.raises(ValueError) as err:
             audit_slots(config.system, 10.0, *rows([state] * 6), observations,
-                        [idle] * 5, (4.0,) * 5)
+                        flow_array([idle] * 5), (4.0,) * 5)
         assert str(err.value) == (
             f"slot 3: observation {field} has {width} entries, expected 5")
 
@@ -902,7 +910,7 @@ class TestAuditSlots:
             surplus_power(obs)
         with pytest.raises(ValueError) as err:
             audit_slots(system, 150.0, *rows([state] * 2), [obs],
-                        [one_by_one()], (4.0,))
+                        flow_array([one_by_one()]), (4.0,))
         assert str(err.value) == str(expected.value)
 
 
@@ -912,20 +920,22 @@ class TestSimulate:
         # The slot loop's tuple recurrence gives, bit for bit, the levels
         # and backlogs that step gives slot by slot on the same dispatches,
         # also past band escapes (at twice the safe v, without the
-        # headroom clamp); each dispatch is dispatch_slot's at its state.
+        # headroom clamp); each flow row is that of dispatch_slot's
+        # dispatch at its state.
         config = random_system(np.random.default_rng(seed), 600, 5, 20)
         system = config.system
         v = v_factor * compute_vmax(config.batteries, config.grid)
         z_max = bound_constants(system, v).z_max
         observations = generate_traces(config)
-        levels, backlogs, dispatches, audit = _simulate(
+        levels, backlogs, flows, audit = _simulate(
             config, observations,
             slot_solver(system, v, headroom_clamp=False), v, z_max)
         states = [SystemState(0, tuple(b.e_init for b in config.batteries),
                               (0.0,) * system.n_residents)]
-        for obs, dispatch in zip(observations, dispatches):
-            assert dispatch == dispatch_slot(system, states[-1], obs, v,
-                                             headroom_clamp=False)
+        for obs, row in zip(observations, flows.tolist()):
+            dispatch = dispatch_slot(system, states[-1], obs, v,
+                                     headroom_clamp=False)
+            assert row == list(_dispatch_row(dispatch))
             states.append(step(system, states[-1], obs, dispatch))
         assert [state.t for state in states] == list(range(601))
         assert repr(levels) == repr([state.e for state in states])
@@ -945,6 +955,70 @@ class TestSimulate:
         with pytest.raises(ValueError) as err:
             run(config, traces, policy=overserve)
         assert str(err.value) == str(expected.value)
+
+
+@st.composite
+def flow_rows(draw):
+    """A flow row of up to 5 batteries x 20 residents, and its K and N."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 20))
+    width = 2 * k + n + 4
+    row = draw(st.lists(st.floats(allow_nan=False), min_size=width,
+                        max_size=width))
+    return tuple(row), k, n
+
+
+class TestFlowRows:
+    @given(flow_rows())
+    @settings(deadline=None, max_examples=200)
+    def test_row_dispatch_round_trips(self, case):
+        row, k, n = case
+        dispatch = _row_dispatch(row, k)
+        assert (len(dispatch.r), len(dispatch.d), len(dispatch.p)) == (k, k, n)
+        assert dispatch.q == row[0] and dispatch.s == row[1]
+        assert dispatch.r + dispatch.d + dispatch.p == row[2:-2]
+        assert (dispatch.objective, dispatch.curtailed) == row[-2:]
+        assert _dispatch_row(dispatch) == row
+        # A row read back from the flows array is a list.
+        assert _row_dispatch(list(row), k) == dispatch
+
+    @pytest.mark.parametrize("name", ["five_day", "seven_day"])
+    def test_custom_policy_flattens_as_the_scheduler_rows(self, name):
+        # run()'s adapter flattens a custom policy's Dispatch into the
+        # row the scheduler's solver returns: dispatch_slot's Dispatch as
+        # a custom policy gives the scheduler's records and cost.
+        config = load_config(f"configs/{name}.yaml")
+        traces = generate_traces(config)
+        records, summary = run(config, traces)
+
+        def scheduler(state, obs):
+            return dispatch_slot(config.system, state, obs, summary.v,
+                                 curtail=config.curtailment)
+
+        custom_records, custom = run(config, traces, policy=scheduler)
+        assert custom.policy == "custom"
+        assert len(custom_records) == config.horizon
+        assert custom_records == records
+        assert repr(custom.total_cost) == repr(summary.total_cost)
+        assert custom.curtailed_total == summary.curtailed_total
+
+    def test_scheduler_runs_build_dispatches_only_for_records(
+            self, monkeypatch):
+        calls = []
+        init = Dispatch.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Dispatch, "__init__", counted)
+        config = load_config("configs/five_day.yaml")
+        traces = generate_traces(config)
+        _, summary = run(config, traces, keep_records=False)
+        assert summary.first_violation is None
+        assert calls == []
+        records, _ = run(config, traces)
+        assert len(calls) == len(records) == config.horizon
 
 
 class TestRun:
@@ -1289,8 +1363,9 @@ def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, curtail):
     demand.append((-w, 2, -1, grid.s_max))
     supply.sort()
     demand.sort()
-    return merit_order_allocate(supply, demand, len(batteries), len(nu),
-                                curtail).dispatch
+    flows = merit_order_allocate(supply, demand, len(batteries), len(nu),
+                                 curtail).flows
+    return None if flows is None else _row_dispatch(flows, len(batteries))
 
 
 @st.composite
@@ -1649,6 +1724,47 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="start_slot") as err:
             load_config(str(path))
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("old,new,line,key", [
+        # A top-level repeat: five_day.yaml's seed is on line 9.
+        ("policy: proposed\n", "policy: proposed\nseed: 9\n", 12, "seed"),
+        # A repeat inside a residents entry, whose delta is on line 23.
+        ("    delta: 0.07\n", "    delta: 0.07\n    delta: 0.2\n", 24,
+         "delta"),
+        # A repeat inside a regime, two mappings below the top level;
+        # traces is on line 33.
+        ("traces:\n", "traces:\n  regimes:\n    - start_slot: 9\n"
+         "      burst_prob: 0.1\n      burst_prob: 0.2\n", 37, "burst_prob"),
+    ])
+    @pytest.mark.parametrize("loader", [load_config, load_seed])
+    def test_repeated_keys_are_refused(self, tmp_path, old, new, line, key,
+                                       loader):
+        base = Path("configs/five_day.yaml").read_text()
+        assert old in base
+        path = tmp_path / "bad.yaml"
+        path.write_text(base.replace(old, new, 1))
+        with pytest.raises(ValueError) as err:
+            loader(str(path))
+        assert str(err.value) == f"{path}:{line}: duplicate key {key!r}"
+
+    def test_merge_keys_are_no_repeats(self, tmp_path):
+        path = tmp_path / "merged.yaml"
+        path.write_text("seed: 3\nbase: &b {delta: 0.1}\n"
+                        "other:\n  <<: *b\n  delta: 0.2\n")
+        assert load_seed(str(path)) == 3
+
+    @pytest.mark.parametrize("section,count", [
+        ("battery", 0), ("battery", -2), ("resident", 0)])
+    def test_count_errors_name_the_section(self, tmp_path, section, count):
+        base = Path("configs/five_day.yaml").read_text()
+        old = "  - count: 2\n" if section == "battery" else "  - count: 5\n"
+        assert old in base
+        path = tmp_path / "bad.yaml"
+        path.write_text(base.replace(old, f"  - count: {count}\n", 1))
+        with pytest.raises(ValueError) as err:
+            load_config(str(path))
+        assert str(err.value) == (f"{path}: {section}.count must be a "
+                                  f"positive integer, got {count}")
 
 
 CONFIG_TABLES = [

@@ -25,6 +25,7 @@ from mgsched import (
     threshold_violations,
     validate_observation,
 )
+from mgsched.dispatch import _dispatch_row, _row_dispatch
 from mgsched.sim import outage_windows
 from mgsched.validate import _block_instances, _draw_block
 
@@ -402,8 +403,10 @@ class TestBoundSuites:
             solve = real(system, v, **kwargs)
 
             def unserved(e, z, obs, t):
-                dispatch = solve(e, z, obs, t)
-                return replace(dispatch, p=(0.0,) * len(dispatch.p))
+                dispatch = _row_dispatch(solve(e, z, obs, t),
+                                         system.n_batteries)
+                return _dispatch_row(replace(dispatch,
+                                             p=(0.0,) * len(dispatch.p)))
 
             return unserved
 
