@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .model import TraceError, UnservableSurplusError
+from .model import UnservableSurplusError, ordered_sum
 from .sim import (
     RunConfig,
     check_seed,
@@ -81,25 +81,17 @@ def _build_parser() -> _Parser:
 
 def _load(config_path: str, seed: int | None,
           curtail: bool = False) -> RunConfig:
-    try:
-        config = load_config(config_path)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    config = load_config(config_path)
     kwargs = {}
     if seed is not None:
         kwargs["seed"] = seed
     if curtail:
         kwargs["curtailment"] = True
-    if kwargs:
-        try:
-            config = replace(config, **kwargs)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    return config
+    return replace(config, **kwargs)
 
 
 def _mean_outage(summary) -> float:
-    return sum(summary.outage_ratio) / len(summary.outage_ratio)
+    return ordered_sum(summary.outage_ratio) / len(summary.outage_ratio)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -244,13 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError("a subcommand is required: "
                            + ", ".join(_COMMANDS))
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TraceError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnservableSurplusError as exc:
+    except (CliError, ValueError, OSError, UnservableSurplusError) as exc:
         # A scenario whose surplus cannot be absorbed is an input-sizing
         # problem, not a broken bound; rerun with --curtail or resize.
         print(f"error: {exc}", file=sys.stderr)

@@ -53,6 +53,7 @@ from .model import (
     SystemSpec,
     SystemState,
     UnservableSurplusError,
+    ordered_sum,
     surplus_power,
     width_error,
 )
@@ -491,7 +492,7 @@ def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,
     p_surplus = surplus_power(obs)
     admitted = [0.0 if coin < block_prob else alpha
                 for coin, alpha in zip(coins, obs.alpha)]
-    demand = sum(admitted)
+    demand = ordered_sum(admitted)
     n_bat = len(system.batteries)
     r = [0.0] * n_bat
     d = [0.0] * n_bat

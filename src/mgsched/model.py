@@ -10,6 +10,8 @@ service backlogs live in SystemState.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 # Absolute tolerance for the supply/demand balance residual, scaled by
 # max(1, surplus); boxes, battery bands and backlog caps use the same slack
@@ -198,6 +200,16 @@ def width_error(t: int, name: str, width: int, n_res: int) -> ValueError:
         f"slot {t}: observation {name} has {width} entries, expected {n_res}")
 
 
+def ordered_sum(values):
+    """values added left to right from 0, as sum() does up to Python 3.11.
+
+    Python 3.12 made sum() compensate float rounding, which changes the
+    last bits of some totals; every float total in the package goes
+    through this helper, so its outputs keep one order on every version.
+    """
+    return reduce(add, values, 0)
+
+
 def surplus_power(obs: SlotObservation) -> float:
     """Renewable energy left once guaranteed basic usage is carved out.
 
@@ -205,7 +217,7 @@ def surplus_power(obs: SlotObservation) -> float:
     demand from renewables is a hard guarantee of the model, so such a slot
     is invalid input rather than a scheduling decision.
     """
-    total_basic = sum(obs.basic)
+    total_basic = ordered_sum(obs.basic)
     if total_basic > obs.u:
         raise ValueError(
             f"basic usage {total_basic} exceeds generation {obs.u}; "
@@ -245,9 +257,10 @@ def validate_observation(obs: SlotObservation, system: SystemSpec) -> list[str]:
                 problems.append(f"alpha[{i}] = {a} is negative")
             elif a > spec.alpha_max:
                 problems.append(f"alpha[{i}] = {a} exceeds alpha_max {spec.alpha_max}")
-    if sum(obs.basic) > obs.u:
+    total_basic = ordered_sum(obs.basic)
+    if total_basic > obs.u:
         problems.append(
-            f"basic total {sum(obs.basic)} exceeds generation {obs.u}")
+            f"basic total {total_basic} exceeds generation {obs.u}")
     g = system.grid
     if not g.c_min <= obs.c <= g.c_max:
         problems.append(f"purchase price {obs.c} outside [{g.c_min}, {g.c_max}]")
@@ -297,8 +310,9 @@ def check_dispatch(dispatch: Dispatch, system: SystemSpec,
     if dispatch.curtailed < -tol:
         problems.append(f"curtailed {dispatch.curtailed} is negative")
     surplus = surplus_power(obs)
-    residual = (surplus - dispatch.curtailed + dispatch.q + sum(dispatch.d)
-                - dispatch.s - sum(dispatch.r) - sum(dispatch.p))
+    residual = (surplus - dispatch.curtailed + dispatch.q
+                + ordered_sum(dispatch.d) - dispatch.s
+                - ordered_sum(dispatch.r) - ordered_sum(dispatch.p))
     if abs(residual) > tol * max(1.0, surplus):
         problems.append(f"balance residual {residual} for surplus {surplus}")
     return problems

@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from typing import NoReturn
@@ -61,6 +62,7 @@ from .model import (
     UnservableSurplusError,
     check_dispatch,
     compute_vmax,
+    ordered_sum,
     shape_problems,
     surplus_power,
     validate_observation,
@@ -475,7 +477,8 @@ def _bound_mask(u, basic, alpha, c, w, system: SystemSpec) -> np.ndarray:
     """Flag each slot for which validate_observation reports a problem.
 
     u, c and w are (T,), basic and alpha (T, N) with N the system's
-    residents; the basic total is added left to right, as sum() does.
+    residents; the basic total is added left to right, as ordered_sum
+    does.
     """
     g = system.grid
     alpha_max = np.array([res.alpha_max for res in system.residents])
@@ -628,9 +631,8 @@ def _stack(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
 
 
 def _row_total(a: np.ndarray) -> np.ndarray:
-    # Adds each row (last axis) left to right, as check_dispatch's sum()
-    # over a tuple does up to Python 3.11; a.sum(axis=-1) adds pairwise
-    # from 8 columns on.
+    # Adds each row (last axis) left to right, as ordered_sum does over a
+    # tuple; a.sum(axis=-1) adds pairwise from 8 columns on.
     return np.cumsum(a, axis=-1)[..., -1]
 
 
@@ -747,20 +749,12 @@ def audit_slots(system: SystemSpec, v: float,
     entry per resident, and surplus_power's ValueError for the first slot
     whose basic usage exceeds generation.
     """
-    _check_widths(observations, len(system.residents))
-    return _audit_flows(system, v, levels, backlogs, observations, flows,
-                        z_max)
-
-
-def _audit_flows(system: SystemSpec, v: float, levels, backlogs,
-                 observations: list[SlotObservation], flows: np.ndarray,
-                 z_max) -> dict[str, np.ndarray]:
-    """audit_slots on observations whose widths are checked."""
     g = system.grid
     tol = BALANCE_TOL
     horizon = len(flows)
     specs = system.batteries
     n_bat, n_res = len(specs), len(system.residents)
+    _check_widths(observations, n_res)
     e_min = np.array([b.e_min for b in specs])
     e_max = np.array([b.e_max for b in specs])
     d_max = np.array([b.d_max for b in specs])
@@ -847,7 +841,7 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
     of slot t's levels, backlogs and observation, such as a slot_solver.
     The slot loop only calls the policy and _advance, step's recurrence,
     on the row's slices, and appends the row to one flat list, reshaped
-    once into the flows array; one audit pass at v and z_max follows it,
+    once into the flows array; one audit_slots pass at v and z_max follows,
     and outage_window_flags' mask is added as outage_window. Returns
     (levels, backlogs, flows, audit), with the T + 1 level and backlog
     rows and the (T, 2K + N + 4) flows array audit_slots takes. Raises
@@ -872,8 +866,8 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
         backlogs.append(z)
     flows = np.array(flat, dtype=float).reshape(
         len(observations), 2 * n_bat + len(residents) + 4)
-    audit = _audit_flows(config.system, v, levels, backlogs, observations,
-                         flows, z_max)
+    audit = audit_slots(config.system, v, levels, backlogs, observations,
+                        flows, z_max)
     audit["outage_window"] = outage_window_flags(audit["outage"], residents,
                                                  z_max)
     return levels, backlogs, flows, audit
@@ -888,11 +882,13 @@ def run(config: RunConfig, traces: list[SlotObservation],
     when keep_records is false. _simulate steps and audits the run, and
     the counters, costs, outages and first violation are read off its
     audit. The scheduler runs as one slot_solver; mecp and a custom policy
-    get each slot's SystemState from one adapter, which flattens their
-    Dispatch into the solver's flow row. Each kept record's Dispatch is
-    built from its slot's row. Policy and step errors
-    propagate; audit failures are counted in the summary, never raised, so
-    a broken setup still yields a diagnosable run.
+    share one adapter, which builds each slot's SystemState, checks the
+    shape of the Dispatch returned and flattens it into the solver's flow
+    row. Each kept record's Dispatch is built from its slot's row. A
+    policy that is neither a known name nor callable raises ValueError
+    before the first slot. Policy and step errors propagate; audit
+    failures are counted in the summary, never raised, so a broken setup
+    still yields a diagnosable run.
     """
     if len(traces) < config.horizon:
         raise ValueError(
@@ -908,38 +904,29 @@ def run(config: RunConfig, traces: list[SlotObservation],
     if policy is None:
         policy = config.policy
     curtail = config.curtailment
-    if isinstance(policy, str):
-        policy_name = policy
-        if policy == "proposed":
-            policy_fn = slot_solver(system, v, curtail=curtail)
-        elif policy == "mecp":
-            mecp_rng = np.random.default_rng((config.seed, 1))
-            block_prob, charge_prob = config.block_prob, config.charge_prob
-
-            def state_policy(state: SystemState,
-                             obs: SlotObservation) -> Dispatch:
-                return mecp_dispatch(system, state, obs, mecp_rng, block_prob,
-                                     charge_prob, v, curtail=curtail)
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
-    else:
-        policy_name = "custom"
-
-        def state_policy(state: SystemState, obs: SlotObservation) -> Dispatch:
-            dispatch = policy(state, obs)
-            if problems := shape_problems(dispatch, system):
-                raise ValueError(f"slot {state.t}: custom policy dispatch "
-                                 + "; ".join(problems))
-            return dispatch
+    policy_name = "custom" if callable(policy) else policy
     # The queue, window and threshold audits apply to the scheduler only.
-    if policy_name == "proposed":
-        keys = VIOLATION_KEYS
+    keys = VIOLATION_KEYS
+    if policy == "proposed":
+        policy_fn = slot_solver(system, v, curtail=curtail)
     else:
+        if policy == "mecp":
+            policy = partial(mecp_dispatch, system,
+                             rng=np.random.default_rng((config.seed, 1)),
+                             block_prob=config.block_prob,
+                             charge_prob=config.charge_prob, v=v,
+                             curtail=curtail)
+        elif not callable(policy):
+            raise ValueError(f"unknown policy {policy!r}")
         keys = ("battery_band", "balance", "exclusivity")
 
         def policy_fn(e, z, obs: SlotObservation,
                       t: int) -> tuple[float, ...]:
-            return _dispatch_row(state_policy(SystemState(t, e, z), obs))
+            dispatch = policy(SystemState(t, e, z), obs)
+            if problems := shape_problems(dispatch, system):
+                raise ValueError(f"slot {t}: {policy_name} policy dispatch "
+                                 + "; ".join(problems))
+            return _dispatch_row(dispatch)
 
     observations = traces[:horizon]
     levels, backlogs, flows, audit = _simulate(
@@ -979,9 +966,6 @@ def run(config: RunConfig, traces: list[SlotObservation],
 
     alpha_total = tuple(alpha_cum[-1].tolist())
     outage_total = tuple(outage_cum[-1].tolist())
-    outage_ratio = tuple(
-        (o / a) if a > 0.0 else 0.0
-        for o, a in zip(outage_total, alpha_total))
     stability = check_qose_stability(outage_total, alpha_total,
                                      [res.delta for res in residents],
                                      consts.z_max)
@@ -994,7 +978,7 @@ def run(config: RunConfig, traces: list[SlotObservation],
         mean_cost_per_slot=total_cost / horizon,
         alpha_total=alpha_total,
         outage_total=outage_total,
-        outage_ratio=outage_ratio,
+        outage_ratio=tuple(ratios[-1].tolist()),
         convergence_slot=tuple(convergence),
         stability_pass=tuple(stability),
         violations=counters,
@@ -1214,8 +1198,9 @@ def write_slot_records(records: list[SlotRecord], path: str,
         fh.write(",".join(cols) + "\n")
         fh.writelines([
             row % (rec.t, rec.cost_increment, rec.cumulative_cost,
-                   rec.dispatch.q, rec.dispatch.s, sum(rec.dispatch.r),
-                   sum(rec.dispatch.d), *rec.e, *rec.z, *rec.outage)
+                   rec.dispatch.q, rec.dispatch.s,
+                   ordered_sum(rec.dispatch.r), ordered_sum(rec.dispatch.d),
+                   *rec.e, *rec.z, *rec.outage)
             for rec in records])
 
 
@@ -1399,18 +1384,19 @@ class _UniqueKeys:
 
 def _read_yaml(path: str) -> dict:
     """The mapping a YAML file holds; ValueError naming the file if it
-    cannot be read or parsed, holds something else, or repeats a key in
-    any mapping (naming the line and key too)."""
+    cannot be read or parsed, holds a value the safe constructor refuses
+    (such as the timestamp 2001-13-45) or something other than a mapping,
+    or repeats a key in any mapping (naming the line and key too)."""
     try:
         with open(path) as fh:
             # libyaml's parser where PyYAML was built with it; construction
             # stays PyYAML's safe constructor either way.
             data = yaml.load(fh, Loader=type("Loader", (_UniqueKeys, getattr(
                 yaml, "CSafeLoader", yaml.SafeLoader)), {}))
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: invalid YAML: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     except _RepeatedKey as exc:
         line, key = exc.args
         raise ValueError(f"{path}:{line}: duplicate key {key!r}") from None

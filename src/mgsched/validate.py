@@ -428,50 +428,38 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     ce = None
     for start in range(0, instances, BLOCK):
         block = _draw_block(rng, min(BLOCK, instances - start), 5, 20, 1.0)
-        drawn = _block_instances(block, slice(None))
-        chosen = [dispatch_slot(*instance) for instance in drawn]
-        problems = _oracle_block(drawn, chosen, block)
-        violations += sum(map(bool, problems))
-        if ce is None:
-            for (system, state, obs, _), dispatch, found in zip(
-                    drawn, chosen, problems):
-                if found:
+        (quality, caps, x, r_cap, d_cap), solution, balance = _solve_block(
+            block)
+        objective, *_, infeasible = solution
+        q_max, s_max = block.grids.T[:2]
+        optimum = oracle_columns(np.vstack([quality, -x, block.v * block.w]),
+                                 np.vstack([caps, r_cap, s_max]),
+                                 np.vstack([-x, block.v * block.c]),
+                                 np.vstack([d_cap, q_max]), block.surplus)
+        for i, (system, state, obs, v) in enumerate(
+                _block_instances(block, slice(None))):
+            dispatch = dispatch_slot(system, state, obs, v)
+            found = []
+            oracle = float(optimum[i])
+            if infeasible[i] == math.isfinite(oracle):
+                found.append(f"merit feasible={not infeasible[i]} but "
+                             f"oracle optimum {oracle}")
+            elif not infeasible[i]:
+                if not _agrees(float(objective[i]), oracle):
+                    found.append(f"merit objective {objective[i]} but "
+                                 f"oracle optimum {oracle}")
+                if balance[i]:
+                    found += check_dispatch(
+                        _column_dispatch(solution, i, system), system, obs)
+            if not _agrees(dispatch.objective, oracle):
+                found.append(f"dispatch_slot objective {dispatch.objective} "
+                             f"but oracle optimum {oracle}")
+            if found:
+                violations += 1
+                if ce is None:
                     ce = _counterexample(system, state, obs, dispatch,
                                          "; ".join(found))
-                    break
     return SuiteResult("solver-oracle", instances, violations, ce)
-
-
-def _oracle_block(drawn, chosen, block: _Block) -> list[list[str]]:
-    """solver_oracle_trials' checks of one block: its (system, state, obs,
-    v) instances and dispatch_slot's dispatch of each; one list of problems
-    each."""
-    (quality, caps, x, r_cap, d_cap), solution, balance = _solve_block(block)
-    objective, *_, infeasible = solution
-    q_max, s_max = block.grids.T[:2]
-    optimum = oracle_columns(np.vstack([quality, -x, block.v * block.w]),
-                             np.vstack([caps, r_cap, s_max]),
-                             np.vstack([-x, block.v * block.c]),
-                             np.vstack([d_cap, q_max]), block.surplus)
-    problems = []
-    for i, ((system, _, obs, _), dispatch) in enumerate(zip(drawn, chosen)):
-        found = []
-        oracle = float(optimum[i])
-        if infeasible[i] == math.isfinite(oracle):
-            found.append(f"merit feasible={not infeasible[i]} but "
-                         f"oracle optimum {oracle}")
-        elif not infeasible[i]:
-            if not _agrees(float(objective[i]), oracle):
-                found.append(f"merit objective {objective[i]} but "
-                             f"oracle optimum {oracle}")
-            if balance[i]:
-                found += check_dispatch(_column_dispatch(solution, i, system),
-                                        system, obs)
-        if not _agrees(dispatch.objective, oracle):
-            found.append(f"dispatch_slot objective {dispatch.objective} "
-                         f"but oracle optimum {oracle}")
-        problems.append(found)
-    return problems
 
 
 def run_all_suites(trials: int, seed: int, k_max: int = 3,

@@ -371,6 +371,20 @@ class TestErrorPaths:
         assert err.startswith(f"error: {bad}: ") and "must be finite" in err
         assert not (tmp_path / "x.slots.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unconstructible_value_names_the_file(self, tmp_path, capsys,
+                                                  command):
+        # PyYAML resolves 2001-13-45 as a timestamp it cannot build.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(Path(FIVE_DAY).read_text().replace(
+            "seed: 7\n", "seed: 2001-13-45\n"))
+        flags = (["--out", str(tmp_path / "x")] if command == "run"
+                 else ["--trials", "1"])
+        code = main([command, "--config", str(bad), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: month must be in 1..12\n")
+
     def test_bad_regime_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(Path(SEVEN_DAY).read_text().replace(

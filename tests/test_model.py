@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from mgsched import (
     surplus_power,
     validate_observation,
 )
+from mgsched.model import ordered_sum
+from mgsched.sim import _row_total
 
 from conftest import make_battery, make_grid, make_resident, make_system
 
@@ -90,6 +93,24 @@ class TestSurplusPower:
                               c=0.08, w=0.03)
         with pytest.raises(ValueError):
             surplus_power(obs)
+
+
+class TestOrderedSum:
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                              st.floats(-1e6, 1e6)), max_size=25))
+    @settings(deadline=None, max_examples=300)
+    def test_adds_as_row_total_does(self, values):
+        # _row_total adds a row left to right from its first entry, so a
+        # leading 0.0, ordered_sum's start, makes the two agree bit for
+        # bit, signed zeros included.
+        expected = float(_row_total(np.array([[0.0, *values]]))[0])
+        assert float(ordered_sum(values)).hex() == expected.hex()
+
+    def test_surplus_keeps_left_to_right_bits(self):
+        # Ten 0.1s add to 0.9999999999999999 left to right; Python 3.12's
+        # compensated sum() makes them 1.0 and this surplus 0.0.
+        obs = SlotObservation(1.0, (0.1,) * 10, (), 0.1, 0.05)
+        assert surplus_power(obs) == 1.1102230246251565e-16
 
 
 class TestComputeVmax:

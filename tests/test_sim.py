@@ -1187,6 +1187,18 @@ class TestRun:
         with pytest.raises(ValueError, match="policy"):
             run(config, inert_trace(), policy="oracle")
 
+    def test_uncallable_policy_rejected_before_any_slot(self, monkeypatch):
+        # A policy that is neither a known name nor callable is refused
+        # before the slot loop starts, naming the policy.
+        def no_loop(*args):
+            raise AssertionError("slot loop entered")
+
+        monkeypatch.setattr(mgsched.sim, "_simulate", no_loop)
+        config = make_config(horizon=1)
+        with pytest.raises(ValueError) as err:
+            run(config, inert_trace(), policy=3)
+        assert str(err.value) == "unknown policy 3"
+
     def test_keep_records_off(self):
         config = make_config(horizon=20)
         records, summary = run(config, generate_traces(config),
@@ -1746,6 +1758,17 @@ class TestLoadConfig:
         with pytest.raises(ValueError) as err:
             loader(str(path))
         assert str(err.value) == f"{path}:{line}: duplicate key {key!r}"
+
+    @pytest.mark.parametrize("loader", [load_config, load_seed])
+    def test_unconstructible_values_name_the_file(self, tmp_path, loader):
+        # PyYAML resolves 2001-13-45 as a timestamp, and its safe
+        # constructor raises a bare ValueError building the date.
+        path = tmp_path / "bad.yaml"
+        path.write_text(Path("configs/five_day.yaml").read_text().replace(
+            "seed: 7\n", "seed: 2001-13-45\n", 1))
+        with pytest.raises(ValueError) as err:
+            loader(str(path))
+        assert str(err.value) == f"{path}: month must be in 1..12"
 
     def test_merge_keys_are_no_repeats(self, tmp_path):
         path = tmp_path / "merged.yaml"
