@@ -142,7 +142,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         rows.append((f, summary.total_cost, _mean_outage(summary)))
         any_violation = any_violation or any(summary.violations.values())
     out_path = f"{args.out}.sweep.csv"
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("fraction,total_cost,mean_outage_ratio\n")
         for f, cost, outage in rows:
             fh.write(f"{f!r},{cost!r},{outage!r}\n")
@@ -170,7 +170,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name, summary in (("proposed", proposed), ("mecp", benchmark)):
         write_summary(summary, f"{args.out}.{name}.summary.txt")
     out_path = f"{args.out}.compare.csv"
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("policy,total_cost,mean_outage_ratio\n")
         for name, summary in (("proposed", proposed), ("mecp", benchmark)):
             fh.write(f"{name},{summary.total_cost!r},"

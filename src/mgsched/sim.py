@@ -31,6 +31,7 @@ slots at once in numpy, with the merit order in closed form.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -338,23 +339,29 @@ def _read_csv(path: str, expected_header: list[str]):
     """Read a CSV and check its header and field counts.
 
     Returns (rows, lines): the rows that are not blank and their line
-    numbers; blank lines are skipped but still counted.
+    numbers; blank lines are skipped but still counted. The file is
+    decoded as UTF-8 before anything else is checked.
     """
     try:
-        fh = open(path, newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise TraceError(f"{path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}:1: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise TraceError(
-                f"{path}:1: expected header {','.join(expected_header)}, "
-                f"got {','.join(header)}")
-        rows = list(reader)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceError(f"{path}:{line}: byte {data[exc.start]:#04x} is not "
+                         f"UTF-8: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceError(f"{path}:1: empty file") from None
+    if [h.strip() for h in header] != expected_header:
+        raise TraceError(
+            f"{path}:1: expected header {','.join(expected_header)}, "
+            f"got {','.join(header)}")
+    rows = list(reader)
     lines = range(2, len(rows) + 2)
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
@@ -544,21 +551,21 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
 def write_traces(traces: list[SlotObservation], prefix: str) -> tuple[str, str, str]:
     """Write a trace as the three CSV files load_traces expects.
 
-    Slot and resident indices are written with str and every other field
-    with repr, one format string per row.
+    Every field is written with str, a float's shortest round-trip form
+    (also for np.float64), one format string per row.
     """
     paths = (f"{prefix}.wind.csv", f"{prefix}.prices.csv",
              f"{prefix}.demand.csv")
     tables = (
         ["slot,generation_kwh\n"]
-        + ["%s,%r\n" % (t, obs.u) for t, obs in enumerate(traces)],
+        + ["%s,%s\n" % (t, obs.u) for t, obs in enumerate(traces)],
         ["slot,purchase_price,sell_price\n"]
-        + ["%s,%r,%r\n" % (t, obs.c, obs.w) for t, obs in enumerate(traces)],
+        + ["%s,%s,%s\n" % (t, obs.c, obs.w) for t, obs in enumerate(traces)],
         ["slot,resident,basic_kwh,quality_kwh\n"]
-        + ["%s,%s,%r,%r\n" % (t, n, b, a) for t, obs in enumerate(traces)
+        + ["%s,%s,%s,%s\n" % (t, n, b, a) for t, obs in enumerate(traces)
            for n, (b, a) in enumerate(zip(obs.basic, obs.alpha))])
     for path, lines in zip(paths, tables):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
     return paths
 
@@ -605,22 +612,6 @@ def outage_windows(outage: np.ndarray, residents: tuple[ResidentSpec, ...],
     budgets = np.array([zm + OUTAGE_WINDOW * res.delta * res.alpha_max
                         for zm, res in zip(z_max, residents)])
     return sums, budgets
-
-
-def outage_window_flags(outage: np.ndarray,
-                        residents: tuple[ResidentSpec, ...],
-                        z_max: tuple[float, ...] | list[float]) -> np.ndarray:
-    """Flag each window of OUTAGE_WINDOW slots that passes its budget.
-
-    Returns a mask shaped like outage whose row t, column n is set when
-    slots t - OUTAGE_WINDOW + 1..t leave resident n more unserved quality
-    energy than budgets[n] of outage_windows; a window is flagged at its
-    last slot, when it is complete.
-    """
-    sums, budgets = outage_windows(outage, residents, z_max)
-    flags = np.zeros(outage.shape, dtype=bool)
-    flags[OUTAGE_WINDOW - 1:] = sums > budgets
-    return flags
 
 
 def _stack(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
@@ -740,11 +731,13 @@ def audit_slots(system: SystemSpec, v: float,
     - battery_band (T, K): a new level outside its band by more than
       BALANCE_TOL;
     - queue_bound (T, N): a new backlog above z_max[n] by more than
-      BALANCE_TOL.
+      BALANCE_TOL;
+    - outage_window (T, N): slots t - OUTAGE_WINDOW + 1..t leave resident
+      n more unserved quality energy than budgets[n] of outage_windows,
+      flagged at the window's last slot.
 
     The result also carries cost (T,), q*c - s*w, the quality requests
-    alpha (T, N), and outage (T, N), alpha - p, from which
-    outage_window_flags derives the window audit. Raises ValueError
+    alpha (T, N), and outage (T, N), alpha - p. Raises ValueError
     naming the first slot whose basic or alpha request does not have one
     entry per resident, and surplus_power's ValueError for the first slot
     whose basic usage exceeds generation.
@@ -773,9 +766,13 @@ def audit_slots(system: SystemSpec, v: float,
         np.array([res.delta for res in system.residents]),
         np.array([res.alpha_max for res in system.residents]), q, s, r, d, p,
         alpha, c, w, e[:horizon], z[:horizon])
+    outage = alpha - p
+    sums, budgets = outage_windows(outage, system.residents, z_max)
+    window = np.zeros(outage.shape, dtype=bool)
+    window[OUTAGE_WINDOW - 1:] = sums > budgets
     return {"balance": balance, "exclusivity": exclusivity,
             "threshold": threshold, "cost": q * c - s * w, "alpha": alpha,
-            "outage": alpha - p,
+            "outage": outage, "outage_window": window,
             "battery_band": (e[1:] < e_min - tol) | (e[1:] > e_max + tol),
             "queue_bound": z[1:] > np.array(z_max) + tol}
 
@@ -788,8 +785,7 @@ def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
                     z_max: tuple[float, ...] | list[float]):
     """Earliest slot that one of audit's masks under keys flags.
 
-    audit is audit_slots' result, with outage_window_flags' mask added as
-    outage_window when keys name it; the other arguments are those
+    audit is audit_slots' result; the other arguments are those
     audit_slots was given. Returns (slot, key, message), or
     None when nothing is flagged; within one slot the key listed first
     wins. The message is what check_dispatch or threshold_violations
@@ -841,11 +837,10 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
     of slot t's levels, backlogs and observation, such as a slot_solver.
     The slot loop only calls the policy and _advance, step's recurrence,
     on the row's slices, and appends the row to one flat list, reshaped
-    once into the flows array; one audit_slots pass at v and z_max follows,
-    and outage_window_flags' mask is added as outage_window. Returns
-    (levels, backlogs, flows, audit), with the T + 1 level and backlog
-    rows and the (T, 2K + N + 4) flows array audit_slots takes. Raises
-    _check_widths' ValueError before the first slot; policy and
+    once into the flows array; one audit_slots pass at v and z_max follows.
+    Returns (levels, backlogs, flows, audit), with the T + 1 level and
+    backlog rows and the (T, 2K + N + 4) flows array audit_slots takes.
+    Raises _check_widths' ValueError before the first slot; policy and
     update_qose_queue errors propagate.
     """
     residents = config.residents
@@ -866,11 +861,8 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
         backlogs.append(z)
     flows = np.array(flat, dtype=float).reshape(
         len(observations), 2 * n_bat + len(residents) + 4)
-    audit = audit_slots(config.system, v, levels, backlogs, observations,
-                        flows, z_max)
-    audit["outage_window"] = outage_window_flags(audit["outage"], residents,
-                                                 z_max)
-    return levels, backlogs, flows, audit
+    return levels, backlogs, flows, audit_slots(
+        config.system, v, levels, backlogs, observations, flows, z_max)
 
 
 def run(config: RunConfig, traces: list[SlotObservation],
@@ -1013,7 +1005,7 @@ def _relaxed_slots(mu: list[float], nu: list[float], caps: np.ndarray,
     contiguous slot axis; d_max holds the K discharge caps, and surplus, c
     and w one value per slot. Returns (objective, q, s, r, d, p):
     objective, q and s shaped (T,), r and d (K, T), p (N, T). Feasibility
-    does not depend on the multipliers; _unservable checks it.
+    does not depend on the multipliers; hindsight_lower_bound checks it.
 
     Two reductions must add in the order a slot-major (T, entries) array
     does, or the bound's floats depend on the layout: each slot's two
@@ -1081,13 +1073,6 @@ def _demand_caps(alpha: np.ndarray,
     return caps
 
 
-def _unservable(surplus: np.ndarray, caps: np.ndarray,
-                grid: GridSpec) -> np.ndarray:
-    """Mask of the slots whose surplus exceeds every sink of the relaxed
-    problem: the bids' caps (caps as in _relaxed_slots) and the sale cap."""
-    return surplus > caps.sum(0) + grid.s_max
-
-
 def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
                           iterations: int) -> float:
     """Lower-bound the per-slot cost of any feasible policy on this trace.
@@ -1141,7 +1126,8 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     surplus, alpha, c, w = _observation_arrays(traces, n_res)
     caps = _demand_caps(alpha, batteries)
     if not config.curtailment:
-        unservable = _unservable(surplus, caps, g)
+        # Every sink of the relaxed problem: the bids' caps and the sale cap.
+        unservable = surplus > caps.sum(0) + g.s_max
         if unservable.any():
             t = int(unservable.argmax())
             raise UnservableSurplusError(
@@ -1176,7 +1162,8 @@ def write_slot_records(records: list[SlotRecord], path: str,
                        n_batteries: int, n_residents: int) -> None:
     """Write per-slot records as CSV, one row per slot.
 
-    The slot index is written with str and every other field with repr.
+    Every field is written with str, a float's shortest round-trip form
+    (also for np.float64).
     A record whose e, z or outage width differs from the header's raises
     TypeError naming the first such slot, before anything is written.
     """
@@ -1193,8 +1180,8 @@ def write_slot_records(records: list[SlotRecord], path: str,
     cols += [f"e_{k + 1}" for k in range(n_batteries)]
     cols += [f"z_{n + 1}" for n in range(n_residents)]
     cols += [f"outage_{n + 1}" for n in range(n_residents)]
-    row = "%s" + ",%r" * (len(cols) - 1) + "\n"
-    with open(path, "w", newline="") as fh:
+    row = ",".join(["%s"] * len(cols)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         fh.writelines([
             row % (rec.t, rec.cost_increment, rec.cumulative_cost,
@@ -1205,21 +1192,21 @@ def write_slot_records(records: list[SlotRecord], path: str,
 
 
 def format_summary(summary: Summary) -> str:
-    """Render a Summary as a stable key: value document."""
+    """Render a Summary as a stable key: value document; floats print with
+    str, their shortest round-trip form (also for np.float64)."""
 
     def join(values) -> str:
-        return ",".join(repr(v) if isinstance(v, float) else str(v).lower()
-                        if isinstance(v, bool) else str(v)
+        return ",".join(str(v).lower() if isinstance(v, bool) else str(v)
                         for v in values)
 
     lines = [
         f"policy: {summary.policy}",
         f"slots: {summary.slots}",
-        f"v: {summary.v!r}",
-        f"v_max: {summary.v_max!r}",
-        f"total_cost: {summary.total_cost!r}",
-        f"mean_cost_per_slot: {summary.mean_cost_per_slot!r}",
-        f"curtailed_total: {summary.curtailed_total!r}",
+        f"v: {summary.v}",
+        f"v_max: {summary.v_max}",
+        f"total_cost: {summary.total_cost}",
+        f"mean_cost_per_slot: {summary.mean_cost_per_slot}",
+        f"curtailed_total: {summary.curtailed_total}",
     ]
     for key in VIOLATION_KEYS:
         lines.append(f"violations_{key}: {summary.violations[key]}")
@@ -1234,7 +1221,7 @@ def format_summary(summary: Summary) -> str:
 
 
 def write_summary(summary: Summary, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_summary(summary))
 
 
@@ -1388,7 +1375,8 @@ def _read_yaml(path: str) -> dict:
     (such as the timestamp 2001-13-45) or something other than a mapping,
     or repeats a key in any mapping (naming the line and key too)."""
     try:
-        with open(path) as fh:
+        # Bytes, so PyYAML detects UTF-8 or UTF-16 whatever the locale.
+        with open(path, "rb") as fh:
             # libyaml's parser where PyYAML was built with it; construction
             # stays PyYAML's safe constructor either way.
             data = yaml.load(fh, Loader=type("Loader", (_UniqueKeys, getattr(

@@ -462,15 +462,13 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     return SuiteResult("solver-oracle", instances, violations, ce)
 
 
-def run_all_suites(trials: int, seed: int, k_max: int = 3,
-                   n_max: int = 6) -> list[SuiteResult]:
+def run_all_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Run every suite at a size scaled to the requested trial count."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     results = run_bound_trials(runs=max(2, trials // 10),
                                slots=max(OUTAGE_WINDOW, 4 * trials),
-                               seed=seed, k_max=k_max, n_max=n_max)
-    results.append(threshold_trials(slots=30 * trials, seed=seed,
-                                    k_max=k_max, n_max=n_max))
+                               seed=seed)
+    results.append(threshold_trials(slots=30 * trials, seed=seed))
     results.append(solver_oracle_trials(instances=trials, seed=seed))
     return results

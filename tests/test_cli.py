@@ -12,6 +12,10 @@ from mgsched.cli import main
 
 FIVE_DAY = "configs/five_day.yaml"
 SEVEN_DAY = "configs/seven_day.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+# A locale whose encoding is ASCII: without PYTHONUTF8=0, Python would
+# switch to UTF-8 mode under the C locale.
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C"}
 
 # SHA-256 of the files `mgsched run` writes for each shipped config. A
 # speed-only change must keep them; a change that means to alter the
@@ -425,6 +429,66 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x"), "--seed", "-4"])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+
+def run_module(*args, options=(), env=None):
+    """python [options] -m mgsched args, run from the repository root."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **(env or {}))
+    return subprocess.run([sys.executable, *options, "-m", "mgsched", *args],
+                          capture_output=True, text=True, cwd=ROOT, env=env)
+
+
+class TestEncoding:
+    """Configs and traces are read, and outputs written, as UTF-8 whatever
+    the locale."""
+
+    def test_non_ascii_config_comment_under_an_ascii_locale(self, tmp_path):
+        text = Path(FIVE_DAY).read_text(encoding="utf-8")
+        assert text.startswith("#")
+        end = text.index("\n")
+        config = tmp_path / "five_day.yaml"
+        config.write_text(text[:end] + " (\u03b1 = quality)" + text[end:],
+                          encoding="utf-8")
+        proc = run_module("run", "--config", str(config),
+                          "--out", str(tmp_path / "run"), env=ASCII_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        digests = {
+            suffix: hashlib.sha256(
+                (tmp_path / f"run.{suffix}").read_bytes()).hexdigest()
+            for suffix in ("slots.csv", "summary.txt")}
+        assert digests == SHIPPED_DIGESTS[FIVE_DAY]
+
+    def test_undecodable_trace_names_file_and_line(self, tmp_path):
+        prefix = str(tmp_path / "t")
+        assert main(["gen-traces", "--config", FIVE_DAY, "--out", prefix]) == 0
+        wind = tmp_path / "t.wind.csv"
+        lines = wind.read_bytes().splitlines(keepends=True)
+        lines[1] = b"0,1.5\xe9\n"
+        wind.write_bytes(b"".join(lines))
+        proc = run_module("run", "--config", FIVE_DAY,
+                          "--out", str(tmp_path / "x"), "--wind", str(wind),
+                          "--prices", f"{prefix}.prices.csv",
+                          "--demand", f"{prefix}.demand.csv",
+                          env=ASCII_LOCALE)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {wind}:2: byte 0xe9 is not UTF-8: "
+                               "invalid continuation byte\n")
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--wind", "{t}.wind.csv", "--prices", "{t}.prices.csv",
+         "--demand", "{t}.demand.csv", "--out", "{out}"],
+        ["sweep-v", "--fractions", "0.5", "--out", "{out}"],
+        ["compare", "--out", "{out}"],
+        ["validate", "--trials", "1"],
+        ["gen-traces", "--out", "{out}"]])
+    def test_no_file_is_opened_in_the_locale_encoding(self, tmp_path, args):
+        prefix = str(tmp_path / "t")
+        assert main(["gen-traces", "--config", FIVE_DAY, "--out", prefix]) == 0
+        args = [arg.format(t=prefix, out=tmp_path / "out") for arg in args]
+        proc = run_module(*args, "--config", FIVE_DAY,
+                          options=("-X", "warn_default_encoding",
+                                   "-W", "error::EncodingWarning"))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestModuleEntryPoint:

@@ -142,8 +142,7 @@ class TestScenarioGenerators:
             lambda: threshold_trials(slots=3, seed=1, k_max=k_max,
                                      n_max=n_max),
             lambda: run_bound_trials(runs=1, slots=1, seed=1, k_max=k_max,
-                                     n_max=n_max),
-            lambda: run_all_suites(1, seed=1, k_max=k_max, n_max=n_max)]
+                                     n_max=n_max)]
         for call in calls:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 call()
