@@ -13,6 +13,7 @@ import argparse
 from dataclasses import replace
 
 from mgsched import generate_traces, load_config, run
+from mgsched.model import ordered_sum
 from mgsched.validate import run_all_suites
 
 
@@ -38,7 +39,7 @@ def main() -> int:
         for policy in ("proposed", "mecp"):
             _, summary = run(config, traces, policy=policy,
                              keep_records=False)
-            outage = sum(summary.outage_ratio) / len(summary.outage_ratio)
+            outage = ordered_sum(summary.outage_ratio) / len(summary.outage_ratio)
             row[policy] = summary.total_cost
             print(f"{seed:>6} {policy:>10} {summary.total_cost:>12.2f} "
                   f"{outage:>8.4f}")

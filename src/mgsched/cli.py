@@ -94,6 +94,19 @@ def _mean_outage(summary) -> float:
     return ordered_sum(summary.outage_ratio) / len(summary.outage_ratio)
 
 
+def _report_violations(summary, where: str = "") -> bool:
+    """Print summary's nonzero violation counters and its first violation
+    to stderr, where naming the run; returns whether it had any."""
+    bad = {k: v for k, v in summary.violations.items() if v}
+    if bad:
+        print(f"bound violations{where}: {bad}", file=sys.stderr)
+        if summary.first_violation is not None:
+            slot, key, message = summary.first_violation
+            print(f"first violation: slot {slot} ({key}): {message}",
+                  file=sys.stderr)
+    return bool(bad)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load(args.config, args.seed, args.curtail)
     given = [args.wind, args.prices, args.demand]
@@ -110,15 +123,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                        len(config.residents))
     write_summary(summary, summary_path)
     print(f"wrote {slots_path} and {summary_path}")
-    bad = {k: v for k, v in summary.violations.items() if v}
-    if bad:
-        print(f"bound violations: {bad}", file=sys.stderr)
-        if summary.first_violation is not None:
-            slot, key, message = summary.first_violation
-            print(f"first violation: slot {slot} ({key}): {message}",
-                  file=sys.stderr)
-        return 2
-    return 0
+    return 2 if _report_violations(summary) else 0
 
 
 def cmd_sweep_v(args: argparse.Namespace) -> int:
@@ -140,7 +145,8 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         cfg = replace(config, v_fraction=f)
         _, summary = run(cfg, traces, policy="proposed", keep_records=False)
         rows.append((f, summary.total_cost, _mean_outage(summary)))
-        any_violation = any_violation or any(summary.violations.values())
+        any_violation = (_report_violations(summary, f" at fraction {f}")
+                         or any_violation)
     out_path = f"{args.out}.sweep.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("fraction,total_cost,mean_outage_ratio\n")
@@ -157,8 +163,6 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
             print(f"trend break between fractions {f_hi} and {f_lo}: "
                   f"costs {cost_hi} vs {cost_lo}, "
                   f"outage {out_hi} vs {out_lo}", file=sys.stderr)
-    if any_violation:
-        print("bound violations during sweep", file=sys.stderr)
     return 0 if monotone and not any_violation else 2
 
 
@@ -167,24 +171,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     traces = generate_traces(config)
     _, proposed = run(config, traces, policy="proposed", keep_records=False)
     _, benchmark = run(config, traces, policy="mecp", keep_records=False)
-    for name, summary in (("proposed", proposed), ("mecp", benchmark)):
+    pairs = (("proposed", proposed), ("mecp", benchmark))
+    for name, summary in pairs:
         write_summary(summary, f"{args.out}.{name}.summary.txt")
     out_path = f"{args.out}.compare.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("policy,total_cost,mean_outage_ratio\n")
-        for name, summary in (("proposed", proposed), ("mecp", benchmark)):
+        for name, summary in pairs:
             fh.write(f"{name},{summary.total_cost!r},"
                      f"{_mean_outage(summary)!r}\n")
     print(f"wrote {out_path} and the paired summaries")
-    any_violation = (any(proposed.violations.values())
-                     or any(benchmark.violations.values()))
-    if any_violation:
-        print("bound violations during comparison", file=sys.stderr)
+    violated = [_report_violations(summary, f" in {name}")
+                for name, summary in pairs]
     if proposed.total_cost > benchmark.total_cost:
         print(f"scheduler cost {proposed.total_cost} exceeds benchmark "
               f"cost {benchmark.total_cost}", file=sys.stderr)
         return 2
-    return 0 if not any_violation else 2
+    return 2 if any(violated) else 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -30,6 +30,7 @@ slots at once in numpy, with the merit order in closed form.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -340,11 +341,12 @@ def _read_csv(path: str, expected_header: list[str]):
 
     Returns (rows, lines): the rows that are not blank and their line
     numbers; blank lines are skipped but still counted. The file is
-    decoded as UTF-8 before anything else is checked.
+    decoded as UTF-8, after dropping a leading byte-order mark, before
+    anything else is checked.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
         text = data.decode("utf-8")
     except OSError as exc:
         raise TraceError(f"{path}: {exc}") from exc

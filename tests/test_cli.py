@@ -1,4 +1,6 @@
+import codecs
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -61,6 +63,17 @@ TRACE_DIGESTS = {
         "demand": "3eb890648da40d1f5f32a7f40a6c0d7e087e28d29b6357ec7828ef9f0bf817e1",
     },
 }
+
+
+def overweight_the_scheduler(monkeypatch):
+    """Solve every scheduler slot at four times its v without the headroom
+    clamp, which drives the batteries out of their bands."""
+    real = mgsched.sim.slot_solver
+
+    def overweighted(system, v, **kwargs):
+        return real(system, 4.0 * v, headroom_clamp=False, **kwargs)
+
+    monkeypatch.setattr(mgsched.sim, "slot_solver", overweighted)
 
 
 class TestRunCommand:
@@ -147,17 +160,25 @@ class TestRunCommand:
 
     def test_violations_exit_two_and_name_the_first(self, tmp_path, capsys,
                                                     monkeypatch):
-        real = mgsched.sim.slot_solver
-
-        def overweighted(system, v, **kwargs):
-            return real(system, 4.0 * v, headroom_clamp=False, **kwargs)
-
-        monkeypatch.setattr(mgsched.sim, "slot_solver", overweighted)
+        overweight_the_scheduler(monkeypatch)
         code = main(["run", "--config", FIVE_DAY,
                      "--out", str(tmp_path / "x")])
         assert code == 2
         err = capsys.readouterr().err
         assert "bound violations: {" in err
+        assert "\nfirst violation: slot " in err
+
+    @pytest.mark.parametrize("args, where", [
+        (["sweep-v", "--fractions", "1.0"], "at fraction 1.0"),
+        (["compare"], "in proposed")])
+    def test_sweep_and_compare_name_the_first_violation(
+            self, tmp_path, capsys, monkeypatch, args, where):
+        overweight_the_scheduler(monkeypatch)
+        code = main([*args, "--config", FIVE_DAY,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bound violations {where}: {{" in err
         assert "\nfirst violation: slot " in err
 
 
@@ -474,6 +495,27 @@ class TestEncoding:
         assert proc.stderr == (f"error: {wind}:2: byte 0xe9 is not UTF-8: "
                                "invalid continuation byte\n")
 
+    def test_inputs_may_start_with_a_byte_order_mark(self, tmp_path):
+        # Spreadsheet tools often write one; it is dropped before parsing,
+        # so the replay matches the synthetic run byte for byte.
+        prefix = str(tmp_path / "t")
+        assert main(["gen-traces", "--config", FIVE_DAY, "--out", prefix]) == 0
+        config = tmp_path / "five_day.yaml"
+        config.write_bytes((ROOT / FIVE_DAY).read_bytes())
+        for path in [config] + [tmp_path / f"t.{name}.csv"
+                                for name in ("wind", "prices", "demand")]:
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "run"),
+                     "--wind", f"{prefix}.wind.csv",
+                     "--prices", f"{prefix}.prices.csv",
+                     "--demand", f"{prefix}.demand.csv"]) == 0
+        digests = {
+            suffix: hashlib.sha256(
+                (tmp_path / f"run.{suffix}").read_bytes()).hexdigest()
+            for suffix in ("slots.csv", "summary.txt")}
+        assert digests == SHIPPED_DIGESTS[FIVE_DAY]
+
     @pytest.mark.parametrize("args", [
         ["run", "--wind", "{t}.wind.csv", "--prices", "{t}.prices.csv",
          "--demand", "{t}.demand.csv", "--out", "{out}"],
@@ -500,6 +542,28 @@ class TestModuleEntryPoint:
 
 
 class TestScripts:
+    def test_float_totals_check_passes(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "check_float_totals.py")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "src/ and scripts/ call no built-in sum()" in proc.stdout
+
+    def test_float_totals_check_flags_builtin_sum_calls(self, tmp_path):
+        path = ROOT / "scripts" / "check_float_totals.py"
+        spec = importlib.util.spec_from_file_location("check_totals", path)
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "m.py").write_text(
+            "n = len(xs)\ntotal = sum(xs) / n\nsum = None\n")
+        (tmp_path / "scripts").mkdir()
+        (tmp_path / "scripts" / "check_float_totals.py").write_text(
+            "sum(values)\nsum(other)\n")
+        assert check.builtin_sum_calls(tmp_path) == [
+            "scripts/check_float_totals.py:2: sum(other)",
+            "src/pkg/m.py:2: sum(xs)"]
+
     def test_policy_comparison_runs(self):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -528,6 +528,50 @@ class TestMecp:
         assert dd.q == pytest.approx(5.0)
         assert dd.r == pytest.approx((2.0,))
 
+    @pytest.mark.parametrize("level, served", [(0.0, (1.0, 0.0)),
+                                               (1.0, (1.5, 0.5))])
+    def test_purchase_cap_serves_admitted_requests_in_index_order(
+            self, level, served):
+        # Discharge plus the 1 kWh purchase cap cannot cover 3 kWh of
+        # requests, so what exists goes to resident 0 first.
+        system = make_system(n_residents=2, q_max=1.0)
+        state = SystemState(t=0, e=(level,), z=(0.0, 0.0))
+        obs = obs_of(0.0, (1.5, 1.5), c=0.08, w=0.03)
+        dd = mecp_dispatch(system, state, obs, np.random.default_rng(0),
+                           block_prob=0.0, charge_prob=0.0, v=150.0)
+        assert dd.p == served
+        assert dd.q == 1.0
+        assert dd.d == (level,)
+        assert check_dispatch(dd, system, obs) == []
+
+    def test_surplus_past_batteries_and_sale_cap_is_curtailed_or_refused(
+            self):
+        system = make_system(s_max=1.0)
+        state = SystemState(t=7, e=(15.0,), z=(0.0,))
+        obs = obs_of(5.0, (2.0,), c=0.08, w=0.03)
+        with pytest.raises(UnservableSurplusError, match=r"^slot 7: "):
+            mecp_dispatch(system, state, obs, np.random.default_rng(0),
+                          block_prob=0.0, charge_prob=0.0, v=150.0)
+        dd = mecp_dispatch(system, state, obs, np.random.default_rng(0),
+                           block_prob=0.0, charge_prob=0.0, v=150.0,
+                           curtail=True)
+        assert dd.r == (1.0,)
+        assert dd.s == 1.0
+        assert dd.curtailed == 1.0
+        assert check_dispatch(dd, system, obs) == []
+
+    def test_charge_coin_skips_a_discharging_battery_and_stops_at_q_max(
+            self):
+        system = make_system(n_batteries=3, q_max=3.0)
+        state = SystemState(t=0, e=(2.0, 8.0, 8.0), z=(0.0,))
+        obs = obs_of(0.0, (2.0,), c=0.08, w=0.03)
+        dd = mecp_dispatch(system, state, obs, np.random.default_rng(0),
+                           block_prob=0.0, charge_prob=1.0, v=150.0)
+        assert dd.d == (2.0, 0.0, 0.0)
+        assert dd.r == (0.0, 2.0, 1.0)
+        assert dd.q == 3.0
+        assert check_dispatch(dd, system, obs) == []
+
     def test_objective_field_matches_evaluation(self):
         system = make_system()
         state = SystemState(t=0, e=(5.0,), z=(3.0,))

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import math
 import random
@@ -208,6 +209,19 @@ class TestTraceFiles:
         lines[3] = b"2,0.5\xff"
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(TraceError) as err:
+            load_traces(str(bad), prices, demand, config)
+        assert str(err.value) == (
+            f"{bad}:4: byte 0xff is not UTF-8: invalid start byte")
+
+    def test_undecodable_byte_after_a_byte_order_mark(self, tmp_path):
+        # The mark is dropped before decoding, so the bad byte's line and
+        # value are still those of the file as written.
+        config, (wind, prices, demand) = self._write_files(tmp_path)
+        lines = Path(wind).read_bytes().splitlines()
+        lines[3] = b"2,0.5\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(codecs.BOM_UTF8 + b"\n".join(lines) + b"\n")
         with pytest.raises(TraceError) as err:
             load_traces(str(bad), prices, demand, config)
         assert str(err.value) == (
