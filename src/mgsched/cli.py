@@ -116,11 +116,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         traces = load_traces(args.wind, args.prices, args.demand, config)
     else:
         traces = generate_traces(config)
-    records, summary = run(config, traces)
+    trajectory, summary = run(config, traces)
     slots_path = f"{args.out}.slots.csv"
     summary_path = f"{args.out}.summary.txt"
-    write_slot_records(records, slots_path, len(config.batteries),
-                       len(config.residents))
+    write_slot_records(trajectory, slots_path)
     write_summary(summary, summary_path)
     print(f"wrote {slots_path} and {summary_path}")
     return 2 if _report_violations(summary) else 0

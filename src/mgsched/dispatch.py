@@ -25,7 +25,7 @@ and the bound suite build one per run. The kernel and the solver return
 a slot's decision as one flat flow row, (q, s, r_1..r_K, d_1..d_K,
 p_1..p_N, objective, curtailed), which the simulator's slot loop keeps
 as numbers; _row_dispatch builds a Dispatch from a row only where one is
-kept or shown. dispatch_slot (one slot's decision, as a Dispatch) and
+shown. dispatch_slot (one slot's decision, as a Dispatch) and
 build_subproblem (one slot's books) are thin wrappers over the solver,
 so the books have one builder. merit_order_columns solves the
 same sweep in closed form for many independent slot problems at once, one

@@ -15,17 +15,19 @@ mecp and custom policies, which take a SystemState and return a
 Dispatch, with one wrapper that flattens the Dispatch into the row.
 audit_slots then checks all slots at once in numpy from the level and
 backlog rows and the flows array's columns and flags each slot and
-entity that broke a guarantee, and run reads its counters and the first
-violation off those masks. Dispatch objects are built only for the
-records run keeps and the slot first_violation words. Synthetic traces
-are generated from the run configuration; recorded traces load from
-three CSV files. A projected-subgradient hindsight bound provides the
-reference point for cost-gap checks: it lower-bounds the per-slot cost
-of any policy on the given trace whose horizon-average quality service
-reaches (1 - delta)*alpha, under relaxed storage dynamics, so the
-scheduler's average cost can be judged without knowing the true offline
-optimum. Each of its iterations solves the relaxed slot problems of all
-slots at once in numpy, with the merit order in closed form.
+entity that broke a guarantee. _simulate returns the run as one
+Trajectory of those arrays: run reads its counters and the first
+violation off the audit's masks and returns the Trajectory with the
+summary, and write_slot_records writes slots.csv straight from it. A
+Dispatch is built only for the slot first_violation words. Synthetic
+traces are generated from the run configuration; recorded traces load
+from three CSV files. A projected-subgradient hindsight bound provides
+the reference point for cost-gap checks: it lower-bounds the per-slot
+cost of any policy on the given trace whose horizon-average quality
+service reaches (1 - delta)*alpha, under relaxed storage dynamics, so
+the scheduler's average cost can be judged without knowing the true
+offline optimum. Each of its iterations solves the relaxed slot problems
+of all slots at once in numpy, with the merit order in closed form.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import attrgetter
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 import yaml
@@ -64,7 +66,6 @@ from .model import (
     UnservableSurplusError,
     check_dispatch,
     compute_vmax,
-    ordered_sum,
     shape_problems,
     surplus_power,
     validate_observation,
@@ -193,21 +194,20 @@ class RunConfig:
                           grid=self.grid)
 
 
-@dataclass(frozen=True, slots=True)
-class SlotRecord:
-    """One simulated slot: the decision and the state it produced.
+class Trajectory(NamedTuple):
+    """One simulated run of T slots, as arrays.
 
-    e and z are the levels after the slot's dispatch and queue update;
-    outage is the unserved quality demand alpha - p of this slot.
+    levels and backlogs hold T + 1 rows each, the battery levels and
+    backlogs the run starts from and then those each slot leaves; flows
+    is the (T, 2K + N + 4) array of the slots' flow rows (q, s,
+    r_1..r_K, d_1..d_K, p_1..p_N, objective, curtailed); audit is
+    audit_slots' dict of the run.
     """
 
-    t: int
-    dispatch: Dispatch
-    cost_increment: float
-    cumulative_cost: float
-    e: tuple[float, ...]
-    z: tuple[float, ...]
-    outage: tuple[float, ...]
+    levels: list[tuple[float, ...]]
+    backlogs: list[tuple[float, ...]]
+    flows: np.ndarray
+    audit: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,8 @@ def _trace_table(path: str, header: list[str], horizon: int, n_res: int = 0):
     values = []
     for column in parsed:
         placed = np.full(size, math.nan)
-        placed[cell[kept]] = column[kept]
+        # Adding 0.0 reads -0.0 as 0.0, so no sign reaches the outputs.
+        placed[cell[kept]] = column[kept] + 0.0
         values.append(placed.reshape(horizon, n_res) if n_res else placed)
     return values
 
@@ -779,22 +780,22 @@ def audit_slots(system: SystemSpec, v: float,
             "queue_bound": z[1:] > np.array(z_max) + tol}
 
 
-def first_violation(audit: dict[str, np.ndarray], keys: tuple[str, ...],
+def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
                     system: SystemSpec, v: float,
-                    levels: list[tuple[float, ...]],
-                    backlogs: list[tuple[float, ...]],
-                    observations: list[SlotObservation], flows: np.ndarray,
+                    observations: list[SlotObservation],
                     z_max: tuple[float, ...] | list[float]):
-    """Earliest slot that one of audit's masks under keys flags.
+    """Earliest slot that one of the trajectory's audit masks under keys
+    flags.
 
-    audit is audit_slots' result; the other arguments are those
-    audit_slots was given. Returns (slot, key, message), or
-    None when nothing is flagged; within one slot the key listed first
-    wins. The message is what check_dispatch or threshold_violations
-    report for that slot's Dispatch, the only one built here, or a line
-    naming the first battery, backlog or window (the one ending at that
-    slot) past its band, cap or budget.
+    The other arguments are those audit_slots was given for the
+    trajectory. Returns (slot, key, message), or None when nothing is
+    flagged; within one slot the key listed first wins. The message is
+    what check_dispatch or threshold_violations report for that slot's
+    Dispatch, the only one built here, or a line naming the first
+    battery, backlog or window (the one ending at that slot) past its
+    band, cap or budget.
     """
+    levels, backlogs, flows, audit = trajectory
     first = None
     for key in keys:
         flagged = audit[key].reshape(len(flows), -1).any(1)
@@ -840,8 +841,8 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
     The slot loop only calls the policy and _advance, step's recurrence,
     on the row's slices, and appends the row to one flat list, reshaped
     once into the flows array; one audit_slots pass at v and z_max follows.
-    Returns (levels, backlogs, flows, audit), with the T + 1 level and
-    backlog rows and the (T, 2K + N + 4) flows array audit_slots takes.
+    Returns the run as a Trajectory: the T + 1 level and backlog rows, the
+    (T, 2K + N + 4) flows array audit_slots takes, and its audit.
     Raises _check_widths' ValueError before the first slot; policy and
     update_qose_queue errors propagate.
     """
@@ -863,8 +864,8 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
         backlogs.append(z)
     flows = np.array(flat, dtype=float).reshape(
         len(observations), 2 * n_bat + len(residents) + 4)
-    return levels, backlogs, flows, audit_slots(
-        config.system, v, levels, backlogs, observations, flows, z_max)
+    return Trajectory(levels, backlogs, flows, audit_slots(
+        config.system, v, levels, backlogs, observations, flows, z_max))
 
 
 def run(config: RunConfig, traces: list[SlotObservation],
@@ -872,26 +873,26 @@ def run(config: RunConfig, traces: list[SlotObservation],
     """Simulate the configured horizon, then audit every slot.
 
     policy may be None (use config.policy), a policy name, or a callable
-    (state, obs) -> Dispatch. Returns (records, summary); records is empty
-    when keep_records is false. _simulate steps and audits the run, and
-    the counters, costs, outages and first violation are read off its
-    audit. The scheduler runs as one slot_solver; mecp and a custom policy
-    share one adapter, which builds each slot's SystemState, checks the
-    shape of the Dispatch returned and flattens it into the solver's flow
-    row. Each kept record's Dispatch is built from its slot's row. A
-    policy that is neither a known name nor callable raises ValueError
-    before the first slot. Policy and step errors propagate; audit
-    failures are counted in the summary, never raised, so a broken setup
-    still yields a diagnosable run.
+    (state, obs) -> Dispatch. Returns (trajectory, summary): _simulate's
+    Trajectory of the run, which write_slot_records writes as slots.csv,
+    or None when keep_records is false. The counters, costs, outages and
+    first violation are read off the trajectory's audit. The scheduler
+    runs as one slot_solver; mecp and a custom policy share one adapter,
+    which builds each slot's SystemState, checks the shape of the
+    Dispatch returned and flattens it into the solver's flow row, so a
+    scheduler run builds a Dispatch only for the slot its first violation
+    names. A policy that is neither a known name nor callable raises
+    ValueError before the first slot. Policy and step errors propagate;
+    audit failures are counted in the summary, never raised, so a broken
+    setup still yields a diagnosable run.
     """
     if len(traces) < config.horizon:
         raise ValueError(
             f"trace has {len(traces)} slots, horizon needs {config.horizon}")
     system = config.system
-    batteries = config.batteries
     residents = config.residents
     horizon = config.horizon
-    v_max = compute_vmax(batteries, config.grid)
+    v_max = compute_vmax(config.batteries, config.grid)
     v = config.v_fraction * v_max
     consts = bound_constants(system, v)
 
@@ -923,26 +924,16 @@ def run(config: RunConfig, traces: list[SlotObservation],
             return _dispatch_row(dispatch)
 
     observations = traces[:horizon]
-    levels, backlogs, flows, audit = _simulate(
-        config, observations, policy_fn, v, consts.z_max)
+    trajectory = _simulate(config, observations, policy_fn, v, consts.z_max)
+    audit = trajectory.audit
     outage_hist = audit["outage"]
     counters = {key: int(audit[key].sum()) if key in keys else 0
                 for key in VIOLATION_KEYS}
     cost = audit["cost"]
     # np.cumsum adds in sequence, as a running total from 0.0 does; adding
     # 0.0 turns a leading -0.0 into the 0.0 such a total would hold.
-    cumulative = np.cumsum(cost) + 0.0
-    total_cost = float(cumulative[-1])
-    curtailed_total = float(np.cumsum(flows[:, -1])[-1] + 0.0)
-    records: list[SlotRecord] = []
-    if keep_records:
-        n_bat = len(batteries)
-        records = [
-            SlotRecord(t, _row_dispatch(row, n_bat), ci, cum, e, z,
-                       tuple(out))
-            for t, (row, ci, cum, e, z, out) in enumerate(zip(
-                flows.tolist(), cost.tolist(), cumulative.tolist(),
-                levels[1:], backlogs[1:], outage_hist.tolist()))]
+    total_cost = float(np.cumsum(cost)[-1] + 0.0)
+    curtailed_total = float(np.cumsum(trajectory.flows[:, -1])[-1] + 0.0)
 
     alpha_cum = np.cumsum(audit["alpha"], axis=0)
     outage_cum = np.cumsum(outage_hist, axis=0)
@@ -977,10 +968,9 @@ def run(config: RunConfig, traces: list[SlotObservation],
         stability_pass=tuple(stability),
         violations=counters,
         curtailed_total=curtailed_total,
-        first_violation=first_violation(
-            audit, keys, system, v, levels, backlogs, observations, flows,
-            consts.z_max))
-    return records, summary
+        first_violation=first_violation(trajectory, keys, system, v,
+                                        observations, consts.z_max))
+    return (trajectory if keep_records else None), summary
 
 
 def _relaxed_slots(mu: list[float], nu: list[float], caps: np.ndarray,
@@ -1160,37 +1150,36 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     return best
 
 
-def write_slot_records(records: list[SlotRecord], path: str,
-                       n_batteries: int, n_residents: int) -> None:
-    """Write per-slot records as CSV, one row per slot.
+def write_slot_records(trajectory: Trajectory, path: str) -> None:
+    """Write a run's slots as CSV, one row per slot, from its arrays.
 
-    Every field is written with str, a float's shortest round-trip form
-    (also for np.float64).
-    A record whose e, z or outage width differs from the header's raises
-    TypeError naming the first such slot, before anything is written.
+    The columns are t, the slot's cost and its running total, q, s, the
+    recharge and discharge totals sum_r and sum_d, then the levels e_k,
+    backlogs z_n and outages alpha - p that the slot leaves; K and N are
+    the widths of the trajectory's level and backlog rows. The totals add
+    each row left to right from 0, as ordered_sum does, signed zeros
+    included. Every field is written with str, a float's shortest
+    round-trip form (also for np.float64).
     """
-    widths = (("e", n_batteries), ("z", n_residents), ("outage", n_residents))
-    if any(set(map(len, map(attrgetter(name), records))) - {width}
-           for name, width in widths):
-        for rec in records:
-            for name, width in widths:
-                if len(getattr(rec, name)) != width:
-                    raise TypeError(
-                        f"slot {rec.t}: record {name} has "
-                        f"{len(getattr(rec, name))} entries, expected {width}")
+    levels, backlogs, flows, audit = trajectory
+    n_bat, n_res = len(levels[0]), len(backlogs[0])
+    zero = np.zeros((len(flows), 1))
+    cost = audit["cost"]
+    table = np.column_stack([
+        cost, np.cumsum(cost) + 0.0, flows[:, :2],
+        *(_row_total(np.hstack([zero, flows[:, at]]))
+          for at in _flow_slices(n_bat)[:2]),
+        _stack(levels[1:], n_bat), _stack(backlogs[1:], n_res),
+        audit["outage"]])
     cols = ["t", "cost_increment", "cumulative_cost", "q", "s", "sum_r", "sum_d"]
-    cols += [f"e_{k + 1}" for k in range(n_batteries)]
-    cols += [f"z_{n + 1}" for n in range(n_residents)]
-    cols += [f"outage_{n + 1}" for n in range(n_residents)]
+    cols += [f"e_{k + 1}" for k in range(n_bat)]
+    cols += [f"z_{n + 1}" for n in range(n_res)]
+    cols += [f"outage_{n + 1}" for n in range(n_res)]
     row = ",".join(["%s"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines([
-            row % (rec.t, rec.cost_increment, rec.cumulative_cost,
-                   rec.dispatch.q, rec.dispatch.s,
-                   ordered_sum(rec.dispatch.r), ordered_sum(rec.dispatch.d),
-                   *rec.e, *rec.z, *rec.outage)
-            for rec in records])
+        fh.writelines([row % (t, *values)
+                       for t, values in enumerate(table.tolist())])
 
 
 def format_summary(summary: Summary) -> str:

@@ -337,16 +337,16 @@ def run_bound_trials(runs: int, slots: int, seed: int,
         z_max = bound_constants(system, v).z_max
         observations = generate_traces(config, rng)
 
-        levels, backlogs, flows, audit = _simulate(
+        trajectory = _simulate(
             config, observations, slot_solver(system, v, headroom_clamp=False),
             v, z_max)
+        levels, backlogs, flows, audit = trajectory
         windows += max(slots - OUTAGE_WINDOW + 1, 0) * system.n_residents
         for key in keys:
             violations[key] += int(audit[key].sum())
             if counterexamples[key] is None and audit[key].any():
-                t, _, msg = first_violation(audit, (key,), system, v, levels,
-                                            backlogs, observations, flows,
-                                            z_max)
+                t, _, msg = first_violation(trajectory, (key,), system, v,
+                                            observations, z_max)
                 counterexamples[key] = _counterexample(
                     system, SystemState(t, levels[t], backlogs[t]),
                     observations[t],

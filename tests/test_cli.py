@@ -134,6 +134,31 @@ class TestRunCommand:
         assert ((tmp_path / "gen.summary.txt").read_bytes()
                 == (tmp_path / "rec.summary.txt").read_bytes())
 
+    def test_negative_zero_requests_replay_as_zero(self, tmp_path):
+        # A quality request written as -0.0 is a request of 0.0: its sign
+        # must not reach slots.csv, here as -0.0 outages in slots 0-2.
+        prefix = str(tmp_path / "t")
+        assert main(["gen-traces", "--config", FIVE_DAY, "--out", prefix]) == 0
+        demand = (tmp_path / "t.demand.csv").read_text().splitlines()
+        outputs = []
+        for zero in ("-0.0", "0.0"):
+            lines = demand[:1] + [
+                line.rsplit(",", 1)[0] + f",{zero}"
+                if int(line.split(",")[0]) < 3 else line
+                for line in demand[1:]]
+            path = tmp_path / f"demand{zero}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            out = tmp_path / f"run{zero}"
+            assert main(["run", "--config", FIVE_DAY, "--out", str(out),
+                         "--wind", f"{prefix}.wind.csv",
+                         "--prices", f"{prefix}.prices.csv",
+                         "--demand", str(path)]) == 0
+            outputs.append([Path(f"{out}.{suffix}").read_text()
+                            for suffix in ("slots.csv", "summary.txt")])
+        slots = outputs[0][0]
+        assert "-0.0" not in slots.replace("\n", ",").split(",")
+        assert outputs[0] == outputs[1]
+
     def test_partial_trace_flags_rejected(self, tmp_path, capsys):
         code = main(["run", "--config", FIVE_DAY,
                      "--out", str(tmp_path / "x"),
@@ -151,8 +176,9 @@ class TestRunCommand:
                         "outage_window": 0, "balance": 0,
                         "exclusivity": 0, "threshold": 0},
             curtailed_total=0.0)
-        monkeypatch.setattr("mgsched.cli.run",
-                            lambda config, traces, **kw: ([], summary))
+        real_run = mgsched.cli.run
+        monkeypatch.setattr("mgsched.cli.run", lambda config, traces, **kw: (
+            real_run(config, traces, **kw)[0], summary))
         code = main(["run", "--config", FIVE_DAY,
                      "--out", str(tmp_path / "x")])
         assert code == 2
@@ -213,7 +239,7 @@ class TestSweepCommand:
                             "outage_window": 0, "balance": 0,
                             "exclusivity": 0, "threshold": 0},
                 curtailed_total=0.0)
-            return [], summary
+            return None, summary
 
         monkeypatch.setattr("mgsched.cli.run", fake_run)
         code = main(["sweep-v", "--config", FIVE_DAY,

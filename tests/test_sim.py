@@ -24,6 +24,7 @@ from mgsched import (
     SystemSpec,
     SystemState,
     TraceError,
+    Trajectory,
     UnservableSurplusError,
     audit_slots,
     battery_queue,
@@ -808,6 +809,16 @@ def flow_array(dispatches):
     return np.array(list(map(_dispatch_row, dispatches)), dtype=float)
 
 
+def assert_same_trajectory(a, b):
+    """a and b hold the same rows, flows and audit, bit for bit."""
+    assert repr(a.levels) == repr(b.levels)
+    assert repr(a.backlogs) == repr(b.backlogs)
+    assert a.flows.tobytes() == b.flows.tobytes()
+    assert a.audit.keys() == b.audit.keys()
+    for key in a.audit:
+        assert a.audit[key].tobytes() == b.audit[key].tobytes(), key
+
+
 def audit_one(system, state, obs, dispatch, z_max, v=150.0):
     """Step one slot and audit it."""
     states = [state, step(system, state, obs, dispatch)]
@@ -851,11 +862,11 @@ class TestAuditSlots:
         audit, states = audit_one(system, state, obs, dispatch, (4.0,))
         assert audit["battery_band"].tolist() == [[True]]
         assert audit["queue_bound"].tolist() == [[True]]
-        args = (system, 150.0, *rows(states), [obs], flow_array([dispatch]),
-                (4.0,))
-        assert first_violation(audit, ("battery_band",), *args) == (
+        trajectory = Trajectory(*rows(states), flow_array([dispatch]), audit)
+        args = (system, 150.0, [obs], (4.0,))
+        assert first_violation(trajectory, ("battery_band",), *args) == (
             0, "battery_band", "battery 0: level 17.0 outside [0.0, 16.0]")
-        assert first_violation(audit, ("queue_bound",), *args) == (
+        assert first_violation(trajectory, ("queue_bound",), *args) == (
             0, "queue_bound",
             f"resident 0: backlog {states[1].z[0]} above cap 4.0")
         assert states[1].z == pytest.approx((4.86,))
@@ -908,10 +919,12 @@ class TestAuditSlots:
                                w=0.02) for alpha in [0.25] * 500 + [0.5]]
         flows = flow_array([one_by_one()] * len(obs))
         states = [SystemState(t=0, e=(8.0,), z=(0.0,))] * (len(obs) + 1)
-        args = (system, 150.0, *rows(states), obs, flows, (46.875,))
-        audit = audit_slots(*args)
+        audit = audit_slots(system, 150.0, *rows(states), obs, flows,
+                            (46.875,))
         assert np.flatnonzero(audit["outage_window"]).tolist() == [500]
-        assert first_violation(audit, ("outage_window",), *args) == (
+        trajectory = Trajectory(*rows(states), flows, audit)
+        assert first_violation(trajectory, ("outage_window",), system, 150.0,
+                               obs, (46.875,)) == (
             500, "outage_window",
             "resident 0: slots 1..500 leave 125.25 unserved, above budget "
             "125.0")
@@ -1015,24 +1028,25 @@ class TestFlowRows:
     def test_custom_policy_flattens_as_the_scheduler_rows(self, name):
         # run()'s adapter flattens a custom policy's Dispatch into the
         # row the scheduler's solver returns: dispatch_slot's Dispatch as
-        # a custom policy gives the scheduler's records and cost.
+        # a custom policy gives the scheduler's trajectory and cost.
         config = load_config(f"configs/{name}.yaml")
         traces = generate_traces(config)
-        records, summary = run(config, traces)
+        trajectory, summary = run(config, traces)
 
         def scheduler(state, obs):
             return dispatch_slot(config.system, state, obs, summary.v,
                                  curtail=config.curtailment)
 
-        custom_records, custom = run(config, traces, policy=scheduler)
+        custom_trajectory, custom = run(config, traces, policy=scheduler)
         assert custom.policy == "custom"
-        assert len(custom_records) == config.horizon
-        assert custom_records == records
+        assert len(custom_trajectory.flows) == config.horizon
+        assert_same_trajectory(custom_trajectory, trajectory)
         assert repr(custom.total_cost) == repr(summary.total_cost)
         assert custom.curtailed_total == summary.curtailed_total
 
-    def test_scheduler_runs_build_dispatches_only_for_records(
-            self, monkeypatch):
+    def test_scheduler_runs_build_no_dispatch(self, monkeypatch):
+        # A clean scheduler run keeps its slots as arrays, whether or not
+        # it returns them; only a first violation's slot gets a Dispatch.
         calls = []
         init = Dispatch.__init__
 
@@ -1043,25 +1057,22 @@ class TestFlowRows:
         monkeypatch.setattr(Dispatch, "__init__", counted)
         config = load_config("configs/five_day.yaml")
         traces = generate_traces(config)
-        _, summary = run(config, traces, keep_records=False)
-        assert summary.first_violation is None
+        for keep in (False, True):
+            trajectory, summary = run(config, traces, keep_records=keep)
+            assert summary.first_violation is None
+            assert (trajectory is not None) == keep
         assert calls == []
-        records, _ = run(config, traces)
-        assert len(calls) == len(records) == config.horizon
 
 
 class TestRun:
     def test_single_inert_slot(self):
         config = make_config(horizon=1)
-        records, summary = run(config, inert_trace())
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.t == 0
-        assert rec.cost_increment == 0.0
-        assert rec.cumulative_cost == 0.0
-        assert rec.e == (8.0,)
-        assert rec.z == (0.0,)
-        assert rec.outage == (0.0,)
+        trajectory, summary = run(config, inert_trace())
+        assert trajectory.levels == [(8.0,), (8.0,)]
+        assert trajectory.backlogs == [(0.0,), (0.0,)]
+        assert trajectory.flows.shape == (1, 7)
+        assert trajectory.audit["cost"].tolist() == [0.0]
+        assert trajectory.audit["outage"].tolist() == [[0.0]]
         assert summary.policy == "proposed"
         assert summary.slots == 1
         assert summary.v == pytest.approx(150.0)
@@ -1076,18 +1087,18 @@ class TestRun:
     def test_records_replay_consistently(self):
         config = make_config(horizon=300, burst_prob=0.05)
         traces = generate_traces(config)
-        records, summary = run(config, traces)
-        assert len(records) == 300
+        (levels, _, flows, audit), summary = run(config, traces)
+        assert len(levels) == len(flows) + 1 == 301
         cumulative = 0.0
-        e = (8.0,)
-        for rec, obs in zip(records, traces):
-            d = rec.dispatch
-            assert rec.cost_increment == pytest.approx(d.q * obs.c - d.s * obs.w)
-            cumulative += rec.cost_increment
-            assert rec.cumulative_cost == pytest.approx(cumulative)
-            assert rec.e[0] == pytest.approx(e[0] - d.d[0] + d.r[0])
-            assert rec.outage[0] == pytest.approx(obs.alpha[0] - d.p[0])
-            e = rec.e
+        for t, obs in enumerate(traces):
+            d = _row_dispatch(flows[t].tolist(), 1)
+            cost = audit["cost"][t]
+            assert cost == pytest.approx(d.q * obs.c - d.s * obs.w)
+            cumulative += cost
+            assert levels[t + 1][0] == pytest.approx(
+                levels[t][0] - d.d[0] + d.r[0])
+            assert audit["outage"][t][0] == pytest.approx(
+                obs.alpha[0] - d.p[0])
         assert summary.total_cost == pytest.approx(cumulative)
         assert summary.mean_cost_per_slot == pytest.approx(cumulative / 300)
         assert summary.alpha_total[0] == pytest.approx(
@@ -1096,9 +1107,9 @@ class TestRun:
     def test_deterministic(self):
         config = make_config(horizon=250, policy="mecp")
         traces = generate_traces(config)
-        rec_a, sum_a = run(config, traces)
-        rec_b, sum_b = run(config, traces)
-        assert rec_a == rec_b
+        trajectory_a, sum_a = run(config, traces)
+        trajectory_b, sum_b = run(config, traces)
+        assert_same_trajectory(trajectory_a, trajectory_b)
         assert sum_a == sum_b
 
     def test_scheduler_audits_stay_clean(self):
@@ -1230,9 +1241,9 @@ class TestRun:
 
     def test_keep_records_off(self):
         config = make_config(horizon=20)
-        records, summary = run(config, generate_traces(config),
-                               keep_records=False)
-        assert records == []
+        trajectory, summary = run(config, generate_traces(config),
+                                  keep_records=False)
+        assert trajectory is None
         assert summary.slots == 20
 
     def test_convergence_never_settles_is_minus_one(self):
@@ -1499,30 +1510,47 @@ class TestReporting:
     def test_slot_records_csv(self, tmp_path):
         config = make_config(horizon=25, burst_prob=0.05)
         traces = generate_traces(config)
-        records, _ = run(config, traces)
+        trajectory, summary = run(config, traces)
         path = tmp_path / "records.csv"
-        write_slot_records(records, str(path), 1, 1)
+        write_slot_records(trajectory, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == ("t,cost_increment,cumulative_cost,q,s,sum_r,sum_d,"
                             "e_1,z_1,outage_1")
         assert len(lines) == 26
         first = lines[1].split(",")
         assert first[0] == "0"
-        assert float(first[7]) == records[0].e[0]
+        assert float(first[7]) == trajectory.levels[1][0]
+        assert float(lines[-1].split(",")[2]) == summary.total_cost
 
-    def test_record_widths_are_checked_before_writing(self, tmp_path):
-        # At 2 batteries x 5 residents, a record with one level and six
-        # backlogs fills as many fields as the header names; it must still
-        # be refused, naming its slot, before anything is written.
-        config = replace(load_config("configs/five_day.yaml"), horizon=4)
-        records, _ = run(config, generate_traces(config))
-        records[2] = replace(records[2], e=records[2].e[:1],
-                             z=records[2].z + (0.0,))
+    def test_row_totals_add_as_ordered_sum_does(self, tmp_path):
+        # A custom policy hands in signed zeros and np.float64 flows; the
+        # written totals are ordered_sum's, bit for bit. Added without its
+        # leading 0, a row of -0.0s would total -0.0 instead of 0.0.
+        config = replace(load_config("configs/five_day.yaml"), horizon=40)
+        v = config.v_fraction * compute_vmax(config.batteries, config.grid)
+        rows_r, rows_d = [], []
+
+        def signed(flows):
+            return tuple(np.float64(x) if x else -0.0 for x in flows)
+
+        def policy(state, obs):
+            dispatch = dispatch_slot(config.system, state, obs, v)
+            dispatch = replace(dispatch, r=signed(dispatch.r),
+                               d=signed(dispatch.d))
+            rows_r.append(dispatch.r)
+            rows_d.append(dispatch.d)
+            return dispatch
+
+        trajectory, _ = run(config, generate_traces(config), policy=policy)
         path = tmp_path / "records.csv"
-        with pytest.raises(TypeError) as err:
-            write_slot_records(records, str(path), 2, 5)
-        assert str(err.value) == "slot 2: record e has 1 entries, expected 2"
-        assert not path.exists()
+        write_slot_records(trajectory, str(path))
+        lines = path.read_text().splitlines()
+        at = lines[0].split(",").index("sum_r")
+        written = [line.split(",")[at:at + 2] for line in lines[1:]]
+        assert written == [[str(ordered_sum(r)), str(ordered_sum(d))]
+                           for r, d in zip(rows_r, rows_d)]
+        # Some slot's recharge or discharge row is all -0.0.
+        assert any(not any(row) for row in rows_r + rows_d)
 
     def test_summary_document(self, tmp_path):
         config = make_config(horizon=1)
@@ -1566,9 +1594,9 @@ class TestReporting:
 
         written = []
         for policy in (plain, as_numpy):
-            records, _ = run(config, traces, policy=policy)
+            trajectory, _ = run(config, traces, policy=policy)
             path = tmp_path / "records.csv"
-            write_slot_records(records, str(path), 1, 1)
+            write_slot_records(trajectory, str(path))
             written.append(path.read_bytes())
         assert b"np." not in written[1]
         assert written[1] == written[0]
