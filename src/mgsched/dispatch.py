@@ -34,10 +34,11 @@ own closed form for all slots under fixed multipliers. The tests check
 both against this kernel and against each other.
 
 The module also ships an exact dual oracle that checks the allocator at
-any size, one slot (oracle_solve) or a batch (oracle_columns) at a time,
-structural audits of the optimum (threshold form of the solution), and a
-randomized benchmark policy that blocks quality requests by coin toss
-instead of solving anything.
+any size, one slot (oracle_solve) or a batch (oracle_columns, on the
+batch books merit_order_columns takes) at a time, structural audits of
+the optimum (threshold form of the solution), and a randomized benchmark
+policy that blocks quality requests by coin toss instead of solving
+anything.
 """
 
 from __future__ import annotations
@@ -250,33 +251,30 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
     return SubproblemResult(True, tuple(flows), objective)
 
 
-def merit_order_columns(quality, alpha, x, r_cap, d_cap, surplus, c, w,
-                        q_cap, s_cap):
+def merit_order_columns(value, v_cap, cost, c_cap, surplus):
     """Solve B independent slot problems at once, one per column.
 
-    The arrays are entry-major, one row per resident or battery and one
-    column per problem: quality (N, B) holds the quality bids' values
-    z + alpha and alpha (N, B) their caps; x (K, B) the battery queues,
-    which price recharge bids at value -x and discharge offers at cost -x,
-    with caps r_cap and d_cap (K, B); surplus, c and w (B,) the surplus
-    and the trade prices (v*c and v*w in the scheduler's units); q_cap
-    and s_cap the trade caps, scalars or (B,). Caps must be >= 0, and an
+    The arguments are oracle_columns', in the batch book layout: bids
+    value and v_cap (N + K + 1, B), the N quality rows (values z + alpha,
+    caps alpha), the K recharge rows (values -x, x the battery queues),
+    then the sale row (v*w, s_max); offers cost and c_cap (K + 1, B), the
+    K discharge rows (costs -x), then the purchase row (v*c, q_max); and
+    surplus (B,). N is len(value) - len(cost). Caps must be >= 0, and an
     entry with cap 0 is inert, so problems of different sizes can share
     one array padded with zero-capacity entries.
 
-    Each column's books are those merit_order_allocate sweeps: bids in
-    rank order quality, recharge, sale and offers discharge, purchase, so
-    a stable sort by price orders every column by the (key, rank, index)
-    of the kernel's tuples. The sweep then has a closed form. A bid is
-    filled up to the supply (surplus first) priced strictly below its
-    value, less the demand queued ahead of it, and an offer up to the
-    demand priced strictly above its cost, less the supply queued ahead
-    of it. Both sides read those quantities off the same two prefix sums,
-    so the strict comparisons reproduce the kernel's matching and
-    tie-breaks, and q*s and r_k*d_k are exactly zero: a battery whose
-    recharge is reached has its discharge queued behind supply that
-    already covers every bid above its price, and likewise for the two
-    trade entries while w <= c.
+    Each column's books are those merit_order_allocate sweeps, and the
+    rows are in the kernel's rank order, so a stable sort by price orders
+    every column by the (key, rank, index) of the kernel's tuples. The
+    sweep then has a closed form. A bid is filled up to the supply
+    (surplus first) priced strictly below its value, less the demand
+    queued ahead of it, and an offer up to the demand priced strictly
+    above its cost, less the supply queued ahead of it. Both sides read
+    those quantities off the same two prefix sums, so the strict
+    comparisons reproduce the kernel's matching and tie-breaks, and q*s
+    and r_k*d_k are exactly zero: a battery whose recharge is reached has
+    its discharge queued behind supply that already covers every bid
+    above its price, and likewise for the two trade entries while w <= c.
 
     Returns (objective, q, s, r, d, p, infeasible): objective, q, s and
     infeasible shaped (B,), r and d (K, B), p (N, B). infeasible flags the
@@ -284,33 +282,28 @@ def merit_order_columns(quality, alpha, x, r_cap, d_cap, surplus, c, w,
     kernel's own test (the surplus less each bid's cap in book order stays
     positive); their flows are those of a sweep that curtails the excess.
     """
-    n_res, width = len(quality), len(surplus)
-    value = np.concatenate([quality, -x, w[None]])
-    b_cap = np.concatenate([alpha, r_cap,
-                            np.broadcast_to(s_cap, (1, width))])
-    cost = np.concatenate([-x, c[None]])
-    o_cap = np.concatenate([d_cap, np.broadcast_to(q_cap, (1, width))])
+    n_res = len(value) - len(cost)
     b_order = np.argsort(-value, axis=0, kind="stable")
     o_order = np.argsort(cost, axis=0, kind="stable")
     value = np.take_along_axis(value, b_order, 0)
-    b_cap = np.take_along_axis(b_cap, b_order, 0)
+    v_cap = np.take_along_axis(v_cap, b_order, 0)
     cost = np.take_along_axis(cost, o_order, 0)
-    o_cap = np.take_along_axis(o_cap, o_order, 0)
+    c_cap = np.take_along_axis(c_cap, o_order, 0)
 
     # Capacity queued ahead of each entry in its book, the surplus first
     # on the supply side; row i + 1 closes entry i.
-    b_ahead = np.cumsum(np.vstack([np.zeros(width), b_cap]), axis=0)
-    o_ahead = np.cumsum(np.vstack([surplus, o_cap]), axis=0)
+    b_ahead = np.cumsum(np.vstack([np.zeros_like(surplus), v_cap]), axis=0)
+    o_ahead = np.cumsum(np.vstack([surplus, c_cap]), axis=0)
     # The entries priced strictly better than a counterpart's price form a
     # prefix of their sorted book, so their capacity is a prefix sum.
     n_below = (cost[None] < value[:, None]).sum(1)
     n_above = (value[None] > cost[:, None]).sum(1)
     take = np.minimum(np.maximum(
-        np.take_along_axis(o_ahead, n_below, 0) - b_ahead[:-1], 0.0), b_cap)
+        np.take_along_axis(o_ahead, n_below, 0) - b_ahead[:-1], 0.0), v_cap)
     give = np.minimum(np.maximum(
-        np.take_along_axis(b_ahead, n_above, 0) - o_ahead[:-1], 0.0), o_cap)
+        np.take_along_axis(b_ahead, n_above, 0) - o_ahead[:-1], 0.0), c_cap)
     objective = (cost * give).sum(0) - (value * take).sum(0)
-    left = np.cumsum(np.vstack([surplus, -b_cap]), axis=0)[-1]
+    left = np.cumsum(np.vstack([surplus, -v_cap]), axis=0)[-1]
 
     bids = np.empty_like(take)
     np.put_along_axis(bids, b_order, take, 0)
@@ -342,7 +335,9 @@ def threshold_violations(system: SystemSpec, state: SystemState,
     alpha_max gets nothing. Only those four claims hold unconditionally:
     between the price bounds, battery-to-battery transfers and backlog
     service justify flows in both directions. When the slot actually
-    trades, the full two-sided structure holds at the realized price. The
+    trades, the full two-sided structure holds at the realized price,
+    where each quality bid z + alpha is set against v*price as the sweep
+    sets it, so a backlog that z + alpha rounds onto the price ties. The
     checks presume trade caps generous enough that the market side is never
     saturated; a grid sized below its own microgrid can force structurally
     different optima.
@@ -354,7 +349,7 @@ def threshold_violations(system: SystemSpec, state: SystemState,
 
     def check(recharge_above: float, discharge_below: float,
               serve_above: list[float], block_below: list[float],
-              label: str) -> None:
+              label: str, bids: tuple[float, ...], name: str) -> None:
         for k, xk in enumerate(x):
             if xk > recharge_above and dispatch.r[k] > 1e-12:
                 msgs.append(
@@ -365,25 +360,27 @@ def threshold_violations(system: SystemSpec, state: SystemState,
                     f"battery {k}: queue {xk} below {discharge_below} "
                     f"({label}) yet discharges {dispatch.d[k]}")
         for n, res in enumerate(system.residents):
-            z = state.z[n]
+            b = bids[n]
             floor = (1.0 - res.delta) * obs.alpha[n]
-            if z > serve_above[n] and dispatch.p[n] < floor - 1e-9:
+            if b > serve_above[n] and dispatch.p[n] < floor - 1e-9:
                 msgs.append(
-                    f"resident {n}: backlog {z} above {serve_above[n]} "
+                    f"resident {n}: {name} {b} above {serve_above[n]} "
                     f"({label}) yet served {dispatch.p[n]} < {floor}")
-            if z < block_below[n] and dispatch.p[n] > 1e-12:
+            if b < block_below[n] and dispatch.p[n] > 1e-12:
                 msgs.append(
-                    f"resident {n}: backlog {z} below {block_below[n]} "
+                    f"resident {n}: {name} {b} below {block_below[n]} "
                     f"({label}) yet served {dispatch.p[n]}")
 
     check(-v * g.w_min, -v * g.c_max, [v * g.c_max] * len(obs.alpha),
           [v * g.w_min - res.alpha_max for res in system.residents],
-          "price bounds")
+          "price bounds", state.z, "backlog")
+    bids = tuple(z + alpha for z, alpha in zip(state.z, obs.alpha))
     for traded, price, label in ((dispatch.q > 0.0, obs.c, "at purchase price"),
                                  (dispatch.s > 0.0, obs.w, "at sell price")):
         if traded:
-            thresholds = [v * price - alpha for alpha in obs.alpha]
-            check(-v * price, -v * price, thresholds, thresholds, label)
+            at_price = [v * price] * len(bids)
+            check(-v * price, -v * price, at_price, at_price, label, bids,
+                  "quality bid")
     return msgs
 
 
@@ -429,11 +426,12 @@ def oracle_columns(value, v_cap, cost, c_cap, surplus) -> np.ndarray:
     value and v_cap (M, B) are the demand entries' unit values and caps,
     cost and c_cap (L, B) the supply entries' unit costs and caps, trade
     entries included, and surplus (B,) each column's surplus; caps must be
-    >= 0. Returns each column's optimum, math.inf where the surplus
-    exceeds the column's demand caps. Only prices with capacity are
-    kinks, and the entries' terms are subtracted one after another, so
-    entries with cap 0 change no column's optimum: problems of different
-    sizes can be padded into one batch.
+    >= 0. Any row order will do, so merit_order_columns' arrays serve
+    here unchanged. Returns each column's optimum, math.inf where the
+    surplus exceeds the column's demand caps. Only prices with capacity
+    are kinks, and the entries' terms are subtracted one after another,
+    so entries with cap 0 change no column's optimum: problems of
+    different sizes can be padded into one batch.
     """
     pi = np.concatenate([value, cost])
     dual = -pi * surplus

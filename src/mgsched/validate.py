@@ -22,8 +22,9 @@ independent slot problems, each with a system of its own. _draw_block
 draws a block of them at once with the same field mapping and per-slot
 rules applied to whole arrays (the same distributions, but another
 stream than one-by-one draws from the same seed would give), and
-_solve_block solves the block with one merit_order_columns call and
-audits the flows with audit_slots' balance core. The threshold suite
+_solve_block builds the block's four book arrays once, in the batch
+layout both batch kernels take, solves them with one merit_order_columns
+call and audits the flows with audit_slots' balance core. The threshold suite
 draws up to THRESHOLD_BLOCK (1024) slots per block, adds audit_slots'
 threshold core and builds slot objects only for its first
 counterexample; the oracle suite draws BLOCK (64) instances per block,
@@ -266,22 +267,22 @@ def _solve_block(block: _Block):
     """Solve a block's slots with one merit_order_columns call and audit
     the flows with audit_slots' balance core.
 
-    The books are dispatch_slot's: entry-major quality values z + alpha
-    and caps alpha, battery queues (battery_queue's arithmetic) and the
-    headroom-clamped recharge and discharge caps, with trades priced at v
-    times c and w. Returns those five books, the kernel's solution and the
-    balance mask (count,).
+    The books are dispatch_slot's, in the batch layout: bid values z +
+    alpha and -x (battery_queue's arithmetic) and v*w with caps alpha,
+    the headroom-clamped recharge caps and s_max; offer costs -x and v*c
+    with the headroom-clamped discharge caps and q_max. Returns those
+    four books, the kernel's solution and the balance mask (count,).
     """
     e, v = block.e, block.v
     e_min, e_max, r_max, d_max, _ = np.moveaxis(block.batteries, -1, 0)
     q_max, s_max, _, c_max = block.grids.T[:4]
-    x = e - d_max - e_min - v[:, None] * c_max[:, None]
+    neg_x = -(e - d_max - e_min - v[:, None] * c_max[:, None]).T
     r_cap = np.maximum(np.minimum(r_max, e_max - e), 0.0)
     d_cap = np.maximum(np.minimum(d_max, e - e_min), 0.0)
-    books = ((block.z + block.alpha).T, block.alpha.T, x.T, r_cap.T,
-             d_cap.T)
-    solution = merit_order_columns(*books, block.surplus, v * block.c,
-                                   v * block.w, q_max, s_max)
+    books = (np.vstack([(block.z + block.alpha).T, neg_x, v * block.w]),
+             np.vstack([block.alpha.T, r_cap.T, s_max]),
+             np.vstack([neg_x, v * block.c]), np.vstack([d_cap.T, q_max]))
+    solution = merit_order_columns(*books, block.surplus)
     _, q, s, r, d, p, _ = solution
     balance, _ = _balance_masks(q, s, r.T, d.T, p.T, np.zeros(len(v)),
                                 block.surplus, block.alpha, q_max, s_max,
@@ -415,11 +416,13 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     residents with backlogs up to 1x their cap, and dispatch_slot solves
     each. _solve_block solves each block again, padded to 5 x 20 with
     zero-capacity entries, by one merit_order_columns call, and
-    oracle_columns evaluates its exact dual optima in one batch. The
-    kernel's feasibility verdicts must agree with the oracle's and, when
-    feasible, its objectives must equal the optima to within 1e-9 relative
-    and its flows must pass audit_slots' balance audit; dispatch_slot's
-    objectives must equal the optima to the same tolerance.
+    oracle_columns evaluates the exact dual optima of the same book
+    arrays in one batch, so the dual checks the kernel on its own input.
+    The kernel's feasibility verdicts must agree with the oracle's and,
+    when feasible, its objectives must equal the optima to within 1e-9
+    relative and its flows must pass audit_slots' balance audit;
+    dispatch_slot's objectives must equal the optima to the same
+    tolerance.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -428,14 +431,9 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     ce = None
     for start in range(0, instances, BLOCK):
         block = _draw_block(rng, min(BLOCK, instances - start), 5, 20, 1.0)
-        (quality, caps, x, r_cap, d_cap), solution, balance = _solve_block(
-            block)
+        books, solution, balance = _solve_block(block)
         objective, *_, infeasible = solution
-        q_max, s_max = block.grids.T[:2]
-        optimum = oracle_columns(np.vstack([quality, -x, block.v * block.w]),
-                                 np.vstack([caps, r_cap, s_max]),
-                                 np.vstack([-x, block.v * block.c]),
-                                 np.vstack([d_cap, q_max]), block.surplus)
+        optimum = oracle_columns(*books, block.surplus)
         for i, (system, state, obs, v) in enumerate(
                 _block_instances(block, slice(None))):
             dispatch = dispatch_slot(system, state, obs, v)

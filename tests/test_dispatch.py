@@ -745,6 +745,16 @@ class TestSolverProperties:
             dd.objective, abs=1e-9)
         assert threshold_violations(system, state, obs, v, dd) == []
 
+    def test_a_bid_that_rounds_onto_the_price_is_a_tie(self):
+        # z + alpha rounds to exactly v*c = 0.5 although z > v*c - alpha.
+        system = make_system()
+        state = SystemState(t=0, e=(0.0,), z=(7.095233997066944e-55,))
+        obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(0.5,), c=0.05,
+                              w=0.03125)
+        dd = dispatch_slot(system, state, obs, 10.0)
+        assert dd.q > 0.0 and dd.p == (0.0,)
+        assert threshold_violations(system, state, obs, 10.0, dd) == []
+
     @given(random_slot())
     @settings(deadline=None, max_examples=150)
     def test_at_most_one_interior_flow(self, slot):
@@ -885,27 +895,15 @@ def regime_slot(draw):
 
 
 def kernel_columns(slots, pad_prices):
-    """merit_order_columns' arguments for slots, one column each, padded
-    to 5 batteries x 20 residents with zero-capacity entries priced at
-    pad_prices (one per column)."""
-    columns = []
-    for (system, state, obs, v), pad in zip(slots, pad_prices):
-        k, n = 5 - system.n_batteries, 20 - system.n_residents
-        specs = list(zip(state.e, system.batteries))
-        columns.append((
-            [z + a for z, a in zip(state.z, obs.alpha)] + [pad] * n,
-            list(obs.alpha) + [0.0] * n,
-            [battery_queue(e, b, v, system.grid) for e, b in specs]
-            + [-pad] * k,
-            [max(0.0, min(b.r_max, b.e_max - e)) for e, b in specs]
-            + [0.0] * k,
-            [max(0.0, min(b.d_max, e - b.e_min)) for e, b in specs]
-            + [0.0] * k))
-    arrays = [np.array(a, dtype=float).T for a in zip(*columns)]
-    rows = np.array([(obs.u - sum(obs.basic), v * obs.c, v * obs.w,
-                      system.grid.q_max, system.grid.s_max)
-                     for system, _, obs, v in slots]).T
-    return (*arrays, *rows)
+    """merit_order_columns' arguments for slots, one column each: the four
+    oracle_arrays books, padded to 5 batteries x 20 residents with
+    zero-capacity entries priced at pad_prices (one per column), and the
+    surpluses."""
+    books = [oracle_arrays(system, state, obs, v, 5 - system.n_batteries,
+                           20 - system.n_residents, pad)
+             for (system, state, obs, v), pad in zip(slots, pad_prices)]
+    return (*(np.stack(a, axis=1) for a in zip(*books)),
+            np.array([obs.u - sum(obs.basic) for _, _, obs, _ in slots]))
 
 
 class TestMeritOrderColumns:
@@ -915,8 +913,15 @@ class TestMeritOrderColumns:
     def test_each_column_equals_dispatch_slot(self, slots, data):
         pads = [data.draw(st.sampled_from([0.0, v * obs.c, v * obs.w]))
                 for _, _, obs, v in slots]
-        objective, q, s, r, d, p, infeasible = merit_order_columns(
-            *kernel_columns(slots, pads))
+        books = kernel_columns(slots, pads)
+        objective, q, s, r, d, p, infeasible = merit_order_columns(*books)
+        # The dual of the very same arrays: infinite exactly where the
+        # kernel finds the surplus unservable, the kernel's optimum
+        # elsewhere.
+        optimum = oracle_columns(*books)
+        assert (optimum == np.inf).tolist() == infeasible.tolist()
+        assert optimum[~infeasible] == pytest.approx(objective[~infeasible],
+                                                     rel=1e-9, abs=1e-9)
         assert r.shape == d.shape == (5, len(slots))
         assert p.shape == (20, len(slots))
         for i, (system, state, obs, v) in enumerate(slots):
@@ -934,6 +939,27 @@ class TestMeritOrderColumns:
             assert q[i] * s[i] == 0.0
             assert (r[:, i] * d[:, i] == 0.0).all()
             assert not (r[k:, i].any() or d[k:, i].any() or p[n:, i].any())
+
+    @pytest.mark.parametrize("u, unservable", [
+        (27.5, False), (math.nextafter(27.5, math.inf), True)])
+    def test_surplus_filling_every_sink_exactly_is_servable(self, u,
+                                                            unservable):
+        # A full battery takes nothing, so the sinks are the 2.5 kWh
+        # request and the 25 kWh sale cap: a surplus of exactly 27.5 fits,
+        # one ulp more does not, in all three solvers alike.
+        system = make_system()
+        state = SystemState(t=0, e=(16.0,), z=(0.0,))
+        obs = SlotObservation(u=u, basic=(0.0,), alpha=(2.5,), c=0.08,
+                              w=0.03)
+        books = kernel_columns([(system, state, obs, 100.0)], [0.0])
+        *_, infeasible = merit_order_columns(*books)
+        assert infeasible.tolist() == [unservable]
+        assert math.isinf(oracle_columns(*books)[0]) == unservable
+        if unservable:
+            with pytest.raises(UnservableSurplusError):
+                dispatch_slot(system, state, obs, 100.0)
+        else:
+            assert dispatch_slot(system, state, obs, 100.0).s == 25.0
 
 
 @st.composite

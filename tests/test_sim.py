@@ -879,6 +879,19 @@ class TestAuditSlots:
         assert not audit["battery_band"].any()
         assert not audit["queue_bound"].any()
 
+    def test_a_bid_that_rounds_onto_the_price_is_a_tie(self):
+        # 7.1e-55 + 0.5 rounds to 0.5 = v*c: the sweep sees a tie and buys
+        # for the battery alone, so the at-price audit must not ask for
+        # the request to be served.
+        system = make_system()
+        state = SystemState(t=0, e=(0.0,), z=(7.095233997066944e-55,))
+        obs = SlotObservation(u=0.0, basic=(0.0,), alpha=(0.5,), c=0.05,
+                              w=0.03125)
+        dispatch = dispatch_slot(system, state, obs, 10.0)
+        assert dispatch.q > 0.0 and dispatch.p == (0.0,)
+        audit, _ = audit_one(system, state, obs, dispatch, (25.0,), v=10.0)
+        assert not audit["threshold"].any()
+
     def test_run_counts_band_escapes_as_the_audit_flags_them(self):
         # one battery starts full, one empty; recharging r_max every slot
         # pushes the first out at once and the second after eight slots,
@@ -1489,16 +1502,19 @@ class TestRelaxedSlots:
         caps = _demand_caps(np.array(alpha), batteries)
         d_max = np.array([b.d_max for b in batteries])
         surplus, c, w = np.array(surplus), np.array(c), np.array(w)
-        n_res = len(nu)
 
         def every_slot(values):
             return np.repeat(np.array(values, float)[:, None], len(c), 1)
 
         objective, *flows = _relaxed_slots(mu, nu, caps, d_max, grid,
                                            surplus, c, w)
+        # Recharge values and discharge costs are -mu, in the batch layout.
+        neg_mu = -every_slot(mu)
         got, *got_flows, _ = merit_order_columns(
-            every_slot(nu), caps[:n_res], every_slot(mu), caps[n_res:],
-            every_slot(d_max), surplus, c, w, grid.q_max, grid.s_max)
+            np.vstack([every_slot(nu), neg_mu, w]),
+            np.vstack([caps, every_slot([grid.s_max])]),
+            np.vstack([neg_mu, c]), every_slot([*d_max, grid.q_max]),
+            surplus)
         for expected, actual in zip(flows, got_flows):
             assert actual.shape == expected.shape
             assert actual.ravel() == pytest.approx(expected.ravel(), rel=0.0,
@@ -1551,6 +1567,24 @@ class TestReporting:
                            for r, d in zip(rows_r, rows_d)]
         # Some slot's recharge or discharge row is all -0.0.
         assert any(not any(row) for row in rows_r + rows_d)
+
+    @pytest.mark.parametrize("policy", ["proposed", "mecp"])
+    def test_negative_zero_request_prints_as_zero(self, tmp_path, policy):
+        # A -0.0 quality request handed to run() in process (the trace
+        # loader already reads one as 0.0) prints as 0 everywhere.
+        config = make_config(horizon=1, policy=policy)
+        trace = [SlotObservation(1.0, (0.2,), (-0.0,), 0.08, 0.03)]
+        trajectory, summary = run(config, trace)
+        path = tmp_path / "slots.csv"
+        write_slot_records(trajectory, str(path))
+        text = format_summary(summary)
+        fields = [field for line in path.read_text().splitlines()
+                  for field in line.split(",")]
+        fields += [field for line in text.splitlines()
+                   for field in line.split(": ", 1)[-1].split(",")]
+        assert "-0.0" not in [field.strip() for field in fields]
+        assert summary.alpha_total == summary.outage_total == (0.0,)
+        assert math.copysign(1.0, summary.alpha_total[0]) == 1.0
 
     def test_summary_document(self, tmp_path):
         config = make_config(horizon=1)

@@ -192,10 +192,11 @@ class TestOracleDraw:
         return [*values] + [0.0] * (width - len(values))
 
     def test_suite_solves_what_it_drew(self, monkeypatch):
-        draws, kernel, dispatched = [], [], []
+        draws, kernel, dispatched, oracle = [], [], [], []
         real_draw = mgsched.validate._draw_block
         real_kernel = mgsched.validate.merit_order_columns
         real_dispatch = mgsched.validate.dispatch_slot
+        real_oracle = mgsched.validate.oracle_columns
         monkeypatch.setattr(
             mgsched.validate, "_draw_block",
             lambda *args: draws.append((args, real_draw(*args))) or
@@ -206,19 +207,23 @@ class TestOracleDraw:
         monkeypatch.setattr(
             mgsched.validate, "dispatch_slot",
             lambda *args: dispatched.append(args) or real_dispatch(*args))
+        monkeypatch.setattr(
+            mgsched.validate, "oracle_columns",
+            lambda *args: oracle.append(args) or real_oracle(*args))
         for suite, kwargs, k_max, n_max, z_scale in (
                 (solver_oracle_trials, {"instances": 100, "seed": 6}, 5, 20,
                  1.0),
                 (threshold_trials, {"slots": 100, "seed": 5, "k_max": 5,
                                     "n_max": 20}, 5, 20, 1.25),
                 (threshold_trials, {"slots": 100, "seed": 5}, 3, 6, 1.25)):
-            for calls in (draws, kernel, dispatched):
+            for calls in (draws, kernel, dispatched, oracle):
                 calls.clear()
             self.check_solved_as_drawn(suite(**kwargs), draws, kernel,
-                                       dispatched, k_max, n_max, z_scale)
+                                       dispatched, oracle, k_max, n_max,
+                                       z_scale)
 
     def check_solved_as_drawn(self, result, draws, kernel, dispatched,
-                              k_max, n_max, z_scale):
+                              oracle, k_max, n_max, z_scale):
         assert result.trials == 100 and result.passed
         # The oracle suite draws BLOCK instances at a time, the threshold
         # suite all 100 slots in one block.
@@ -229,23 +234,35 @@ class TestOracleDraw:
         if result.name == "solver-oracle":
             # dispatch_slot solves each drawn instance once, in draw order
             assert dispatched == [inst for drawn in blocks for inst in drawn]
+            # The dual is handed the kernel's own arrays, not a copy.
+            assert len(oracle) == len(kernel)
+            for dual_args, args in zip(oracle, kernel):
+                assert len(dual_args) == len(args)
+                assert all(a is b for a, b in zip(dual_args, args))
         else:
-            assert dispatched == []
+            assert dispatched == oracle == []
         assert len(kernel) == len(draws)
         for args, drawn in zip(kernel, blocks):
-            quality, caps, x, r_cap, d_cap, surplus, c, w, q_cap, s_cap = (
-                np.asarray(a).tolist() for a in args)
-            assert q_cap == [system.grid.q_max for system, *_ in drawn]
-            assert s_cap == [system.grid.s_max for system, *_ in drawn]
+            value, v_cap, cost, c_cap, surplus = (np.asarray(a).tolist()
+                                                  for a in args)
+            # Bids: n_max quality rows, k_max recharge rows, the sale row;
+            # offers: k_max discharge rows, the purchase row.
+            assert len(value) == len(v_cap) == n_max + k_max + 1
+            assert len(cost) == len(c_cap) == k_max + 1
+            quality, caps = value[:n_max], v_cap[:n_max]
+            r_cap, d_cap = v_cap[n_max:-1], c_cap[:-1]
+            assert c_cap[-1] == [system.grid.q_max for system, *_ in drawn]
+            assert v_cap[-1] == [system.grid.s_max for system, *_ in drawn]
             for i, (system, state, obs, v) in enumerate(drawn):
                 k, g = system.n_batteries, system.grid
                 assert [row[i] for row in quality] == self.padded(
                     [z + a for z, a in zip(state.z, obs.alpha)], n_max)
                 assert [row[i] for row in caps] == self.padded(obs.alpha,
                                                                n_max)
-                assert [row[i] for row in x[:k]] == [
-                    battery_queue(e, spec, v, g)
-                    for e, spec in zip(state.e, system.batteries)]
+                queues = [-battery_queue(e, spec, v, g)
+                          for e, spec in zip(state.e, system.batteries)]
+                assert [row[i] for row in value[n_max:n_max + k]] == queues
+                assert [row[i] for row in cost[:k]] == queues
                 assert [row[i] for row in r_cap] == self.padded(
                     [max(0.0, min(spec.r_max, spec.e_max - e))
                      for e, spec in zip(state.e, system.batteries)], k_max)
@@ -253,7 +270,7 @@ class TestOracleDraw:
                     [max(0.0, min(spec.d_max, e - spec.e_min))
                      for e, spec in zip(state.e, system.batteries)], k_max)
                 assert surplus[i] == surplus_power(obs)
-                assert (c[i], w[i]) == (v * obs.c, v * obs.w)
+                assert (cost[-1][i], value[-1][i]) == (v * obs.c, v * obs.w)
 
     def test_draws_follow_the_generators_distributions(self):
         # The oracle suite's backlogs reach 1x their cap, the threshold
@@ -463,7 +480,7 @@ class TestOtherSuites:
 
         def dropping(*args):
             objective, q, s, r, d, p, infeasible = real(*args)
-            calls.append((p[0].copy(), args[5]))
+            calls.append((p[0].copy(), args[4]))
             p[0] = 0.0
             return objective, q, s, r, d, p, infeasible
 
@@ -510,7 +527,9 @@ class TestOtherSuites:
             return cap * flows_rng.random(cap.shape) * (
                 flows_rng.random(cap.shape) < share)
 
-        def random_flows(quality, caps, x, r_cap, d_cap, surplus, *_):
+        def random_flows(value, v_cap, cost, c_cap, surplus):
+            n = len(value) - len(cost)
+            caps, r_cap, d_cap = v_cap[:n], v_cap[n:-1], c_cap[:-1]
             ones = np.ones(surplus.size)
             # each resident is served its full request or nothing
             p = caps * (flows_rng.random(caps.shape) < 0.8)
@@ -548,7 +567,7 @@ class TestOtherSuites:
 
         def sixth_infeasible(*args):
             *solution, infeasible = real(*args)
-            surpluses.append(args[5][5])
+            surpluses.append(args[4][5])
             infeasible[5] = True
             return (*solution, infeasible)
 
