@@ -19,9 +19,10 @@ index, cap). Ranks break price ties as surplus, discharge, purchase on the
 supply side and quality, recharge, sale on the demand side, then by
 ascending index; system-level entries carry index -1. slot_solver
 prepares one system's slot problem at a given v, reading its specs once,
-and then solves each slot from its levels, backlogs and observation with
-one sort per book, trade entries included, and one kernel call; run()
-and the bound suite build one per run. The kernel and the solver return
+and then solves each slot from its levels, backlogs, quality requests,
+surplus and prices, with one sort per book, trade entries included, and
+one kernel call; run() and the bound suite build one per run and feed it
+the trace's columns. The kernel and the solver return
 a slot's decision as one flat flow row, (q, s, r_1..r_K, d_1..d_K,
 p_1..p_N, objective, curtailed), which the simulator's slot loop keeps
 as numbers; _row_dispatch builds a Dispatch from a row only where one is
@@ -89,8 +90,9 @@ def _dispatch_row(x: Dispatch) -> tuple[float, ...]:
 
 
 def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
-    """Prepare system's slot books at v: a builder (e, z, obs) -> (supply,
-    demand), both sorted, from levels e and backlogs z.
+    """Prepare system's slot books at v: a builder (e, z, alpha, surplus,
+    c, w) -> (supply, demand), both sorted, from levels e, backlogs z and
+    one slot's quality requests, surplus and prices.
 
     Batteries are priced by the negated battery queue, so a deeply
     discharged battery bids high to recharge and offers its discharge
@@ -109,12 +111,11 @@ def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
     specs = [(k, b.d_max, b.e_min, b.e_max, b.r_max)
              for k, b in enumerate(system.batteries)]
 
-    def books(e, z, obs: SlotObservation) -> tuple[list, list]:
-        surplus = surplus_power(obs)
+    def books(e, z, alpha, surplus: float, c: float,
+              w: float) -> tuple[list, list]:
         supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
-        demand = [(-(zn + alpha), 0, n, alpha)
-                  for n, (zn, alpha) in enumerate(zip(z, obs.alpha))
-                  if alpha > 0.0]
+        demand = [(-(zn + an), 0, n, an)
+                  for n, (zn, an) in enumerate(zip(z, alpha)) if an > 0.0]
         for level, (k, d_max, e_min, e_max, r_max) in zip(e, specs):
             # battery_queue(level, spec, v, grid), in its order of operations.
             x = level - d_max - e_min - v_c_max
@@ -128,8 +129,8 @@ def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
                 supply.append((-x, 1, k, d_cap))
             if r_cap > 0.0:
                 demand.append((x, 1, k, r_cap))
-        supply.append((v * obs.c, 2, -1, q_max))
-        demand.append((-(v * obs.w), 2, -1, s_max))
+        supply.append((v * c, 2, -1, q_max))
+        demand.append((-(v * w), 2, -1, s_max))
         supply.sort()
         demand.sort()
         return supply, demand
@@ -139,28 +140,31 @@ def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
 
 def slot_solver(system: SystemSpec, v: float, curtail: bool = False,
                 headroom_clamp: bool = True):
-    """Prepare system's slot problem at v: a solver (e, z, obs, t) ->
-    flow row for levels e, backlogs z and observation obs at slot t, the
-    row merit_order_allocate returns.
+    """Prepare system's slot problem at v: a solver (e, z, alpha, surplus,
+    c, w, t) -> flow row for levels e and backlogs z at slot t, whose
+    quality requests are alpha, whose surplus (surplus_power's value) is
+    surplus and whose prices are c and w; the row is the one
+    merit_order_allocate returns.
 
     Each call builds the books and makes one merit_order_allocate call;
     since w < c the sweep buys or sells, never both. If the surplus
     exceeds every sink, the sale cap included, the slot is unservable;
     with curtail=True the excess is discarded at zero value and recorded
-    in the row instead. An observation whose alpha does not hold one
-    entry per resident raises ValueError naming slot t.
+    in the row instead. An alpha that does not hold one entry per
+    resident raises ValueError naming slot t.
     """
     books = _book_builder(system, v, headroom_clamp)
     n_bat, n_res = len(system.batteries), len(system.residents)
 
-    def solve(e, z, obs: SlotObservation, t: int) -> tuple[float, ...]:
-        if len(obs.alpha) != n_res:
-            raise width_error(t, "alpha", len(obs.alpha), n_res)
-        supply, demand = books(e, z, obs)
+    def solve(e, z, alpha, surplus: float, c: float, w: float,
+              t: int) -> tuple[float, ...]:
+        if len(alpha) != n_res:
+            raise width_error(t, "alpha", len(alpha), n_res)
+        supply, demand = books(e, z, alpha, surplus, c, w)
         result = merit_order_allocate(supply, demand, n_bat, n_res, curtail)
         if not result.feasible:
             raise UnservableSurplusError(
-                f"slot {t}: surplus {surplus_power(obs)} kWh exceeds every "
+                f"slot {t}: surplus {surplus} kWh exceeds every "
                 "sink; enable curtailment or resize the scenario")
         return result.flows
 
@@ -173,7 +177,8 @@ def build_subproblem(system: SystemSpec, state: SystemState,
     """The sorted (supply, demand) books that dispatch_slot sweeps: the
     battery and quality entries plus the purchase offer at v*c and the
     sale bid at v*w."""
-    return _book_builder(system, v, headroom_clamp)(state.e, state.z, obs)
+    return _book_builder(system, v, headroom_clamp)(
+        state.e, state.z, obs.alpha, surplus_power(obs), obs.c, obs.w)
 
 
 def merit_order_allocate(offers: list[tuple], bids: list[tuple],
@@ -318,7 +323,8 @@ def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
                   headroom_clamp: bool = True) -> Dispatch:
     """Solve one slot problem with a slot_solver prepared for it alone."""
     return _row_dispatch(slot_solver(system, v, curtail, headroom_clamp)(
-        state.e, state.z, obs, state.t), len(system.batteries))
+        state.e, state.z, obs.alpha, surplus_power(obs), obs.c, obs.w,
+        state.t), len(system.batteries))
 
 
 def threshold_violations(system: SystemSpec, state: SystemState,

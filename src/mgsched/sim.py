@@ -3,18 +3,23 @@
 The simulator replays exogenous traces (renewable generation, prices,
 demand) through a per-slot policy, audits every guarantee the scheduler
 is supposed to keep, and reports end-of-run metrics. Its slot loop,
-_simulate, which validate's bound suites share, carries the battery
-levels and backlogs as tuples and only calls the policy and _advance,
-the one slot recurrence, which step wraps for SystemState objects. A
-policy returns each slot's decision as one flat flow row (q, s,
+_simulate, which validate's bound suites share, reads the trace as
+_Columns, one array per observation field: run converts its list of
+observations once, before slot 0, with _observation_arrays, and the
+bound suite draws the columns with _trace_columns, generate_traces'
+draws without its per-slot objects. The loop carries the battery levels
+and backlogs as tuples and only calls the policy and _advance, the one
+slot recurrence, which step wraps for SystemState objects. A policy
+returns each slot's decision as one flat flow row (q, s,
 r_1..r_K, d_1..d_K, p_1..p_N, objective, curtailed); the loop appends
 the rows to one flat list and reshapes it once into a (T, 2K + N + 4)
 flows array. The scheduler's policy is a dispatch.slot_solver prepared
 once per run, so the loop builds no state or Dispatch object; run adapts
-mecp and custom policies, which take a SystemState and return a
-Dispatch, with one wrapper that flattens the Dispatch into the row.
-audit_slots then checks all slots at once in numpy from the level and
-backlog rows and the flows array's columns and flags each slot and
+mecp and custom policies, which take a SystemState and the slot's
+SlotObservation and return a Dispatch, with one wrapper that flattens
+the Dispatch into the row. audit_slots' body then checks all slots at
+once in numpy from the level and backlog rows, the flows array and the
+trace's columns and flags each slot and
 entity that broke a guarantee. _simulate returns the run as one
 Trajectory of those arrays: run reads its counters and the first
 violation off the audit's masks and returns the Trajectory with the
@@ -273,6 +278,42 @@ def _slot_draws(units, surplus_range, burst_range, burst_prob, c_min, c_max,
     return surplus, c, w
 
 
+@dataclass(frozen=True, slots=True)
+class _Columns:
+    """A trace of T slots as columns: u, c, w and surplus (T,), basic and
+    alpha (T, N). alpha is the requests plus 0.0, so -0.0 reads 0.0;
+    surplus is surplus_power's value. Indexed by slot, it builds that
+    slot's SlotObservation with generate_traces' row builder."""
+
+    u: np.ndarray
+    basic: np.ndarray
+    alpha: np.ndarray
+    c: np.ndarray
+    w: np.ndarray
+    surplus: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __getitem__(self, t: int) -> SlotObservation:
+        return _observations(self, slice(t, t + 1))[0]
+
+
+def _columns(u, basic, alpha, c, w) -> _Columns:
+    # The one place the surplus column and alpha's + 0.0 are made.
+    return _Columns(u, basic, alpha + 0.0, c, w, u - _row_total(basic))
+
+
+def _observations(columns: _Columns, rows: slice = slice(None)
+                  ) -> list[SlotObservation]:
+    """The SlotObservations of columns' rows, built positionally."""
+    return [SlotObservation(u, tuple(basic), tuple(alpha), c, w)
+            for u, basic, alpha, c, w in zip(
+                columns.u[rows].tolist(), columns.basic[rows].tolist(),
+                columns.alpha[rows].tolist(), columns.c[rows].tolist(),
+                columns.w[rows].tolist())]
+
+
 def generate_traces(config: RunConfig,
                     rng: np.random.Generator | None = None) -> list[SlotObservation]:
     """Draw a synthetic trace of config.horizon observations.
@@ -283,9 +324,15 @@ def generate_traces(config: RunConfig,
     by a burst draw with probability burst_prob. Prices are i.i.d. within
     their bounds with the sell price kept strictly below the purchase
     price by construction. Deterministic for a given rng (or config.seed).
+    The draws are _trace_columns'; this builds one object per slot.
     """
     if rng is None:
         rng = np.random.default_rng((config.seed, 0))
+    return _observations(_trace_columns(config, rng))
+
+
+def _trace_columns(config: RunConfig, rng: np.random.Generator) -> _Columns:
+    """generate_traces' draws, in the same stream order, as columns."""
     horizon = config.horizon
     residents = config.residents
     n_res = len(residents)
@@ -297,7 +344,7 @@ def generate_traces(config: RunConfig,
 
     cuts = sorted({0, horizon, *(r.start_slot for r in config.regimes
                                  if r.start_slot < horizon)})
-    traces: list[SlotObservation] = []
+    segments = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         steps = hi - lo
         # The latest regime started by lo overrides the fields it sets.
@@ -327,13 +374,8 @@ def generate_traces(config: RunConfig,
             pick(regime, "surplus_range"), pick(regime, "burst_range"),
             pick(regime, "burst_prob"), g.c_min, g.c_max, g.w_min, g.w_max)
 
-        generation = _row_total(basics) + surplus
-        for u, row, alpha, c_t, w_t in zip(
-                generation.tolist(), basics.tolist(), alphas.tolist(),
-                c.tolist(), w.tolist()):
-            traces.append(SlotObservation(u, tuple(row), tuple(alpha), c_t,
-                                          w_t))
-    return traces
+        segments.append((_row_total(basics) + surplus, basics, alphas, c, w))
+    return _columns(*(np.concatenate(column) for column in zip(*segments)))
 
 
 def _read_csv(path: str, expected_header: list[str]):
@@ -532,10 +574,7 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     system = config.system
     flagged = (missing_gen | missing_prices | missing_demand.any(1)
                | _bound_mask(gen, basic, alpha, c, w, system))
-    traces = [SlotObservation(u, tuple(b), tuple(a), c_t, w_t)
-              for u, b, a, c_t, w_t in zip(gen.tolist(), basic.tolist(),
-                                           alpha.tolist(), c.tolist(),
-                                           w.tolist())]
+    traces = _observations(_columns(gen, basic, alpha, c, w))
     if flagged.any():
         t = int(flagged.argmax())
         if missing_gen[t]:
@@ -630,32 +669,34 @@ def _row_total(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=-1)[..., -1]
 
 
-def _check_widths(observations: list[SlotObservation], n_res: int) -> None:
-    """Raise width_error's ValueError for the first slot whose basic or
-    alpha request does not have n_res entries."""
+def _observation_arrays(observations: list[SlotObservation],
+                        n_res: int) -> _Columns:
+    """The _Columns of T observations with n_res residents.
+
+    Raises width_error's ValueError for the first slot whose basic or
+    alpha request does not have n_res entries, then surplus_power's
+    ValueError, prefixed "slot t: ", for the first slot whose basic usage
+    exceeds generation.
+    """
     for t, obs in enumerate(observations):
         if len(obs.basic) != n_res or len(obs.alpha) != n_res:
             name = "basic" if len(obs.basic) != n_res else "alpha"
             raise width_error(t, name, len(getattr(obs, name)), n_res)
-
-
-def _observation_arrays(observations: list[SlotObservation], n_res: int):
-    """(surplus, alpha, c, w) of T observations with n_res residents.
-
-    surplus (T,) is u less the basic usage added left to right, equal to
-    surplus_power's value, and surplus_power's ValueError for the first
-    slot whose basic usage exceeds generation propagates. alpha is
-    (T, n_res), plus 0.0 so a -0.0 request reads 0.0; the prices (T,).
-    """
     horizon = len(observations)
-    u = np.fromiter([o.u for o in observations], float, horizon)
-    surplus = u - _row_total(_stack([o.basic for o in observations], n_res))
-    short = surplus < 0.0
+    columns = _columns(
+        np.fromiter([o.u for o in observations], float, horizon),
+        _stack([o.basic for o in observations], n_res),
+        _stack([o.alpha for o in observations], n_res),
+        np.fromiter([o.c for o in observations], float, horizon),
+        np.fromiter([o.w for o in observations], float, horizon))
+    short = columns.surplus < 0.0
     if short.any():
-        surplus_power(observations[int(short.argmax())])
-    return (surplus, _stack([o.alpha for o in observations], n_res) + 0.0,
-            np.fromiter([o.c for o in observations], float, horizon),
-            np.fromiter([o.w for o in observations], float, horizon))
+        t = int(short.argmax())
+        try:
+            surplus_power(observations[t])
+        except ValueError as exc:
+            raise ValueError(f"slot {t}: {exc}") from None
+    return columns
 
 
 def _balance_masks(q, s, r, d, p, curtailed, surplus, alpha, q_max, s_max,
@@ -741,24 +782,33 @@ def audit_slots(system: SystemSpec, v: float,
       flagged at the window's last slot.
 
     The result also carries cost (T,), q*c - s*w, the quality requests
-    alpha (T, N), and outage (T, N), alpha - p. Raises ValueError
-    naming the first slot whose basic or alpha request does not have one
-    entry per resident, and surplus_power's ValueError for the first slot
-    whose basic usage exceeds generation.
+    alpha (T, N), and outage (T, N), alpha - p. Raises
+    _observation_arrays' ValueErrors, which name the first slot whose
+    basic or alpha request does not have one entry per resident, or whose
+    basic usage exceeds generation.
     """
+    return _audit(system, v, levels, backlogs, _observation_arrays(
+        observations, len(system.residents)), flows, z_max)
+
+
+def _audit(system: SystemSpec, v: float, levels: list[tuple[float, ...]],
+           backlogs: list[tuple[float, ...]], columns: _Columns,
+           flows: np.ndarray, z_max: tuple[float, ...] | list[float]
+           ) -> dict[str, np.ndarray]:
+    """audit_slots' body, on the observations' _Columns."""
     g = system.grid
     tol = BALANCE_TOL
     horizon = len(flows)
     specs = system.batteries
     n_bat, n_res = len(specs), len(system.residents)
-    _check_widths(observations, n_res)
     e_min = np.array([b.e_min for b in specs])
     e_max = np.array([b.e_max for b in specs])
     d_max = np.array([b.d_max for b in specs])
 
     q, s, curtailed = flows[:, 0], flows[:, 1], flows[:, -1]
     r, d, p = (flows[:, at] for at in _flow_slices(n_bat))
-    surplus, alpha, c, w = _observation_arrays(observations, n_res)
+    surplus, alpha, c, w = (columns.surplus, columns.alpha, columns.c,
+                            columns.w)
     e = _stack(levels, n_bat)
     z = _stack(backlogs, n_res)
 
@@ -783,18 +833,19 @@ def audit_slots(system: SystemSpec, v: float,
 
 def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
                     system: SystemSpec, v: float,
-                    observations: list[SlotObservation],
+                    observations: list[SlotObservation] | _Columns,
                     z_max: tuple[float, ...] | list[float]):
     """Earliest slot that one of the trajectory's audit masks under keys
     flags.
 
     The other arguments are those audit_slots was given for the
-    trajectory. Returns (slot, key, message), or None when nothing is
-    flagged; within one slot the key listed first wins. The message is
-    what check_dispatch or threshold_violations report for that slot's
-    Dispatch, the only one built here, or a line naming the first
-    battery, backlog or window (the one ending at that slot) past its
-    band, cap or budget.
+    trajectory, except that observations may also be the trace's
+    _Columns, which build only the slot shown. Returns (slot, key,
+    message), or None when nothing is flagged; within one slot the key
+    listed first wins. The message is what check_dispatch or
+    threshold_violations report for that slot's Dispatch, the only one
+    built here, or a line naming the first battery, backlog or window
+    (the one ending at that slot) past its band, cap or budget.
     """
     levels, backlogs, flows, audit = trajectory
     first = None
@@ -807,8 +858,8 @@ def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
     if first is None:
         return None
     t, key = first
-    obs = observations[t]
     if key in ("balance", "exclusivity", "threshold"):
+        obs = observations[t]
         dispatch = _row_dispatch(flows[t].tolist(), len(system.batteries))
         if key == "threshold":
             state = SystemState(t, levels[t], backlogs[t])
@@ -832,23 +883,23 @@ def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
     return t, key, msg
 
 
-def _simulate(config: RunConfig, observations: list[SlotObservation],
-              policy, v: float, z_max: tuple[float, ...]):
-    """Step config's system through observations, then audit every slot.
+def _simulate(config: RunConfig, columns: _Columns, policy, v: float,
+              z_max: tuple[float, ...]):
+    """Step config's system through a trace's columns, then audit every
+    slot.
 
     The run starts from the batteries' e_init levels and zero backlogs,
-    carried as tuples, and policy is a callable (e, z, obs, t) -> flow row
-    of slot t's levels, backlogs and observation, such as a slot_solver.
-    The slot loop only calls the policy and _advance, step's recurrence,
-    on the row's slices, and appends the row to one flat list, reshaped
-    once into the flows array; one audit_slots pass at v and z_max follows.
-    Returns the run as a Trajectory: the T + 1 level and backlog rows, the
-    (T, 2K + N + 4) flows array audit_slots takes, and its audit.
-    Raises _check_widths' ValueError before the first slot; policy and
-    update_qose_queue errors propagate.
+    carried as tuples, and policy is a callable (e, z, alpha, surplus, c,
+    w, t) -> flow row of slot t's levels, backlogs and column values, such
+    as a slot_solver. The slot loop zips the alpha, surplus and price
+    columns, only calls the policy and _advance, step's recurrence, on the
+    row's slices, and appends the row to one flat list, reshaped once into
+    the flows array; one audit pass over the same columns at v and z_max
+    follows. Returns the run as a Trajectory: the T + 1 level and backlog
+    rows, the (T, 2K + N + 4) flows array audit_slots takes, and its
+    audit. Policy and update_qose_queue errors propagate.
     """
     residents = config.residents
-    _check_widths(observations, len(residents))
     deltas = tuple(map(_delta, residents))
     n_bat = len(config.batteries)
     r_at, d_at, p_at = _flow_slices(n_bat)
@@ -856,17 +907,18 @@ def _simulate(config: RunConfig, observations: list[SlotObservation],
     z = (0.0,) * len(residents)
     levels, backlogs = [e], [z]
     flat: list[float] = []
-    for t, obs in enumerate(observations):
-        row = policy(e, z, obs, t)
-        e, z = _advance(e, z, obs.alpha, row[r_at], row[d_at], row[p_at],
-                        deltas)
+    for t, (alpha, surplus, c, w) in enumerate(zip(
+            columns.alpha.tolist(), columns.surplus.tolist(),
+            columns.c.tolist(), columns.w.tolist())):
+        row = policy(e, z, alpha, surplus, c, w, t)
+        e, z = _advance(e, z, alpha, row[r_at], row[d_at], row[p_at], deltas)
         flat += row
         levels.append(e)
         backlogs.append(z)
     flows = np.array(flat, dtype=float).reshape(
-        len(observations), 2 * n_bat + len(residents) + 4)
-    return Trajectory(levels, backlogs, flows, audit_slots(
-        config.system, v, levels, backlogs, observations, flows, z_max))
+        len(columns), 2 * n_bat + len(residents) + 4)
+    return Trajectory(levels, backlogs, flows, _audit(
+        config.system, v, levels, backlogs, columns, flows, z_max))
 
 
 def run(config: RunConfig, traces: list[SlotObservation],
@@ -883,7 +935,10 @@ def run(config: RunConfig, traces: list[SlotObservation],
     Dispatch returned and flattens it into the solver's flow row, so a
     scheduler run builds a Dispatch only for the slot its first violation
     names. A policy that is neither a known name nor callable raises
-    ValueError before the first slot. Policy and step errors propagate;
+    ValueError before the first slot, and so do _observation_arrays'
+    checks, which convert the trace into the columns the slot loop reads
+    and name the first slot whose requests have the wrong width or whose
+    basic usage exceeds generation. Policy and step errors propagate;
     audit failures are counted in the summary, never raised, so a broken
     setup still yields a diagnosable run.
     """
@@ -916,16 +971,18 @@ def run(config: RunConfig, traces: list[SlotObservation],
             raise ValueError(f"unknown policy {policy!r}")
         keys = ("battery_band", "balance", "exclusivity")
 
-        def policy_fn(e, z, obs: SlotObservation,
+        def policy_fn(e, z, alpha, surplus, c, w,
                       t: int) -> tuple[float, ...]:
-            dispatch = policy(SystemState(t, e, z), obs)
+            dispatch = policy(SystemState(t, e, z), observations[t])
             if problems := shape_problems(dispatch, system):
                 raise ValueError(f"slot {t}: {policy_name} policy dispatch "
                                  + "; ".join(problems))
             return _dispatch_row(dispatch)
 
     observations = traces[:horizon]
-    trajectory = _simulate(config, observations, policy_fn, v, consts.z_max)
+    trajectory = _simulate(
+        config, _observation_arrays(observations, len(residents)), policy_fn,
+        v, consts.z_max)
     audit = trajectory.audit
     outage_hist = audit["outage"]
     counters = {key: int(audit[key].sum()) if key in keys else 0
@@ -1104,11 +1161,11 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     runs once, before the first iteration. The service allowance and the
     gradient sum over slots in _slot_sums' order, that of a slot-major
     array, so the multipliers do not depend on the layout. Raises
-    ValueError naming the first slot whose basic or quality request does
-    not have one entry per resident, surplus_power's ValueError for the
-    first slot whose basic usage exceeds generation, and
-    UnservableSurplusError naming the first slot whose surplus exceeds
-    every sink, unless the config enables curtailment.
+    _observation_arrays' ValueErrors, which name the first slot whose
+    basic or quality request does not have one entry per resident, or
+    whose basic usage exceeds generation, and UnservableSurplusError
+    naming the first slot whose surplus exceeds every sink, unless the
+    config enables curtailment.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -1119,10 +1176,9 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     batteries = config.batteries
     residents = config.residents
     n_res = len(residents)
-    traces = traces[:horizon]
-    _check_widths(traces, n_res)
-    surplus, alpha, c, w = _observation_arrays(traces, n_res)
-    caps = _demand_caps(alpha, batteries)
+    columns = _observation_arrays(traces[:horizon], n_res)
+    surplus = columns.surplus
+    caps = _demand_caps(columns.alpha, batteries)
     if not config.curtailment:
         # Every sink of the relaxed problem: the bids' caps and the sale cap.
         unservable = surplus > caps.sum(0) + g.s_max
@@ -1141,7 +1197,8 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     best = -math.inf
     for it in range(1, iterations + 1):
         objective, _, _, r, d, p = _relaxed_slots(
-            mu.tolist(), nu.tolist(), caps, d_max, g, surplus, c, w)
+            mu.tolist(), nu.tolist(), caps, d_max, g, surplus, columns.c,
+            columns.w)
         total = objective.sum() + nu @ allowance + mu @ headroom
         lb = float(total) / horizon
         if lb > best:

@@ -11,13 +11,15 @@ reports trial and violation counts plus the first counterexample, so a
 failure is directly reproducible.
 
 The bound suite draws its systems as random_system RunConfigs and its
-observations through the simulator's own generate_traces, and runs the
-scheduler through run()'s own slot loop, sim._simulate: a slot_solver
-prepared once per run and step's tuple recurrence advance each slot, the
-flow rows are kept as one flows array, and audit_slots checks the whole
-run at once. Its counterexamples are first_violation's lines for the
-earliest flagged slot, and the only SystemStates and Dispatches it
-builds. The threshold and oracle suites check
+traces with the simulator's own synthesizer, as the columns
+sim._trace_columns returns (generate_traces' draws, without its
+per-slot objects), and runs the scheduler through run()'s own slot loop,
+sim._simulate: a slot_solver prepared once per run and step's tuple
+recurrence advance each slot, the flow rows are kept as one flows array,
+and audit_slots' body checks the whole run at once. Its counterexamples
+are first_violation's lines for the earliest flagged slot, and the only
+SystemStates, SlotObservations and Dispatches it builds. The threshold
+and oracle suites check
 independent slot problems, each with a system of its own. _draw_block
 draws a block of them at once with the same field mapping and per-slot
 rules applied to whole arrays (the same distributions, but another
@@ -74,9 +76,9 @@ from .sim import (
     _simulate,
     _slot_draws,
     _threshold_mask,
+    _trace_columns,
     _uniform,
     first_violation,
-    generate_traces,
 )
 
 # Head-room added past the worst case when sizing q_max and s_max.
@@ -316,8 +318,9 @@ def run_bound_trials(runs: int, slots: int, seed: int,
 
     Returns three SuiteResults: battery levels inside their band, backlog
     queues under their cap, and sliding outage windows within budget. Each
-    run steps the scheduler, one slot_solver per run, through run()'s slot
-    loop, sim._simulate, and is audited once; a run of T slots with N
+    run draws its trace as sim._trace_columns' columns and steps the
+    scheduler, one slot_solver per run, through run()'s slot loop,
+    sim._simulate, and is audited once; a run of T slots with N
     residents checks T levels and backlogs and max(T - OUTAGE_WINDOW + 1,
     0) * N windows, and each counterexample is worded by first_violation.
     The per-slot flow caps are deliberately not headroom-clamped here, so
@@ -336,21 +339,21 @@ def run_bound_trials(runs: int, slots: int, seed: int,
         system = config.system
         v = v_factor * compute_vmax(config.batteries, config.grid)
         z_max = bound_constants(system, v).z_max
-        observations = generate_traces(config, rng)
+        columns = _trace_columns(config, rng)
 
         trajectory = _simulate(
-            config, observations, slot_solver(system, v, headroom_clamp=False),
-            v, z_max)
+            config, columns, slot_solver(system, v, headroom_clamp=False), v,
+            z_max)
         levels, backlogs, flows, audit = trajectory
         windows += max(slots - OUTAGE_WINDOW + 1, 0) * system.n_residents
         for key in keys:
             violations[key] += int(audit[key].sum())
             if counterexamples[key] is None and audit[key].any():
                 t, _, msg = first_violation(trajectory, (key,), system, v,
-                                            observations, z_max)
+                                            columns, z_max)
                 counterexamples[key] = _counterexample(
                     system, SystemState(t, levels[t], backlogs[t]),
-                    observations[t],
+                    columns[t],
                     _row_dispatch(flows[t].tolist(), system.n_batteries),
                     msg)
     names = ("battery-band", "queue-bound", "outage-window")

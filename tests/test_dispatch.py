@@ -999,7 +999,9 @@ class TestSlotSolver:
             result = merit_order_allocate(
                 *books, system.n_batteries, system.n_residents,
                 allow_shortfall=curtail)
-            calls = ((lambda: solve(state.e, state.z, obs, state.t),
+            calls = ((lambda: solve(state.e, state.z, obs.alpha,
+                                    surplus_power(obs), obs.c, obs.w,
+                                    state.t),
                       result.flows),
                      (lambda: dispatch_slot(system, state, obs, v,
                                             curtail=curtail,
@@ -1017,6 +1019,7 @@ class TestSlotSolver:
         system, state, obs = reference_slot()
         solve = slot_solver(system, V_REF)
         with pytest.raises(ValueError) as err:
-            solve(state.e, state.z, replace(obs, alpha=(1.0, 1.0)), 7)
+            solve(state.e, state.z, (1.0, 1.0), surplus_power(obs), obs.c,
+                  obs.w, 7)
         assert str(err.value) == (
             "slot 7: observation alpha has 2 entries, expected 1")

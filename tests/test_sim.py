@@ -56,9 +56,11 @@ from mgsched.model import ordered_sum
 from mgsched.sim import (
     VIOLATION_KEYS,
     _demand_caps,
+    _observation_arrays,
     _relaxed_slots,
     _row_total,
     _simulate,
+    _trace_columns,
     first_violation,
     load_seed,
 )
@@ -966,7 +968,7 @@ class TestAuditSlots:
         with pytest.raises(ValueError) as err:
             audit_slots(system, 150.0, *rows([state] * 2), [obs],
                         flow_array([one_by_one()]), (4.0,))
-        assert str(err.value) == str(expected.value)
+        assert str(err.value) == f"slot 0: {expected.value}"
 
 
 class TestSimulate:
@@ -983,7 +985,7 @@ class TestSimulate:
         z_max = bound_constants(system, v).z_max
         observations = generate_traces(config)
         levels, backlogs, flows, audit = _simulate(
-            config, observations,
+            config, _observation_arrays(observations, system.n_residents),
             slot_solver(system, v, headroom_clamp=False), v, z_max)
         states = [SystemState(0, tuple(b.e_init for b in config.batteries),
                               (0.0,) * system.n_residents)]
@@ -996,6 +998,56 @@ class TestSimulate:
         assert repr(levels) == repr([state.e for state in states])
         assert repr(backlogs) == repr([state.z for state in states])
         assert audit["battery_band"].any() == (v_factor > 1.0)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 20),
+           st.integers(1, 600), st.sampled_from([1.0, 2.0]), st.booleans())
+    @settings(deadline=None, max_examples=30)
+    def test_drawn_columns_run_as_the_converted_trace(
+            self, seed, k_max, n_max, horizon, v_factor, clamp):
+        # The bound suite's input (columns drawn by _trace_columns) and
+        # run()'s (generate_traces' objects through _observation_arrays)
+        # are the same columns, so the slot loop runs them alike.
+        config = random_system(np.random.default_rng(seed), horizon, k_max,
+                               n_max)
+        system = config.system
+        v = v_factor * compute_vmax(config.batteries, config.grid)
+        z_max = bound_constants(system, v).z_max
+        solve = slot_solver(system, v, headroom_clamp=clamp)
+        drawn = _trace_columns(config, np.random.default_rng(seed))
+        converted = _observation_arrays(
+            generate_traces(config, np.random.default_rng(seed)),
+            system.n_residents)
+        for field in dataclasses.fields(drawn):
+            assert (getattr(drawn, field.name).tobytes()
+                    == getattr(converted, field.name).tobytes()), field.name
+        a = _simulate(config, drawn, solve, v, z_max)
+        b = _simulate(config, converted, solve, v, z_max)
+        assert repr(a.levels) == repr(b.levels)
+        assert repr(a.backlogs) == repr(b.backlogs)
+        assert np.array_equal(a.flows, b.flows)
+        assert a.audit.keys() == b.audit.keys()
+        for key in a.audit:
+            assert np.array_equal(a.audit[key], b.audit[key]), key
+
+    def test_generate_traces_builds_the_drawn_columns_rows(self):
+        # With two regimes and alpha_base, generate_traces' objects are the
+        # rows _trace_columns' columns build from one stream, and each
+        # segment draws its quality requests up to its own cap.
+        config = replace(
+            load_config("configs/seven_day.yaml"), horizon=300,
+            alpha_base=(1.0,) * 5, regimes=(
+                Regime(start_slot=100, alpha_hi=3.0, burst_prob=0.5),
+                Regime(start_slot=200, basic_range=(0.5, 2.0),
+                       surplus_range=(0.0, 1.0))))
+        traces = generate_traces(config)
+        columns = _trace_columns(config,
+                                 np.random.default_rng((config.seed, 0)))
+        assert len(columns) == 300
+        assert repr([columns[t] for t in range(300)]) == repr(traces)
+        caps = [columns.alpha[lo:lo + 100].max() for lo in (0, 100, 200)]
+        assert caps[0] <= 1.0 < caps[1] <= 3.0 and caps[2] <= 1.0
+        assert columns.basic[200:].max() <= 2.0 < columns.basic[:200].max()
+        assert (columns.surplus == [surplus_power(obs) for obs in traces]).all()
 
     def test_custom_service_above_demand_raises_as_step_does(self):
         config = make_config(horizon=5, seed=8)
@@ -1188,6 +1240,23 @@ class TestRun:
                 f"slot 3: observation {field} has {width} entries, "
                 "expected 5")
         assert solved == []
+
+    @pytest.mark.parametrize("policy", ["proposed", "mecp"])
+    def test_unfed_basic_usage_named_before_any_slot(self, policy):
+        # Basic usage above generation in slot 3 is named before slot 0,
+        # ahead of slot 1's surplus, which fits no sink.
+        config = replace(load_config("configs/five_day.yaml"), horizon=10,
+                         policy=policy)
+        traces = generate_traces(config)
+        traces[1] = replace(traces[1], u=traces[1].u + 1e6)
+        traces[3] = replace(traces[3], u=0.0)
+        with pytest.raises(ValueError) as expected:
+            surplus_power(traces[3])
+        with pytest.raises(ValueError) as err:
+            run(config, traces)
+        assert str(err.value) == f"slot 3: {expected.value}"
+        with pytest.raises(UnservableSurplusError, match="^slot 1: "):
+            run(replace(config, horizon=3), traces)
 
     def test_overweighted_scheduler_counters_are_pinned(self, monkeypatch):
         # The scheduler at 4x its control weight without the headroom
@@ -1412,7 +1481,7 @@ class TestHindsight:
             surplus_power(traces[2])
         with pytest.raises(ValueError) as err:
             hindsight_lower_bound(traces, config, iterations=2)
-        assert str(err.value) == str(expected.value)
+        assert str(err.value) == f"slot 2: {expected.value}"
 
 
 def allocate_relaxed(mu, nu, batteries, grid, surplus, alpha, c, w, curtail):
@@ -1585,6 +1654,21 @@ class TestReporting:
         assert "-0.0" not in [field.strip() for field in fields]
         assert summary.alpha_total == summary.outage_total == (0.0,)
         assert math.copysign(1.0, summary.alpha_total[0]) == 1.0
+
+    def test_slot_loop_hands_the_policy_the_audited_request(self):
+        # The slot loop reads the same + 0.0 alpha column as the audit, so
+        # a policy sees a -0.0 request as 0.0.
+        config = make_config(horizon=1)
+        trace = [SlotObservation(1.0, (0.2,), (-0.0,), 0.08, 0.03)]
+        solve = slot_solver(config.system, 1.0)
+        seen = []
+
+        def spy(e, z, alpha, *rest):
+            seen.extend(math.copysign(1.0, a) for a in alpha)
+            return solve(e, z, alpha, *rest)
+
+        _simulate(config, _observation_arrays(trace, 1), spy, 1.0, (10.0,))
+        assert seen == [1.0]
 
     def test_summary_document(self, tmp_path):
         config = make_config(horizon=1)

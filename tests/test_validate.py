@@ -418,8 +418,8 @@ class TestBoundSuites:
         def serve_nobody(system, v, **kwargs):
             solve = real(system, v, **kwargs)
 
-            def unserved(e, z, obs, t):
-                dispatch = _row_dispatch(solve(e, z, obs, t),
+            def unserved(e, z, alpha, surplus, c, w, t):
+                dispatch = _row_dispatch(solve(e, z, alpha, surplus, c, w, t),
                                          system.n_batteries)
                 return _dispatch_row(replace(dispatch,
                                              p=(0.0,) * len(dispatch.p)))
