@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import attrgetter
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -381,9 +381,10 @@ def _trace_columns(config: RunConfig, rng: np.random.Generator) -> _Columns:
 def _read_csv(path: str, expected_header: list[str]):
     """Read a CSV and check its header and field counts.
 
-    Returns (rows, lines): the rows that are not blank and their line
-    numbers; blank lines are skipped but still counted. The file is
-    decoded as UTF-8, after dropping a leading byte-order mark, before
+    Returns (rows, lines): the rows that are not blank and the physical
+    line each starts on; blank lines are skipped but still counted, and a
+    quoted field holding a newline counts every line it spans. The file
+    is decoded as UTF-8, after dropping a leading byte-order mark, before
     anything else is checked.
     """
     try:
@@ -405,11 +406,13 @@ def _read_csv(path: str, expected_header: list[str]):
         raise TraceError(
             f"{path}:1: expected header {','.join(expected_header)}, "
             f"got {','.join(header)}")
-    rows = list(reader)
-    lines = range(2, len(rows) + 2)
-    if not all(rows):
-        lines = [line for line, row in zip(lines, rows) if row]
-        rows = [row for row in rows if row]
+    rows, lines = [], []
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(start)
+        start = reader.line_num + 1
     width = len(expected_header)
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
@@ -418,37 +421,11 @@ def _read_csv(path: str, expected_header: list[str]):
     return rows, lines
 
 
-def _parse_float(path: str, line_no: int, field: str, raw: str) -> float:
+def _parsed(column: tuple[str, ...], kind) -> tuple[list, np.ndarray]:
+    """kind(raw) (int or float) of each string in column, None where kind
+    raises ValueError, and the mask of those Nones."""
     try:
-        val = float(raw)
-    except ValueError:
-        raise TraceError(
-            f"{path}:{line_no}: field {field} is not a number: {raw!r}") from None
-    if math.isnan(val) or math.isinf(val):
-        raise TraceError(f"{path}:{line_no}: field {field} is not finite: {raw!r}")
-    return val
-
-
-def _parse_int(path: str, line_no: int, field: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise TraceError(
-            f"{path}:{line_no}: field {field} is not an integer: {raw!r}") from None
-
-
-def _parse_slot(path: str, line_no: int, raw: str) -> int:
-    slot = _parse_int(path, line_no, "slot", raw)
-    if slot < 0:
-        raise TraceError(f"{path}:{line_no}: slot {slot} is negative")
-    return slot
-
-
-def _parsed(column: tuple[str, ...], kind, bad) -> list:
-    """kind(raw) (int or float) of each string in column, bad where kind
-    raises ValueError."""
-    try:
-        return list(map(kind, column))
+        return list(map(kind, column)), np.zeros(len(column), dtype=bool)
     except ValueError:
         pass
     values = []
@@ -456,29 +433,8 @@ def _parsed(column: tuple[str, ...], kind, bad) -> list:
         try:
             values.append(kind(raw))
         except ValueError:
-            values.append(bad)
-    return values
-
-
-def _reject_row(path: str, line_no: int, row: list[str], header: list[str],
-                n_res: int, duplicate: bool) -> NoReturn:
-    """Raise the TraceError for a row that _trace_table flags, found by
-    checking its slot, its resident (when n_res), whether it repeats an
-    earlier row, and its value fields left to right."""
-    slot = _parse_slot(path, line_no, row[0])
-    where = f"slot {slot}"
-    if n_res:
-        res = _parse_int(path, line_no, "resident", row[1])
-        if not 0 <= res < n_res:
-            raise TraceError(
-                f"{path}:{line_no}: resident {res} outside 0..{n_res - 1}")
-        where += f" resident {res}"
-    if duplicate:
-        raise TraceError(f"{path}:{line_no}: duplicate {where}")
-    keys = 2 if n_res else 1
-    for field, raw in zip(header[keys:], row[keys:]):
-        _parse_float(path, line_no, field, raw)
-    raise AssertionError(f"{path}:{line_no}: row flagged without a fault")
+            values.append(None)
+    return values, np.array([v is None for v in values], dtype=bool)
 
 
 def _trace_table(path: str, header: list[str], horizon: int, n_res: int = 0):
@@ -488,41 +444,53 @@ def _trace_table(path: str, header: list[str], horizon: int, n_res: int = 0):
     nonzero, then the value columns. Returns one float array per value
     column, shaped (horizon,), or (horizon, n_res) when n_res, with NaN
     where no row fills a cell. Rows at or past the horizon are ignored
-    once their slot (and resident) are checked. Each fault is a mask over
-    the rows; _reject_row words the first flagged row's.
+    once their slot (and resident) are checked. Each field is parsed once.
+    The faults are (mask over the rows, message) pairs, listed in the
+    order a row-at-a-time reader checks a row; the first flagged row
+    raises the first message whose mask flags it, formatted with the
+    row's raw fields r and parsed values p.
     """
     rows, lines = _read_csv(path, header)
     columns = list(zip(*rows)) or [()] * len(header)
-    slot = np.array([(t if t < horizon else horizon) if t >= 0 else -1
-                     for t in _parsed(columns[0], int, -1)], dtype=np.int64)
-    bad = slot < 0
-    cell, size, keys = slot, horizon, 1
+    keys = 2 if n_res else 1
+    parsed, refused = zip(*(_parsed(column, int if k < keys else float)
+                            for k, column in enumerate(columns)))
+    slot = np.array([-1 if t is None or t < 0 else t if t < horizon
+                     else horizon for t in parsed[0]], dtype=np.int64)
+    faults = [(refused[0], "field slot is not an integer: {r[0]!r}"),
+              (slot < 0, "slot {p[0]} is negative")]
+    kept = (slot >= 0) & (slot < horizon)
+    cell, size, where = slot, horizon, "slot {p[0]}"
     if n_res:
-        res = np.array([n if 0 <= n < n_res else -1
-                        for n in _parsed(columns[1], int, -1)],
-                       dtype=np.int64)
-        bad |= res < 0
-        cell, size, keys = slot * n_res + res, horizon * n_res, 2
-    kept = np.flatnonzero(~bad & (slot < horizon))
+        res = np.array([-1 if n is None or not 0 <= n < n_res else n
+                        for n in parsed[1]], dtype=np.int64)
+        faults += [(refused[1], "field resident is not an integer: {r[1]!r}"),
+                   (res < 0, f"resident {{p[1]}} outside 0..{n_res - 1}")]
+        kept &= res >= 0
+        cell, size = slot * n_res + res, horizon * n_res
+        where += " resident {p[1]}"
     # A kept row repeats a cell when an earlier kept row filled it.
-    duplicate = np.zeros(len(rows), dtype=bool)
-    duplicate[kept] = True
-    duplicate[kept[np.unique(cell[kept], return_index=True)[1]]] = False
-    parsed = [np.array(_parsed(column, float, math.nan))
-              for column in columns[keys:]]
-    fault = bad | duplicate
-    for column in parsed:
-        fault[kept] |= ~np.isfinite(column[kept])
-    if fault.any():
-        i = int(fault.argmax())
-        _reject_row(path, lines[i], rows[i], header, n_res, bool(duplicate[i]))
-    values = []
-    for column in parsed:
-        placed = np.full(size, math.nan)
-        # Adding 0.0 reads -0.0 as 0.0, so no sign reaches the outputs.
-        placed[cell[kept]] = column[kept] + 0.0
-        values.append(placed.reshape(horizon, n_res) if n_res else placed)
-    return values
+    index = np.flatnonzero(kept)
+    duplicate = kept.copy()
+    duplicate[index[np.unique(cell[index], return_index=True)[1]]] = False
+    faults.append((duplicate, f"duplicate {where}"))
+    values = np.array(parsed[keys:], dtype=float)
+    for k, column in enumerate(values, keys):
+        raw = f"{{r[{k}]!r}}"
+        faults += [
+            (kept & refused[k], f"field {header[k]} is not a number: {raw}"),
+            (kept & ~np.isfinite(column),
+             f"field {header[k]} is not finite: {raw}")]
+    flagged = np.logical_or.reduce([mask for mask, _ in faults])
+    if flagged.any():
+        i = int(flagged.argmax())
+        text = next(text for mask, text in faults if mask[i])
+        raise TraceError(f"{path}:{lines[i]}: " + text.format(
+            p=[column[i] for column in parsed], r=rows[i]))
+    # Adding 0.0 reads -0.0 as 0.0, so no sign reaches the outputs.
+    placed = np.full((len(values), size), math.nan)
+    placed[:, cell[kept]] = values[:, kept] + 0.0
+    return list(placed.reshape(-1, horizon, n_res) if n_res else placed)
 
 
 def _bound_mask(u, basic, alpha, c, w, system: SystemSpec) -> np.ndarray:
@@ -554,8 +522,9 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     faults the one a row-at-a-time reader meets first is reported, with
     file and line where it has one. The files are read wind, prices,
     demand. Within a file all field counts are checked first; then the
-    earliest faulty line wins, and within a line its slot, its resident,
-    a repeat of an earlier row's slot (and resident), then its values.
+    earliest faulty line wins, named by the physical line its row starts
+    on, and within a line its slot, its resident, a repeat of an earlier
+    row's slot (and resident), then its values left to right.
     Once all three files parse, the earliest faulty slot wins, and
     within a slot a missing wind row, a missing price row, the first
     missing resident, then validate_observation's first problem.

@@ -65,6 +65,19 @@ TRACE_DIGESTS = {
 }
 
 
+def make_summary(**overrides) -> Summary:
+    """A one-slot Summary with no violations, fields overridden."""
+    fields = dict(
+        policy="proposed", slots=1, v=150.0, v_max=150.0, total_cost=0.0,
+        mean_cost_per_slot=0.0, alpha_total=(1.0,), outage_total=(0.0,),
+        outage_ratio=(0.0,), convergence_slot=(0,), stability_pass=(True,),
+        violations={"battery_band": 0, "queue_bound": 0, "outage_window": 0,
+                    "balance": 0, "exclusivity": 0, "threshold": 0},
+        curtailed_total=0.0)
+    fields.update(overrides)
+    return Summary(**fields)
+
+
 def overweight_the_scheduler(monkeypatch):
     """Solve every scheduler slot at four times its v without the headroom
     clamp, which drives the batteries out of their bands."""
@@ -167,15 +180,11 @@ class TestRunCommand:
         assert "together" in capsys.readouterr().err
 
     def test_violations_exit_two(self, tmp_path, capsys, monkeypatch):
-        summary = Summary(
-            policy="proposed", slots=1, v=150.0, v_max=150.0,
-            total_cost=0.0, mean_cost_per_slot=0.0, alpha_total=(0.0,),
-            outage_total=(0.0,), outage_ratio=(0.0,),
-            convergence_slot=(0,), stability_pass=(True,),
+        summary = make_summary(
+            alpha_total=(0.0,),
             violations={"battery_band": 3, "queue_bound": 0,
                         "outage_window": 0, "balance": 0,
-                        "exclusivity": 0, "threshold": 0},
-            curtailed_total=0.0)
+                        "exclusivity": 0, "threshold": 0})
         real_run = mgsched.cli.run
         monkeypatch.setattr("mgsched.cli.run", lambda config, traces, **kw: (
             real_run(config, traces, **kw)[0], summary))
@@ -193,6 +202,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "bound violations: {" in err
         assert "\nfirst violation: slot " in err
+
+    def test_curtail_flag_lets_an_unservable_surplus_run(self, tmp_path,
+                                                          capsys):
+        # With a 1 kWh sale cap, slot 4's surplus exceeds every sink.
+        config = tmp_path / "small_sale_cap.yaml"
+        config.write_text(Path(FIVE_DAY).read_text().replace(
+            "s_max_kwh: 25.0", "s_max_kwh: 1.0"))
+        out = tmp_path / "x"
+        args = ["run", "--config", str(config), "--out", str(out)]
+        assert main(args) == 1
+        assert "error: slot 4: surplus " in capsys.readouterr().err
+        # Curtailment serves the slot; the saturated sale cap then breaks
+        # the threshold audit's precondition, which exits 2, not 1.
+        assert main([*args, "--curtail"]) not in (0, 1)
+        summary = dict(line.split(": ", 1) for line in
+                       Path(f"{out}.summary.txt").read_text().splitlines())
+        assert float(summary["curtailed_total"]) > 0.0
+        assert Path(f"{out}.slots.csv").exists()
 
     @pytest.mark.parametrize("args, where", [
         (["sweep-v", "--fractions", "1.0"], "at fraction 1.0"),
@@ -229,17 +256,8 @@ class TestSweepCommand:
     def test_trend_break_exits_two(self, tmp_path, capsys, monkeypatch):
         def fake_run(config, traces, policy=None, keep_records=True):
             # cost rises as the fraction grows: the wrong direction
-            summary = Summary(
-                policy="proposed", slots=1, v=config.v_fraction * 150.0,
-                v_max=150.0, total_cost=100.0 * config.v_fraction,
-                mean_cost_per_slot=0.0, alpha_total=(1.0,),
-                outage_total=(0.0,), outage_ratio=(0.0,),
-                convergence_slot=(0,), stability_pass=(True,),
-                violations={"battery_band": 0, "queue_bound": 0,
-                            "outage_window": 0, "balance": 0,
-                            "exclusivity": 0, "threshold": 0},
-                curtailed_total=0.0)
-            return None, summary
+            return None, make_summary(v=config.v_fraction * 150.0,
+                                      total_cost=100.0 * config.v_fraction)
 
         monkeypatch.setattr("mgsched.cli.run", fake_run)
         code = main(["sweep-v", "--config", FIVE_DAY,
@@ -261,6 +279,20 @@ class TestCompareCommand:
         assert proposed_cost <= mecp_cost
         assert (tmp_path / "c.proposed.summary.txt").exists()
         assert (tmp_path / "c.mecp.summary.txt").exists()
+
+    def test_scheduler_dearer_than_benchmark_exits_two(self, tmp_path,
+                                                       capsys, monkeypatch):
+        def fake_run(config, traces, policy=None, keep_records=True):
+            # the scheduler costs more than the benchmark
+            return None, make_summary(
+                policy=policy, total_cost=2.0 if policy == "proposed" else 1.0)
+
+        monkeypatch.setattr("mgsched.cli.run", fake_run)
+        code = main(["compare", "--config", FIVE_DAY,
+                     "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert ("scheduler cost 2.0 exceeds benchmark cost 1.0"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("config", [FIVE_DAY, SEVEN_DAY])
     def test_shipped_outputs_are_pinned(self, tmp_path, config):

@@ -68,6 +68,10 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             make_grid(**overrides)
 
+    def test_rejects_a_purchase_cap_below_the_sale_cap(self):
+        with pytest.raises(ValueError, match="^c_max must be at least w_max$"):
+            make_grid(w_max=0.06, c_max=0.055)
+
 
 class TestSystemSpec:
     def test_counts(self):
@@ -117,6 +121,10 @@ class TestComputeVmax:
     def test_reference_value(self, battery, grid):
         assert compute_vmax((battery,), grid) == pytest.approx(150.0)
 
+    def test_rejects_no_batteries(self, grid):
+        with pytest.raises(ValueError, match="^need at least one battery$"):
+            compute_vmax([], grid)
+
     def test_min_over_batteries(self, battery, grid):
         tight = make_battery(e_max=8.0)   # slack 4
         assert compute_vmax((battery, tight), grid) == pytest.approx(4 / 0.08)
@@ -160,6 +168,10 @@ class TestValidateObservation:
     ])
     def test_flags_problems(self, system, overrides):
         assert validate_observation(self._obs(**overrides), system)
+
+    def test_names_the_alpha_width(self, system):
+        problems = validate_observation(self._obs(alpha=(1.0, 1.0)), system)
+        assert problems == ["alpha has 2 entries, expected 1"]
 
 
 class TestCheckDispatch:

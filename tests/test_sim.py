@@ -306,6 +306,21 @@ class TestTraceFiles:
                            match=f"bad.csv:{len(lines)}: slot {slot} is negative"):
             load_traces(paths["wind"], paths["prices"], paths["demand"], config)
 
+    @pytest.mark.parametrize("row,message", [
+        ("2,oops", "field generation_kwh is not a number: 'oops'"),
+        ("2,1.0,2.0", "expected 2 fields, got 3"),
+    ], ids=["value", "field count"])
+    def test_line_numbers_after_a_multi_line_record(self, tmp_path, row,
+                                                    message):
+        # The quoted field of slot 1 holds a newline, so slot 2's row
+        # starts on physical line 5, not on the fourth record's line 4.
+        config, (wind, prices, demand) = self._write_files(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f'slot,generation_kwh\n0,"1.0"\n1,"2.0\n"\n{row}\n')
+        with pytest.raises(TraceError) as err:
+            load_traces(str(bad), prices, demand, config)
+        assert str(err.value) == f"{bad}:5: {message}"
+
     def test_empty_file(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
         (tmp_path / "bad.csv").write_text("")
@@ -473,6 +488,148 @@ class TestLoaderFaultPrecedence:
             t, field, value = changed
             traces[t] = replace(traces[t], **{field: value})
         assert load() == traces
+
+
+TRACE_HEADERS = {
+    "wind": ["slot", "generation_kwh"],
+    "prices": ["slot", "purchase_price", "sell_price"],
+    "demand": ["slot", "resident", "basic_kwh", "quality_kwh"],
+}
+
+
+def reference_load(paths, config):
+    """Read three trace files one row at a time, in the order README's
+    trace paragraph gives; return the observations, or the message of the
+    first fault met."""
+    horizon, n_res = config.horizon, len(config.residents)
+    tables = {}
+    for kind, header in TRACE_HEADERS.items():
+        path, keys = paths[kind], 2 if kind == "demand" else 1
+        rows = [line.split(",")
+                for line in Path(path).read_text().split("\n")[1:-1]]
+        for line_no, row in enumerate(rows, 2):
+            if len(row) != len(header):
+                return (f"{path}:{line_no}: expected {len(header)} fields, "
+                        f"got {len(row)}")
+        table = tables[kind] = {}
+        for line_no, row in enumerate(rows, 2):
+            where = f"{path}:{line_no}:"
+            key = []
+            for name, raw in zip(header[:keys], row):
+                try:
+                    key.append(int(raw))
+                except ValueError:
+                    return f"{where} field {name} is not an integer: {raw!r}"
+                if name == "slot" and key[0] < 0:
+                    return f"{where} slot {key[0]} is negative"
+                if name == "resident" and not 0 <= key[1] < n_res:
+                    return f"{where} resident {key[1]} outside 0..{n_res - 1}"
+            if key[0] >= horizon:
+                continue
+            if tuple(key) in table:
+                return f"{where} duplicate " + " ".join(
+                    f"{name} {k}" for name, k in zip(header, key))
+            values = []
+            for name, raw in zip(header[keys:], row[keys:]):
+                try:
+                    value = float(raw)
+                except ValueError:
+                    return f"{where} field {name} is not a number: {raw!r}"
+                if not math.isfinite(value):
+                    return f"{where} field {name} is not finite: {raw!r}"
+                values.append(value + 0.0)
+            table[tuple(key)] = values
+    traces = []
+    for t in range(horizon):
+        for kind in ("wind", "prices"):
+            if (t,) not in tables[kind]:
+                return f"{paths[kind]}: missing slot {t} (horizon {horizon})"
+        for n in range(n_res):
+            if (t, n) not in tables["demand"]:
+                return (f"{paths['demand']}: missing slot {t} resident {n} "
+                        f"(horizon {horizon})")
+        (u,), (c, w) = tables["wind"][t,], tables["prices"][t,]
+        basic, alpha = zip(*(tables["demand"][t, n] for n in range(n_res)))
+        obs = SlotObservation(u=u, basic=basic, alpha=alpha, c=c, w=w)
+        problems = validate_observation(obs, config.system)
+        if problems:
+            return f"slot {t}: {problems[0]}"
+        traces.append(obs)
+    return traces
+
+
+# Small indices make edits meet on one row more often.
+_row_index = st.integers(0, 3) | st.integers(0, 100)
+
+
+def trace_edit(kind):
+    """One edit of a trace file's data rows, as a tuple naming it."""
+    edits = [
+        st.tuples(st.just("set"), _row_index, _row_index, st.sampled_from(
+            ["x", "nan", "Infinity", "1e400", " 2 ", "1_0"])),
+        st.tuples(st.just("set"), _row_index, st.just(0),
+                  st.sampled_from(["-5", str(10 ** 30)])),
+        st.tuples(st.just("duplicate"), _row_index, _row_index),
+        st.tuples(st.just("delete"), _row_index),
+        st.tuples(st.just("past horizon"), st.integers(8, 12)),
+        st.tuples(st.just("extra field"), _row_index),
+    ]
+    if kind == "demand":
+        edits.append(st.tuples(st.just("set"), _row_index, st.just(1),
+                               st.just("7")))
+    return st.one_of(edits)
+
+
+def apply_edit(rows, edit, header):
+    """Apply one trace_edit to a file's data rows, each a list of fields."""
+    kind, *args = edit
+    if kind == "past horizon":
+        # a slot (and resident) that parse, then values that do not
+        keys = 2 if "resident" in header else 1
+        rows.append([str(args[0]), "1"][:keys] + ["x"] * (len(header) - keys))
+    elif rows:
+        i = args[0] % len(rows)
+        if kind == "set":
+            rows[i][args[1] % len(rows[i])] = args[2]
+        elif kind == "duplicate":
+            rows.insert(args[1] % (len(rows) + 1), list(rows[i]))
+        elif kind == "delete":
+            del rows[i]
+        else:
+            rows[i].append("0.5")
+
+
+class TestLoaderReferenceReader:
+    """load_traces reports exactly the fault a row-at-a-time reader meets
+    first, and otherwise loads what that reader reads."""
+
+    config = make_config(horizon=8, residents=(make_resident(),) * 2)
+    traces = generate_traces(config)
+
+    @given(st.fixed_dictionaries({
+        kind: st.lists(trace_edit(kind), min_size=1, max_size=3)
+        for kind in TRACE_HEADERS}))
+    @settings(deadline=None, max_examples=400)
+    def test_matches_reference_reader(self, tmp_path_factory, edits):
+        paths = dict(zip(TRACE_HEADERS, write_traces(
+            self.traces, str(tmp_path_factory.mktemp("edited") / "t"))))
+        for kind, path in paths.items():
+            rows = [line.split(",")
+                    for line in Path(path).read_text().split("\n")[1:-1]]
+            for edit in edits[kind]:
+                apply_edit(rows, edit, TRACE_HEADERS[kind])
+            Path(path).write_text("\n".join(
+                [",".join(TRACE_HEADERS[kind])] + [",".join(row)
+                                                   for row in rows]) + "\n")
+        expected = reference_load(paths, self.config)
+        if isinstance(expected, str):
+            with pytest.raises(TraceError) as info:
+                load_traces(paths["wind"], paths["prices"], paths["demand"],
+                            self.config)
+            assert str(info.value) == expected
+        else:
+            assert load_traces(paths["wind"], paths["prices"],
+                               paths["demand"], self.config) == expected
 
 
 def _bump(field, i, value):
@@ -1367,6 +1524,10 @@ class TestHindsight:
         config = make_config(horizon=10)
         with pytest.raises(ValueError):
             hindsight_lower_bound(generate_traces(config), config, iterations=0)
+
+    def test_rejects_an_empty_trace(self):
+        with pytest.raises(ValueError, match="^empty trace$"):
+            hindsight_lower_bound([], make_config(horizon=10), iterations=1)
 
     def test_pinned_on_a_short_five_day_trace(self):
         # The bound's exact floats on these traces: rewriting how the slot

@@ -609,3 +609,36 @@ class TestOtherSuites:
     def test_run_all_suites_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             run_all_suites(0, seed=0)
+
+    @pytest.mark.parametrize("suite,message", [
+        (lambda: run_bound_trials(runs=0, slots=10, seed=0),
+         "runs and slots must both be >= 1"),
+        (lambda: threshold_trials(slots=0, seed=0), "slots must be >= 1"),
+        (lambda: solver_oracle_trials(instances=0, seed=0),
+         "instances must be >= 1"),
+    ], ids=["bound", "threshold", "oracle"])
+    def test_suites_reject_an_empty_size(self, suite, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            suite()
+
+    def test_oracle_suite_catches_a_feasibility_disagreement(
+            self, monkeypatch):
+        # An oracle that calls one feasible column infeasible disagrees
+        # with the kernel's verdict for that instance only.
+        real = mgsched.validate.oracle_columns
+        calls = []
+
+        def first_infeasible(*args):
+            optimum = real(*args)
+            if not calls:
+                assert np.isfinite(optimum[0])
+                optimum[0] = math.inf
+            calls.append(args)
+            return optimum
+
+        monkeypatch.setattr(mgsched.validate, "oracle_columns",
+                            first_infeasible)
+        suite = solver_oracle_trials(64, seed=6)
+        assert suite.violations == 1
+        assert suite.counterexample.startswith(
+            "detail: merit feasible=True but oracle optimum inf\n")
