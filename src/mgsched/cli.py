@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .model import UnservableSurplusError, ordered_sum
 from .sim import (
@@ -40,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls.
     parser = _Parser(prog="mgsched",
                      description="online adaptive electricity scheduling")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

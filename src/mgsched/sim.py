@@ -2,31 +2,32 @@
 
 The simulator replays exogenous traces (renewable generation, prices,
 demand) through a per-slot policy, audits every guarantee the scheduler
-is supposed to keep, and reports end-of-run metrics. Its slot loop,
-_simulate, which validate's bound suites share, reads the trace as
-_Columns, one array per observation field: run converts its list of
-observations once, before slot 0, with _observation_arrays, and the
-bound suite draws the columns with _trace_columns, generate_traces'
-draws without its per-slot objects. The loop carries the battery levels
-and backlogs as tuples and only calls the policy and _advance, the one
-slot recurrence, which step wraps for SystemState objects. A policy
-returns each slot's decision as one flat flow row (q, s,
-r_1..r_K, d_1..d_K, p_1..p_N, objective, curtailed); the loop appends
-the rows to one flat list and reshapes it once into a (T, 2K + N + 4)
-flows array. The scheduler's policy is a dispatch.slot_solver prepared
-once per run, so the loop builds no state or Dispatch object; run adapts
-mecp and custom policies, which take a SystemState and the slot's
-SlotObservation and return a Dispatch, with one wrapper that flattens
-the Dispatch into the row. audit_slots' body then checks all slots at
-once in numpy from the level and backlog rows, the flows array and the
-trace's columns and flags each slot and
-entity that broke a guarantee. _simulate returns the run as one
-Trajectory of those arrays: run reads its counters and the first
-violation off the audit's masks and returns the Trajectory with the
-summary, and write_slot_records writes slots.csv straight from it. A
-Dispatch is built only for the slot first_violation words. Synthetic
-traces are generated from the run configuration; recorded traces load
-from three CSV files. A projected-subgradient hindsight bound provides
+is supposed to keep, and reports end-of-run metrics. A trace is a Trace,
+one array per observation field: generate_traces draws it and load_traces
+reads it from three CSV files in that form, and run, hindsight_lower_bound,
+audit_slots and write_traces read its arrays as they are, slicing them to
+the horizon and checking only the request widths and that basic usage
+stays within generation. A hand-built list of SlotObservations is
+converted once, by _observation_arrays, the one converter. The slot loop,
+_simulate, which validate's bound suite shares, zips the trace's columns,
+carries the battery levels and backlogs as tuples and only calls the
+policy and _advance, the one slot recurrence, which step wraps for
+SystemState objects. A policy returns each slot's decision as one flat
+flow row (q, s, r_1..r_K, d_1..d_K, p_1..p_N, objective, curtailed); the
+loop appends the rows to one flat list and reshapes it once into a
+(T, 2K + N + 4) flows array. The scheduler's policy is a
+dispatch.slot_solver prepared once per run, so the loop builds no state or
+Dispatch object; run adapts mecp and custom policies, which take a
+SystemState and the slot's SlotObservation and return a Dispatch, with
+one wrapper that indexes the trace's observations, built once per run,
+and flattens the Dispatch into the row. audit_slots' body then checks all
+slots at once in numpy from the level and backlog rows, the flows array
+and the trace's columns and flags each slot and entity that broke a
+guarantee. _simulate returns the run as one Trajectory of those arrays:
+run reads its counters and the first violation off the audit's masks and
+returns the Trajectory with the summary, and write_slot_records writes
+slots.csv straight from it. A Dispatch is built only for the slot
+first_violation words. A projected-subgradient hindsight bound provides
 the reference point for cost-gap checks: it lower-bounds the per-slot
 cost of any policy on the given trace whose horizon-average quality
 service reaches (1 - delta)*alpha, under relaxed storage dynamics, so
@@ -41,7 +42,7 @@ import codecs
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import attrgetter
@@ -278,45 +279,78 @@ def _slot_draws(units, surplus_range, burst_range, burst_prob, c_min, c_max,
     return surplus, c, w
 
 
-@dataclass(frozen=True, slots=True)
-class _Columns:
-    """A trace of T slots as columns: u, c, w and surplus (T,), basic and
-    alpha (T, N). alpha is the requests plus 0.0, so -0.0 reads 0.0;
-    surplus is surplus_power's value. Indexed by slot, it builds that
-    slot's SlotObservation with generate_traces' row builder."""
+@dataclass(frozen=True, slots=True, eq=False)
+class Trace:
+    """A trace of T slots as columns, one array per observation field.
+
+    u, c and w are (T,) arrays of generation and purchase and sell
+    prices; basic and alpha are (T, N) arrays of the residents' basic and
+    quality requests. Construction adds 0.0 to alpha, so a -0.0 request
+    reads 0.0, and derives surplus (T,), surplus_power's value of each
+    slot, from u and basic. Nothing else is checked here: run,
+    hindsight_lower_bound and audit_slots check the widths and the surplus
+    against their system, and load_traces checks every bound.
+
+    A Trace is a read-only sequence of SlotObservations. len is T;
+    trace[t] builds slot t's observation, negative t counting from the
+    end; a slice is the Trace of those slots; iteration builds every
+    observation once; == and != compare every column by value. To edit
+    slots, edit list(trace).
+    """
 
     u: np.ndarray
     basic: np.ndarray
     alpha: np.ndarray
     c: np.ndarray
     w: np.ndarray
-    surplus: np.ndarray
+    surplus: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        # The one place the surplus column and alpha's + 0.0 are made.
+        object.__setattr__(self, "alpha", self.alpha + 0.0)
+        object.__setattr__(self, "surplus", self.u - _row_total(self.basic))
 
     def __len__(self) -> int:
         return len(self.u)
 
-    def __getitem__(self, t: int) -> SlotObservation:
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            # Slice every column, surplus too: deriving it again costs
+            # more than the slicing (a row total along the short axis).
+            part = object.__new__(Trace)
+            for name in self.__slots__:
+                object.__setattr__(part, name, getattr(self, name)[t])
+            return part
+        t = range(len(self))[t]
         return _observations(self, slice(t, t + 1))[0]
 
+    def __iter__(self):
+        return iter(_observations(self))
 
-def _columns(u, basic, alpha, c, w) -> _Columns:
-    # The one place the surplus column and alpha's + 0.0 are made.
-    return _Columns(u, basic, alpha + 0.0, c, w, u - _row_total(basic))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__slots__)
 
 
-def _observations(columns: _Columns, rows: slice = slice(None)
+def _rows(trace: Trace, rows: slice = slice(None)):
+    """(u, basic, alpha, c, w) of trace's rows as Python floats and lists."""
+    return zip(trace.u[rows].tolist(), trace.basic[rows].tolist(),
+               trace.alpha[rows].tolist(), trace.c[rows].tolist(),
+               trace.w[rows].tolist())
+
+
+def _observations(trace: Trace, rows: slice = slice(None)
                   ) -> list[SlotObservation]:
-    """The SlotObservations of columns' rows, built positionally."""
+    """The SlotObservations of trace's rows, built positionally."""
     return [SlotObservation(u, tuple(basic), tuple(alpha), c, w)
-            for u, basic, alpha, c, w in zip(
-                columns.u[rows].tolist(), columns.basic[rows].tolist(),
-                columns.alpha[rows].tolist(), columns.c[rows].tolist(),
-                columns.w[rows].tolist())]
+            for u, basic, alpha, c, w in _rows(trace, rows)]
 
 
 def generate_traces(config: RunConfig,
-                    rng: np.random.Generator | None = None) -> list[SlotObservation]:
-    """Draw a synthetic trace of config.horizon observations.
+                    rng: np.random.Generator | None = None) -> Trace:
+    """Draw a synthetic Trace of config.horizon slots.
 
     Per slot and resident, basic usage is uniform on its range and the
     quality request uniform on [0, cap]. Generation is the total basic
@@ -324,15 +358,11 @@ def generate_traces(config: RunConfig,
     by a burst draw with probability burst_prob. Prices are i.i.d. within
     their bounds with the sell price kept strictly below the purchase
     price by construction. Deterministic for a given rng (or config.seed).
-    The draws are _trace_columns'; this builds one object per slot.
+    Each regime segment draws one block of unit draws; the segments'
+    columns are concatenated, and no per-slot object is built.
     """
     if rng is None:
         rng = np.random.default_rng((config.seed, 0))
-    return _observations(_trace_columns(config, rng))
-
-
-def _trace_columns(config: RunConfig, rng: np.random.Generator) -> _Columns:
-    """generate_traces' draws, in the same stream order, as columns."""
     horizon = config.horizon
     residents = config.residents
     n_res = len(residents)
@@ -375,7 +405,7 @@ def _trace_columns(config: RunConfig, rng: np.random.Generator) -> _Columns:
             pick(regime, "burst_prob"), g.c_min, g.c_max, g.w_min, g.w_max)
 
         segments.append((_row_total(basics) + surplus, basics, alphas, c, w))
-    return _columns(*(np.concatenate(column) for column in zip(*segments)))
+    return Trace(*(np.concatenate(column) for column in zip(*segments)))
 
 
 def _read_csv(path: str, expected_header: list[str]):
@@ -394,7 +424,10 @@ def _read_csv(path: str, expected_header: list[str]):
     except OSError as exc:
         raise TraceError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # csv.reader breaks lines at \r\n, a lone \r and \n alike.
+        head = data[:exc.start]
+        line = (head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                + 1)
         raise TraceError(f"{path}:{line}: byte {data[exc.start]:#04x} is not "
                          f"UTF-8: {exc.reason}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -509,8 +542,8 @@ def _bound_mask(u, basic, alpha, c, w, system: SystemSpec) -> np.ndarray:
 
 
 def load_traces(wind_path: str, price_path: str, demand_path: str,
-                config: RunConfig) -> list[SlotObservation]:
-    """Load and validate recorded traces from three CSV files.
+                config: RunConfig) -> Trace:
+    """Load and validate a recorded Trace from three CSV files.
 
     Formats: wind rows are slot,generation_kwh; price rows are
     slot,purchase_price,sell_price; demand rows are
@@ -543,7 +576,7 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     system = config.system
     flagged = (missing_gen | missing_prices | missing_demand.any(1)
                | _bound_mask(gen, basic, alpha, c, w, system))
-    traces = _observations(_columns(gen, basic, alpha, c, w))
+    trace = Trace(gen, basic, alpha, c, w)
     if flagged.any():
         t = int(flagged.argmax())
         if missing_gen[t]:
@@ -555,26 +588,32 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
                 f"{demand_path}: missing slot {t} resident "
                 f"{int(missing_demand[t].argmax())} (horizon {horizon})")
         raise TraceError(
-            f"slot {t}: {validate_observation(traces[t], system)[0]}")
-    return traces
+            f"slot {t}: {validate_observation(trace[t], system)[0]}")
+    return trace
 
 
-def write_traces(traces: list[SlotObservation], prefix: str) -> tuple[str, str, str]:
+def write_traces(traces: Trace | list[SlotObservation],
+                 prefix: str) -> tuple[str, str, str]:
     """Write a trace as the three CSV files load_traces expects.
 
-    Every field is written with str, a float's shortest round-trip form
-    (also for np.float64), one format string per row.
+    A Trace is written from its columns and a list of SlotObservations
+    from its objects, unchecked. Every field is written with str, a
+    float's shortest round-trip form (also for np.float64), one format
+    string per row.
     """
     paths = (f"{prefix}.wind.csv", f"{prefix}.prices.csv",
              f"{prefix}.demand.csv")
+    rows = list(_rows(traces) if isinstance(traces, Trace)
+                else map(attrgetter("u", "basic", "alpha", "c", "w"), traces))
     tables = (
         ["slot,generation_kwh\n"]
-        + ["%s,%s\n" % (t, obs.u) for t, obs in enumerate(traces)],
+        + ["%s,%s\n" % (t, u) for t, (u, *_) in enumerate(rows)],
         ["slot,purchase_price,sell_price\n"]
-        + ["%s,%s,%s\n" % (t, obs.c, obs.w) for t, obs in enumerate(traces)],
+        + ["%s,%s,%s\n" % (t, c, w) for t, (*_, c, w) in enumerate(rows)],
         ["slot,resident,basic_kwh,quality_kwh\n"]
-        + ["%s,%s,%s,%s\n" % (t, n, b, a) for t, obs in enumerate(traces)
-           for n, (b, a) in enumerate(zip(obs.basic, obs.alpha))])
+        + ["%s,%s,%s,%s\n" % (t, n, b, a)
+           for t, (_, basic, alpha, _, _) in enumerate(rows)
+           for n, (b, a) in enumerate(zip(basic, alpha))])
     for path, lines in zip(paths, tables):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
@@ -639,33 +678,48 @@ def _row_total(a: np.ndarray) -> np.ndarray:
 
 
 def _observation_arrays(observations: list[SlotObservation],
-                        n_res: int) -> _Columns:
-    """The _Columns of T observations with n_res residents.
+                        n_res: int) -> Trace:
+    """The Trace of T observations with n_res residents.
 
     Raises width_error's ValueError for the first slot whose basic or
-    alpha request does not have n_res entries, then surplus_power's
-    ValueError, prefixed "slot t: ", for the first slot whose basic usage
-    exceeds generation.
+    alpha request does not have n_res entries.
     """
     for t, obs in enumerate(observations):
         if len(obs.basic) != n_res or len(obs.alpha) != n_res:
             name = "basic" if len(obs.basic) != n_res else "alpha"
             raise width_error(t, name, len(getattr(obs, name)), n_res)
     horizon = len(observations)
-    columns = _columns(
+    return Trace(
         np.fromiter([o.u for o in observations], float, horizon),
         _stack([o.basic for o in observations], n_res),
         _stack([o.alpha for o in observations], n_res),
         np.fromiter([o.c for o in observations], float, horizon),
         np.fromiter([o.w for o in observations], float, horizon))
-    short = columns.surplus < 0.0
+
+
+def _checked(traces: Trace | list[SlotObservation], n_res: int) -> Trace:
+    """traces as a Trace, checked for n_res residents.
+
+    A Trace is taken as it is and a list converted by _observation_arrays.
+    Raises width_error's ValueError for the first slot whose basic or
+    alpha request does not have n_res entries, then surplus_power's
+    ValueError, prefixed "slot t: ", for the first slot whose basic usage
+    exceeds generation.
+    """
+    if not isinstance(traces, Trace):
+        traces = _observation_arrays(traces, n_res)
+    for name in ("basic", "alpha"):
+        # Every slot of a Trace has the same width, so slot 0 is the first.
+        if (width := getattr(traces, name).shape[1]) != n_res:
+            raise width_error(0, name, width, n_res)
+    short = traces.surplus < 0.0
     if short.any():
         t = int(short.argmax())
         try:
-            surplus_power(observations[t])
+            surplus_power(traces[t])
         except ValueError as exc:
             raise ValueError(f"slot {t}: {exc}") from None
-    return columns
+    return traces
 
 
 def _balance_masks(q, s, r, d, p, curtailed, surplus, alpha, q_max, s_max,
@@ -725,8 +779,8 @@ def _threshold_mask(v, c_max, w_min, e_min, d_max, delta, alpha_max, q, s, r,
 def audit_slots(system: SystemSpec, v: float,
                 levels: list[tuple[float, ...]],
                 backlogs: list[tuple[float, ...]],
-                observations: list[SlotObservation], flows: np.ndarray,
-                z_max: tuple[float, ...] | list[float]
+                observations: Trace | list[SlotObservation],
+                flows: np.ndarray, z_max: tuple[float, ...] | list[float]
                 ) -> dict[str, np.ndarray]:
     """Audit T slots at once, in one numpy pass over the stacked slots.
 
@@ -751,20 +805,21 @@ def audit_slots(system: SystemSpec, v: float,
       flagged at the window's last slot.
 
     The result also carries cost (T,), q*c - s*w, the quality requests
-    alpha (T, N), and outage (T, N), alpha - p. Raises
-    _observation_arrays' ValueErrors, which name the first slot whose
-    basic or alpha request does not have one entry per resident, or whose
-    basic usage exceeds generation.
+    alpha (T, N), and outage (T, N), alpha - p. observations is a Trace,
+    read as it is, or a list of SlotObservations, converted once. Raises
+    a ValueError naming the first slot whose basic or alpha request does
+    not have one entry per resident, or whose basic usage exceeds
+    generation.
     """
-    return _audit(system, v, levels, backlogs, _observation_arrays(
+    return _audit(system, v, levels, backlogs, _checked(
         observations, len(system.residents)), flows, z_max)
 
 
 def _audit(system: SystemSpec, v: float, levels: list[tuple[float, ...]],
-           backlogs: list[tuple[float, ...]], columns: _Columns,
+           backlogs: list[tuple[float, ...]], trace: Trace,
            flows: np.ndarray, z_max: tuple[float, ...] | list[float]
            ) -> dict[str, np.ndarray]:
-    """audit_slots' body, on the observations' _Columns."""
+    """audit_slots' body, on a checked Trace."""
     g = system.grid
     tol = BALANCE_TOL
     horizon = len(flows)
@@ -776,8 +831,7 @@ def _audit(system: SystemSpec, v: float, levels: list[tuple[float, ...]],
 
     q, s, curtailed = flows[:, 0], flows[:, 1], flows[:, -1]
     r, d, p = (flows[:, at] for at in _flow_slices(n_bat))
-    surplus, alpha, c, w = (columns.surplus, columns.alpha, columns.c,
-                            columns.w)
+    surplus, alpha, c, w = trace.surplus, trace.alpha, trace.c, trace.w
     e = _stack(levels, n_bat)
     z = _stack(backlogs, n_res)
 
@@ -802,14 +856,13 @@ def _audit(system: SystemSpec, v: float, levels: list[tuple[float, ...]],
 
 def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
                     system: SystemSpec, v: float,
-                    observations: list[SlotObservation] | _Columns,
-                    z_max: tuple[float, ...] | list[float]):
+                    trace: Trace, z_max: tuple[float, ...] | list[float]):
     """Earliest slot that one of the trajectory's audit masks under keys
     flags.
 
     The other arguments are those audit_slots was given for the
-    trajectory, except that observations may also be the trace's
-    _Columns, which build only the slot shown. Returns (slot, key,
+    trajectory, with the trace as a Trace, which builds only the
+    observation of the slot shown. Returns (slot, key,
     message), or None when nothing is flagged; within one slot the key
     listed first wins. The message is what check_dispatch or
     threshold_violations report for that slot's Dispatch, the only one
@@ -828,7 +881,7 @@ def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
         return None
     t, key = first
     if key in ("balance", "exclusivity", "threshold"):
-        obs = observations[t]
+        obs = trace[t]
         dispatch = _row_dispatch(flows[t].tolist(), len(system.batteries))
         if key == "threshold":
             state = SystemState(t, levels[t], backlogs[t])
@@ -852,9 +905,9 @@ def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
     return t, key, msg
 
 
-def _simulate(config: RunConfig, columns: _Columns, policy, v: float,
+def _simulate(config: RunConfig, trace: Trace, policy, v: float,
               z_max: tuple[float, ...]):
-    """Step config's system through a trace's columns, then audit every
+    """Step config's system through a checked Trace, then audit every
     slot.
 
     The run starts from the batteries' e_init levels and zero backlogs,
@@ -877,39 +930,40 @@ def _simulate(config: RunConfig, columns: _Columns, policy, v: float,
     levels, backlogs = [e], [z]
     flat: list[float] = []
     for t, (alpha, surplus, c, w) in enumerate(zip(
-            columns.alpha.tolist(), columns.surplus.tolist(),
-            columns.c.tolist(), columns.w.tolist())):
+            trace.alpha.tolist(), trace.surplus.tolist(), trace.c.tolist(),
+            trace.w.tolist())):
         row = policy(e, z, alpha, surplus, c, w, t)
         e, z = _advance(e, z, alpha, row[r_at], row[d_at], row[p_at], deltas)
         flat += row
         levels.append(e)
         backlogs.append(z)
     flows = np.array(flat, dtype=float).reshape(
-        len(columns), 2 * n_bat + len(residents) + 4)
+        len(trace), 2 * n_bat + len(residents) + 4)
     return Trajectory(levels, backlogs, flows, _audit(
-        config.system, v, levels, backlogs, columns, flows, z_max))
+        config.system, v, levels, backlogs, trace, flows, z_max))
 
 
-def run(config: RunConfig, traces: list[SlotObservation],
+def run(config: RunConfig, traces: Trace | list[SlotObservation],
         policy=None, keep_records: bool = True):
     """Simulate the configured horizon, then audit every slot.
 
+    traces is a Trace, whose first config.horizon slots the slot loop
+    reads as they are, or a list of SlotObservations, converted once.
     policy may be None (use config.policy), a policy name, or a callable
     (state, obs) -> Dispatch. Returns (trajectory, summary): _simulate's
     Trajectory of the run, which write_slot_records writes as slots.csv,
     or None when keep_records is false. The counters, costs, outages and
     first violation are read off the trajectory's audit. The scheduler
     runs as one slot_solver; mecp and a custom policy share one adapter,
-    which builds each slot's SystemState, checks the shape of the
-    Dispatch returned and flattens it into the solver's flow row, so a
-    scheduler run builds a Dispatch only for the slot its first violation
-    names. A policy that is neither a known name nor callable raises
-    ValueError before the first slot, and so do _observation_arrays'
-    checks, which convert the trace into the columns the slot loop reads
-    and name the first slot whose requests have the wrong width or whose
-    basic usage exceeds generation. Policy and step errors propagate;
-    audit failures are counted in the summary, never raised, so a broken
-    setup still yields a diagnosable run.
+    which builds the trace's observations once per run, builds each
+    slot's SystemState, checks the shape of the Dispatch returned and
+    flattens it into the solver's flow row, so a scheduler run builds a
+    Dispatch only for the slot its first violation names. Before the
+    first slot, a ValueError names the first slot whose requests have the
+    wrong width or whose basic usage exceeds generation, and then a
+    policy that is neither a known name nor callable. Policy and step
+    errors propagate; audit failures are counted in the summary, never
+    raised, so a broken setup still yields a diagnosable run.
     """
     if len(traces) < config.horizon:
         raise ValueError(
@@ -917,6 +971,7 @@ def run(config: RunConfig, traces: list[SlotObservation],
     system = config.system
     residents = config.residents
     horizon = config.horizon
+    trace = _checked(traces[:horizon], len(residents))
     v_max = compute_vmax(config.batteries, config.grid)
     v = config.v_fraction * v_max
     consts = bound_constants(system, v)
@@ -939,6 +994,7 @@ def run(config: RunConfig, traces: list[SlotObservation],
         elif not callable(policy):
             raise ValueError(f"unknown policy {policy!r}")
         keys = ("battery_band", "balance", "exclusivity")
+        observations = _observations(trace)
 
         def policy_fn(e, z, alpha, surplus, c, w,
                       t: int) -> tuple[float, ...]:
@@ -948,10 +1004,7 @@ def run(config: RunConfig, traces: list[SlotObservation],
                                  + "; ".join(problems))
             return _dispatch_row(dispatch)
 
-    observations = traces[:horizon]
-    trajectory = _simulate(
-        config, _observation_arrays(observations, len(residents)), policy_fn,
-        v, consts.z_max)
+    trajectory = _simulate(config, trace, policy_fn, v, consts.z_max)
     audit = trajectory.audit
     outage_hist = audit["outage"]
     counters = {key: int(audit[key].sum()) if key in keys else 0
@@ -995,8 +1048,8 @@ def run(config: RunConfig, traces: list[SlotObservation],
         stability_pass=tuple(stability),
         violations=counters,
         curtailed_total=curtailed_total,
-        first_violation=first_violation(trajectory, keys, system, v,
-                                        observations, consts.z_max))
+        first_violation=first_violation(trajectory, keys, system, v, trace,
+                                        consts.z_max))
     return (trajectory if keep_records else None), summary
 
 
@@ -1097,8 +1150,8 @@ def _demand_caps(alpha: np.ndarray,
     return caps
 
 
-def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
-                          iterations: int) -> float:
+def hindsight_lower_bound(traces: Trace | list[SlotObservation],
+                          config: RunConfig, iterations: int) -> float:
     """Lower-bound the per-slot cost of any feasible policy on this trace.
 
     The trace is the first min(config.horizon, len(traces)) slots of
@@ -1125,16 +1178,17 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     value seen is returned. Battery multipliers are kept in [-c_max,
     -w_min], outside which the inner solutions saturate.
 
-    The trace is stacked into entry-major arrays (one row per resident or
-    battery, one column per slot) once per call, and the feasibility check
-    runs once, before the first iteration. The service allowance and the
-    gradient sum over slots in _slot_sums' order, that of a slot-major
-    array, so the multipliers do not depend on the layout. Raises
-    _observation_arrays' ValueErrors, which name the first slot whose
-    basic or quality request does not have one entry per resident, or
-    whose basic usage exceeds generation, and UnservableSurplusError
-    naming the first slot whose surplus exceeds every sink, unless the
-    config enables curtailment.
+    A Trace's columns are read as they are (a list of SlotObservations is
+    converted once), and the quality requests stacked with the recharge
+    caps into entry-major arrays (one row per resident or battery, one
+    column per slot) once per call; the feasibility check runs once,
+    before the first iteration. The service allowance and the gradient
+    sum over slots in _slot_sums' order, that of a slot-major array, so
+    the multipliers do not depend on the layout. Raises a ValueError
+    naming the first slot whose basic or quality request does not have
+    one entry per resident, or whose basic usage exceeds generation, and
+    UnservableSurplusError naming the first slot whose surplus exceeds
+    every sink, unless the config enables curtailment.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -1145,9 +1199,9 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     batteries = config.batteries
     residents = config.residents
     n_res = len(residents)
-    columns = _observation_arrays(traces[:horizon], n_res)
-    surplus = columns.surplus
-    caps = _demand_caps(columns.alpha, batteries)
+    trace = _checked(traces[:horizon], n_res)
+    surplus = trace.surplus
+    caps = _demand_caps(trace.alpha, batteries)
     if not config.curtailment:
         # Every sink of the relaxed problem: the bids' caps and the sale cap.
         unservable = surplus > caps.sum(0) + g.s_max
@@ -1166,8 +1220,8 @@ def hindsight_lower_bound(traces: list[SlotObservation], config: RunConfig,
     best = -math.inf
     for it in range(1, iterations + 1):
         objective, _, _, r, d, p = _relaxed_slots(
-            mu.tolist(), nu.tolist(), caps, d_max, g, surplus, columns.c,
-            columns.w)
+            mu.tolist(), nu.tolist(), caps, d_max, g, surplus, trace.c,
+            trace.w)
         total = objective.sum() + nu @ allowance + mu @ headroom
         lb = float(total) / horizon
         if lb > best:

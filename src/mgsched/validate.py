@@ -11,9 +11,8 @@ reports trial and violation counts plus the first counterexample, so a
 failure is directly reproducible.
 
 The bound suite draws its systems as random_system RunConfigs and its
-traces with the simulator's own synthesizer, as the columns
-sim._trace_columns returns (generate_traces' draws, without its
-per-slot objects), and runs the scheduler through run()'s own slot loop,
+traces with the simulator's own synthesizer, as the Trace generate_traces
+returns, and runs the scheduler through run()'s own slot loop,
 sim._simulate: a slot_solver prepared once per run and step's tuple
 recurrence advance each slot, the flow rows are kept as one flows array,
 and audit_slots' body checks the whole run at once. Its counterexamples
@@ -76,9 +75,9 @@ from .sim import (
     _simulate,
     _slot_draws,
     _threshold_mask,
-    _trace_columns,
     _uniform,
     first_violation,
+    generate_traces,
 )
 
 # Head-room added past the worst case when sizing q_max and s_max.
@@ -308,6 +307,10 @@ def _counterexample(system: SystemSpec, state: SystemState,
 
 
 def _agrees(objective: float, optimum: float) -> bool:
+    """objective equals optimum to within 1e-9 relative; an infinite
+    argument agrees only with an equal one."""
+    if math.isinf(objective) or math.isinf(optimum):
+        return objective == optimum
     return abs(objective - optimum) <= 1e-9 * max(1.0, abs(optimum))
 
 
@@ -318,7 +321,7 @@ def run_bound_trials(runs: int, slots: int, seed: int,
 
     Returns three SuiteResults: battery levels inside their band, backlog
     queues under their cap, and sliding outage windows within budget. Each
-    run draws its trace as sim._trace_columns' columns and steps the
+    run draws its trace as generate_traces' Trace and steps the
     scheduler, one slot_solver per run, through run()'s slot loop,
     sim._simulate, and is audited once; a run of T slots with N
     residents checks T levels and backlogs and max(T - OUTAGE_WINDOW + 1,
@@ -339,10 +342,9 @@ def run_bound_trials(runs: int, slots: int, seed: int,
         system = config.system
         v = v_factor * compute_vmax(config.batteries, config.grid)
         z_max = bound_constants(system, v).z_max
-        columns = _trace_columns(config, rng)
-
+        trace = generate_traces(config, rng)
         trajectory = _simulate(
-            config, columns, slot_solver(system, v, headroom_clamp=False), v,
+            config, trace, slot_solver(system, v, headroom_clamp=False), v,
             z_max)
         levels, backlogs, flows, audit = trajectory
         windows += max(slots - OUTAGE_WINDOW + 1, 0) * system.n_residents
@@ -350,10 +352,10 @@ def run_bound_trials(runs: int, slots: int, seed: int,
             violations[key] += int(audit[key].sum())
             if counterexamples[key] is None and audit[key].any():
                 t, _, msg = first_violation(trajectory, (key,), system, v,
-                                            columns, z_max)
+                                            trace, z_max)
                 counterexamples[key] = _counterexample(
                     system, SystemState(t, levels[t], backlogs[t]),
-                    columns[t],
+                    trace[t],
                     _row_dispatch(flows[t].tolist(), system.n_batteries),
                     msg)
     names = ("battery-band", "queue-bound", "outage-window")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import mgsched.cli
 import mgsched.sim
 from mgsched import Summary, SuiteResult
 from mgsched.cli import main
@@ -489,6 +490,31 @@ class TestErrorPaths:
     def test_missing_required_flag(self, capsys):
         assert main(["run", "--out", "x"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_one_parser_serves_calls_in_turn(self, tmp_path, capsys):
+        # The parser is built once per process; no call leaves a flag
+        # behind for the next.
+        def digests(prefix, suffixes):
+            return {suffix: hashlib.sha256(Path(f"{prefix}.{suffix}")
+                                           .read_bytes()).hexdigest()
+                    for suffix in suffixes}
+
+        seeded = str(tmp_path / "seeded")
+        assert main(["run", "--config", FIVE_DAY, "--seed", "5", "--out",
+                     seeded]) == 0
+        assert (digests(seeded, ["summary.txt"])["summary.txt"]
+                != SHIPPED_DIGESTS[FIVE_DAY]["summary.txt"])
+        compared = str(tmp_path / "compared")
+        assert main(["compare", "--config", FIVE_DAY, "--out",
+                     compared]) == 0
+        assert (digests(compared, COMPARE_DIGESTS[FIVE_DAY])
+                == COMPARE_DIGESTS[FIVE_DAY])
+        capsys.readouterr()
+        assert main(["run", "--config", FIVE_DAY, "--out", seeded,
+                     "--frobnicate"]) == 1
+        assert ("unrecognized arguments: --frobnicate"
+                in capsys.readouterr().err)
+        assert mgsched.cli._build_parser() is mgsched.cli._build_parser()
 
     def test_negative_trace_slot_exits_one(self, tmp_path, capsys):
         prefix = str(tmp_path / "traces")

@@ -23,6 +23,7 @@ from mgsched import (
     SlotObservation,
     SystemSpec,
     SystemState,
+    Trace,
     TraceError,
     Trajectory,
     UnservableSurplusError,
@@ -60,7 +61,6 @@ from mgsched.sim import (
     _relaxed_slots,
     _row_total,
     _simulate,
-    _trace_columns,
     first_violation,
     load_seed,
 )
@@ -170,6 +170,89 @@ class TestGenerateTraces:
             assert obs.w < obs.c
 
 
+SHIPPED_CONFIGS = ("configs/five_day.yaml", "configs/seven_day.yaml")
+
+
+class TestTrace:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_runs_and_bounds_as_its_list(self, path, seed):
+        # A Trace and the list of its observations, which run() and the
+        # bound convert once, give the same arrays, summary and bound.
+        config = replace(load_config(path), seed=seed)
+        trace = generate_traces(config)
+        observations = list(trace)
+        for policy in ("proposed", "mecp"):
+            a, summary_a = run(config, trace, policy=policy)
+            b, summary_b = run(config, observations, policy=policy)
+            assert_same_trajectory(a, b)
+            assert summary_a == summary_b
+        bound = hindsight_lower_bound(trace, config, iterations=5)
+        assert repr(bound) == repr(
+            hindsight_lower_bound(observations, config, iterations=5))
+
+    def test_acts_as_its_list(self):
+        config = replace(load_config("configs/seven_day.yaml"), horizon=10)
+        trace = generate_traces(config)
+        observations = list(trace)
+        assert len(trace) == len(observations) == 10
+        assert trace[-1] == observations[-1] == trace[9]
+        assert trace[-10] == observations[0]
+        with pytest.raises(IndexError):
+            trace[10]
+        with pytest.raises(IndexError):
+            trace[-11]
+        assert isinstance(trace[2:5], Trace)
+        assert list(trace[2:5]) == observations[2:5]
+        assert list(trace[::-3]) == observations[::-3]
+        assert [obs for obs in trace] == observations
+        other = generate_traces(replace(config, seed=config.seed + 1))
+        assert trace == generate_traces(config)
+        assert not trace != generate_traces(config)
+        assert trace != other and list(trace) != list(other)
+        assert trace[2:5] == trace[:5][2:]
+        assert trace[2:5] != trace[3:6]
+        assert trace != observations
+
+    def test_run_and_bound_read_a_trace_without_converting(self,
+                                                           monkeypatch):
+        def no_conversion(*args):
+            raise AssertionError("_observation_arrays called")
+
+        config = replace(load_config("configs/five_day.yaml"), horizon=100)
+        trace = generate_traces(replace(config, horizon=120))
+        monkeypatch.setattr(mgsched.sim, "_observation_arrays",
+                            no_conversion)
+        for policy in ("proposed", "mecp"):
+            _, summary = run(config, trace, policy=policy)
+            assert summary.slots == 100
+        assert math.isfinite(hindsight_lower_bound(trace, config, 3))
+        with pytest.raises(AssertionError, match="_observation_arrays"):
+            run(config, list(trace))
+
+    def test_checks_widths_and_basic_usage_as_a_list_does(self):
+        # A Trace keeps the width and basic-usage checks, with the
+        # messages and slot numbers its list gets.
+        config = replace(load_config("configs/five_day.yaml"), horizon=6)
+        narrow = replace(config, residents=config.residents[:2],
+                         alpha_base=config.alpha_base[:2])
+        wide = generate_traces(config)
+        trace = generate_traces(narrow)
+        short = Trace(np.where(np.arange(6) == 4, 0.0, trace.u), trace.basic,
+                      trace.alpha, trace.c, trace.w)
+        for check in (lambda traces: run(narrow, traces),
+                      lambda traces: hindsight_lower_bound(traces, narrow, 2)):
+            for bad in (wide, short):
+                with pytest.raises(ValueError) as from_trace:
+                    check(bad)
+                with pytest.raises(ValueError) as from_list:
+                    check(list(bad))
+                assert str(from_trace.value) == str(from_list.value)
+                assert str(from_trace.value).startswith(
+                    "slot 0: observation basic has 5 entries, expected 2"
+                    if bad is wide else "slot 4: basic usage ")
+
+
 class TestTraceFiles:
     def test_round_trip_is_exact(self, tmp_path):
         config = make_config(horizon=40, burst_prob=0.1)
@@ -177,6 +260,10 @@ class TestTraceFiles:
         wind, prices, demand = write_traces(traces, str(tmp_path / "t"))
         loaded = load_traces(wind, prices, demand, config)
         assert loaded == traces
+        # The Trace's list of observations writes the same files.
+        listed = write_traces(list(traces), str(tmp_path / "l"))
+        for path, other in zip((wind, prices, demand), listed):
+            assert Path(path).read_bytes() == Path(other).read_bytes()
 
     def test_extra_slots_beyond_horizon_ignored(self, tmp_path):
         config = make_config(horizon=50)
@@ -229,6 +316,22 @@ class TestTraceFiles:
             load_traces(str(bad), prices, demand, config)
         assert str(err.value) == (
             f"{bad}:4: byte 0xff is not UTF-8: invalid start byte")
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_line_under_each_line_ending(self, tmp_path,
+                                                          end):
+        # A bad byte's line is counted as csv.reader counts a field-count
+        # fault's: at \n, \r\n and a lone \r alike.
+        config, (wind, prices, demand) = self._write_files(tmp_path)
+        for row, fault in ((b"1,oops\xff", "byte 0xff is not UTF-8: "
+                            "invalid start byte"),
+                           (b"1,2,3", "expected 2 fields, got 3")):
+            bad = tmp_path / "bad.csv"
+            bad.write_bytes(end.join([b"slot,generation_kwh", b"0,1.0", row,
+                                      b""]))
+            with pytest.raises(TraceError) as err:
+                load_traces(str(bad), prices, demand, config)
+            assert str(err.value) == f"{bad}:3: {fault}"
 
     def test_non_numeric_field(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
@@ -460,7 +563,7 @@ class TestLoaderFaultPrecedence:
 
     def _load(self, tmp_path, edits):
         config = make_config(horizon=8, residents=(make_resident(),) * 2)
-        traces = generate_traces(config)
+        traces = list(generate_traces(config))
         paths = dict(zip(("wind", "prices", "demand"),
                          write_traces(traces, str(tmp_path / "t"))))
         for kind, kind_edits in edits.items():
@@ -487,7 +590,7 @@ class TestLoaderFaultPrecedence:
         if changed is not None:
             t, field, value = changed
             traces[t] = replace(traces[t], **{field: value})
-        assert load() == traces
+        assert list(load()) == traces
 
 
 TRACE_HEADERS = {
@@ -628,8 +731,8 @@ class TestLoaderReferenceReader:
                             self.config)
             assert str(info.value) == expected
         else:
-            assert load_traces(paths["wind"], paths["prices"],
-                               paths["demand"], self.config) == expected
+            assert list(load_traces(paths["wind"], paths["prices"],
+                                    paths["demand"], self.config)) == expected
 
 
 def _bump(field, i, value):
@@ -687,7 +790,7 @@ class TestLoaderBounds:
                                                          perturb, count):
         config = self.config()
         system = config.system
-        traces = generate_traces(config)
+        traces = list(generate_traces(config))
         t = 217
         traces[t] = perturb(traces[t], system)
         problems = validate_observation(traces[t], system)
@@ -1104,7 +1207,7 @@ class TestAuditSlots:
     @pytest.mark.parametrize("field,width", [("basic", 4), ("alpha", 6)])
     def test_misshaped_observation_names_the_slot(self, field, width):
         config = replace(load_config("configs/five_day.yaml"), horizon=5)
-        observations = generate_traces(config)
+        observations = list(generate_traces(config))
         observations[3] = replace(observations[3], **{field: (0.1,) * width})
         state = SystemState(t=0, e=(8.0, 8.0), z=(0.0,) * 5)
         idle = Dispatch(q=0.0, s=0.0, r=(0.0, 0.0), d=(0.0, 0.0),
@@ -1161,19 +1264,17 @@ class TestSimulate:
     @settings(deadline=None, max_examples=30)
     def test_drawn_columns_run_as_the_converted_trace(
             self, seed, k_max, n_max, horizon, v_factor, clamp):
-        # The bound suite's input (columns drawn by _trace_columns) and
-        # run()'s (generate_traces' objects through _observation_arrays)
-        # are the same columns, so the slot loop runs them alike.
+        # A drawn Trace and its observations converted back by
+        # _observation_arrays, as run() converts a hand-built list, are
+        # the same columns, so the slot loop runs them alike.
         config = random_system(np.random.default_rng(seed), horizon, k_max,
                                n_max)
         system = config.system
         v = v_factor * compute_vmax(config.batteries, config.grid)
         z_max = bound_constants(system, v).z_max
         solve = slot_solver(system, v, headroom_clamp=clamp)
-        drawn = _trace_columns(config, np.random.default_rng(seed))
-        converted = _observation_arrays(
-            generate_traces(config, np.random.default_rng(seed)),
-            system.n_residents)
+        drawn = generate_traces(config, np.random.default_rng(seed))
+        converted = _observation_arrays(list(drawn), system.n_residents)
         for field in dataclasses.fields(drawn):
             assert (getattr(drawn, field.name).tobytes()
                     == getattr(converted, field.name).tobytes()), field.name
@@ -1187,18 +1288,17 @@ class TestSimulate:
             assert np.array_equal(a.audit[key], b.audit[key]), key
 
     def test_generate_traces_builds_the_drawn_columns_rows(self):
-        # With two regimes and alpha_base, generate_traces' objects are the
-        # rows _trace_columns' columns build from one stream, and each
-        # segment draws its quality requests up to its own cap.
+        # With two regimes and alpha_base, indexing generate_traces' Trace
+        # builds the observations its iteration builds, and each segment
+        # draws its quality requests up to its own cap.
         config = replace(
             load_config("configs/seven_day.yaml"), horizon=300,
             alpha_base=(1.0,) * 5, regimes=(
                 Regime(start_slot=100, alpha_hi=3.0, burst_prob=0.5),
                 Regime(start_slot=200, basic_range=(0.5, 2.0),
                        surplus_range=(0.0, 1.0))))
-        traces = generate_traces(config)
-        columns = _trace_columns(config,
-                                 np.random.default_rng((config.seed, 0)))
+        columns = generate_traces(config)
+        traces = list(columns)
         assert len(columns) == 300
         assert repr([columns[t] for t in range(300)]) == repr(traces)
         caps = [columns.alpha[lo:lo + 100].max() for lo in (0, 100, 200)]
@@ -1382,7 +1482,7 @@ class TestRun:
         # A slot with the wrong number of resident entries is named before
         # any slot is solved, not left to the audit's stacking of the slots
         config = replace(load_config("configs/five_day.yaml"), horizon=10)
-        traces = generate_traces(config)
+        traces = list(generate_traces(config))
         traces[3] = replace(traces[3], **{field: (0.1,) * width})
         solved = []
 
@@ -1404,7 +1504,7 @@ class TestRun:
         # ahead of slot 1's surplus, which fits no sink.
         config = replace(load_config("configs/five_day.yaml"), horizon=10,
                          policy=policy)
-        traces = generate_traces(config)
+        traces = list(generate_traces(config))
         traces[1] = replace(traces[1], u=traces[1].u + 1e6)
         traces[3] = replace(traces[3], u=0.0)
         with pytest.raises(ValueError) as expected:
@@ -1562,7 +1662,7 @@ class TestHindsight:
         # A 100 kWh burst outruns the resident (2.5), the battery (2) and
         # the sale cap (25) in slots 3 and 5; slot 3 is the one named.
         config = make_config(horizon=6)
-        traces = generate_traces(config)
+        traces = list(generate_traces(config))
         for t in (3, 5):
             traces[t] = replace(traces[t], u=traces[t].u + 100.0)
         with pytest.raises(UnservableSurplusError, match=r"^slot 3: "):
@@ -1627,7 +1727,7 @@ class TestHindsight:
     @pytest.mark.parametrize("field,width", [("basic", 4), ("alpha", 6)])
     def test_misshaped_observation_names_the_slot(self, field, width):
         config = replace(load_config("configs/five_day.yaml"), horizon=20)
-        traces = generate_traces(config)
+        traces = list(generate_traces(config))
         traces[3] = replace(traces[3], **{field: (0.1,) * width})
         with pytest.raises(ValueError) as err:
             hindsight_lower_bound(traces, config, iterations=2)
@@ -1636,7 +1736,7 @@ class TestHindsight:
 
     def test_unfed_basic_usage_raises_as_surplus_power_does(self):
         config = make_config(horizon=4)
-        traces = generate_traces(config)
+        traces = list(generate_traces(config))
         traces[2] = replace(traces[2], u=0.5 * sum(traces[2].basic))
         with pytest.raises(ValueError) as expected:
             surplus_power(traces[2])
@@ -1853,7 +1953,7 @@ class TestReporting:
                   for obs in generate_traces(config)]
         paths = write_traces(traces, str(tmp_path / "t"))
         assert all("np." not in Path(path).read_text() for path in paths)
-        assert load_traces(*paths, config) == traces
+        assert list(load_traces(*paths, config)) == traces
 
     def test_numpy_float_flows_print_as_numbers(self, tmp_path):
         # A custom policy's np.float64 flows carry into the levels and
