@@ -4,10 +4,10 @@ The simulator replays exogenous traces (renewable generation, prices,
 demand) through a per-slot policy, audits every guarantee the scheduler
 is supposed to keep, and reports end-of-run metrics. A trace is a Trace,
 one array per observation field: generate_traces draws it and load_traces
-reads it from three CSV files in that form, and run, hindsight_lower_bound,
-audit_slots and write_traces read its arrays as they are, slicing them to
-the horizon and checking only the request widths and that basic usage
-stays within generation. A hand-built list of SlotObservations is
+reads it from three CSV files in that form, and run, hindsight_lower_bound
+and audit_slots read its arrays as they are, slicing them to the horizon
+and checking only the request widths and that basic usage stays within
+generation; write_traces writes it slot by slot. A hand-built list is
 converted once, by _observation_arrays, the one converter. The slot loop,
 _simulate, which validate's bound suite shares, zips the trace's columns,
 carries the battery levels and backlogs as tuples and only calls the
@@ -285,11 +285,13 @@ class Trace:
 
     u, c and w are (T,) arrays of generation and purchase and sell
     prices; basic and alpha are (T, N) arrays of the residents' basic and
-    quality requests. Construction adds 0.0 to alpha, so a -0.0 request
-    reads 0.0, and derives surplus (T,), surplus_power's value of each
-    slot, from u and basic. Nothing else is checked here: run,
-    hindsight_lower_bound and audit_slots check the widths and the surplus
-    against their system, and load_traces checks every bound.
+    quality requests. Construction copies each column into a read-only
+    float array, adds 0.0 to alpha, so a -0.0 request reads 0.0, and
+    derives surplus (T,), surplus_power's value of each slot, from u and
+    basic; it raises ValueError for a column of another rank or length.
+    Nothing else is checked here: run, hindsight_lower_bound and
+    audit_slots check the widths and the surplus against their system,
+    and load_traces checks every bound.
 
     A Trace is a read-only sequence of SlotObservations. len is T;
     trace[t] builds slot t's observation, negative t counting from the
@@ -306,9 +308,23 @@ class Trace:
     surplus: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        # The one place the surplus column and alpha's + 0.0 are made.
-        object.__setattr__(self, "alpha", self.alpha + 0.0)
-        object.__setattr__(self, "surplus", self.u - _row_total(self.basic))
+        # The one place the columns are frozen and the surplus column and
+        # alpha's + 0.0 are made. Each column is a copy, so no caller's
+        # array is frozen and no later edit of one leaves surplus stale.
+        for name, ndim in (("u", 1), ("basic", 2), ("alpha", 2), ("c", 1),
+                           ("w", 1)):
+            column = np.array(getattr(self, name), dtype=float)
+            if column.ndim != ndim or len(column) != len(self.u):
+                raise ValueError(
+                    f"Trace column {name} has shape {column.shape}; u, c "
+                    f"and w must be (T,) and basic and alpha (T, N)")
+            if name == "alpha":
+                column += 0.0
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        surplus = self.u - _row_total(self.basic)
+        surplus.setflags(write=False)
+        object.__setattr__(self, "surplus", surplus)
 
     def __len__(self) -> int:
         return len(self.u)
@@ -334,18 +350,14 @@ class Trace:
                    for name in self.__slots__)
 
 
-def _rows(trace: Trace, rows: slice = slice(None)):
-    """(u, basic, alpha, c, w) of trace's rows as Python floats and lists."""
-    return zip(trace.u[rows].tolist(), trace.basic[rows].tolist(),
-               trace.alpha[rows].tolist(), trace.c[rows].tolist(),
-               trace.w[rows].tolist())
-
-
 def _observations(trace: Trace, rows: slice = slice(None)
                   ) -> list[SlotObservation]:
     """The SlotObservations of trace's rows, built positionally."""
     return [SlotObservation(u, tuple(basic), tuple(alpha), c, w)
-            for u, basic, alpha, c, w in _rows(trace, rows)]
+            for u, basic, alpha, c, w in zip(
+                trace.u[rows].tolist(), trace.basic[rows].tolist(),
+                trace.alpha[rows].tolist(), trace.c[rows].tolist(),
+                trace.w[rows].tolist())]
 
 
 def generate_traces(config: RunConfig,
@@ -596,24 +608,20 @@ def write_traces(traces: Trace | list[SlotObservation],
                  prefix: str) -> tuple[str, str, str]:
     """Write a trace as the three CSV files load_traces expects.
 
-    A Trace is written from its columns and a list of SlotObservations
-    from its objects, unchecked. Every field is written with str, a
-    float's shortest round-trip form (also for np.float64), one format
-    string per row.
+    A Trace or a list of SlotObservations is written slot by slot,
+    unchecked. Every field is written with str, a float's shortest
+    round-trip form (also for np.float64), one format string per row.
     """
     paths = (f"{prefix}.wind.csv", f"{prefix}.prices.csv",
              f"{prefix}.demand.csv")
-    rows = list(_rows(traces) if isinstance(traces, Trace)
-                else map(attrgetter("u", "basic", "alpha", "c", "w"), traces))
     tables = (
         ["slot,generation_kwh\n"]
-        + ["%s,%s\n" % (t, u) for t, (u, *_) in enumerate(rows)],
+        + ["%s,%s\n" % (t, obs.u) for t, obs in enumerate(traces)],
         ["slot,purchase_price,sell_price\n"]
-        + ["%s,%s,%s\n" % (t, c, w) for t, (*_, c, w) in enumerate(rows)],
+        + ["%s,%s,%s\n" % (t, obs.c, obs.w) for t, obs in enumerate(traces)],
         ["slot,resident,basic_kwh,quality_kwh\n"]
-        + ["%s,%s,%s,%s\n" % (t, n, b, a)
-           for t, (_, basic, alpha, _, _) in enumerate(rows)
-           for n, (b, a) in enumerate(zip(basic, alpha))])
+        + ["%s,%s,%s,%s\n" % (t, n, b, a) for t, obs in enumerate(traces)
+           for n, (b, a) in enumerate(zip(obs.basic, obs.alpha))])
     for path, lines in zip(paths, tables):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)

@@ -252,6 +252,38 @@ class TestTrace:
                     "slot 0: observation basic has 5 entries, expected 2"
                     if bad is wide else "slot 4: basic usage ")
 
+    def test_columns_are_read_only_copies(self):
+        # Neither an edit of the trace nor one of the caller's arrays can
+        # leave surplus stale.
+        u, c, w = np.full(3, 4.0), np.full(3, 2.0), np.full(3, 1.0)
+        basic, alpha = np.ones((3, 2)), np.full((3, 2), -0.0)
+        trace = Trace(u, basic, alpha, c, w)
+        for name in ("u", "basic", "alpha", "c", "w", "surplus"):
+            column = getattr(trace, name)
+            assert column.dtype == float and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 9.0
+            assert not getattr(trace[1:], name).flags.writeable
+        u[0], basic[0, 0] = 0.0, 9.0
+        assert u.flags.writeable and basic.flags.writeable
+        assert trace.surplus.tolist() == [2.0, 2.0, 2.0]
+        assert trace.alpha.tolist() == [[0.0, 0.0]] * 3
+        assert math.copysign(1.0, trace.alpha[0, 0]) == 1.0
+        assert Trace([4.0], [[1.0]], [[0.0]], [2.0], [1]).w.dtype == float
+
+    @pytest.mark.parametrize("name, bad", [
+        ("u", np.ones((3, 1))), ("u", 1.0), ("basic", np.ones(3)),
+        ("alpha", np.ones((3, 2, 1))), ("c", np.ones(2)), ("w", np.ones(4)),
+        ("basic", np.ones((2, 2))), ("alpha", np.ones((4, 2)))])
+    def test_rejects_a_column_of_another_rank_or_length(self, name, bad):
+        columns = dict(u=np.full(3, 4.0), basic=np.ones((3, 2)),
+                       alpha=np.ones((3, 2)), c=np.full(3, 2.0),
+                       w=np.ones(3))
+        columns[name] = bad
+        with pytest.raises(ValueError,
+                           match=f"^Trace column {name} has shape "):
+            Trace(**columns)
+
 
 class TestTraceFiles:
     def test_round_trip_is_exact(self, tmp_path):
