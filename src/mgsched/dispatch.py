@@ -39,7 +39,11 @@ any size, one slot (oracle_solve) or a batch (oracle_columns, on the
 batch books merit_order_columns takes) at a time, structural audits of
 the optimum (threshold form of the solution), and a randomized benchmark
 policy that blocks quality requests by coin toss instead of solving
-anything.
+anything. mecp_solver prepares that policy once per run, as slot_solver
+prepares the scheduler, and returns the same flow rows; it takes the
+run's coins as one (T, N + 1) block drawn before slot 0, so run() builds
+no per-slot object for it either. mecp_dispatch (one slot's decision, as
+a Dispatch, from N + 1 coins it draws) wraps the same rule.
 """
 
 from __future__ import annotations
@@ -467,6 +471,102 @@ def _fill(amount: float, caps: list[float]) -> tuple[list[float], float]:
     return fills, amount
 
 
+def _mecp_rule(system: SystemSpec, block_prob: float, charge_prob: float,
+               v: float, curtail: bool):
+    """Prepare the benchmark policy's rule for system at v: a function
+    (e, z, alpha, surplus, c, w, t, coins) -> flow row of one slot, whose
+    coins are the slot's N + 1 draws, blocking coins first. Each
+    battery's limits and the trade caps are read once, here; the
+    arguments are not checked."""
+    n_res = len(system.residents)
+    grid = system.grid
+    q_max, s_max = grid.q_max, grid.s_max
+    v_c_max = v * grid.c_max
+    specs = [(b.r_max, b.d_max, b.e_min, b.e_max) for b in system.batteries]
+    idle = [0.0] * len(specs)
+
+    def decide(e, z, alpha, surplus: float, c: float, w: float, t: int,
+               coins) -> tuple[float, ...]:
+        admitted = [0.0 if coin < block_prob else request
+                    for coin, request in zip(coins, alpha)]
+        demand = ordered_sum(admitted)
+        p = admitted
+        r = d = idle
+        q = s = curtailed = 0.0
+        if surplus >= demand:
+            r, excess = _fill(surplus - demand, [
+                min(r_max, e_max - level)
+                for level, (r_max, _, _, e_max) in zip(e, specs)])
+            s = min(excess, s_max)
+            excess -= s
+            if excess > 0.0:
+                if not curtail:
+                    raise UnservableSurplusError(
+                        f"slot {t}: benchmark policy cannot absorb "
+                        f"{excess} kWh of surplus")
+                curtailed = excess
+        else:
+            d, shortfall = _fill(demand - surplus, [
+                min(d_max, level - e_min)
+                for level, (_, d_max, e_min, _) in zip(e, specs)])
+            if shortfall > 0.0:
+                q = min(shortfall, q_max)
+                if shortfall - q > 0.0:
+                    p, _ = _fill(ordered_sum([surplus, *d, q]), admitted)
+        if coins[n_res] < charge_prob:
+            top_up, _ = _fill(q_max - q, [
+                0.0 if dk > 0.0 else min(r_max - rk, e_max - level - rk)
+                for level, (r_max, _, _, e_max), rk, dk
+                in zip(e, specs, r, d)])
+            r = [rk + fill for rk, fill in zip(r, top_up)]
+            q = ordered_sum([q, *top_up])
+        objective = v * (q * c - s * w)
+        for level, (_, d_max, e_min, _), rk, dk in zip(e, specs, r, d):
+            # battery_queue(level, spec, v, grid), in its order of operations.
+            objective += (level - d_max - e_min - v_c_max) * (rk - dk)
+        for zn, an, pn in zip(z, alpha, p):
+            objective -= (zn + an) * pn
+        return (q, s, *r, *d, *p, objective, curtailed)
+
+    return decide
+
+
+def mecp_solver(system: SystemSpec, coins, block_prob: float,
+                charge_prob: float, v: float, curtail: bool = False):
+    """Prepare the randomized benchmark policy for one run: a solver (e, z,
+    alpha, surplus, c, w, t) -> flow row, the row slot_solver returns,
+    whose coins at slot t are row t of coins.
+
+    coins is a (T, N + 1) array of uniform draws on [0, 1), one row per
+    slot: the blocking coins of residents 0..N-1, then the charge coin.
+    run draws it before slot 0 as one block, which holds the same numbers
+    as T successive mecp_dispatch draws from the same generator. The
+    solver reads the battery limits and trade caps once and takes the
+    slot's surplus (surplus_power's value) as given, so a slot builds no
+    state, observation or Dispatch; its rows equal mecp_dispatch's
+    Dispatch flattened. An alpha that does not hold one entry per
+    resident raises ValueError naming slot t, and surplus that the
+    policy cannot absorb without curtail raises UnservableSurplusError,
+    in mecp_dispatch's words.
+    """
+    n_res = len(system.residents)
+    coins = np.asarray(coins, dtype=float)
+    if coins.ndim != 2 or coins.shape[1] != n_res + 1:
+        raise ValueError(
+            f"coins must hold {n_res + 1} columns, one per resident and a "
+            f"charge coin, got shape {coins.shape}")
+    rows = coins.tolist()
+    decide = _mecp_rule(system, block_prob, charge_prob, v, curtail)
+
+    def solve(e, z, alpha, surplus: float, c: float, w: float,
+              t: int) -> tuple[float, ...]:
+        if len(alpha) != n_res:
+            raise width_error(t, "alpha", len(alpha), n_res)
+        return decide(e, z, alpha, surplus, c, w, t, rows[t])
+
+    return solve
+
+
 def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,
                   rng: np.random.Generator, block_prob: float,
                   charge_prob: float, v: float,
@@ -485,54 +585,18 @@ def mecp_dispatch(system: SystemSpec, state: SystemState, obs: SlotObservation,
     comparable with the scheduler: trades weighted by v, battery flows by
     their queue levels, quality service by backlog plus demand. An
     observation whose alpha does not hold one entry per resident raises
-    ValueError naming the slot.
+    ValueError naming the slot, before any coin is drawn.
 
     Each call draws rng.random(n_residents + 1): the blocking coins of
-    residents 0..N-1 in order, then the charge coin.
+    residents 0..N-1 in order, then the charge coin. This is the one-slot
+    wrapper of the rule mecp_solver prepares; run prepares that solver
+    once per run and draws the run's coins as one block.
     """
     n_res = len(system.residents)
     if len(obs.alpha) != n_res:
         raise width_error(state.t, "alpha", len(obs.alpha), n_res)
     coins = rng.random(n_res + 1).tolist()
-    p_surplus = surplus_power(obs)
-    admitted = [0.0 if coin < block_prob else alpha
-                for coin, alpha in zip(coins, obs.alpha)]
-    demand = ordered_sum(admitted)
-    grid = system.grid
-    p = admitted
-    r = d = [0.0] * len(system.batteries)
-    q = s = curtailed = 0.0
-    if p_surplus >= demand:
-        r, excess = _fill(p_surplus - demand, [
-            min(spec.r_max, spec.e_max - e)
-            for e, spec in zip(state.e, system.batteries)])
-        s = min(excess, grid.s_max)
-        excess -= s
-        if excess > 0.0:
-            if not curtail:
-                raise UnservableSurplusError(
-                    f"slot {state.t}: benchmark policy cannot absorb "
-                    f"{excess} kWh of surplus")
-            curtailed = excess
-    else:
-        d, shortfall = _fill(demand - p_surplus, [
-            min(spec.d_max, e - spec.e_min)
-            for e, spec in zip(state.e, system.batteries)])
-        if shortfall > 0.0:
-            q = min(shortfall, grid.q_max)
-            if shortfall - q > 0.0:
-                p, _ = _fill(ordered_sum([p_surplus, *d, q]), admitted)
-    if coins[n_res] < charge_prob:
-        top_up, _ = _fill(grid.q_max - q, [
-            0.0 if dk > 0.0 else min(spec.r_max - rk, spec.e_max - e - rk)
-            for e, spec, rk, dk in zip(state.e, system.batteries, r, d)])
-        r = [rk + fill for rk, fill in zip(r, top_up)]
-        q = ordered_sum([q, *top_up])
-    objective = v * (q * obs.c - s * obs.w)
-    v_c_max = v * grid.c_max
-    for e, spec, rk, dk in zip(state.e, system.batteries, r, d):
-        # battery_queue(e, spec, v, grid), in its order of operations.
-        objective += (e - spec.d_max - spec.e_min - v_c_max) * (rk - dk)
-    for n, alpha in enumerate(obs.alpha):
-        objective -= (state.z[n] + alpha) * p[n]
-    return Dispatch(q, s, tuple(r), tuple(d), tuple(p), objective, curtailed)
+    row = _mecp_rule(system, block_prob, charge_prob, v, curtail)(
+        state.e, state.z, obs.alpha, surplus_power(obs), obs.c, obs.w,
+        state.t, coins)
+    return _row_dispatch(row, len(system.batteries))

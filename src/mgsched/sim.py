@@ -16,11 +16,12 @@ SystemState objects. A policy returns each slot's decision as one flat
 flow row (q, s, r_1..r_K, d_1..d_K, p_1..p_N, objective, curtailed); the
 loop appends the rows to one flat list and reshapes it once into a
 (T, 2K + N + 4) flows array. The scheduler's policy is a
-dispatch.slot_solver prepared once per run, so the loop builds no state or
-Dispatch object; run adapts mecp and custom policies, which take a
-SystemState and the slot's SlotObservation and return a Dispatch, with
-one wrapper that indexes the trace's observations, built once per run,
-and flattens the Dispatch into the row. audit_slots' body then checks all
+dispatch.slot_solver and the coin-toss benchmark's a dispatch.mecp_solver,
+each prepared once per run, so the loop builds no state or Dispatch
+object for either; run adapts a custom policy, which takes a SystemState
+and the slot's SlotObservation and returns a Dispatch, with one wrapper
+that indexes the trace's observations, built once per run, and flattens
+the Dispatch into the row. audit_slots' body then checks all
 slots at once in numpy from the level and backlog rows, the flows array
 and the trace's columns and flags each slot and entity that broke a
 guarantee. _simulate returns the run as one Trajectory of those arrays:
@@ -43,7 +44,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
@@ -55,7 +55,7 @@ from .dispatch import (
     _dispatch_row,
     _flow_slices,
     _row_dispatch,
-    mecp_dispatch,
+    mecp_solver,
     slot_solver,
     threshold_violations,
 )
@@ -962,12 +962,15 @@ def run(config: RunConfig, traces: Trace | list[SlotObservation],
     Trajectory of the run, which write_slot_records writes as slots.csv,
     or None when keep_records is false. The counters, costs, outages and
     first violation are read off the trajectory's audit. The scheduler
-    runs as one slot_solver; mecp and a custom policy share one adapter,
+    runs as one slot_solver and mecp as one mecp_solver, whose coins are
+    drawn before slot 0 as one (T, N + 1) block from default_rng((seed,
+    1)), the numbers per-slot mecp_dispatch calls would draw. Neither
+    builds a per-slot object; each builds a Dispatch only for the slot
+    its first violation names. A custom policy goes through an adapter,
     which builds the trace's observations once per run, builds each
     slot's SystemState, checks the shape of the Dispatch returned and
-    flattens it into the solver's flow row, so a scheduler run builds a
-    Dispatch only for the slot its first violation names. Before the
-    first slot, a ValueError names the first slot whose requests have the
+    flattens it into the solver's flow row. Before the first slot, a
+    ValueError names the first slot whose requests have the
     wrong width or whose basic usage exceeds generation, and then a
     policy that is neither a known name nor callable. Policy and step
     errors propagate; audit failures are counted in the summary, never
@@ -989,28 +992,29 @@ def run(config: RunConfig, traces: Trace | list[SlotObservation],
     curtail = config.curtailment
     policy_name = "custom" if callable(policy) else policy
     # The queue, window and threshold audits apply to the scheduler only.
-    keys = VIOLATION_KEYS
+    keys = (VIOLATION_KEYS if policy == "proposed"
+            else ("battery_band", "balance", "exclusivity"))
     if policy == "proposed":
         policy_fn = slot_solver(system, v, curtail=curtail)
-    else:
-        if policy == "mecp":
-            policy = partial(mecp_dispatch, system,
-                             rng=np.random.default_rng((config.seed, 1)),
-                             block_prob=config.block_prob,
-                             charge_prob=config.charge_prob, v=v,
-                             curtail=curtail)
-        elif not callable(policy):
-            raise ValueError(f"unknown policy {policy!r}")
-        keys = ("battery_band", "balance", "exclusivity")
+    elif policy == "mecp":
+        # One block holds the numbers T successive per-slot draws of N + 1
+        # coins would take from the same generator.
+        coins = np.random.default_rng((config.seed, 1)).random(
+            (horizon, len(residents) + 1))
+        policy_fn = mecp_solver(system, coins, config.block_prob,
+                                config.charge_prob, v, curtail)
+    elif callable(policy):
         observations = _observations(trace)
 
         def policy_fn(e, z, alpha, surplus, c, w,
                       t: int) -> tuple[float, ...]:
             dispatch = policy(SystemState(t, e, z), observations[t])
             if problems := shape_problems(dispatch, system):
-                raise ValueError(f"slot {t}: {policy_name} policy dispatch "
+                raise ValueError(f"slot {t}: custom policy dispatch "
                                  + "; ".join(problems))
             return _dispatch_row(dispatch)
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
 
     trajectory = _simulate(config, trace, policy_fn, v, consts.z_max)
     audit = trajectory.audit

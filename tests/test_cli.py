@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mgsched.cli
+import mgsched.dispatch
 import mgsched.sim
 from mgsched import Summary, SuiteResult
 from mgsched.cli import main
@@ -297,6 +298,28 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("config", [FIVE_DAY, SEVEN_DAY])
     def test_shipped_outputs_are_pinned(self, tmp_path, config):
+        out = str(tmp_path / "c")
+        assert main(["compare", "--config", config, "--out", out]) == 0
+        digests = {
+            suffix: hashlib.sha256(
+                (tmp_path / f"c.{suffix}").read_bytes()).hexdigest()
+            for suffix in COMPARE_DIGESTS[config]}
+        assert digests == COMPARE_DIGESTS[config]
+
+    @pytest.mark.parametrize("config", [FIVE_DAY, SEVEN_DAY])
+    def test_runs_build_no_slot_objects(self, tmp_path, monkeypatch,
+                                         config):
+        # Both policies run as prepared solvers over the trace's columns:
+        # no slot builds an observation, a state or a Dispatch, and mecp
+        # never goes through its one-slot wrapper.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-slot object was built")
+
+        for module, name in ((mgsched.sim, "SlotObservation"),
+                             (mgsched.sim, "SystemState"),
+                             (mgsched.dispatch, "Dispatch"),
+                             (mgsched.dispatch, "mecp_dispatch")):
+            monkeypatch.setattr(module, name, refuse)
         out = str(tmp_path / "c")
         assert main(["compare", "--config", config, "--out", out]) == 0
         digests = {

@@ -21,6 +21,7 @@ from mgsched import (
     generate_traces,
     load_config,
     mecp_dispatch,
+    mecp_solver,
     merit_order_allocate,
     merit_order_columns,
     oracle_columns,
@@ -32,7 +33,8 @@ from mgsched import (
     threshold_violations,
 )
 from mgsched import dispatch
-from mgsched.dispatch import _row_dispatch
+from mgsched.dispatch import _dispatch_row, _row_dispatch
+from mgsched.model import ordered_sum
 
 from conftest import make_system, random_states
 
@@ -643,6 +645,163 @@ class TestMecp:
             assert dd.q * dd.s == 0.0
             for rk, dk in zip(dd.r, dd.d):
                 assert rk * dk == 0.0
+
+
+@st.composite
+def mecp_slots(draw):
+    """A random_system of up to 5 batteries x 20 residents, its trade caps
+    kept or cut so surplus can exceed every sink, its v and coin
+    probabilities, and up to four slots t = 0..3 of it whose levels lie
+    up to a quarter of each band outside it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    system = random_system(rng, 1, 5, 20).system
+    cut = draw(st.sampled_from([None, 0.5, 3.0]))
+    if cut is not None:
+        system = replace(system, grid=replace(system.grid, q_max=cut,
+                                              s_max=cut))
+    fraction = st.floats(-0.25, 1.25)
+    slots = []
+    for t in range(draw(st.integers(1, 4))):
+        e = tuple(b.e_min + (b.e_max - b.e_min) * draw(fraction)
+                  for b in system.batteries)
+        z = tuple(draw(st.floats(0.0, 25.0)) for _ in system.residents)
+        alpha = tuple(res.alpha_max * draw(st.floats(0.0, 1.0))
+                      for res in system.residents)
+        u = draw(st.floats(0.0, 60.0))
+        basic = tuple(u * draw(st.floats(0.0, 0.9)) / system.n_residents
+                      for _ in system.residents)
+        obs = SlotObservation(u=u, basic=basic, alpha=alpha,
+                              c=draw(st.floats(0.05, 0.10)),
+                              w=draw(st.floats(0.02, 0.04)))
+        slots.append((SystemState(t=t, e=e, z=z), obs))
+    probs = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+    return (system, draw(st.floats(10.0, 150.0)), draw(probs), draw(probs),
+            draw(st.integers(0, 2 ** 32 - 1)), slots)
+
+
+def reference_mecp(system, state, obs, coins, block_prob, charge_prob, v,
+                   curtail):
+    """The benchmark policy's flow row for one slot and its N + 1 coins,
+    decided from the spec objects and the observation, with battery_queue
+    for the battery terms: a reference written apart from the rule
+    mecp_solver prepares."""
+    n_res = len(system.residents)
+    p_surplus = surplus_power(obs)
+    admitted = [0.0 if coin < block_prob else alpha
+                for coin, alpha in zip(coins, obs.alpha)]
+    demand = ordered_sum(admitted)
+    grid = system.grid
+    p = admitted
+    r = d = [0.0] * len(system.batteries)
+    q = s = curtailed = 0.0
+    if p_surplus >= demand:
+        r, excess = dispatch._fill(p_surplus - demand, [
+            min(spec.r_max, spec.e_max - e)
+            for e, spec in zip(state.e, system.batteries)])
+        s = min(excess, grid.s_max)
+        excess -= s
+        if excess > 0.0:
+            if not curtail:
+                raise UnservableSurplusError(
+                    f"slot {state.t}: benchmark policy cannot absorb "
+                    f"{excess} kWh of surplus")
+            curtailed = excess
+    else:
+        d, shortfall = dispatch._fill(demand - p_surplus, [
+            min(spec.d_max, e - spec.e_min)
+            for e, spec in zip(state.e, system.batteries)])
+        if shortfall > 0.0:
+            q = min(shortfall, grid.q_max)
+            if shortfall - q > 0.0:
+                p, _ = dispatch._fill(ordered_sum([p_surplus, *d, q]),
+                                      admitted)
+    if coins[n_res] < charge_prob:
+        top_up, _ = dispatch._fill(grid.q_max - q, [
+            0.0 if dk > 0.0 else min(spec.r_max - rk, spec.e_max - e - rk)
+            for e, spec, rk, dk in zip(state.e, system.batteries, r, d)])
+        r = [rk + fill for rk, fill in zip(r, top_up)]
+        q = ordered_sum([q, *top_up])
+    objective = v * (q * obs.c - s * obs.w)
+    for e, spec, rk, dk in zip(state.e, system.batteries, r, d):
+        objective += battery_queue(e, spec, v, grid) * (rk - dk)
+    for n, alpha in enumerate(obs.alpha):
+        objective -= (state.z[n] + alpha) * p[n]
+    return (q, s, *r, *d, *p, objective, curtailed)
+
+
+class TestMecpSolver:
+    @given(mecp_slots(), st.booleans())
+    @settings(deadline=None, max_examples=200)
+    def test_rows_equal_the_one_slot_wrapper(self, case, curtail):
+        # One coin block drawn up front feeds the solver the coins that
+        # successive mecp_dispatch calls draw from the same seed, so each
+        # slot's row is the wrapper's Dispatch flattened, and an
+        # unservable slot fails in the same words; both decide as the
+        # reference does from the spec objects with those coins.
+        system, v, block_prob, charge_prob, seed, slots = case
+        coins = np.random.default_rng(seed).random(
+            (len(slots), system.n_residents + 1))
+        solve = mecp_solver(system, coins, block_prob, charge_prob, v,
+                            curtail)
+        rng = np.random.default_rng(seed)
+        for (state, obs), slot_coins in zip(slots, coins.tolist()):
+            calls = (
+                lambda: reference_mecp(system, state, obs, slot_coins,
+                                       block_prob, charge_prob, v, curtail),
+                lambda: _dispatch_row(mecp_dispatch(
+                    system, state, obs, rng, block_prob, charge_prob, v,
+                    curtail=curtail)),
+                lambda: solve(state.e, state.z, obs.alpha,
+                              surplus_power(obs), obs.c, obs.w, state.t))
+            try:
+                expected = calls[0]()
+            except UnservableSurplusError as exc:
+                assert not curtail
+                assert str(exc).startswith(f"slot {state.t}: ")
+                for call in calls[1:]:
+                    with pytest.raises(UnservableSurplusError) as err:
+                        call()
+                    assert str(err.value) == str(exc)
+            else:
+                assert [call() for call in calls[1:]] == [expected] * 2
+
+    @pytest.mark.parametrize("width", [0, 2, 4])
+    def test_misshaped_request_fails_as_the_wrapper_does(self, width):
+        # Both name the slot in the same words; the wrapper draws no coin.
+        system = make_system(n_batteries=2, n_residents=3)
+        state = SystemState(t=7, e=(5.0, 9.0), z=(1.0,) * 3)
+        obs = obs_of(3.0, (0.5,) * width)
+        solve = mecp_solver(system, np.zeros((8, 4)), 0.3, 0.5, 150.0)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as wrapped:
+            mecp_dispatch(system, state, obs, rng, block_prob=0.3,
+                          charge_prob=0.5, v=150.0)
+        assert rng.bit_generator.state == before
+        with pytest.raises(ValueError) as solved:
+            solve(state.e, state.z, obs.alpha, 3.0, obs.c, obs.w, state.t)
+        assert str(solved.value) == str(wrapped.value) == (
+            f"slot 7: observation alpha has {width} entries, expected 3")
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (4, 5)])
+    def test_coin_block_needs_a_column_per_resident_and_a_charge_coin(
+            self, shape):
+        system = make_system(n_residents=3)
+        with pytest.raises(ValueError, match=r"^coins must hold 4 columns"):
+            mecp_solver(system, np.zeros(shape), 0.3, 0.5, 150.0)
+
+    @pytest.mark.parametrize("horizon, n_res", [(1, 1), (7, 5), (672, 5),
+                                                (50, 20)])
+    def test_one_block_is_the_per_slot_draws(self, horizon, n_res):
+        # run draws a run's coins as one (T, N + 1) block: the numbers T
+        # successive rng.random(N + 1) calls draw, leaving the generator
+        # where they leave it.
+        block_rng = np.random.default_rng((7, 1))
+        slot_rng = np.random.default_rng((7, 1))
+        block = block_rng.random((horizon, n_res + 1))
+        draws = [slot_rng.random(n_res + 1) for _ in range(horizon)]
+        assert block.tobytes() == np.stack(draws).tobytes()
+        assert block_rng.bit_generator.state == slot_rng.bit_generator.state
 
 
 @st.composite

@@ -38,6 +38,7 @@ from mgsched import (
     hindsight_lower_bound,
     load_config,
     load_traces,
+    mecp_dispatch,
     merit_order_allocate,
     merit_order_columns,
     random_system,
@@ -1416,6 +1417,32 @@ class TestFlowRows:
             assert summary.first_violation is None
             assert (trajectory is not None) == keep
         assert calls == []
+
+
+    @pytest.mark.parametrize("name", ["five_day", "seven_day"])
+    def test_mecp_runs_as_its_wrapper_does_as_a_custom_policy(self, name):
+        # run's prepared mecp solver and its one coin block give the
+        # trajectory of mecp_dispatch drawing each slot's coins from a
+        # generator seeded as run seeds it; the custom adapter hands that
+        # policy each slot's SystemState, the run's own levels and
+        # backlogs at the right t.
+        config = load_config(f"configs/{name}.yaml")
+        traces = generate_traces(config)
+        trajectory, summary = run(config, traces, policy="mecp")
+        rng = np.random.default_rng((config.seed, 1))
+        seen = []
+
+        def wrapped(state, obs):
+            seen.append(state)
+            return mecp_dispatch(config.system, state, obs, rng,
+                                 config.block_prob, config.charge_prob,
+                                 summary.v, curtail=config.curtailment)
+
+        custom_trajectory, custom = run(config, traces, policy=wrapped)
+        assert seen == [SystemState(t, e, z) for t, (e, z) in enumerate(
+            zip(trajectory.levels[:-1], trajectory.backlogs[:-1]))]
+        assert_same_trajectory(custom_trajectory, trajectory)
+        assert custom == replace(summary, policy="custom")
 
 
 class TestRun:
