@@ -286,7 +286,9 @@ def check_dispatch(dispatch: Dispatch, system: SystemSpec,
 
     Box and balance checks allow BALANCE_TOL-scale float dust; the
     exclusivity products q*s and r_k*d_k must be exactly zero because the
-    solver constructs them that way.
+    solver constructs them that way. The residual must be within the
+    tolerance, so a NaN in any flow or in the surplus reads as a balance
+    residual.
     """
     problems = shape_problems(dispatch, system)
     g = system.grid
@@ -313,6 +315,6 @@ def check_dispatch(dispatch: Dispatch, system: SystemSpec,
     residual = (surplus - dispatch.curtailed + dispatch.q
                 + ordered_sum(dispatch.d) - dispatch.s
                 - ordered_sum(dispatch.r) - ordered_sum(dispatch.p))
-    if abs(residual) > tol * max(1.0, surplus):
+    if not abs(residual) <= tol * max(1.0, surplus):
         problems.append(f"balance residual {residual} for surplus {surplus}")
     return problems

@@ -6,9 +6,10 @@ is supposed to keep, and reports end-of-run metrics. A trace is a Trace,
 one array per observation field: generate_traces draws it and load_traces
 reads it from three CSV files in that form, and run, hindsight_lower_bound
 and audit_slots read its arrays as they are, slicing them to the horizon
-and checking only the request widths and that basic usage stays within
-generation; write_traces writes it slot by slot. A hand-built list is
-converted once, by _observation_arrays, the one converter. The slot loop,
+and checking only the request widths, that every value is finite and
+that basic usage stays within generation; write_traces writes it slot by
+slot. A hand-built list is converted once, by _observation_arrays, the
+one converter. The slot loop,
 _simulate, which validate's bound suite shares, zips the trace's columns,
 carries the battery levels and backlogs as tuples and only calls the
 policy and _advance, the one slot recurrence, which step wraps for
@@ -290,8 +291,8 @@ class Trace:
     derives surplus (T,), surplus_power's value of each slot, from u and
     basic; it raises ValueError for a column of another rank or length.
     Nothing else is checked here: run, hindsight_lower_bound and
-    audit_slots check the widths and the surplus against their system,
-    and load_traces checks every bound.
+    audit_slots check the widths, that every value is finite and the
+    surplus against their system, and load_traces checks every bound.
 
     A Trace is a read-only sequence of SlotObservations. len is T;
     trace[t] builds slot t's observation, negative t counting from the
@@ -710,9 +711,12 @@ def _checked(traces: Trace | list[SlotObservation], n_res: int) -> Trace:
 
     A Trace is taken as it is and a list converted by _observation_arrays.
     Raises width_error's ValueError for the first slot whose basic or
-    alpha request does not have n_res entries, then surplus_power's
-    ValueError, prefixed "slot t: ", for the first slot whose basic usage
-    exceeds generation.
+    alpha request does not have n_res entries; then a ValueError such as
+    "slot 3: generation nan is not finite" for the first slot holding a
+    NaN or infinite value, naming its first such field in
+    validate_observation's words; then surplus_power's ValueError,
+    prefixed "slot t: ", for the first slot whose basic usage exceeds
+    generation.
     """
     if not isinstance(traces, Trace):
         traces = _observation_arrays(traces, n_res)
@@ -720,6 +724,16 @@ def _checked(traces: Trace | list[SlotObservation], n_res: int) -> Trace:
         # Every slot of a Trace has the same width, so slot 0 is the first.
         if (width := getattr(traces, name).shape[1]) != n_res:
             raise width_error(0, name, width, n_res)
+    table = np.column_stack([traces.u, traces.basic, traces.alpha, traces.c,
+                             traces.w])
+    broken = ~np.isfinite(table)
+    if broken.any():
+        t, k = divmod(int(broken.argmax()), table.shape[1])
+        names = (["generation"] + [f"basic[{n}] =" for n in range(n_res)]
+                 + [f"alpha[{n}] =" for n in range(n_res)]
+                 + ["purchase price", "sell price"])
+        raise ValueError(f"slot {t}: {names[k]} {table[t, k].item()} is not "
+                         "finite")
     short = traces.surplus < 0.0
     if short.any():
         t = int(short.argmax())
@@ -749,7 +763,7 @@ def _balance_masks(q, s, r, d, p, curtailed, surplus, alpha, q_max, s_max,
     balance = (outside(q, q_max) | outside(s, s_max) | exclusivity
                | (outside(r, r_max) | outside(d, d_max)).any(1)
                | outside(p, alpha).any(1) | (curtailed < -tol)
-               | (np.abs(residual) > tol * np.maximum(surplus, 1.0)))
+               | ~(np.abs(residual) <= tol * np.maximum(surplus, 1.0)))
     return balance, exclusivity
 
 
@@ -801,7 +815,8 @@ def audit_slots(system: SystemSpec, v: float,
     says of the row's Dispatch:
 
     - balance (T,): check_dispatch reports a box, curtailment,
-      exclusivity or balance-residual problem;
+      exclusivity or balance-residual problem, a NaN flow counting as a
+      residual;
     - exclusivity (T,): q*s or some r_k*d_k is nonzero;
     - threshold (T,): threshold_violations reports a break at v;
     - battery_band (T, K): a new level outside its band by more than
@@ -816,8 +831,9 @@ def audit_slots(system: SystemSpec, v: float,
     alpha (T, N), and outage (T, N), alpha - p. observations is a Trace,
     read as it is, or a list of SlotObservations, converted once. Raises
     a ValueError naming the first slot whose basic or alpha request does
-    not have one entry per resident, or whose basic usage exceeds
-    generation.
+    not have one entry per resident, then the first slot and field
+    holding a NaN or infinite value, then the first slot whose basic
+    usage exceeds generation.
     """
     return _audit(system, v, levels, backlogs, _checked(
         observations, len(system.residents)), flows, z_max)
@@ -970,11 +986,13 @@ def run(config: RunConfig, traces: Trace | list[SlotObservation],
     which builds the trace's observations once per run, builds each
     slot's SystemState, checks the shape of the Dispatch returned and
     flattens it into the solver's flow row. Before the first slot, a
-    ValueError names the first slot whose requests have the
-    wrong width or whose basic usage exceeds generation, and then a
+    ValueError names the first slot whose requests have the wrong width,
+    then the first slot and field holding a NaN or infinite value, then
+    the first slot whose basic usage exceeds generation, and then a
     policy that is neither a known name nor callable. Policy and step
     errors propagate; audit failures are counted in the summary, never
-    raised, so a broken setup still yields a diagnosable run.
+    raised, so a broken setup still yields a diagnosable run. A NaN flow
+    from a custom policy counts as a balance violation.
     """
     if len(traces) < config.horizon:
         raise ValueError(
@@ -1198,9 +1216,10 @@ def hindsight_lower_bound(traces: Trace | list[SlotObservation],
     sum over slots in _slot_sums' order, that of a slot-major array, so
     the multipliers do not depend on the layout. Raises a ValueError
     naming the first slot whose basic or quality request does not have
-    one entry per resident, or whose basic usage exceeds generation, and
-    UnservableSurplusError naming the first slot whose surplus exceeds
-    every sink, unless the config enables curtailment.
+    one entry per resident, then the first slot and field holding a NaN
+    or infinite value, then the first slot whose basic usage exceeds
+    generation, and UnservableSurplusError naming the first slot whose
+    surplus exceeds every sink, unless the config enables curtailment.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -1257,7 +1276,10 @@ def write_slot_records(trajectory: Trajectory, path: str) -> None:
     the widths of the trajectory's level and backlog rows. The totals add
     each row left to right from 0, as ordered_sum does, signed zeros
     included. Every field is written with str, a float's shortest
-    round-trip form (also for np.float64).
+    round-trip form (also for np.float64). Each distinct value is
+    formatted once, keyed on its 64-bit pattern, so -0.0 and 0.0 stay
+    apart and every NaN prints nan; the bytes are those of formatting
+    every field in turn.
     """
     levels, backlogs, flows, audit = trajectory
     n_bat, n_res = len(levels[0]), len(backlogs[0])
@@ -1273,11 +1295,15 @@ def write_slot_records(trajectory: Trajectory, path: str) -> None:
     cols += [f"e_{k + 1}" for k in range(n_bat)]
     cols += [f"z_{n + 1}" for n in range(n_res)]
     cols += [f"outage_{n + 1}" for n in range(n_res)]
-    row = ",".join(["%s"] * len(cols)) + "\n"
+    # Fewer than half of a shipped run's fields are distinct. The inverse
+    # is reshaped because its shape for 2-D input differs across numpy
+    # versions.
+    keys, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    text = np.array(list(map(str, keys.view(float).tolist())), dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines([row % (t, *values)
-                       for t, values in enumerate(table.tolist())])
+        fh.writelines([f"{t},{','.join(fields)}\n" for t, fields in enumerate(
+            text[inverse.reshape(table.shape)].tolist())])
 
 
 def format_summary(summary: Summary) -> str:
@@ -1310,7 +1336,7 @@ def format_summary(summary: Summary) -> str:
 
 
 def write_summary(summary: Summary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(format_summary(summary))
 
 

@@ -623,6 +623,33 @@ class TestEncoding:
             for suffix in ("slots.csv", "summary.txt")}
         assert digests == SHIPPED_DIGESTS[FIVE_DAY]
 
+    def test_no_file_takes_the_platform_line_ending(self, tmp_path,
+                                                    monkeypatch):
+        # Text mode writes os.linesep unless newline="" is passed; with
+        # "\r\n" forced as that default, every output keeps its "\n".
+        opened = []
+
+        def crlf_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                kwargs.setdefault("newline", "\r\n")
+                opened.append(file)
+            return open(file, mode, *args, **kwargs)
+
+        for module in (mgsched.sim, mgsched.cli):
+            monkeypatch.setattr(module, "open", crlf_open, raising=False)
+        out = str(tmp_path / "out")
+        for args in (["run"], ["compare"], ["sweep-v", "--fractions", "0.5"],
+                     ["gen-traces"]):
+            assert main([*args, "--config", FIVE_DAY, "--out", out]) == 0
+        written = sorted(tmp_path.iterdir())
+        assert sorted(map(Path, opened)) == written
+        assert [path.name for path in written] == [
+            "out.compare.csv", "out.demand.csv", "out.mecp.summary.txt",
+            "out.prices.csv", "out.proposed.summary.txt", "out.slots.csv",
+            "out.summary.txt", "out.sweep.csv", "out.wind.csv"]
+        assert [path.name for path in written
+                if b"\r" in path.read_bytes()] == []
+
     @pytest.mark.parametrize("args", [
         ["run", "--wind", "{t}.wind.csv", "--prices", "{t}.prices.csv",
          "--demand", "{t}.demand.csv", "--out", "{out}"],

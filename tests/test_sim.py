@@ -53,7 +53,7 @@ from mgsched import (
     write_summary,
     write_traces,
 )
-from mgsched.dispatch import _dispatch_row, _row_dispatch
+from mgsched.dispatch import _dispatch_row, _flow_slices, _row_dispatch
 from mgsched.model import ordered_sum
 from mgsched.sim import (
     VIOLATION_KEYS,
@@ -62,6 +62,7 @@ from mgsched.sim import (
     _relaxed_slots,
     _row_total,
     _simulate,
+    _stack,
     first_violation,
     load_seed,
 )
@@ -895,7 +896,7 @@ BOX_FIELDS = ("q", "s", "r", "d", "p", "curtailed")
 FAULTS = (
     [("quiet",), ("wide",), ("both-trades",), ("charge-and-discharge",),
      ("residual", -1.0), ("residual", 1.0)]
-    + [("nan", field) for field in BOX_FIELDS[:5]]
+    + [("nan", field) for field in BOX_FIELDS]
     + [("box", field, side) for field in BOX_FIELDS for side in ("lo", "hi")]
     + [("threshold", kind, place, regime)
        for kind in ("recharge", "discharge", "serve", "block")
@@ -999,14 +1000,14 @@ def audited_slots(draw):
     drawn anywhere in their boxes.
 
     Faults: a flow at its box edge +-tol or one ulp to either side, a NaN
-    flow, buying and selling at once, recharging and discharging one
-    battery at once, a balance residual at +-tol, and each strict threshold
-    comparison on both sides of its edge. The states after each slot sit
-    at the band and backlog-cap edges +-tol and at 5e-10 dust. The last
-    resident absorbs any energy left over, so only the forced fault can
-    break the balance. Hypothesis draws the sizes, v, each fault's ulp
-    offset and a seed for everything else: drawing the few thousand other
-    values through it takes ten times as long.
+    flow or curtailment, buying and selling at once, recharging and
+    discharging one battery at once, a balance residual at +-tol, and each
+    strict threshold comparison on both sides of its edge. The states after
+    each slot sit at the band and backlog-cap edges +-tol and at 5e-10
+    dust. The last resident absorbs any energy left over, so only the
+    forced fault can break the balance. Hypothesis draws the sizes, v, each
+    fault's ulp offset and a seed for everything else: drawing the few
+    thousand other values through it takes ten times as long.
     """
     k = draw(st.integers(1, 5))
     n = draw(st.integers(2, 20))
@@ -1074,7 +1075,7 @@ def audited_slots(draw):
             flows["s"] = nudge(surplus + fault[1] * TOL * max(1.0, surplus),
                                steps)
         elif fault[0] == "nan":
-            if fault[1] in ("q", "s"):
+            if fault[1] in ("q", "s", "curtailed"):
                 flows[fault[1]] = math.nan
             else:
                 flows[fault[1]][rnd.randrange(len(flows[fault[1]]))] = (
@@ -1133,6 +1134,9 @@ class TestAuditSlots:
             after = states[t + 1]
             assert audit["balance"][t] == bool(
                 check_dispatch(dispatch, system, obs))
+            if FAULTS[t][0] == "nan":
+                # A NaN in any flow, curtailment too, is a balance residual.
+                assert audit["balance"][t], FAULTS[t]
             assert audit["exclusivity"][t] == (
                 dispatch.q * dispatch.s != 0.0
                 or any(r * d != 0.0 for r, d in zip(dispatch.r, dispatch.d)))
@@ -1147,6 +1151,30 @@ class TestAuditSlots:
                 dispatch.q * obs.c - dispatch.s * obs.w)
             assert repr(audit["outage"][t].tolist()) == repr(
                 [a - p for a, p in zip(obs.alpha, dispatch.p)])
+
+    def test_a_nan_flow_is_a_balance_residual(self):
+        # The residual test reads "not within tolerance", as the box tests
+        # do, so a NaN curtailment is flagged by both audits.
+        config = replace(load_config("configs/five_day.yaml"), horizon=40)
+        traces = generate_traces(config)
+        v = config.v_fraction * compute_vmax(config.batteries, config.grid)
+        spoilt = []
+
+        def policy(state, obs):
+            dispatch = dispatch_slot(config.system, state, obs, v)
+            if state.t == 7:
+                dispatch = replace(dispatch, curtailed=math.nan)
+                spoilt.append(dispatch)
+            return dispatch
+
+        _, summary = run(config, traces, policy=policy)
+        surplus = surplus_power(traces[7])
+        message = f"balance residual nan for surplus {surplus}"
+        assert check_dispatch(spoilt[0], config.system, traces[7]) == [
+            message]
+        assert summary.violations["balance"] == 1
+        assert summary.first_violation == (7, "balance", message)
+        assert math.isnan(summary.curtailed_total)
 
     def test_flags_band_escape_and_queue_breach(self):
         system = make_system()
@@ -1262,6 +1290,76 @@ class TestAuditSlots:
             audit_slots(system, 150.0, *rows([state] * 2), [obs],
                         flow_array([one_by_one()]), (4.0,))
         assert str(err.value) == f"slot 0: {expected.value}"
+
+
+# (column, entry, value, message): one non-finite value in a five_day trace.
+NON_FINITE = [
+    ("u", 3, math.nan, "slot 3: generation nan is not finite"),
+    ("basic", (4, 0), -math.inf, "slot 4: basic[0] = -inf is not finite"),
+    ("alpha", (2, 3), math.nan, "slot 2: alpha[3] = nan is not finite"),
+    ("c", 5, math.inf, "slot 5: purchase price inf is not finite"),
+    ("w", 1, math.nan, "slot 1: sell price nan is not finite"),
+]
+
+
+def five_day_trace_with(**edits):
+    """A five_day config at horizon 20 and its trace, each edit setting one
+    entry (column=(entry, value)) of a copy of the drawn columns."""
+    config = replace(load_config("configs/five_day.yaml"), horizon=20)
+    trace = generate_traces(config)
+    columns = {name: getattr(trace, name).copy()
+               for name in ("u", "basic", "alpha", "c", "w")}
+    for name, (entry, value) in edits.items():
+        columns[name][entry] = value
+    return config, Trace(**columns)
+
+
+def audit_idle(config, traces):
+    """audit_slots on traces for a five_day run that holds every flow at 0."""
+    state = SystemState(t=0, e=(8.0, 8.0), z=(0.0,) * 5)
+    idle = Dispatch(q=0.0, s=0.0, r=(0.0, 0.0), d=(0.0, 0.0), p=(0.0,) * 5,
+                    objective=0.0)
+    return audit_slots(config.system, 10.0, *rows([state] * (len(traces) + 1)),
+                       traces, flow_array([idle] * len(traces)), (4.0,) * 5)
+
+
+NON_FINITE_CALLERS = {
+    "run": lambda config, traces: run(config, traces),
+    "hindsight_lower_bound": lambda config, traces: hindsight_lower_bound(
+        traces, config, 5),
+    "audit_slots": audit_idle,
+}
+
+
+class TestNonFiniteTraces:
+    """A NaN or infinite trace value handed over in process is refused
+    before the first slot, as load_traces refuses one in a file."""
+
+    @pytest.mark.parametrize("caller", NON_FINITE_CALLERS)
+    @pytest.mark.parametrize("as_list", [False, True])
+    @pytest.mark.parametrize("column,entry,value,message", NON_FINITE)
+    def test_names_the_slot_and_field(self, caller, as_list, column, entry,
+                                      value, message):
+        config, trace = five_day_trace_with(**{column: (entry, value)})
+        traces = list(trace) if as_list else trace
+        with pytest.raises(ValueError) as err:
+            NON_FINITE_CALLERS[caller](config, traces)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("caller", NON_FINITE_CALLERS)
+    def test_comes_after_the_widths_and_before_the_surplus(self, caller):
+        # Slot 0's basic usage exceeds generation; slot 5 is not finite.
+        config, trace = five_day_trace_with(u=(5, math.inf),
+                                            basic=((0, 0), 1e3))
+        with pytest.raises(ValueError) as err:
+            NON_FINITE_CALLERS[caller](config, trace)
+        assert str(err.value) == "slot 5: generation inf is not finite"
+        observations = list(trace)
+        observations[9] = replace(observations[9], alpha=(0.1,) * 4)
+        with pytest.raises(ValueError) as err:
+            NON_FINITE_CALLERS[caller](config, observations)
+        assert str(err.value) == (
+            "slot 9: observation alpha has 4 entries, expected 5")
 
 
 class TestSimulate:
@@ -1911,7 +2009,85 @@ class TestRelaxedSlots:
         assert got == pytest.approx(objective, rel=1e-12)
 
 
+def reference_slot_records(trajectory: Trajectory) -> bytes:
+    """slots.csv as formatting every field in turn writes it: the table
+    write_slot_records builds, each row through one "%s" format."""
+    levels, backlogs, flows, audit = trajectory
+    n_bat, n_res = len(levels[0]), len(backlogs[0])
+    zero = np.zeros((len(flows), 1))
+    cost = audit["cost"]
+    table = np.column_stack([
+        cost, np.cumsum(cost) + 0.0, flows[:, :2],
+        *(_row_total(np.hstack([zero, flows[:, at]]))
+          for at in _flow_slices(n_bat)[:2]),
+        _stack(levels[1:], n_bat), _stack(backlogs[1:], n_res),
+        audit["outage"]])
+    cols = ["t", "cost_increment", "cumulative_cost", "q", "s", "sum_r", "sum_d"]
+    cols += [f"e_{k + 1}" for k in range(n_bat)]
+    cols += [f"z_{n + 1}" for n in range(n_res)]
+    cols += [f"outage_{n + 1}" for n in range(n_res)]
+    row = ",".join(["%s"] * len(cols)) + "\n"
+    return "".join([",".join(cols) + "\n"] + [
+        row % (t, *values) for t, values in enumerate(table.tolist())
+    ]).encode("utf-8")
+
+
+def _nan(payload: int, sign: int = 0) -> float:
+    """A quiet NaN with the given sign bit and mantissa payload."""
+    bits = (sign << 63) | 0x7FF8_0000_0000_0000 | payload
+    return np.array([bits], dtype=np.uint64).view(float)[0].item()
+
+
+# Few values, so a trajectory repeats most of them: both zeros, NaNs whose
+# bits differ, both infinities, subnormals, both sides of repr's switches
+# to exponent form (1e16 and 1e-05) and np.float64s.
+SLOT_VALUES = (
+    0.0, -0.0, math.nan, _nan(1), _nan(0x5_A5A5, sign=1), math.inf,
+    -math.inf, 5e-324, 2.225073858507201e-308, 1e16, 9999999999999998.0,
+    1e-05, 0.0001, 0.1, 0.30000000000000004, -2.5, np.float64(-0.0),
+    np.float64(0.1), np.float64(1e16), np.float64(1e-05))
+
+
+@st.composite
+def pooled_trajectories(draw):
+    """A Trajectory of up to 8 slots, 3 batteries and 3 residents whose
+    rows, flows, cost and outage entries all come from SLOT_VALUES."""
+    n_bat, n_res = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 8))
+
+    def rows_of(count, width):
+        return draw(st.lists(
+            st.tuples(*[st.sampled_from(SLOT_VALUES)] * width),
+            min_size=count, max_size=count))
+
+    levels = rows_of(horizon + 1, n_bat)
+    backlogs = rows_of(horizon + 1, n_res)
+    flows = np.array(rows_of(horizon, 2 * n_bat + n_res + 4), dtype=float)
+    cost = np.array([row[0] for row in rows_of(horizon, 1)], dtype=float)
+    outage = np.array(rows_of(horizon, n_res), dtype=float)
+    return Trajectory(levels, backlogs, flows,
+                      {"cost": cost, "outage": outage})
+
+
 class TestReporting:
+    def test_pooled_values_keep_their_bits(self):
+        # The pool's NaNs, zeros and subnormals survive into an array, so
+        # the writer sees bit patterns that print alike but differ.
+        bits = np.array(SLOT_VALUES, dtype=float).view(np.int64)
+        assert len(set(bits.tolist())) == len(SLOT_VALUES) - 4
+        assert len(set(map(str, SLOT_VALUES))) == len(SLOT_VALUES) - 6
+
+    @given(pooled_trajectories())
+    @settings(deadline=None, max_examples=300)
+    def test_writes_the_bytes_of_formatting_each_field(self, tmp_path_factory,
+                                                        trajectory):
+        path = tmp_path_factory.getbasetemp() / "pooled.slots.csv"
+        # The running totals may add inf to -inf.
+        with np.errstate(invalid="ignore"):
+            write_slot_records(trajectory, str(path))
+            expected = reference_slot_records(trajectory)
+        assert path.read_bytes() == expected
+
     def test_slot_records_csv(self, tmp_path):
         config = make_config(horizon=25, burst_prob=0.05)
         traces = generate_traces(config)
