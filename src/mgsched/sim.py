@@ -427,8 +427,10 @@ def _read_csv(path: str, expected_header: list[str]):
     Returns (rows, lines): the rows that are not blank and the physical
     line each starts on; blank lines are skipped but still counted, and a
     quoted field holding a newline counts every line it spans. The file
-    is decoded as UTF-8, after dropping a leading byte-order mark, before
-    anything else is checked.
+    is decoded as UTF-8, after dropping a leading byte-order mark, and
+    then split into rows before anything else is checked, so a row the csv
+    module cannot read, such as one with a field past its size limit, is
+    named by the line the reader stopped on ahead of every other fault.
     """
     try:
         with open(path, "rb") as fh:
@@ -444,21 +446,23 @@ def _read_csv(path: str, expected_header: list[str]):
         raise TraceError(f"{path}:{line}: byte {data[exc.start]:#04x} is not "
                          f"UTF-8: {exc.reason}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines = [], []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceError(f"{path}:1: empty file") from None
+        header = next(reader, None)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise TraceError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise TraceError(f"{path}:1: empty file")
     if [h.strip() for h in header] != expected_header:
         raise TraceError(
             f"{path}:1: expected header {','.join(expected_header)}, "
             f"got {','.join(header)}")
-    rows, lines = [], []
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(start)
-        start = reader.line_num + 1
     width = len(expected_header)
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
@@ -859,23 +863,26 @@ def _audit(system: SystemSpec, v: float, levels: list[tuple[float, ...]],
     e = _stack(levels, n_bat)
     z = _stack(backlogs, n_res)
 
-    balance, exclusivity = _balance_masks(
-        q, s, r, d, p, curtailed, surplus, alpha, g.q_max, g.s_max,
-        np.array([b.r_max for b in specs]), d_max)
-    threshold = _threshold_mask(
-        v, g.c_max, g.w_min, e_min, d_max,
-        np.array([res.delta for res in system.residents]),
-        np.array([res.alpha_max for res in system.residents]), q, s, r, d, p,
-        alpha, c, w, e[:horizon], z[:horizon])
-    outage = alpha - p
-    sums, budgets = outage_windows(outage, system.residents, z_max)
-    window = np.zeros(outage.shape, dtype=bool)
-    window[OUTAGE_WINDOW - 1:] = sums > budgets
-    return {"balance": balance, "exclusivity": exclusivity,
-            "threshold": threshold, "cost": q * c - s * w, "alpha": alpha,
-            "outage": outage, "outage_window": window,
-            "battery_band": (e[1:] < e_min - tol) | (e[1:] > e_max + tol),
-            "queue_bound": z[1:] > np.array(z_max) + tol}
+    # An infinite flow from a custom policy makes NaN products (inf * 0)
+    # that the masks flag; numpy need not warn of them.
+    with np.errstate(invalid="ignore"):
+        balance, exclusivity = _balance_masks(
+            q, s, r, d, p, curtailed, surplus, alpha, g.q_max, g.s_max,
+            np.array([b.r_max for b in specs]), d_max)
+        threshold = _threshold_mask(
+            v, g.c_max, g.w_min, e_min, d_max,
+            np.array([res.delta for res in system.residents]),
+            np.array([res.alpha_max for res in system.residents]), q, s, r, d, p,
+            alpha, c, w, e[:horizon], z[:horizon])
+        outage = alpha - p
+        sums, budgets = outage_windows(outage, system.residents, z_max)
+        window = np.zeros(outage.shape, dtype=bool)
+        window[OUTAGE_WINDOW - 1:] = sums > budgets
+        return {"balance": balance, "exclusivity": exclusivity,
+                "threshold": threshold, "cost": q * c - s * w, "alpha": alpha,
+                "outage": outage, "outage_window": window,
+                "battery_band": (e[1:] < e_min - tol) | (e[1:] > e_max + tol),
+                "queue_bound": z[1:] > np.array(z_max) + tol}
 
 
 def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
@@ -1041,14 +1048,16 @@ def run(config: RunConfig, traces: Trace | list[SlotObservation],
                 for key in VIOLATION_KEYS}
     cost = audit["cost"]
     # np.cumsum adds in sequence, as a running total from 0.0 does; adding
-    # 0.0 turns a leading -0.0 into the 0.0 such a total would hold.
-    total_cost = float(np.cumsum(cost)[-1] + 0.0)
-    curtailed_total = float(np.cumsum(trajectory.flows[:, -1])[-1] + 0.0)
-
-    alpha_cum = np.cumsum(audit["alpha"], axis=0)
-    outage_cum = np.cumsum(outage_hist, axis=0)
-    safe_alpha = np.where(alpha_cum > 0.0, alpha_cum, 1.0)
-    ratios = np.where(alpha_cum > 0.0, outage_cum / safe_alpha, 0.0)
+    # 0.0 turns a leading -0.0 into the 0.0 such a total would hold. A
+    # custom policy's inf and -inf costs add to a NaN total, unwarned.
+    with np.errstate(invalid="ignore"):
+        total_cost = float(np.cumsum(cost)[-1] + 0.0)
+        curtailed_total = float(np.cumsum(trajectory.flows[:, -1])[-1]
+                                + 0.0)
+        alpha_cum = np.cumsum(audit["alpha"], axis=0)
+        outage_cum = np.cumsum(outage_hist, axis=0)
+        safe_alpha = np.where(alpha_cum > 0.0, alpha_cum, 1.0)
+        ratios = np.where(alpha_cum > 0.0, outage_cum / safe_alpha, 0.0)
     convergence = []
     for n, res in enumerate(residents):
         bad = np.nonzero(ratios[:, n] > res.delta + config.convergence_tol)[0]
@@ -1103,11 +1112,24 @@ def _relaxed_slots(mu: list[float], nu: list[float], caps: np.ndarray,
 
     The books are entry-major: caps (from _demand_caps) holds one row per
     bid, alpha's N rows and then the K batteries' r_max rows, and one
-    column per slot, so every cumsum, sum and broadcast runs along the
-    contiguous slot axis; d_max holds the K discharge caps, and surplus, c
-    and w one value per slot. Returns (objective, q, s, r, d, p):
-    objective, q and s shaped (T,), r and d (K, T), p (N, T). Feasibility
-    does not depend on the multipliers; hindsight_lower_bound checks it.
+    column per slot, so every sum and broadcast runs along the contiguous
+    slot axis; d_max holds the K discharge caps, and surplus, c and w one
+    value per slot. Returns (objective, q, s, r, d, p): objective, q and s
+    shaped (T,), r and d (K, T), p (N, T), r, d and p as row blocks of one
+    array. Feasibility does not depend on the multipliers;
+    hindsight_lower_bound checks it.
+
+    Both books sit in one stacked (N + 2K, T) array: the bids in key
+    order, then the offers, against one price column (the bid values,
+    then the offer costs). The masks c_t < price and w_t > price are each
+    built once, as floats, and serve both the trade terms of every
+    entry's queue and reach and the masked sums behind q and s; the
+    complementary masked sums are cap - cap*mask, which equals
+    cap*(1 - mask) for a 0/1 mask and a cap that is not -0.0 (a Trace
+    adds 0.0 to alpha, and battery caps are positive). The bids'
+    inclusive prefix sum adds row after row, as cumsum(0) does, and their
+    exclusive one is that less the bid's own cap. Every float is that of
+    the two separate books, which a test checks byte for byte.
 
     Two reductions must add in the order a slot-major (T, entries) array
     does, or the bound's floats depend on the layout: each slot's two
@@ -1119,8 +1141,9 @@ def _relaxed_slots(mu: list[float], nu: list[float], caps: np.ndarray,
 
     It is not merit_order_columns with the multipliers in every column (a
     test ties the two): that kernel sorts each column, and through it a
-    500-slot, 10-iteration five_day bound took 5.7-6.1 ms, not 3.3-3.5 ms
-    (2-vCPU VM, Python 3.11), and the pinned short-trace bound moved.
+    500-slot, 10-iteration five_day bound took 3.6-4.9 ms, not 1.6-2.2 ms
+    (best to median of 30 calls, 2-vCPU VM, Python 3.11), and the pinned
+    short-trace bound moved.
     """
     n_res = len(nu)
     # Bids (demand) and offers (supply) in the kernel's key order; demand
@@ -1132,35 +1155,63 @@ def _relaxed_slots(mu: list[float], nu: list[float], caps: np.ndarray,
     rows = [row for _, _, row in demand]
     cost = np.array([key for key, _, _ in supply])
     order = [k for _, _, k in supply]
-    b_cap = caps[rows]
     o_cap = d_max[order]
-    o_col = o_cap[:, None]
+    n_bid = len(rows)
     q_cap, s_cap = grid.q_max, grid.s_max
-    v_col = value[:, None]
-    k_col = cost[:, None]
-    below = (k_col < value).astype(float)
+    below = (cost[:, None] < value).astype(float)
+
+    # The stacked books: the bids' rows, then the offers'. Each mask is a
+    # 0.0/1.0 float array, so every product with it is one float pass.
+    price = np.concatenate([value, cost])[:, None]
+    cap = np.empty((len(price), len(c)))
+    b_cap = np.take(caps, rows, axis=0, out=cap[:n_bid], mode="wrap")
+    cap[n_bid:] = o_cap[:, None]
+    cheaper = (c < price).astype(float)
+    dearer = (w > price).astype(float)
+    bought = q_cap * cheaper
+    sold = s_cap * dearer
+    cap_cheaper = cap * cheaper
+    cap_dearer = cap * dearer
 
     # Each entry's flow is the overlap, clipped to its box, of the
     # capacity queued ahead of it in its own book (the trade entry counted
     # where it sorts first) with the capacity on the other side priced
     # strictly better (the surplus counted first on the supply side).
-    b_ahead = (b_cap.cumsum(0) - b_cap) + s_cap * (w > v_col)
-    b_reach = surplus + (o_cap @ below)[:, None] + q_cap * (c < v_col)
-    take = np.minimum(np.maximum(b_reach - b_ahead, 0.0), b_cap)
-    o_ahead = (o_cap.cumsum() - o_cap)[:, None] + q_cap * (c < k_col)
-    o_reach = below @ b_cap + s_cap * (w > k_col)
-    give = np.minimum(np.maximum(o_reach - surplus - o_ahead, 0.0), o_col)
-    q = np.minimum(np.maximum((b_cap * (v_col > c)).sum(0) - surplus
-                              - (o_col * (k_col <= c)).sum(0), 0.0), q_cap)
-    s = np.minimum(np.maximum(surplus + (o_col * (k_col < w)).sum(0)
-                              - (b_cap * (v_col >= w)).sum(0), 0.0), s_cap)
+    ahead = np.empty_like(cap)
+    ahead[0] = b_cap[0]
+    for i in range(1, n_bid):
+        np.add(ahead[i - 1], b_cap[i], out=ahead[i])
+    ahead[:n_bid] -= b_cap
+    ahead[:n_bid] += sold[:n_bid]
+    np.add((o_cap.cumsum() - o_cap)[:, None], bought[n_bid:],
+           out=ahead[n_bid:])
+    flow = np.empty_like(cap)
+    np.add(surplus, (o_cap @ below)[:, None], out=flow[:n_bid])
+    flow[:n_bid] += bought[:n_bid]
+    np.matmul(below, b_cap, out=flow[n_bid:])
+    flow[n_bid:] += sold[n_bid:]
+    flow[n_bid:] -= surplus
+    flow -= ahead
+    np.maximum(flow, 0.0, out=flow)
+    np.minimum(flow, cap, out=flow)
+    take, give = flow[:n_bid], flow[n_bid:]
+    # cap - cap*mask is cap*(1 - mask) exactly for a 0/1 mask.
+    q = np.minimum(np.maximum(
+        cap_cheaper[:n_bid].sum(0) - surplus
+        - (cap[n_bid:] - cap_cheaper[n_bid:]).sum(0), 0.0), q_cap)
+    s = np.minimum(np.maximum(
+        surplus + cap_dearer[n_bid:].sum(0)
+        - (b_cap - cap_dearer[:n_bid]).sum(0), 0.0), s_cap)
 
     # BLAS adds a product with a transposed matrix in another order.
     objective = (np.ascontiguousarray(give.T) @ cost + q * c
                  - np.ascontiguousarray(take.T) @ value - s * w)
-    back = np.argsort(rows)
-    return (objective, q, s, take[back[n_res:]], give[np.argsort(order)],
-            take[back[:n_res]])
+    # One gather puts r, d and p in caps' and d_max's row order.
+    back = np.argsort(rows + [n_bid + k for k in order])
+    flows = flow[np.concatenate([back[n_res:], back[:n_res]])]
+    n_bat = len(order)
+    return (objective, q, s, flows[:n_bat], flows[n_bat:2 * n_bat],
+            flows[2 * n_bat:])
 
 
 def _slot_sums(a: np.ndarray) -> np.ndarray:
@@ -1262,7 +1313,8 @@ def hindsight_lower_bound(traces: Trace | list[SlotObservation],
         step = (g.c_max - g.w_min) / math.sqrt(it)
         grad_mu = headroom + _slot_sums(r - d)
         grad_nu = allowance - _slot_sums(p)
-        mu = np.clip(mu + step * grad_mu / horizon, -g.c_max, -g.w_min)
+        mu = np.minimum(np.maximum(mu + step * grad_mu / horizon,
+                                   -g.c_max), -g.w_min)
         nu = np.maximum(nu + step * grad_nu / horizon, 0.0)
     return best
 
@@ -1285,12 +1337,14 @@ def write_slot_records(trajectory: Trajectory, path: str) -> None:
     n_bat, n_res = len(levels[0]), len(backlogs[0])
     zero = np.zeros((len(flows), 1))
     cost = audit["cost"]
-    table = np.column_stack([
-        cost, np.cumsum(cost) + 0.0, flows[:, :2],
-        *(_row_total(np.hstack([zero, flows[:, at]]))
-          for at in _flow_slices(n_bat)[:2]),
-        _stack(levels[1:], n_bat), _stack(backlogs[1:], n_res),
-        audit["outage"]])
+    # A running total that adds inf to -inf is NaN, written as nan.
+    with np.errstate(invalid="ignore"):
+        table = np.column_stack([
+            cost, np.cumsum(cost) + 0.0, flows[:, :2],
+            *(_row_total(np.hstack([zero, flows[:, at]]))
+              for at in _flow_slices(n_bat)[:2]),
+            _stack(levels[1:], n_bat), _stack(backlogs[1:], n_res),
+            audit["outage"]])
     cols = ["t", "cost_increment", "cumulative_cost", "q", "s", "sum_r", "sum_d"]
     cols += [f"e_{k + 1}" for k in range(n_bat)]
     cols += [f"z_{n + 1}" for n in range(n_res)]

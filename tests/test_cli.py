@@ -552,6 +552,25 @@ class TestErrorPaths:
         assert code == 1
         assert "slot -1 is negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,message", [
+        ("9" * 200_000, "field larger than field limit (131072)"),
+        ("gusty", "field generation_kwh is not a number: 'gusty'")],
+        ids=["oversized", "non-numeric"])
+    def test_malformed_trace_field_exits_one_without_a_traceback(
+            self, tmp_path, field, message):
+        prefix = str(tmp_path / "t")
+        assert main(["gen-traces", "--config", FIVE_DAY, "--out", prefix]) == 0
+        wind = tmp_path / "t.wind.csv"
+        lines = wind.read_text().splitlines()
+        lines[4] = f"3,{field}"
+        wind.write_text("\n".join(lines) + "\n")
+        proc = run_module("run", "--config", FIVE_DAY,
+                          "--out", str(tmp_path / "x"), "--wind", str(wind),
+                          "--prices", f"{prefix}.prices.csv",
+                          "--demand", f"{prefix}.demand.csv")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {wind}:5: {message}\n"
+
     def test_bad_seed_override(self, tmp_path, capsys):
         code = main(["run", "--config", FIVE_DAY,
                      "--out", str(tmp_path / "x"), "--seed", "-4"])

@@ -367,6 +367,19 @@ class TestTraceFiles:
                 load_traces(str(bad), prices, demand, config)
             assert str(err.value) == f"{bad}:3: {fault}"
 
+    def test_oversized_field_names_its_line(self, tmp_path):
+        # The csv module refuses a field past its size limit; slot 3's row
+        # is on line 5, behind the header and slots 0-2.
+        config, (wind, prices, demand) = self._write_files(tmp_path)
+        lines = Path(wind).read_text().splitlines()
+        lines[4] = "3," + "9" * 200_000
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError) as err:
+            load_traces(str(bad), prices, demand, config)
+        assert str(err.value) == (
+            f"{bad}:5: field larger than field limit (131072)")
+
     def test_non_numeric_field(self, tmp_path):
         config, (wind, prices, demand) = self._write_files(tmp_path)
         lines = Path(wind).read_text().splitlines()
@@ -1953,6 +1966,44 @@ def relaxed_slots(draw):
     return mu, nu, batteries, grid, surplus, alpha, c, w
 
 
+def reference_relaxed_slots(mu, nu, caps, d_max, grid, surplus, c, w):
+    """_relaxed_slots' closed form on two separate books: the bids and the
+    offers as their own arrays, each mask built where it is used. The
+    stacked kernel must return the same bytes."""
+    n_res = len(nu)
+    demand = sorted([(-nu[n], 0, n) for n in range(n_res)]
+                    + [(mu[k], 1, n_res + k) for k in range(len(mu))])
+    supply = sorted((-m, 1, k) for k, m in enumerate(mu))
+    value = np.array([-key for key, _, _ in demand])
+    rows = [row for _, _, row in demand]
+    cost = np.array([key for key, _, _ in supply])
+    order = [k for _, _, k in supply]
+    b_cap = caps[rows]
+    o_cap = d_max[order]
+    o_col = o_cap[:, None]
+    q_cap, s_cap = grid.q_max, grid.s_max
+    v_col = value[:, None]
+    k_col = cost[:, None]
+    below = (k_col < value).astype(float)
+
+    b_ahead = (b_cap.cumsum(0) - b_cap) + s_cap * (w > v_col)
+    b_reach = surplus + (o_cap @ below)[:, None] + q_cap * (c < v_col)
+    take = np.minimum(np.maximum(b_reach - b_ahead, 0.0), b_cap)
+    o_ahead = (o_cap.cumsum() - o_cap)[:, None] + q_cap * (c < k_col)
+    o_reach = below @ b_cap + s_cap * (w > k_col)
+    give = np.minimum(np.maximum(o_reach - surplus - o_ahead, 0.0), o_col)
+    q = np.minimum(np.maximum((b_cap * (v_col > c)).sum(0) - surplus
+                              - (o_col * (k_col <= c)).sum(0), 0.0), q_cap)
+    s = np.minimum(np.maximum(surplus + (o_col * (k_col < w)).sum(0)
+                              - (b_cap * (v_col >= w)).sum(0), 0.0), s_cap)
+
+    objective = (np.ascontiguousarray(give.T) @ cost + q * c
+                 - np.ascontiguousarray(take.T) @ value - s * w)
+    back = np.argsort(rows)
+    return (objective, q, s, take[back[n_res:]], give[np.argsort(order)],
+            take[back[:n_res]])
+
+
 class TestRelaxedSlots:
     @given(relaxed_slots(), st.booleans())
     @settings(deadline=None, max_examples=300)
@@ -1978,6 +2029,20 @@ class TestRelaxedSlots:
                  *expected.p), rel=0.0, abs=1e-12)
             assert objective[t] == pytest.approx(expected.objective,
                                                  rel=1e-12)
+
+    @given(relaxed_slots())
+    @settings(deadline=None, max_examples=300)
+    def test_returns_the_bytes_of_the_separate_books(self, case):
+        # The comparisons above allow 1e-12, so they would miss a float
+        # operation that changed order; the bound's bits depend on it.
+        mu, nu, batteries, grid, surplus, alpha, c, w = case
+        args = (mu, nu, _demand_caps(np.array(alpha), batteries),
+                np.array([b.d_max for b in batteries]), grid,
+                np.array(surplus), np.array(c), np.array(w))
+        for got, expected in zip(_relaxed_slots(*args),
+                                 reference_relaxed_slots(*args), strict=True):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     @given(relaxed_slots())
     @settings(deadline=None, max_examples=300)
@@ -2082,11 +2147,40 @@ class TestReporting:
     def test_writes_the_bytes_of_formatting_each_field(self, tmp_path_factory,
                                                         trajectory):
         path = tmp_path_factory.getbasetemp() / "pooled.slots.csv"
-        # The running totals may add inf to -inf.
+        # The running totals may add inf to -inf; the writer does so
+        # without a warning, the reference needs telling.
+        write_slot_records(trajectory, str(path))
         with np.errstate(invalid="ignore"):
-            write_slot_records(trajectory, str(path))
             expected = reference_slot_records(trajectory)
         assert path.read_bytes() == expected
+
+    def test_infinite_custom_flows_are_flagged_without_warnings(self,
+                                                                tmp_path):
+        # Warnings are errors in this suite: inf * 0 in the exclusivity
+        # audit and inf + -inf in the running totals must stay silent,
+        # while the balance audit flags both slots and the totals read nan.
+        config = replace(load_config("configs/five_day.yaml"), horizon=3)
+        v = config.v_fraction * compute_vmax(config.batteries, config.grid)
+
+        def policy(state, obs):
+            dispatch = dispatch_slot(config.system, state, obs, v)
+            if state.t == 1:
+                return replace(dispatch, q=math.inf)
+            if state.t == 2:
+                return replace(dispatch, s=math.inf)
+            return dispatch
+
+        trajectory, summary = run(config, generate_traces(config),
+                                  policy=policy)
+        assert trajectory.audit["balance"].tolist() == [False, True, True]
+        assert summary.violations["balance"] == 2
+        assert summary.first_violation[:2] == (1, "balance")
+        assert math.isnan(summary.total_cost)
+        path = tmp_path / "records.csv"
+        write_slot_records(trajectory, str(path))
+        totals = [line.split(",")[2]
+                  for line in path.read_text().splitlines()[1:]]
+        assert totals[1:] == ["inf", "nan"]
 
     def test_slot_records_csv(self, tmp_path):
         config = make_config(horizon=25, burst_prob=0.05)
