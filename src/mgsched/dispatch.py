@@ -36,24 +36,27 @@ both against this kernel and against each other.
 
 The module also ships an exact dual oracle that checks the allocator at
 any size, one slot (oracle_solve) or a batch (oracle_columns, on the
-batch books merit_order_columns takes) at a time, structural audits of
-the optimum (threshold form of the solution), and a randomized benchmark
-policy that blocks quality requests by coin toss instead of solving
-anything. mecp_solver prepares that policy once per run, as slot_solver
-prepares the scheduler, and returns the same flow rows; it takes the
-run's coins as one (T, N + 1) block drawn before slot 0, so run() builds
-no per-slot object for it either. mecp_dispatch (one slot's decision, as
-a Dispatch, from N + 1 coins it draws) wraps the same rule.
+batch books merit_order_columns takes) at a time, and a randomized
+benchmark policy that blocks quality requests by coin toss instead of
+solving anything. mecp_solver prepares that policy once per run, as
+slot_solver prepares the scheduler, and returns the same flow rows; it
+takes the run's coins as one (T, N + 1) block drawn before slot 0, so
+run() builds no per-slot object for it either. mecp_dispatch (one slot's
+decision, as a Dispatch, from N + 1 coins it draws) wraps the same rule.
+Each per-slot guarantee is audited, and worded, from one fault list.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
+    BALANCE_TOL,
     Dispatch,
     SlotObservation,
     SystemSpec,
@@ -331,67 +334,182 @@ def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
         state.t), len(system.batteries))
 
 
+def _row_total(a: np.ndarray) -> np.ndarray:
+    # Adds each row (last axis) left to right, as ordered_sum does over a
+    # tuple; a.sum(axis=-1) adds pairwise from 8 columns on.
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
+def _fault_rows(faults):
+    """Flag each slot that some fault of faults flags (see _fault_words)."""
+    flags = {}  # the masks ORed by shape, so each shape's any() runs once
+    for mask in [mask for group in faults for mask, _, _ in group]:
+        flags[mask.shape] = flags.get(mask.shape, False) | mask
+    return reduce(or_, [f if f.ndim == 1 else f.any(1)
+                        for f in flags.values()], False)
+
+
+def _fault_words(faults, t: int) -> list[str]:
+    """The messages of the faults that flag slot t, in their order.
+
+    A guarantee's faults are one list of groups of (mask, text, values):
+    mask flags slots (T,) or slot entities (T, M), one shape per group,
+    and text formats the values' entries where it flags, {i} naming the
+    entity. The groups are walked in order, each entity by entity.
+    """
+    words = []
+    for group in faults:
+        shape = group[0][0].shape
+        for at in ((t, *entity) for entity in np.ndindex(shape[1:])):
+            words += [text.format(*(np.broadcast_to(x, shape)[at].item()
+                                    for x in values), i=at[-1])
+                      for mask, text, values in group if mask[at]]
+    return words
+
+
+def _limits(system: SystemSpec):
+    """system's specs as the rows the fault lists read, and validate's
+    blocks hold per slot: BatterySpec fields (K, 5), (delta, alpha_max)
+    (N, 2) and GridSpec fields (6,)."""
+    g = system.grid
+    return (np.array([(b.e_min, b.e_max, b.r_max, b.d_max, b.e_init)
+                      for b in system.batteries]),
+            np.array([(res.delta, res.alpha_max) for res in system.residents]),
+            np.array([g.q_max, g.s_max, g.c_min, g.c_max, g.w_min, g.w_max]))
+
+
+def _finite_faults(u, basic, alpha, c, w):
+    """A fault per observation field, u, c and w (T,) and basic and alpha
+    (T, N): a value that is NaN or infinite."""
+    names = ("generation {}", "basic[{i}] = {}", "alpha[{i}] = {}",
+             "purchase price {}", "sell price {}")
+    return [[(~np.isfinite(x), name + " is not finite", (x,))]
+            for name, x in zip(names, (u, basic, alpha, c, w))]
+
+
+def _observation_faults(u, basic, alpha, c, w, limits):
+    """The observation faults of T slots, shaped as for _finite_faults or
+    as lists, against a system's _limits: a value not finite, then each
+    bound of the system model."""
+    u, basic, alpha, c, w = (np.asarray(x, dtype=float)
+                             for x in (u, basic, alpha, c, w))
+    alpha_max = limits[1][:, 1]
+    c_min, c_max, w_min, w_max = limits[2][2:]
+
+    def band(name, x, lo, hi):
+        return (~((lo <= x) & (x <= hi)), name + " {} outside [{}, {}]",
+                (x, lo, hi))
+
+    # + 0.0 makes ordered_sum's total of -0.0 requests, which starts from
+    # 0; inf and -inf requests add to a NaN, which needs no warning.
+    with np.errstate(invalid="ignore"):
+        total = _row_total(basic) + 0.0
+    return _finite_faults(u, basic, alpha, c, w) + [
+        [(u < 0.0, "generation {} is negative", (u,))],
+        [(basic < 0.0, "basic[{i}] = {} is negative", (basic,))],
+        [(alpha < 0.0, "alpha[{i}] = {} is negative", (alpha,)),
+         (alpha > alpha_max, "alpha[{i}] = {} exceeds alpha_max {}",
+          (alpha, alpha_max))],
+        [(total > u, "basic total {} exceeds generation {}", (total, u))],
+        [band("purchase price", c, c_min, c_max)],
+        [band("sell price", w, w_min, w_max)],
+        [(w >= c, "sell price {} not strictly below purchase price {}",
+          (w, c))]]
+
+
+def _balance_faults(flows, surplus, alpha, limits):
+    """The balance faults of T slots' flow rows (T, 2K + N + 4), and their
+    exclusivity (T,), against surplus (T,), alpha (T, N) and _limits, one
+    system's or one per slot. Boxes and the residual allow BALANCE_TOL of
+    dust and flag any value not within, a NaN too; q*s and r_k*d_k must
+    be exactly zero, as the solver makes them. Padding flags nothing."""
+    flows, surplus, alpha = (np.asarray(x, dtype=float)
+                             for x in (flows, surplus, alpha))
+    batteries, _, grid = limits
+    q, s, curtailed = flows[:, 0], flows[:, 1], flows[:, -1]
+    r, d, p = (flows[:, at] for at in _flow_slices(batteries.shape[-2]))
+    tol = BALANCE_TOL
+
+    def box(name, x, hi):
+        return (~((-tol <= x) & (x <= hi + tol)), name + " {} outside [0, {}]",
+                (x, hi))
+
+    # An infinite flow makes NaNs (inf * 0, inf - inf) that the masks
+    # flag; numpy need not warn of them.
+    with np.errstate(invalid="ignore"):
+        both, flips = q * s != 0.0, r * d != 0.0
+        residual = (surplus - curtailed + q + _row_total(d) - s
+                    - _row_total(r) - _row_total(p))
+    return [
+        [box("purchase", q, grid[..., 0])], [box("sale", s, grid[..., 1])],
+        [(both, "purchase {} and sale {} both active", (q, s))],
+        [box("recharge[{i}] =", r, batteries[..., 2]),
+         box("discharge[{i}] =", d, batteries[..., 3]),
+         (flips, "battery {i} recharges {} and discharges {} in one slot",
+          (r, d))],
+        [box("service[{i}] =", p, alpha)],
+        [(curtailed < -tol, "curtailed {} is negative", (curtailed,))],
+        [(~(np.abs(residual) <= tol * np.maximum(surplus, 1.0)),
+          "balance residual {} for surplus {}", (residual, surplus))],
+    ], both | flips.any(1)
+
+
+def _threshold_faults(v, flows, alpha, c, w, e, z, limits):
+    """The threshold faults of T slots' flow rows at v (broadcast against
+    (T, 1)), shaped as for _balance_faults, with c and w (T,) and the
+    levels e (T, K) and backlogs z (T, N) each slot starts from.
+
+    All conditions are strict, so ties are exempt. At the "price bounds",
+    which always hold, a battery whose queue sits above -v*w_min never
+    recharges, one below -v*c_max never discharges, a resident whose
+    backlog exceeds v*c_max gets at least (1 - delta)*alpha, and one below
+    v*w_min - alpha_max gets nothing. A slot that trades keeps all four
+    "at purchase price" or "at sell price", each bid z + alpha set against
+    v*price as the sweep sets it, so a bid rounding onto the price ties.
+    Each label lists batteries, then residents; padding flags nothing.
+    """
+    batteries, residents, grid = limits
+    r, d, p = (flows[:, at] for at in _flow_slices(batteries.shape[-2]))
+    c_max, w_min = grid[..., 3, None], grid[..., 4, None]
+    # battery_queue's arithmetic.
+    x = e - batteries[..., 3] - batteries[..., 0] - v * c_max
+    floor = (1.0 - residents[..., 0]) * alpha
+    recharges, discharges = r > 1e-12, d > 1e-12
+    short, served = p < floor - 1e-9, p > 1e-12
+
+    def label(name, gate, noun, bids, above, below, serve, block):
+        then = f" ({name}) yet "
+        queue, bid = "battery {i}: queue {} ", f"resident {{i}}: {noun} {{}} "
+        return [
+            [(gate & (x > above) & recharges,
+              queue + "above {}" + then + "recharges {}", (x, above, r)),
+             (gate & (x < below) & discharges,
+              queue + "below {}" + then + "discharges {}", (x, below, d))],
+            [(gate & (bids > serve) & short,
+              bid + "above {}" + then + "served {} < {}",
+              (bids, serve, p, floor)),
+             (gate & (bids < block) & served,
+              bid + "below {}" + then + "served {}", (bids, block, p))]]
+
+    faults = label("price bounds", True, "backlog", z, -v * w_min,
+                   -v * c_max, v * c_max, v * w_min - residents[..., 1])
+    for traded, price, name in ((flows[:, 0] > 0.0, c, "at purchase price"),
+                                (flows[:, 1] > 0.0, w, "at sell price")):
+        at_price = v * price[:, None]
+        faults += label(name, traded[:, None], "quality bid", z + alpha,
+                        -at_price, -at_price, at_price, at_price)
+    return faults
+
+
 def threshold_violations(system: SystemSpec, state: SystemState,
                          obs: SlotObservation, v: float,
                          dispatch: Dispatch) -> list[str]:
-    """Audit the threshold structure an optimal dispatch must show.
-
-    All conditions are strict, so boundary ties are exempt. The
-    unconditional checks: a battery whose queue sits above -v*w_min never
-    recharges (selling would beat storing even at the floor price), one
-    below -v*c_max never discharges (buying would beat draining even at the
-    cap); a resident whose backlog exceeds v*c_max is served at least the
-    guaranteed fraction, and one whose backlog sits below v*w_min -
-    alpha_max gets nothing. Only those four claims hold unconditionally:
-    between the price bounds, battery-to-battery transfers and backlog
-    service justify flows in both directions. When the slot actually
-    trades, the full two-sided structure holds at the realized price,
-    where each quality bid z + alpha is set against v*price as the sweep
-    sets it, so a backlog that z + alpha rounds onto the price ties. The
-    checks presume trade caps generous enough that the market side is never
-    saturated; a grid sized below its own microgrid can force structurally
-    different optima.
-    """
-    g = system.grid
-    msgs: list[str] = []
-    x = [battery_queue(e, spec, v, g)
-         for e, spec in zip(state.e, system.batteries)]
-
-    def check(recharge_above: float, discharge_below: float,
-              serve_above: list[float], block_below: list[float],
-              label: str, bids: tuple[float, ...], name: str) -> None:
-        for k, xk in enumerate(x):
-            if xk > recharge_above and dispatch.r[k] > 1e-12:
-                msgs.append(
-                    f"battery {k}: queue {xk} above {recharge_above} "
-                    f"({label}) yet recharges {dispatch.r[k]}")
-            if xk < discharge_below and dispatch.d[k] > 1e-12:
-                msgs.append(
-                    f"battery {k}: queue {xk} below {discharge_below} "
-                    f"({label}) yet discharges {dispatch.d[k]}")
-        for n, res in enumerate(system.residents):
-            b = bids[n]
-            floor = (1.0 - res.delta) * obs.alpha[n]
-            if b > serve_above[n] and dispatch.p[n] < floor - 1e-9:
-                msgs.append(
-                    f"resident {n}: {name} {b} above {serve_above[n]} "
-                    f"({label}) yet served {dispatch.p[n]} < {floor}")
-            if b < block_below[n] and dispatch.p[n] > 1e-12:
-                msgs.append(
-                    f"resident {n}: {name} {b} below {block_below[n]} "
-                    f"({label}) yet served {dispatch.p[n]}")
-
-    check(-v * g.w_min, -v * g.c_max, [v * g.c_max] * len(obs.alpha),
-          [v * g.w_min - res.alpha_max for res in system.residents],
-          "price bounds", state.z, "backlog")
-    bids = tuple(z + alpha for z, alpha in zip(state.z, obs.alpha))
-    for traded, price, label in ((dispatch.q > 0.0, obs.c, "at purchase price"),
-                                 (dispatch.s > 0.0, obs.w, "at sell price")):
-        if traded:
-            at_price = [v * price] * len(bids)
-            check(-v * price, -v * price, at_price, at_price, label, bids,
-                  "quality bid")
-    return msgs
+    """Audit the threshold structure an optimal dispatch must show: the
+    words of _threshold_faults for this one slot, which presume trade
+    caps that never saturate; a smaller grid can force other optima."""
+    rows = map(np.array, ([_dispatch_row(dispatch)], [obs.alpha], [obs.c],
+                          [obs.w], [state.e], [state.z]))
+    return _fault_words(_threshold_faults(v, *rows, _limits(system)), 0)
 
 
 def oracle_solve(system: SystemSpec, state: SystemState, obs: SlotObservation,

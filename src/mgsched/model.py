@@ -152,9 +152,9 @@ class SlotObservation:
     u is the renewable generation (kWh), basic/alpha the per-resident
     inelastic and quality requests, c/w the purchase and sell prices.
     Construction is unchecked for speed. validate_observation audits one
-    observation against every bound of the system model; load_traces
-    checks the same bounds on whole columns at ingestion and words the
-    first offender with validate_observation.
+    observation against every bound of the system model, and load_traces
+    whole columns at ingestion, both with the one observation fault list
+    of dispatch._observation_faults, which also words the first offender.
     """
 
     u: float
@@ -239,82 +239,43 @@ def compute_vmax(batteries: tuple[BatterySpec, ...] | list[BatterySpec],
 
 
 def validate_observation(obs: SlotObservation, system: SystemSpec) -> list[str]:
-    """Audit one observation against the static specs; returns violations."""
-    problems: list[str] = []
+    """Audit one observation against every bound of the system model: the
+    words of dispatch._observation_faults for this one slot, or only the
+    widths of requests that do not hold one entry per resident."""
     n = system.n_residents
-    if len(obs.basic) != n:
-        problems.append(f"basic has {len(obs.basic)} entries, expected {n}")
-    if len(obs.alpha) != n:
-        problems.append(f"alpha has {len(obs.alpha)} entries, expected {n}")
-    if obs.u < 0.0:
-        problems.append(f"generation {obs.u} is negative")
-    for i, b in enumerate(obs.basic):
-        if b < 0.0:
-            problems.append(f"basic[{i}] = {b} is negative")
-    if len(obs.alpha) == n:
-        for i, (a, spec) in enumerate(zip(obs.alpha, system.residents)):
-            if a < 0.0:
-                problems.append(f"alpha[{i}] = {a} is negative")
-            elif a > spec.alpha_max:
-                problems.append(f"alpha[{i}] = {a} exceeds alpha_max {spec.alpha_max}")
-    total_basic = ordered_sum(obs.basic)
-    if total_basic > obs.u:
-        problems.append(
-            f"basic total {total_basic} exceeds generation {obs.u}")
-    g = system.grid
-    if not g.c_min <= obs.c <= g.c_max:
-        problems.append(f"purchase price {obs.c} outside [{g.c_min}, {g.c_max}]")
-    if not g.w_min <= obs.w <= g.w_max:
-        problems.append(f"sell price {obs.w} outside [{g.w_min}, {g.w_max}]")
-    if obs.w >= obs.c:
-        problems.append(f"sell price {obs.w} not strictly below purchase price {obs.c}")
-    return problems
+    if problems := [f"{name} has {len(values)} entries, expected {n}"
+                    for name, values in (("basic", obs.basic),
+                                         ("alpha", obs.alpha))
+                    if len(values) != n]:
+        return problems
+    # Imported here: model itself needs only the standard library.
+    from .dispatch import _fault_words, _limits, _observation_faults
+    return _fault_words(_observation_faults(
+        [obs.u], [obs.basic], [obs.alpha], [obs.c], [obs.w],
+        _limits(system)), 0)
 
 
-def shape_problems(dispatch: Dispatch, system: SystemSpec) -> list[str]:
-    """Name each of r, d and p whose length differs from the system's."""
+def shape_problems(dispatch: Dispatch, system: SystemSpec,
+                   obs: SlotObservation) -> list[str]:
+    """Name each of the dispatch's r, d and p and the observation's alpha
+    whose length differs from the system's."""
     sizes = (("r", dispatch.r, system.n_batteries),
              ("d", dispatch.d, system.n_batteries),
-             ("p", dispatch.p, system.n_residents))
+             ("p", dispatch.p, system.n_residents),
+             ("alpha", obs.alpha, system.n_residents))
     return [f"{name} has {len(values)} entries, expected {size}"
             for name, values, size in sizes if len(values) != size]
 
 
 def check_dispatch(dispatch: Dispatch, system: SystemSpec,
                    obs: SlotObservation) -> list[str]:
-    """Audit one dispatch against boxes, exclusivity, and energy balance.
-
-    Box and balance checks allow BALANCE_TOL-scale float dust; the
-    exclusivity products q*s and r_k*d_k must be exactly zero because the
-    solver constructs them that way. The residual must be within the
-    tolerance, so a NaN in any flow or in the surplus reads as a balance
-    residual.
-    """
-    problems = shape_problems(dispatch, system)
-    g = system.grid
-    tol = BALANCE_TOL
-    if not -tol <= dispatch.q <= g.q_max + tol:
-        problems.append(f"purchase {dispatch.q} outside [0, {g.q_max}]")
-    if not -tol <= dispatch.s <= g.s_max + tol:
-        problems.append(f"sale {dispatch.s} outside [0, {g.s_max}]")
-    if dispatch.q * dispatch.s != 0.0:
-        problems.append(f"purchase {dispatch.q} and sale {dispatch.s} both active")
-    for k, (r, d, spec) in enumerate(zip(dispatch.r, dispatch.d, system.batteries)):
-        if not -tol <= r <= spec.r_max + tol:
-            problems.append(f"recharge[{k}] = {r} outside [0, {spec.r_max}]")
-        if not -tol <= d <= spec.d_max + tol:
-            problems.append(f"discharge[{k}] = {d} outside [0, {spec.d_max}]")
-        if r * d != 0.0:
-            problems.append(f"battery {k} recharges {r} and discharges {d} in one slot")
-    for n, (p, a) in enumerate(zip(dispatch.p, obs.alpha)):
-        if not -tol <= p <= a + tol:
-            problems.append(f"service[{n}] = {p} outside [0, {a}]")
-    if dispatch.curtailed < -tol:
-        problems.append(f"curtailed {dispatch.curtailed} is negative")
-    surplus = surplus_power(obs)
-    residual = (surplus - dispatch.curtailed + dispatch.q
-                + ordered_sum(dispatch.d) - dispatch.s
-                - ordered_sum(dispatch.r) - ordered_sum(dispatch.p))
-    if not abs(residual) <= tol * max(1.0, surplus):
-        problems.append(f"balance residual {residual} for surplus {surplus}")
-    return problems
+    """Audit one dispatch against boxes, exclusivity, and energy balance:
+    the words of dispatch._balance_faults for this one slot, or only
+    shape_problems' when it reports any."""
+    if problems := shape_problems(dispatch, system, obs):
+        return problems
+    # Imported here: model itself needs only the standard library.
+    from .dispatch import _balance_faults, _dispatch_row, _fault_words, _limits
+    faults, _ = _balance_faults([_dispatch_row(dispatch)], [surplus_power(obs)],
+                                [obs.alpha], _limits(system))
+    return _fault_words(faults, 0)

@@ -25,11 +25,12 @@ that indexes the trace's observations, built once per run, and flattens
 the Dispatch into the row. audit_slots' body then checks all
 slots at once in numpy from the level and backlog rows, the flows array
 and the trace's columns and flags each slot and entity that broke a
-guarantee. _simulate returns the run as one Trajectory of those arrays:
-run reads its counters and the first violation off the audit's masks and
-returns the Trajectory with the summary, and write_slot_records writes
-slots.csv straight from it. A Dispatch is built only for the slot
-first_violation words. A projected-subgradient hindsight bound provides
+guarantee, ORing dispatch's fault lists. _simulate returns the run as
+one Trajectory of those arrays: run reads its counters and the first
+violation off the audit's masks and returns the Trajectory with the
+summary, and write_slot_records writes slots.csv straight from it.
+first_violation words its slot from the same lists, with no Dispatch.
+A projected-subgradient hindsight bound provides
 the reference point for cost-gap checks: it lower-bounds the per-slot
 cost of any policy on the given trace whose horizon-average quality
 service reaches (1 - delta)*alpha, under relaxed storage dynamics, so
@@ -53,12 +54,18 @@ import numpy as np
 import yaml
 
 from .dispatch import (
+    _balance_faults,
     _dispatch_row,
+    _fault_rows,
+    _fault_words,
+    _finite_faults,
     _flow_slices,
-    _row_dispatch,
+    _limits,
+    _observation_faults,
+    _row_total,
+    _threshold_faults,
     mecp_solver,
     slot_solver,
-    threshold_violations,
 )
 from .model import (
     BALANCE_TOL,
@@ -71,11 +78,9 @@ from .model import (
     SystemState,
     TraceError,
     UnservableSurplusError,
-    check_dispatch,
     compute_vmax,
     shape_problems,
     surplus_power,
-    validate_observation,
     width_error,
 )
 from .queues import bound_constants, check_qose_stability, update_qose_queue
@@ -543,21 +548,6 @@ def _trace_table(path: str, header: list[str], horizon: int, n_res: int = 0):
     return list(placed.reshape(-1, horizon, n_res) if n_res else placed)
 
 
-def _bound_mask(u, basic, alpha, c, w, system: SystemSpec) -> np.ndarray:
-    """Flag each slot for which validate_observation reports a problem.
-
-    u, c and w are (T,), basic and alpha (T, N) with N the system's
-    residents; the basic total is added left to right, as ordered_sum
-    does.
-    """
-    g = system.grid
-    alpha_max = np.array([res.alpha_max for res in system.residents])
-    return ((u < 0.0) | (basic < 0.0).any(1) | (alpha < 0.0).any(1)
-            | (alpha > alpha_max).any(1) | (_row_total(basic) > u)
-            | ~((g.c_min <= c) & (c <= g.c_max))
-            | ~((g.w_min <= w) & (w <= g.w_max)) | (w >= c))
-
-
 def load_traces(wind_path: str, price_path: str, demand_path: str,
                 config: RunConfig) -> Trace:
     """Load and validate a recorded Trace from three CSV files.
@@ -577,7 +567,7 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     row's slot (and resident), then its values left to right.
     Once all three files parse, the earliest faulty slot wins, and
     within a slot a missing wind row, a missing price row, the first
-    missing resident, then validate_observation's first problem.
+    missing resident, then the first of dispatch._observation_faults.
     """
     horizon = config.horizon
     (gen,) = _trace_table(wind_path, ["slot", "generation_kwh"], horizon)
@@ -590,10 +580,10 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     # Parsed values are finite, so NaN marks a cell no row filled.
     missing_gen, missing_prices = np.isnan(gen), np.isnan(c)
     missing_demand = np.isnan(basic)
-    system = config.system
+    faults = _observation_faults(gen, basic, alpha, c, w,
+                                 _limits(config.system))
     flagged = (missing_gen | missing_prices | missing_demand.any(1)
-               | _bound_mask(gen, basic, alpha, c, w, system))
-    trace = Trace(gen, basic, alpha, c, w)
+               | _fault_rows(faults))
     if flagged.any():
         t = int(flagged.argmax())
         if missing_gen[t]:
@@ -604,9 +594,8 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
             raise TraceError(
                 f"{demand_path}: missing slot {t} resident "
                 f"{int(missing_demand[t].argmax())} (horizon {horizon})")
-        raise TraceError(
-            f"slot {t}: {validate_observation(trace[t], system)[0]}")
-    return trace
+        raise TraceError(f"slot {t}: {_fault_words(faults, t)[0]}")
+    return Trace(gen, basic, alpha, c, w)
 
 
 def write_traces(traces: Trace | list[SlotObservation],
@@ -684,12 +673,6 @@ def _stack(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
         len(rows), width)
 
 
-def _row_total(a: np.ndarray) -> np.ndarray:
-    # Adds each row (last axis) left to right, as ordered_sum does over a
-    # tuple; a.sum(axis=-1) adds pairwise from 8 columns on.
-    return np.cumsum(a, axis=-1)[..., -1]
-
-
 def _observation_arrays(observations: list[SlotObservation],
                         n_res: int) -> Trace:
     """The Trace of T observations with n_res residents.
@@ -717,10 +700,9 @@ def _checked(traces: Trace | list[SlotObservation], n_res: int) -> Trace:
     Raises width_error's ValueError for the first slot whose basic or
     alpha request does not have n_res entries; then a ValueError such as
     "slot 3: generation nan is not finite" for the first slot holding a
-    NaN or infinite value, naming its first such field in
-    validate_observation's words; then surplus_power's ValueError,
-    prefixed "slot t: ", for the first slot whose basic usage exceeds
-    generation.
+    NaN or infinite value, naming its first such field in the words of
+    dispatch._finite_faults; then surplus_power's ValueError, prefixed
+    "slot t: ", for the first slot whose basic usage exceeds generation.
     """
     if not isinstance(traces, Trace):
         traces = _observation_arrays(traces, n_res)
@@ -728,16 +710,12 @@ def _checked(traces: Trace | list[SlotObservation], n_res: int) -> Trace:
         # Every slot of a Trace has the same width, so slot 0 is the first.
         if (width := getattr(traces, name).shape[1]) != n_res:
             raise width_error(0, name, width, n_res)
-    table = np.column_stack([traces.u, traces.basic, traces.alpha, traces.c,
-                             traces.w])
-    broken = ~np.isfinite(table)
+    faults = _finite_faults(traces.u, traces.basic, traces.alpha, traces.c,
+                            traces.w)
+    broken = _fault_rows(faults)
     if broken.any():
-        t, k = divmod(int(broken.argmax()), table.shape[1])
-        names = (["generation"] + [f"basic[{n}] =" for n in range(n_res)]
-                 + [f"alpha[{n}] =" for n in range(n_res)]
-                 + ["purchase price", "sell price"])
-        raise ValueError(f"slot {t}: {names[k]} {table[t, k].item()} is not "
-                         "finite")
+        t = int(broken.argmax())
+        raise ValueError(f"slot {t}: {_fault_words(faults, t)[0]}")
     short = traces.surplus < 0.0
     if short.any():
         t = int(short.argmax())
@@ -746,60 +724,6 @@ def _checked(traces: Trace | list[SlotObservation], n_res: int) -> Trace:
         except ValueError as exc:
             raise ValueError(f"slot {t}: {exc}") from None
     return traces
-
-
-def _balance_masks(q, s, r, d, p, curtailed, surplus, alpha, q_max, s_max,
-                   r_max, d_max):
-    """audit_slots' balance and exclusivity masks of T slots' flows.
-
-    q, s, curtailed and surplus are (T,), r and d (T, K), p and alpha
-    (T, N); the caps broadcast against their flows, so each slot may
-    carry its own. An entry whose cap and flow are 0 changes no flag.
-    """
-    tol = BALANCE_TOL
-
-    def outside(x, hi):
-        return ~((-tol <= x) & (x <= hi + tol))
-
-    exclusivity = (q * s != 0.0) | (r * d != 0.0).any(1)
-    residual = (surplus - curtailed + q + _row_total(d) - s - _row_total(r)
-                - _row_total(p))
-    balance = (outside(q, q_max) | outside(s, s_max) | exclusivity
-               | (outside(r, r_max) | outside(d, d_max)).any(1)
-               | outside(p, alpha).any(1) | (curtailed < -tol)
-               | ~(np.abs(residual) <= tol * np.maximum(surplus, 1.0)))
-    return balance, exclusivity
-
-
-def _threshold_mask(v, c_max, w_min, e_min, d_max, delta, alpha_max, q, s, r,
-                    d, p, alpha, c, w, e, z) -> np.ndarray:
-    """audit_slots' threshold mask of T slots' flows.
-
-    The flows and alpha are shaped as for _balance_masks, c and w (T,),
-    and e (T, K) and z (T, N) hold the levels and backlogs each slot
-    starts from. v, c_max and w_min broadcast against (T, 1), e_min and
-    d_max against e, and delta and alpha_max against z, so each slot may
-    carry its own system. A padding entry, whose flows, request and
-    backlog are 0, changes no flag.
-    """
-    x = e - d_max - e_min - v * c_max
-    floor = (1.0 - delta) * alpha
-
-    def broken(recharge_above, discharge_below, serve_above, block_below,
-               bids):
-        return ((((x > recharge_above) & (r > 1e-12))
-                 | ((x < discharge_below) & (d > 1e-12))).any(1)
-                | (((bids > serve_above) & (p < floor - 1e-9))
-                   | ((bids < block_below) & (p > 1e-12))).any(1))
-
-    threshold = broken(-v * w_min, -v * c_max, v * c_max,
-                       v * w_min - alpha_max, z)
-    bids = z + alpha
-    for traded, price in ((q > 0.0, c), (s > 0.0, w)):
-        at_price = v * price[:, None]
-        threshold |= traded & broken(-at_price, -at_price, at_price, at_price,
-                                     bids)
-    return threshold
 
 
 def audit_slots(system: SystemSpec, v: float,
@@ -815,14 +739,13 @@ def audit_slots(system: SystemSpec, v: float,
     observations[t] from the battery levels levels[t] and backlogs
     backlogs[t], and levels[t + 1] and backlogs[t + 1] are what slot t
     produced (T + 1 rows each). Returns boolean masks under their
-    VIOLATION_KEYS names, each flag equal to what its per-slot producer
-    says of the row's Dispatch:
+    VIOLATION_KEYS names:
 
-    - balance (T,): check_dispatch reports a box, curtailment,
+    - balance (T,): dispatch._balance_faults flags a box, curtailment,
       exclusivity or balance-residual problem, a NaN flow counting as a
       residual;
     - exclusivity (T,): q*s or some r_k*d_k is nonzero;
-    - threshold (T,): threshold_violations reports a break at v;
+    - threshold (T,): dispatch._threshold_faults flags a break at v;
     - battery_band (T, K): a new level outside its band by more than
       BALANCE_TOL;
     - queue_bound (T, N): a new backlog above z_max[n] by more than
@@ -834,13 +757,25 @@ def audit_slots(system: SystemSpec, v: float,
     The result also carries cost (T,), q*c - s*w, the quality requests
     alpha (T, N), and outage (T, N), alpha - p. observations is a Trace,
     read as it is, or a list of SlotObservations, converted once. Raises
-    a ValueError naming the first slot whose basic or alpha request does
-    not have one entry per resident, then the first slot and field
+    a ValueError naming flows, levels, backlogs, observations or z_max
+    when it holds other than 2K + N + 4, T + 1, T + 1, T or N columns,
+    rows or entries; then the first slot whose basic or alpha request
+    does not have one entry per resident, then the first slot and field
     holding a NaN or infinite value, then the first slot whose basic
     usage exceeds generation.
     """
-    return _audit(system, v, levels, backlogs, _checked(
-        observations, len(system.residents)), flows, z_max)
+    n_res, horizon = len(system.residents), len(flows)
+    width = 2 * len(system.batteries) + n_res + 4
+    for name, count, expected, unit in (
+            ("flows", np.shape(flows)[-1], width, "columns"),
+            ("levels", len(levels), horizon + 1, "rows"),
+            ("backlogs", len(backlogs), horizon + 1, "rows"),
+            ("observations", len(observations), horizon, "slots"),
+            ("z_max", len(z_max), n_res, "entries")):
+        if count != expected:
+            raise ValueError(f"{name} has {count} {unit}, expected {expected}")
+    return _audit(system, v, levels, backlogs,
+                  _checked(observations, n_res), flows, z_max)
 
 
 def _audit(system: SystemSpec, v: float, levels: list[tuple[float, ...]],
@@ -848,39 +783,31 @@ def _audit(system: SystemSpec, v: float, levels: list[tuple[float, ...]],
            flows: np.ndarray, z_max: tuple[float, ...] | list[float]
            ) -> dict[str, np.ndarray]:
     """audit_slots' body, on a checked Trace."""
-    g = system.grid
     tol = BALANCE_TOL
     horizon = len(flows)
-    specs = system.batteries
-    n_bat, n_res = len(specs), len(system.residents)
-    e_min = np.array([b.e_min for b in specs])
-    e_max = np.array([b.e_max for b in specs])
-    d_max = np.array([b.d_max for b in specs])
+    limits = _limits(system)
+    e_min, e_max = limits[0][:, 0], limits[0][:, 1]
 
-    q, s, curtailed = flows[:, 0], flows[:, 1], flows[:, -1]
-    r, d, p = (flows[:, at] for at in _flow_slices(n_bat))
-    surplus, alpha, c, w = trace.surplus, trace.alpha, trace.c, trace.w
-    e = _stack(levels, n_bat)
-    z = _stack(backlogs, n_res)
+    q, s = flows[:, 0], flows[:, 1]
+    p = flows[:, _flow_slices(len(e_min))[2]]
+    alpha, c, w = trace.alpha, trace.c, trace.w
+    e = _stack(levels, len(e_min))
+    z = _stack(backlogs, len(system.residents))
 
     # An infinite flow from a custom policy makes NaN products (inf * 0)
     # that the masks flag; numpy need not warn of them.
     with np.errstate(invalid="ignore"):
-        balance, exclusivity = _balance_masks(
-            q, s, r, d, p, curtailed, surplus, alpha, g.q_max, g.s_max,
-            np.array([b.r_max for b in specs]), d_max)
-        threshold = _threshold_mask(
-            v, g.c_max, g.w_min, e_min, d_max,
-            np.array([res.delta for res in system.residents]),
-            np.array([res.alpha_max for res in system.residents]), q, s, r, d, p,
-            alpha, c, w, e[:horizon], z[:horizon])
+        balance, exclusivity = _balance_faults(flows, trace.surplus, alpha,
+                                               limits)
+        threshold = _threshold_faults(v, flows, alpha, c, w, e[:horizon],
+                                      z[:horizon], limits)
         outage = alpha - p
         sums, budgets = outage_windows(outage, system.residents, z_max)
         window = np.zeros(outage.shape, dtype=bool)
         window[OUTAGE_WINDOW - 1:] = sums > budgets
-        return {"balance": balance, "exclusivity": exclusivity,
-                "threshold": threshold, "cost": q * c - s * w, "alpha": alpha,
-                "outage": outage, "outage_window": window,
+        return {"balance": _fault_rows(balance), "exclusivity": exclusivity,
+                "threshold": _fault_rows(threshold), "cost": q * c - s * w,
+                "alpha": alpha, "outage": outage, "outage_window": window,
                 "battery_band": (e[1:] < e_min - tol) | (e[1:] > e_max + tol),
                 "queue_bound": z[1:] > np.array(z_max) + tol}
 
@@ -892,13 +819,12 @@ def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
     flags.
 
     The other arguments are those audit_slots was given for the
-    trajectory, with the trace as a Trace, which builds only the
-    observation of the slot shown. Returns (slot, key,
-    message), or None when nothing is flagged; within one slot the key
-    listed first wins. The message is what check_dispatch or
-    threshold_violations report for that slot's Dispatch, the only one
-    built here, or a line naming the first battery, backlog or window
-    (the one ending at that slot) past its band, cap or budget.
+    trajectory, with the trace as a Trace. Returns (slot, key, message),
+    or None when nothing is flagged; within one slot the key listed first
+    wins. The message joins the words of the slot's balance or threshold
+    faults, built again for that one row, or names the first battery,
+    backlog or window (the one ending at that slot) past its band, cap or
+    budget. No state, observation or Dispatch is built.
     """
     levels, backlogs, flows, audit = trajectory
     first = None
@@ -912,13 +838,15 @@ def first_violation(trajectory: Trajectory, keys: tuple[str, ...],
         return None
     t, key = first
     if key in ("balance", "exclusivity", "threshold"):
-        obs = trace[t]
-        dispatch = _row_dispatch(flows[t].tolist(), len(system.batteries))
+        row, limits = slice(t, t + 1), _limits(system)
         if key == "threshold":
-            state = SystemState(t, levels[t], backlogs[t])
-            return t, key, "; ".join(
-                threshold_violations(system, state, obs, v, dispatch))
-        return t, key, "; ".join(check_dispatch(dispatch, system, obs))
+            faults = _threshold_faults(
+                v, flows[row], trace.alpha[row], trace.c[row], trace.w[row],
+                np.array(levels[row]), np.array(backlogs[row]), limits)
+        else:
+            faults, _ = _balance_faults(flows[row], trace.surplus[row],
+                                        trace.alpha[row], limits)
+        return t, key, "; ".join(_fault_words(faults, 0))
     i = int(audit[key][t].argmax())
     if key == "battery_band":
         spec = system.batteries[i]
@@ -988,8 +916,8 @@ def run(config: RunConfig, traces: Trace | list[SlotObservation],
     runs as one slot_solver and mecp as one mecp_solver, whose coins are
     drawn before slot 0 as one (T, N + 1) block from default_rng((seed,
     1)), the numbers per-slot mecp_dispatch calls would draw. Neither
-    builds a per-slot object; each builds a Dispatch only for the slot
-    its first violation names. A custom policy goes through an adapter,
+    builds a per-slot object, nor a Dispatch to word its first
+    violation. A custom policy goes through an adapter,
     which builds the trace's observations once per run, builds each
     slot's SystemState, checks the shape of the Dispatch returned and
     flattens it into the solver's flow row. Before the first slot, a
@@ -1034,7 +962,7 @@ def run(config: RunConfig, traces: Trace | list[SlotObservation],
         def policy_fn(e, z, alpha, surplus, c, w,
                       t: int) -> tuple[float, ...]:
             dispatch = policy(SystemState(t, e, z), observations[t])
-            if problems := shape_problems(dispatch, system):
+            if problems := shape_problems(dispatch, system, observations[t]):
                 raise ValueError(f"slot {t}: custom policy dispatch "
                                  + "; ".join(problems))
             return _dispatch_row(dispatch)

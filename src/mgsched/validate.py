@@ -25,56 +25,55 @@ rules applied to whole arrays (the same distributions, but another
 stream than one-by-one draws from the same seed would give), and
 _solve_block builds the block's four book arrays once, in the batch
 layout both batch kernels take, solves them with one merit_order_columns
-call and audits the flows with audit_slots' balance core. The threshold suite
-draws up to THRESHOLD_BLOCK (1024) slots per block, adds audit_slots'
-threshold core and builds slot objects only for its first
-counterexample; the oracle suite draws BLOCK (64) instances per block,
-builds every instance and calls dispatch_slot once per instance, so the
-scheduler's own path stays checked against the oracle too. Every drawn
-system sizes the market trade caps to dominate the microgrid (purchases
-can cover every quality request and recharge, sales can absorb the
-largest surplus plus every discharge). The structural guarantees are
-proved under that regime; an undersized grid connection can force optima
-with a genuinely different shape.
+call and builds the flows' balance faults. The threshold suite draws up
+to THRESHOLD_BLOCK (1024) slots per block, adds their threshold faults,
+and words its first counterexample from the same lists, building slot
+objects only to show it; the oracle suite draws BLOCK (64) instances per
+block, builds every instance and calls dispatch_slot once per instance,
+so the scheduler's own path stays checked against the oracle too. Every
+drawn system sizes the market trade caps to dominate the microgrid
+(purchases can cover every quality request and recharge, sales can
+absorb the largest surplus plus every discharge). The structural
+guarantees are proved under that regime; an undersized grid connection
+can force optima with a genuinely different shape.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dispatch import (
+    _balance_faults,
+    _fault_rows,
+    _fault_words,
     _row_dispatch,
+    _row_total,
+    _threshold_faults,
     dispatch_slot,
     merit_order_columns,
     oracle_columns,
     slot_solver,
-    threshold_violations,
 )
 from .model import (
     BatterySpec,
-    Dispatch,
     GridSpec,
     ResidentSpec,
     SlotObservation,
     SystemSpec,
     SystemState,
     UnservableSurplusError,
-    check_dispatch,
     compute_vmax,
 )
 from .queues import bound_constants
 from .sim import (
     OUTAGE_WINDOW,
     RunConfig,
-    _balance_masks,
-    _row_total,
     _simulate,
     _slot_draws,
-    _threshold_mask,
     _uniform,
     first_violation,
     generate_traces,
@@ -265,14 +264,15 @@ def _block_instances(block: _Block, columns, t: int = 0) -> list[tuple]:
 
 
 def _solve_block(block: _Block):
-    """Solve a block's slots with one merit_order_columns call and audit
-    the flows with audit_slots' balance core.
+    """Solve a block's slots with one merit_order_columns call and build
+    the balance faults of its flows, audit_slots' balance audit.
 
     The books are dispatch_slot's, in the batch layout: bid values z +
     alpha and -x (battery_queue's arithmetic) and v*w with caps alpha,
     the headroom-clamped recharge caps and s_max; offer costs -x and v*c
     with the headroom-clamped discharge caps and q_max. Returns those
-    four books, the kernel's solution and the balance mask (count,).
+    four books, the kernel's solution, its padded flow rows and their
+    balance faults.
     """
     e, v = block.e, block.v
     e_min, e_max, r_max, d_max, _ = np.moveaxis(block.batteries, -1, 0)
@@ -284,20 +284,12 @@ def _solve_block(block: _Block):
              np.vstack([block.alpha.T, r_cap.T, s_max]),
              np.vstack([neg_x, v * block.c]), np.vstack([d_cap.T, q_max]))
     solution = merit_order_columns(*books, block.surplus)
-    _, q, s, r, d, p, _ = solution
-    balance, _ = _balance_masks(q, s, r.T, d.T, p.T, np.zeros(len(v)),
-                                block.surplus, block.alpha, q_max, s_max,
-                                r_max, d_max)
-    return books, solution, balance
-
-
-def _column_dispatch(solution, i: int, system: SystemSpec) -> Dispatch:
-    """Column i of merit_order_columns' solution as system's Dispatch."""
     objective, q, s, r, d, p, _ = solution
-    k, n = system.n_batteries, system.n_residents
-    return Dispatch(q=float(q[i]), s=float(s[i]), r=tuple(r[:k, i].tolist()),
-                    d=tuple(d[:k, i].tolist()), p=tuple(p[:n, i].tolist()),
-                    objective=float(objective[i]))
+    flows = np.column_stack([q, s, r.T, d.T, p.T, objective, np.zeros(len(v))])
+    balance, _ = _balance_faults(
+        flows, block.surplus, block.alpha,
+        (block.batteries, block.residents, block.grids))
+    return books, solution, flows, balance
 
 
 def _counterexample(system: SystemSpec, state: SystemState,
@@ -385,30 +377,28 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
     for start in range(0, slots, THRESHOLD_BLOCK):
         block = _draw_block(rng, min(THRESHOLD_BLOCK, slots - start), k_max,
                             n_max, 1.25)
-        _, solution, balance = _solve_block(block)
-        _, q, s, r, d, p, infeasible = solution
+        _, solution, flows, balance = _solve_block(block)
+        infeasible = solution[-1]
         if infeasible.any():
             t = int(infeasible.argmax())
             raise UnservableSurplusError(
                 f"slot {start + t}: surplus {block.surplus[t]} kWh exceeds "
                 "every sink; enable curtailment or resize the scenario")
-        e_min, _, _, d_max, _ = np.moveaxis(block.batteries, -1, 0)
-        delta, alpha_max = np.moveaxis(block.residents[..., :2], -1, 0)
-        c_max, w_min = block.grids.T[3:5, :, None]
-        bad = balance | _threshold_mask(
-            block.v[:, None], c_max, w_min, e_min, d_max, delta, alpha_max,
-            q, s, r.T, d.T, p.T, block.alpha, block.c, block.w, block.e,
-            block.z)
+        faults = balance + _threshold_faults(
+            block.v[:, None], flows, block.alpha, block.c, block.w, block.e,
+            block.z, (block.batteries, block.residents, block.grids))
+        bad = _fault_rows(faults)
         violations += int(bad.sum())
         if ce is None and bad.any():
             t = int(bad.argmax())
-            [(system, state, obs, v)] = _block_instances(block, [t],
+            [(system, state, obs, _)] = _block_instances(block, [t],
                                                          start + t)
-            dispatch = _column_dispatch(solution, t, system)
-            problems = check_dispatch(dispatch, system, obs)
-            problems += threshold_violations(system, state, obs, v, dispatch)
-            ce = _counterexample(system, state, obs, dispatch,
-                                 f"slot {start + t}: " + "; ".join(problems))
+            padded = _row_dispatch(flows[t].tolist(), k_max)
+            k, n = system.n_batteries, system.n_residents
+            ce = _counterexample(
+                system, state, obs, replace(padded, r=padded.r[:k],
+                                            d=padded.d[:k], p=padded.p[:n]),
+                f"slot {start + t}: " + "; ".join(_fault_words(faults, t)))
     return SuiteResult("threshold-structure", slots, violations, ce)
 
 
@@ -436,7 +426,8 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     ce = None
     for start in range(0, instances, BLOCK):
         block = _draw_block(rng, min(BLOCK, instances - start), 5, 20, 1.0)
-        books, solution, balance = _solve_block(block)
+        books, solution, _, faults = _solve_block(block)
+        balance = _fault_rows(faults)
         objective, *_, infeasible = solution
         optimum = oracle_columns(*books, block.surplus)
         for i, (system, state, obs, v) in enumerate(
@@ -452,8 +443,7 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
                     found.append(f"merit objective {objective[i]} but "
                                  f"oracle optimum {oracle}")
                 if balance[i]:
-                    found += check_dispatch(
-                        _column_dispatch(solution, i, system), system, obs)
+                    found += _fault_words(faults, i)
             if not _agrees(dispatch.objective, oracle):
                 found.append(f"dispatch_slot objective {dispatch.objective} "
                              f"but oracle optimum {oracle}")

@@ -696,8 +696,12 @@ class TestModuleEntryPoint:
 
 class TestScripts:
     def test_float_totals_check_passes(self):
+        # -S leaves site-packages, and with them numpy, unimportable, as on
+        # the interpreters CI runs this check with: model.py must load on
+        # the standard library alone.
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "check_float_totals.py")],
+            [sys.executable, "-S",
+             str(ROOT / "scripts" / "check_float_totals.py")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "src/ and scripts/ call no built-in sum()" in proc.stdout

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,16 @@ from mgsched import (
     SystemSpec,
     check_dispatch,
     compute_vmax,
+    generate_traces,
+    load_config,
     surplus_power,
     validate_observation,
 )
+from mgsched.dispatch import _fault_words, _limits, _observation_faults
 from mgsched.model import ordered_sum
 from mgsched.sim import _row_total
 
+import audit_reference
 from conftest import make_battery, make_grid, make_resident, make_system
 
 
@@ -172,6 +177,81 @@ class TestValidateObservation:
     def test_names_the_alpha_width(self, system):
         problems = validate_observation(self._obs(alpha=(1.0, 1.0)), system)
         assert problems == ["alpha has 2 entries, expected 1"]
+
+
+def nudge(x: float, steps: int) -> float:
+    """x moved |steps| ulps up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def observation_rows(draw):
+    """A system of 1 to 4 residents and 1 to 3 observations of it, each
+    field anywhere in its band, on a band edge (the basic total for u,
+    the purchase price for w) or one ulp past it, or -0.0, -1.0, NaN or
+    infinite; now and then a request of the wrong width."""
+    n = draw(st.integers(1, 4))
+    system = make_system(n_residents=n)
+    g = system.grid
+
+    def field(edges, lo, hi):
+        kind = draw(st.sampled_from(("any",) * 3 + ("edge",) * 3 + ("odd",)))
+        if kind == "any":
+            return draw(st.floats(lo, hi))
+        if kind == "edge":
+            return nudge(draw(st.sampled_from(edges)),
+                         draw(st.sampled_from((-1, 0, 1))))
+        return draw(st.sampled_from((-0.0, -1.0, math.nan, math.inf,
+                                     -math.inf)))
+
+    observations = []
+    for _ in range(draw(st.integers(1, 3))):
+        widths = [n + draw(st.sampled_from((0,) * 9 + (-1, 1)))
+                  for _ in range(2)]
+        basic = tuple(field([0.0], 0.0, 3.0) for _ in range(widths[0]))
+        alpha = tuple(field([0.0, 2.5], 0.0, 2.5) for _ in range(widths[1]))
+        c = field([g.c_min, g.c_max], g.c_min, g.c_max)
+        observations.append(SlotObservation(
+            u=field([ordered_sum(basic)], 0.0, 10.0),
+            basic=basic, alpha=alpha, c=c,
+            w=field([g.w_min, g.w_max, c], g.w_min, g.w_max)))
+    return system, observations
+
+
+class TestObservationMessages:
+    @given(observation_rows())
+    @settings(deadline=None, max_examples=150)
+    def test_messages_equal_the_reference(self, case):
+        # validate_observation words one slot, and the stacked fault list
+        # words each slot of many, as the row-at-a-time reference does.
+        system, observations = case
+        expected = [audit_reference.validate_observation(obs, system)
+                    for obs in observations]
+        assert [validate_observation(obs, system)
+                for obs in observations] == expected
+        if all(len(obs.basic) == len(obs.alpha) == system.n_residents
+               for obs in observations):
+            faults = _observation_faults(*(
+                [getattr(obs, name) for obs in observations]
+                for name in ("u", "basic", "alpha", "c", "w")),
+                _limits(system))
+            assert [_fault_words(faults, t)
+                    for t in range(len(observations))] == expected
+
+    @pytest.mark.parametrize("field", ["u", "basic", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fields_are_reported(self, field, value):
+        config = load_config("configs/five_day.yaml")
+        obs = generate_traces(config)[0]
+        width = len(getattr(obs, field)) if field != "u" else 0
+        obs = replace(obs, **{field: (value,) * width if width else value})
+        problems = validate_observation(obs, config.system)
+        names = ([f"{field}[{i}] =" for i in range(width)] if width
+                 else ["generation"])
+        assert problems[:len(names)] == [f"{name} {value} is not finite"
+                                        for name in names]
 
 
 class TestCheckDispatch:

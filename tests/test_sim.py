@@ -53,7 +53,15 @@ from mgsched import (
     write_summary,
     write_traces,
 )
-from mgsched.dispatch import _dispatch_row, _flow_slices, _row_dispatch
+from mgsched.dispatch import (
+    _balance_faults,
+    _dispatch_row,
+    _fault_words,
+    _flow_slices,
+    _limits,
+    _row_dispatch,
+    _threshold_faults,
+)
 from mgsched.model import ordered_sum
 from mgsched.sim import (
     VIOLATION_KEYS,
@@ -67,6 +75,7 @@ from mgsched.sim import (
     load_seed,
 )
 
+import audit_reference
 from conftest import make_battery, make_grid, make_resident, make_system
 
 
@@ -701,7 +710,7 @@ def reference_load(paths, config):
         (u,), (c, w) = tables["wind"][t,], tables["prices"][t,]
         basic, alpha = zip(*(tables["demand"][t, n] for n in range(n_res)))
         obs = SlotObservation(u=u, basic=basic, alpha=alpha, c=c, w=w)
-        problems = validate_observation(obs, config.system)
+        problems = audit_reference.validate_observation(obs, config.system)
         if problems:
             return f"slot {t}: {problems[0]}"
         traces.append(obs)
@@ -798,7 +807,7 @@ def _put(field, value):
     return perturb
 
 
-# One perturbation per bound validate_observation checks, with the number
+# One perturbation per bound an observation must keep, with the number
 # of problems it then reports: a negative generation is always below the
 # basic total too, every other perturbation breaks one bound. The grid's
 # purchase band is widened down to 0.03 so that a sell price at the
@@ -824,8 +833,9 @@ BOUND_PERTURBATIONS = {
 
 
 class TestLoaderBounds:
-    """load_traces' bound masks flag exactly what validate_observation
-    reports, and its basic totals are those of sum()."""
+    """load_traces' bound masks flag exactly what the row-at-a-time
+    reference of validate_observation reports, and its basic totals are
+    those of sum()."""
 
     def config(self):
         config = load_config("configs/five_day.yaml")
@@ -840,7 +850,7 @@ class TestLoaderBounds:
         traces = list(generate_traces(config))
         t = 217
         traces[t] = perturb(traces[t], system)
-        problems = validate_observation(traces[t], system)
+        problems = audit_reference.validate_observation(traces[t], system)
         assert len(problems) == count
         paths = write_traces(traces, str(tmp_path / "t"))
         with pytest.raises(TraceError) as info:
@@ -852,7 +862,7 @@ class TestLoaderBounds:
         config = self.config()
         traces = generate_traces(config)
         paths = write_traces(traces, str(tmp_path / "t"))
-        monkeypatch.setattr(mgsched.sim, "validate_observation", None)
+        monkeypatch.setattr(mgsched.sim, "_fault_words", None)
         assert load_traces(*paths, config) == traces
 
     @pytest.mark.parametrize("path", ["configs/five_day.yaml",
@@ -1135,6 +1145,96 @@ def audit_one(system, state, obs, dispatch, z_max, v=150.0):
                         flow_array([dispatch]), z_max), states)
 
 
+def backlog_at(bid: float, alpha: float, steps: int) -> float:
+    """A backlog whose quality bid z + alpha lands on bid, moved steps
+    ulps."""
+    z = bid - alpha
+    for near in (0, -1, 1, -2, 2):
+        if nudge(z, near) + alpha == bid:
+            z = nudge(z, near)
+            break
+    return nudge(z, steps)
+
+
+@st.composite
+def audit_rows(draw):
+    """One to three slots of a random system of 1 to 3 batteries and 1 to
+    4 residents, each value near an edge the balance or threshold audit
+    tests, so that one slot often breaks several checks at once.
+
+    Each flow lies anywhere in its box, or on 0, a box edge +-tol or a
+    threshold's flow edge, one ulp to either side, or is NaN. Each
+    battery queue and backlog lies anywhere, or on a threshold bound or
+    one ulp off it, quality bids z + alpha tying with v*c and v*w among
+    them. The surplus is often what the flows need, so that the residual
+    sits near 0.
+    """
+    ulps = st.sampled_from((-1, 0, 1))
+    kinds = st.sampled_from(("any",) * 5 + ("edge",) * 5 + ("nan",))
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    system = SystemSpec(
+        batteries=tuple(make_battery(r_max=draw(st.floats(0.5, 3.0)),
+                                     d_max=draw(st.floats(0.5, 3.0)))
+                        for _ in range(k)),
+        residents=tuple(make_resident(delta=draw(st.floats(0.02, 0.2)))
+                        for _ in range(n)),
+        grid=make_grid())
+    g = system.grid
+    v = draw(st.floats(10.0, 150.0))
+
+    def near(edges, hi):
+        kind = draw(kinds)
+        if kind == "any":
+            return draw(st.floats(0.0, hi))
+        if kind == "nan":
+            return math.nan
+        return nudge(draw(st.sampled_from(edges)), draw(ulps))
+
+    slots = []
+    for t in range(draw(st.integers(1, 3))):
+        c = draw(st.floats(g.c_min, g.c_max))
+        w = draw(st.floats(g.w_min, g.w_max))
+        alpha = [draw(st.sampled_from((0.0, 2.5)) | st.floats(0.0, 2.5))
+                 for _ in range(n)]
+        e = [level_at(draw(st.sampled_from(
+                 (-v * g.w_min, -v * g.c_max, -v * c, -v * w))),
+                 spec, v, g, draw(ulps))
+             if draw(st.booleans()) else draw(st.floats(-1.0, 17.0))
+             for spec in system.batteries]
+        z = []
+        for a, res in zip(alpha, system.residents):
+            kind = draw(st.sampled_from(("any", "backlog", "bid")))
+            if kind == "any":
+                z.append(draw(st.floats(0.0, 20.0)))
+            elif kind == "backlog":
+                z.append(nudge(draw(st.sampled_from(
+                    (v * g.c_max, v * g.w_min - res.alpha_max))),
+                    draw(ulps)))
+            else:
+                z.append(backlog_at(v * draw(st.sampled_from((c, w))), a,
+                                    draw(ulps)))
+        r = [near([0.0, 1e-12, -TOL, b.r_max + TOL], b.r_max)
+             for b in system.batteries]
+        d = [near([0.0, 1e-12, -TOL, b.d_max + TOL], b.d_max)
+             for b in system.batteries]
+        p = [near([0.0, 1e-12, -TOL, a + TOL, (1.0 - res.delta) * a - 1e-9],
+                  a) for a, res in zip(alpha, system.residents)]
+        q = near([0.0, -TOL, g.q_max + TOL], g.q_max)
+        s = near([0.0, -TOL, g.s_max + TOL], g.s_max)
+        curtailed = near([0.0, -TOL], 1.0)
+        need = curtailed - q - sum(d) + s + sum(r) + sum(p)
+        surplus = (need if need >= 0.0 and draw(st.booleans())
+                   else draw(st.floats(0.0, 30.0)))
+        basic = tuple(draw(st.sampled_from((0.0, 0.3))) for _ in range(n))
+        slots.append((
+            SystemState(t=t, e=tuple(e), z=tuple(z)),
+            SlotObservation(u=ordered_sum(basic) + surplus, basic=basic,
+                            alpha=tuple(alpha), c=c, w=w),
+            Dispatch(q=q, s=s, r=tuple(r), d=tuple(d), p=tuple(p),
+                     objective=0.0, curtailed=curtailed)))
+    return system, v, slots
+
+
 class TestAuditSlots:
     @given(audited_slots())
     @settings(deadline=None, max_examples=40)
@@ -1146,15 +1246,16 @@ class TestAuditSlots:
         for t, (obs, dispatch) in enumerate(zip(observations, dispatches)):
             after = states[t + 1]
             assert audit["balance"][t] == bool(
-                check_dispatch(dispatch, system, obs))
+                audit_reference.check_dispatch(dispatch, system, obs))
             if FAULTS[t][0] == "nan":
                 # A NaN in any flow, curtailment too, is a balance residual.
                 assert audit["balance"][t], FAULTS[t]
             assert audit["exclusivity"][t] == (
                 dispatch.q * dispatch.s != 0.0
                 or any(r * d != 0.0 for r, d in zip(dispatch.r, dispatch.d)))
-            assert audit["threshold"][t] == bool(threshold_violations(
-                system, states[t], obs, v, dispatch))
+            assert audit["threshold"][t] == bool(
+                audit_reference.threshold_violations(system, states[t], obs,
+                                                     v, dispatch))
             assert audit["battery_band"][t].tolist() == [
                 e < b.e_min - BALANCE_TOL or e > b.e_max + BALANCE_TOL
                 for e, b in zip(after.e, system.batteries)]
@@ -1164,6 +1265,35 @@ class TestAuditSlots:
                 dispatch.q * obs.c - dispatch.s * obs.w)
             assert repr(audit["outage"][t].tolist()) == repr(
                 [a - p for a, p in zip(obs.alpha, dispatch.p)])
+
+    @given(audit_rows())
+    @settings(deadline=None, max_examples=150)
+    def test_messages_equal_the_reference_audits(self, case):
+        # check_dispatch and threshold_violations word one slot, and the
+        # stacked fault lists word each slot of many, as the row-at-a-time
+        # references do: the same texts, values and order.
+        system, v, slots = case
+        states, observations, dispatches = zip(*slots)
+        balance, threshold = [], []
+        for state, obs, dispatch in slots:
+            balance.append(audit_reference.check_dispatch(dispatch, system,
+                                                          obs))
+            threshold.append(audit_reference.threshold_violations(
+                system, state, obs, v, dispatch))
+            assert check_dispatch(dispatch, system, obs) == balance[-1]
+            assert threshold_violations(system, state, obs, v,
+                                        dispatch) == threshold[-1]
+        trace = _observation_arrays(list(observations), system.n_residents)
+        flows = flow_array(dispatches)
+        balance_faults, _ = _balance_faults(flows, trace.surplus, trace.alpha,
+                                            _limits(system))
+        threshold_faults = _threshold_faults(
+            v, flows, trace.alpha, trace.c, trace.w,
+            np.array([state.e for state in states]),
+            np.array([state.z for state in states]), _limits(system))
+        for t in range(len(slots)):
+            assert _fault_words(balance_faults, t) == balance[t]
+            assert _fault_words(threshold_faults, t) == threshold[t]
 
     def test_a_nan_flow_is_a_balance_residual(self):
         # The residual test reads "not within tolerance", as the box tests
@@ -1291,6 +1421,37 @@ class TestAuditSlots:
                         flow_array([idle] * 5), (4.0,) * 5)
         assert str(err.value) == (
             f"slot 3: observation {field} has {width} entries, expected 5")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a: dict(a, levels=a["levels"][:-1],
+                        backlogs=a["backlogs"][:-1]),
+         "levels has 5 rows, expected 6"),
+        (lambda a: dict(a, backlogs=a["backlogs"][:-1]),
+         "backlogs has 5 rows, expected 6"),
+        (lambda a: dict(a, levels=a["levels"] + a["levels"][-1:]),
+         "levels has 7 rows, expected 6"),
+        (lambda a: dict(a, flows=a["flows"][:, :-1]),
+         "flows has 12 columns, expected 13"),
+        (lambda a: dict(a, observations=a["observations"]
+                        + a["observations"][:1]),
+         "observations has 6 slots, expected 5"),
+        (lambda a: dict(a, z_max=a["z_max"][:-1]),
+         "z_max has 4 entries, expected 5"),
+    ])
+    def test_row_counts_are_checked(self, edit, message):
+        # Short level and backlog rows used to audit silently; the other
+        # edits died in numpy's broadcasting.
+        config = replace(load_config("configs/five_day.yaml"), horizon=5)
+        traces = generate_traces(config)
+        (levels, backlogs, flows, _), summary = run(config, traces)
+        args = dict(system=config.system, v=summary.v, levels=levels,
+                    backlogs=backlogs, observations=list(traces),
+                    flows=flows,
+                    z_max=bound_constants(config.system, summary.v).z_max)
+        audit_slots(**args)
+        with pytest.raises(ValueError) as err:
+            audit_slots(**edit(args))
+        assert str(err.value) == message
 
     def test_unfed_basic_usage_raises_as_surplus_power_does(self):
         system = make_system()

@@ -11,6 +11,7 @@ import pytest
 
 import mgsched.validate
 from mgsched import (
+    Dispatch,
     UnservableSurplusError,
     battery_queue,
     bound_constants,
@@ -23,13 +24,13 @@ from mgsched import (
     solver_oracle_trials,
     surplus_power,
     threshold_trials,
-    threshold_violations,
     validate_observation,
 )
 from mgsched.dispatch import _dispatch_row, _row_dispatch
 from mgsched.sim import outage_windows
 from mgsched.validate import _block_instances, _draw_block
 
+import audit_reference
 from conftest import make_resident, random_states
 
 
@@ -497,8 +498,8 @@ class TestOtherSuites:
         calls = self.drop_resident_zero(monkeypatch)
         # With the threshold audit silenced, only the balance audit can
         # see the service that went missing.
-        monkeypatch.setattr(mgsched.validate, "_threshold_mask",
-                            lambda *args: False)
+        monkeypatch.setattr(mgsched.validate, "_threshold_faults",
+                            lambda *args: [])
         suite = threshold_trials(slots=128, seed=5)
         flagged = [self.unbalanced(*call) for call in calls]
         assert suite.violations == sum(f.sum() for f in flagged) > 0
@@ -518,7 +519,8 @@ class TestOtherSuites:
         # Flows drawn at random inside their caps break the threshold
         # structure in many slots. With the balance audit silenced, the
         # suite's padded per-column mask must flag exactly the slots that
-        # threshold_violations flags on each slot's own objects.
+        # the row-at-a-time reference of threshold_violations flags on
+        # each slot's own objects.
         flows_rng = np.random.default_rng(13)
         draws, solutions = [], []
         real_draw = mgsched.validate._draw_block
@@ -544,14 +546,20 @@ class TestOtherSuites:
             lambda *args: draws.append(real_draw(*args)) or draws[-1])
         monkeypatch.setattr(mgsched.validate, "merit_order_columns",
                             random_flows)
-        monkeypatch.setattr(mgsched.validate, "_balance_masks",
-                            lambda q, *_: (np.zeros(q.size, dtype=bool),
-                                           None))
+        monkeypatch.setattr(mgsched.validate, "_balance_faults",
+                            lambda *args: ([], None))
         suite = threshold_trials(slots=128, seed=5)
+
+        def column(solution, i, k, n):
+            _, q, s, r, d, p, _ = solution
+            return Dispatch(q=q[i], s=s[i], r=tuple(r[:k, i]),
+                            d=tuple(d[:k, i]), p=tuple(p[:n, i]),
+                            objective=0.0)
+
         expected = [
-            bool(threshold_violations(
+            bool(audit_reference.threshold_violations(
                 system, state, obs, v,
-                mgsched.validate._column_dispatch(solution, i, system)))
+                column(solution, i, system.n_batteries, system.n_residents)))
             for block, solution in zip(draws, solutions)
             for i, (system, state, obs, v) in enumerate(
                 _block_instances(block, slice(None)))]
