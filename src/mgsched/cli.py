@@ -17,6 +17,7 @@ from functools import cache
 from .model import UnservableSurplusError, ordered_sum
 from .sim import (
     RunConfig,
+    _write_table,
     check_seed,
     generate_traces,
     load_config,
@@ -150,10 +151,8 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         any_violation = (_report_violations(summary, f" at fraction {f}")
                          or any_violation)
     out_path = f"{args.out}.sweep.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("fraction,total_cost,mean_outage_ratio\n")
-        for f, cost, outage in rows:
-            fh.write(f"{f!r},{cost!r},{outage!r}\n")
+    _write_table(out_path, ["fraction", "total_cost", "mean_outage_ratio"],
+                 fractions, [row[1:] for row in rows])
     print(f"wrote {out_path}")
     # The documented trade-off: cost falls and outage rises as v grows.
     by_v_desc = sorted(rows, key=lambda row: -row[0])
@@ -177,11 +176,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name, summary in pairs:
         write_summary(summary, f"{args.out}.{name}.summary.txt")
     out_path = f"{args.out}.compare.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("policy,total_cost,mean_outage_ratio\n")
-        for name, summary in pairs:
-            fh.write(f"{name},{summary.total_cost!r},"
-                     f"{_mean_outage(summary)!r}\n")
+    _write_table(out_path, ["policy", "total_cost", "mean_outage_ratio"],
+                 [name for name, _ in pairs],
+                 [(summary.total_cost, _mean_outage(summary))
+                  for _, summary in pairs])
     print(f"wrote {out_path} and the paired summaries")
     violated = [_report_violations(summary, f" in {name}")
                 for name, summary in pairs]

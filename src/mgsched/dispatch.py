@@ -56,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
+    _BASIC_USAGE,
     BALANCE_TOL,
     Dispatch,
     SlotObservation,
@@ -387,6 +388,16 @@ def _finite_faults(u, basic, alpha, c, w):
             for name, x in zip(names, (u, basic, alpha, c, w))]
 
 
+def _basic_usage_faults(u, basic):
+    """The basic-usage fault of T slots, u (T,) and basic (T, N) arrays: a
+    basic total above generation."""
+    # + 0.0 makes ordered_sum's total of -0.0 requests, which starts from
+    # 0; inf and -inf requests add to a NaN, which needs no warning.
+    with np.errstate(invalid="ignore"):
+        total = _row_total(basic) + 0.0
+    return [[(total > u, _BASIC_USAGE, (total, u))]]
+
+
 def _observation_faults(u, basic, alpha, c, w, limits):
     """The observation faults of T slots, shaped as for _finite_faults or
     as lists, against a system's _limits: a value not finite, then each
@@ -400,17 +411,13 @@ def _observation_faults(u, basic, alpha, c, w, limits):
         return (~((lo <= x) & (x <= hi)), name + " {} outside [{}, {}]",
                 (x, lo, hi))
 
-    # + 0.0 makes ordered_sum's total of -0.0 requests, which starts from
-    # 0; inf and -inf requests add to a NaN, which needs no warning.
-    with np.errstate(invalid="ignore"):
-        total = _row_total(basic) + 0.0
     return _finite_faults(u, basic, alpha, c, w) + [
         [(u < 0.0, "generation {} is negative", (u,))],
         [(basic < 0.0, "basic[{i}] = {} is negative", (basic,))],
         [(alpha < 0.0, "alpha[{i}] = {} is negative", (alpha,)),
          (alpha > alpha_max, "alpha[{i}] = {} exceeds alpha_max {}",
           (alpha, alpha_max))],
-        [(total > u, "basic total {} exceeds generation {}", (total, u))],
+        *_basic_usage_faults(u, basic),
         [band("purchase price", c, c_min, c_max)],
         [band("sell price", w, w_min, w_max)],
         [(w >= c, "sell price {} not strictly below purchase price {}",

@@ -210,6 +210,11 @@ def ordered_sum(values):
     return reduce(add, values, 0)
 
 
+# The basic-usage fault; surplus_power and _basic_usage_faults format it.
+_BASIC_USAGE = ("basic usage {} exceeds generation {}; "
+                "the basic-usage guarantee admits no such slot")
+
+
 def surplus_power(obs: SlotObservation) -> float:
     """Renewable energy left once guaranteed basic usage is carved out.
 
@@ -219,9 +224,7 @@ def surplus_power(obs: SlotObservation) -> float:
     """
     total_basic = ordered_sum(obs.basic)
     if total_basic > obs.u:
-        raise ValueError(
-            f"basic usage {total_basic} exceeds generation {obs.u}; "
-            "the basic-usage guarantee admits no such slot")
+        raise ValueError(_BASIC_USAGE.format(total_basic, obs.u))
     return obs.u - total_basic
 
 

@@ -7,9 +7,9 @@ one array per observation field: generate_traces draws it and load_traces
 reads it from three CSV files in that form, and run, hindsight_lower_bound
 and audit_slots read its arrays as they are, slicing them to the horizon
 and checking only the request widths, that every value is finite and
-that basic usage stays within generation; write_traces writes it slot by
-slot. A hand-built list is converted once, by _observation_arrays, the
-one converter. The slot loop,
+that basic usage stays within generation; write_traces writes it with
+_write_table, the one CSV writer. A hand-built list is converted once, by
+_observation_arrays, the one converter. The slot loop,
 _simulate, which validate's bound suite shares, zips the trace's columns,
 carries the battery levels and backlogs as tuples and only calls the
 policy and _advance, the one slot recurrence, which step wraps for
@@ -55,6 +55,7 @@ import yaml
 
 from .dispatch import (
     _balance_faults,
+    _basic_usage_faults,
     _dispatch_row,
     _fault_rows,
     _fault_words,
@@ -80,7 +81,6 @@ from .model import (
     UnservableSurplusError,
     compute_vmax,
     shape_problems,
-    surplus_power,
     width_error,
 )
 from .queues import bound_constants, check_qose_stability, update_qose_queue
@@ -92,6 +92,11 @@ OUTAGE_WINDOW = 500
 
 VIOLATION_KEYS = ("battery_band", "queue_bound", "outage_window",
                   "balance", "exclusivity", "threshold")
+
+# Each trace file's name, as write_traces suffixes it, and header.
+_TRACE_FILES = {"wind": ["slot", "generation_kwh"],
+                "prices": ["slot", "purchase_price", "sell_price"],
+                "demand": ["slot", "resident", "basic_kwh", "quality_kwh"]}
 
 
 def _check_fields(spec, probs: tuple[str, ...],
@@ -552,9 +557,7 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
                 config: RunConfig) -> Trace:
     """Load and validate a recorded Trace from three CSV files.
 
-    Formats: wind rows are slot,generation_kwh; price rows are
-    slot,purchase_price,sell_price; demand rows are
-    slot,resident,basic_kwh,quality_kwh with resident indices 0..N-1.
+    Each file has its _TRACE_FILES header; demand names residents 0..N-1.
     Slots must cover 0..horizon-1 densely; rows at or past the horizon are
     ignored, so a longer recording replays over a shorter horizon, and a
     negative slot is an error. Fields are parsed by Python's int() and
@@ -570,12 +573,11 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
     missing resident, then the first of dispatch._observation_faults.
     """
     horizon = config.horizon
-    (gen,) = _trace_table(wind_path, ["slot", "generation_kwh"], horizon)
-    c, w = _trace_table(price_path, ["slot", "purchase_price", "sell_price"],
-                        horizon)
-    basic, alpha = _trace_table(
-        demand_path, ["slot", "resident", "basic_kwh", "quality_kwh"],
-        horizon, len(config.residents))
+    wind, prices, demand = _TRACE_FILES.values()
+    (gen,) = _trace_table(wind_path, wind, horizon)
+    c, w = _trace_table(price_path, prices, horizon)
+    basic, alpha = _trace_table(demand_path, demand, horizon,
+                                len(config.residents))
 
     # Parsed values are finite, so NaN marks a cell no row filled.
     missing_gen, missing_prices = np.isnan(gen), np.isnan(c)
@@ -600,25 +602,21 @@ def load_traces(wind_path: str, price_path: str, demand_path: str,
 
 def write_traces(traces: Trace | list[SlotObservation],
                  prefix: str) -> tuple[str, str, str]:
-    """Write a trace as the three CSV files load_traces expects.
-
-    A Trace or a list of SlotObservations is written slot by slot,
-    unchecked. Every field is written with str, a float's shortest
-    round-trip form (also for np.float64), one format string per row.
-    """
-    paths = (f"{prefix}.wind.csv", f"{prefix}.prices.csv",
-             f"{prefix}.demand.csv")
-    tables = (
-        ["slot,generation_kwh\n"]
-        + ["%s,%s\n" % (t, obs.u) for t, obs in enumerate(traces)],
-        ["slot,purchase_price,sell_price\n"]
-        + ["%s,%s,%s\n" % (t, obs.c, obs.w) for t, obs in enumerate(traces)],
-        ["slot,resident,basic_kwh,quality_kwh\n"]
-        + ["%s,%s,%s,%s\n" % (t, n, b, a) for t, obs in enumerate(traces)
-           for n, (b, a) in enumerate(zip(obs.basic, obs.alpha))])
-    for path, lines in zip(paths, tables):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+    """Write a trace's values, unchecked, as the three CSV files load_traces
+    reads, with _write_table. A list of SlotObservations is converted first
+    by _observation_arrays, for the width of its slot 0's basic request."""
+    if not isinstance(traces, Trace):
+        traces = _observation_arrays(traces, len(traces[0].basic)
+                                     if traces else 0)
+    horizon, n_res = traces.basic.shape
+    slots = range(horizon)
+    paths = tuple(f"{prefix}.{name}.csv" for name in _TRACE_FILES)
+    for path, header, keys, table in zip(
+            paths, _TRACE_FILES.values(),
+            (slots, slots, [f"{t},{n}" for t in slots for n in range(n_res)]),
+            (traces.u[:, None], np.column_stack([traces.c, traces.w]),
+             np.stack([traces.basic, traces.alpha], -1).reshape(-1, 2))):
+        _write_table(path, header, keys, table)
     return paths
 
 
@@ -698,11 +696,9 @@ def _checked(traces: Trace | list[SlotObservation], n_res: int) -> Trace:
 
     A Trace is taken as it is and a list converted by _observation_arrays.
     Raises width_error's ValueError for the first slot whose basic or
-    alpha request does not have n_res entries; then a ValueError such as
-    "slot 3: generation nan is not finite" for the first slot holding a
-    NaN or infinite value, naming its first such field in the words of
-    dispatch._finite_faults; then surplus_power's ValueError, prefixed
-    "slot t: ", for the first slot whose basic usage exceeds generation.
+    alpha request does not have n_res entries; then "slot t: <fault>" for
+    the first slot a fault of dispatch._finite_faults flags or, if none
+    does, dispatch._basic_usage_faults (basic usage above generation).
     """
     if not isinstance(traces, Trace):
         traces = _observation_arrays(traces, n_res)
@@ -712,17 +708,12 @@ def _checked(traces: Trace | list[SlotObservation], n_res: int) -> Trace:
             raise width_error(0, name, width, n_res)
     faults = _finite_faults(traces.u, traces.basic, traces.alpha, traces.c,
                             traces.w)
+    if not _fault_rows(faults).any():
+        faults = _basic_usage_faults(traces.u, traces.basic)
     broken = _fault_rows(faults)
     if broken.any():
         t = int(broken.argmax())
         raise ValueError(f"slot {t}: {_fault_words(faults, t)[0]}")
-    short = traces.surplus < 0.0
-    if short.any():
-        t = int(short.argmax())
-        try:
-            surplus_power(traces[t])
-        except ValueError as exc:
-            raise ValueError(f"slot {t}: {exc}") from None
     return traces
 
 
@@ -759,10 +750,9 @@ def audit_slots(system: SystemSpec, v: float,
     read as it is, or a list of SlotObservations, converted once. Raises
     a ValueError naming flows, levels, backlogs, observations or z_max
     when it holds other than 2K + N + 4, T + 1, T + 1, T or N columns,
-    rows or entries; then the first slot whose basic or alpha request
-    does not have one entry per resident, then the first slot and field
-    holding a NaN or infinite value, then the first slot whose basic
-    usage exceeds generation.
+    rows or entries; then _checked's ValueError for a slot with a request
+    of the wrong width, a NaN or infinite value or basic usage above
+    generation.
     """
     n_res, horizon = len(system.residents), len(flows)
     width = 2 * len(system.batteries) + n_res + 4
@@ -921,10 +911,8 @@ def run(config: RunConfig, traces: Trace | list[SlotObservation],
     which builds the trace's observations once per run, builds each
     slot's SystemState, checks the shape of the Dispatch returned and
     flattens it into the solver's flow row. Before the first slot, a
-    ValueError names the first slot whose requests have the wrong width,
-    then the first slot and field holding a NaN or infinite value, then
-    the first slot whose basic usage exceeds generation, and then a
-    policy that is neither a known name nor callable. Policy and step
+    ValueError names _checked's faulty slot, and then a policy that is
+    neither a known name nor callable. Policy and step
     errors propagate; audit failures are counted in the summary, never
     raised, so a broken setup still yields a diagnosable run. A NaN flow
     from a custom policy counts as a balance violation.
@@ -1193,11 +1181,8 @@ def hindsight_lower_bound(traces: Trace | list[SlotObservation],
     column per slot) once per call; the feasibility check runs once,
     before the first iteration. The service allowance and the gradient
     sum over slots in _slot_sums' order, that of a slot-major array, so
-    the multipliers do not depend on the layout. Raises a ValueError
-    naming the first slot whose basic or quality request does not have
-    one entry per resident, then the first slot and field holding a NaN
-    or infinite value, then the first slot whose basic usage exceeds
-    generation, and UnservableSurplusError naming the first slot whose
+    the multipliers do not depend on the layout. Raises _checked's
+    ValueError, then UnservableSurplusError naming the first slot whose
     surplus exceeds every sink, unless the config enables curtailment.
     """
     if iterations < 1:
@@ -1248,18 +1233,14 @@ def hindsight_lower_bound(traces: Trace | list[SlotObservation],
 
 
 def write_slot_records(trajectory: Trajectory, path: str) -> None:
-    """Write a run's slots as CSV, one row per slot, from its arrays.
+    """Write a run's slots as CSV with _write_table, one row per slot.
 
     The columns are t, the slot's cost and its running total, q, s, the
     recharge and discharge totals sum_r and sum_d, then the levels e_k,
     backlogs z_n and outages alpha - p that the slot leaves; K and N are
     the widths of the trajectory's level and backlog rows. The totals add
     each row left to right from 0, as ordered_sum does, signed zeros
-    included. Every field is written with str, a float's shortest
-    round-trip form (also for np.float64). Each distinct value is
-    formatted once, keyed on its 64-bit pattern, so -0.0 and 0.0 stay
-    apart and every NaN prints nan; the bytes are those of formatting
-    every field in turn.
+    included.
     """
     levels, backlogs, flows, audit = trajectory
     n_bat, n_res = len(levels[0]), len(backlogs[0])
@@ -1277,15 +1258,25 @@ def write_slot_records(trajectory: Trajectory, path: str) -> None:
     cols += [f"e_{k + 1}" for k in range(n_bat)]
     cols += [f"z_{n + 1}" for n in range(n_res)]
     cols += [f"outage_{n + 1}" for n in range(n_res)]
+    _write_table(path, cols, range(len(table)), table)
+
+
+def _write_table(path: str, header: list[str], keys, table) -> None:
+    """Write a CSV: the header, then per key a row of the key and that row
+    of table, a 2-D float array. Every field is written with str, a
+    float's shortest round-trip form (also for np.float64); each distinct
+    value is formatted once, keyed on its 64-bit pattern, so -0.0 and 0.0
+    stay apart and every NaN prints nan, as formatting each field would."""
+    table = np.ascontiguousarray(table, dtype=float)
     # Fewer than half of a shipped run's fields are distinct. The inverse
     # is reshaped because its shape for 2-D input differs across numpy
     # versions.
-    keys, inverse = np.unique(table.view(np.int64), return_inverse=True)
-    text = np.array(list(map(str, keys.view(float).tolist())), dtype=object)
+    values, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    text = np.array(list(map(str, values.view(float).tolist())), dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines([f"{t},{','.join(fields)}\n" for t, fields in enumerate(
-            text[inverse.reshape(table.shape)].tolist())])
+        fh.write(",".join(header) + "\n")
+        fh.writelines([f"{key},{','.join(fields)}\n" for key, fields in zip(
+            keys, text[inverse.reshape(table.shape)].tolist())])
 
 
 def format_summary(summary: Summary) -> str:

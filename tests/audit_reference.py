@@ -42,7 +42,8 @@ def validate_observation(obs, system):
     total_basic = ordered_sum(obs.basic)
     if total_basic > obs.u:
         problems.append(
-            f"basic total {total_basic} exceeds generation {obs.u}")
+            f"basic usage {total_basic} exceeds generation {obs.u}; "
+            "the basic-usage guarantee admits no such slot")
     g = system.grid
     if not g.c_min <= obs.c <= g.c_max:
         problems.append(f"purchase price {obs.c} outside [{g.c_min}, {g.c_max}]")

@@ -51,6 +51,17 @@ COMPARE_DIGESTS = {
     },
 }
 
+# SHA-256 of the file `mgsched sweep-v --fractions 1,0.5,0.25,0.125`
+# writes for each shipped config, pinned like SHIPPED_DIGESTS.
+SWEEP_DIGESTS = {
+    FIVE_DAY: {
+        "sweep.csv": "879b50634b6207802c7706bd12524e867037ce45b252b0e7a6e49f87d474df66",
+    },
+    SEVEN_DAY: {
+        "sweep.csv": "c13c6bc79092f5333ac73b8e0e8e3c5ede14c6e74630d31515004a0ba87aa0ff",
+    },
+}
+
 # SHA-256 of the three CSVs `mgsched gen-traces` writes for each shipped
 # config, pinned like SHIPPED_DIGESTS.
 TRACE_DIGESTS = {
@@ -246,6 +257,17 @@ class TestSweepCommand:
         assert lines[0] == "fraction,total_cost,mean_outage_ratio"
         assert len(lines) == 2
         assert lines[1].startswith("1.0,")
+
+    @pytest.mark.parametrize("config", [FIVE_DAY, SEVEN_DAY])
+    def test_shipped_outputs_are_pinned(self, tmp_path, config):
+        out = str(tmp_path / "s")
+        assert main(["sweep-v", "--config", config,
+                     "--fractions", "1,0.5,0.25,0.125", "--out", out]) == 0
+        digests = {
+            suffix: hashlib.sha256(
+                (tmp_path / f"s.{suffix}").read_bytes()).hexdigest()
+            for suffix in SWEEP_DIGESTS[config]}
+        assert digests == SWEEP_DIGESTS[config]
 
     @pytest.mark.parametrize("fractions", ["abc", "0.0", "1.5", ""])
     def test_bad_fractions_exit_one(self, tmp_path, capsys, fractions):

@@ -1536,6 +1536,28 @@ class TestNonFiniteTraces:
             "slot 9: observation alpha has 4 entries, expected 5")
 
 
+class TestBasicUsageFault:
+    def test_every_entry_check_words_it_alike(self, tmp_path):
+        # five_day at horizon 5 with slot 2's generation halved: the
+        # loader, validate_observation and the in-process entry checks
+        # refuse the slot in surplus_power's words.
+        config = replace(load_config("configs/five_day.yaml"), horizon=5)
+        traces = list(generate_traces(config))
+        obs = traces[2] = replace(traces[2], u=0.5 * traces[2].u)
+        expected = (f"slot 2: basic usage {ordered_sum(obs.basic)} exceeds "
+                    f"generation {obs.u}; the basic-usage guarantee admits "
+                    f"no such slot")
+        with pytest.raises(TraceError) as err:
+            load_traces(*write_traces(traces, str(tmp_path / "t")), config)
+        words = [str(err.value), "slot 2: " + validate_observation(
+            obs, config.system)[0]]
+        for caller in NON_FINITE_CALLERS.values():
+            with pytest.raises(ValueError) as err:
+                caller(config, traces)
+            words.append(str(err.value))
+        assert words == [expected] * 5
+
+
 class TestSimulate:
     @pytest.mark.parametrize("seed, v_factor", [(3, 1.0), (4, 2.0)])
     def test_levels_and_backlogs_are_those_of_step(self, seed, v_factor):
@@ -2258,6 +2280,25 @@ def reference_slot_records(trajectory: Trajectory) -> bytes:
     ]).encode("utf-8")
 
 
+def reference_write_traces(traces, prefix: str) -> tuple[str, str, str]:
+    """write_traces as formatting every field in turn writes it: each
+    observation slot by slot, each row through one "%s" format."""
+    paths = (f"{prefix}.wind.csv", f"{prefix}.prices.csv",
+             f"{prefix}.demand.csv")
+    tables = (
+        ["slot,generation_kwh\n"]
+        + ["%s,%s\n" % (t, obs.u) for t, obs in enumerate(traces)],
+        ["slot,purchase_price,sell_price\n"]
+        + ["%s,%s,%s\n" % (t, obs.c, obs.w) for t, obs in enumerate(traces)],
+        ["slot,resident,basic_kwh,quality_kwh\n"]
+        + ["%s,%s,%s,%s\n" % (t, n, b, a) for t, obs in enumerate(traces)
+           for n, (b, a) in enumerate(zip(obs.basic, obs.alpha))])
+    for path, lines in zip(paths, tables):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+    return paths
+
+
 def _nan(payload: int, sign: int = 0) -> float:
     """A quiet NaN with the given sign bit and mantissa payload."""
     bits = (sign << 63) | 0x7FF8_0000_0000_0000 | payload
@@ -2295,6 +2336,23 @@ def pooled_trajectories(draw):
                       {"cost": cost, "outage": outage})
 
 
+@st.composite
+def pooled_traces(draw):
+    """A Trace of up to 8 slots and 3 residents whose entries all come
+    from SLOT_VALUES."""
+    horizon, n_res = draw(st.integers(0, 8)), draw(st.integers(1, 3))
+    columns = draw(st.tuples(*(
+        st.lists(st.sampled_from(SLOT_VALUES), min_size=size, max_size=size)
+        for size in (horizon, horizon * n_res, horizon * n_res, horizon,
+                     horizon))))
+    u, basic, alpha, c, w = (np.array(column, dtype=float)
+                             for column in columns)
+    # Its surplus column may add inf to -inf.
+    with np.errstate(invalid="ignore"):
+        return Trace(u, basic.reshape(horizon, n_res),
+                     alpha.reshape(horizon, n_res), c, w)
+
+
 class TestReporting:
     def test_pooled_values_keep_their_bits(self):
         # The pool's NaNs, zeros and subnormals survive into an array, so
@@ -2303,17 +2361,37 @@ class TestReporting:
         assert len(set(bits.tolist())) == len(SLOT_VALUES) - 4
         assert len(set(map(str, SLOT_VALUES))) == len(SLOT_VALUES) - 6
 
-    @given(pooled_trajectories())
+    @given(pooled_trajectories(), pooled_traces())
     @settings(deadline=None, max_examples=300)
     def test_writes_the_bytes_of_formatting_each_field(self, tmp_path_factory,
-                                                        trajectory):
-        path = tmp_path_factory.getbasetemp() / "pooled.slots.csv"
+                                                        trajectory, trace):
+        base = tmp_path_factory.getbasetemp()
+        path = base / "pooled.slots.csv"
         # The running totals may add inf to -inf; the writer does so
         # without a warning, the reference needs telling.
         write_slot_records(trajectory, str(path))
         with np.errstate(invalid="ignore"):
             expected = reference_slot_records(trajectory)
         assert path.read_bytes() == expected
+        written = write_traces(trace, str(base / "pooled"))
+        for ours, reference in zip(written, reference_write_traces(
+                trace, str(base / "reference"))):
+            assert Path(ours).read_bytes() == Path(reference).read_bytes()
+
+    def test_a_list_of_observations_writes_as_its_trace(self, tmp_path):
+        # A list is converted as run converts it: int fields write as
+        # floats, a -0.0 quality request as 0.0, and ragged request widths
+        # raise width_error's ValueError before any file is written.
+        listed = [SlotObservation(5, (1, -0.0), (2, -0.0), 3, 1)]
+        paths = write_traces(listed, str(tmp_path / "l"))
+        assert [Path(path).read_text().splitlines()[1:] for path in paths] == [
+            ["0,5.0"], ["0,3.0,1.0"], ["0,0,1.0,2.0", "0,1,-0.0,0.0"]]
+        ragged = listed + [replace(listed[0], alpha=(2.0,))]
+        with pytest.raises(ValueError, match="^slot 1: observation alpha has "
+                                             "1 entries, expected 2$"):
+            write_traces(ragged, str(tmp_path / "r"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            Path(path).name for path in paths)
 
     def test_infinite_custom_flows_are_flagged_without_warnings(self,
                                                                 tmp_path):
