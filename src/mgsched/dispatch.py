@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import or_
+from itertools import count
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 import numpy as np
@@ -106,24 +107,26 @@ def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
     discharged battery bids high to recharge and offers its discharge
     dearly, and quality bids by backlog plus demand, so long-unserved
     residents outbid the market. The purchase offer at v*c and the sale
-    bid at v*w join each book before its one sort; no other entry has
-    their rank 2, so no tie is left to the sort's order. headroom_clamp
-    also clamps the flow caps to the energy storable or extractable this
-    slot; audits can turn it off to expose misparametrization instead of
-    masking it. Entries without capacity are left out. Each battery's
-    limits, the trade caps and v*c_max are read once, here.
+    bid at v*w join each book before its one sort, a stable sort on price
+    alone: entries are appended in (rank, index) order, which price ties
+    keep, as a sort of the whole tuples would. headroom_clamp also clamps
+    the flow caps to the energy storable or extractable this slot; audits
+    can turn it off to expose misparametrization instead of masking it.
+    Entries without capacity are left out. Each battery's limits, the
+    trade caps and v*c_max are read once, here.
     """
     g = system.grid
     q_max, s_max = g.q_max, g.s_max
     v_c_max = v * g.c_max
     specs = [(k, b.d_max, b.e_min, b.e_max, b.r_max)
              for k, b in enumerate(system.batteries)]
+    price = itemgetter(0)
 
     def books(e, z, alpha, surplus: float, c: float,
               w: float) -> tuple[list, list]:
         supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
         demand = [(-(zn + an), 0, n, an)
-                  for n, (zn, an) in enumerate(zip(z, alpha)) if an > 0.0]
+                  for n, zn, an in zip(count(), z, alpha) if an > 0.0]
         for level, (k, d_max, e_min, e_max, r_max) in zip(e, specs):
             # battery_queue(level, spec, v, grid), in its order of operations.
             x = level - d_max - e_min - v_c_max
@@ -139,8 +142,8 @@ def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
                 demand.append((x, 1, k, r_cap))
         supply.append((v * c, 2, -1, q_max))
         demand.append((-(v * w), 2, -1, s_max))
-        supply.sort()
-        demand.sort()
+        supply.sort(key=price)
+        demand.sort(key=price)
         return supply, demand
 
     return books
@@ -200,7 +203,8 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
     unless allow_shortfall turns the leftover into curtailment. Then the
     cheapest offer is matched to the most valuable bid while value strictly
     exceeds cost. The greedy sweep is exact, as the objective is convex
-    piecewise linear in the traded quantity.
+    piecewise linear in the traded quantity. It finds an entry's place in
+    the row once, on reaching it, and keeps no flow for the surplus.
 
     Returns (feasible, flows, objective). flows is one flat row (q, s,
     r_1..r_K, d_1..d_K, p_1..p_N, objective, curtailed) with K =
@@ -212,18 +216,19 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
     # Where an entry's index lands in flows, by rank: surplus, discharge,
     # purchase on the supply side and quality, recharge, sale on the
     # demand side. System-level entries carry index -1, so the purchase
-    # lands in q, the sale in s, and the surplus's own outflow in the last
-    # slot, which is overwritten with the curtailment at the end.
+    # lands in q and the sale in s. The surplus's own outflow is not
+    # kept: its slot, the last, holds the curtailment at the end.
     source_at = (0, k, 1)
     sink_at = (k + n_batteries, 2, 2)
     objective = 0.0
     surplus_left = offers[0][3] if offers and offers[0][1] == 0 else 0.0
     if offers and bids:
         i = j = 0
+        n_offers, n_bids = len(offers), len(bids)
         cost, o_rank, o_idx, o_cap = offers[0]
-        o_left = o_cap
+        o_at, o_left = source_at[o_rank] + o_idx, o_cap
         neg_value, rank, idx, cap = bids[0]
-        b_left = cap
+        b_at, b_left = sink_at[rank] + idx, cap
         # Strict profitability: an equal-price pair never trades, which is
         # also what keeps a battery from matching its own discharge (cost
         # -x) against its own recharge (value -x).
@@ -232,13 +237,11 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
             # A flow filled by several takes can overshoot its cap by an
             # ulp (take1 + (cap - take1) need not round back to cap), so
             # every fill snaps the flow into its box.
-            at = source_at[o_rank] + o_idx
-            f = flows[at] + take
-            flows[at] = f if f < o_cap else o_cap
-            at = sink_at[rank] + idx
-            f = flows[at] + take
-            flows[at] = f if f < cap else cap
+            f = flows[b_at] + take
+            flows[b_at] = f if f < cap else cap
             if o_rank:
+                f = flows[o_at] + take
+                flows[o_at] = f if f < o_cap else o_cap
                 objective += cost * take + neg_value * take
             else:
                 objective += neg_value * take
@@ -247,16 +250,16 @@ def merit_order_allocate(offers: list[tuple], bids: list[tuple],
             b_left -= take
             if o_left <= 0.0:
                 i += 1
-                if i == len(offers):
+                if i == n_offers:
                     break
                 cost, o_rank, o_idx, o_cap = offers[i]
-                o_left = o_cap
+                o_at, o_left = source_at[o_rank] + o_idx, o_cap
             if b_left <= 0.0:
                 j += 1
-                if j == len(bids):
+                if j == n_bids:
                     break
                 neg_value, rank, idx, cap = bids[j]
-                b_left = cap
+                b_at, b_left = sink_at[rank] + idx, cap
     if surplus_left > 0.0 and not allow_shortfall:
         return SubproblemResult(False, None, math.inf)
     flows[-2] = objective
@@ -336,9 +339,13 @@ def dispatch_slot(system: SystemSpec, state: SystemState, obs: SlotObservation,
 
 
 def _row_total(a: np.ndarray) -> np.ndarray:
-    # Adds each row (last axis) left to right, as ordered_sum does over a
-    # tuple; a.sum(axis=-1) adds pairwise from 8 columns on.
-    return np.cumsum(a, axis=-1)[..., -1]
+    # Adds each row (last axis) left to right, as np.cumsum and ordered_sum
+    # do; a.sum(axis=-1) adds pairwise from 8 columns on. Not adding in
+    # place keeps cumsum's bits, NaNs' too; [()] makes a 1-D total scalar.
+    total = a[..., 0].copy()
+    for column in range(1, a.shape[-1]):
+        total = total + a[..., column]
+    return total[()]
 
 
 def _fault_rows(faults):

@@ -45,23 +45,32 @@ def update_qose_queue(z: float, alpha: float, p: float, delta: float) -> float:
 
     The drain delta * alpha is the slack the quality-of-service guarantee
     grants this slot; the arrival alpha - p is the demand left unserved.
+    This is the one-resident case of _advance_qose_queues.
     """
-    if z < 0.0:
-        raise ValueError(f"queue level {z} is negative")
-    if alpha < 0.0:
-        raise ValueError(f"quality demand {alpha} is negative")
-    if p < 0.0:
-        raise ValueError(f"service {p} is negative")
-    if p > alpha:
-        # Tolerate rounding dust from flows assembled in several pieces;
-        # anything beyond it is a real contract violation.
-        if p > alpha + 1e-9:
-            raise ValueError(f"service {p} exceeds demand {alpha}")
-        p = alpha
-    drained = z - delta * alpha
-    if drained < 0.0:
-        drained = 0.0
-    return drained + (alpha - p)
+    return _advance_qose_queues((z,), (alpha,), (p,), (delta,))[0]
+
+
+def _advance_qose_queues(z, alpha, p, deltas) -> tuple[float, ...]:
+    """Advance every resident's service-debt queue one slot, resident by
+    resident, as update_qose_queue states: backlogs z, quality requests
+    alpha, service p and each resident's delta, one entry per resident."""
+    advanced = []
+    for zn, an, pn, delta in zip(z, alpha, p, deltas):
+        if zn < 0.0:
+            raise ValueError(f"queue level {zn} is negative")
+        if an < 0.0:
+            raise ValueError(f"quality demand {an} is negative")
+        if pn < 0.0:
+            raise ValueError(f"service {pn} is negative")
+        if pn > an:
+            # Tolerate rounding dust from flows assembled in several
+            # pieces; anything beyond it is a real contract violation.
+            if pn > an + 1e-9:
+                raise ValueError(f"service {pn} exceeds demand {an}")
+            pn = an
+        drained = zn - delta * an
+        advanced.append((0.0 if drained < 0.0 else drained) + (an - pn))
+    return tuple(advanced)
 
 
 def bound_constants(system: SystemSpec, v: float) -> BoundConstants:

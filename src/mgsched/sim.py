@@ -83,7 +83,7 @@ from .model import (
     shape_problems,
     width_error,
 )
-from .queues import bound_constants, check_qose_stability, update_qose_queue
+from .queues import _advance_qose_queues, bound_constants, check_qose_stability
 
 POLICIES = ("proposed", "mecp")
 
@@ -333,7 +333,9 @@ class Trace:
                 column += 0.0
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        surplus = self.u - _row_total(self.basic)
+        # An inf and a -inf request add, unwarned, to a NaN _checked refuses.
+        with np.errstate(invalid="ignore"):
+            surplus = self.u - _row_total(self.basic)
         surplus.setflags(write=False)
         object.__setattr__(self, "surplus", surplus)
 
@@ -627,10 +629,10 @@ def _advance(e: tuple[float, ...], z: tuple[float, ...],
              alpha: tuple[float, ...], r, d, p,
              deltas) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """step's recurrence on tuples: the levels e - d + r and the backlogs
-    update_qose_queue(z, alpha, p, delta), one per resident's delta."""
+    update_qose_queue gives, in one recurrence over every resident."""
     return (tuple([level - out + into for level, out, into
                    in zip(e, d, r)]),
-            tuple(map(update_qose_queue, z, alpha, p, deltas)))
+            _advance_qose_queues(z, alpha, p, deltas))
 
 
 def step(system: SystemSpec, state: SystemState, obs: SlotObservation,

@@ -1521,6 +1521,22 @@ class TestNonFiniteTraces:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("caller", NON_FINITE_CALLERS)
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_an_inf_and_a_minus_inf_request_add_unwarned(self, caller,
+                                                         as_list):
+        # The two add to a NaN basic total and surplus, which Trace
+        # derives without a warning, so the slot is refused in the words
+        # of its first infinite request.
+        config, trace = five_day_trace_with()
+        basic = trace.basic.copy()
+        basic[0, :2] = math.inf, -math.inf
+        trace = Trace(trace.u, basic, trace.alpha, trace.c, trace.w)
+        with pytest.raises(ValueError) as err:
+            NON_FINITE_CALLERS[caller](config, list(trace) if as_list
+                                       else trace)
+        assert str(err.value) == "slot 0: basic[0] = inf is not finite"
+
+    @pytest.mark.parametrize("caller", NON_FINITE_CALLERS)
     def test_comes_after_the_widths_and_before_the_surplus(self, caller):
         # Slot 0's basic usage exceeds generation; slot 5 is not finite.
         config, trace = five_day_trace_with(u=(5, math.inf),
