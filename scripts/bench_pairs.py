@@ -1,27 +1,31 @@
 """Benchmark a change against its parent in alternating pairs of runs.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --pr N
+    python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_<pr>.json
     python3 scripts/bench_pairs.py --parent HEAD --change HEAD --pairs 1 \
         --seconds 1 --out /tmp/pairs.json
 
 The parent revision is exported with git archive; the change is a revision
 exported the same way or, without --change, the working tree copied
-without .git. For each workload and seed, each tree's own
-perfbench/run.py --trace 0 runs once, and which tree goes first alternates
-from one seed to the next, so a drift in host speed falls on both sides.
+without .git. For each workload of BENCHMARK.json and each seed from 801
+on, each tree's own perfbench/run.py --trace 0 runs once, for
+BENCHMARK.json's run_seconds unless --seconds says otherwise, and which
+tree goes first alternates from one seed to the next, so a drift in host
+speed falls on both sides.
 
-The report, BENCH_<pr>.json at the repository root unless --out names
-another file, holds per workload and end-to-end metric both trees' median
-and first and third quartiles, the pair count and the pairs the change
-won, better being the direction BENCHMARK.json gives; every run's correct
-flag and metrics; each tree's "# env" line; and whether
-PYTHONDONTWRITEBYTECODE is set, since then every benchmark worker compiles
-mgsched from source inside its timed set-up.
+The report, written to --out, names both trees' commits (the working
+tree by HEAD's, and whether it held uncommitted or untracked files) and
+holds per workload
+and end-to-end metric both trees' median and first and third quartiles,
+the pair count and the pairs the change won, better being the direction
+BENCHMARK.json gives; every run's correct flag and metrics; each tree's
+"# env" line; and whether PYTHONDONTWRITEBYTECODE is set, since then
+every benchmark worker compiles mgsched from source inside its timed
+set-up.
 
 Exits 1 when a run is not correct or when cost_per_slot, outage_ratio or
 success_ratio differ between the two runs of a pair (the report is
-written first), and 2 when a tree cannot be exported or a run prints no
-result.
+written first), and 2 when a revision cannot be resolved or exported or
+a run prints no result.
 """
 
 from __future__ import annotations
@@ -40,8 +44,23 @@ ROOT = Path(__file__).resolve().parent.parent
 # A speed-only change keeps these bit for bit on every run.
 EXACT = ("cost_per_slot", "outage_ratio", "success_ratio")
 SIDES = ("parent", "change")
+FIRST_SEED = 801
 UNCOPIED = shutil.ignore_patterns(".git", ".perfbench_work", "__pycache__",
                                   ".hypothesis", ".pytest_cache", ".benchmarks")
+
+
+def git(*args: str) -> str:
+    """A git command's output in the repository, stripped."""
+    proc = subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE,
+                          text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"git {' '.join(args)} exited {proc.returncode}")
+    return proc.stdout.strip()
+
+
+def commit(revision: str) -> str:
+    """revision's full commit hash."""
+    return git("rev-parse", "--verify", f"{revision}^{{commit}}")
 
 
 def export(revision: str, dest: Path) -> None:
@@ -112,18 +131,17 @@ def problems(workload: str, runs: list[dict]) -> list[str]:
     return found
 
 
-def report(args, spec: dict, runs: dict, envs: dict) -> dict:
-    """The BENCH_<pr>.json document of runs, one list of pairs per
-    workload."""
+def report(sources: dict, seconds: float, end_to_end: list[dict],
+           runs: dict, envs: dict) -> dict:
+    """The report of runs, one list of pairs per workload; sources names
+    the trees measured."""
     return {
-        "parent": args.parent,
-        "change": args.change or "working tree",
-        "seconds": args.seconds,
+        **sources,
+        "seconds": seconds,
         "PYTHONDONTWRITEBYTECODE": bool(
             os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "env": envs,
-        "workloads": {workload: {"metrics": summarize(spec["end_to_end"],
-                                                      pairs),
+        "workloads": {workload: {"metrics": summarize(end_to_end, pairs),
                                  "runs": pairs}
                       for workload, pairs in runs.items()},
     }
@@ -146,40 +164,35 @@ def main() -> int:
     p.add_argument("--parent", required=True, help="parent revision")
     p.add_argument("--change", help="change revision (default: the "
                    "working tree)")
-    p.add_argument("--pr", help="names the report BENCH_<pr>.json, at the "
-                   "repository root")
-    p.add_argument("--out", help="report path in place of BENCH_<pr>.json")
+    p.add_argument("--out", required=True, help="report path")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--first-seed", type=int, default=801)
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated (default: BENCHMARK.json's)")
+    p.add_argument("--seconds", type=float,
+                   help="seconds per run (default: BENCHMARK.json's)")
     args = p.parse_args()
-    if not (args.pr or args.out):
-        p.error("give --pr or --out")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
+    seconds = args.seconds or spec["run_seconds"]
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
+        sources = {"parent": commit(args.parent),
+                   "change": commit(args.change or "HEAD"),
+                   "uncommitted": (not args.change
+                                   and bool(git("status", "--porcelain")))}
         trees = {"parent": scratch / "parent", "change": scratch / "change"}
-        export(args.parent, trees["parent"])
+        export(sources["parent"], trees["parent"])
         if args.change:
-            export(args.change, trees["change"])
+            export(sources["change"], trees["change"])
         else:
             shutil.copytree(ROOT, trees["change"], ignore=UNCOPIED)
         runs, envs = {}, {}
-        for workload in workloads:
+        for workload in [w["name"] for w in spec["workloads"]]:
             runs[workload] = []
             for i in range(args.pairs):
-                seed = args.first_seed + i
+                seed = FIRST_SEED + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = bench(trees[side], workload, seed,
-                                       args.seconds)
+                    pair[side] = bench(trees[side], workload, seed, seconds)
                     envs[side] = pair[side].pop("env")
                 runs[workload].append(pair)
                 print(f"{workload} seed {seed}: slots_per_s "
@@ -192,8 +205,9 @@ def main() -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    out.write_text(json.dumps(report(args, spec, runs, envs), indent=1)
-                   + "\n")
+    Path(args.out).write_text(json.dumps(
+        report(sources, seconds, spec["end_to_end"], runs, envs),
+        indent=1) + "\n")
     found = [line for workload, pairs in runs.items()
              for line in problems(workload, pairs)]
     for line in found:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import count
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -126,7 +125,7 @@ def _book_builder(system: SystemSpec, v: float, headroom_clamp: bool):
               w: float) -> tuple[list, list]:
         supply = [(-math.inf, 0, -1, surplus)] if surplus > 0.0 else []
         demand = [(-(zn + an), 0, n, an)
-                  for n, zn, an in zip(count(), z, alpha) if an > 0.0]
+                  for n, (zn, an) in enumerate(zip(z, alpha)) if an > 0.0]
         for level, (k, d_max, e_min, e_max, r_max) in zip(e, specs):
             # battery_queue(level, spec, v, grid), in its order of operations.
             x = level - d_max - e_min - v_c_max

@@ -3,7 +3,6 @@
 import importlib.util
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -86,16 +85,20 @@ class TestSummarize:
                                                   "median": 110.0,
                                                   "q3": 110.0}
 
-    def test_report_records_the_bytecode_variable(self, monkeypatch):
-        args = SimpleNamespace(parent="HEAD~1", change=None, seconds=30.0)
+    def test_report_records_the_trees_and_the_bytecode_variable(
+            self, monkeypatch):
+        sources = {"parent": "a" * 40, "change": "b" * 40,
+                   "uncommitted": True}
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-        doc = pairs.report(args, SPEC, {"validate-large": self.runs()},
+        doc = pairs.report(sources, 30, SPEC["end_to_end"],
+                           {"validate-large": self.runs()},
                            {"parent": ENV, "change": ENV})
         assert doc["PYTHONDONTWRITEBYTECODE"] is True
-        assert doc["change"] == "working tree"
+        assert {name: doc[name] for name in sources} == sources
+        assert doc["seconds"] == 30
         assert len(doc["workloads"]["validate-large"]["runs"]) == 3
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
-        assert pairs.report(args, SPEC, {}, {})[
+        assert pairs.report(sources, 30, SPEC["end_to_end"], {}, {})[
             "PYTHONDONTWRITEBYTECODE"] is False
 
 
