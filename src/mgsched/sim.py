@@ -37,6 +37,8 @@ service reaches (1 - delta)*alpha, under relaxed storage dynamics, so
 the scheduler's average cost can be judged without knowing the true
 offline optimum. Each of its iterations solves the relaxed slot problems
 of all slots at once in numpy, with the merit order in closed form.
+load_config and load_seed import PyYAML on first use, so a process that
+builds its RunConfig in Python never loads PyYAML or libyaml.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from .dispatch import (
     _balance_faults,
@@ -1450,7 +1452,7 @@ class _UniqueKeys:
         seen = set()
         for key_node, _ in node.value:
             # Merge keys (<<) only bring in entries that later keys override.
-            if (isinstance(key_node, yaml.ScalarNode)
+            if (key_node.id == "scalar"
                     and key_node.tag != "tag:yaml.org,2002:merge"):
                 key = self.construct_object(key_node)
                 if key in seen:
@@ -1459,18 +1461,28 @@ class _UniqueKeys:
         return super().construct_mapping(node, deep)
 
 
+@cache
+def _loader(base):
+    """base with _UniqueKeys' check, one class per process."""
+    return type("Loader", (_UniqueKeys, base), {})
+
+
 def _read_yaml(path: str) -> dict:
     """The mapping a YAML file holds; ValueError naming the file if it
     cannot be read or parsed, holds a value the safe constructor refuses
     (such as the timestamp 2001-13-45) or something other than a mapping,
-    or repeats a key in any mapping (naming the line and key too)."""
+    or repeats a key in any mapping (naming the line and key too).
+    PyYAML is imported here, on the first read, so a process that reads
+    no YAML file never loads it."""
+    import yaml
+
     try:
         # Bytes, so PyYAML detects UTF-8 or UTF-16 whatever the locale.
         with open(path, "rb") as fh:
             # libyaml's parser where PyYAML was built with it; construction
             # stays PyYAML's safe constructor either way.
-            data = yaml.load(fh, Loader=type("Loader", (_UniqueKeys, getattr(
-                yaml, "CSafeLoader", yaml.SafeLoader)), {}))
+            data = yaml.load(fh, Loader=_loader(getattr(
+                yaml, "CSafeLoader", yaml.SafeLoader)))
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: invalid YAML: {exc}") from exc
     except (OSError, ValueError) as exc:

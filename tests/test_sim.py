@@ -2840,6 +2840,34 @@ class TestLoadConfig:
                         "other:\n  <<: *b\n  delta: 0.2\n")
         assert load_seed(str(path)) == 3
 
+    def test_the_cached_loader_keeps_no_state_between_reads(self, tmp_path):
+        # Every read of a process shares one loader class: a key one file
+        # or mapping holds must not count as a repeat in the next.
+        base = Path("configs/five_day.yaml").read_text()
+        reads = mgsched.sim._loader.cache_info()
+        for old, new, line, key in [
+                ("seed: 7\n", "seed: 7\nseed: 8\n", 10, "seed"),
+                ("  q_max_kwh: 25.0\n", "  q_max_kwh: 25.0\n"
+                 "  q_max_kwh: 20.0\n", 29, "q_max_kwh")]:
+            assert old in base
+            path = tmp_path / f"{key}.yaml"
+            path.write_text(base.replace(old, new, 1))
+            with pytest.raises(ValueError) as err:
+                load_config(str(path))
+            assert str(err.value) == f"{path}:{line}: duplicate key {key!r}"
+        # Two one-battery entries, the second merged from the first and
+        # overriding one of its keys with the same value.
+        edits = [("  - count: 2\n", "  - &battery\n    count: 1\n"),
+                 ("    e_init_kwh: 8.0\n", "    e_init_kwh: 8.0\n"
+                  "  - <<: *battery\n    e_init_kwh: 8.0\n")]
+        for old, new in edits:
+            assert base.count(old) == 1
+            base = base.replace(old, new)
+        path = tmp_path / "merged.yaml"
+        path.write_text(base)
+        assert load_config(str(path)) == load_config("configs/five_day.yaml")
+        assert mgsched.sim._loader.cache_info().hits - reads.hits >= 3
+
     @pytest.mark.parametrize("section,count", [
         ("battery", 0), ("battery", -2), ("resident", 0)])
     def test_count_errors_name_the_section(self, tmp_path, section, count):
