@@ -17,7 +17,12 @@ tree by HEAD's, and whether it held uncommitted or untracked files) and
 holds per workload
 and end-to-end metric both trees' median and first and third quartiles,
 the pair count and the pairs the change won, better being the direction
-BENCHMARK.json gives; every run's correct flag and metrics; each tree's
+BENCHMARK.json gives, and two verdicts: regressed (the change's median is
+worse than the parent's by more than BENCHMARK.json's bound, a fraction of
+the parent's median) and gain_shown (the change won at least 9 in 10 of
+the pairs, a tie winning nothing, and its median is better than the
+parent's by more than the parent's Q1-Q3 spread); every run's correct
+flag and metrics; each tree's
 "# env" line; and whether PYTHONDONTWRITEBYTECODE is set, since then
 every benchmark worker compiles mgsched from source inside its timed
 set-up.
@@ -99,7 +104,8 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(end_to_end: list[dict], runs: list[dict]) -> dict:
     """Per end-to-end metric of BENCHMARK.json: both trees' quartiles over
-    runs (one workload's pairs), the pair count and the change's wins."""
+    runs (one workload's pairs), the pair count, the change's wins and the
+    regressed and gain_shown verdicts."""
     table = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -108,10 +114,17 @@ def summarize(end_to_end: list[dict], runs: list[dict]) -> dict:
         higher = spec["better"] == "higher"
         wins = len([1 for old, new in pairs
                     if (new > old if higher else new < old)])
-        table[name] = {"unit": spec["unit"], "better": spec["better"],
-                       "pairs": len(pairs), "change_wins": wins,
-                       "parent": quartiles([old for old, _ in pairs]),
-                       "change": quartiles([new for _, new in pairs])}
+        parent = quartiles([old for old, _ in pairs])
+        change = quartiles([new for _, new in pairs])
+        # How far the change's median moved the better way.
+        gain = (change["median"] - parent["median"]) * (1 if higher else -1)
+        table[name] = {
+            "unit": spec["unit"], "better": spec["better"],
+            "pairs": len(pairs), "change_wins": wins,
+            "parent": parent, "change": change,
+            "regressed": -gain > spec["bound"] * abs(parent["median"]),
+            "gain_shown": (10 * wins >= 9 * len(pairs)
+                           and gain > parent["q3"] - parent["q1"])}
     return table
 
 

@@ -1054,10 +1054,12 @@ def _relaxed_slots(mu: list[float], nu: list[float], caps: np.ndarray,
     Two reductions must add in the order a slot-major (T, entries) array
     does, or the bound's floats depend on the layout: each slot's two
     objective dot products run over C-contiguous (T, entries) copies, and
-    the bound's sums over slots go through _slot_sums. The masked sums
-    behind q and s add the bids one after another, which a slot-major row
-    sum also does below 8 bids; from 8 bids on it adds them pairwise, so
-    there the objective can differ from that layout's by an ulp.
+    the bound's sums over slots go through _slot_sums, which keeps that
+    order without a transposed copy. The masked sums behind q and s add
+    the bids one after another, which a slot-major row sum also does
+    below 8 bids; from 8 bids on it adds them pairwise, so there the
+    objective can differ from that layout's by an ulp. r, d and p come
+    back through one fancy index, built without a sort.
 
     It is not merit_order_columns with the multipliers in every column (a
     test ties the two): that kernel sorts each column, and through it a
@@ -1126,19 +1128,29 @@ def _relaxed_slots(mu: list[float], nu: list[float], caps: np.ndarray,
     # BLAS adds a product with a transposed matrix in another order.
     objective = (np.ascontiguousarray(give.T) @ cost + q * c
                  - np.ascontiguousarray(take.T) @ value - s * w)
-    # One gather puts r, d and p in caps' and d_max's row order.
-    back = np.argsort(rows + [n_bid + k for k in order])
-    flows = flow[np.concatenate([back[n_res:], back[:n_res]])]
+    # One gather puts r, d and p in caps' and d_max's row order: at[key]
+    # is the stacked row of caps row key, or of discharge row key - n_bid.
     n_bat = len(order)
+    at = [0] * (n_bid + n_bat)
+    for i, key in enumerate(rows + [n_bid + k for k in order]):
+        at[key] = i
+    flows = flow[at[n_res:] + at[:n_res]]
     return (objective, q, s, flows[:n_bat], flows[n_bat:2 * n_bat],
             flows[2 * n_bat:])
 
 
 def _slot_sums(a: np.ndarray) -> np.ndarray:
     # Sums (entries, T) over slots as a C-contiguous (T, entries) array's
-    # sum(0) does: row after row, or pairwise for one entry. numpy sums a
-    # strided view, such as a.sum(1), in another order.
-    return np.ascontiguousarray(a.T).sum(0)
+    # sum(0) does, without that transposed copy. From two entries on, that
+    # sum starts from 0.0 and adds slot after slot, as add.accumulate does
+    # along a row from its first slot; the two differ only where every
+    # slot holds -0.0, which the 0.0 added last turns into the sum's 0.0.
+    # For one entry numpy adds the slots pairwise, as sum(1) does. The
+    # + 0.0 also makes the result contiguous: BLAS's dot adds a strided
+    # vector, such as the view [:, -1], in another order.
+    if len(a) < 2:
+        return a.sum(1)
+    return np.add.accumulate(a, 1)[:, -1] + 0.0
 
 
 def _demand_caps(alpha: np.ndarray,
@@ -1185,12 +1197,18 @@ def hindsight_lower_bound(traces: Trace | list[SlotObservation],
     column per slot) once per call; the feasibility check runs once,
     before the first iteration. The service allowance and the gradient
     sum over slots in _slot_sums' order, that of a slot-major array, so
-    the multipliers do not depend on the layout. Raises _checked's
-    ValueError, then UnservableSurplusError naming the first slot whose
-    surplus exceeds every sink, unless the config enables curtailment.
+    the multipliers do not depend on the layout; they come back
+    contiguous, as BLAS's dot adds a strided vector in another order.
+    Raises ValueError unless iterations is an int or numpy integer >= 1
+    (not a bool), then _checked's ValueError, then UnservableSurplusError
+    naming the first slot whose surplus exceeds every sink, unless the
+    config enables curtailment.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if (isinstance(iterations, bool)
+            or not isinstance(iterations, (int, np.integer))
+            or iterations < 1):
+        raise ValueError(
+            f"iterations must be an integer >= 1, got {iterations!r}")
     horizon = min(config.horizon, len(traces))
     if horizon < 1:
         raise ValueError("empty trace")

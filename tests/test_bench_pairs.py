@@ -102,6 +102,57 @@ class TestSummarize:
             "PYTHONDONTWRITEBYTECODE"] is False
 
 
+class TestVerdicts:
+    # The parent's 10 slots_per_s values, 100 to 109: median 104.5, Q1-Q3
+    # spread 106.75 - 102.25 = 4.5.
+    PARENT = [100.0 + i for i in range(10)]
+
+    def verdicts(self, name, parent, change):
+        runs = [pair(801 + i, output(**{name: old}), output(**{name: new}))
+                for i, (old, new) in enumerate(zip(parent, change))]
+        return pairs.summarize(SPEC["end_to_end"], runs)
+
+    def test_nine_wins_and_a_tie_beyond_the_spread_show_a_gain(self):
+        change = [old + 10.0 for old in self.PARENT[:9]] + [109.0]
+        table = self.verdicts("slots_per_s", self.PARENT, change)
+        speed = table["slots_per_s"]
+        assert speed["change_wins"] == 9
+        assert speed["change"]["median"] == 113.5
+        assert speed["gain_shown"] is True and speed["regressed"] is False
+        # Metrics equal on every run neither gain nor regress.
+        assert table["cost_per_slot"]["gain_shown"] is False
+        assert table["cost_per_slot"]["regressed"] is False
+
+    def test_eight_wins_and_two_ties_show_no_gain(self):
+        change = [old + 10.0 for old in self.PARENT[:8]] + [108.0, 109.0]
+        speed = self.verdicts("slots_per_s", self.PARENT, change)[
+            "slots_per_s"]
+        assert speed["change_wins"] == 8
+        assert speed["change"]["median"] - 104.5 > 4.5
+        assert speed["gain_shown"] is False
+
+    def test_ten_wins_inside_the_spread_show_no_gain(self):
+        change = [old + 1.0 for old in self.PARENT]
+        speed = self.verdicts("slots_per_s", self.PARENT, change)[
+            "slots_per_s"]
+        assert speed["change_wins"] == 10
+        assert speed["gain_shown"] is False and speed["regressed"] is False
+
+    @pytest.mark.parametrize("name,bound,parent,worse,within", [
+        ("slots_per_s", 0.15, 100.0, 84.0, 86.0),   # higher is better
+        ("op_p50_s", 0.15, 0.020, 0.0235, 0.0225),  # lower is better
+        ("wall_s", 0.05, 10.0, 10.6, 10.4),
+    ])
+    def test_regressed_past_the_bound_only(self, name, bound, parent, worse,
+                                           within):
+        assert {m["name"]: m["bound"]
+                for m in SPEC["end_to_end"]}[name] == bound
+        for change, regressed in ((worse, True), (within, False)):
+            entry = self.verdicts(name, [parent] * 10, [change] * 10)[name]
+            assert entry["regressed"] is regressed
+            assert entry["gain_shown"] is False
+
+
 class TestProblems:
     def test_clean_pairs_have_none(self):
         assert pairs.problems("validate-large", [

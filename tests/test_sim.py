@@ -70,6 +70,7 @@ from mgsched.sim import (
     _relaxed_slots,
     _row_total,
     _simulate,
+    _slot_sums,
     _stack,
     first_violation,
     load_seed,
@@ -1994,6 +1995,24 @@ class TestHindsight:
         with pytest.raises(ValueError):
             hindsight_lower_bound(generate_traces(config), config, iterations=0)
 
+    @pytest.mark.parametrize("iterations", [
+        True, False, np.True_, 2.5, 3.0, np.float64(3.0), "3", None])
+    def test_rejects_iterations_that_are_not_integers(self, iterations):
+        # True once ran one iteration, and 2.5 reached range() as a
+        # TypeError.
+        config = make_config(horizon=10)
+        with pytest.raises(ValueError,
+                           match="^iterations must be an integer >= 1, got"):
+            hindsight_lower_bound(generate_traces(config), config,
+                                  iterations=iterations)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_accepts_numpy_integers(self, kind):
+        config = make_config(horizon=30, seed=2)
+        traces = generate_traces(config)
+        assert (hindsight_lower_bound(traces, config, iterations=kind(3))
+                == hindsight_lower_bound(traces, config, iterations=3))
+
     def test_rejects_an_empty_trace(self):
         with pytest.raises(ValueError, match="^empty trace$"):
             hindsight_lower_bound([], make_config(horizon=10), iterations=1)
@@ -2201,6 +2220,40 @@ def reference_relaxed_slots(mu, nu, caps, d_max, grid, surplus, c, w):
     back = np.argsort(rows)
     return (objective, q, s, take[back[n_res:]], give[np.argsort(order)],
             take[back[:n_res]])
+
+
+def reference_slot_sums(a: np.ndarray) -> np.ndarray:
+    """_slot_sums as a slot-major copy sums it: the transposed array,
+    made C-contiguous, summed over its first axis."""
+    return np.ascontiguousarray(a.T).sum(0)
+
+
+@st.composite
+def slot_blocks(draw):
+    """An (entries, T) float array, 1-25 entries by 1-700 slots, whose
+    values mix signs, magnitudes from 1e-3 to 1e3, exact zeros and -0.0."""
+    shape = (draw(st.integers(1, 25)), draw(st.integers(1, 700)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero, negative_zero = draw(st.sampled_from([0.0, 0.1, 0.5])), 0.05
+    a = (rng.choice([-1.0, 1.0], shape)
+         * 10.0 ** rng.uniform(-3.0, 3.0, shape))
+    kind = rng.random(shape)
+    a[kind < zero] = 0.0
+    a[kind > 1.0 - negative_zero] = -0.0
+    return a
+
+
+class TestSlotSums:
+    @given(slot_blocks())
+    @settings(deadline=None, max_examples=1000)
+    def test_returns_the_bytes_of_a_slot_major_sum(self, a):
+        # nu @ allowance runs BLAS's dot, which adds a strided vector in
+        # another order, so the sums must also come back contiguous.
+        got = _slot_sums(a)
+        expected = reference_slot_sums(a)
+        assert got.flags.c_contiguous
+        assert got.shape == expected.shape == (len(a),)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRelaxedSlots:
