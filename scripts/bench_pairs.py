@@ -19,9 +19,9 @@ and end-to-end metric both trees' median and first and third quartiles,
 the pair count and the pairs the change won, better being the direction
 BENCHMARK.json gives, and two verdicts: regressed (the change's median is
 worse than the parent's by more than BENCHMARK.json's bound, a fraction of
-the parent's median) and gain_shown (the change won at least 9 in 10 of
-the pairs, a tie winning nothing, and its median is better than the
-parent's by more than the parent's Q1-Q3 spread); every run's correct
+the parent's median) and gain_shown (of at least 10 pairs, the change won
+at least 9 in 10, a tie winning nothing, and its median is better than
+the parent's by more than the parent's Q1-Q3 spread); every run's correct
 flag and metrics; each tree's
 "# env" line; and whether PYTHONDONTWRITEBYTECODE is set, since then
 every benchmark worker compiles mgsched from source inside its timed
@@ -123,7 +123,7 @@ def summarize(end_to_end: list[dict], runs: list[dict]) -> dict:
             "pairs": len(pairs), "change_wins": wins,
             "parent": parent, "change": change,
             "regressed": -gain > spec["bound"] * abs(parent["median"]),
-            "gain_shown": (10 * wins >= 9 * len(pairs)
+            "gain_shown": (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
                            and gain > parent["q3"] - parent["q1"])}
     return table
 

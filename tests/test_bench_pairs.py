@@ -84,6 +84,9 @@ class TestSummarize:
         assert table["slots_per_s"]["change"] == {"q1": 110.0,
                                                   "median": 110.0,
                                                   "q3": 110.0}
+        # One won pair has no spread, but shows no gain under 10 pairs.
+        assert table["slots_per_s"]["change_wins"] == 1
+        assert table["slots_per_s"]["gain_shown"] is False
 
     def test_report_records_the_trees_and_the_bytecode_variable(
             self, monkeypatch):
