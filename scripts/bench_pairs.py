@@ -182,6 +182,10 @@ def main() -> int:
     p.add_argument("--seconds", type=float,
                    help="seconds per run (default: BENCHMARK.json's)")
     args = p.parse_args()
+    if args.pairs < 1:
+        p.error(f"--pairs must be >= 1, got {args.pairs}")
+    if args.seconds is not None and not args.seconds > 0.0:
+        p.error(f"--seconds must be positive, got {args.seconds}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
 

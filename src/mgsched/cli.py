@@ -18,7 +18,6 @@ from .model import UnservableSurplusError, ordered_sum
 from .sim import (
     RunConfig,
     _write_table,
-    check_seed,
     generate_traces,
     load_config,
     load_seed,
@@ -194,7 +193,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # The suites draw their own systems, so only the seed is read.
     seed = load_seed(args.config)
     if args.seed is not None:
-        check_seed(args.seed)
         seed = args.seed
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")

@@ -11,12 +11,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Integral
 from operator import add
 
 # Absolute tolerance for the supply/demand balance residual, scaled by
 # max(1, surplus); boxes, battery bands and backlog caps use the same slack
 # in kWh.
 BALANCE_TOL = 1e-9
+
+
+def _whole(name: str, value, low: int = 1) -> None:
+    """Raise ValueError unless value is a non-bool integer of at least low."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
+def _positive(name: str, value) -> None:
+    """Raise ValueError unless value > 0, which NaN is not."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 class UnservableSurplusError(RuntimeError):
@@ -47,10 +62,8 @@ class BatterySpec:
         if not 0.0 <= self.e_min < self.e_max:
             raise ValueError(
                 f"need 0 <= e_min < e_max, got [{self.e_min}, {self.e_max}]")
-        if self.r_max <= 0.0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
-        if self.d_max <= 0.0:
-            raise ValueError(f"d_max must be positive, got {self.d_max}")
+        _positive("r_max", self.r_max)
+        _positive("d_max", self.d_max)
         if self.e_max - self.e_min <= self.r_max + self.d_max:
             raise ValueError(
                 "e_max - e_min must exceed r_max + d_max, got band "
@@ -81,8 +94,7 @@ class ResidentSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.alpha_max <= 0.0:
-            raise ValueError(f"alpha_max must be positive, got {self.alpha_max}")
+        _positive("alpha_max", self.alpha_max)
         lo, hi = self.basic_range
         if not 0.0 <= lo <= hi:
             raise ValueError(f"basic_range must satisfy 0 <= lo <= hi, got {self.basic_range}")
@@ -106,10 +118,8 @@ class GridSpec:
     w_max: float
 
     def __post_init__(self) -> None:
-        if self.q_max <= 0.0:
-            raise ValueError(f"q_max must be positive, got {self.q_max}")
-        if self.s_max <= 0.0:
-            raise ValueError(f"s_max must be positive, got {self.s_max}")
+        _positive("q_max", self.q_max)
+        _positive("s_max", self.s_max)
         if not 0.0 <= self.w_min <= self.w_max:
             raise ValueError(f"need 0 <= w_min <= w_max, got [{self.w_min}, {self.w_max}]")
         if not 0.0 <= self.c_min <= self.c_max:

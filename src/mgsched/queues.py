@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import BatterySpec, GridSpec, SystemSpec
+from .model import BatterySpec, GridSpec, SystemSpec, _positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,8 +75,7 @@ def _advance_qose_queues(z, alpha, p, deltas) -> tuple[float, ...]:
 
 def bound_constants(system: SystemSpec, v: float) -> BoundConstants:
     """Evaluate the guarantee constants for this system at parameter v."""
-    if v <= 0.0:
-        raise ValueError(f"control parameter must be positive, got {v}")
+    _positive("control parameter", v)
     b = 0.0
     for spec in system.batteries:
         m = max(spec.d_max, spec.r_max)

@@ -81,6 +81,8 @@ from .model import (
     SystemState,
     TraceError,
     UnservableSurplusError,
+    _positive,
+    _whole,
     compute_vmax,
     shape_problems,
     width_error,
@@ -132,17 +134,17 @@ class Regime:
     burst_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.start_slot < 0:
-            raise ValueError(f"start_slot must be >= 0, got {self.start_slot}")
-        if self.alpha_hi is not None and not self.alpha_hi > 0.0:
-            raise ValueError(f"alpha_hi must be positive, got {self.alpha_hi}")
+        _whole("start_slot", self.start_slot, 0)
+        if self.alpha_hi is not None:
+            _positive("alpha_hi", self.alpha_hi)
         _check_fields(self, ("burst_prob",),
                       ("basic_range", "surplus_range", "burst_range"))
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValueError unless seed fits the generators' 64-bit seeds."""
-    if not 0 <= seed < 2 ** 64:
+    """Raise ValueError unless seed is an integer in [0, 2 ** 64)."""
+    _whole("seed", seed, 0)
+    if seed >= 2 ** 64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
@@ -179,10 +181,8 @@ class RunConfig:
     alpha_base: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.slot_hours <= 0.0:
-            raise ValueError(f"slot_hours must be positive, got {self.slot_hours}")
+        _whole("horizon", self.horizon)
+        _positive("slot_hours", self.slot_hours)
         if not 0.0 < self.v_fraction <= 1.0:
             raise ValueError(
                 f"v_fraction must lie in (0, 1], got {self.v_fraction}")
@@ -191,7 +191,7 @@ class RunConfig:
         check_seed(self.seed)
         _check_fields(self, ("block_prob", "charge_prob", "burst_prob"),
                       ("surplus_range", "burst_range"))
-        if self.convergence_tol < 0.0:
+        if not self.convergence_tol >= 0.0:
             raise ValueError(
                 f"convergence_tol must be >= 0, got {self.convergence_tol}")
         starts = [r.start_slot for r in self.regimes]
@@ -1204,11 +1204,7 @@ def hindsight_lower_bound(traces: Trace | list[SlotObservation],
     naming the first slot whose surplus exceeds every sink, unless the
     config enables curtailment.
     """
-    if (isinstance(iterations, bool)
-            or not isinstance(iterations, (int, np.integer))
-            or iterations < 1):
-        raise ValueError(
-            f"iterations must be an integer >= 1, got {iterations!r}")
+    _whole("iterations", iterations)
     horizon = min(config.horizon, len(traces))
     if horizon < 1:
         raise ValueError("empty trace")
@@ -1266,13 +1262,12 @@ def write_slot_records(trajectory: Trajectory, path: str) -> None:
     """
     levels, backlogs, flows, audit = trajectory
     n_bat, n_res = len(levels[0]), len(backlogs[0])
-    zero = np.zeros((len(flows), 1))
     cost = audit["cost"]
     # A running total that adds inf to -inf is NaN, written as nan.
     with np.errstate(invalid="ignore"):
         table = np.column_stack([
             cost, np.cumsum(cost) + 0.0, flows[:, :2],
-            *(_row_total(np.hstack([zero, flows[:, at]]))
+            *(_row_total(flows[:, at]) + 0.0
               for at in _flow_slices(n_bat)[:2]),
             _stack(levels[1:], n_bat), _stack(backlogs[1:], n_res),
             audit["outage"]])
@@ -1533,8 +1528,7 @@ def load_config(path: str) -> RunConfig:
     """
     fields = _fields(path, _read_yaml(path), TOP_KEYS, "the top level")
     sh = fields.get("slot_hours", RunConfig.slot_hours)
-    if sh <= 0.0:
-        raise ValueError(f"{path}: slot_hours must be positive")
+    _build(path, _positive, name="slot_hours", value=sh)
     fields.update(_fields(path, fields.pop("traces", {}), TRACE_KEYS,
                           "traces", "traces", sh))
     regimes = fields.get("regimes", [])

@@ -66,6 +66,7 @@ from .model import (
     SystemSpec,
     SystemState,
     UnservableSurplusError,
+    _whole,
     compute_vmax,
 )
 from .queues import bound_constants
@@ -75,6 +76,7 @@ from .sim import (
     _simulate,
     _slot_draws,
     _uniform,
+    check_seed,
     first_violation,
     generate_traces,
 )
@@ -105,12 +107,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-
-def _check_sizes(k_max: int, n_max: int) -> None:
-    for name, size in (("k_max", k_max), ("n_max", n_max)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
 
 
 def _system_fields(bat, res, grid, k_on=True, n_on=True):
@@ -173,7 +169,8 @@ def random_system(rng: np.random.Generator, horizon: int, k_max: int = 3,
     sizing: uniform on [0, surplus_hi], replaced with probability
     burst_prob by a burst on [surplus_hi, burst_hi].
     """
-    _check_sizes(k_max, n_max)
+    _whole("k_max", k_max)
+    _whole("n_max", n_max)
     k = int(rng.integers(1, k_max + 1))
     n = int(rng.integers(1, n_max + 1))
     # One block of unit draws: per battery, per resident, then the grid.
@@ -220,7 +217,8 @@ def _draw_block(rng: np.random.Generator, count: int, k_max: int,
     for the whole block at once, so a seed draws other slots than those
     generators would one by one.
     """
-    _check_sizes(k_max, n_max)
+    _whole("k_max", k_max)
+    _whole("n_max", n_max)
     k = rng.integers(1, k_max + 1, size=count)
     n = rng.integers(1, n_max + 1, size=count)
     k_on = np.arange(k_max) < k[:, None]
@@ -312,18 +310,20 @@ def run_bound_trials(runs: int, slots: int, seed: int,
     """Simulate random systems and audit the deterministic state bounds.
 
     Returns three SuiteResults: battery levels inside their band, backlog
-    queues under their cap, and sliding outage windows within budget. Each
-    run draws its trace as generate_traces' Trace and steps the
-    scheduler, one slot_solver per run, through run()'s slot loop,
-    sim._simulate, and is audited once; a run of T slots with N
-    residents checks T levels and backlogs and max(T - OUTAGE_WINDOW + 1,
-    0) * N windows, and each counterexample is worded by first_violation.
-    The per-slot flow caps are deliberately not headroom-clamped here, so
-    a misparametrized control weight (v_factor > 1) produces real,
-    countable band violations instead of being silently repaired.
+    queues under their cap, and sliding outage windows within budget. Each run
+    draws its trace as generate_traces' Trace and steps the scheduler, one
+    slot_solver per run, through run()'s slot loop, sim._simulate, and is
+    audited once; a run of T slots with N residents checks T levels and
+    backlogs and max(T - OUTAGE_WINDOW + 1, 0) * N windows, and each
+    counterexample is worded by first_violation. The per-slot flow caps are
+    deliberately not headroom-clamped here, so a misparametrized control weight
+    (v_factor > 1) produces real, countable band violations instead of being
+    silently repaired. Raises ValueError unless runs, slots, k_max and n_max
+    are integers >= 1, not bools, and check_seed accepts seed.
     """
-    if runs < 1 or slots < 1:
-        raise ValueError("runs and slots must both be >= 1")
+    _whole("runs", runs)
+    _whole("slots", slots)
+    check_seed(seed)
     rng = np.random.default_rng((seed, 2))
     keys = ("battery_band", "queue_bound", "outage_window")
     violations = dict.fromkeys(keys, 0)
@@ -360,17 +360,18 @@ def threshold_trials(slots: int, seed: int, k_max: int = 3,
                      n_max: int = 6) -> SuiteResult:
     """Audit feasibility and threshold structure of optimal dispatches.
 
-    Every slot is an independent problem with its own system, state
-    (levels anywhere in band, backlogs up to 1.25x their cap) and
-    observation, drawn up to THRESHOLD_BLOCK slots at a time by
-    _draw_block. _solve_block solves a block with one merit_order_columns
-    call, with dispatch_slot's headroom-clamped books; every slot's
-    optimum must pass the balance and threshold audits of audit_slots. A
-    slot whose surplus exceeds every sink raises UnservableSurplusError
-    naming it, as dispatch_slot would.
+    Every slot is an independent problem with its own system, state (levels
+    anywhere in band, backlogs up to 1.25x their cap) and observation, drawn up
+    to THRESHOLD_BLOCK slots at a time by _draw_block. _solve_block solves a
+    block with one merit_order_columns call, with dispatch_slot's
+    headroom-clamped books; every slot's optimum must pass the balance and
+    threshold audits of audit_slots. A slot whose surplus exceeds every sink
+    raises UnservableSurplusError naming it, as dispatch_slot would. Raises
+    ValueError unless slots, k_max and n_max are integers >= 1, not bools, and
+    check_seed accepts seed.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    _whole("slots", slots)
+    check_seed(seed)
     rng = np.random.default_rng((seed, 3))
     violations = 0
     ce = None
@@ -406,21 +407,21 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
     """Cross-check dispatch_slot and merit_order_columns against the exact
     dual oracle.
 
-    Instances are drawn BLOCK at a time by _draw_block, the threshold
-    suite's draw, at up to the acceptance maximum of 5 batteries and 20
-    residents with backlogs up to 1x their cap, and dispatch_slot solves
-    each. _solve_block solves each block again, padded to 5 x 20 with
-    zero-capacity entries, by one merit_order_columns call, and
-    oracle_columns evaluates the exact dual optima of the same book
-    arrays in one batch, so the dual checks the kernel on its own input.
-    The kernel's feasibility verdicts must agree with the oracle's and,
-    when feasible, its objectives must equal the optima to within 1e-9
-    relative and its flows must pass audit_slots' balance audit;
-    dispatch_slot's objectives must equal the optima to the same
-    tolerance.
+    Instances are drawn BLOCK at a time by _draw_block, the threshold suite's
+    draw, at up to the acceptance maximum of 5 batteries and 20 residents with
+    backlogs up to 1x their cap, and dispatch_slot solves each. _solve_block
+    solves each block again, padded to 5 x 20 with zero-capacity entries, by
+    one merit_order_columns call, and oracle_columns evaluates the exact dual
+    optima of the same book arrays in one batch, so the dual checks the kernel
+    on its own input. The kernel's feasibility verdicts must agree with the
+    oracle's and, when feasible, its objectives must equal the optima to within
+    1e-9 relative and its flows must pass audit_slots' balance audit;
+    dispatch_slot's objectives must equal the optima to the same tolerance.
+    Raises ValueError unless instances is an integer >= 1, not a bool, and
+    check_seed accepts seed.
     """
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
+    _whole("instances", instances)
+    check_seed(seed)
     rng = np.random.default_rng((seed, 4))
     violations = 0
     ce = None
@@ -456,9 +457,9 @@ def solver_oracle_trials(instances: int, seed: int) -> SuiteResult:
 
 
 def run_all_suites(trials: int, seed: int) -> list[SuiteResult]:
-    """Run every suite at a size scaled to the requested trial count."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    """Run every suite at a size scaled to trials, an integer >= 1 and no
+    bool; the suites refuse a seed as check_seed does."""
+    _whole("trials", trials)
     results = run_bound_trials(runs=max(2, trials // 10),
                                slots=max(OUTAGE_WINDOW, 4 * trials),
                                seed=seed)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,3 +173,24 @@ class TestProblems:
         assert pairs.problems("hindsight", [
             pair(805, output(**{name: 0.5}), output())]) == [
             f"hindsight seed 805: {name} 0.5 (parent) != 1.0 (change)"]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("flags", [
+        ["--pairs", "0"], ["--pairs", "-3"], ["--seconds", "0"],
+        ["--seconds", "-1"], ["--seconds", "nan"]])
+    def test_refused_before_any_tree_is_exported(self, monkeypatch, capsys,
+                                                 flags):
+        # --pairs 0 once exported both trees and then failed in
+        # statistics.quantiles; --seconds 0 ran BENCHMARK.json's length.
+        def export(revision, dest):
+            raise AssertionError(f"exported {revision}")
+
+        monkeypatch.setattr(pairs, "export", export)
+        monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent",
+                                          "HEAD", "--out", "unused.json",
+                                          *flags])
+        with pytest.raises(SystemExit) as exit_:
+            pairs.main()
+        assert exit_.value.code == 2
+        assert f"error: {flags[0]} must be" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,19 +11,29 @@ from mgsched import (
     BatterySpec,
     Dispatch,
     GridSpec,
+    Regime,
     ResidentSpec,
+    RunConfig,
     SlotObservation,
     SystemSpec,
+    bound_constants,
     check_dispatch,
     compute_vmax,
     generate_traces,
+    hindsight_lower_bound,
     load_config,
+    random_system,
+    run_all_suites,
+    run_bound_trials,
+    solver_oracle_trials,
     surplus_power,
+    threshold_trials,
     validate_observation,
 )
 from mgsched.dispatch import _fault_words, _limits, _observation_faults
 from mgsched.model import ordered_sum
-from mgsched.sim import _row_total
+from mgsched.sim import _row_total, check_seed
+from mgsched.validate import _draw_block
 
 import audit_reference
 from conftest import make_battery, make_grid, make_resident, make_system
@@ -328,3 +339,113 @@ class TestCheckDispatchProperties:
         obs, dispatch = case
         sys_ = make_system()
         assert check_dispatch(dispatch, sys_, obs) == []
+
+
+def small_config(**overrides) -> RunConfig:
+    return RunConfig((make_battery(),), (make_resident(),), make_grid(),
+                     **{"horizon": 10, **overrides})
+
+
+def hindsight(iterations):
+    config = small_config()
+    return hindsight_lower_bound(generate_traces(config), config, iterations)
+
+
+def fresh_rng():
+    return np.random.default_rng(0)
+
+
+# Every argument model._whole guards: (name, low, call with the value).
+WHOLE = {
+    "RunConfig.horizon": ("horizon", 1, lambda x: small_config(horizon=x)),
+    "RunConfig.seed": ("seed", 0, lambda x: small_config(seed=x)),
+    "check_seed": ("seed", 0, check_seed),
+    "Regime.start_slot": ("start_slot", 0, lambda x: Regime(start_slot=x)),
+    "hindsight.iterations": ("iterations", 1, hindsight),
+    "random_system.k_max": (
+        "k_max", 1, lambda x: random_system(fresh_rng(), 5, k_max=x)),
+    "random_system.n_max": (
+        "n_max", 1, lambda x: random_system(fresh_rng(), 5, n_max=x)),
+    "_draw_block.k_max": ("k_max", 1,
+                          lambda x: _draw_block(fresh_rng(), 4, x, 6, 1.0)),
+    "_draw_block.n_max": ("n_max", 1,
+                          lambda x: _draw_block(fresh_rng(), 4, 3, x, 1.0)),
+    "bound.runs": ("runs", 1,
+                   lambda x: run_bound_trials(runs=x, slots=1, seed=0)),
+    "bound.slots": ("slots", 1,
+                    lambda x: run_bound_trials(runs=1, slots=x, seed=0)),
+    "bound.seed": ("seed", 0,
+                   lambda x: run_bound_trials(runs=1, slots=1, seed=x)),
+    "threshold.slots": ("slots", 1,
+                        lambda x: threshold_trials(slots=x, seed=0)),
+    "threshold.seed": ("seed", 0,
+                       lambda x: threshold_trials(slots=1, seed=x)),
+    "oracle.instances": ("instances", 1,
+                         lambda x: solver_oracle_trials(instances=x, seed=0)),
+    "oracle.seed": ("seed", 0,
+                    lambda x: solver_oracle_trials(instances=1, seed=x)),
+    "run_all_suites.trials": ("trials", 1,
+                              lambda x: run_all_suites(x, seed=0)),
+}
+NOT_WHOLE = [True, False, np.True_, 2.5, 3.0, np.float64(3.0), "3", None]
+SEEDS = [guard for guard, (name, _, _) in WHOLE.items() if name == "seed"]
+
+# Every field model._positive guards: (name, call with the value).
+POSITIVE = {
+    "BatterySpec.r_max": ("r_max", lambda x: make_battery(r_max=x)),
+    "BatterySpec.d_max": ("d_max", lambda x: make_battery(d_max=x)),
+    "ResidentSpec.alpha_max": ("alpha_max",
+                               lambda x: make_resident(alpha_max=x)),
+    "GridSpec.q_max": ("q_max", lambda x: make_grid(q_max=x)),
+    "GridSpec.s_max": ("s_max", lambda x: make_grid(s_max=x)),
+    "Regime.alpha_hi": ("alpha_hi", lambda x: Regime(0, alpha_hi=x)),
+    "RunConfig.slot_hours": ("slot_hours",
+                             lambda x: small_config(slot_hours=x)),
+    "bound_constants.v": ("control parameter",
+                          lambda x: bound_constants(make_system(), x)),
+}
+
+
+class TestArgumentRules:
+    """A count, size or seed is an int or numpy integer, never a bool, and
+    at least its floor; a cap, slot length or control parameter is > 0,
+    which NaN is not."""
+
+    @pytest.mark.parametrize("value", NOT_WHOLE, ids=repr)
+    @pytest.mark.parametrize("guard", WHOLE)
+    def test_whole_refuses_what_is_not_an_integer(self, guard, value):
+        name, _, call = WHOLE[guard]
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("guard", WHOLE)
+    def test_whole_refuses_one_below_the_floor(self, guard):
+        name, low, call = WHOLE[guard]
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be >= {low}, got {low - 1}$"):
+            call(low - 1)
+
+    @pytest.mark.parametrize("guard", SEEDS)
+    def test_seeds_stay_below_two_to_the_64(self, guard):
+        call = WHOLE[guard][2]
+        call(np.uint64(2 ** 64 - 1))
+        with pytest.raises(ValueError, match=f"^seed must fit in 64 bits, "
+                                             f"got {2 ** 64}$"):
+            call(2 ** 64)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("guard", [
+        "RunConfig.horizon", "RunConfig.seed", "Regime.start_slot",
+        "random_system.k_max", "random_system.n_max"])
+    def test_numpy_integers_act_as_ints(self, guard, kind):
+        call = WHOLE[guard][2]
+        assert call(kind(3)) == call(3)
+
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0], ids=repr)
+    @pytest.mark.parametrize("guard", POSITIVE)
+    def test_positive_refuses_nan_zero_and_below(self, guard, value):
+        name, call = POSITIVE[guard]
+        message = f"{name} must be positive, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)

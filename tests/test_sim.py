@@ -105,6 +105,7 @@ class TestRunConfig:
         dict(block_prob=1.5),
         dict(surplus_range=(2.0, 1.0)),
         dict(convergence_tol=-0.1),
+        dict(convergence_tol=math.nan),
         dict(regimes=(Regime(start_slot=10), Regime(start_slot=10))),
         dict(alpha_base=(1.0, 1.0)),     # wrong arity for one resident
         dict(alpha_base=(3.0,)),         # above alpha_max
@@ -2002,7 +2003,7 @@ class TestHindsight:
         # TypeError.
         config = make_config(horizon=10)
         with pytest.raises(ValueError,
-                           match="^iterations must be an integer >= 1, got"):
+                           match="^iterations must be an integer, got"):
             hindsight_lower_bound(generate_traces(config), config,
                                   iterations=iterations)
 

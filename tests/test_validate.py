@@ -621,10 +621,11 @@ class TestOtherSuites:
 
     @pytest.mark.parametrize("suite,message", [
         (lambda: run_bound_trials(runs=0, slots=10, seed=0),
-         "runs and slots must both be >= 1"),
-        (lambda: threshold_trials(slots=0, seed=0), "slots must be >= 1"),
+         "runs must be >= 1, got 0"),
+        (lambda: threshold_trials(slots=0, seed=0),
+         "slots must be >= 1, got 0"),
         (lambda: solver_oracle_trials(instances=0, seed=0),
-         "instances must be >= 1"),
+         "instances must be >= 1, got 0"),
     ], ids=["bound", "threshold", "oracle"])
     def test_suites_reject_an_empty_size(self, suite, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
