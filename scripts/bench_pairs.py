@@ -29,8 +29,9 @@ set-up.
 
 Exits 1 when a run is not correct or when cost_per_slot, outage_ratio or
 success_ratio differ between the two runs of a pair (the report is
-written first), and 2 when a revision cannot be resolved or exported or
-a run prints no result.
+written first), and 2 when --pairs is below 1 or --seconds is not
+positive (before anything is exported), when a revision cannot be
+resolved or exported, or when a run prints no result.
 """
 
 from __future__ import annotations

@@ -181,8 +181,6 @@ class TestArguments:
         ["--seconds", "-1"], ["--seconds", "nan"]])
     def test_refused_before_any_tree_is_exported(self, monkeypatch, capsys,
                                                  flags):
-        # --pairs 0 once exported both trees and then failed in
-        # statistics.quantiles; --seconds 0 ran BENCHMARK.json's length.
         def export(revision, dest):
             raise AssertionError(f"exported {revision}")
 
